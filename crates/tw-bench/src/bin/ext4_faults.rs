@@ -187,7 +187,7 @@ fn run_pipeline(
             window: Nanos::from_millis(250),
             grace: Nanos::from_millis(50),
             channel_capacity: 4096,
-            threads: engine_threads,
+            shards: engine_threads,
             shed,
             warm_start: warm.is_some(),
             initial_registry: warm.cloned(),

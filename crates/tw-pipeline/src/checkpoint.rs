@@ -6,19 +6,11 @@
 //! correction restarted cold and mis-corrected until re-convergence),
 //! and the warm [`DelayRegistry`] (so reconstruction quality fell back
 //! to the bootstrap for many windows). This module periodically
-//! snapshots all three into one atomically-replaced file:
-//!
-//! ```text
-//! [ magic "TWCK" | version u32 LE | payload_len u64 LE | crc32 u32 LE | JSON payload ]
-//! ```
-//!
-//! Writes go to a temp file in the same directory, are fsynced, and then
-//! renamed over the previous checkpoint — readers observe either the old
-//! complete file or the new complete file, never a torn one. On load the
-//! header is validated field by field (magic, version, length, CRC32 of
-//! the payload) and any mismatch is a *clean* rejection: the engine
-//! falls back to a cold start and counts the reason, it never trusts a
-//! corrupt checkpoint.
+//! snapshots all three into one atomically-replaced file: a
+//! single-frame [`tw_store::frame`] file with the `TWCK` magic and a JSON
+//! [`CheckpointDoc`] payload. Any mismatch on load is a *clean*
+//! rejection: the engine falls back to a cold start and counts the
+//! reason, it never trusts a corrupt checkpoint.
 //!
 //! Consistency model: the three state sources are sampled near-in-time
 //! but not transactionally — the watermark is authoritative (it is what
@@ -31,21 +23,18 @@
 
 use crate::sanitize::{SanitizerSnapshot, SanitizerSnapshotSlot};
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tw_core::{DelayRegistry, RegistryWatch};
+use tw_store::frame::{read_json, write_json};
 use tw_telemetry::trace::SpanRecorder;
 use tw_telemetry::{Counter, Gauge, Registry};
 
 const MAGIC: [u8; 4] = *b"TWCK";
-const VERSION: u32 = 1;
-const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 /// Checkpoint file name inside the configured directory.
 pub const CHECKPOINT_FILE: &str = "online.ckpt";
-const CHECKPOINT_TMP: &str = "online.ckpt.tmp";
 
 /// Checkpointing configuration for [`crate::OnlineConfig::checkpoint`].
 #[derive(Debug, Clone)]
@@ -91,143 +80,21 @@ pub struct CheckpointDoc {
     pub archived: Option<u64>,
 }
 
-/// Why a checkpoint could not be loaded.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// No checkpoint file: first boot, or the directory was wiped.
-    Missing,
-    /// Filesystem error reading the file.
-    Io(std::io::Error),
-    /// File does not start with the `TWCK` magic.
-    BadMagic,
-    /// Unknown format version.
-    BadVersion(u32),
-    /// File shorter than the header-declared payload length.
-    Truncated,
-    /// Payload CRC32 mismatch (torn or bit-rotted write).
-    BadCrc,
-    /// Payload failed to parse/deserialize.
-    BadPayload(String),
-}
+/// Why a checkpoint could not be loaded: the shared framed-file error,
+/// whose `reason()` labels `tw_pipeline_recovery_cold_starts_total`.
+pub use tw_store::StoreError as CheckpointError;
 
-impl CheckpointError {
-    /// Metric label for `tw_pipeline_recovery_cold_starts_total{reason}`.
-    pub fn reason(&self) -> &'static str {
-        match self {
-            CheckpointError::Missing => "missing",
-            CheckpointError::Io(_) => "io",
-            CheckpointError::BadMagic
-            | CheckpointError::BadVersion(_)
-            | CheckpointError::Truncated
-            | CheckpointError::BadCrc
-            | CheckpointError::BadPayload(_) => "corrupt",
-        }
-    }
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Missing => write!(f, "no checkpoint file"),
-            CheckpointError::Io(e) => write!(f, "checkpoint io error: {e}"),
-            CheckpointError::BadMagic => write!(f, "bad checkpoint magic"),
-            CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            CheckpointError::Truncated => write!(f, "truncated checkpoint file"),
-            CheckpointError::BadCrc => write!(f, "checkpoint crc mismatch"),
-            CheckpointError::BadPayload(e) => write!(f, "bad checkpoint payload: {e}"),
-        }
-    }
-}
-
-/// CRC32 (IEEE 802.3 polynomial, reflected), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        let mut i = 0usize;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    });
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xffff_ffff
-}
-
-/// Serialize and atomically persist a checkpoint into `dir`
-/// (write-temp → fsync → rename).
+/// Serialize and atomically persist a checkpoint into `dir`.
 pub fn write_checkpoint(dir: &Path, doc: &CheckpointDoc) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let payload = serde_json::to_string(doc)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let payload = payload.as_bytes();
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    let tmp = dir.join(CHECKPOINT_TMP);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))
+    write_json(&dir.join(CHECKPOINT_FILE), MAGIC, doc)
 }
 
 /// Load and validate the checkpoint in `dir`. Every failure mode is a
 /// typed [`CheckpointError`]; callers fall back to a cold start and
 /// count [`CheckpointError::reason`].
 pub fn load_checkpoint(dir: &Path) -> Result<CheckpointDoc, CheckpointError> {
-    let path = dir.join(CHECKPOINT_FILE);
-    let mut file = match std::fs::File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(CheckpointError::Missing),
-        Err(e) => return Err(CheckpointError::Io(e)),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(CheckpointError::Io)?;
-    if bytes.len() < HEADER_LEN {
-        return Err(if bytes.get(..4).is_some_and(|m| m != MAGIC) {
-            CheckpointError::BadMagic
-        } else {
-            CheckpointError::Truncated
-        });
-    }
-    if bytes[..4] != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
-    let payload = &bytes[HEADER_LEN..];
-    if payload.len() != len {
-        return Err(CheckpointError::Truncated);
-    }
-    if crc32(payload) != crc {
-        return Err(CheckpointError::BadCrc);
-    }
-    let text =
-        std::str::from_utf8(payload).map_err(|e| CheckpointError::BadPayload(e.to_string()))?;
-    serde_json::from_str(text).map_err(|e| CheckpointError::BadPayload(e.to_string()))
+    read_json(&dir.join(CHECKPOINT_FILE), MAGIC)
 }
 
 /// Registry handles for the `tw_pipeline_recovery_*` /
@@ -462,13 +329,6 @@ fn write_doc(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn checkpoint_round_trips_through_disk() {

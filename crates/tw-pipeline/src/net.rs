@@ -18,6 +18,7 @@ use std::thread::JoinHandle;
 use tw_capture::wire::{encode_records, FrameDecoder};
 use tw_core::TraceWeaver;
 use tw_model::span::RpcRecord;
+use tw_telemetry::http::{self, Request, Response};
 use tw_telemetry::{Counter, Registry};
 
 /// Consecutive decode failures tolerated on one connection before the
@@ -279,9 +280,9 @@ fn serve_connection(
 /// [`OnlineEngine`] (a supervised staged pipeline, DESIGN.md §11) and
 /// bind an [`IngestServer`] as its source, so capture agents export wire
 /// frames straight into sharded windowed reconstruction.
-/// `config.shards` (or legacy `config.threads`) sets how many window
-/// shards reconstruct concurrently; shut down the server before the
-/// engine so in-flight connections drain into the final windows.
+/// `config.shards` sets how many window shards reconstruct concurrently;
+/// shut down the server before the engine so in-flight connections drain
+/// into the final windows.
 pub fn serve_online(
     addr: &str,
     tw: TraceWeaver,
@@ -312,11 +313,9 @@ pub fn serve_online_sanitized(
 }
 
 /// Retry policy for [`export_records`]: bounded exponential backoff with
-/// deterministic jitter on transient transport failures (connect refusal
-/// while the ingest server restarts, `WouldBlock`/`Interrupted` mid
-/// write). The jitter is a hash of the attempt number and target address
-/// — reproducible run to run, yet desynchronized across agents exporting
-/// to the same server.
+/// deterministic jitter ([`http::backoff`]) on transient transport
+/// failures (connect refusal while the ingest server restarts,
+/// `WouldBlock`/`Interrupted` mid write).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExportRetry {
     /// Total connect+write attempts (clamped to at least 1).
@@ -344,22 +343,6 @@ impl ExportRetry {
             attempts: 1,
             ..ExportRetry::default()
         }
-    }
-
-    /// Backoff before attempt `n + 1` (1-based `n`), jittered.
-    fn backoff(&self, n: u32, addr: SocketAddr) -> std::time::Duration {
-        let exp = n.saturating_sub(1).min(20);
-        let nominal = self
-            .backoff_base
-            .saturating_mul(1u32 << exp)
-            .min(self.backoff_max);
-        // splitmix64 over (attempt, port): deterministic per agent+try.
-        let mut z =
-            ((u64::from(n) << 32) | u64::from(addr.port())).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        nominal + nominal.mul_f64((z % 256) as f64 / 1024.0)
     }
 }
 
@@ -441,7 +424,12 @@ pub fn export_records_with(
             }
             Err(err) if attempt < attempts && retryable(&err) => {
                 metrics.retries.inc();
-                std::thread::sleep(retry.backoff(attempt, addr));
+                std::thread::sleep(http::backoff(
+                    retry.backoff_base,
+                    retry.backoff_max,
+                    attempt,
+                    addr.port(),
+                ));
             }
             Err(err) => {
                 metrics.failures.inc();
@@ -454,16 +442,13 @@ pub fn export_records_with(
 /// A minimal HTTP scrape endpoint serving `GET /metrics` in Prometheus
 /// text exposition format v0.0.4.
 ///
-/// Hand-rolled on a blocking accept loop, like [`IngestServer`]: scrapes
-/// are rare and tiny, so one connection at a time with a short socket
-/// timeout is robust and dependency-free. The served document is
+/// An [`http::Server`] (one connection at a time, no request bodies)
+/// routing through `serve_scrape`. The served document is
 /// [`Registry::render_multi`] over `sources` — pass the pipeline's
 /// registry plus [`tw_telemetry::global()`] to cover all five stages
 /// (ingest, sanitize, engine, core task, solver) in one scrape.
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: http::Server,
 }
 
 /// Liveness/readiness/introspection state served next to `/metrics`
@@ -538,172 +523,84 @@ impl MetricsServer {
         sources: Vec<Registry>,
         health: ServeHealth,
     ) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let accept_thread = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { break };
-                let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
-                let _ = stream.set_write_timeout(Some(std::time::Duration::from_secs(2)));
-                let _ = serve_scrape(stream, &sources, &health);
-            }
-        });
-        Ok(MetricsServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        let server = http::Server::bind(addr, 0, move |request| {
+            serve_scrape(&request, &sources, &health)
+        })?;
+        Ok(MetricsServer { server })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stop accepting and join the accept thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr); // wake the accept loop
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop accepting and join the accept thread (as drop does).
+    pub fn shutdown(self) {}
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
+/// Route one request: `GET /metrics` gets the rendered exposition,
+/// `/healthz`/`/readyz` the liveness/readiness probes, `/deadletters`,
+/// `/spans` and `/traces` their JSON documents, anything else a 404.
+fn serve_scrape(request: &Request, sources: &[Registry], health: &ServeHealth) -> Response {
+    let json = |doc: Result<String, serde_json::Error>| Response {
+        status: "200 OK",
+        content_type: "application/json; charset=utf-8",
+        body: doc.unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}")),
+    };
+    let not_found = |what: &str| Response::text("404 Not Found", what);
+    if request.method != "GET" {
+        return not_found("not found\n");
     }
-}
-
-/// Answer one HTTP request on `stream`: `GET /metrics` gets the rendered
-/// exposition, `/healthz`/`/readyz` the liveness/readiness probes,
-/// `/deadletters` the quarantine queue as JSON, anything else a 404.
-fn serve_scrape(
-    mut stream: TcpStream,
-    sources: &[Registry],
-    health: &ServeHealth,
-) -> std::io::Result<()> {
-    // Read the request head (we never need a body; 4 KiB bounds it).
-    let mut head = Vec::with_capacity(512);
-    let mut buf = [0u8; 1024];
-    loop {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        head.extend_from_slice(&buf[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= 4096 {
-            break;
-        }
-    }
-    let request = String::from_utf8_lossy(&head);
-    let mut parts = request.lines().next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) =
-        if method == "GET" && (path == "/metrics" || path.starts_with("/metrics?")) {
+    match request.path.as_str() {
+        "/metrics" => {
             let refs: Vec<&Registry> = sources.iter().collect();
             // When any histogram carries exemplars, serve the OpenMetrics
             // exposition (exemplar syntax is not valid in the v0.0.4 text
             // format); plain registries keep the classic content type so
             // pre-OpenMetrics scrapers are unaffected.
             if tw_telemetry::snapshot_has_exemplars(&Registry::merged_snapshot(&refs)) {
-                (
-                    "200 OK",
-                    "application/openmetrics-text; version=1.0.0; charset=utf-8",
-                    Registry::render_multi_openmetrics(&refs),
-                )
-            } else {
-                (
-                    "200 OK",
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    Registry::render_multi(&refs),
-                )
-            }
-        } else if method == "GET" && path == "/spans" {
-            match health.spans.lock().as_ref() {
-                Some(recorder) => (
-                    "200 OK",
-                    "application/json; charset=utf-8",
-                    recorder.render_json(),
-                ),
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "no span recorder attached\n".to_string(),
-                ),
-            }
-        } else if method == "GET" && (path == "/traces" || path.starts_with("/traces?")) {
-            match health.archive.lock().as_ref() {
-                Some(archive) => {
-                    let query =
-                        parse_trace_query(path.split_once('?').map(|x| x.1).unwrap_or(""));
-                    let doc = tw_store::TracesDoc {
-                        traces: archive.query(&query),
-                    };
-                    (
-                        "200 OK",
-                        "application/json; charset=utf-8",
-                        serde_json::to_string(&doc)
-                            .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}")),
-                    )
+                Response {
+                    status: "200 OK",
+                    content_type: "application/openmetrics-text; version=1.0.0; charset=utf-8",
+                    body: Registry::render_multi_openmetrics(&refs),
                 }
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "no trace archive attached\n".to_string(),
-                ),
-            }
-        } else if method == "GET" && path == "/healthz" {
-            // Liveness: answering at all means the accept loop is alive.
-            ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string())
-        } else if method == "GET" && path == "/readyz" {
-            if health.is_ready() {
-                ("200 OK", "text/plain; charset=utf-8", "ready\n".to_string())
             } else {
-                (
-                    "503 Service Unavailable",
-                    "text/plain; charset=utf-8",
-                    "starting\n".to_string(),
-                )
+                Response {
+                    status: "200 OK",
+                    content_type: "text/plain; version=0.0.4; charset=utf-8",
+                    body: Registry::render_multi(&refs),
+                }
             }
-        } else if method == "GET" && path == "/deadletters" {
-            match health.dead_letters.lock().as_ref() {
-                Some(queue) => (
-                    "200 OK",
-                    "application/json; charset=utf-8",
-                    serde_json::to_string(&queue.snapshot())
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}")),
-                ),
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "no dead-letter queue attached\n".to_string(),
-                ),
-            }
-        } else {
-            (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found\n".to_string(),
-            )
-        };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+        }
+        "/spans" => match health.spans.lock().as_ref() {
+            Some(recorder) => json(Ok(recorder.render_json())),
+            None => not_found("no span recorder attached\n"),
+        },
+        "/traces" => match health.archive.lock().as_ref() {
+            Some(archive) => json(serde_json::to_string(&tw_store::TracesDoc {
+                traces: archive.query(&parse_trace_query(&request.query)),
+            })),
+            None => not_found("no trace archive attached\n"),
+        },
+        // Liveness: answering at all means the accept loop is alive.
+        "/healthz" => Response::text("200 OK", "ok\n"),
+        "/readyz" if health.is_ready() => Response::text("200 OK", "ready\n"),
+        "/readyz" => Response::text("503 Service Unavailable", "starting\n"),
+        "/deadletters" => match health.dead_letters.lock().as_ref() {
+            Some(queue) => json(serde_json::to_string(&queue.snapshot())),
+            None => not_found("no dead-letter queue attached\n"),
+        },
+        _ => not_found("not found\n"),
+    }
+}
+
+/// A millisecond query value as nanoseconds; saturates, since the value
+/// comes off the socket.
+fn ms_to_ns(value: &str) -> Option<u64> {
+    value
+        .parse::<u64>()
+        .ok()
+        .map(|ms| ms.saturating_mul(1_000_000))
 }
 
 /// Parse `/traces` query parameters into a [`tw_store::TraceQuery`].
@@ -721,11 +618,9 @@ fn parse_trace_query(raw: &str) -> tw_store::TraceQuery {
             "window" => q.window = value.parse().ok(),
             "service" => q.service = value.parse().ok(),
             "op" => q.op = value.parse().ok(),
-            "min_latency_ms" => {
-                q.min_latency_ns = value.parse::<u64>().ok().map(|ms| ms * 1_000_000)
-            }
-            "from_ms" => q.from_ns = value.parse::<u64>().ok().map(|ms| ms * 1_000_000),
-            "to_ms" => q.to_ns = value.parse::<u64>().ok().map(|ms| ms * 1_000_000),
+            "min_latency_ms" => q.min_latency_ns = ms_to_ns(value),
+            "from_ms" => q.from_ns = ms_to_ns(value),
+            "to_ms" => q.to_ns = ms_to_ns(value),
             "limit" => q.limit = value.parse().unwrap_or(0),
             _ => {}
         }
@@ -736,25 +631,13 @@ fn parse_trace_query(raw: &str) -> tw_store::TraceQuery {
 /// `GET` one path from a [`MetricsServer`] and return the body. Errors on
 /// connect failure or a non-200 status.
 fn fetch_path(addr: SocketAddr, path: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let (head, body) = response.split_once("\r\n\r\n").ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed HTTP response")
-    })?;
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains(" 200 ") {
+    let (status, body) = http::request(addr, "GET", path, "", std::time::Duration::from_secs(5))?;
+    if status != 200 {
         return Err(std::io::Error::other(format!(
             "GET {path} failed: {status}"
         )));
     }
-    Ok(body.to_string())
+    Ok(body)
 }
 
 /// Scrape a [`MetricsServer`] (or any `/metrics` endpoint) and return the
@@ -996,7 +879,7 @@ mod tests {
                 window: N::from_millis(100),
                 grace: N::from_millis(50),
                 channel_capacity: 4_096,
-                threads: 2,
+                shards: 2,
                 ..crate::online::OnlineConfig::default()
             },
         )

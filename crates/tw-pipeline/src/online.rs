@@ -241,17 +241,12 @@ pub struct OnlineConfig {
     /// Channel capacity for ingestion back-pressure: every record-carrying
     /// queue in the pipeline graph is bounded to this many items.
     pub channel_capacity: usize,
-    /// Legacy name for [`shards`](OnlineConfig::shards): how many windows
-    /// reconstruct concurrently. Used (clamped to at least 1) when
-    /// `shards` is 0; ignored otherwise.
-    pub threads: usize,
     /// Window shards: the window stream fans out over this many parallel
     /// windowing+reconstruction stages, keyed by a stable hash of the
     /// window index, and a merge stage restores global window order.
     /// Results are byte-identical for every value — shards change wall
-    /// time only. `0` (the default) falls back to
-    /// [`threads`](OnlineConfig::threads). Clamped to 1 in warm-start
-    /// mode (the registry chain serializes windows).
+    /// time only. Defaults to 1; `0` is clamped to 1, as is any value in
+    /// warm-start mode (the registry chain serializes windows).
     pub shards: usize,
     /// Run a [`SanitizeStage`] between ingest and windowing, inside the
     /// same supervised graph ([`crate::serve_online_sanitized`] sets
@@ -317,8 +312,7 @@ impl Default for OnlineConfig {
             window: Nanos::from_secs(1),
             grace: Nanos::from_millis(200),
             channel_capacity: 65_536,
-            threads: 1,
-            shards: 0,
+            shards: 1,
             sanitize: None,
             backpressure: Backpressure::Block,
             warm_start: false,
@@ -852,13 +846,7 @@ impl OnlineEngine {
         let warm = config.warm_start;
         // Warm windows chain through the registry (k+1 starts from k's
         // posterior), so the warm path runs on a single shard.
-        let shards = if warm {
-            1
-        } else if config.shards > 0 {
-            config.shards
-        } else {
-            config.threads.max(1)
-        };
+        let shards = if warm { 1 } else { config.shards.max(1) };
         let shed = config.shed;
         let window = Nanos(config.window.0.max(1));
         let trace = config.trace.clone();
@@ -1226,7 +1214,6 @@ mod tests {
                 window: Nanos::from_millis(500),
                 grace: Nanos::from_millis(100),
                 channel_capacity: 1024,
-                threads: 1,
                 ..OnlineConfig::default()
             },
         );
@@ -1289,7 +1276,7 @@ mod tests {
                     window: Nanos::from_millis(250),
                     grace: Nanos::from_millis(50),
                     channel_capacity: 1024,
-                    threads,
+                    shards: threads,
                     ..OnlineConfig::default()
                 },
             );
@@ -1362,7 +1349,6 @@ mod tests {
                 window: Nanos::from_millis(250),
                 grace: Nanos::from_millis(50),
                 channel_capacity: 1024,
-                threads: 1,
                 ..OnlineConfig::default()
             },
         );
@@ -1429,7 +1415,7 @@ mod tests {
                     window: Nanos::from_millis(250),
                     grace: Nanos::from_millis(50),
                     channel_capacity: 1024,
-                    threads,
+                    shards: threads,
                     shed: ShedPolicy {
                         forced: Some(level),
                         ..ShedPolicy::default()

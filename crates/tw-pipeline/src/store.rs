@@ -3,11 +3,12 @@
 
 use crate::sanitize::{SanitizeConfig, SanitizeStats, Sanitizer};
 use parking_lot::{Mutex, RwLock};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::path::Path;
 use tw_core::{DelayRegistry, Reconstruction, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
+use tw_store::frame::atomic_write;
 use tw_telemetry::Registry;
 
 /// Store contents plus the sort flag guarding the binary-search index.
@@ -157,22 +158,16 @@ impl OfflineStore {
     }
 
     /// Persist all records as JSON lines, in `(send_req, rpc)` order.
-    /// Atomic: written to a temp sibling, fsynced, then renamed over
-    /// `path`, so a crash mid-save never truncates an existing store.
+    /// Atomic ([`atomic_write`]), so a crash mid-save never truncates an
+    /// existing store.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         self.ensure_sorted();
-        let tmp = tmp_sibling(path);
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
+        let mut bytes = Vec::new();
         for rec in self.inner.read().records.iter() {
-            serde_json::to_writer(&mut w, rec)?;
-            w.write_all(b"\n")?;
+            serde_json::to_writer(&mut bytes, rec)?;
+            bytes.push(b'\n');
         }
-        w.flush()?;
-        w.into_inner()
-            .map_err(|e| std::io::Error::other(e.to_string()))?
-            .sync_all()?;
-        std::fs::rename(&tmp, path)
+        atomic_write(path, &bytes)
     }
 
     /// Load records from a JSON-lines file into a new store.
@@ -200,26 +195,14 @@ impl OfflineStore {
     }
 }
 
-/// Temp sibling for atomic replacement: same directory (rename must not
-/// cross filesystems), unambiguous suffix.
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 /// Persist a delay registry as pretty-printed JSON (the `twctl
-/// learn-delays` output format; see DESIGN.md §8). Atomic via
-/// write-temp→fsync→rename, like [`OfflineStore::save`].
+/// learn-delays` output format; see DESIGN.md §8). Atomic, like
+/// [`OfflineStore::save`].
 pub fn save_registry(path: &Path, registry: &DelayRegistry) -> std::io::Result<()> {
-    let text = serde_json::to_string_pretty(registry)
+    let mut text = serde_json::to_string_pretty(registry)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let tmp = tmp_sibling(path);
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(text.as_bytes())?;
-    file.write_all(b"\n")?;
-    file.sync_all()?;
-    std::fs::rename(&tmp, path)
+    text.push('\n');
+    atomic_write(path, text.as_bytes())
 }
 
 /// Load a delay registry saved by [`save_registry`].

@@ -26,7 +26,7 @@ fn tcp_to_engine_to_sampler() {
             window: Nanos::from_millis(500),
             grace: Nanos::from_millis(100),
             channel_capacity: 16_384,
-            threads: 2,
+            shards: 2,
             ..OnlineConfig::default()
         },
     );

@@ -102,3 +102,46 @@ fn unknown_path_is_a_clean_404() {
     assert!(response.starts_with("HTTP/1.1 404"), "got: {response}");
     scrape.shutdown();
 }
+
+/// Query values come off the socket: a millisecond filter at `u64::MAX`
+/// saturates instead of overflowing, and the single scrape thread lives
+/// to answer the next request.
+#[test]
+fn huge_traces_query_value_saturates_and_server_survives() {
+    use std::time::Duration;
+    use tw_telemetry::http::request;
+
+    let dir = std::env::temp_dir().join(format!("tw-scrape-sat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let archive =
+        tw_store::TraceArchive::open(tw_store::ArchiveConfig::new(&dir), &Registry::new())
+            .expect("open archive");
+    let health = tw_pipeline::ServeHealth::new();
+    health.attach_archive(std::sync::Arc::new(archive));
+    let scrape =
+        MetricsServer::bind_with("127.0.0.1:0", vec![Registry::new()], health).expect("bind");
+
+    let max = u64::MAX;
+    let path = format!("/traces?min_latency_ms={max}&from_ms={max}&to_ms={max}");
+    let (status, body) = request(
+        scrape.local_addr(),
+        "GET",
+        &path,
+        "",
+        Duration::from_secs(5),
+    )
+    .expect("GET");
+    assert_eq!(status, 200, "got: {body}");
+    assert_eq!(body, "{\"traces\":[]}");
+    let (status, body) = request(
+        scrape.local_addr(),
+        "GET",
+        "/healthz",
+        "",
+        Duration::from_secs(5),
+    )
+    .expect("GET /healthz after the hostile query");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    scrape.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -16,10 +16,11 @@
 //! segments are immutable and never rewritten in place, so previously
 //! sealed data survives every crash point.
 
+use crate::frame::StoreError;
 use crate::manifest::{load_manifest, save_manifest, Manifest, SegmentMeta};
 use crate::metrics::StoreMetrics;
 use crate::query::TraceQuery;
-use crate::segment::{read_segment, write_segment, StoreError, StoredTrace};
+use crate::segment::{read_segment, write_segment, StoredTrace};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

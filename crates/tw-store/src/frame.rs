@@ -1,0 +1,261 @@
+//! The one durable-file format (DESIGN.md "Durable files"): how a file
+//! is framed, checksummed, atomically replaced and rejected.
+//!
+//! ```text
+//! [ magic 4 bytes | version u32 LE ] { [ len u64 LE | crc32 u32 LE | payload ] }…
+//! ```
+//!
+//! Segments (`TWSG`, two frames), the archive manifest (`TWSM`, one
+//! frame) and the online checkpoint (`TWCK`, one frame) are all this
+//! layout; payloads are JSON. `write_frames` assembles the whole file
+//! in memory and hands it to [`atomic_write`]; readers go through
+//! `FrameReader`, which bounds every length read from disk by the bytes
+//! actually left in the file before it allocates or seeks. Any malformed
+//! file is a typed [`StoreError`] — never a panic, never trusted data.
+
+use serde::de::DeserializeOwned;
+use serde::Serialize;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::Path;
+
+const VERSION: u32 = 1;
+/// len + crc in front of each frame.
+const FRAME_HEADER_LEN: usize = 12;
+
+/// Why a framed file could not be read. Callers fall back to a cold
+/// start and report [`reason`](StoreError::reason).
+#[derive(Debug)]
+pub enum StoreError {
+    /// The file does not exist.
+    Missing,
+    /// Filesystem error.
+    Io(std::io::Error),
+    /// Wrong leading magic.
+    BadMagic,
+    /// Unknown format version.
+    BadVersion(u32),
+    /// Shorter than a declared frame length.
+    Truncated,
+    /// Frame CRC32 mismatch (torn or bit-rotted write).
+    BadCrc,
+    /// Frame failed to parse/deserialize.
+    BadPayload(String),
+}
+
+impl StoreError {
+    /// Metric/report label: "missing", "io" or "corrupt".
+    pub fn reason(&self) -> &'static str {
+        match self {
+            StoreError::Missing => "missing",
+            StoreError::Io(_) => "io",
+            StoreError::BadMagic
+            | StoreError::BadVersion(_)
+            | StoreError::Truncated
+            | StoreError::BadCrc
+            | StoreError::BadPayload(_) => "corrupt",
+        }
+    }
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreError::Missing => write!(f, "file missing"),
+            StoreError::Io(e) => write!(f, "io error: {e}"),
+            StoreError::BadMagic => write!(f, "bad magic"),
+            StoreError::BadVersion(v) => write!(f, "unsupported version {v}"),
+            StoreError::Truncated => write!(f, "truncated file"),
+            StoreError::BadCrc => write!(f, "crc mismatch"),
+            StoreError::BadPayload(e) => write!(f, "bad payload: {e}"),
+        }
+    }
+}
+
+/// CRC32 (IEEE 802.3 polynomial, reflected), table-driven.
+fn crc32(bytes: &[u8]) -> u32 {
+    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut table = [0u32; 256];
+        let mut i = 0usize;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut k = 0;
+            while k < 8 {
+                c = if c & 1 != 0 {
+                    0xedb8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                k += 1;
+            }
+            table[i] = c;
+            i += 1;
+        }
+        table
+    });
+    let mut crc = 0xffff_ffffu32;
+    for &b in bytes {
+        crc = table[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+    }
+    crc ^ 0xffff_ffff
+}
+
+/// Atomically replace `path` with `bytes`: write the sibling
+/// `<path>.tmp`, fsync, rename. Readers observe either the old complete
+/// file or the new complete file, never a torn one.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)
+}
+
+/// Frame `payloads` behind `magic` and atomically write the file.
+/// Returns its size in bytes.
+pub(crate) fn write_frames(
+    path: &Path,
+    magic: [u8; 4],
+    payloads: &[&[u8]],
+) -> std::io::Result<u64> {
+    let total: usize = payloads.iter().map(|p| FRAME_HEADER_LEN + p.len()).sum();
+    let mut bytes = Vec::with_capacity(magic.len() + 4 + total);
+    bytes.extend_from_slice(&magic);
+    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    for payload in payloads {
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+    }
+    atomic_write(path, &bytes)?;
+    Ok(bytes.len() as u64)
+}
+
+/// Sequential reader over a framed file. `remaining` is what the file
+/// still holds past the cursor, so a corrupt length can never drive an
+/// allocation or a seek beyond the file.
+pub(crate) struct FrameReader {
+    file: std::fs::File,
+    remaining: u64,
+}
+
+impl FrameReader {
+    /// Open `path` and validate its magic and version.
+    pub(crate) fn open(path: &Path, magic: [u8; 4]) -> Result<FrameReader, StoreError> {
+        let file = match std::fs::File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreError::Missing),
+            Err(e) => return Err(StoreError::Io(e)),
+        };
+        let remaining = file.metadata().map_err(StoreError::Io)?.len();
+        let mut reader = FrameReader { file, remaining };
+        if reader.take::<4>()? != magic {
+            return Err(StoreError::BadMagic);
+        }
+        let version = u32::from_le_bytes(reader.take()?);
+        if version != VERSION {
+            return Err(StoreError::BadVersion(version));
+        }
+        Ok(reader)
+    }
+
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
+        if buf.len() as u64 > self.remaining {
+            return Err(StoreError::Truncated);
+        }
+        self.file.read_exact(buf).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                StoreError::Truncated
+            } else {
+                StoreError::Io(e)
+            }
+        })?;
+        self.remaining -= buf.len() as u64;
+        Ok(())
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let mut buf = [0u8; N];
+        self.fill(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// Read one frame header; the declared length is checked against the
+    /// bytes left in the file.
+    fn frame_header(&mut self) -> Result<(u64, u32), StoreError> {
+        let len = u64::from_le_bytes(self.take()?);
+        let crc = u32::from_le_bytes(self.take()?);
+        if len > self.remaining {
+            return Err(StoreError::Truncated);
+        }
+        Ok((len, crc))
+    }
+
+    /// Read and CRC-check the next frame's payload.
+    pub(crate) fn frame(&mut self) -> Result<Vec<u8>, StoreError> {
+        let (len, crc) = self.frame_header()?;
+        let len = usize::try_from(len).map_err(|_| StoreError::Truncated)?;
+        let mut payload = vec![0u8; len];
+        self.fill(&mut payload)?;
+        if crc32(&payload) != crc {
+            return Err(StoreError::BadCrc);
+        }
+        Ok(payload)
+    }
+
+    /// Seek past the next frame without reading (or checking) its payload.
+    pub(crate) fn skip_frame(&mut self) -> Result<(), StoreError> {
+        let (len, _) = self.frame_header()?;
+        let offset = i64::try_from(len).map_err(|_| StoreError::Truncated)?;
+        self.file
+            .seek(SeekFrom::Current(offset))
+            .map_err(StoreError::Io)?;
+        self.remaining -= len;
+        Ok(())
+    }
+}
+
+/// Serialize a frame payload.
+pub(crate) fn to_json<T: Serialize>(value: &T) -> std::io::Result<Vec<u8>> {
+    serde_json::to_string(value)
+        .map(String::into_bytes)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Parse a frame payload.
+pub(crate) fn from_json<T: DeserializeOwned>(payload: &[u8]) -> Result<T, StoreError> {
+    let text = std::str::from_utf8(payload).map_err(|e| StoreError::BadPayload(e.to_string()))?;
+    serde_json::from_str(text).map_err(|e| StoreError::BadPayload(e.to_string()))
+}
+
+/// Write a single-frame file (manifest, checkpoint) holding `doc`.
+pub fn write_json<T: Serialize>(path: &Path, magic: [u8; 4], doc: &T) -> std::io::Result<()> {
+    write_frames(path, magic, &[&to_json(doc)?]).map(|_| ())
+}
+
+/// Read a single-frame file: header, one frame, nothing after it.
+pub fn read_json<T: DeserializeOwned>(path: &Path, magic: [u8; 4]) -> Result<T, StoreError> {
+    let mut reader = FrameReader::open(path, magic)?;
+    let payload = reader.frame()?;
+    // A file with bytes after its frame was not produced by us.
+    if reader.remaining != 0 {
+        return Err(StoreError::BadPayload("trailing bytes".to_string()));
+    }
+    from_json(&payload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // IEEE CRC32 of "123456789" is the classic check value.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+}

@@ -34,6 +34,7 @@
 //! [`read_query`] (no lock, no mutation — `twctl query --dir`).
 
 pub mod archive;
+pub mod frame;
 pub mod manifest;
 pub mod metrics;
 pub mod query;
@@ -42,10 +43,10 @@ pub mod segment;
 pub use archive::{
     read_query, spawn_compactor, ArchiveConfig, CompactorHandle, RetentionPolicy, TraceArchive,
 };
+pub use frame::StoreError;
 pub use manifest::{load_manifest, save_manifest, Manifest, SegmentMeta, MANIFEST_FILE};
 pub use metrics::StoreMetrics;
 pub use query::{TraceQuery, TracesDoc};
 pub use segment::{
-    read_segment, read_segment_index, write_segment, SegmentIndex, StoreError, StoredSpan,
-    StoredTrace,
+    read_segment, read_segment_index, write_segment, SegmentIndex, StoredSpan, StoredTrace,
 };

@@ -2,15 +2,16 @@
 //! segments exist, their footer indexes, and the archived-window
 //! watermark.
 //!
-//! The manifest is a CRC-framed JSON file (`TWSM` magic) replaced
-//! atomically via write-temp→fsync→rename. The commit protocol is
+//! The manifest is a single-frame [`crate::frame`] file (`TWSM` magic,
+//! JSON payload), replaced atomically. The commit protocol is
 //! strictly ordered: a new segment file is written (and fsynced) *first*,
 //! then the manifest that references it. A crash between the two leaves
 //! an orphan segment the next open removes — previously committed
 //! segments are untouched, and because the watermark only advances in the
 //! same manifest commit, the orphan's windows re-archive on replay.
 
-use crate::segment::{read_framed, write_framed, SegmentIndex, StoreError};
+use crate::frame::{read_json, write_json, StoreError};
+use crate::segment::SegmentIndex;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -68,18 +69,14 @@ impl Manifest {
 
 /// Atomically persist the manifest into `dir`.
 pub fn save_manifest(dir: &Path, manifest: &Manifest) -> std::io::Result<()> {
-    let payload = serde_json::to_string(manifest)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    write_framed(&dir.join(MANIFEST_FILE), MAGIC, payload.as_bytes())
+    write_json(&dir.join(MANIFEST_FILE), MAGIC, manifest)
 }
 
 /// Load and validate the manifest in `dir`. Every failure mode is a typed
 /// [`StoreError`]; callers fall back to a cold start and report
 /// [`StoreError::reason`].
 pub fn load_manifest(dir: &Path) -> Result<Manifest, StoreError> {
-    let payload = read_framed(&dir.join(MANIFEST_FILE), MAGIC)?;
-    let text = std::str::from_utf8(&payload).map_err(|e| StoreError::BadPayload(e.to_string()))?;
-    serde_json::from_str(text).map_err(|e| StoreError::BadPayload(e.to_string()))
+    read_json(&dir.join(MANIFEST_FILE), MAGIC)
 }
 
 #[cfg(test)]

@@ -2,32 +2,20 @@
 //! traces, each carrying a footer index so queries can prune a segment
 //! without parsing its body.
 //!
-//! The framing reuses the `TWCK` checkpoint discipline (magic, version,
-//! length, CRC32, payload) with a segment-specific magic and *two* frames:
-//!
-//! ```text
-//! [ magic "TWSG" | version u32 LE ]
-//! [ body_len u64 LE  | body_crc u32 LE  | body JSON  = Vec<StoredTrace> ]
-//! [ index_len u64 LE | index_crc u32 LE | index JSON = SegmentIndex    ]
-//! ```
+//! A segment is a [`crate::frame`] file with the `TWSG` magic and *two*
+//! frames: the body (JSON `Vec<StoredTrace>`) and the footer (JSON
+//! [`SegmentIndex`]).
 //!
 //! [`read_segment_index`] validates the header, seeks past the body, and
 //! parses only the footer — the cheap path the query planner uses before
-//! deciding to read a segment's traces at all. Any malformed file (bad
-//! magic, unknown version, short read, CRC mismatch, unparsable JSON) is
-//! a *clean*, typed [`StoreError`] — never a panic, never trusted data.
+//! deciding to read a segment's traces at all.
 
+use crate::frame::{from_json, to_json, write_frames, FrameReader, StoreError};
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use tw_model::span::RpcRecord;
 
 const MAGIC: [u8; 4] = *b"TWSG";
-const VERSION: u32 = 1;
-/// magic + version.
-const FILE_HEADER_LEN: usize = 8;
-/// len + crc in front of each frame.
-const FRAME_HEADER_LEN: usize = 12;
 
 /// Upper bounds (ns) of the per-segment latency histogram in
 /// [`SegmentIndex`]: 1ms · 2^k for k in 0..12 (1ms … ~2s); one implicit
@@ -194,232 +182,34 @@ impl SegmentIndex {
     }
 }
 
-/// Why a segment or manifest could not be read. Mirrors the checkpoint
-/// module's typed-rejection discipline: every failure is a clean reason,
-/// never a panic.
-#[derive(Debug)]
-pub enum StoreError {
-    /// The file does not exist.
-    Missing,
-    /// Filesystem error.
-    Io(std::io::Error),
-    /// Wrong leading magic.
-    BadMagic,
-    /// Unknown format version.
-    BadVersion(u32),
-    /// Shorter than a declared frame length.
-    Truncated,
-    /// Frame CRC32 mismatch (torn or bit-rotted write).
-    BadCrc,
-    /// Frame failed to parse/deserialize.
-    BadPayload(String),
-}
-
-impl StoreError {
-    /// Metric/report label: "missing", "io" or "corrupt".
-    pub fn reason(&self) -> &'static str {
-        match self {
-            StoreError::Missing => "missing",
-            StoreError::Io(_) => "io",
-            StoreError::BadMagic
-            | StoreError::BadVersion(_)
-            | StoreError::Truncated
-            | StoreError::BadCrc
-            | StoreError::BadPayload(_) => "corrupt",
-        }
-    }
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::Missing => write!(f, "file missing"),
-            StoreError::Io(e) => write!(f, "io error: {e}"),
-            StoreError::BadMagic => write!(f, "bad magic"),
-            StoreError::BadVersion(v) => write!(f, "unsupported version {v}"),
-            StoreError::Truncated => write!(f, "truncated file"),
-            StoreError::BadCrc => write!(f, "crc mismatch"),
-            StoreError::BadPayload(e) => write!(f, "bad payload: {e}"),
-        }
-    }
-}
-
-/// CRC32 (IEEE 802.3 polynomial, reflected), table-driven — the same
-/// framing checksum the checkpoint module uses.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        let mut i = 0usize;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    });
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xffff_ffff
-}
-
-/// Atomically replace `path` with `bytes`: write a sibling temp file,
-/// fsync, rename. Readers observe either the old complete file or the new
-/// complete file, never a torn one.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-fn to_json<T: Serialize>(value: &T) -> std::io::Result<Vec<u8>> {
-    serde_json::to_string(value)
-        .map(String::into_bytes)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
 /// Serialize and atomically write one sealed segment. Returns the file's
 /// size in bytes and the footer index it carries.
 pub fn write_segment(path: &Path, traces: &[StoredTrace]) -> std::io::Result<(u64, SegmentIndex)> {
     let index = SegmentIndex::build(traces);
     let body = to_json(&traces.to_vec())?;
     let footer = to_json(&index)?;
-    let mut bytes = Vec::with_capacity(FILE_HEADER_LEN + 2 * FRAME_HEADER_LEN + body.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    bytes.extend_from_slice(&frame(&body));
-    bytes.extend_from_slice(&frame(&footer));
-    let len = bytes.len() as u64;
-    atomic_write(path, &bytes)?;
+    let len = write_frames(path, MAGIC, &[&body, &footer])?;
     Ok((len, index))
-}
-
-fn open(path: &Path) -> Result<std::fs::File, StoreError> {
-    match std::fs::File::open(path) {
-        Ok(f) => Ok(f),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(StoreError::Missing),
-        Err(e) => Err(StoreError::Io(e)),
-    }
-}
-
-fn check_file_header(file: &mut std::fs::File, magic: [u8; 4]) -> Result<(), StoreError> {
-    let mut header = [0u8; FILE_HEADER_LEN];
-    read_exact(file, &mut header)?;
-    if header[..4] != magic {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(StoreError::BadVersion(version));
-    }
-    Ok(())
-}
-
-fn read_exact(file: &mut std::fs::File, buf: &mut [u8]) -> Result<(), StoreError> {
-    file.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::Truncated
-        } else {
-            StoreError::Io(e)
-        }
-    })
-}
-
-/// Read one `len|crc|payload` frame at the file's current position. With
-/// `skip_payload`, seeks past the payload and returns an empty vec (the
-/// index-only read path).
-fn read_frame(file: &mut std::fs::File, skip_payload: bool) -> Result<Vec<u8>, StoreError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    read_exact(file, &mut header)?;
-    let len = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
-    let crc = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if skip_payload {
-        file.seek(SeekFrom::Current(len as i64))
-            .map_err(StoreError::Io)?;
-        return Ok(Vec::new());
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact(file, &mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(StoreError::BadCrc);
-    }
-    Ok(payload)
-}
-
-fn parse_json<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> Result<T, StoreError> {
-    let text = std::str::from_utf8(payload).map_err(|e| StoreError::BadPayload(e.to_string()))?;
-    serde_json::from_str(text).map_err(|e| StoreError::BadPayload(e.to_string()))
 }
 
 /// Read and validate a whole segment: both frames CRC-checked, the body
 /// parsed into traces.
 pub fn read_segment(path: &Path) -> Result<Vec<StoredTrace>, StoreError> {
-    let mut file = open(path)?;
-    check_file_header(&mut file, MAGIC)?;
-    let body = read_frame(&mut file, false)?;
+    let mut reader = FrameReader::open(path, MAGIC)?;
+    let body = reader.frame()?;
     // Validate the footer too: a segment with a torn index is corrupt
     // even when its body happens to parse.
-    let footer = read_frame(&mut file, false)?;
-    let _: SegmentIndex = parse_json(&footer)?;
-    parse_json(&body)
+    let _: SegmentIndex = from_json(&reader.frame()?)?;
+    from_json(&body)
 }
 
 /// Read only a segment's footer index, seeking past the body — the cheap
 /// pruning path. The body CRC is *not* checked here; [`read_segment`]
 /// validates it before any trace is returned to a query.
 pub fn read_segment_index(path: &Path) -> Result<SegmentIndex, StoreError> {
-    let mut file = open(path)?;
-    check_file_header(&mut file, MAGIC)?;
-    read_frame(&mut file, true)?;
-    let footer = read_frame(&mut file, false)?;
-    parse_json(&footer)
-}
-
-/// Single-frame file (the manifest): `magic | version | len | crc | payload`.
-pub(crate) fn write_framed(path: &Path, magic: [u8; 4], payload: &[u8]) -> std::io::Result<()> {
-    let mut bytes = Vec::with_capacity(FILE_HEADER_LEN + FRAME_HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&magic);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    bytes.extend_from_slice(&frame(payload));
-    atomic_write(path, &bytes)
-}
-
-pub(crate) fn read_framed(path: &Path, magic: [u8; 4]) -> Result<Vec<u8>, StoreError> {
-    let mut file = open(path)?;
-    check_file_header(&mut file, magic)?;
-    let payload = read_frame(&mut file, false)?;
-    // A trailing-garbage file was not produced by us: reject it.
-    let mut rest = Vec::new();
-    file.read_to_end(&mut rest).map_err(StoreError::Io)?;
-    if !rest.is_empty() {
-        return Err(StoreError::BadPayload("trailing bytes".to_string()));
-    }
-    Ok(payload)
+    let mut reader = FrameReader::open(path, MAGIC)?;
+    reader.skip_frame()?;
+    from_json(&reader.frame()?)
 }
 
 /// Test fixtures shared by this crate's unit tests.
@@ -510,7 +300,7 @@ mod tests {
 
         // Flip a body bit: the CRC must catch it.
         let mut bad = good.clone();
-        bad[FILE_HEADER_LEN + FRAME_HEADER_LEN + 2] ^= 0x01;
+        bad[8 + 12 + 2] ^= 0x01; // file header + frame header + 2
         std::fs::write(&path, &bad).unwrap();
         let err = read_segment(&path).unwrap_err();
         assert!(matches!(err, StoreError::BadCrc), "got {err}");
@@ -537,11 +327,5 @@ mod tests {
             Err(StoreError::BadVersion(99))
         ));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 }

@@ -37,6 +37,7 @@
 //! [`IngestServer`]: https://docs.rs/tw-pipeline
 
 mod expose;
+pub mod http;
 pub mod lint;
 mod metrics;
 pub mod push;

@@ -6,17 +6,14 @@
 //! renders the merged exposition (OpenMetrics, so exemplars survive) plus
 //! the recent span trees, skips the POST when nothing changed since the
 //! last successful push, and otherwise delivers one batch with bounded
-//! retries and deterministic backoff jitter (the same splitmix64-over-port
-//! scheme as `tw-pipeline`'s record-export retry, so failure schedules are
-//! reproducible in tests and CI).
-//!
-//! Everything is hand-rolled on `std::net::TcpStream`: this crate is
-//! std-only by the workspace's vendored-shim policy.
+//! retries and the deterministic [`http::backoff`] jitter `tw-pipeline`'s
+//! record-export retry also uses, so failure schedules are reproducible
+//! in tests and CI.
 
+use crate::http::{self, Response};
 use crate::trace::{escape_json, SpanRecorder};
 use crate::{Counter, Registry};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -60,21 +57,10 @@ impl PushConfig {
     }
 }
 
-/// Nominal exponential backoff for attempt `n` (1-based), plus a
-/// deterministic jitter derived from (attempt, sink port) via splitmix64 —
-/// no RNG state, reproducible schedules.
-fn backoff(cfg: &PushConfig, n: u32, port: u16) -> Duration {
-    let exp = n.saturating_sub(1).min(16);
-    let nominal = cfg
-        .backoff_base
-        .saturating_mul(1u32 << exp)
-        .min(cfg.backoff_max);
-    let mut z = ((u64::from(n) << 32) | u64::from(port)).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    nominal + nominal.mul_f64((z % 256) as f64 / 1024.0)
-}
+/// Client timeout for one POST to the sink (connect, read, write).
+const POST_TIMEOUT: Duration = Duration::from_secs(2);
+/// Largest batch body a [`PushSink`] accepts; larger ones get `413`.
+const MAX_BATCH_BYTES: usize = 16 * 1024 * 1024;
 
 struct PushMetrics {
     batches: Counter,
@@ -235,7 +221,12 @@ fn push_once(
             }
             Err(_) if attempt < cfg.attempts.max(1) => {
                 metrics.retries.inc();
-                thread::sleep(backoff(cfg, attempt, port));
+                thread::sleep(http::backoff(
+                    cfg.backoff_base,
+                    cfg.backoff_max,
+                    attempt,
+                    port,
+                ));
             }
             Err(_) => {
                 metrics.failures.inc();
@@ -244,42 +235,14 @@ fn push_once(
     }
 }
 
-/// One HTTP/1.1 POST; success is any 2xx status line.
+/// One POST; success is any 2xx status.
 fn post(host: &str, path: &str, body: &str) -> std::io::Result<()> {
     let addr = host
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "unresolvable sink"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes())?;
-    let mut response = Vec::new();
-    let mut buf = [0u8; 512];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                response.extend_from_slice(&buf[..n]);
-                if response.windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let head = String::from_utf8_lossy(&response);
-    let status_ok = head
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .map(|code| code.starts_with('2'))
-        .unwrap_or(false);
-    if status_ok {
+    let (status, _) = http::request(addr, "POST", path, body, POST_TIMEOUT)?;
+    if (200..300).contains(&status) {
         Ok(())
     } else {
         Err(std::io::Error::new(
@@ -292,49 +255,34 @@ fn post(host: &str, path: &str, body: &str) -> std::io::Result<()> {
 /// Minimal loopback sink for tests, the bench, and the CI smoke job:
 /// accepts POSTed batches, counts them, and retains the latest body.
 pub struct PushSink {
-    addr: std::net::SocketAddr,
+    server: http::Server,
     batches: Arc<AtomicU64>,
     last: Arc<Mutex<String>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<()>>,
 }
 
 impl PushSink {
     /// Bind on `addr` (use port 0 for an ephemeral port).
     pub fn bind(addr: &str) -> std::io::Result<PushSink> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let batches = Arc::new(AtomicU64::new(0));
         let last = Arc::new(Mutex::new(String::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (b2, l2, s2) = (batches.clone(), last.clone(), stop.clone());
-        let thread = thread::Builder::new()
-            .name("tw-push-sink".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if s2.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Ok(stream) = stream {
-                        if let Some(body) = read_post(stream) {
-                            b2.fetch_add(1, Ordering::Release);
-                            *l2.lock().unwrap() = body;
-                        }
-                    }
-                }
-            })
-            .expect("spawn tw-push-sink thread");
+        let (b2, l2) = (batches.clone(), last.clone());
+        let server = http::Server::bind(addr, MAX_BATCH_BYTES, move |request| {
+            if request.method != "POST" {
+                return Response::text("405 Method Not Allowed", "");
+            }
+            *l2.lock().expect("sink body lock poisoned") = request.body;
+            b2.fetch_add(1, Ordering::Release);
+            Response::text("200 OK", "")
+        })?;
         Ok(PushSink {
-            addr: local,
+            server,
             batches,
             last,
-            stop,
-            thread: Some(thread),
         })
     }
 
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Number of batches accepted so far.
@@ -344,78 +292,11 @@ impl PushSink {
 
     /// Latest accepted batch body.
     pub fn last_body(&self) -> String {
-        self.last.lock().unwrap().clone()
+        self.last.lock().expect("sink body lock poisoned").clone()
     }
 
-    /// Stop accepting and join the listener thread.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Wake the blocking accept.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for PushSink {
-    fn drop(&mut self) {
-        self.stop_inner();
-    }
-}
-
-/// Parse one POST request off the stream, respond 200, return the body.
-fn read_post(mut stream: TcpStream) -> Option<String> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut data = Vec::new();
-    let mut buf = [0u8; 1024];
-    let header_end = loop {
-        match stream.read(&mut buf) {
-            Ok(0) => return None,
-            Ok(n) => {
-                data.extend_from_slice(&buf[..n]);
-                if let Some(pos) = data.windows(4).position(|w| w == b"\r\n\r\n") {
-                    break pos + 4;
-                }
-                if data.len() > 64 * 1024 {
-                    return None;
-                }
-            }
-            Err(_) => return None,
-        }
-    };
-    let head = String::from_utf8_lossy(&data[..header_end]).to_string();
-    if !head.starts_with("POST ") {
-        let _ = stream.write_all(
-            b"HTTP/1.1 405 Method Not Allowed\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        );
-        return None;
-    }
-    let content_length = head
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            if k.eq_ignore_ascii_case("content-length") {
-                v.trim().parse::<usize>().ok()
-            } else {
-                None
-            }
-        })
-        .unwrap_or(0);
-    while data.len() < header_end + content_length {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => data.extend_from_slice(&buf[..n]),
-            Err(_) => break,
-        }
-    }
-    let body = String::from_utf8_lossy(&data[header_end..]).to_string();
-    let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: close\r\n\r\n");
-    Some(body)
+    /// Stop accepting and join the listener thread (as drop does).
+    pub fn shutdown(self) {}
 }
 
 #[cfg(test)]
@@ -434,19 +315,6 @@ mod tests {
             bare.endpoint(),
             ("127.0.0.1:9200".to_string(), "/push".to_string())
         );
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let cfg = PushConfig::new("127.0.0.1:9200");
-        let a = backoff(&cfg, 1, 9200);
-        let b = backoff(&cfg, 1, 9200);
-        assert_eq!(a, b);
-        for n in 1..=10 {
-            let d = backoff(&cfg, n, 9200);
-            // nominal <= backoff_max, jitter adds at most 25%.
-            assert!(d <= cfg.backoff_max.mul_f64(1.25));
-        }
     }
 
     #[test]

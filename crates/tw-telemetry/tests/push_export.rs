@@ -100,3 +100,28 @@ fn push_retries_across_sink_restart() {
     exporter.stop_and_flush();
     sink2.shutdown();
 }
+
+/// The sink bounds what it will buffer: a declared `Content-Length` over
+/// the cap is answered 413 before any body is read, and the sink keeps
+/// serving.
+#[test]
+fn sink_rejects_oversized_declared_body_with_413() {
+    use std::io::{Read, Write};
+
+    let sink = PushSink::bind("127.0.0.1:0").expect("bind sink");
+    let mut stream = std::net::TcpStream::connect(sink.addr()).expect("connect");
+    stream
+        .write_all(b"POST /push HTTP/1.1\r\nHost: x\r\nContent-Length: 1099511627776\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 413"), "got: {response}");
+    assert_eq!(sink.batches(), 0);
+
+    let (status, _) =
+        tw_telemetry::http::request(sink.addr(), "POST", "/push", "{}", Duration::from_secs(5))
+            .expect("POST after the rejected one");
+    assert_eq!(status, 200);
+    assert_eq!((sink.batches(), sink.last_body().as_str()), (1, "{}"));
+    sink.shutdown();
+}

@@ -38,7 +38,6 @@ fn main() {
             window: Nanos::from_millis(500),
             grace: Nanos::from_millis(100),
             channel_capacity: 8_192,
-            threads: 1,
             ..OnlineConfig::default()
         },
     );

@@ -427,7 +427,7 @@ fn drift_faulted_stream_is_corrected_and_deterministic() {
             OnlineConfig {
                 window: Nanos::from_millis(250),
                 grace: Nanos::from_millis(50),
-                threads,
+                shards: threads,
                 ..OnlineConfig::default()
             },
         );
