@@ -17,7 +17,9 @@
 //!
 //! Each binary prints its table and writes a JSON artifact under
 //! `results/`. Set `TW_BENCH_QUICK=1` to shrink workloads for smoke runs.
-//! `cargo bench` covers §6.5 (runtime to map spans) via Criterion.
+//! No binary here takes a timing: §6.5 (runtime to map spans) and every
+//! other wall-clock number come from the repository benchmark in `bench/`
+//! (`offline_dense` `records_per_s`).
 
 pub mod harness;
 pub mod report;

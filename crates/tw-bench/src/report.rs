@@ -5,13 +5,12 @@ use std::path::PathBuf;
 
 /// Provenance stamped into every JSON artifact, so a results file is
 /// interpretable without the shell session that produced it: which
-/// commit, how many reconstruction threads, whether self-telemetry was
-/// live, and whether workloads were shrunk by quick mode.
+/// commit, how many reconstruction threads, and whether workloads were
+/// shrunk by quick mode.
 #[derive(Debug, Clone, Serialize)]
 pub struct RunMeta {
     pub git_sha: String,
     pub threads: usize,
-    pub telemetry_enabled: bool,
     pub quick: bool,
 }
 
@@ -27,7 +26,6 @@ impl RunMeta {
         RunMeta {
             git_sha,
             threads: crate::bench_threads(),
-            telemetry_enabled: tw_telemetry::global().is_enabled(),
             quick: crate::quick_mode(),
         }
     }
@@ -138,13 +136,7 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("\"demo\""));
         // Run metadata rides along in every artifact.
-        for key in [
-            "\"meta\"",
-            "\"git_sha\"",
-            "\"threads\"",
-            "\"telemetry_enabled\"",
-            "\"quick\"",
-        ] {
+        for key in ["\"meta\"", "\"git_sha\"", "\"threads\"", "\"quick\""] {
             assert!(content.contains(key), "missing {key} in artifact");
         }
         std::fs::remove_file(path).ok();

@@ -173,41 +173,14 @@ impl TraceWeaver {
     /// count: tasks own disjoint parents, results merge in sorted key
     /// order, and `threads = 1` runs inline on the calling thread.
     pub fn reconstruct(&self, views: &HashMap<ProcessKey, SpanView>) -> Reconstruction {
-        self.reconstruct_on(views, &Executor::from_params(&self.params))
+        self.reconstruct_inner(views, &Executor::from_params(&self.params), None)
+            .0
     }
 
     /// Convenience: split raw records into per-process views and
     /// reconstruct.
     pub fn reconstruct_records(&self, records: &[RpcRecord]) -> Reconstruction {
         self.reconstruct(&split_by_process(records))
-    }
-
-    /// [`TraceWeaver::reconstruct`] with an explicit thread count,
-    /// overriding [`Params::threads`].
-    pub fn reconstruct_parallel(
-        &self,
-        views: &HashMap<ProcessKey, SpanView>,
-        threads: usize,
-    ) -> Reconstruction {
-        self.reconstruct_on(views, &Executor::new(threads))
-    }
-
-    /// Parallel variant of [`TraceWeaver::reconstruct_records`].
-    pub fn reconstruct_records_parallel(
-        &self,
-        records: &[RpcRecord],
-        threads: usize,
-    ) -> Reconstruction {
-        self.reconstruct_parallel(&split_by_process(records), threads)
-    }
-
-    /// Reconstruct on a caller-supplied executor.
-    pub fn reconstruct_on(
-        &self,
-        views: &HashMap<ProcessKey, SpanView>,
-        exec: &Executor,
-    ) -> Reconstruction {
-        self.reconstruct_inner(views, exec, None).0
     }
 
     /// Warm-path reconstruction: tasks whose process appears in `prior`
@@ -313,9 +286,10 @@ mod tests {
             300.0,
             tw_model::time::Nanos::from_millis(400),
         ));
-        let tw = TraceWeaver::new(call_graph, Params::default());
-        let seq = tw.reconstruct_records(&out.records);
-        let par = tw.reconstruct_records_parallel(&out.records, 4);
+        let seq = TraceWeaver::new(call_graph.clone(), Params::default())
+            .reconstruct_records(&out.records);
+        let par =
+            TraceWeaver::new(call_graph, Params::with_threads(4)).reconstruct_records(&out.records);
         for rec in &out.records {
             assert_eq!(
                 seq.mapping.children(rec.rpc),
@@ -389,8 +363,8 @@ mod tests {
             100.0,
             tw_model::time::Nanos::from_millis(200),
         ));
-        let tw = TraceWeaver::new(call_graph, Params::default());
-        let par = tw.reconstruct_records_parallel(&out.records, 64);
+        let tw = TraceWeaver::new(call_graph, Params::with_threads(64));
+        let par = tw.reconstruct_records(&out.records);
         assert!(!par.mapping.is_empty());
     }
 }

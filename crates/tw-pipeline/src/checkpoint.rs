@@ -44,9 +44,6 @@ pub struct CheckpointConfig {
     /// How often the checkpointer thread writes a snapshot. Bounds the
     /// recovery gap: at most this much sealed progress is lost on crash.
     pub interval: Duration,
-    /// The sanitize stage publishes its snapshot every this many
-    /// processed records (publication cadence, not write cadence).
-    pub snapshot_records: u64,
 }
 
 impl CheckpointConfig {
@@ -55,7 +52,6 @@ impl CheckpointConfig {
         CheckpointConfig {
             dir: dir.into(),
             interval: Duration::from_secs(1),
-            snapshot_records: 256,
         }
     }
 }

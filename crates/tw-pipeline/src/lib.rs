@@ -44,9 +44,7 @@ pub use net::{
     export_records, export_records_with, fetch_deadletters, fetch_metrics, fetch_spans,
     fetch_traces, ExportRetry, IngestServer, IngestStats, MetricsServer, ServeHealth,
 };
-pub use online::{
-    AdaptiveShed, DegradationLevel, OnlineConfig, OnlineEngine, ShedPolicy, WindowResult,
-};
+pub use online::{DegradationLevel, OnlineConfig, OnlineEngine, ShedPolicy, WindowResult};
 pub use pipeline::{
     Backpressure, DeadLetterPayload, Emitter, FanOut, Pipeline, PipelineBuilder, QueueCfg,
     Sequenced, ShardEmitters, ShardMsg, ShutdownReport, Stage, StageCtx,

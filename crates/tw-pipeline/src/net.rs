@@ -336,16 +336,6 @@ impl Default for ExportRetry {
     }
 }
 
-impl ExportRetry {
-    /// A single attempt, no retries — the pre-retry behavior.
-    pub fn none() -> Self {
-        ExportRetry {
-            attempts: 1,
-            ..ExportRetry::default()
-        }
-    }
-}
-
 /// Export telemetry on [`tw_telemetry::global()`] (the exporter runs on
 /// the agent side, outside any pipeline registry).
 struct ExportMetrics {

@@ -84,64 +84,41 @@ pub enum DegradationLevel {
     Skip,
 }
 
-/// When to shed load, keyed on work-queue depth (windows waiting when a
-/// worker picks up a job). Thresholds default to `usize::MAX` — **never**
-/// — because queue depth is timing-dependent: enabling any threshold
-/// forfeits the byte-identical-across-thread-counts guarantee. `forced`
-/// pins every window to one level regardless of queue depth, which is
-/// both the deterministic escape hatch for tests/benchmarks and a manual
-/// operator override.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// When to shed load. The default never sheds: any depth-driven choice is
+/// timing-dependent and forfeits the byte-identical-across-thread-counts
+/// guarantee. `forced` pins every window to one level regardless of queue
+/// depth, which is both the deterministic escape hatch for
+/// tests/benchmarks and a manual operator override.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShedPolicy {
-    /// Queue depth at which batch size is halved.
-    pub shrink_batch_at: usize,
-    /// Queue depth at which joint optimization is dropped.
-    pub greedy_at: usize,
-    /// Queue depth at which whole windows are skipped.
-    pub skip_at: usize,
     /// Pin every window to this level (ignores queue depth entirely).
     pub forced: Option<DegradationLevel>,
-    /// Slope-driven ladder (DESIGN.md §9 follow-up): instead of static
-    /// depth thresholds, move one rung when the *EWMA of the queue-depth
-    /// delta per cut tick* crosses a slope bound, with a hold-down so the
-    /// ladder doesn't flap. Static thresholds are ignored while set;
-    /// `forced` still wins over everything.
-    pub adaptive: Option<AdaptiveShed>,
-}
-
-impl Default for ShedPolicy {
-    fn default() -> Self {
-        ShedPolicy {
-            shrink_batch_at: usize::MAX,
-            greedy_at: usize::MAX,
-            skip_at: usize::MAX,
-            forced: None,
-            adaptive: None,
-        }
-    }
+    /// Slope-driven ladder: move one rung when the *EWMA of the shard's
+    /// input-queue-depth delta per cut tick* crosses a slope bound, with
+    /// a hold-down so the ladder doesn't flap. `forced` still wins.
+    pub adaptive: bool,
 }
 
 /// Parameters of the slope-driven shed ladder. The signal is the change
 /// in the shard's input-queue depth (`tw_pipeline_queue_depth`) between
 /// consecutive window-cut ticks, smoothed with an EWMA: a persistently
-/// positive slope means ingest outruns reconstruction *now*, before any
-/// absolute threshold is reached; a negative slope means the backlog is
-/// draining and it is safe to climb back down. Hysteresis comes from two
-/// asymmetries: `down_slope` is strictly below `up_slope` (a dead band
-/// where the ladder holds), and any transition arms a `hold` countdown of
-/// ticks during which no further transition fires.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveShed {
+/// positive slope means ingest outruns reconstruction *now*; a negative
+/// slope means the backlog is draining and it is safe to climb back down.
+/// Hysteresis comes from two asymmetries: `down_slope` is strictly below
+/// `up_slope` (a dead band where the ladder holds), and any transition
+/// arms a `hold` countdown of ticks during which no further transition
+/// fires.
+#[derive(Debug, Clone, Copy)]
+struct AdaptiveShed {
     /// EWMA smoothing factor for the per-tick depth delta, in (0, 1].
-    pub alpha: f64,
+    alpha: f64,
     /// Escalate one rung when the smoothed slope exceeds this
     /// (items/tick).
-    pub up_slope: f64,
-    /// Relax one rung when the smoothed slope falls below this
-    /// (typically negative).
-    pub down_slope: f64,
+    up_slope: f64,
+    /// Relax one rung when the smoothed slope falls below this.
+    down_slope: f64,
     /// Cut ticks to hold after a transition before the next one may fire.
-    pub hold: u32,
+    hold: u32,
 }
 
 impl Default for AdaptiveShed {
@@ -195,8 +172,7 @@ impl AdaptiveState {
         }
         let delta = depth - self.last_depth;
         self.last_depth = depth;
-        let alpha = self.cfg.alpha.clamp(f64::MIN_POSITIVE, 1.0);
-        self.ewma = alpha * delta + (1.0 - alpha) * self.ewma;
+        self.ewma = self.cfg.alpha * delta + (1.0 - self.cfg.alpha) * self.ewma;
         if self.cooldown > 0 {
             self.cooldown -= 1;
         } else if self.ewma > self.cfg.up_slope && self.rung < Self::LEVELS.len() - 1 {
@@ -210,22 +186,37 @@ impl AdaptiveState {
     }
 }
 
-impl ShedPolicy {
-    /// The ladder rung for a window picked up at `queue_depth`. The
-    /// heaviest threshold reached wins, so thresholds need not be ordered
-    /// (though `shrink ≤ greedy ≤ skip` is the sensible configuration).
-    pub fn level_for(&self, queue_depth: usize) -> DegradationLevel {
+/// Per-shard shed ladder: a [`ShedPolicy`] plus the adaptive ladder's
+/// runtime state.
+#[derive(Debug, Clone)]
+struct ShedLadder {
+    forced: Option<DegradationLevel>,
+    adaptive: Option<AdaptiveState>,
+}
+
+impl ShedLadder {
+    fn new(policy: ShedPolicy) -> Self {
+        ShedLadder {
+            forced: policy.forced,
+            adaptive: policy
+                .adaptive
+                .then(|| AdaptiveState::new(AdaptiveShed::default())),
+        }
+    }
+
+    /// Ladder rung for the next window. `tick_depth` is the shard's
+    /// input-queue depth at the cut mark (`Some` only on the live mark
+    /// path — the adaptive ladder's signal); the shutdown flush passes
+    /// `None` and holds the current rung, so draining never sheds what a
+    /// live overload would not have.
+    fn pick_level(&mut self, tick_depth: Option<usize>) -> DegradationLevel {
         if let Some(level) = self.forced {
             return level;
         }
-        if queue_depth >= self.skip_at {
-            DegradationLevel::Skip
-        } else if queue_depth >= self.greedy_at {
-            DegradationLevel::Greedy
-        } else if queue_depth >= self.shrink_batch_at {
-            DegradationLevel::ShrinkBatch
-        } else {
-            DegradationLevel::Full
+        match (self.adaptive.as_mut(), tick_depth) {
+            (Some(state), Some(depth)) => state.on_tick(depth),
+            (Some(state), None) => AdaptiveState::LEVELS[state.rung],
+            (None, _) => DegradationLevel::Full,
         }
     }
 }
@@ -641,17 +632,14 @@ struct WarmState {
 struct WindowShard {
     name: String,
     window: Nanos,
-    shed: ShedPolicy,
+    shed: ShedLadder,
     ladder: LadderedWeaver,
     metrics: EngineMetrics,
     /// Open windows owned by this shard, keyed by window index. `len()`
-    /// is the shard's backlog — the queue-depth signal the shed ladder
-    /// keys on.
+    /// is the shard's backlog, reported as [`WindowResult::queue_depth`].
     open: BTreeMap<u64, Vec<RpcRecord>>,
     last_level: Option<DegradationLevel>,
     warm: Option<WarmState>,
-    /// Slope-driven ladder state ([`ShedPolicy::adaptive`]).
-    adaptive: Option<AdaptiveState>,
     /// This shard's sealed watermark (`highest cut index + 1`), sampled
     /// by the checkpointer; the global watermark is the minimum across
     /// shards. `None` when checkpointing is off.
@@ -666,22 +654,6 @@ struct WindowShard {
 }
 
 impl WindowShard {
-    /// Ladder rung for the next window. `tick_depth` is the shard's
-    /// input-queue depth at the cut mark (`Some` only on the live mark
-    /// path — the adaptive ladder's signal); the shutdown flush passes
-    /// `None` and falls back to the static thresholds, so draining never
-    /// sheds what a live overload would not have.
-    fn pick_level(&mut self, tick_depth: Option<usize>, backlog: usize) -> DegradationLevel {
-        if let Some(level) = self.shed.forced {
-            return level;
-        }
-        match (self.adaptive.as_mut(), tick_depth) {
-            (Some(state), Some(depth)) => state.on_tick(depth),
-            (Some(state), None) => AdaptiveState::LEVELS[state.rung],
-            (None, _) => self.shed.level_for(backlog),
-        }
-    }
-
     fn reconstruct(
         &mut self,
         index: u64,
@@ -774,7 +746,7 @@ impl Stage for WindowShard {
                 // shard's sealed watermark advances even for windows it
                 // does not own — the min across shards is the global
                 // sealed frontier the checkpointer persists.
-                let level = self.pick_level(Some(ctx.queue_depth), self.open.len());
+                let level = self.shed.pick_level(Some(ctx.queue_depth));
                 // Only the owning shard buffered this window; everyone
                 // else observes the mark and moves on. Empty windows were
                 // never buffered anywhere and produce no result.
@@ -800,7 +772,7 @@ impl Stage for WindowShard {
         let mut backlog = open.len();
         for (index, records) in open {
             backlog -= 1;
-            let level = self.pick_level(None, backlog);
+            let level = self.shed.pick_level(None);
             drop(self.collect_spans.remove(&index));
             let result = self.reconstruct(index, records, backlog, level);
             out.emit(result);
@@ -957,8 +929,8 @@ impl OnlineEngine {
                 if let Some(recorder) = &trace {
                     stage = stage.with_trace(recorder.clone(), window.0);
                 }
-                if let (Some(src), Some(ck)) = (&sources, &config.checkpoint) {
-                    stage = stage.publish_snapshots(src.sanitizer.clone(), ck.snapshot_records);
+                if let Some(src) = &sources {
+                    stage = stage.publish_snapshots(src.sanitizer.clone());
                 }
                 let handle = stage.metrics_handle();
                 (builder.stage(stage, record_queue), Some(handle))
@@ -979,13 +951,12 @@ impl OnlineEngine {
             |i| WindowShard {
                 name: format!("window/{i}"),
                 window,
-                shed,
+                shed: ShedLadder::new(shed),
                 ladder: LadderedWeaver::new(base.clone()),
                 metrics: metrics.clone(),
                 open: BTreeMap::new(),
                 last_level: None,
                 warm: warm_state.take(),
-                adaptive: shed.adaptive.map(AdaptiveState::new),
                 sealed: sealed.as_ref().map(|v| v[i].clone()),
                 trace: trace.clone(),
                 collect_spans: BTreeMap::new(),
@@ -1370,27 +1341,21 @@ mod tests {
 
     #[test]
     fn shed_policy_ladder_order() {
-        let p = ShedPolicy {
-            shrink_batch_at: 2,
-            greedy_at: 4,
-            skip_at: 8,
-            ..ShedPolicy::default()
-        };
-        assert_eq!(p.level_for(0), DegradationLevel::Full);
-        assert_eq!(p.level_for(1), DegradationLevel::Full);
-        assert_eq!(p.level_for(2), DegradationLevel::ShrinkBatch);
-        assert_eq!(p.level_for(4), DegradationLevel::Greedy);
-        assert_eq!(p.level_for(100), DegradationLevel::Skip);
-        assert_eq!(
-            ShedPolicy::default().level_for(usize::MAX - 1),
-            DegradationLevel::Full,
-            "default policy never sheds"
-        );
-        let forced = ShedPolicy {
+        let mut default = ShedLadder::new(ShedPolicy::default());
+        for depth in [Some(0), Some(usize::MAX), None] {
+            assert_eq!(
+                default.pick_level(depth),
+                DegradationLevel::Full,
+                "default policy never sheds"
+            );
+        }
+        let mut forced = ShedLadder::new(ShedPolicy {
             forced: Some(DegradationLevel::Greedy),
-            ..ShedPolicy::default()
-        };
-        assert_eq!(forced.level_for(0), DegradationLevel::Greedy);
+            adaptive: true,
+        });
+        for depth in [Some(0), Some(usize::MAX), None] {
+            assert_eq!(forced.pick_level(depth), DegradationLevel::Greedy);
+        }
         assert!(DegradationLevel::Full < DegradationLevel::Skip);
     }
 
@@ -1976,13 +1941,12 @@ mod tests {
                     |i| WindowShard {
                         name: format!("window/{i}"),
                         window,
-                        shed: ShedPolicy::default(),
+                        shed: ShedLadder::new(ShedPolicy::default()),
                         ladder: LadderedWeaver::new(base.clone()),
                         metrics: metrics.clone(),
                         open: BTreeMap::new(),
                         last_level: None,
                         warm: None,
-                        adaptive: None,
                         sealed: None,
                         trace: None,
                         collect_spans: BTreeMap::new(),

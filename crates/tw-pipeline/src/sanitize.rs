@@ -68,14 +68,6 @@ pub struct SanitizeConfig {
     /// arriving further apart than this pass through; the filter's
     /// memory is bounded regardless of stream length.
     pub dedup_capacity: usize,
-    /// Estimate and correct per-service clock skew. When disabled,
-    /// records pass through with their original timestamps.
-    pub skew_correction: bool,
-    /// EWMA weight for new per-edge offset samples.
-    pub skew_alpha: f64,
-    /// Offsets smaller than this (ns) are noise and not applied — a
-    /// clean stream must pass through bit-identical.
-    pub skew_min_ns: u64,
     /// Re-solve the per-service offsets from the edge estimates every
     /// this many records (count-based, so the stage stays deterministic).
     pub skew_resolve_interval: u64,
@@ -86,20 +78,6 @@ pub struct SanitizeConfig {
     /// behavior) — also the per-edge fallback while a ring is too small
     /// or too clustered for a trustworthy slope.
     pub drift_correction: bool,
-    /// Bounded per-edge ring of `(time, θ̂)` samples the drift fit runs
-    /// over. Memory is `O(drift_window × edges)`; the window also sets
-    /// how fast the fit forgets a past drift regime.
-    pub drift_window: usize,
-    /// Minimum ring occupancy before a fitted slope is trusted; below
-    /// this the edge contributes its constant EWMA offset with drift 0.
-    pub drift_min_samples: usize,
-    /// Minimum time span (ns) the ring must cover before a slope is
-    /// trusted — samples clustered in time produce wild slopes.
-    pub drift_min_span_ns: u64,
-    /// Plausibility clamp on the fitted drift magnitude, in ppm. Real
-    /// quartz drifts tens of ppm; anything beyond this is estimation
-    /// noise and is clamped, not applied.
-    pub drift_max_ppm: f64,
     /// Age out edges that produced no skew sample within this many
     /// received records; a service orphaned by the pruning drops out of
     /// the resolved map and its gauges are zeroed. `None` keeps edges
@@ -114,15 +92,8 @@ impl Default for SanitizeConfig {
     fn default() -> Self {
         SanitizeConfig {
             dedup_capacity: 65_536,
-            skew_correction: true,
-            skew_alpha: 0.1,
-            skew_min_ns: 50_000, // 50µs: well above sim network jitter
             skew_resolve_interval: 64,
             drift_correction: true,
-            drift_window: 256,
-            drift_min_samples: 16,
-            drift_min_span_ns: 100_000_000, // 100ms of stream time
-            drift_max_ppm: 1_000.0,
             skew_edge_ttl: None,
             late_horizon: None,
         }
@@ -263,8 +234,19 @@ impl EdgeSkew {
     /// Windowed least-squares over the ring: `(offset at anchor, drift)`.
     /// Falls back to the constant EWMA with drift 0 while the ring is
     /// too small or covers too little time for a trustworthy slope.
-    fn solve(&self, cfg: &SanitizeConfig) -> (f64, f64) {
-        if !cfg.drift_correction || self.ring.len() < cfg.drift_min_samples.max(2) {
+    fn solve(&self, drift_correction: bool) -> (f64, f64) {
+        /// Minimum ring occupancy before a fitted slope is trusted; below
+        /// this the edge contributes its constant EWMA offset with drift 0.
+        const DRIFT_MIN_SAMPLES: usize = 16;
+        /// Minimum time span (ns) the ring must cover before a slope is
+        /// trusted — samples clustered in time produce wild slopes.
+        const DRIFT_MIN_SPAN_NS: i64 = 100_000_000;
+        /// Plausibility clamp on the fitted drift magnitude, in ppm. Real
+        /// quartz drifts tens of ppm; anything beyond this is estimation
+        /// noise and is clamped, not applied.
+        const DRIFT_MAX_PPM: f64 = 1_000.0;
+
+        if !drift_correction || self.ring.len() < DRIFT_MIN_SAMPLES {
             return (self.offset, 0.0);
         }
         let (mut t_min, mut t_max) = (i64::MAX, i64::MIN);
@@ -272,7 +254,7 @@ impl EdgeSkew {
             t_min = t_min.min(t);
             t_max = t_max.max(t);
         }
-        if (t_max - t_min) < cfg.drift_min_span_ns as i64 {
+        if (t_max - t_min) < DRIFT_MIN_SPAN_NS {
             return (self.offset, 0.0);
         }
         // Centered least squares for numerical stability: slope =
@@ -294,7 +276,7 @@ impl EdgeSkew {
         if sxx <= 0.0 {
             return (self.offset, 0.0);
         }
-        let max_slope = cfg.drift_max_ppm * 1e-6;
+        let max_slope = DRIFT_MAX_PPM * 1e-6;
         let slope = (sxy / sxx).clamp(-max_slope, max_slope);
         (mean_y - slope * mean_t, slope)
     }
@@ -446,18 +428,14 @@ impl Sanitizer {
         // the per-service offsets, and shift the record into the common
         // frame.
         let mut rec = rec;
-        if self.cfg.skew_correction {
-            self.observe_skew(&rec);
-            self.records_since_resolve += 1;
-            if self.offsets.is_empty()
-                || self.records_since_resolve >= self.cfg.skew_resolve_interval
-            {
-                self.resolve_offsets();
-                self.records_since_resolve = 0;
-            }
-            if self.correct(&mut rec) {
-                self.metrics.skew_corrected.inc();
-            }
+        self.observe_skew(&rec);
+        self.records_since_resolve += 1;
+        if self.offsets.is_empty() || self.records_since_resolve >= self.cfg.skew_resolve_interval {
+            self.resolve_offsets();
+            self.records_since_resolve = 0;
+        }
+        if self.correct(&mut rec) {
+            self.metrics.skew_corrected.inc();
         }
 
         // 5. Late arrival beyond the horizon.
@@ -494,6 +472,13 @@ impl Sanitizer {
     /// the constant-offset EWMA always, and (in drift mode) the bounded
     /// sample ring behind the least-squares drift fit.
     fn observe_skew(&mut self, rec: &RpcRecord) {
+        /// EWMA weight for new per-edge offset samples.
+        const SKEW_ALPHA: f64 = 0.1;
+        /// Bounded per-edge ring of `(time, θ̂)` samples the drift fit
+        /// runs over. Memory is `O(DRIFT_WINDOW × edges)`; the window also
+        /// sets how fast the fit forgets a past drift regime.
+        const DRIFT_WINDOW: usize = 256;
+
         let fwd = rec.recv_req.0 as i128 - rec.send_req.0 as i128;
         let bwd = rec.recv_resp.0 as i128 - rec.send_resp.0 as i128;
         // Duration-scale difference of two one-way delays: far below
@@ -520,7 +505,7 @@ impl Sanitizer {
             last_seen: records_seen,
         });
         if edge.samples > 0 {
-            edge.offset += self.cfg.skew_alpha * (sample - edge.offset);
+            edge.offset += SKEW_ALPHA * (sample - edge.offset);
         }
         edge.samples += 1;
         edge.last_seen = records_seen;
@@ -535,7 +520,7 @@ impl Sanitizer {
                 }
             }
             edge.ring.push_back((mid, sample));
-            while edge.ring.len() > self.cfg.drift_window.max(2) {
+            while edge.ring.len() > DRIFT_WINDOW {
                 edge.ring.pop_front();
             }
         }
@@ -558,7 +543,7 @@ impl Sanitizer {
         }
         let mut adjacency: BTreeMap<ServiceId, Vec<(ServiceId, f64, f64)>> = BTreeMap::new();
         for (&(caller, callee), edge) in self.edges.iter_mut() {
-            let (offset, drift) = edge.solve(&self.cfg);
+            let (offset, drift) = edge.solve(self.cfg.drift_correction);
             edge.fit = Some((offset, drift));
             // model[callee] = model[caller] + θ(caller→callee)
             adjacency
@@ -638,15 +623,15 @@ impl Sanitizer {
     /// (`offset + drift · (ts − anchor)`). Returns true if any side
     /// actually moved.
     fn correct(&self, rec: &mut RpcRecord) -> bool {
-        // Threshold is a small config constant (µs–ms scale), not an
-        // epoch timestamp.
-        #[allow(clippy::cast_precision_loss)]
-        let threshold = self.cfg.skew_min_ns as f64;
+        /// Offsets smaller than this (ns) are noise and not applied — a
+        /// clean stream must pass through bit-identical. 50µs is well
+        /// above sim network jitter.
+        const SKEW_MIN_NS: f64 = 50_000.0;
         let mut moved = false;
         let mut apply = |model: Option<&ClockModel>, ts: &mut Nanos| {
             let Some(model) = model else { return };
             let correction = model.correction_at(self.rel(*ts));
-            if correction.abs() > threshold {
+            if correction.abs() > SKEW_MIN_NS {
                 *ts = unshift(*ts, correction);
                 moved = true;
             }
@@ -810,8 +795,8 @@ pub type SanitizerSnapshotSlot = Arc<parking_lot::Mutex<Option<SanitizerSnapshot
 /// stay readable after the pipeline shuts down.
 pub struct SanitizeStage {
     sanitizer: Sanitizer,
-    /// Snapshot publication for checkpointing: slot plus record interval.
-    snapshot_slot: Option<(SanitizerSnapshotSlot, u64)>,
+    /// Snapshot publication slot for checkpointing.
+    snapshot_slot: Option<SanitizerSnapshotSlot>,
     since_snapshot: u64,
     /// Self-tracing: recorder plus the engine window width, so the stage
     /// can attribute its work to the window each record will land in.
@@ -867,10 +852,10 @@ impl SanitizeStage {
         }
     }
 
-    /// Publish a [`SanitizerSnapshot`] into `slot` every `interval`
-    /// processed records (and at flush), for the checkpointer to persist.
-    pub fn publish_snapshots(mut self, slot: SanitizerSnapshotSlot, interval: u64) -> Self {
-        self.snapshot_slot = Some((slot, interval.max(1)));
+    /// Publish a [`SanitizerSnapshot`] into `slot` periodically (and at
+    /// flush), for the checkpointer to persist.
+    pub fn publish_snapshots(mut self, slot: SanitizerSnapshotSlot) -> Self {
+        self.snapshot_slot = Some(slot);
         self
     }
 
@@ -892,10 +877,13 @@ impl SanitizeStage {
     }
 
     fn maybe_publish(&mut self, force: bool) {
-        let Some((slot, interval)) = &self.snapshot_slot else {
+        /// Processed records between publications (publication cadence,
+        /// not the checkpointer's write cadence).
+        const SNAPSHOT_RECORDS: u64 = 256;
+        let Some(slot) = &self.snapshot_slot else {
             return;
         };
-        if force || self.since_snapshot >= *interval {
+        if force || self.since_snapshot >= SNAPSHOT_RECORDS {
             *slot.lock() = Some(self.sanitizer.snapshot());
             self.since_snapshot = 0;
         }

@@ -1,15 +1,13 @@
 //! Offline deployment mode: persist spans, reconstruct on demand, and
 //! learn / persist delay registries for warm-starting engines.
 
-use crate::sanitize::{SanitizeConfig, SanitizeStats, Sanitizer};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::io::BufReader;
 use std::path::Path;
 use tw_core::{DelayRegistry, Reconstruction, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
 use tw_store::frame::atomic_write;
-use tw_telemetry::Registry;
 
 /// Store contents plus the sort flag guarding the binary-search index.
 #[derive(Debug, Default)]
@@ -29,19 +27,9 @@ struct Inner {
 /// plain append, and the first query after an ingest sorts the backing
 /// vector so every range query is a pair of binary searches over a
 /// contiguous slice instead of a full scan.
-///
-/// Built via [`OfflineStore::with_sanitizer`], every ingested batch runs
-/// through the same [`Sanitizer`] the online path uses (dedup, causality,
-/// skew correction, late-arrival horizon) before landing in the store, so
-/// offline reconstruction sees exactly the record stream a live engine
-/// would — the paper's offline workflow with the PR-3 hygiene applied.
 #[derive(Debug, Default)]
 pub struct OfflineStore {
     inner: RwLock<Inner>,
-    /// Sanitizers are stateful (dedup ring, skew EWMAs, watermark), so
-    /// batches are serialized through a mutex; the store's read paths
-    /// never touch it.
-    sanitizer: Option<Mutex<Sanitizer>>,
 }
 
 impl OfflineStore {
@@ -49,41 +37,14 @@ impl OfflineStore {
         OfflineStore::default()
     }
 
-    /// A store whose ingests are sanitized, with drop/pass counters and
-    /// per-service skew gauges registered in `registry` (the
-    /// `tw_sanitize_*` series).
-    pub fn with_sanitizer(cfg: SanitizeConfig, registry: &Registry) -> Self {
-        OfflineStore {
-            inner: RwLock::default(),
-            sanitizer: Some(Mutex::new(Sanitizer::new_in(cfg, registry))),
-        }
-    }
-
     /// Append a batch of records (any order; queries sort internally).
-    /// Stores built with [`with_sanitizer`](Self::with_sanitizer) keep
-    /// only the records that survive sanitization.
     pub fn ingest(&self, batch: &[RpcRecord]) {
         if batch.is_empty() {
-            return;
-        }
-        if let Some(sanitizer) = &self.sanitizer {
-            let clean = sanitizer.lock().sanitize_batch(batch.iter().cloned());
-            if clean.is_empty() {
-                return;
-            }
-            let mut inner = self.inner.write();
-            inner.records.extend(clean);
-            inner.sorted = false;
             return;
         }
         let mut inner = self.inner.write();
         inner.records.extend_from_slice(batch);
         inner.sorted = false;
-    }
-
-    /// Cumulative sanitizer counters, or `None` for unsanitized stores.
-    pub fn sanitize_stats(&self) -> Option<SanitizeStats> {
-        self.sanitizer.as_ref().map(|s| s.lock().stats())
     }
 
     pub fn len(&self) -> usize {
@@ -190,7 +151,6 @@ impl OfflineStore {
                 records,
                 sorted: false,
             }),
-            sanitizer: None,
         })
     }
 }
@@ -300,30 +260,6 @@ mod tests {
         let store = OfflineStore::new();
         assert!(store.is_empty());
         assert!(store.query(Nanos::ZERO, Nanos::MAX).is_empty());
-        assert!(store.sanitize_stats().is_none());
-    }
-
-    /// A sanitized store drops duplicates and non-causal records on
-    /// ingest and accounts for them in the shared registry.
-    #[test]
-    fn sanitized_ingest_drops_and_counts() {
-        let registry = tw_telemetry::Registry::new();
-        let store = OfflineStore::with_sanitizer(SanitizeConfig::default(), &registry);
-
-        let good = rec(0, 100);
-        let mut non_causal = rec(1, 500);
-        // Caller clock runs backwards: response received before request sent.
-        non_causal.recv_resp = Nanos::from_micros(400);
-        store.ingest(&[good, good, non_causal]);
-
-        assert_eq!(store.len(), 1, "duplicate and non-causal records dropped");
-        let stats = store.sanitize_stats().expect("sanitized store has stats");
-        assert_eq!(stats.received, 3);
-        assert_eq!(stats.passed, 1);
-        assert_eq!(stats.duplicates, 1);
-        let rendered = registry.render();
-        assert!(rendered.contains("tw_sanitize_received_total 3"));
-        assert!(rendered.contains("tw_sanitize_dropped_total{reason=\"duplicate\"} 1"));
     }
 
     #[test]

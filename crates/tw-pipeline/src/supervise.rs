@@ -182,10 +182,6 @@ impl std::fmt::Display for StageFailure {
 #[derive(Clone)]
 pub struct Supervisor {
     policy: RestartPolicy,
-    /// Per-stage policy overrides (PR-8 follow-up): stages not listed
-    /// inherit `policy`. Shared across clones so overrides registered
-    /// before the graph spawns apply to every runner.
-    overrides: Arc<Mutex<std::collections::HashMap<String, RestartPolicy>>>,
     dead_letters: DeadLetterQueue,
     failures: Arc<Mutex<Vec<StageFailure>>>,
     recorder: Option<SpanRecorder>,
@@ -201,30 +197,10 @@ impl Supervisor {
     pub fn new(policy: RestartPolicy, dead_letters: DeadLetterQueue) -> Self {
         Supervisor {
             policy,
-            overrides: Arc::new(Mutex::new(std::collections::HashMap::new())),
             dead_letters,
             failures: Arc::new(Mutex::new(Vec::new())),
             recorder: None,
         }
-    }
-
-    /// Override the restart policy for one stage (exact name match, e.g.
-    /// `"sanitize"` or `"window/3"`). Stages without an override keep the
-    /// supervisor-wide default, so one flaky stage can escalate fast — or
-    /// get extra budget — without touching its neighbors.
-    pub fn with_stage_policy(self, stage: &str, policy: RestartPolicy) -> Self {
-        self.overrides.lock().insert(stage.to_string(), policy);
-        self
-    }
-
-    /// The restart policy in force for `stage`: its override, or the
-    /// supervisor-wide default.
-    pub fn policy_for(&self, stage: &str) -> RestartPolicy {
-        self.overrides
-            .lock()
-            .get(stage)
-            .copied()
-            .unwrap_or(self.policy)
     }
 
     /// Attach a self-trace recorder: supervision decisions (restarts,
@@ -259,7 +235,7 @@ impl Supervisor {
     pub fn for_stage(&self, registry: &Registry, stage: &str) -> StageSupervisor {
         StageSupervisor {
             stage: stage.to_string(),
-            policy: self.policy_for(stage),
+            policy: self.policy,
             dead_letters: self.dead_letters.clone(),
             shared: self.clone(),
             panics: registry.counter_with(
@@ -514,47 +490,6 @@ mod tests {
         let json = serde_json::to_string(&snap[0]).unwrap();
         assert!(json.contains("\"window\":9"));
         assert!(json.contains("\"recv_resp\":130"));
-    }
-
-    #[test]
-    fn per_stage_override_escalates_flaky_stage_while_neighbor_restarts() {
-        let registry = Registry::new();
-        // Default: generous budget with no backoff. Override: "flaky"
-        // never restarts — its first panic escalates. The neighbor stage
-        // must keep the default budget untouched.
-        let sup = Supervisor::new(
-            RestartPolicy {
-                max_restarts: 5,
-                restart_window: Duration::from_secs(30),
-                backoff_base: Duration::from_millis(0),
-                backoff_max: Duration::from_millis(0),
-            },
-            DeadLetterQueue::new(8),
-        )
-        .with_stage_policy(
-            "flaky",
-            RestartPolicy {
-                max_restarts: 0,
-                ..RestartPolicy::default()
-            },
-        );
-        assert_eq!(sup.policy_for("flaky").max_restarts, 0);
-        assert_eq!(sup.policy_for("steady").max_restarts, 5);
-
-        let mut flaky = sup.for_stage(&registry, "flaky");
-        let mut steady = sup.for_stage(&registry, "steady");
-        assert_eq!(
-            flaky.on_panic("boom", 1, None, None),
-            Verdict::Escalate,
-            "override escalates on the first panic"
-        );
-        assert!(
-            matches!(steady.on_panic("boom", 1, None, None), Verdict::Restart(_)),
-            "neighbor keeps the default restart budget"
-        );
-        let text = registry.render();
-        assert!(text.contains("tw_pipeline_stage_restarts_total{stage=\"steady\"} 1"));
-        assert!(text.contains("tw_pipeline_stage_restarts_total{stage=\"flaky\"} 0"));
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //! ## Hot-path cost
 //!
 //! Counter increments are a relaxed `fetch_add` on a cache-line-padded
-//! per-thread shard — wait-free and contention-free. Every write is gated on
-//! one relaxed `enabled` load, so [`Registry::set_enabled`]`(false)` turns
-//! the whole layer into a measured no-op (the `telemetry_overhead` bench in
-//! `tw-bench` tracks the delta; budget is 3%).
+//! per-thread shard — wait-free and contention-free. The layer has no off
+//! switch; its cost is measured from outside by the repository benchmark
+//! (`telemetry.trace_overhead_pct` in `bench/README.md`).
 //!
 //! [`IngestServer`]: https://docs.rs/tw-pipeline
 
@@ -49,7 +48,6 @@ pub use metrics::{
 };
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use metrics::{CounterCore, GaugeCore, HistogramCore};
@@ -87,34 +85,22 @@ struct Family {
     series: BTreeMap<LabelSet, Metric>,
 }
 
-struct Inner {
-    enabled: Arc<AtomicBool>,
-    families: RwLock<BTreeMap<String, Family>>,
-}
-
 /// A set of metric families. Cloning shares the underlying storage.
 ///
 /// Registration (`counter`, `gauge_with`, ...) takes a write lock and is
 /// meant for construction time; the returned handles are lock-free.
 /// Registering the same `(name, labels)` twice returns a handle to the same
 /// series. Re-registering a name with a different kind panics.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Registry {
-    inner: Arc<Inner>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
+    families: Arc<RwLock<BTreeMap<String, Family>>>,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let fams = self.inner.families.read().unwrap();
+        let fams = self.families.read().unwrap();
         f.debug_struct("Registry")
             .field("families", &fams.len())
-            .field("enabled", &self.is_enabled())
             .finish()
     }
 }
@@ -155,37 +141,14 @@ fn canonical_labels(labels: &[(&str, &str)]) -> LabelSet {
 }
 
 impl Registry {
-    /// New, enabled registry.
+    /// New, empty registry.
     pub fn new() -> Self {
-        Registry {
-            inner: Arc::new(Inner {
-                enabled: Arc::new(AtomicBool::new(true)),
-                families: RwLock::new(BTreeMap::new()),
-            }),
-        }
-    }
-
-    /// New registry with recording disabled: every write is a single relaxed
-    /// atomic load and branch. Series still register and render (as zeros).
-    pub fn disabled() -> Self {
-        let r = Self::new();
-        r.set_enabled(false);
-        r
-    }
-
-    /// Toggle recording at runtime. Used by the overhead benchmark to
-    /// measure the instrumented-vs-no-op delta on identical binaries.
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        Self::default()
     }
 
     /// True if both handles point at the same underlying storage.
     pub fn same_as(&self, other: &Registry) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Arc::ptr_eq(&self.families, &other.families)
     }
 
     fn register(
@@ -205,7 +168,7 @@ impl Registry {
             );
         }
         let labelset = canonical_labels(labels);
-        let mut fams = self.inner.families.write().unwrap();
+        let mut fams = self.families.write().unwrap();
         let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
             kind,
@@ -233,10 +196,7 @@ impl Registry {
             Metric::Counter(Arc::new(CounterCore::new()))
         });
         match m {
-            Metric::Counter(core) => Counter {
-                enabled: self.inner.enabled.clone(),
-                core,
-            },
+            Metric::Counter(core) => Counter { core },
             _ => unreachable!("kind checked in register"),
         }
     }
@@ -250,10 +210,7 @@ impl Registry {
             Metric::Gauge(Arc::new(GaugeCore::new()))
         });
         match m {
-            Metric::Gauge(core) => Gauge {
-                enabled: self.inner.enabled.clone(),
-                core,
-            },
+            Metric::Gauge(core) => Gauge { core },
             _ => unreachable!("kind checked in register"),
         }
     }
@@ -274,17 +231,14 @@ impl Registry {
             Metric::Histogram(Arc::new(HistogramCore::new(bounds)))
         });
         match m {
-            Metric::Histogram(core) => Histogram {
-                enabled: self.inner.enabled.clone(),
-                core,
-            },
+            Metric::Histogram(core) => Histogram { core },
             _ => unreachable!("kind checked in register"),
         }
     }
 
     /// Snapshot every family for rendering.
     pub fn snapshot(&self) -> Vec<FamilySnapshot> {
-        let fams = self.inner.families.read().unwrap();
+        let fams = self.families.read().unwrap();
         fams.iter()
             .map(|(name, fam)| FamilySnapshot {
                 name: name.clone(),
@@ -415,20 +369,6 @@ mod tests {
         b.inc();
         assert_eq!(a.get(), 4);
         assert_eq!(b.get(), 4);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let r = Registry::disabled();
-        let c = r.counter("t_total", "help");
-        let h = r.histogram("h", "help", Buckets::fixed(&[1.0]));
-        c.add(10);
-        h.observe(0.5);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        r.set_enabled(true);
-        c.add(10);
-        assert_eq!(c.get(), 10);
     }
 
     #[test]

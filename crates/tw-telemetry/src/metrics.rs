@@ -9,7 +9,7 @@
 //! taken at scrape time.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -78,7 +78,6 @@ impl CounterCore {
 /// same underlying series.
 #[derive(Clone, Debug)]
 pub struct Counter {
-    pub(crate) enabled: Arc<AtomicBool>,
     pub(crate) core: Arc<CounterCore>,
 }
 
@@ -90,9 +89,7 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, v: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.core.add(v);
-        }
+        self.core.add(v);
     }
 
     /// Current value (sums all shards; scrape-time cost only).
@@ -125,23 +122,17 @@ impl GaugeCore {
 /// Instantaneous value stored as f64 bits in an atomic word.
 #[derive(Clone, Debug)]
 pub struct Gauge {
-    pub(crate) enabled: Arc<AtomicBool>,
     pub(crate) core: Arc<GaugeCore>,
 }
 
 impl Gauge {
     #[inline]
     pub fn set(&self, v: f64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.core.bits.store(v.to_bits(), Ordering::Relaxed);
-        }
+        self.core.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
     #[inline]
     pub fn add(&self, delta: f64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let mut cur = self.core.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + delta).to_bits();
@@ -393,16 +384,13 @@ impl HistogramCore {
 /// Distribution metric with cumulative `le` buckets, `_sum`, `_count`.
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    pub(crate) enabled: Arc<AtomicBool>,
     pub(crate) core: Arc<HistogramCore>,
 }
 
 impl Histogram {
     #[inline]
     pub fn observe(&self, v: f64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.core.observe(v);
-        }
+        self.core.observe(v);
     }
 
     /// Observe `v` and attach an exemplar (OpenMetrics `# {labels} value`)
@@ -411,16 +399,14 @@ impl Histogram {
     /// the earlier one. Label sets longer than 128 UTF-8 code points drop
     /// the exemplar but keep the observation.
     pub fn observe_exemplar(&self, v: f64, labels: &[(&str, &str)]) {
-        if self.enabled.load(Ordering::Relaxed) {
-            let exemplar = Exemplar {
-                labels: labels
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
-                value: v,
-            };
-            self.core.observe_exemplar(v, exemplar);
-        }
+        let exemplar = Exemplar {
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            value: v,
+        };
+        self.core.observe_exemplar(v, exemplar);
     }
 
     /// RAII timer that observes elapsed seconds into this histogram on drop.

@@ -26,36 +26,19 @@ use traceweaver::sim::apps::{
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let name = match name.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
     };
-    let result = match cmd.as_str() {
-        "simulate" => cmd_simulate(&flags),
-        "learn-graph" => cmd_learn_graph(&flags),
-        "learn-delays" => cmd_learn_delays(&flags),
-        "reconstruct" => cmd_reconstruct(&flags),
-        "evaluate" => cmd_evaluate(&flags),
-        "waterfall" => cmd_waterfall(&flags),
-        "serve" => cmd_serve(&flags),
-        "replay" => cmd_replay(&flags),
-        "metrics" => cmd_metrics(&flags),
-        "top" => cmd_top(&flags),
-        "deadletters" => cmd_deadletters(&flags),
-        "query" => cmd_query(&flags),
-        "push-sink" => cmd_push_sink(&flags),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command `{other}`")),
+    // Flags are checked against the command's table before its handler
+    // runs, so a mistyped flag never binds a socket or writes a file.
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(cmd) => parse_flags(cmd, &args[1..]).and_then(|flags| (cmd.run)(&flags)),
+        None => Err(format!("unknown command `{name}` (see `twctl help`)")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -66,26 +49,135 @@ fn main() -> ExitCode {
     }
 }
 
+/// One `twctl` subcommand: its handler and every flag it accepts, as
+/// space-separated lists so commands sharing a flag block share one list.
+struct Command {
+    name: &'static str,
+    run: fn(&Flags) -> Result<(), String>,
+    /// Flags that take a value (`--name VALUE`).
+    values: &'static [&'static str],
+    /// Boolean flags (`--name`).
+    switches: &'static [&'static str],
+}
+
+/// The live-pipeline block `serve` and `simulate --metrics` share: what
+/// `online_config_from`, `trace_recorder_from` and `push_exporter_from`
+/// read.
+const PIPELINE_VALUES: &str = "window-ms grace-ms shards capacity backpressure \
+    checkpoint-dir checkpoint-interval-ms archive-dir archive-segment-bytes archive-retention \
+    trace-sample span-ring push-url push-interval-ms";
+const PIPELINE_SWITCHES: &str = "adaptive-shed no-drift";
+/// What `maybe_sanitize` reads.
+const SANITIZE_SWITCHES: &str = "sanitize no-drift";
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "simulate",
+        run: cmd_simulate,
+        values: &[
+            "app rps millis seed out-dir metrics metrics-hold-ms metrics-out",
+            PIPELINE_VALUES,
+        ],
+        switches: &[PIPELINE_SWITCHES],
+    },
+    Command {
+        name: "learn-graph",
+        run: cmd_learn_graph,
+        values: &["app seed replays out"],
+        switches: &[],
+    },
+    Command {
+        name: "learn-delays",
+        run: cmd_learn_delays,
+        values: &["spans graph window-ms out"],
+        switches: &["dynamism"],
+    },
+    Command {
+        name: "reconstruct",
+        run: cmd_reconstruct,
+        values: &["spans graph delay-model jaeger"],
+        switches: &["dynamism", SANITIZE_SWITCHES],
+    },
+    Command {
+        name: "evaluate",
+        run: cmd_evaluate,
+        values: &["spans graph truth delay-model"],
+        switches: &["dynamism", SANITIZE_SWITCHES],
+    },
+    Command {
+        name: "waterfall",
+        run: cmd_waterfall,
+        values: &["spans graph trace width"],
+        switches: &["dynamism"],
+    },
+    Command {
+        name: "serve",
+        run: cmd_serve,
+        values: &[
+            "graph listen metrics duration-ms metrics-out",
+            PIPELINE_VALUES,
+        ],
+        switches: &["dynamism", PIPELINE_SWITCHES],
+    },
+    Command {
+        name: "replay",
+        run: cmd_replay,
+        values: &["spans to batch pace-ms retries"],
+        switches: &[],
+    },
+    Command {
+        name: "metrics",
+        run: cmd_metrics,
+        values: &["addr"],
+        switches: &[],
+    },
+    Command {
+        name: "top",
+        run: cmd_top,
+        values: &["addr interval-ms iterations limit"],
+        switches: &[],
+    },
+    Command {
+        name: "deadletters",
+        run: cmd_deadletters,
+        values: &["addr to"],
+        switches: &["resubmit"],
+    },
+    Command {
+        name: "query",
+        run: cmd_query,
+        values: &["dir addr service op window min-latency-ms from-ms to-ms limit"],
+        switches: &["json"],
+    },
+    Command {
+        name: "push-sink",
+        run: cmd_push_sink,
+        values: &["listen batches"],
+        switches: &[],
+    },
+    Command {
+        name: "help",
+        run: cmd_help,
+        values: &[],
+        switches: &[],
+    },
+];
+
 const USAGE: &str = "\
 twctl — non-intrusive request tracing toolkit
 
 USAGE:
   twctl simulate     --app <hotel|media|nodejs|social|chain> [--rps N] [--millis N] [--seed N] --out-dir DIR
-                     [--metrics ADDR] [--metrics-hold-ms N] [--metrics-out FILE]
-                     tracing/export knobs: [--trace-sample N] [--span-ring N]
-                     [--push-url HOST:PORT[/path]] [--push-interval-ms N]
+                     [--metrics ADDR] [--metrics-hold-ms N] [--metrics-out FILE] [pipeline flags]
   twctl learn-graph  --app <hotel|media|nodejs|social|chain> [--seed N] [--replays N] --out FILE
   twctl learn-delays --spans FILE --graph FILE [--window-ms N] [--dynamism] --out FILE
-  twctl reconstruct  --spans FILE --graph FILE [--delay-model FILE] [--dynamism] [--sanitize] [--jaeger FILE]
-  twctl evaluate     --spans FILE --graph FILE --truth FILE [--delay-model FILE] [--dynamism] [--sanitize]
-                     sanitizer knobs: [--no-drift] [--drift-window N] [--drift-max-ppm F] [--skew-alpha F]
-  twctl waterfall    --spans FILE --graph FILE [--trace N] [--width N]
+  twctl reconstruct  --spans FILE --graph FILE [--delay-model FILE] [--dynamism] [--jaeger FILE]
+                     [--sanitize] [--no-drift]
+  twctl evaluate     --spans FILE --graph FILE --truth FILE [--delay-model FILE] [--dynamism]
+                     [--sanitize] [--no-drift]
+  twctl waterfall    --spans FILE --graph FILE [--trace N] [--width N] [--dynamism]
   twctl serve        --graph FILE [--listen ADDR] [--metrics ADDR] [--duration-ms N]
-                     pipeline knobs: [--window-ms N] [--grace-ms N] [--shards N]
-                     [--capacity N] [--backpressure block|shed] [--adaptive-shed]
-                     [--checkpoint-dir DIR] [--checkpoint-interval-ms N] + sanitizer knobs
-                     [--archive-dir DIR] [--archive-segment-bytes N] [--archive-retention BYTES]
-                     + tracing/export knobs (see simulate)
+                     [--metrics-out FILE] [--dynamism] [pipeline flags]
   twctl replay       --spans FILE --to HOST:PORT [--batch N] [--pace-ms N] [--retries N]
   twctl metrics      --addr HOST:PORT
   twctl top          --addr HOST:PORT [--interval-ms N] [--iterations N] [--limit N]
@@ -94,6 +186,16 @@ USAGE:
                      [--min-latency-ms N] [--from-ms N] [--to-ms N] [--limit N] [--json]
   twctl push-sink    [--listen ADDR] [--batches N]
   twctl help
+
+  pipeline flags:    [--window-ms N] [--grace-ms N] [--shards N] [--capacity N]
+                     [--backpressure block|shed] [--adaptive-shed] [--no-drift]
+                     [--checkpoint-dir DIR] [--checkpoint-interval-ms N]
+                     [--archive-dir DIR] [--archive-segment-bytes N] [--archive-retention BYTES]
+                     [--trace-sample N] [--span-ring N]
+                     [--push-url HOST:PORT[/path]] [--push-interval-ms N]
+
+A flag the command does not list, or a value flag without a value, is an
+error before any work starts.
 
 `learn-delays` replays recorded spans through warm-started windows and
 writes the learned per-process delay registry as JSON; pass it back via
@@ -117,8 +219,9 @@ the flag is absent. --shards splits windowing into N parallel shards
 (merged back into deterministic global order), --capacity bounds every
 inter-stage queue, and --backpressure picks what happens when a queue
 fills: `block` (lossless, default) or `shed` (drop + count).
---adaptive-shed drives the degradation ladder from the queue-depth
-slope (EWMA, with hysteresis) instead of static thresholds.
+--adaptive-shed turns on load shedding: the degradation ladder moves one
+rung at a time on the queue-depth slope (EWMA, with hysteresis). Without
+it no window is ever shed.
 --checkpoint-dir enables crash-safe recovery: the engine periodically
 (every --checkpoint-interval-ms, default 1000) snapshots its sealed
 watermark, sanitizer skew state, and warm registry to DIR, restores
@@ -156,10 +259,8 @@ refused connection.
 `--sanitize` runs recorded spans through the online sanitizer (dedup,
 causality, skew correction) before reconstructing. Skew correction
 tracks per-edge clock *drift* (offset + slope) by default; --no-drift
-falls back to the constant-offset estimator, --drift-window bounds the
-per-edge sample ring, --drift-max-ppm clamps the fitted slope, and
---skew-alpha sets the constant-offset EWMA weight. The same knobs apply
-to the live pipeline behind `simulate --metrics` and `serve`.
+falls back to the constant-offset estimator. The same flag applies to
+the live pipeline behind `simulate --metrics` and `serve`.
 
 Self-tracing: the live pipeline records one span tree per window
 (sanitize → route → collect → reconstruct → merge hand-off, plus
@@ -185,30 +286,39 @@ wire protocol.";
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(cmd: &Command, args: &[String]) -> Result<Flags, String> {
+    let lists = |groups: &[&str], name: &str| {
+        groups
+            .iter()
+            .any(|group| group.split_whitespace().any(|flag| flag == name))
+    };
     let mut flags = Flags::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("expected --flag, got `{arg}`"));
         };
-        // Boolean flags take no value.
-        if matches!(
-            name,
-            "dynamism" | "sanitize" | "no-drift" | "adaptive-shed" | "resubmit" | "json"
-        ) {
-            flags.insert(name.to_string(), "true".to_string());
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{name} needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
-        i += 2;
+        let value = if lists(cmd.switches, name) {
+            "true"
+        } else if lists(cmd.values, name) {
+            match args.next() {
+                Some(value) if !value.starts_with("--") => value,
+                _ => return Err(format!("--{name} needs a value")),
+            }
+        } else {
+            return Err(format!(
+                "unknown flag --{name} for `twctl {}` (see `twctl help`)",
+                cmd.name
+            ));
+        };
+        flags.insert(name.to_string(), value.to_string());
     }
     Ok(flags)
+}
+
+fn cmd_help(_flags: &Flags) -> Result<(), String> {
+    println!("{USAGE}");
+    Ok(())
 }
 
 fn flag<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
@@ -599,22 +709,17 @@ fn cmd_learn_delays(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Build a [`SanitizeConfig`] from the shared sanitizer knobs:
-/// `--no-drift`, `--drift-window`, `--drift-max-ppm`, `--skew-alpha`.
-fn sanitize_config_from(flags: &Flags) -> Result<traceweaver::pipeline::SanitizeConfig, String> {
-    let defaults = traceweaver::pipeline::SanitizeConfig::default();
-    Ok(traceweaver::pipeline::SanitizeConfig {
+/// Build a [`SanitizeConfig`] from the one sanitizer flag, `--no-drift`.
+fn sanitize_config_from(flags: &Flags) -> traceweaver::pipeline::SanitizeConfig {
+    traceweaver::pipeline::SanitizeConfig {
         drift_correction: !flags.contains_key("no-drift"),
-        drift_window: num(flags, "drift-window", defaults.drift_window)?,
-        drift_max_ppm: num(flags, "drift-max-ppm", defaults.drift_max_ppm)?,
-        skew_alpha: num(flags, "skew-alpha", defaults.skew_alpha)?,
-        ..defaults
-    })
+        ..Default::default()
+    }
 }
 
 /// Build an [`OnlineConfig`] from the shared staged-pipeline flag block —
 /// `--window-ms`, `--grace-ms`, `--shards`, `--capacity`,
-/// `--backpressure block|shed` — plus the sanitizer knobs via
+/// `--backpressure block|shed` — plus `--no-drift` via
 /// [`sanitize_config_from`]. Used by both `simulate --metrics` and
 /// `serve` so new pipeline flags land in exactly one place.
 fn online_config_from(
@@ -659,13 +764,9 @@ fn online_config_from(
             None
         }
     };
-    let shed = if flags.contains_key("adaptive-shed") {
-        traceweaver::pipeline::ShedPolicy {
-            adaptive: Some(traceweaver::pipeline::AdaptiveShed::default()),
-            ..traceweaver::pipeline::ShedPolicy::default()
-        }
-    } else {
-        defaults.shed
+    let shed = traceweaver::pipeline::ShedPolicy {
+        adaptive: flags.contains_key("adaptive-shed"),
+        ..defaults.shed
     };
     Ok(OnlineConfig {
         window: Nanos::from_millis(num(flags, "window-ms", 500u64)?),
@@ -673,7 +774,7 @@ fn online_config_from(
         shards: num(flags, "shards", defaults.shards)?,
         channel_capacity: num(flags, "capacity", defaults.channel_capacity)?,
         backpressure,
-        sanitize: Some(sanitize_config_from(flags)?),
+        sanitize: Some(sanitize_config_from(flags)),
         checkpoint,
         archive,
         shed,
@@ -733,11 +834,11 @@ fn push_exporter_from(
 fn maybe_sanitize(
     flags: &Flags,
     records: Vec<traceweaver::model::RpcRecord>,
-) -> Result<Vec<traceweaver::model::RpcRecord>, String> {
+) -> Vec<traceweaver::model::RpcRecord> {
     if !flags.contains_key("sanitize") {
-        return Ok(records);
+        return records;
     }
-    let mut sanitizer = traceweaver::pipeline::Sanitizer::new(sanitize_config_from(flags)?);
+    let mut sanitizer = traceweaver::pipeline::Sanitizer::new(sanitize_config_from(flags));
     let total = records.len();
     let clean = sanitizer.sanitize_batch(records);
     let stats = sanitizer.stats();
@@ -747,11 +848,11 @@ fn maybe_sanitize(
         stats.rejected(),
         stats.skew_corrected
     );
-    Ok(clean)
+    clean
 }
 
 fn cmd_reconstruct(flags: &Flags) -> Result<(), String> {
-    let records = maybe_sanitize(flags, load_spans(flag(flags, "spans")?)?)?;
+    let records = maybe_sanitize(flags, load_spans(flag(flags, "spans")?)?);
     let graph: CallGraph = read_json(flag(flags, "graph")?)?;
     let tw = TraceWeaver::new(graph, params_from(flags));
     let result = match delay_model_from(flags)? {
@@ -1070,7 +1171,7 @@ fn cmd_top(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
-    let records = maybe_sanitize(flags, load_spans(flag(flags, "spans")?)?)?;
+    let records = maybe_sanitize(flags, load_spans(flag(flags, "spans")?)?);
     let graph: CallGraph = read_json(flag(flags, "graph")?)?;
     let truth: TruthIndex = read_json(flag(flags, "truth")?)?;
     let tw = TraceWeaver::new(graph, params_from(flags));
@@ -1091,4 +1192,52 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     println!("per-span accuracy:   {:.2}%", per_span.percent());
     println!("top-5 accuracy:      {:.2}%", top5.percent());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn flags_in(text: &str) -> BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|token| token.strip_prefix("--"))
+            .collect()
+    }
+
+    /// USAGE's synopsis lists, for every command, exactly the flags its
+    /// table entry accepts.
+    #[test]
+    fn usage_synopsis_matches_the_command_table() {
+        let synopsis = USAGE
+            .split_once("USAGE:\n")
+            .and_then(|(_, rest)| rest.split_once("\nA flag the command"))
+            .expect("synopsis block")
+            .0;
+        let mut entries: BTreeMap<&str, String> = BTreeMap::new();
+        let mut current = "";
+        for line in synopsis.lines() {
+            if let Some(rest) = line.strip_prefix("  twctl ") {
+                current = rest.split_whitespace().next().unwrap();
+            } else if line.starts_with("  pipeline flags:") {
+                current = "pipeline flags";
+            }
+            entries.entry(current).or_default().push_str(line);
+        }
+        assert_eq!(entries.len(), COMMANDS.len() + 1);
+        for cmd in COMMANDS {
+            let entry = &entries[cmd.name];
+            let mut listed = flags_in(entry);
+            if entry.contains("[pipeline flags]") {
+                listed.extend(flags_in(&entries["pipeline flags"]));
+            }
+            let accepted: BTreeSet<&str> = cmd
+                .values
+                .iter()
+                .chain(cmd.switches)
+                .flat_map(|group| group.split_whitespace())
+                .collect();
+            assert_eq!(listed, accepted, "twctl {}", cmd.name);
+        }
+    }
 }

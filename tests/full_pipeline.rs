@@ -468,3 +468,65 @@ fn drift_faulted_stream_is_corrected_and_deterministic() {
         }
     }
 }
+
+/// The benchmark's `records_conserved` and
+/// `only_injected_duplicates_dropped` output checks at tier-1 size: the
+/// same fault plan (every fault one the sanitizer repairs), the default
+/// sanitizer, the warm online engine. Every record is accounted for and
+/// the only records rejected are the injected duplicates.
+#[test]
+fn faulted_stream_is_conserved_and_only_injected_duplicates_drop() {
+    use traceweaver::pipeline::SanitizeConfig;
+    use traceweaver::sim::{Fault, FaultPlan};
+
+    let app = traceweaver::sim::apps::hotel_reservation(331);
+    let call_graph = app.config.call_graph();
+    let root = app.roots[0];
+    let rate = app.config.catalog.lookup_service("rate").unwrap();
+    let sim = Simulator::new(app.config).unwrap();
+    let out = sim.run(&Workload::poisson(root, 600.0, Nanos::from_secs(1)));
+    let mut arrival = out.records;
+    arrival.sort_by_key(|r| (r.recv_resp, r.rpc));
+
+    let plan = FaultPlan::new(0x331)
+        .with(Fault::Duplicate {
+            rate: 0.02,
+            max_lag: Nanos::from_millis(5),
+        })
+        .with(Fault::Reorder {
+            rate: 0.02,
+            max_delay: Nanos::from_millis(20),
+        })
+        .with(Fault::ClockSkew {
+            service: rate,
+            offset_ns: 300_000,
+            drift_ppm: 100.0,
+        });
+    let (faulted, log) = plan.apply(&arrival);
+    assert!(log.duplicated > 0 && log.reordered > 0 && log.skewed > 0);
+    assert_eq!(log.emitted, faulted.len());
+
+    let engine = OnlineEngine::start(
+        TraceWeaver::new(call_graph, Params::default()),
+        OnlineConfig {
+            window: Nanos::from_millis(250),
+            warm_start: true,
+            sanitize: Some(SanitizeConfig::default()),
+            ..OnlineConfig::default()
+        },
+    );
+    let ingest = engine.ingest_handle();
+    for r in &faulted {
+        ingest.send(*r).unwrap();
+    }
+    drop(ingest);
+    let (windows, stats) = engine.shutdown_with_stats();
+    let stats = stats.expect("sanitize stage embedded");
+
+    let in_windows: usize = windows.iter().map(|w| w.records.len()).sum();
+    assert_eq!(stats.received, faulted.len() as u64);
+    assert_eq!(stats.received, stats.passed + stats.rejected());
+    assert_eq!(stats.passed, in_windows as u64);
+    assert_eq!(stats.duplicates, stats.rejected());
+    assert_eq!(stats.duplicates, log.duplicated as u64);
+}
