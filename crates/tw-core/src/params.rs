@@ -95,7 +95,7 @@ impl Default for Params {
             max_children_per_slot: 8,
             max_candidates_per_span: 128,
             skip_log_penalty: -14.0,
-            mis_node_budget: 500_000,
+            mis_node_budget: tw_solver::mis::DEFAULT_NODE_BUDGET,
             solver_deadline_us: 0,
             threads: 1,
             handle_dynamism: false,

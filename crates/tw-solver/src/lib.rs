@@ -5,8 +5,9 @@
 //! self-contained replacement:
 //!
 //! * [`mis`] — an exact branch-and-bound weighted MIS solver with a greedy
-//!   bound and a node budget; when the budget is exhausted it degrades to
-//!   the best solution found (still a valid independent set),
+//!   incumbent, a clique-cover bound and a node budget; when the budget is
+//!   exhausted it degrades to the best solution found (still a valid
+//!   independent set),
 //! * [`waterfill`] — the water-filling allocator that distributes skip-span
 //!   budget across batches when handling call-graph dynamism (§4.2).
 

@@ -4,10 +4,16 @@
 //! mappings (weight ∝ likelihood score), edges connect conflicting
 //! candidates — two candidates of the same incoming span, or two candidates
 //! sharing an outgoing span (§4.1 step 5). Batches are small (≲ 150
-//! vertices), so an exact branch-and-bound with a weight-sum bound solves
-//! them optimally, like the paper's Gurobi. A node budget keeps worst-case
-//! inputs bounded; if it is ever exhausted, the best solution found so far
-//! (at least as good as greedy) is returned and flagged as inexact.
+//! vertices), so an exact branch-and-bound solves them optimally, like the
+//! paper's Gurobi. Its upper bound is a greedy weighted clique cover of the
+//! vertices still available: both kinds of edge above come in cliques, so
+//! the cover has about one clique per span that can still be assigned and
+//! the bound follows the coverage still achievable. (Every weight carries
+//! the same large coverage bonus, so a bound that sums the remaining
+//! weights prunes nothing: it promises a bonus per vertex where at most one
+//! per span can be had.) A node budget keeps worst-case inputs bounded; if
+//! it is ever exhausted, the best solution found so far (at least as good
+//! as greedy) is returned and flagged as inexact.
 
 use crate::bitset::BitSet;
 
@@ -46,14 +52,19 @@ pub struct SolveOptions {
     pub deadline: Option<std::time::Instant>,
 }
 
-/// How many branch nodes are explored between deadline checks. Bounds
-/// deadline overshoot to the time of ~1k cheap node expansions.
+/// How many search nodes are expanded between deadline checks. Bounds
+/// deadline overshoot to the time of ~1k node expansions.
 pub const DEADLINE_CHECK_INTERVAL: u64 = 1024;
+
+/// The node budget of both [`SolveOptions::default`] and `tw-core`'s
+/// `Params::default`. Reconstruction's batches close in a handful of
+/// nodes; the budget only bounds the worst case.
+pub const DEFAULT_NODE_BUDGET: u64 = 500_000;
 
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            node_budget: 2_000_000,
+            node_budget: DEFAULT_NODE_BUDGET,
             deadline: None,
         }
     }
@@ -68,6 +79,9 @@ pub struct MisSolution {
     pub weight: f64,
     /// True if the branch-and-bound proved optimality.
     pub exact: bool,
+    /// Search nodes expanded (0 for [`ConflictGraph::solve_greedy`]); the
+    /// amount this solve added to `tw_solver_nodes_expanded_total`.
+    pub nodes: u64,
 }
 
 impl ConflictGraph {
@@ -160,11 +174,12 @@ impl ConflictGraph {
             chosen,
             weight,
             exact: false,
+            nodes: 0,
         }
     }
 
     /// Exact branch-and-bound solve (falls back to the greedy incumbent if
-    /// the node budget runs out).
+    /// the node budget or the deadline runs out).
     pub fn solve(&self, opts: &SolveOptions) -> MisSolution {
         let telemetry = crate::telemetry::metrics();
         telemetry.solves.inc();
@@ -174,11 +189,13 @@ impl ConflictGraph {
                 chosen: vec![],
                 weight: 0.0,
                 exact: true,
+                nodes: 0,
             };
         }
 
-        // Branch order: heaviest vertices first makes the incumbent strong
-        // early and the bound tight.
+        // Rank space: heaviest vertex first, so the lowest available rank
+        // is always the heaviest available vertex — the head of a clique
+        // in the cover below.
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| {
             self.weights[b]
@@ -192,8 +209,6 @@ impl ConflictGraph {
             }
             r
         };
-        // Re-index adjacency into rank space so the search always extends
-        // the prefix.
         let weights: Vec<f64> = order.iter().map(|&v| self.weights[v]).collect();
         let mut adj: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
         for v in 0..n {
@@ -201,147 +216,132 @@ impl ConflictGraph {
                 adj[rank_of[v]].insert(rank_of[u]);
             }
         }
-        // Suffix weight sums for the bound: suffix[i] = sum of weights[i..].
-        let mut suffix = vec![0.0; n + 1];
-        for i in (0..n).rev() {
-            suffix[i] = suffix[i + 1] + weights[i];
-        }
 
         let greedy = self.solve_greedy();
-        let mut best_weight = greedy.weight;
-        let mut best_set: Vec<usize> = greedy.chosen.iter().map(|&v| rank_of[v]).collect();
-
-        let mut nodes_left = opts.node_budget;
-        let mut current: Vec<usize> = Vec::new();
-        let exact = if opts
-            .deadline
-            .is_some_and(|d| std::time::Instant::now() >= d)
-        {
-            false // deadline already passed: ship the greedy incumbent
-        } else {
-            Self::branch(
-                &weights,
-                &adj,
-                &suffix,
-                &BitSet::full(n),
-                0,
-                0.0,
-                &mut current,
-                &mut best_weight,
-                &mut best_set,
-                &mut nodes_left,
-                opts.deadline,
-            )
+        let mut search = Search {
+            weights: &weights,
+            adj: &adj,
+            node_budget: opts.node_budget,
+            deadline: opts.deadline,
+            nodes: 0,
+            halt: None,
+            current: Vec::new(),
+            best_weight: greedy.weight,
+            best_set: greedy.chosen.iter().map(|&v| rank_of[v]).collect(),
         };
+        search.expand(BitSet::full(n), 0.0);
 
-        // Per-solve accounting only — the branch loop itself is untouched.
-        telemetry.nodes_expanded.add(opts.node_budget - nodes_left);
-        if !exact {
+        // Per-solve accounting only — the search itself records nothing.
+        telemetry.nodes_expanded.add(search.nodes);
+        if let Some(halt) = search.halt {
             telemetry.inexact.inc();
-            // A budget halt leaves `nodes_left == 0` too, so disambiguate
-            // by whether the wall-clock deadline has actually passed.
-            if opts
-                .deadline
-                .is_some_and(|d| std::time::Instant::now() >= d)
-            {
+            if halt == Halt::Deadline {
                 telemetry.deadline_expired.inc();
             }
         }
 
         // Map rank-space solution back to caller vertex ids.
-        let mut chosen: Vec<usize> = best_set.iter().map(|&r| order[r]).collect();
+        let mut chosen: Vec<usize> = search.best_set.iter().map(|&r| order[r]).collect();
         chosen.sort_unstable();
         MisSolution {
             chosen,
-            weight: best_weight,
-            exact,
+            weight: search.best_weight,
+            exact: search.halt.is_none(),
+            nodes: search.nodes,
         }
     }
+}
 
-    /// Recursive branch step over rank-space indices `from..n` restricted
-    /// to `avail`. Returns false if the node budget or deadline ran out.
-    #[allow(clippy::too_many_arguments)]
-    fn branch(
-        weights: &[f64],
-        adj: &[BitSet],
-        suffix: &[f64],
-        avail: &BitSet,
-        from: usize,
-        acc: f64,
-        current: &mut Vec<usize>,
-        best_weight: &mut f64,
-        best_set: &mut Vec<usize>,
-        nodes_left: &mut u64,
-        deadline: Option<std::time::Instant>,
-    ) -> bool {
-        if *nodes_left == 0 {
-            return false;
+/// Why a search stopped before proving optimality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Halt {
+    Budget,
+    Deadline,
+}
+
+/// State of one branch-and-bound search over rank-space vertices.
+struct Search<'a> {
+    weights: &'a [f64],
+    adj: &'a [BitSet],
+    node_budget: u64,
+    deadline: Option<std::time::Instant>,
+    /// Search nodes expanded so far.
+    nodes: u64,
+    halt: Option<Halt>,
+    /// Vertices included on the path to the node being expanded.
+    current: Vec<usize>,
+    best_weight: f64,
+    best_set: Vec<usize>,
+}
+
+impl Search<'_> {
+    /// Expand the search node whose included vertices weigh `acc` and
+    /// whose still-compatible vertices are `avail`.
+    fn expand(&mut self, mut avail: BitSet, acc: f64) {
+        if self.nodes >= self.node_budget {
+            self.halt = Some(Halt::Budget);
+            return;
         }
-        // Sparse deadline check; zeroing the budget halts every pending
-        // sibling call the same way budget exhaustion does.
-        if (*nodes_left).is_multiple_of(DEADLINE_CHECK_INTERVAL)
-            && deadline.is_some_and(|d| std::time::Instant::now() >= d)
+        if self.nodes.is_multiple_of(DEADLINE_CHECK_INTERVAL)
+            && self
+                .deadline
+                .is_some_and(|d| std::time::Instant::now() >= d)
         {
-            *nodes_left = 0;
-            return false;
+            self.halt = Some(Halt::Deadline);
+            return;
         }
-        *nodes_left -= 1;
+        self.nodes += 1;
 
-        // Find the next available vertex at or after `from`.
-        let next = avail.iter().find(|&v| v >= from);
-        let Some(v) = next else {
-            if acc > *best_weight {
-                *best_weight = acc;
-                *best_set = current.clone();
+        // An incumbent is replaced only by a strictly heavier set.
+        if acc > self.best_weight {
+            self.best_weight = acc;
+            self.best_set.clone_from(&self.current);
+        }
+
+        // Greedy clique cover of `avail`, as (vertex, bound) in cover order.
+        // An independent set holds at most one vertex of a clique, and a
+        // clique's head (its lowest rank) is its heaviest member, so a
+        // vertex's bound — the sum of the heads of the cliques opened up to
+        // it — is at least the weight of any independent set among the
+        // vertices covered up to it.
+        let mut cover: Vec<(usize, f64)> = Vec::with_capacity(avail.len());
+        let mut heads = 0.0;
+        let mut uncovered = avail.clone();
+        while let Some(head) = uncovered.first() {
+            heads += self.weights[head];
+            // Vertices that can still join the clique: uncovered and
+            // adjacent to every member so far.
+            let mut joinable = uncovered.clone();
+            let mut member = head;
+            loop {
+                uncovered.remove(member);
+                cover.push((member, heads));
+                joinable.intersect_with(&self.adj[member]);
+                match joinable.first() {
+                    Some(next) => member = next,
+                    None => break,
+                }
             }
-            return true;
-        };
-
-        // Bound: even taking every remaining vertex cannot beat the
-        // incumbent. (Sum over available suffix is ≤ suffix[v].)
-        if acc + suffix[v] <= *best_weight {
-            // Still record exact-equality incumbents found earlier; pruning
-            // cannot lose the optimum because ties don't need replacing.
-            return true;
         }
 
-        // Branch 1: include v.
-        let mut with_v = avail.clone();
-        with_v.remove(v);
-        with_v.subtract(&adj[v]);
-        current.push(v);
-        let ok1 = Self::branch(
-            weights,
-            adj,
-            suffix,
-            &with_v,
-            v + 1,
-            acc + weights[v],
-            current,
-            best_weight,
-            best_set,
-            nodes_left,
-            deadline,
-        );
-        current.pop();
-
-        // Branch 2: exclude v.
-        let mut without_v = avail.clone();
-        without_v.remove(v);
-        let ok2 = Self::branch(
-            weights,
-            adj,
-            suffix,
-            &without_v,
-            v + 1,
-            acc,
-            current,
-            best_weight,
-            best_set,
-            nodes_left,
-            deadline,
-        );
-        ok1 && ok2
+        // Branch on the last-covered vertex first: each step enumerates the
+        // independent sets whose last vertex in cover order is `v`, so what
+        // is left afterwards lies among the vertices covered before it —
+        // and one cover serves every child of this node.
+        for &(v, bound) in cover.iter().rev() {
+            if acc + bound <= self.best_weight {
+                return;
+            }
+            avail.remove(v);
+            let mut child = avail.clone();
+            child.subtract(&self.adj[v]);
+            self.current.push(v);
+            self.expand(child, acc + self.weights[v]);
+            self.current.pop();
+            if self.halt.is_some() {
+                return;
+            }
+        }
     }
 }
 
@@ -499,21 +499,66 @@ mod tests {
 
     #[test]
     fn node_budget_degrades_gracefully() {
-        let mut g = ConflictGraph::new(vec![1.0; 30]);
-        for u in 0..30usize {
-            for v in (u + 1)..30 {
-                if (u + v) % 3 == 0 {
-                    g.add_edge(u, v);
-                }
-            }
+        // Uniform 5-cycle: greedy finds 2 and no clique cover of an odd
+        // cycle says less than 3, so the root cannot close the search.
+        let mut g = ConflictGraph::new(vec![1.0; 5]);
+        for u in 0..5 {
+            g.add_edge(u, (u + 1) % 5);
         }
         let s = g.solve(&SolveOptions {
-            node_budget: 10,
+            node_budget: 1,
             ..SolveOptions::default()
         });
         assert!(!s.exact);
         assert!(g.is_independent(&s.chosen));
         assert!(s.weight > 0.0);
+        assert_eq!(s.nodes, 1, "the budget is the number of nodes expanded");
+        let s = solve(&g);
+        assert!(s.exact);
+        assert_eq!(s.weight, 2.0);
+    }
+
+    #[test]
+    fn cover_bound_closes_a_conflict_free_graph_at_the_root() {
+        // Greedy takes every vertex and the cover is one clique per
+        // vertex: bound == incumbent, so the root is the only node.
+        let s = solve(&ConflictGraph::new(vec![1.0, 2.0, 3.0]));
+        assert!(s.exact);
+        assert_eq!(s.nodes, 1);
+    }
+
+    /// 200 uniform-weight vertices with seeded random edges at density 0.1:
+    /// far beyond what any deadline in these tests lets the search finish.
+    fn hard_graph() -> ConflictGraph {
+        use rand::{Rng, SeedableRng};
+        let n = 200;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
+        let mut g = ConflictGraph::new(vec![1.0; n]);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if rng.gen_bool(0.1) {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn deadline_halt_reports_the_nodes_it_expanded() {
+        let g = hard_graph();
+        let node_budget = 1 << 40;
+        let s = g.solve(&SolveOptions {
+            node_budget,
+            deadline: Some(std::time::Instant::now() + std::time::Duration::from_millis(5)),
+        });
+        assert!(!s.exact);
+        assert!(g.is_independent(&s.chosen));
+        assert!(s.weight >= g.solve_greedy().weight);
+        // The clock is read only every DEADLINE_CHECK_INTERVAL nodes, and a
+        // deadline halt must not be reported as the whole budget.
+        assert!(s.nodes.is_multiple_of(DEADLINE_CHECK_INTERVAL));
+        assert!(s.nodes < node_budget, "{} nodes", s.nodes);
     }
 
     #[test]
@@ -528,6 +573,7 @@ mod tests {
             ..SolveOptions::default()
         });
         assert!(!s.exact, "deadline-hit solves are flagged inexact");
+        assert_eq!(s.nodes, 0, "no node is expanded past the deadline");
         assert!(g.is_independent(&s.chosen));
         let greedy = g.solve_greedy();
         assert!(s.weight >= greedy.weight, "incumbent at least greedy");

@@ -56,8 +56,16 @@ impl Gaussian {
 
     /// Natural log of the pdf at `x`.
     pub fn log_pdf(&self, x: f64) -> f64 {
+        self.log_pdf_given(x, self.sigma.ln())
+    }
+
+    /// [`Gaussian::log_pdf`] for a caller that already holds
+    /// `ln_sigma = self.sigma.ln()` (the EM loop, once per iteration
+    /// instead of once per sample).
+    #[inline]
+    pub(crate) fn log_pdf_given(&self, x: f64, ln_sigma: f64) -> f64 {
         let z = (x - self.mu) / self.sigma;
-        -0.5 * z * z - self.sigma.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
+        -0.5 * z * z - ln_sigma - 0.5 * (2.0 * std::f64::consts::PI).ln()
     }
 
     /// Cumulative distribution function at `x`.

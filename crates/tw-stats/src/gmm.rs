@@ -6,7 +6,7 @@
 //! with a GMM whose component count is chosen by sweeping `C = 1..=C_max`
 //! and minimizing BIC.
 
-use crate::desc::{mean, percentile, population_variance};
+use crate::desc::{mean, percentile_sorted, population_variance};
 use crate::gaussian::{Gaussian, SIGMA_FLOOR};
 use serde::{Deserialize, Serialize};
 
@@ -46,6 +46,10 @@ impl Default for GmmFitOptions {
     }
 }
 
+/// Mixtures up to this size are scored without touching the heap
+/// (Table 1: C = 5).
+const INLINE_COMPONENTS: usize = 8;
+
 impl Gmm {
     /// A single-component mixture equal to the given Gaussian. This is how
     /// TraceWeaver's iteration 1 seed distribution is represented.
@@ -71,12 +75,17 @@ impl Gmm {
     /// Log density at `x` via log-sum-exp over components.
     pub fn log_pdf(&self, x: f64) -> f64 {
         debug_assert!(!self.components.is_empty());
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .map(|c| c.weight.max(f64::MIN_POSITIVE).ln() + c.gaussian.log_pdf(x))
-            .collect();
-        log_sum_exp(&logs)
+        let term = |c: &GmmComponent| c.weight.max(f64::MIN_POSITIVE).ln() + c.gaussian.log_pdf(x);
+        let n = self.components.len();
+        if n <= INLINE_COMPONENTS {
+            let mut logs = [0.0; INLINE_COMPONENTS];
+            for (l, c) in logs.iter_mut().zip(&self.components) {
+                *l = term(c);
+            }
+            log_sum_exp(&logs[..n])
+        } else {
+            log_sum_exp(&self.components.iter().map(term).collect::<Vec<f64>>())
+        }
     }
 
     /// Density at `x`.
@@ -133,58 +142,85 @@ impl Gmm {
         }
 
         let overall_sigma = population_variance(xs).sqrt().max(SIGMA_FLOOR);
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in GMM sample"));
         let mut comps: Vec<GmmComponent> = (0..c)
             .map(|i| {
                 let q = (i as f64 + 0.5) / c as f64 * 100.0;
                 GmmComponent {
                     weight: 1.0 / c as f64,
-                    gaussian: Gaussian::new(percentile(xs, q), overall_sigma),
+                    gaussian: Gaussian::new(percentile_sorted(&sorted, q), overall_sigma),
                 }
             })
             .collect();
 
+        // Every buffer is allocated once and every per-component logarithm
+        // is taken once per iteration. The loops below evaluate, value by
+        // value, the same floating-point operations in the same order as
+        // the textbook loop kept in this module's tests, which holds them
+        // to `==` — keep it that way: this fit decides every mapping.
         let n = xs.len();
         let mut resp = vec![0.0f64; n * c]; // responsibilities, row-major [point][comp]
+        let mut ln_w = vec![0.0f64; c];
+        let mut ln_sigma = vec![0.0f64; c];
+        let (mut nj, mut mu, mut var) = (vec![0.0f64; c], vec![0.0f64; c], vec![0.0f64; c]);
         let mut prev_ll = f64::NEG_INFINITY;
 
         for _ in 0..opts.max_iters {
-            // E-step.
+            for (j, cm) in comps.iter().enumerate() {
+                ln_w[j] = cm.weight.max(f64::MIN_POSITIVE).ln();
+                ln_sigma[j] = cm.gaussian.sigma.ln();
+            }
+
+            // E-step: a row first holds the sample's per-component log
+            // terms, then its responsibilities.
             let mut ll = 0.0;
-            for (i, &x) in xs.iter().enumerate() {
-                let logs: Vec<f64> = comps
-                    .iter()
-                    .map(|cm| cm.weight.max(f64::MIN_POSITIVE).ln() + cm.gaussian.log_pdf(x))
-                    .collect();
-                let lse = log_sum_exp(&logs);
-                ll += ws[i] * lse;
-                for (j, &lj) in logs.iter().enumerate() {
-                    resp[i * c + j] = (lj - lse).exp();
+            for ((&x, &w), row) in xs.iter().zip(ws).zip(resp.chunks_exact_mut(c)) {
+                let mut max = f64::NEG_INFINITY;
+                for (j, l) in row.iter_mut().enumerate() {
+                    *l = ln_w[j] + comps[j].gaussian.log_pdf_given(x, ln_sigma[j]);
+                    max = max.max(*l);
+                }
+                let lse = log_sum_exp_given(row, max);
+                ll += w * lse;
+                for r in row.iter_mut() {
+                    *r = (*r - lse).exp();
                 }
             }
 
-            // M-step (responsibilities scaled by sample weights).
-            for j in 0..c {
-                let nj: f64 = (0..n).map(|i| ws[i] * resp[i * c + j]).sum();
-                if nj < 1e-12 {
+            // M-step (responsibilities scaled by sample weights): one pass
+            // for the masses and means, one for the variances.
+            nj.fill(0.0);
+            mu.fill(0.0);
+            for ((&x, &w), row) in xs.iter().zip(ws).zip(resp.chunks_exact(c)) {
+                for (j, &r) in row.iter().enumerate() {
+                    nj[j] += w * r;
+                    mu[j] += w * r * x;
+                }
+            }
+            for (m, &mass) in mu.iter_mut().zip(&nj) {
+                *m /= mass;
+            }
+            var.fill(0.0);
+            for ((&x, &w), row) in xs.iter().zip(ws).zip(resp.chunks_exact(c)) {
+                for (j, &r) in row.iter().enumerate() {
+                    let d = x - mu[j];
+                    var[j] += w * r * d * d;
+                }
+            }
+            for (j, cm) in comps.iter_mut().enumerate() {
+                *cm = if nj[j] < 1e-12 {
                     // Dead component: re-seed at the sample mean so it can
                     // recover, with a tiny weight.
-                    comps[j] = GmmComponent {
+                    GmmComponent {
                         weight: 1e-6,
                         gaussian: Gaussian::new(mean(xs), overall_sigma),
-                    };
-                    continue;
-                }
-                let mu: f64 = (0..n).map(|i| ws[i] * resp[i * c + j] * xs[i]).sum::<f64>() / nj;
-                let var: f64 = (0..n)
-                    .map(|i| {
-                        let d = xs[i] - mu;
-                        ws[i] * resp[i * c + j] * d * d
-                    })
-                    .sum::<f64>()
-                    / nj;
-                comps[j] = GmmComponent {
-                    weight: nj / total_w,
-                    gaussian: Gaussian::new(mu, var.sqrt()),
+                    }
+                } else {
+                    GmmComponent {
+                        weight: nj[j] / total_w,
+                        gaussian: Gaussian::new(mu[j], (var[j] / nj[j]).sqrt()),
+                    }
                 };
             }
             normalize_weights(&mut comps);
@@ -295,11 +331,16 @@ fn normalize_weights(comps: &mut [GmmComponent]) {
 
 /// Numerically stable log(sum(exp(xs))).
 fn log_sum_exp(xs: &[f64]) -> f64 {
-    let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if !m.is_finite() {
-        return m;
+    log_sum_exp_given(xs, xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
+}
+
+/// [`log_sum_exp`] for a caller that already holds `max`, the running
+/// `f64::max` over `xs` from `-inf`.
+fn log_sum_exp_given(xs: &[f64], max: f64) -> f64 {
+    if !max.is_finite() {
+        return max;
     }
-    m + xs.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
+    max + xs.iter().map(|&x| (x - max).exp()).sum::<f64>().ln()
 }
 
 #[cfg(test)]
@@ -465,6 +506,193 @@ mod tests {
         assert!((g.mu - 2.5).abs() < 1e-12);
         let empty = Gaussian::fit_weighted(&[], &[]);
         assert!(empty.sigma > 0.0);
+    }
+
+    /// `Gaussian::log_pdf` as `fit_weighted_reference` has always called it.
+    fn reference_log_pdf(g: &Gaussian, x: f64) -> f64 {
+        let z = (x - g.mu) / g.sigma;
+        -0.5 * z * z - g.sigma.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
+    }
+
+    fn reference_log_sum_exp(xs: &[f64]) -> f64 {
+        let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        if !m.is_finite() {
+            return m;
+        }
+        m + xs.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
+    }
+
+    fn reference_mixture_log_pdf(gmm: &Gmm, x: f64) -> f64 {
+        let logs: Vec<f64> = gmm
+            .components
+            .iter()
+            .map(|c| c.weight.max(f64::MIN_POSITIVE).ln() + reference_log_pdf(&c.gaussian, x))
+            .collect();
+        reference_log_sum_exp(&logs)
+    }
+
+    /// The textbook EM loop `Gmm::fit_weighted` was before it was made
+    /// allocation-free: a `Vec` and two logarithms per (sample, component),
+    /// three strided M-step passes, a sort per component. The oracle:
+    /// `fit_weighted` must return exactly what this returns.
+    fn fit_weighted_reference(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
+        if xs.is_empty() {
+            return Gmm::single(Gaussian::new(0.0, 1.0));
+        }
+        let total_w: f64 = ws.iter().sum();
+        if c == 1 || xs.len() < 2 * c || total_w <= 0.0 {
+            return Gmm::single(Gaussian::fit_weighted(xs, ws));
+        }
+
+        let overall_sigma = population_variance(xs).sqrt().max(SIGMA_FLOOR);
+        let mut comps: Vec<GmmComponent> = (0..c)
+            .map(|i| {
+                let q = (i as f64 + 0.5) / c as f64 * 100.0;
+                GmmComponent {
+                    weight: 1.0 / c as f64,
+                    gaussian: Gaussian::new(crate::desc::percentile(xs, q), overall_sigma),
+                }
+            })
+            .collect();
+
+        let n = xs.len();
+        let mut resp = vec![0.0f64; n * c];
+        let mut prev_ll = f64::NEG_INFINITY;
+
+        for _ in 0..opts.max_iters {
+            let mut ll = 0.0;
+            for (i, &x) in xs.iter().enumerate() {
+                let logs: Vec<f64> = comps
+                    .iter()
+                    .map(|cm| {
+                        cm.weight.max(f64::MIN_POSITIVE).ln() + reference_log_pdf(&cm.gaussian, x)
+                    })
+                    .collect();
+                let lse = reference_log_sum_exp(&logs);
+                ll += ws[i] * lse;
+                for (j, &lj) in logs.iter().enumerate() {
+                    resp[i * c + j] = (lj - lse).exp();
+                }
+            }
+
+            for j in 0..c {
+                let nj: f64 = (0..n).map(|i| ws[i] * resp[i * c + j]).sum();
+                if nj < 1e-12 {
+                    comps[j] = GmmComponent {
+                        weight: 1e-6,
+                        gaussian: Gaussian::new(mean(xs), overall_sigma),
+                    };
+                    continue;
+                }
+                let mu: f64 = (0..n).map(|i| ws[i] * resp[i * c + j] * xs[i]).sum::<f64>() / nj;
+                let var: f64 = (0..n)
+                    .map(|i| {
+                        let d = xs[i] - mu;
+                        ws[i] * resp[i * c + j] * d * d
+                    })
+                    .sum::<f64>()
+                    / nj;
+                comps[j] = GmmComponent {
+                    weight: nj / total_w,
+                    gaussian: Gaussian::new(mu, var.sqrt()),
+                };
+            }
+            normalize_weights(&mut comps);
+
+            if (ll - prev_ll).abs() / total_w <= opts.tol {
+                break;
+            }
+            prev_ll = ll;
+        }
+
+        Gmm { components: comps }
+    }
+
+    /// `fit_weighted` against the reference on one sample, at every
+    /// component count and both iteration caps in use, then the fitted
+    /// mixture's `log_pdf` against the reference scoring on the sample.
+    fn assert_matches_reference(xs: &[f64], ws: &[f64], what: &str) {
+        for c in 1..=5 {
+            for max_iters in [40, 100] {
+                let opts = GmmFitOptions {
+                    max_iters,
+                    ..GmmFitOptions::default()
+                };
+                let fitted = Gmm::fit_weighted(xs, ws, c, &opts);
+                let reference = fit_weighted_reference(xs, ws, c, &opts);
+                assert_eq!(fitted, reference, "{what}, c={c}, max_iters={max_iters}");
+                for &x in xs.iter().take(50) {
+                    let (a, b) = (fitted.log_pdf(x), reference_mixture_log_pdf(&fitted, x));
+                    assert!(a == b || (a.is_nan() && b.is_nan()), "{what}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    /// Weights of a decayed reservoir: the sample arrived in rounds of
+    /// `round` gaps, each round halving every older one.
+    fn decayed_weights(n: usize, round: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| 0.5f64.powi(((n - 1 - i) / round) as i32))
+            .collect()
+    }
+
+    #[test]
+    fn fit_is_bit_identical_to_the_reference_loop() {
+        for seed in [1, 2] {
+            let mut s = crate::sampler::Sampler::new(seed);
+            for n in [0, 1, 3, 9, 10, 57, 200, 1000] {
+                // Gaps as the registry sees them: a log-normal body, a slow
+                // second mode, a few outliers.
+                let xs: Vec<f64> = (0..n)
+                    .map(|i| match i % 10 {
+                        0..=5 => s.log_normal(5.0, 0.4),
+                        6..=8 => s.normal(900.0, 60.0),
+                        _ => s.exponential(4000.0),
+                    })
+                    .collect();
+                assert_matches_reference(&xs, &vec![1.0; n], &format!("unit weights, n={n}"));
+                assert_matches_reference(&xs, &decayed_weights(n, 64), &format!("decayed, n={n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_fits_are_bit_identical_to_the_reference_loop() {
+        // Constant sample: every sigma sits on the floor.
+        assert_matches_reference(&[2.0; 50], &[1.0; 50], "constant");
+        assert_matches_reference(&[2.0; 50], &decayed_weights(50, 8), "constant, decayed");
+        // All weight gone: the single-Gaussian fallback.
+        assert_matches_reference(&[1.0, 2.0, 3.0, 4.0], &[0.0; 4], "zero weights");
+
+        // Two point masses and three components: the outer two collapse
+        // onto the masses and starve the middle one, which is re-seeded at
+        // the sample mean with weight 1e-6.
+        let xs: Vec<f64> = (0..80)
+            .map(|i| if i % 2 == 0 { 0.0 } else { 10.0 })
+            .collect();
+        let ws = vec![1.0; xs.len()];
+        let starved = Gmm::fit_weighted(&xs, &ws, 3, &GmmFitOptions::default());
+        assert!(
+            starved
+                .components
+                .iter()
+                .any(|c| c.gaussian.mu == 5.0 && c.weight < 2e-6),
+            "no re-seeded component in {starved:?}"
+        );
+        assert_matches_reference(&xs, &ws, "dead component");
+    }
+
+    #[test]
+    fn large_mixtures_score_like_small_ones() {
+        // More components than `log_pdf` keeps on the stack.
+        let mut s = crate::sampler::Sampler::new(3);
+        let xs: Vec<f64> = (0..400).map(|_| s.log_normal(5.0, 0.8)).collect();
+        let gmm = Gmm::fit(&xs, INLINE_COMPONENTS + 2, &GmmFitOptions::default());
+        assert_eq!(gmm.len(), INLINE_COMPONENTS + 2);
+        for &x in &xs {
+            assert_eq!(gmm.log_pdf(x), reference_mixture_log_pdf(&gmm, x));
+        }
     }
 
     #[test]

@@ -189,6 +189,48 @@ fn parallel_reconstruction_is_deterministic() {
 }
 
 #[test]
+fn dense_stream_is_solved_exactly_and_deterministically() {
+    // `hotel_reservation(2)` at 900 rps for 20 ms (144 records): the
+    // shortest stream, in 10 ms steps over seeds 1–12, on which the
+    // weight-sum MIS bound of PR 18 ran one batch out of its node budget
+    // (`inexact_batches == 1`, 20 of 24 roots right). The clique-cover
+    // bound must close every batch, lose no accuracy, and stay invisible
+    // to the executor.
+    let app = traceweaver::sim::apps::hotel_reservation(2);
+    let call_graph = app.config.call_graph();
+    let sim = Simulator::new(app.config).unwrap();
+    let out = sim.run(&Workload::poisson(
+        app.roots[0],
+        900.0,
+        Nanos::from_millis(20),
+    ));
+    assert_eq!(
+        out.records.len(),
+        144,
+        "the stream the numbers above are for"
+    );
+
+    let one = TraceWeaver::new(call_graph.clone(), Params::with_threads(1))
+        .reconstruct_records(&out.records);
+    assert_eq!(one.summary().inexact_batches, 0);
+    let acc = end_to_end_accuracy_all_roots(&one.mapping, &out.truth);
+    assert_eq!(acc.total, 24);
+    assert!(acc.correct >= 20, "{} of 24 roots right", acc.correct);
+
+    let eight =
+        TraceWeaver::new(call_graph, Params::with_threads(8)).reconstruct_records(&out.records);
+    assert_eq!(eight.summary().inexact_batches, 0);
+    for rec in &out.records {
+        assert_eq!(
+            one.mapping.children(rec.rpc),
+            eight.mapping.children(rec.rpc),
+            "1 vs 8 threads: mapping diverged at {:?}",
+            rec.rpc
+        );
+    }
+}
+
+#[test]
 fn warm_reconstruction_is_deterministic_across_threads() {
     // Warm starts must preserve the executor-invisibility invariant: with
     // the same prior registry, every thread count produces bit-identical
