@@ -42,12 +42,12 @@ pub use checkpoint::{
 };
 pub use net::{
     export_records, export_records_with, fetch_deadletters, fetch_metrics, fetch_spans,
-    fetch_traces, ExportRetry, IngestServer, IngestStats, MetricsServer, ServeHealth,
+    fetch_traces, IngestServer, IngestStats, MetricsServer, ServeHealth,
 };
 pub use online::{DegradationLevel, OnlineConfig, OnlineEngine, ShedPolicy, WindowResult};
 pub use pipeline::{
-    Backpressure, DeadLetterPayload, Emitter, FanOut, Pipeline, PipelineBuilder, QueueCfg,
-    Sequenced, ShardEmitters, ShardMsg, ShutdownReport, Stage, StageCtx,
+    Backpressure, DeadLetterPayload, Emitter, Pipeline, PipelineBuilder, QueueCfg, Sequenced,
+    ShardMsg, ShutdownReport, Stage, StageCtx,
 };
 pub use sampling::TailSampler;
 pub use sanitize::{
@@ -55,4 +55,4 @@ pub use sanitize::{
     SanitizerSnapshotSlot,
 };
 pub use store::{load_registry, save_registry, OfflineStore};
-pub use supervise::{DeadLetter, DeadLetterQueue, RestartPolicy, StageFailure, Supervisor};
+pub use supervise::{DeadLetter, DeadLetterQueue, StageFailure, Supervisor};

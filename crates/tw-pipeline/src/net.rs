@@ -124,6 +124,10 @@ impl IngestServer {
         let accept_thread = std::thread::spawn(move || {
             let mut workers: Vec<JoinHandle<()>> = Vec::new();
             let serve = |stream: TcpStream, workers: &mut Vec<JoinHandle<()>>| {
+                // An exited thread keeps its stack until it is joined or
+                // its handle dropped; a long-lived server sees many
+                // short connections, so let go of the finished ones.
+                workers.retain(|w| !w.is_finished());
                 let sink = sink.clone();
                 let stats = stats2.clone();
                 workers.push(std::thread::spawn(move || {
@@ -312,30 +316,6 @@ pub fn serve_online_sanitized(
     serve_online(addr, tw, config)
 }
 
-/// Retry policy for [`export_records`]: bounded exponential backoff with
-/// deterministic jitter ([`http::backoff`]) on transient transport
-/// failures (connect refusal while the ingest server restarts,
-/// `WouldBlock`/`Interrupted` mid write).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExportRetry {
-    /// Total connect+write attempts (clamped to at least 1).
-    pub attempts: u32,
-    /// Backoff before attempt *n+1* starts at `base · 2ⁿ⁻¹`…
-    pub backoff_base: std::time::Duration,
-    /// …and is capped here (before jitter of up to +25%).
-    pub backoff_max: std::time::Duration,
-}
-
-impl Default for ExportRetry {
-    fn default() -> Self {
-        ExportRetry {
-            attempts: 5,
-            backoff_base: std::time::Duration::from_millis(20),
-            backoff_max: std::time::Duration::from_secs(1),
-        }
-    }
-}
-
 /// Export telemetry on [`tw_telemetry::global()`] (the exporter runs on
 /// the agent side, outside any pipeline registry).
 struct ExportMetrics {
@@ -365,6 +345,13 @@ fn export_metrics() -> &'static ExportMetrics {
     })
 }
 
+/// Connect+write attempts [`export_records`] makes per batch, and the
+/// backoff between them: `BASE · 2ⁿ⁻¹` capped at `MAX`, with deterministic
+/// jitter of up to +25 % ([`http::backoff`]).
+const EXPORT_ATTEMPTS: u32 = 5;
+const EXPORT_BACKOFF_BASE: std::time::Duration = std::time::Duration::from_millis(20);
+const EXPORT_BACKOFF_MAX: std::time::Duration = std::time::Duration::from_secs(1);
+
 /// Transient failures worth retrying: the server not (yet) accepting, or
 /// a non-blocking/interrupted write. Anything else (e.g. permission
 /// errors) fails fast.
@@ -383,23 +370,25 @@ fn retryable(err: &std::io::Error) -> bool {
 }
 
 /// Client side: connect and export a batch of records as wire frames,
-/// retrying transient failures under [`ExportRetry::default`]. Use
-/// [`export_records_with`] to tune or disable the retry budget.
+/// retrying transient failures (connect refusal while the ingest server
+/// restarts, `WouldBlock`/`Interrupted` mid write) up to five attempts
+/// under bounded exponential backoff.
 pub fn export_records(addr: SocketAddr, records: &[RpcRecord]) -> std::io::Result<()> {
-    export_records_with(addr, records, ExportRetry::default())
+    export_records_with(addr, records, EXPORT_ATTEMPTS)
 }
 
-/// [`export_records`] with an explicit retry policy. Each attempt is a
-/// fresh connect+write (frames are encoded once); attempts are counted in
-/// `tw_capture_export_*` on the global registry.
+/// [`export_records`] with an explicit number of attempts (clamped to at
+/// least 1). Each attempt is a fresh connect+write (frames are encoded
+/// once); attempts are counted in `tw_capture_export_*` on the global
+/// registry.
 pub fn export_records_with(
     addr: SocketAddr,
     records: &[RpcRecord],
-    retry: ExportRetry,
+    attempts: u32,
 ) -> std::io::Result<()> {
     let metrics = export_metrics();
     let frames = encode_records(records);
-    let attempts = retry.attempts.max(1);
+    let attempts = attempts.max(1);
     let mut attempt = 0u32;
     loop {
         attempt += 1;
@@ -415,8 +404,8 @@ pub fn export_records_with(
             Err(err) if attempt < attempts && retryable(&err) => {
                 metrics.retries.inc();
                 std::thread::sleep(http::backoff(
-                    retry.backoff_base,
-                    retry.backoff_max,
+                    EXPORT_BACKOFF_BASE,
+                    EXPORT_BACKOFF_MAX,
                     attempt,
                     addr.port(),
                 ));

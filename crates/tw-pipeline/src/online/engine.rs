@@ -1,0 +1,1035 @@
+//! How the engine recovers, starts and drains: [`recover`] reads back
+//! where a previous process stopped, [`OnlineEngine::start`] assembles the
+//! supervised graph from that point, and shutdown drains it in order.
+
+use super::config::{OnlineConfig, WindowResult};
+use super::router::WindowRouter;
+use super::shard::{EngineMetrics, WarmState, WindowShard};
+use crate::archive::ArchiveStage;
+use crate::checkpoint::{
+    load_checkpoint, CheckpointError, CheckpointSources, Checkpointer, RecoveryMetrics,
+};
+use crate::pipeline::{Backpressure, Pipeline, PipelineBuilder, QueueCfg};
+use crate::sanitize::{SanitizeMetrics, SanitizeStage, SanitizeStats, SanitizerSnapshot};
+use crate::supervise::{DeadLetterQueue, Supervisor};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::Arc;
+use tw_core::{DelayRegistry, TraceWeaver};
+use tw_model::span::RpcRecord;
+use tw_model::time::Nanos;
+use tw_store::{spawn_compactor, CompactorHandle, TraceArchive};
+
+/// The online engine: a supervised [`Pipeline`] composing (optional)
+/// sanitize → window-router → window shards → merge, built with
+/// [`PipelineBuilder`].
+///
+/// Dropping / closing the ingest sender cascades an ordered shutdown
+/// through the graph: every stage drains its input, flushes buffered
+/// state (open windows reconstruct, they are never dropped), and closes
+/// its output.
+pub struct OnlineEngine {
+    ingest: Option<Sender<RpcRecord>>,
+    results: Receiver<WindowResult>,
+    pipeline: Option<Pipeline<WindowResult>>,
+    registry: Option<Receiver<DelayRegistry>>,
+    sanitize_metrics: Option<SanitizeMetrics>,
+    dead_letters: DeadLetterQueue,
+    checkpointer: Option<Checkpointer>,
+    archive: Option<Arc<TraceArchive>>,
+    compactor: Option<CompactorHandle>,
+    /// Stage failures surfaced by the last drain (escalated supervisors,
+    /// merge-thread panics) — populated by shutdown, empty on a clean run.
+    failures: Vec<String>,
+}
+
+/// Where a (re)started engine picks up: what [`recover`] read back from
+/// the checkpoint and the archive of a previous process.
+#[derive(Default)]
+struct ResumePoint {
+    /// First window the router may cut: `min(checkpoint, archive)`
+    /// watermark, 0 on a fresh start.
+    watermark: u64,
+    /// Checkpointed skew/dedup state for the sanitize stage.
+    sanitizer: Option<SanitizerSnapshot>,
+    /// Checkpointed warm registry.
+    registry: Option<DelayRegistry>,
+    /// `tw_pipeline_recovery_*` handles, when checkpointing is configured.
+    recovery: Option<RecoveryMetrics>,
+    /// The opened trace archive, when archiving is configured.
+    archive: Option<Arc<TraceArchive>>,
+}
+
+/// Restore persisted online state before anything is built: the watermark
+/// seeds the router, the sanitizer snapshot seeds the skew filters, and
+/// the checkpointed registry seeds the warm chain. Every way a checkpoint
+/// can be unusable is a counted cold start, never an error.
+fn recover(config: &OnlineConfig) -> ResumePoint {
+    let window_ns = config.window.0;
+    let mut resume = ResumePoint::default();
+    if let Some(ck) = &config.checkpoint {
+        let rm = RecoveryMetrics::new(&config.telemetry);
+        match load_checkpoint(&ck.dir) {
+            Ok(doc) if doc.window_ns == window_ns => {
+                rm.restores.inc();
+                rm.watermark.set(doc.watermark as f64);
+                resume.watermark = doc.watermark;
+                resume.sanitizer = doc.sanitizer;
+                resume.registry = doc.registry;
+            }
+            Ok(doc) => {
+                // A watermark computed under a different window size
+                // indexes different windows — unusable, cold start.
+                eprintln!(
+                    "tw-online: checkpoint window {}ns != configured {window_ns}ns; cold start",
+                    doc.window_ns
+                );
+                rm.cold_corrupt.inc();
+            }
+            Err(err) => {
+                rm.count_cold_start(&err);
+                if !matches!(err, CheckpointError::Missing) {
+                    eprintln!("tw-online: checkpoint not restored: {err}; cold start");
+                }
+            }
+        }
+        resume.recovery = Some(rm);
+    }
+    // The resume point must not outrun the archive's durable watermark,
+    // or windows sealed-but-not-yet-archived before the crash would never
+    // reach a segment. `min(checkpoint, archive)` re-reconstructs the gap
+    // (deterministically, so downstream consumers see identical windows)
+    // and the archive's own watermark dedup skips anything already
+    // committed.
+    if let Some(cfg) = &config.archive {
+        let archive = TraceArchive::open(cfg.clone(), &config.telemetry)
+            .expect("tw-online: archive directory unavailable");
+        let archived = archive.watermark();
+        if archived < resume.watermark {
+            eprintln!(
+                "tw-online: archive watermark {archived} behind checkpoint \
+                 {}; resuming at {archived} to re-archive the gap",
+                resume.watermark
+            );
+            resume.watermark = archived;
+        }
+        resume.archive = Some(Arc::new(archive));
+    }
+    resume
+}
+
+impl OnlineEngine {
+    pub fn start(tw: TraceWeaver, mut config: OnlineConfig) -> Self {
+        config.window = Nanos(config.window.0.max(1));
+        let resume = recover(&config);
+        let warm = config.warm_start;
+        // Warm windows chain through the registry (k+1 starts from k's
+        // posterior), so the warm path runs on a single shard.
+        let shards = if warm { 1 } else { config.shards.max(1) };
+        let shed = config.shed;
+        let window = config.window;
+        let trace = config.trace.clone();
+        let metrics = EngineMetrics::new(&config.telemetry, trace.clone());
+        let record_queue = QueueCfg {
+            capacity: config.channel_capacity,
+            policy: config.backpressure,
+        };
+
+        let mut sources = config
+            .checkpoint
+            .as_ref()
+            .map(|_| CheckpointSources::new(shards, window.0, resume.watermark));
+        if let (Some(src), Some(archive)) = (&mut sources, &resume.archive) {
+            src.archive = Some(archive.watermark_handle());
+        }
+
+        // Each shard reconstructs with an equal share of the configured
+        // intra-window executor threads (results are thread-count
+        // invariant, so the share only affects wall time).
+        let base = TraceWeaver::new(tw.call_graph().clone(), tw.params().share_threads(shards));
+
+        // The checkpointed registry takes precedence over any configured
+        // bootstrap (it is strictly newer).
+        let (reg_tx, reg_rx) = bounded::<DelayRegistry>(1);
+        let mut warm_state = warm.then(|| WarmState {
+            registry: resume
+                .registry
+                .or(config.initial_registry.take())
+                .unwrap_or_default(),
+            out: reg_tx,
+            watch: sources.as_ref().map(|s| s.registry.clone()),
+        });
+
+        let mut supervisor = Supervisor::new(DeadLetterQueue::default());
+        if let Some(recorder) = &trace {
+            supervisor = supervisor.with_recorder(recorder.clone());
+        }
+        let dead_letters = supervisor.dead_letters().clone();
+        let (ingest_tx, builder) =
+            PipelineBuilder::<RpcRecord>::source(&config.telemetry, record_queue);
+        let builder = builder.supervised(supervisor);
+        let (builder, sanitize_metrics) = match config.sanitize.take() {
+            Some(cfg) => {
+                let mut stage = SanitizeStage::new_in(cfg, &config.telemetry);
+                if let Some(snapshot) = &resume.sanitizer {
+                    stage.restore(snapshot);
+                }
+                if let Some(recorder) = &trace {
+                    stage = stage.with_trace(recorder.clone(), window.0);
+                }
+                if let Some(src) = &sources {
+                    stage = stage.publish_snapshots(src.sanitizer.clone());
+                }
+                let handle = stage.metrics_handle();
+                (builder.stage(stage, record_queue), Some(handle))
+            }
+            None => (builder, None),
+        };
+        let mut router = WindowRouter::new(window, config.grace, trace.clone());
+        if let (Some(rm), true) = (&resume.recovery, resume.watermark > 0) {
+            router = router.resume(resume.watermark, rm.windows_lost.clone());
+        }
+        let sealed = sources.as_ref().map(|s| s.sealed.clone());
+        let builder = builder.shard(
+            shards,
+            router,
+            |i| {
+                let mut shard = WindowShard::new(i, window, shed, base.clone(), metrics.clone());
+                shard.warm = warm_state.take();
+                shard.sealed = sealed.as_ref().map(|v| v[i].clone());
+                shard.trace = trace.clone();
+                shard
+            },
+            record_queue,
+        );
+        // The archive sink rides after the merge, where window order is
+        // global and deterministic. Its hop always blocks: window results
+        // are never shed, whatever the record queues' policy.
+        let builder = match &resume.archive {
+            Some(archive) => builder.stage(
+                ArchiveStage::new(archive.clone()),
+                QueueCfg {
+                    capacity: config.channel_capacity,
+                    policy: Backpressure::Block,
+                },
+            ),
+            None => builder,
+        };
+        let pipeline = builder.build();
+        let compactor = match (&resume.archive, &config.archive) {
+            (Some(archive), Some(cfg)) => Some(spawn_compactor(archive, cfg.compact_interval)),
+            _ => None,
+        };
+
+        let checkpointer = match (config.checkpoint.as_ref(), sources, resume.recovery) {
+            (Some(ck), Some(sources), Some(rm)) => {
+                Some(Checkpointer::spawn(ck, sources, rm, trace.clone()))
+            }
+            _ => None,
+        };
+
+        OnlineEngine {
+            ingest: Some(ingest_tx),
+            results: pipeline.results().clone(),
+            pipeline: Some(pipeline),
+            registry: warm.then_some(reg_rx),
+            sanitize_metrics,
+            dead_letters,
+            checkpointer,
+            archive: resume.archive,
+            compactor,
+            failures: Vec::new(),
+        }
+    }
+
+    /// The engine's trace archive, when [`OnlineConfig::archive`] was
+    /// set. Shares state with the running archive stage, so it is
+    /// queryable live and stays readable after shutdown.
+    pub fn archive(&self) -> Option<&Arc<TraceArchive>> {
+        self.archive.as_ref()
+    }
+
+    /// Sender half for span ingestion (clone freely across capture
+    /// threads).
+    pub fn ingest_handle(&self) -> Sender<RpcRecord> {
+        self.ingest.as_ref().expect("engine running").clone()
+    }
+
+    /// Receiver of reconstructed windows, emitted in window order.
+    pub fn results(&self) -> &Receiver<WindowResult> {
+        &self.results
+    }
+
+    /// Live snapshot of the embedded sanitize stage's per-reason counters
+    /// (`None` when [`OnlineConfig::sanitize`] was not set). Stays
+    /// readable after shutdown.
+    pub fn sanitize_stats(&self) -> Option<SanitizeStats> {
+        self.sanitize_metrics.as_ref().map(SanitizeMetrics::stats)
+    }
+
+    /// The supervised pipeline's dead-letter queue: records quarantined
+    /// because a stage panicked on them (DESIGN.md §11). Shares state
+    /// with the running graph, so it is inspectable live and stays
+    /// readable after shutdown.
+    pub fn dead_letters(&self) -> &DeadLetterQueue {
+        &self.dead_letters
+    }
+
+    /// Stage failures surfaced by the drain (escalated supervisors or a
+    /// panicked merge thread), rendered for operators. Empty before
+    /// shutdown and after a clean run.
+    pub fn failures(&self) -> &[String] {
+        &self.failures
+    }
+
+    /// Stage names of the underlying pipeline graph, in topological
+    /// order.
+    pub fn stage_names(&self) -> Vec<String> {
+        self.pipeline
+            .as_ref()
+            .map(|p| p.stage_names().iter().map(|s| s.to_string()).collect())
+            .unwrap_or_default()
+    }
+
+    /// Close ingestion, flush, and wait for the pipeline to drain.
+    /// Returns any remaining window results.
+    pub fn shutdown(self) -> Vec<WindowResult> {
+        self.shutdown_with_registry().0
+    }
+
+    /// Like [`shutdown`](Self::shutdown), but also returns the final
+    /// delay registry — the last window's posterior — when the engine ran
+    /// in warm-start mode (`None` in cold mode). Persist it (see
+    /// `save_registry`) to warm-start the next engine across restarts.
+    ///
+    /// The shutdown is ordered and drain-safe: closing the ingest sender
+    /// cascades end-of-stream down the graph, every still-open window
+    /// flushes *through reconstruction* before its shard exits, and the
+    /// results queue is drained while stages are joined, so nothing is
+    /// silently dropped and a bounded results queue can never deadlock
+    /// the join.
+    pub fn shutdown_with_registry(mut self) -> (Vec<WindowResult>, Option<DelayRegistry>) {
+        let results = self.drain();
+        let registry = self.registry.take().and_then(|rx| rx.try_recv().ok());
+        (results, registry)
+    }
+
+    /// Like [`shutdown`](Self::shutdown), but also returns the embedded
+    /// sanitize stage's final per-reason counters (`None` when
+    /// [`OnlineConfig::sanitize`] was not set) — final because the drain
+    /// completed before the snapshot was taken.
+    pub fn shutdown_with_stats(mut self) -> (Vec<WindowResult>, Option<SanitizeStats>) {
+        let results = self.drain();
+        let stats = self.sanitize_metrics.as_ref().map(SanitizeMetrics::stats);
+        (results, stats)
+    }
+
+    fn drain(&mut self) -> Vec<WindowResult> {
+        self.ingest.take(); // close the source: the shutdown cascade begins
+        let results = match self.pipeline.take() {
+            Some(pipeline) => {
+                let report = pipeline.shutdown();
+                for failure in &report.failures {
+                    eprintln!("tw-online: {failure}");
+                }
+                self.failures = report.failures.iter().map(|f| f.to_string()).collect();
+                report.results
+            }
+            None => Vec::new(),
+        };
+        // The archive stage's flush sealed everything during the drain;
+        // stop the background compactor after, then flush the final
+        // checkpoint so it samples the fully-advanced archive watermark.
+        if let Some(compactor) = self.compactor.take() {
+            compactor.stop();
+        }
+        // Final checkpoint after the drain: a clean shutdown persists the
+        // fully-sealed watermark, so a restart replays nothing.
+        if let Some(checkpointer) = self.checkpointer.take() {
+            checkpointer.stop_and_flush();
+        }
+        results
+    }
+}
+
+impl Drop for OnlineEngine {
+    fn drop(&mut self) {
+        self.ingest.take();
+        // Pipeline::drop drains and joins the graph.
+        self.pipeline.take();
+        // CompactorHandle::drop stops the maintenance thread.
+        self.compactor.take();
+        // Checkpointer::drop stops the writer without a final flush.
+        self.checkpointer.take();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::CheckpointConfig;
+    use crate::online::{DegradationLevel, ShedPolicy};
+    use tw_core::Params;
+    use tw_model::metrics::end_to_end_accuracy_all_roots;
+    use tw_sim::apps::two_service_chain;
+    use tw_sim::{Simulator, Workload};
+    use tw_telemetry::Registry;
+
+    #[test]
+    fn online_matches_offline_accuracy() {
+        let app = two_service_chain(50);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 500.0, Nanos::from_secs(3)));
+
+        let tw = TraceWeaver::new(call_graph, Params::default());
+        let engine = OnlineEngine::start(
+            tw,
+            OnlineConfig {
+                window: Nanos::from_millis(500),
+                grace: Nanos::from_millis(100),
+                channel_capacity: 1024,
+                ..OnlineConfig::default()
+            },
+        );
+        let ingest = engine.ingest_handle();
+        // Stream records in time order, as a capture agent would.
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+        for r in records {
+            ingest.send(r).unwrap();
+        }
+        drop(ingest);
+
+        let mut windows = Vec::new();
+        // Drain live results then the shutdown flush.
+        let engine_results = engine.results().clone();
+        windows.extend(engine.shutdown());
+        windows.extend(engine_results.try_iter());
+
+        assert!(
+            windows.len() >= 4,
+            "expected several windows, got {}",
+            windows.len()
+        );
+        // Merge all window mappings and compare against truth.
+        let mut merged = tw_model::Mapping::new();
+        for w in &windows {
+            merged.merge(w.reconstruction.mapping.clone());
+        }
+        let acc = end_to_end_accuracy_all_roots(&merged, &out.truth);
+        assert!(acc.ratio() > 0.85, "online accuracy {}", acc.ratio());
+        // Every record was processed exactly once.
+        let total: usize = windows.iter().map(|w| w.records.len()).sum();
+        assert_eq!(total, out.records.len());
+        // Health signal available per window.
+        for w in &windows {
+            let f = w.mapped_fraction();
+            assert!((0.0..=1.0).contains(&f));
+            assert!(f > 0.8, "window {} mapped only {f}", w.index);
+        }
+    }
+
+    /// A multi-worker pipeline must emit the same windows, in the same
+    /// order, with the same mappings as the single-worker engine — the
+    /// collector restores order, workers only change wall time.
+    #[test]
+    fn pipelined_workers_match_sequential() {
+        let app = two_service_chain(53);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(2)));
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+
+        let run = |threads: usize| -> Vec<WindowResult> {
+            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
+            let engine = OnlineEngine::start(
+                tw,
+                OnlineConfig {
+                    window: Nanos::from_millis(250),
+                    grace: Nanos::from_millis(50),
+                    channel_capacity: 1024,
+                    shards: threads,
+                    ..OnlineConfig::default()
+                },
+            );
+            let ingest = engine.ingest_handle();
+            for r in &records {
+                ingest.send(*r).unwrap();
+            }
+            drop(ingest);
+            engine.shutdown()
+        };
+
+        let seq = run(1);
+        let par = run(4);
+        assert!(
+            seq.len() >= 4,
+            "expected several windows, got {}",
+            seq.len()
+        );
+        assert_eq!(seq.len(), par.len());
+        for (a, b) in seq.iter().zip(&par) {
+            assert_eq!(a.index, b.index, "window order must be restored");
+            assert_eq!(a.end, b.end);
+            assert_eq!(a.records, b.records);
+            for r in &a.records {
+                assert_eq!(
+                    a.reconstruction.mapping.children(r.rpc),
+                    b.reconstruction.mapping.children(r.rpc),
+                    "mapping diverged in window {}",
+                    a.index
+                );
+            }
+            // Worker metrics are populated.
+            assert!(a.latency.as_nanos() > 0);
+            assert!(b.queue_depth <= seq.len());
+        }
+    }
+
+    #[test]
+    fn shutdown_flushes_partial_window() {
+        let app = two_service_chain(51);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 100.0, Nanos::from_millis(100)));
+
+        let tw = TraceWeaver::new(call_graph, Params::default());
+        // Window far longer than the run: nothing flushes until shutdown.
+        let engine = OnlineEngine::start(tw, OnlineConfig::default());
+        let ingest = engine.ingest_handle();
+        for r in &out.records {
+            ingest.send(*r).unwrap();
+        }
+        drop(ingest);
+        let windows = engine.shutdown();
+        let total: usize = windows.iter().map(|w| w.records.len()).sum();
+        assert_eq!(total, out.records.len());
+    }
+
+    #[test]
+    fn windows_are_ordered() {
+        let app = two_service_chain(52);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 300.0, Nanos::from_secs(2)));
+        let tw = TraceWeaver::new(call_graph, Params::default());
+        let engine = OnlineEngine::start(
+            tw,
+            OnlineConfig {
+                window: Nanos::from_millis(250),
+                grace: Nanos::from_millis(50),
+                channel_capacity: 1024,
+                ..OnlineConfig::default()
+            },
+        );
+        let ingest = engine.ingest_handle();
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+        for r in records {
+            ingest.send(r).unwrap();
+        }
+        drop(ingest);
+        let results = engine.results().clone();
+        let mut windows: Vec<WindowResult> = engine.shutdown();
+        windows.extend(results.try_iter());
+        windows.sort_by_key(|w| w.index);
+        for pair in windows.windows(2) {
+            assert!(pair[0].end <= pair[1].end);
+        }
+    }
+
+    /// A forced degradation level must shed identically at every worker
+    /// count — the deterministic half of the ladder (queue-depth-driven
+    /// shedding is inherently timing-dependent and defaults off).
+    #[test]
+    fn forced_degradation_is_deterministic_across_threads() {
+        let app = two_service_chain(57);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(2)));
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+
+        let run = |threads: usize, level: DegradationLevel| -> Vec<WindowResult> {
+            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
+            let engine = OnlineEngine::start(
+                tw,
+                OnlineConfig {
+                    window: Nanos::from_millis(250),
+                    grace: Nanos::from_millis(50),
+                    channel_capacity: 1024,
+                    shards: threads,
+                    shed: ShedPolicy {
+                        forced: Some(level),
+                        ..ShedPolicy::default()
+                    },
+                    ..OnlineConfig::default()
+                },
+            );
+            let ingest = engine.ingest_handle();
+            for r in &records {
+                ingest.send(*r).unwrap();
+            }
+            drop(ingest);
+            engine.shutdown()
+        };
+
+        for level in [DegradationLevel::ShrinkBatch, DegradationLevel::Greedy] {
+            let runs: Vec<Vec<WindowResult>> = [1, 2, 8].iter().map(|&t| run(t, level)).collect();
+            assert!(runs[0].len() >= 4, "got {} windows", runs[0].len());
+            for other in &runs[1..] {
+                assert_eq!(runs[0].len(), other.len());
+                for (a, b) in runs[0].iter().zip(other) {
+                    assert_eq!(a.index, b.index);
+                    assert_eq!(a.records, b.records);
+                    assert_eq!(a.degradation, level);
+                    assert_eq!(b.degradation, level);
+                    for r in &a.records {
+                        assert_eq!(
+                            a.reconstruction.mapping.children(r.rpc),
+                            b.reconstruction.mapping.children(r.rpc),
+                            "degraded mapping diverged in window {} at {level:?}",
+                            a.index
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Forced Skip sheds every window with explicit accounting: nothing
+    /// reconstructed, nothing silently lost.
+    #[test]
+    fn forced_skip_accounts_for_all_records() {
+        let app = two_service_chain(58);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 300.0, Nanos::from_secs(1)));
+        let tw = TraceWeaver::new(call_graph, Params::default());
+        let engine = OnlineEngine::start(
+            tw,
+            OnlineConfig {
+                window: Nanos::from_millis(250),
+                grace: Nanos::from_millis(50),
+                channel_capacity: 1024,
+                shed: ShedPolicy {
+                    forced: Some(DegradationLevel::Skip),
+                    ..ShedPolicy::default()
+                },
+                ..OnlineConfig::default()
+            },
+        );
+        let ingest = engine.ingest_handle();
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+        for r in records {
+            ingest.send(r).unwrap();
+        }
+        drop(ingest);
+        let windows = engine.shutdown();
+        assert!(!windows.is_empty());
+        let total: usize = windows.iter().map(|w| w.records.len()).sum();
+        assert_eq!(total, out.records.len(), "skip must not lose records");
+        for w in &windows {
+            assert_eq!(w.degradation, DegradationLevel::Skip);
+            assert_eq!(w.shed_records, w.records.len());
+            assert!(w.reconstruction.mapping.is_empty());
+            assert_eq!(w.mapped_fraction(), 0.0);
+        }
+    }
+
+    /// Warm mode publishes posteriors in window order: every window after
+    /// the first starts from a non-empty prior, and shutdown hands back
+    /// the final registry for persistence.
+    #[test]
+    fn warm_engine_carries_registry_across_windows() {
+        let app = two_service_chain(54);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(2)));
+        let tw = TraceWeaver::new(call_graph, Params::default());
+        let engine = OnlineEngine::start(
+            tw,
+            OnlineConfig {
+                window: Nanos::from_millis(250),
+                grace: Nanos::from_millis(50),
+                channel_capacity: 1024,
+                warm_start: true,
+                ..OnlineConfig::default()
+            },
+        );
+        let ingest = engine.ingest_handle();
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+        for r in records {
+            ingest.send(r).unwrap();
+        }
+        drop(ingest);
+        let (windows, registry) = engine.shutdown_with_registry();
+        assert!(windows.len() >= 4, "got {} windows", windows.len());
+        assert_eq!(windows[0].warm_edges, 0, "first window is cold");
+        for w in &windows[1..] {
+            assert!(w.warm_edges > 0, "window {} did not warm-start", w.index);
+        }
+        // warm_edges reflects the prior *before* the window was absorbed,
+        // so it only grows along the stream.
+        for pair in windows.windows(2) {
+            assert!(pair[0].warm_edges <= pair[1].warm_edges);
+        }
+        let registry = registry.expect("warm engine returns its registry");
+        assert!(!registry.is_empty());
+        assert_eq!(registry.rounds(), windows.len() as u64);
+        // Every record still processed exactly once, in window order.
+        let total: usize = windows.iter().map(|w| w.records.len()).sum();
+        assert_eq!(total, out.records.len());
+        for pair in windows.windows(2) {
+            assert!(pair[0].index < pair[1].index);
+        }
+    }
+
+    /// The merged result stream is byte-identical at 1, 2, and 8 window
+    /// shards — the router stamps window indices before fan-out, so shard
+    /// count can only change *where* a window reconstructs, never what it
+    /// contains or where it lands in the output order. Runs with the
+    /// sanitize stage embedded so the full composed graph is exercised.
+    #[test]
+    fn sharded_merge_is_deterministic_across_shard_counts() {
+        let app = two_service_chain(59);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(2)));
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+
+        let run = |shards: usize| -> (Vec<WindowResult>, Vec<String>) {
+            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
+            let engine = OnlineEngine::start(
+                tw,
+                OnlineConfig {
+                    window: Nanos::from_millis(250),
+                    grace: Nanos::from_millis(50),
+                    channel_capacity: 64,
+                    shards,
+                    sanitize: Some(crate::sanitize::SanitizeConfig::default()),
+                    ..OnlineConfig::default()
+                },
+            );
+            let names = engine.stage_names();
+            let ingest = engine.ingest_handle();
+            for r in &records {
+                ingest.send(*r).unwrap();
+            }
+            drop(ingest);
+            (engine.shutdown(), names)
+        };
+
+        let (base, names) = run(1);
+        assert!(base.len() >= 4, "got {} windows", base.len());
+        assert!(names.iter().any(|n| n == "sanitize"));
+        assert_eq!(names.iter().filter(|n| n.starts_with("window/")).count(), 1);
+        let total: usize = base.iter().map(|w| w.records.len()).sum();
+        assert_eq!(total, out.records.len(), "no records lost at 1 shard");
+        for shards in [2usize, 8] {
+            let (other, names) = run(shards);
+            assert_eq!(
+                names.iter().filter(|n| n.starts_with("window/")).count(),
+                shards
+            );
+            assert_eq!(base.len(), other.len());
+            for (a, b) in base.iter().zip(&other) {
+                assert_eq!(a.index, b.index, "merge must restore global order");
+                assert_eq!(a.end, b.end);
+                assert_eq!(a.records, b.records, "window contents moved between shards");
+                for r in &a.records {
+                    assert_eq!(
+                        a.reconstruction.mapping.children(r.rpc),
+                        b.reconstruction.mapping.children(r.rpc),
+                        "mapping diverged in window {} at {shards} shards",
+                        a.index
+                    );
+                }
+            }
+        }
+    }
+
+    /// Shutdown drains partial windows *through reconstruction*: windows
+    /// that never saw a cut mark still come back reconstructed (mapped
+    /// spans, nominal ends) from `shutdown_with_registry`, and in warm
+    /// mode the flushed windows are absorbed into the returned registry.
+    #[test]
+    fn shutdown_drain_reconstructs_unflushed_windows() {
+        let app = two_service_chain(60);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 300.0, Nanos::from_millis(400)));
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+
+        // Window far longer than the run: every record is still buffered
+        // in an open window when the stream closes.
+        let tw = TraceWeaver::new(call_graph, Params::default());
+        let engine = OnlineEngine::start(
+            tw,
+            OnlineConfig {
+                window: Nanos::from_secs(3_600),
+                warm_start: true,
+                ..OnlineConfig::default()
+            },
+        );
+        let ingest = engine.ingest_handle();
+        for r in &records {
+            ingest.send(*r).unwrap();
+        }
+        drop(ingest);
+        let (windows, registry) = engine.shutdown_with_registry();
+
+        assert!(!windows.is_empty(), "open windows must flush at shutdown");
+        let total: usize = windows.iter().map(|w| w.records.len()).sum();
+        assert_eq!(total, out.records.len(), "records silently dropped");
+        for w in &windows {
+            assert!(
+                w.reconstruction.summary().mapped_spans > 0,
+                "window {} flushed without reconstruction",
+                w.index
+            );
+            assert_eq!(w.end, Nanos((w.index + 1) * Nanos::from_secs(3_600).0));
+        }
+        let registry = registry.expect("warm engine returns its registry");
+        assert_eq!(
+            registry.rounds(),
+            windows.len() as u64,
+            "flushed windows must be absorbed before the registry is returned"
+        );
+        assert!(!registry.is_empty());
+    }
+
+    /// Checkpoint round-trip: write a checkpoint at a mid-stream sealed
+    /// watermark, restart the engine from it, and replay the remainder of
+    /// the stream — the resumed engine must emit windows byte-identical
+    /// to the uninterrupted run from the watermark on, at 1, 2, and 8
+    /// shards, with `tw_pipeline_recovery_*` reporting the restore and a
+    /// zero gap (and the true gap when windows really were lost).
+    #[test]
+    fn checkpoint_restore_matches_uninterrupted_run() {
+        let app = two_service_chain(61);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(2)));
+        // Sorted by response arrival the by-timestamp window index is
+        // monotone along the stream (no late records), so a suffix replay
+        // reproduces the baseline's routing decisions exactly.
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| (r.recv_resp, r.rpc));
+        let window = Nanos::from_millis(250);
+        let by_ts = |r: &RpcRecord| r.recv_resp.0.div_ceil(window.0).saturating_sub(1);
+
+        let run = |shards: usize,
+                   dir: Option<&std::path::Path>,
+                   recs: &[RpcRecord],
+                   telemetry: &Registry|
+         -> Vec<WindowResult> {
+            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
+            let engine = OnlineEngine::start(
+                tw,
+                OnlineConfig {
+                    window,
+                    grace: Nanos::from_millis(50),
+                    channel_capacity: 1024,
+                    shards,
+                    checkpoint: dir.map(CheckpointConfig::new),
+                    telemetry: telemetry.clone(),
+                    ..OnlineConfig::default()
+                },
+            );
+            let ingest = engine.ingest_handle();
+            for r in recs {
+                ingest.send(*r).unwrap();
+            }
+            drop(ingest);
+            engine.shutdown()
+        };
+
+        for shards in [1usize, 2, 8] {
+            let baseline = run(shards, None, &records, &Registry::new());
+            assert!(baseline.len() >= 4, "got {} windows", baseline.len());
+            let watermark = baseline[baseline.len() / 2].index;
+            let suffix: Vec<RpcRecord> = records
+                .iter()
+                .copied()
+                .filter(|r| by_ts(r) >= watermark)
+                .collect();
+            let dir =
+                std::env::temp_dir().join(format!("twck-resume-{}-{shards}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            crate::checkpoint::write_checkpoint(
+                &dir,
+                &crate::checkpoint::CheckpointDoc {
+                    watermark,
+                    window_ns: window.0,
+                    sanitizer: None,
+                    registry: None,
+                    archived: None,
+                },
+            )
+            .unwrap();
+            let telemetry = Registry::new();
+            let resumed = run(shards, Some(&dir), &suffix, &telemetry);
+            let expected: Vec<&WindowResult> =
+                baseline.iter().filter(|w| w.index >= watermark).collect();
+            assert_eq!(expected.len(), resumed.len(), "at {shards} shards");
+            for (a, b) in expected.iter().zip(&resumed) {
+                assert_eq!(a.index, b.index);
+                assert_eq!(a.end, b.end);
+                assert_eq!(
+                    a.records, b.records,
+                    "window {} diverged after restore at {shards} shards",
+                    a.index
+                );
+                for r in &a.records {
+                    assert_eq!(
+                        a.reconstruction.mapping.children(r.rpc),
+                        b.reconstruction.mapping.children(r.rpc),
+                        "mapping diverged in window {} after restore",
+                        a.index
+                    );
+                }
+            }
+            let text = telemetry.render();
+            assert!(
+                text.contains("tw_pipeline_recovery_restores_total 1"),
+                "restore not counted:\n{text}"
+            );
+            assert!(
+                text.contains("tw_pipeline_recovery_windows_lost 0"),
+                "no gap expected:\n{text}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        // Crash gap: resume from watermark W but replay only from W+2 —
+        // the probe must report exactly the two windows that died with
+        // the previous process.
+        let baseline = run(1, None, &records, &Registry::new());
+        let watermark = baseline[baseline.len() / 2].index;
+        let gap_suffix: Vec<RpcRecord> = records
+            .iter()
+            .copied()
+            .filter(|r| by_ts(r) >= watermark + 2)
+            .collect();
+        assert!(!gap_suffix.is_empty());
+        let dir = std::env::temp_dir().join(format!("twck-gap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        crate::checkpoint::write_checkpoint(
+            &dir,
+            &crate::checkpoint::CheckpointDoc {
+                watermark,
+                window_ns: window.0,
+                sanitizer: None,
+                registry: None,
+                archived: None,
+            },
+        )
+        .unwrap();
+        let telemetry = Registry::new();
+        let _ = run(1, Some(&dir), &gap_suffix, &telemetry);
+        assert!(
+            telemetry
+                .render()
+                .contains("tw_pipeline_recovery_windows_lost 2"),
+            "gap not reported:\n{}",
+            telemetry.render()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpointed warm engine persists its registry and sanitizer
+    /// state: a clean shutdown seals every window into the checkpoint,
+    /// and the next start warm-starts its very first window from the
+    /// restored posterior instead of the cold bootstrap.
+    #[test]
+    fn warm_checkpoint_persists_and_restores_registry() {
+        let app = two_service_chain(62);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(2)));
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+        let dir = std::env::temp_dir().join(format!("twck-warm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let start = |dir: &std::path::Path| {
+            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
+            OnlineEngine::start(
+                tw,
+                OnlineConfig {
+                    window: Nanos::from_millis(250),
+                    grace: Nanos::from_millis(50),
+                    channel_capacity: 1024,
+                    warm_start: true,
+                    sanitize: Some(crate::sanitize::SanitizeConfig::default()),
+                    checkpoint: Some(CheckpointConfig::new(dir)),
+                    ..OnlineConfig::default()
+                },
+            )
+        };
+
+        let engine = start(&dir);
+        let ingest = engine.ingest_handle();
+        for r in &records {
+            ingest.send(*r).unwrap();
+        }
+        drop(ingest);
+        let (windows, registry) = engine.shutdown_with_registry();
+        let registry = registry.expect("warm engine returns its registry");
+        assert!(windows.len() >= 4);
+
+        let doc = crate::checkpoint::load_checkpoint(&dir).expect("final checkpoint written");
+        let last = windows.iter().map(|w| w.index).max().unwrap();
+        assert_eq!(
+            doc.watermark,
+            last + 1,
+            "clean shutdown seals every flushed window"
+        );
+        assert!(doc.sanitizer.is_some(), "sanitizer state checkpointed");
+        let saved = doc.registry.expect("warm registry checkpointed");
+        assert_eq!(saved.rounds(), registry.rounds());
+        assert_eq!(saved.len(), registry.len());
+
+        // Restart against the same directory: the restored registry (not
+        // the empty bootstrap) seeds the first window. The post-restart
+        // traffic is *fresh* (later ids and timestamps) — the restored
+        // sanitizer rightly rejects replays of pre-watermark records.
+        let engine = start(&dir);
+        let ingest = engine.ingest_handle();
+        let shift = Nanos::from_secs(10);
+        for r in records.iter().take(200) {
+            let mut fresh = *r;
+            fresh.rpc = tw_model::ids::RpcId(r.rpc.0 + 1_000_000);
+            fresh.send_req = Nanos(r.send_req.0 + shift.0);
+            fresh.recv_req = Nanos(r.recv_req.0 + shift.0);
+            fresh.send_resp = Nanos(r.send_resp.0 + shift.0);
+            fresh.recv_resp = Nanos(r.recv_resp.0 + shift.0);
+            ingest.send(fresh).unwrap();
+        }
+        drop(ingest);
+        let (windows_b, _) = engine.shutdown_with_registry();
+        assert!(!windows_b.is_empty());
+        assert!(
+            windows_b[0].warm_edges > 0,
+            "first window after restore must warm-start from the checkpoint"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -1,0 +1,313 @@
+//! What sealing a window does: one windowing+reconstruction shard, the
+//! warm registry chain it may carry, and the `tw_engine_*` series every
+//! sealed window reports into.
+
+use super::config::{DegradationLevel, ShedPolicy, WindowResult};
+use super::shed::{LadderedWeaver, ShedLadder};
+use crate::pipeline::{Emitter, ShardMsg, Stage, StageCtx};
+use crossbeam::channel::Sender;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use tw_core::{DelayRegistry, Reconstruction, RegistryWatch, TraceWeaver};
+use tw_model::span::RpcRecord;
+use tw_model::time::Nanos;
+use tw_telemetry::trace::{SpanGuard, SpanRecorder};
+use tw_telemetry::{Buckets, Counter, Gauge, Histogram, Registry};
+
+/// Registry-backed engine instrumentation, cloned into every worker. The
+/// previous per-window latency/queue-depth fields on [`WindowResult`]
+/// remain as per-window snapshots; these series are their cumulative view.
+#[derive(Debug, Clone)]
+pub(super) struct EngineMetrics {
+    /// Windows sealed and per-worker ladder movements, both indexed by
+    /// [`DegradationLevel`] (for a movement, the rung moved to).
+    windows: [Counter; 4],
+    transitions: [Counter; 4],
+    latency: Histogram,
+    pickup_queue_depth: Histogram,
+    queue_depth: Gauge,
+    records: Counter,
+    shed_records: Counter,
+    warm_edges: Gauge,
+    /// When set, window-latency observations of self-traced windows carry
+    /// an OpenMetrics exemplar linking the bucket to the window's span
+    /// tree (`window_id`/`span_id`, retrievable via `GET /spans`).
+    recorder: Option<SpanRecorder>,
+}
+
+impl EngineMetrics {
+    pub(super) fn new(registry: &Registry, recorder: Option<SpanRecorder>) -> Self {
+        let windows = |level: &str| {
+            registry.counter_with(
+                "tw_engine_windows_total",
+                "Windows reconstructed, by shed-ladder rung (DESIGN.md §9).",
+                &[("shed_level", level)],
+            )
+        };
+        let transition = |level: &str| {
+            registry.counter_with(
+                "tw_engine_shed_transitions_total",
+                "Shed-ladder rung changes between consecutive windows of one worker.",
+                &[("shed_level", level)],
+            )
+        };
+        const RUNGS: [&str; 4] = ["full", "shrink_batch", "greedy", "skip"];
+        EngineMetrics {
+            windows: RUNGS.map(windows),
+            transitions: RUNGS.map(transition),
+            latency: registry.histogram(
+                "tw_engine_window_latency_seconds",
+                "Wall-clock reconstruction time per window.",
+                Buckets::exponential(1e-4, 4.0, 12),
+            ),
+            pickup_queue_depth: registry.histogram(
+                "tw_engine_pickup_queue_depth",
+                "Windows waiting in the work queue when a worker picked one up.",
+                Buckets::fixed(&[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
+            ),
+            queue_depth: registry.gauge(
+                "tw_engine_queue_depth",
+                "Work-queue depth at the most recent window pickup.",
+            ),
+            records: registry.counter(
+                "tw_engine_records_total",
+                "Records processed through windows (reconstructed or shed).",
+            ),
+            shed_records: registry.counter(
+                "tw_engine_shed_records_total",
+                "Records carried through unreconstructed because their window was skipped.",
+            ),
+            warm_edges: registry.gauge(
+                "tw_engine_warm_edges",
+                "Delay-registry edges the most recent warm window started from.",
+            ),
+            recorder,
+        }
+    }
+
+    /// Record one finished window. `last_level` is the worker-local
+    /// previous rung, used to count ladder transitions.
+    fn observe_window(&self, result: &WindowResult, last_level: &mut Option<DegradationLevel>) {
+        self.windows[result.degradation as usize].inc();
+        if *last_level != Some(result.degradation) {
+            if last_level.is_some() {
+                self.transitions[result.degradation as usize].inc();
+            }
+            *last_level = Some(result.degradation);
+        }
+        let latency = result.latency.as_secs_f64();
+        // root_id is only live before the window's tree is sealed, which
+        // holds here: observe_window runs before the shard seals.
+        match self.recorder.as_ref().and_then(|r| r.root_id(result.index)) {
+            Some(span_id) => {
+                let window_id = result.index.to_string();
+                let span_id = span_id.to_string();
+                self.latency
+                    .observe_exemplar(latency, &[("window_id", &window_id), ("span_id", &span_id)]);
+            }
+            None => self.latency.observe(latency),
+        }
+        self.pickup_queue_depth.observe(result.queue_depth as f64);
+        self.queue_depth.set(result.queue_depth as f64);
+        self.records.add(result.records.len() as u64);
+        self.shed_records.add(result.shed_records as u64);
+        if result.warm_edges > 0 {
+            self.warm_edges.set(result.warm_edges as f64);
+        }
+    }
+}
+
+/// Warm-start state carried by the single window shard in warm mode: the
+/// registry chain plus the channel that hands the final posterior back
+/// through [`crate::OnlineEngine::shutdown_with_registry`].
+pub(super) struct WarmState {
+    pub(super) registry: DelayRegistry,
+    pub(super) out: Sender<DelayRegistry>,
+    /// Checkpointing hook: the posterior is published here after every
+    /// absorbed window so the checkpointer can persist a warm registry
+    /// no staler than one window.
+    pub(super) watch: Option<RegistryWatch>,
+}
+
+/// One windowing+reconstruction shard ([`Stage`]): buffers the records
+/// of the windows it owns, seals one whole window per cut mark, and seals
+/// still-open windows (in index order) on shutdown — the drain path that
+/// guarantees no record is silently dropped.
+pub(super) struct WindowShard {
+    name: String,
+    window: Nanos,
+    shed: ShedLadder,
+    ladder: LadderedWeaver,
+    metrics: EngineMetrics,
+    /// Open windows owned by this shard, keyed by window index. `len()`
+    /// is the shard's backlog, reported as [`WindowResult::queue_depth`].
+    open: BTreeMap<u64, Vec<RpcRecord>>,
+    last_level: Option<DegradationLevel>,
+    pub(super) warm: Option<WarmState>,
+    /// This shard's sealed watermark (`highest cut index + 1`), sampled
+    /// by the checkpointer; the global watermark is the minimum across
+    /// shards. `None` when checkpointing is off.
+    pub(super) sealed: Option<Arc<AtomicU64>>,
+    /// Self-trace recorder; the shard contributes "collect" (buffering)
+    /// and "reconstruct" spans and seals each window's tree after the
+    /// merge hand-off.
+    pub(super) trace: Option<SpanRecorder>,
+    /// Open "collect" spans for windows this shard owns, finished when
+    /// the window's cut mark arrives.
+    collect_spans: BTreeMap<u64, SpanGuard>,
+}
+
+impl WindowShard {
+    /// Shard `shard` of a cold, untraced, uncheckpointed engine; the
+    /// engine sets `warm`, `sealed` and `trace` on the shards that carry
+    /// them.
+    pub(super) fn new(
+        shard: usize,
+        window: Nanos,
+        shed: ShedPolicy,
+        weaver: TraceWeaver,
+        metrics: EngineMetrics,
+    ) -> Self {
+        WindowShard {
+            name: format!("window/{shard}"),
+            window,
+            shed: ShedLadder::new(shed),
+            ladder: LadderedWeaver::new(weaver),
+            metrics,
+            open: BTreeMap::new(),
+            last_level: None,
+            warm: None,
+            sealed: None,
+            trace: None,
+            collect_spans: BTreeMap::new(),
+        }
+    }
+
+    fn reconstruct(
+        &mut self,
+        index: u64,
+        records: Vec<RpcRecord>,
+        backlog: usize,
+        level: DegradationLevel,
+    ) -> WindowResult {
+        let end = Nanos((index + 1).saturating_mul(self.window.0));
+        let warm_edges = self.warm.as_ref().map_or(0, |w| w.registry.len());
+        let span = self
+            .trace
+            .as_ref()
+            .and_then(|t| t.span(index, "reconstruct"));
+        if let Some(span) = &span {
+            span.event(format!("level {level:?}, {} records", records.len()));
+        }
+        let t0 = std::time::Instant::now();
+        // A skipped window contributes no posterior: the registry carries
+        // the last reconstructed window's models forward unchanged.
+        let (reconstruction, shed_records) = match self.ladder.for_level(level) {
+            Some(tw) => match self.warm.as_mut() {
+                Some(warm) => {
+                    let (reconstruction, posterior) =
+                        tw.reconstruct_records_with_registry(&records, &warm.registry);
+                    warm.registry = posterior;
+                    if let Some(watch) = &warm.watch {
+                        watch.publish(&warm.registry);
+                    }
+                    (reconstruction, 0)
+                }
+                None => (tw.reconstruct_records(&records), 0),
+            },
+            None => (Reconstruction::default(), records.len()),
+        };
+        let latency = t0.elapsed();
+        let result = WindowResult {
+            index,
+            end,
+            records,
+            reconstruction,
+            queue_depth: backlog,
+            latency,
+            warm_edges,
+            degradation: level,
+            shed_records,
+        };
+        drop(span); // reconstruction done; observe_window still needs the live tree
+        self.metrics.observe_window(&result, &mut self.last_level);
+        result
+    }
+
+    /// Seal window `index`, the one thing a cut mark and the shutdown
+    /// drain both do: pick the ladder rung, end the window's "collect"
+    /// span, reconstruct, hand the result to the merge, seal its span
+    /// tree, and advance this shard's sealed watermark. `tick_depth` is
+    /// the shard's input-queue depth at a live cut mark and `None` in the
+    /// drain (see [`ShedLadder::pick_level`]).
+    fn seal(&mut self, index: u64, tick_depth: Option<usize>, out: &mut Emitter<WindowResult>) {
+        let level = self.shed.pick_level(tick_depth);
+        // Only the owning shard buffered this window; everyone else
+        // observes the mark and moves on. Empty windows were never
+        // buffered anywhere and produce no result.
+        if let Some(records) = self.open.remove(&index) {
+            drop(self.collect_spans.remove(&index)); // buffering ends at the cut
+            let backlog = self.open.len();
+            let result = self.reconstruct(index, records, backlog, level);
+            out.emit(result);
+            if let Some(trace) = &self.trace {
+                trace.event(index, None, "merge hand-off");
+                trace.seal(index);
+            }
+        }
+        // Every shard observes every mark in cut order, so each shard's
+        // sealed watermark advances even for windows it does not own —
+        // the min across shards is the global sealed frontier the
+        // checkpointer persists.
+        if let Some(sealed) = &self.sealed {
+            sealed.fetch_max(index + 1, Ordering::AcqRel);
+        }
+    }
+}
+
+impl Stage for WindowShard {
+    type In = ShardMsg<(u64, RpcRecord)>;
+    type Out = WindowResult;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn process(
+        &mut self,
+        msg: ShardMsg<(u64, RpcRecord)>,
+        ctx: &StageCtx,
+        out: &mut Emitter<WindowResult>,
+    ) {
+        match msg {
+            ShardMsg::Item((index, rec)) => {
+                if let Some(trace) = &self.trace {
+                    if let Entry::Vacant(e) = self.collect_spans.entry(index) {
+                        if let Some(guard) = trace.span(index, "collect") {
+                            e.insert(guard);
+                        }
+                    }
+                }
+                self.open.entry(index).or_default().push(rec);
+            }
+            ShardMsg::Mark(index) => self.seal(index, Some(ctx.queue_depth), out),
+        }
+    }
+
+    /// Drain on shutdown: seal every still-open window, in index order,
+    /// through the same ladder — partially filled windows flush through
+    /// reconstruction instead of being dropped.
+    fn flush(&mut self, _ctx: &StageCtx, out: &mut Emitter<WindowResult>) {
+        while let Some(index) = self.open.keys().next().copied() {
+            self.seal(index, None, out);
+        }
+        if let Some(warm) = self.warm.take() {
+            if let Some(watch) = &warm.watch {
+                watch.publish(&warm.registry);
+            }
+            let _ = warm.out.send(warm.registry);
+        }
+    }
+}

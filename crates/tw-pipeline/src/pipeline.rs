@@ -1,6 +1,7 @@
 //! The staged-pipeline core: a first-class [`Stage`] abstraction, bounded
 //! inter-stage queues with an explicit [`Backpressure`] policy, sharded
-//! fan-out with a deterministic merge, and a [`PipelineBuilder`] that
+//! fan-out (a router is a stage whose [`Emitter`] has one lane per shard)
+//! with a deterministic merge, and a [`PipelineBuilder`] that
 //! composes stages into one supervised graph with a single ordered
 //! shutdown path (DESIGN.md §11).
 //!
@@ -140,7 +141,8 @@ pub trait Stage: Send + 'static {
     fn name(&self) -> &str;
 
     /// Process one item. Emission is explicit — a filter emits 0..1, a
-    /// windower emits whole windows when cuts pass.
+    /// windower emits whole windows when cuts pass, a router picks the
+    /// lane ([`Emitter::emit_to`]).
     fn process(&mut self, item: Self::In, ctx: &StageCtx, out: &mut Emitter<Self::Out>);
 
     /// Drain on shutdown: called exactly once, after the input closes and
@@ -150,61 +152,93 @@ pub trait Stage: Send + 'static {
     fn flush(&mut self, _ctx: &StageCtx, _out: &mut Emitter<Self::Out>) {}
 }
 
-/// A stage's handle on its output queue, enforcing the queue's
-/// [`Backpressure`] policy and counting sheds.
+/// A stage's handle on its output: one bounded queue for a linear stage,
+/// one per shard ("lane") for a router. Enforces the hop's
+/// [`Backpressure`] policy and counts sheds.
 pub struct Emitter<T> {
-    tx: Sender<T>,
+    lanes: Vec<Lane<T>>,
     policy: Backpressure,
     shed: Counter,
+}
+
+struct Lane<T> {
+    tx: Sender<T>,
     closed: bool,
 }
 
+impl<T> Lane<T> {
+    /// Blocking send; latches closed once the receiver is gone.
+    fn send(&mut self, item: T) {
+        if !self.closed && self.tx.send(item).is_err() {
+            self.closed = true;
+        }
+    }
+}
+
 impl<T> Emitter<T> {
-    fn new(tx: Sender<T>, policy: Backpressure, shed: Counter) -> Self {
+    fn new(txs: Vec<Sender<T>>, policy: Backpressure, shed: Counter) -> Self {
         Emitter {
-            tx,
+            lanes: txs
+                .into_iter()
+                .map(|tx| Lane { tx, closed: false })
+                .collect(),
             policy,
             shed,
-            closed: false,
         }
     }
 
-    /// Emit one item under the queue's policy. On a closed downstream the
-    /// item is dropped and the emitter latches closed (shutdown path).
+    /// Emit one item on lane 0 — the only lane of every stage but a
+    /// router — under the hop's policy.
     pub fn emit(&mut self, item: T) {
-        if self.closed {
+        self.emit_to(0, item);
+    }
+
+    /// Emit one item on `lane` under the hop's policy. On a closed
+    /// downstream the item is dropped and the lane latches closed
+    /// (shutdown path).
+    pub fn emit_to(&mut self, lane: usize, item: T) {
+        let lane = &mut self.lanes[lane];
+        if lane.closed {
             return;
         }
         match self.policy {
-            Backpressure::Block => {
-                if self.tx.send(item).is_err() {
-                    self.closed = true;
-                }
-            }
-            Backpressure::Shed => match self.tx.try_send(item) {
+            Backpressure::Block => lane.send(item),
+            Backpressure::Shed => match lane.tx.try_send(item) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => self.shed.inc(),
-                Err(TrySendError::Disconnected(_)) => self.closed = true,
+                Err(TrySendError::Disconnected(_)) => lane.closed = true,
             },
         }
     }
 
-    /// Emit bypassing the shed policy: always block. For control marks
-    /// and loss-intolerant hand-offs (e.g. window-cut broadcasts) that
-    /// must survive even on a shedding queue.
+    /// Emit on lane 0 bypassing the shed policy: always block. For
+    /// loss-intolerant hand-offs that must survive even on a shedding
+    /// queue.
     pub fn emit_pressure(&mut self, item: T) {
-        if self.closed {
-            return;
-        }
-        if self.tx.send(item).is_err() {
-            self.closed = true;
+        self.lanes[0].send(item);
+    }
+
+    /// Send a copy of `item` down every lane, bypassing the shed policy:
+    /// control marks (e.g. window cuts) must reach every shard even when
+    /// records are being dropped.
+    pub fn broadcast(&mut self, item: T)
+    where
+        T: Clone,
+    {
+        for lane in &mut self.lanes {
+            lane.send(item.clone());
         }
     }
 
-    /// True once the downstream receiver is gone; the stage can stop
-    /// doing work whose output has nowhere to go.
+    /// Number of output lanes (1 unless this stage is a router).
+    pub fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// True once every lane's receiver is gone; the stage can stop doing
+    /// work whose output has nowhere to go.
     pub fn is_closed(&self) -> bool {
-        self.closed
+        self.lanes.iter().all(|lane| lane.closed)
     }
 }
 
@@ -321,9 +355,13 @@ fn spawn_stage<S: Stage>(
 }
 
 /// Message on a shard queue: a routed item, or a control mark every shard
-/// must observe (e.g. "window *k* is closed"). Marks are broadcast with
-/// [`Emitter::emit_pressure`], so they survive shedding queues.
-#[derive(Debug)]
+/// must observe (e.g. "window *k* is closed"). A router is a [`Stage`]
+/// whose output is `ShardMsg`: items go to one lane with
+/// [`Emitter::emit_to`], marks to every lane with [`Emitter::broadcast`],
+/// so they survive shedding queues. It runs sequentially over the input
+/// stream, so stateful routing (e.g. watermark bookkeeping) stays
+/// deterministic in arrival order.
+#[derive(Debug, Clone)]
 pub enum ShardMsg<T> {
     Item(T),
     Mark(u64),
@@ -342,53 +380,6 @@ impl<T: DeadLetterPayload> DeadLetterPayload for ShardMsg<T> {
             ShardMsg::Item(item) => item.dead_letter_window(),
             ShardMsg::Mark(window) => Some(*window),
         }
-    }
-}
-
-/// The router in front of a sharded stage: map each input item onto one
-/// of N shard queues, optionally broadcasting marks. Runs on its own
-/// thread, sequentially over the input stream, so stateful routing (e.g.
-/// watermark bookkeeping) stays deterministic in arrival order.
-pub trait FanOut: Send + 'static {
-    type In: Send + DeadLetterPayload + 'static;
-    type Out: Send + 'static;
-
-    /// Router name (labels + thread name).
-    fn name(&self) -> &str;
-
-    /// Route one item (send to exactly one shard, typically) and
-    /// broadcast any marks its arrival triggers.
-    fn route(&mut self, item: Self::In, outs: &mut ShardEmitters<Self::Out>);
-
-    /// Drain on shutdown, before the shard queues close.
-    fn flush(&mut self, _outs: &mut ShardEmitters<Self::Out>) {}
-}
-
-/// The router's handle on its N shard queues.
-pub struct ShardEmitters<T> {
-    outs: Vec<Emitter<ShardMsg<T>>>,
-}
-
-impl<T> ShardEmitters<T> {
-    pub fn shards(&self) -> usize {
-        self.outs.len()
-    }
-
-    /// Send an item to one shard under that queue's policy.
-    pub fn send(&mut self, shard: usize, item: T) {
-        self.outs[shard].emit(ShardMsg::Item(item));
-    }
-
-    /// Broadcast a control mark to every shard, bypassing shed.
-    pub fn broadcast_mark(&mut self, mark: u64) {
-        for out in &mut self.outs {
-            out.emit_pressure(ShardMsg::Mark(mark));
-        }
-    }
-
-    /// True once every shard queue's receiver is gone.
-    pub fn all_closed(&self) -> bool {
-        self.outs.iter().all(Emitter::is_closed)
     }
 }
 
@@ -442,8 +433,8 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     /// Open a pipeline with a source queue: the returned `Sender` is the
     /// entry point (hand it to an `IngestServer`, a capture thread, a
     /// test). Dropping every clone of it initiates the ordered shutdown
-    /// cascade. Stages run under a default [`Supervisor`]; install a
-    /// custom policy with [`supervised`](Self::supervised) before
+    /// cascade. Stages run under a default [`Supervisor`]; share one you
+    /// hold a handle on with [`supervised`](Self::supervised) before
     /// appending stages.
     pub fn source(registry: &Registry, queue: QueueCfg) -> (Sender<T>, PipelineBuilder<T>) {
         let (tx, rx) = bounded(queue.capacity.max(1));
@@ -458,9 +449,9 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         )
     }
 
-    /// Replace the pipeline's supervisor (restart policy + dead-letter
-    /// queue). Applies to stages appended *after* this call, so install
-    /// it right after [`source`](Self::source).
+    /// Replace the pipeline's supervisor (dead-letter queue, failure log,
+    /// trace recorder). Applies to stages appended *after* this call, so
+    /// install it right after [`source`](Self::source).
     pub fn supervised(mut self, supervisor: Supervisor) -> Self {
         self.supervisor = supervisor;
         self
@@ -474,7 +465,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     {
         let name = stage.name().to_string();
         let (tx, rx) = bounded(queue.capacity.max(1));
-        let out = Emitter::new(tx, queue.policy, shed_counter(&self.registry, &name));
+        let out = Emitter::new(vec![tx], queue.policy, shed_counter(&self.registry, &name));
         let metrics = StageMetrics::new(&self.registry, &name);
         let sup = self.supervisor.for_stage(&self.registry, &name);
         let handle = spawn_stage(stage, self.tail, out, metrics, sup);
@@ -487,22 +478,22 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         }
     }
 
-    /// Append a sharded stage: a router thread fans the stream out over
-    /// `shards` parallel instances (built by `make`, one per shard), and
-    /// a merge thread restores the deterministic global order of their
-    /// [`Sequenced`] outputs. `queue` applies to each shard's input queue
-    /// and to the merged output queue.
-    pub fn shard<F, S, M>(
+    /// Append a sharded stage: `router` — a stage whose [`Emitter`] has
+    /// one lane per shard — fans the stream out over `shards` parallel
+    /// instances (built by `make`, one per shard), and a merge thread
+    /// restores the deterministic global order of their [`Sequenced`]
+    /// outputs. `queue` applies to each shard's input queue and to the
+    /// merged output queue.
+    pub fn shard<R, S, M>(
         mut self,
         shards: usize,
-        router: F,
+        router: R,
         mut make: M,
         queue: QueueCfg,
     ) -> PipelineBuilder<S::Out>
     where
-        T: DeadLetterPayload,
-        F: FanOut<In = T>,
-        S: Stage<In = ShardMsg<F::Out>>,
+        R: Stage<In = T, Out = S::In>,
+        S: Stage,
         S::Out: Sequenced,
         M: FnMut(usize) -> S,
     {
@@ -519,7 +510,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
             let (in_tx, in_rx) = bounded(queue.capacity.max(1));
             let (out_tx, out_rx) = bounded(queue.capacity.max(1));
             let out = Emitter::new(
-                out_tx,
+                vec![out_tx],
                 // Shard outputs feed the merge; shedding a sequenced item
                 // would stall the k-way merge's order restoration, so this
                 // hop always blocks. The shard *input* hop carries the
@@ -530,68 +521,21 @@ impl<T: Send + 'static> PipelineBuilder<T> {
             let metrics = StageMetrics::new(&self.registry, &name);
             let sup = self.supervisor.for_stage(&self.registry, &name);
             shard_handles.push((name, spawn_stage(stage, in_rx, out, metrics, sup)));
-            shard_txs.push(Emitter::new(
-                in_tx,
-                queue.policy,
-                shed_counter(&self.registry, &router_name),
-            ));
+            shard_txs.push(in_tx);
             shard_out_rxs.push(out_rx);
         }
 
-        // Router thread: consumes the current tail, fans out, supervised
-        // like any stage (a poison item panicking `route` is quarantined
-        // and the router resumes with its watermark state intact).
-        let mut outs = ShardEmitters { outs: shard_txs };
+        // The router consumes the current tail on the same supervised
+        // loop as any stage: a poison item panicking it is quarantined
+        // and the router resumes with its watermark state intact.
+        let router_out = Emitter::new(
+            shard_txs,
+            queue.policy,
+            shed_counter(&self.registry, &router_name),
+        );
         let router_metrics = StageMetrics::new(&self.registry, &router_name);
-        let mut router_sup = self.supervisor.for_stage(&self.registry, &router_name);
-        let tail = self.tail;
-        let mut router = router;
-        let router_handle = std::thread::Builder::new()
-            .name(format!("tw-{router_name}"))
-            .spawn(move || {
-                let mut escalated = false;
-                let mut item_seq = 0u64;
-                for item in tail.iter() {
-                    item_seq += 1;
-                    let depth = tail.len();
-                    router_metrics.depth.set(depth as f64);
-                    router_metrics.items.inc();
-                    let record = item.dead_letter_record();
-                    let window = item.dead_letter_window();
-                    let t0 = Instant::now();
-                    let result = catch_unwind(AssertUnwindSafe(|| router.route(item, &mut outs)));
-                    router_metrics.busy.add(t0.elapsed().as_secs_f64());
-                    if let Err(payload) = result {
-                        match router_sup.on_panic(
-                            &panic_message(payload.as_ref()),
-                            item_seq,
-                            record,
-                            window,
-                        ) {
-                            Verdict::Restart(backoff) => {
-                                if !backoff.is_zero() {
-                                    std::thread::sleep(backoff);
-                                }
-                            }
-                            Verdict::Escalate => {
-                                escalated = true;
-                                break;
-                            }
-                        }
-                    }
-                    if outs.all_closed() {
-                        break;
-                    }
-                }
-                if !escalated {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| router.flush(&mut outs)))
-                    {
-                        router_sup.on_flush_panic(&panic_message(payload.as_ref()));
-                    }
-                }
-                router_metrics.depth.set(0.0);
-            })
-            .expect("spawn router thread");
+        let router_sup = self.supervisor.for_stage(&self.registry, &router_name);
+        let router_handle = spawn_stage(router, self.tail, router_out, router_metrics, router_sup);
         self.stages.push((router_name.clone(), router_handle));
         self.stages.extend(shard_handles);
 
@@ -599,7 +543,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         let merge_name = format!("{router_name}-merge");
         let (merged_tx, merged_rx) = bounded(queue.capacity.max(1));
         let merge_out = Emitter::new(
-            merged_tx,
+            vec![merged_tx],
             queue.policy,
             shed_counter(&self.registry, &merge_name),
         );
@@ -662,13 +606,24 @@ impl<T> Pipeline<T> {
     /// never propagates out of the join path.
     pub fn shutdown(mut self) -> ShutdownReport<T> {
         let mut results = Vec::new();
+        self.join_draining(|item| results.push(item));
+        results.extend(self.results.try_iter());
+        ShutdownReport {
+            results,
+            failures: self.supervisor.take_failures(),
+        }
+    }
+
+    /// Join every stage upstream-to-downstream, handing whatever reaches
+    /// the results queue meanwhile to `sink` so no stage blocks on it.
+    fn join_draining(&mut self, mut sink: impl FnMut(T)) {
         for (name, handle) in self.stages.drain(..) {
             while !handle.is_finished() {
                 if let Ok(item) = self
                     .results
                     .recv_timeout(std::time::Duration::from_millis(5))
                 {
-                    results.push(item);
+                    sink(item);
                 }
             }
             if let Err(payload) = handle.join() {
@@ -677,11 +632,6 @@ impl<T> Pipeline<T> {
                 self.supervisor
                     .record_failure(&name, panic_message(payload.as_ref()));
             }
-        }
-        results.extend(self.results.try_iter());
-        ShutdownReport {
-            results,
-            failures: self.supervisor.take_failures(),
         }
     }
 }
@@ -722,16 +672,9 @@ impl<T> ShutdownReport<T> {
 
 impl<T> Drop for Pipeline<T> {
     fn drop(&mut self) {
-        // Best-effort join: drain results so no stage blocks on a full
-        // queue, then wait for the cascade to finish.
-        for (_, handle) in self.stages.drain(..) {
-            while !handle.is_finished() {
-                let _ = self
-                    .results
-                    .recv_timeout(std::time::Duration::from_millis(5));
-            }
-            let _ = handle.join();
-        }
+        // Best-effort: drain results so no stage blocks on a full queue
+        // while the cascade finishes.
+        self.join_draining(drop);
     }
 }
 
@@ -897,17 +840,17 @@ mod tests {
     /// Router: hash keys across shards, broadcasting a mark every 10.
     struct HashRouter;
 
-    impl FanOut for HashRouter {
+    impl Stage for HashRouter {
         type In = u64;
-        type Out = u64;
+        type Out = ShardMsg<u64>;
         fn name(&self) -> &str {
             "router"
         }
-        fn route(&mut self, item: u64, outs: &mut ShardEmitters<u64>) {
-            let shard = (shard_hash(item) % outs.shards() as u64) as usize;
-            outs.send(shard, item);
+        fn process(&mut self, item: u64, _ctx: &StageCtx, out: &mut Emitter<ShardMsg<u64>>) {
+            let shard = (shard_hash(item) % out.lanes() as u64) as usize;
+            out.emit_to(shard, ShardMsg::Item(item));
             if item % 10 == 9 {
-                outs.broadcast_mark(item);
+                out.broadcast(ShardMsg::Mark(item));
             }
         }
     }

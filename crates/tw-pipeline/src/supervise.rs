@@ -1,5 +1,5 @@
-//! Supervision for the staged pipeline (DESIGN.md §12): panic isolation
-//! with `catch_unwind`, per-stage restart policy (bounded exponential
+//! Supervision for the staged pipeline (DESIGN.md §11): panic isolation
+//! with `catch_unwind`, a per-stage restart budget (bounded exponential
 //! backoff over a rolling window, escalate-to-shutdown when exhausted),
 //! and a bounded dead-letter queue holding a record of every quarantined
 //! input item.
@@ -10,10 +10,10 @@
 //! (the poison pill is *consumed*, never retried), counts it, and the
 //! same stage instance resumes on the next item — open-window state
 //! survives, so unaffected windows are byte-identical to a fault-free
-//! run. Only a stage that keeps panicking faster than its
-//! [`RestartPolicy`] allows escalates: it stops consuming, which closes
-//! its queues and cascades an ordered shutdown through the graph, and the
-//! failure is reported from [`crate::Pipeline::shutdown`] as a
+//! run. Only a stage that keeps panicking faster than the restart budget
+//! allows (5 restarts per rolling 30 s) escalates: it stops consuming,
+//! which closes its queues and cascades an ordered shutdown through the
+//! graph, and the failure is reported from [`crate::Pipeline::shutdown`] as a
 //! [`StageFailure`] instead of a panic.
 //!
 //! Exported series (all registered per stage at spawn, so the families
@@ -35,44 +35,22 @@ use tw_model::span::RpcRecord;
 use tw_telemetry::trace::SpanRecorder;
 use tw_telemetry::{Counter, Registry};
 
-/// How a supervisor reacts to a panicking stage: restart with bounded
-/// exponential backoff until the budget inside a rolling window is
-/// exhausted, then escalate to an ordered shutdown.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RestartPolicy {
-    /// Restarts allowed within [`restart_window`](Self::restart_window)
-    /// before the supervisor escalates. 0 means never restart (every
-    /// panic escalates).
-    pub max_restarts: u32,
-    /// Rolling window the restart budget applies to; panics older than
-    /// this no longer count against the budget.
-    pub restart_window: Duration,
-    /// Backoff before the first restart; doubles per restart within the
-    /// window.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-}
+/// How the supervisor reacts to a panicking stage: restart with bounded
+/// exponential backoff until [`MAX_RESTARTS`] inside a rolling
+/// [`RESTART_WINDOW`] are spent, then escalate to an ordered shutdown.
+/// Panics older than the window no longer count against the budget.
+const MAX_RESTARTS: usize = 5;
+const RESTART_WINDOW: Duration = Duration::from_secs(30);
+/// Backoff before the first restart; doubles per restart within the
+/// window, up to [`BACKOFF_MAX`].
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+const BACKOFF_MAX: Duration = Duration::from_secs(1);
 
-impl Default for RestartPolicy {
-    fn default() -> Self {
-        RestartPolicy {
-            max_restarts: 5,
-            restart_window: Duration::from_secs(30),
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_secs(1),
-        }
-    }
-}
-
-impl RestartPolicy {
-    /// Backoff before restart number `n` (1-based): `base * 2^(n-1)`,
-    /// capped at `backoff_max`.
-    pub fn backoff(&self, n: u32) -> Duration {
-        let exp = n.saturating_sub(1).min(20);
-        let raw = self.backoff_base.saturating_mul(1u32 << exp);
-        raw.min(self.backoff_max)
-    }
+/// Backoff before restart number `n` (1-based): `BACKOFF_BASE * 2^(n-1)`,
+/// capped at `BACKOFF_MAX`.
+fn backoff(n: usize) -> Duration {
+    let exp = n.saturating_sub(1).min(20) as u32;
+    BACKOFF_BASE.saturating_mul(1u32 << exp).min(BACKOFF_MAX)
 }
 
 /// One quarantined input item: which stage it poisoned, why, and where in
@@ -176,12 +154,10 @@ impl std::fmt::Display for StageFailure {
     }
 }
 
-/// Pipeline-wide supervision state: the restart policy every stage
-/// inherits, the shared dead-letter queue, and the failure log
-/// [`crate::Pipeline::shutdown`] drains. Cloning shares all three.
+/// Pipeline-wide supervision state: the shared dead-letter queue and the
+/// failure log [`crate::Pipeline::shutdown`] drains. Cloning shares both.
 #[derive(Clone)]
 pub struct Supervisor {
-    policy: RestartPolicy,
     dead_letters: DeadLetterQueue,
     failures: Arc<Mutex<Vec<StageFailure>>>,
     recorder: Option<SpanRecorder>,
@@ -189,14 +165,13 @@ pub struct Supervisor {
 
 impl Default for Supervisor {
     fn default() -> Self {
-        Supervisor::new(RestartPolicy::default(), DeadLetterQueue::default())
+        Supervisor::new(DeadLetterQueue::default())
     }
 }
 
 impl Supervisor {
-    pub fn new(policy: RestartPolicy, dead_letters: DeadLetterQueue) -> Self {
+    pub fn new(dead_letters: DeadLetterQueue) -> Self {
         Supervisor {
-            policy,
             dead_letters,
             failures: Arc::new(Mutex::new(Vec::new())),
             recorder: None,
@@ -233,10 +208,15 @@ impl Supervisor {
 
     /// Per-stage supervision handle with its metric series registered.
     pub fn for_stage(&self, registry: &Registry, stage: &str) -> StageSupervisor {
+        let dead_letter = |reason: &str| {
+            registry.counter_with(
+                "tw_pipeline_dead_letter_total",
+                "Input items quarantined to the dead-letter queue, by stage and reason.",
+                &[("stage", stage), ("reason", reason)],
+            )
+        };
         StageSupervisor {
             stage: stage.to_string(),
-            policy: self.policy,
-            dead_letters: self.dead_letters.clone(),
             shared: self.clone(),
             panics: registry.counter_with(
                 "tw_pipeline_stage_panics_total",
@@ -248,21 +228,9 @@ impl Supervisor {
                 "Times the supervisor resumed a stage after a caught panic.",
                 &[("stage", stage)],
             ),
-            quarantined: registry.counter_with(
-                "tw_pipeline_dead_letter_total",
-                "Input items quarantined to the dead-letter queue, by stage and reason.",
-                &[("stage", stage), ("reason", "panic")],
-            ),
-            flush_quarantined: registry.counter_with(
-                "tw_pipeline_dead_letter_total",
-                "Input items quarantined to the dead-letter queue, by stage and reason.",
-                &[("stage", stage), ("reason", "flush")],
-            ),
-            evicted: registry.counter_with(
-                "tw_pipeline_dead_letter_total",
-                "Input items quarantined to the dead-letter queue, by stage and reason.",
-                &[("stage", stage), ("reason", "evicted")],
-            ),
+            quarantined: dead_letter("panic"),
+            flush_quarantined: dead_letter("flush"),
+            evicted: dead_letter("evicted"),
             recent: VecDeque::new(),
         }
     }
@@ -280,8 +248,6 @@ pub enum Verdict {
 /// Per-stage supervision state, owned by the stage's runner thread.
 pub struct StageSupervisor {
     stage: String,
-    policy: RestartPolicy,
-    dead_letters: DeadLetterQueue,
     shared: Supervisor,
     panics: Counter,
     restarts: Counter,
@@ -316,7 +282,7 @@ impl StageSupervisor {
     ) -> Verdict {
         self.panics.inc();
         self.quarantined.inc();
-        if self.dead_letters.push(DeadLetter {
+        if self.shared.dead_letters.push(DeadLetter {
             stage: self.stage.clone(),
             reason: "panic",
             message: message.to_string(),
@@ -328,19 +294,18 @@ impl StageSupervisor {
         }
         let now = Instant::now();
         while let Some(front) = self.recent.front() {
-            if now.duration_since(*front) > self.policy.restart_window {
+            if now.duration_since(*front) > RESTART_WINDOW {
                 self.recent.pop_front();
             } else {
                 break;
             }
         }
-        if self.recent.len() as u32 >= self.policy.max_restarts {
+        if self.recent.len() >= MAX_RESTARTS {
             self.shared.record_failure(
                 &self.stage,
                 format!(
-                    "escalated after {} restarts within {:?}: {message}",
+                    "escalated after {} restarts within {RESTART_WINDOW:?}: {message}",
                     self.recent.len(),
-                    self.policy.restart_window
                 ),
             );
             self.trace_event(
@@ -355,7 +320,7 @@ impl StageSupervisor {
             window,
             format!("stage `{}` restarted after panic: {message}", self.stage),
         );
-        Verdict::Restart(self.policy.backoff(self.recent.len() as u32))
+        Verdict::Restart(backoff(self.recent.len()))
     }
 
     /// Handle a panic from `flush`: quarantine and record, never restart
@@ -363,7 +328,7 @@ impl StageSupervisor {
     pub fn on_flush_panic(&mut self, message: &str) {
         self.panics.inc();
         self.flush_quarantined.inc();
-        if self.dead_letters.push(DeadLetter {
+        if self.shared.dead_letters.push(DeadLetter {
             stage: self.stage.clone(),
             reason: "flush",
             message: message.to_string(),
@@ -396,17 +361,12 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RestartPolicy {
-            max_restarts: 10,
-            restart_window: Duration::from_secs(30),
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(50),
-        };
-        assert_eq!(p.backoff(1), Duration::from_millis(10));
-        assert_eq!(p.backoff(2), Duration::from_millis(20));
-        assert_eq!(p.backoff(3), Duration::from_millis(40));
-        assert_eq!(p.backoff(4), Duration::from_millis(50), "capped");
-        assert_eq!(p.backoff(20), Duration::from_millis(50), "no overflow");
+        assert_eq!(backoff(1), Duration::from_millis(10));
+        assert_eq!(backoff(2), Duration::from_millis(20));
+        assert_eq!(backoff(3), Duration::from_millis(40));
+        assert_eq!(backoff(7), Duration::from_millis(640));
+        assert_eq!(backoff(8), Duration::from_secs(1), "capped");
+        assert_eq!(backoff(usize::MAX), Duration::from_secs(1), "no overflow");
     }
 
     #[test]
@@ -432,33 +392,23 @@ mod tests {
     #[test]
     fn supervisor_escalates_after_budget() {
         let registry = Registry::new();
-        let sup = Supervisor::new(
-            RestartPolicy {
-                max_restarts: 2,
-                restart_window: Duration::from_secs(30),
-                backoff_base: Duration::from_millis(0),
-                backoff_max: Duration::from_millis(0),
-            },
-            DeadLetterQueue::new(8),
-        );
+        let sup = Supervisor::new(DeadLetterQueue::new(8));
         let mut stage = sup.for_stage(&registry, "flaky");
-        assert!(matches!(
-            stage.on_panic("boom", 1, None, None),
-            Verdict::Restart(_)
-        ));
-        assert!(matches!(
-            stage.on_panic("boom", 2, None, None),
-            Verdict::Restart(_)
-        ));
-        assert_eq!(stage.on_panic("boom", 3, None, None), Verdict::Escalate);
+        for seq in 1..=MAX_RESTARTS as u64 {
+            assert_eq!(
+                stage.on_panic("boom", seq, None, None),
+                Verdict::Restart(backoff(seq as usize))
+            );
+        }
+        assert_eq!(stage.on_panic("boom", 6, None, None), Verdict::Escalate);
         let failures = sup.take_failures();
         assert_eq!(failures.len(), 1);
         assert!(failures[0].payload.contains("escalated"));
-        assert_eq!(sup.dead_letters().len(), 3, "every poison quarantined");
+        assert_eq!(sup.dead_letters().len(), 6, "every poison quarantined");
         let text = registry.render();
-        assert!(text.contains("tw_pipeline_stage_panics_total{stage=\"flaky\"} 3"));
-        assert!(text.contains("tw_pipeline_stage_restarts_total{stage=\"flaky\"} 2"));
-        assert!(text.contains("tw_pipeline_dead_letter_total{reason=\"panic\",stage=\"flaky\"} 3"));
+        assert!(text.contains("tw_pipeline_stage_panics_total{stage=\"flaky\"} 6"));
+        assert!(text.contains("tw_pipeline_stage_restarts_total{stage=\"flaky\"} 5"));
+        assert!(text.contains("tw_pipeline_dead_letter_total{reason=\"panic\",stage=\"flaky\"} 6"));
     }
 
     #[test]
@@ -490,19 +440,5 @@ mod tests {
         let json = serde_json::to_string(&snap[0]).unwrap();
         assert!(json.contains("\"window\":9"));
         assert!(json.contains("\"recv_resp\":130"));
-    }
-
-    #[test]
-    fn never_restart_policy_escalates_immediately() {
-        let registry = Registry::new();
-        let sup = Supervisor::new(
-            RestartPolicy {
-                max_restarts: 0,
-                ..RestartPolicy::default()
-            },
-            DeadLetterQueue::new(8),
-        );
-        let mut stage = sup.for_stage(&registry, "fragile");
-        assert_eq!(stage.on_panic("boom", 1, None, None), Verdict::Escalate);
     }
 }

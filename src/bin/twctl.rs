@@ -215,17 +215,20 @@ polls it and shows the busiest series with per-second rates.
 ingest at --listen (default 127.0.0.1:0), sanitize, sharded windowing,
 reconstruction, with the Prometheus exposition at --metrics. It drains
 and prints a summary after --duration-ms, or serves until killed when
-the flag is absent. --shards splits windowing into N parallel shards
-(merged back into deterministic global order), --capacity bounds every
-inter-stage queue, and --backpressure picks what happens when a queue
-fills: `block` (lossless, default) or `shed` (drop + count).
+the flag is absent. With one shard (the default) the engine runs warm:
+every window starts from the delay registry the previous one learned.
+--shards N>1 splits windowing into N parallel shards (merged back into
+deterministic global order) and runs cold: each window seeds its own
+delay models. --capacity bounds every inter-stage queue, and
+--backpressure picks what happens when a queue fills: `block`
+(lossless, default) or `shed` (drop + count).
 --adaptive-shed turns on load shedding: the degradation ladder moves one
 rung at a time on the queue-depth slope (EWMA, with hysteresis). Without
 it no window is ever shed.
 --checkpoint-dir enables crash-safe recovery: the engine periodically
 (every --checkpoint-interval-ms, default 1000) snapshots its sealed
-watermark, sanitizer skew state, and warm registry to DIR, restores
-them on the next start, and reports the recovery gap in
+watermark, sanitizer skew state, and (when warm) delay registry to DIR,
+restores them on the next start, and reports the recovery gap in
 tw_pipeline_recovery_* metrics. The metrics endpoint also serves
 /healthz (liveness), /readyz (503 until the restore finishes), and
 /deadletters (records quarantined by the stage supervisor as JSON).
@@ -429,67 +432,147 @@ fn serve_simulated_metrics(
     graph: CallGraph,
     records: &[traceweaver::model::RpcRecord],
 ) -> Result<(), String> {
-    use traceweaver::pipeline::net::{export_records, serve_online, MetricsServer, ServeHealth};
-
     let metrics_addr = flag(flags, "metrics")?;
     let hold_ms: u64 = num(flags, "metrics-hold-ms", 5_000u64)?;
-
-    let registry = traceweaver::telemetry::Registry::new();
-    let health = ServeHealth::new();
-    health.set_ready();
-    let scrape = MetricsServer::bind_with(
-        metrics_addr,
-        vec![registry.clone(), traceweaver::telemetry::global().clone()],
-        health.clone(),
-    )
-    .map_err(|e| format!("metrics endpoint {metrics_addr}: {e}"))?;
     let tw = TraceWeaver::new(graph, Params::default());
-    let mut config = online_config_from(flags, registry.clone())?;
-    let recorder = trace_recorder_from(flags, &registry)?;
-    config.trace = recorder.clone();
-    if let Some(rec) = &recorder {
-        health.attach_spans(rec.clone());
-    }
-    let push = push_exporter_from(
-        flags,
-        vec![registry.clone(), traceweaver::telemetry::global().clone()],
-        recorder,
-        &registry,
-    )?;
-    let (server, engine) = serve_online("127.0.0.1:0", tw, config).map_err(|e| e.to_string())?;
+    let live = LivePipeline::start(flags, tw, "127.0.0.1:0", Some(metrics_addr))?;
 
     let mut sorted = records.to_vec();
     sorted.sort_by_key(|r| r.send_req);
-    export_records(server.local_addr(), &sorted).map_err(|e| e.to_string())?;
+    traceweaver::pipeline::export_records(live.server.local_addr(), &sorted)
+        .map_err(|e| e.to_string())?;
 
-    // Drain in pipeline order so every stage's counters are final: the
-    // server first, then the engine's single ordered shutdown cascade
-    // (sanitize → window shards → merge).
-    server.shutdown();
-    let (results, sanitize_stats) = engine.shutdown_with_stats();
-    if let Some(push) = push {
-        push.stop_and_flush();
-    }
-    let sanitize_stats = sanitize_stats.ok_or("sanitize stage missing from pipeline")?;
-    let windows = results.len();
-    let mapped: usize = results
-        .iter()
-        .map(|w| w.reconstruction.summary().mapped_spans)
-        .sum();
-    println!(
-        "pipeline replay: {} records in, {} passed sanitization, {windows} windows, {mapped} spans mapped",
-        sanitize_stats.received, sanitize_stats.passed
-    );
-
+    let scrape = live.finish("pipeline replay")?;
+    let scrape = scrape.ok_or("metrics endpoint missing")?;
     let addr = scrape.local_addr();
     println!("serving metrics at http://{addr}/metrics for {hold_ms}ms");
+    write_metrics_out(flags, &scrape)?;
+    std::thread::sleep(std::time::Duration::from_millis(hold_ms));
+    scrape.shutdown();
+    Ok(())
+}
+
+/// The live pipeline `serve` and `simulate --metrics` both run: one
+/// registry behind the scrape endpoint, the self-trace recorder, the push
+/// exporter, TCP ingest into the online engine, and a consumer that takes
+/// every window result off the engine's results queue as it is emitted.
+struct LivePipeline {
+    scrape: Option<traceweaver::pipeline::MetricsServer>,
+    recorder: Option<traceweaver::telemetry::trace::SpanRecorder>,
+    push: Option<traceweaver::telemetry::push::PushExporter>,
+    server: traceweaver::pipeline::IngestServer,
+    engine: OnlineEngine,
+    /// Returns `(windows, mapped spans)` consumed once the queue closes.
+    consumer: std::thread::JoinHandle<(usize, usize)>,
+}
+
+fn mapped_spans(window: &traceweaver::pipeline::WindowResult) -> usize {
+    window.reconstruction.summary().mapped_spans
+}
+
+impl LivePipeline {
+    /// Build the pipeline from the shared flag block. `/healthz` answers
+    /// as soon as the endpoint binds; `/readyz` stays 503 until the graph
+    /// is up and any checkpoint restore has finished.
+    fn start(
+        flags: &Flags,
+        tw: TraceWeaver,
+        listen: &str,
+        metrics_addr: Option<&str>,
+    ) -> Result<Self, String> {
+        use traceweaver::pipeline::net::{serve_online, MetricsServer, ServeHealth};
+
+        let registry = traceweaver::telemetry::Registry::new();
+        let sources = || vec![registry.clone(), traceweaver::telemetry::global().clone()];
+        let health = ServeHealth::new();
+        let scrape = match metrics_addr {
+            Some(addr) => Some(
+                MetricsServer::bind_with(addr, sources(), health.clone())
+                    .map_err(|e| format!("metrics endpoint {addr}: {e}"))?,
+            ),
+            None => None,
+        };
+        let mut config = online_config_from(flags, registry.clone())?;
+        let recorder = trace_recorder_from(flags, &registry)?;
+        config.trace = recorder.clone();
+        if let Some(rec) = &recorder {
+            health.attach_spans(rec.clone());
+        }
+        let push = push_exporter_from(flags, sources(), recorder.clone(), &registry)?;
+        let (server, engine) = serve_online(listen, tw, config).map_err(|e| e.to_string())?;
+        health.attach_dead_letters(engine.dead_letters().clone());
+        if let Some(archive) = engine.archive() {
+            health.attach_archive(archive.clone());
+        }
+        health.set_ready();
+
+        // Nothing downstream of this process takes window results: tally
+        // each one and drop it, so the results queue never fills (a full
+        // one blocks the merge, and through it the whole graph back to
+        // the ingest socket) and no window outlives its own summary.
+        let results = engine.results().clone();
+        let consumer = std::thread::spawn(move || {
+            results.iter().fold((0, 0), |(windows, mapped), w| {
+                (windows + 1, mapped + mapped_spans(&w))
+            })
+        });
+        Ok(LivePipeline {
+            scrape,
+            recorder,
+            push,
+            server,
+            engine,
+            consumer,
+        })
+    }
+
+    /// Drain in pipeline order so every stage's counters are final — the
+    /// server first (its connections drain into the engine), then the
+    /// engine's single ordered shutdown cascade, then the push exporter,
+    /// so the sink sees final counter values and the last sealed span
+    /// trees — and print the run's summary under `label`. The scrape
+    /// endpoint is handed back still serving.
+    fn finish(self, label: &str) -> Result<Option<traceweaver::pipeline::MetricsServer>, String> {
+        self.server.shutdown();
+        let dead_letters = self.engine.dead_letters().clone();
+        let (rest, stats) = self.engine.shutdown_with_stats();
+        if let Some(push) = self.push {
+            push.stop_and_flush();
+        }
+        // The results queue closed with the last stage, so the consumer
+        // has returned; what it did not get to, the drain returned.
+        let (windows, mapped) = self.consumer.join().map_err(|_| "results consumer died")?;
+        let windows = windows + rest.len();
+        let mapped = mapped + rest.iter().map(mapped_spans).sum::<usize>();
+        if !dead_letters.is_empty() {
+            println!("dead letters: {} quarantined record(s)", dead_letters.len());
+            for letter in dead_letters.snapshot() {
+                println!(
+                    "  [{}] stage {} item #{}: {}",
+                    letter.reason, letter.stage, letter.item_seq, letter.message
+                );
+            }
+        }
+        let stats = stats.ok_or("sanitize stage missing from pipeline")?;
+        println!(
+            "{label}: {} records in, {} passed sanitization, {windows} windows, {mapped} spans mapped",
+            stats.received, stats.passed
+        );
+        Ok(self.scrape)
+    }
+}
+
+/// Write the final exposition to `--metrics-out`, when given.
+fn write_metrics_out(
+    flags: &Flags,
+    scrape: &traceweaver::pipeline::MetricsServer,
+) -> Result<(), String> {
     if let Some(out) = flags.get("metrics-out") {
-        let text = traceweaver::pipeline::fetch_metrics(addr).map_err(|e| e.to_string())?;
+        let text =
+            traceweaver::pipeline::fetch_metrics(scrape.local_addr()).map_err(|e| e.to_string())?;
         std::fs::write(out, &text).map_err(|e| format!("{out}: {e}"))?;
         println!("wrote {out}");
     }
-    std::thread::sleep(std::time::Duration::from_millis(hold_ms));
-    scrape.shutdown();
     Ok(())
 }
 
@@ -502,22 +585,23 @@ fn serve_simulated_metrics(
 /// spans real time (letting a checkpointing server seal windows and
 /// snapshot mid-stream).
 fn cmd_replay(flags: &Flags) -> Result<(), String> {
-    use traceweaver::pipeline::{export_records_with, ExportRetry};
+    use traceweaver::pipeline::{export_records, export_records_with};
 
     let mut records = load_spans(flag(flags, "spans")?)?;
     let to = flag(flags, "to")?;
     let addr: std::net::SocketAddr = to.parse().map_err(|e| format!("--to {to}: {e}"))?;
     let batch: usize = num(flags, "batch", 500usize)?.max(1);
     let pace_ms: u64 = num(flags, "pace-ms", 0u64)?;
-    let retry = ExportRetry {
-        attempts: num(flags, "retries", ExportRetry::default().attempts)?,
-        ..ExportRetry::default()
-    };
+    let retries: Option<u32> = opt_num(flags, "retries")?;
 
     records.sort_by_key(|r| r.send_req);
     let batches = records.len().div_ceil(batch);
     for chunk in records.chunks(batch) {
-        export_records_with(addr, chunk, retry).map_err(|e| format!("{to}: {e}"))?;
+        match retries {
+            Some(attempts) => export_records_with(addr, chunk, attempts),
+            None => export_records(addr, chunk),
+        }
+        .map_err(|e| format!("{to}: {e}"))?;
         if pace_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(pace_ms));
         }
@@ -534,61 +618,26 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
 /// Prometheus scrape endpoint. Bounded by `--duration-ms` when given,
 /// otherwise serves until the process is killed.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    use traceweaver::pipeline::net::{serve_online, MetricsServer, ServeHealth};
-
     let graph: CallGraph = read_json(flag(flags, "graph")?)?;
     let listen = flags.get("listen").map_or("127.0.0.1:0", String::as_str);
     let duration_ms: u64 = num(flags, "duration-ms", 0u64)?;
-
-    let registry = traceweaver::telemetry::Registry::new();
-    // /healthz answers as soon as the endpoint binds; /readyz stays 503
-    // until the pipeline is built and any checkpoint restore finished.
-    let health = ServeHealth::new();
-    let scrape = match flags.get("metrics") {
-        Some(addr) => Some(
-            MetricsServer::bind_with(
-                addr,
-                vec![registry.clone(), traceweaver::telemetry::global().clone()],
-                health.clone(),
-            )
-            .map_err(|e| format!("metrics endpoint {addr}: {e}"))?,
-        ),
-        None => None,
-    };
     let tw = TraceWeaver::new(graph, params_from(flags));
-    let mut config = online_config_from(flags, registry.clone())?;
-    let recorder = trace_recorder_from(flags, &registry)?;
-    config.trace = recorder.clone();
-    if let Some(rec) = &recorder {
-        health.attach_spans(rec.clone());
-    }
-    let push = push_exporter_from(
-        flags,
-        vec![registry.clone(), traceweaver::telemetry::global().clone()],
-        recorder.clone(),
-        &registry,
-    )?;
-    let (server, engine) = serve_online(listen, tw, config).map_err(|e| e.to_string())?;
-    health.attach_dead_letters(engine.dead_letters().clone());
-    if let Some(archive) = engine.archive() {
-        health.attach_archive(archive.clone());
-    }
-    health.set_ready();
+    let live = LivePipeline::start(flags, tw, listen, flags.get("metrics").map(String::as_str))?;
 
-    println!("ingest listening on {}", server.local_addr());
-    if let Some(archive) = engine.archive() {
+    println!("ingest listening on {}", live.server.local_addr());
+    if let Some(archive) = live.engine.archive() {
         println!("trace archive at {}", archive.dir().display());
     }
-    if let Some(scrape) = &scrape {
+    if let Some(scrape) = &live.scrape {
         println!("metrics at http://{}/metrics", scrape.local_addr());
-        if recorder.is_some() {
+        if live.recorder.is_some() {
             println!("span trees at http://{}/spans", scrape.local_addr());
         }
-        if engine.archive().is_some() {
+        if live.engine.archive().is_some() {
             println!("traces at http://{}/traces", scrape.local_addr());
         }
     }
-    println!("stages: {}", engine.stage_names().join(" → "));
+    println!("stages: {}", live.engine.stage_names().join(" → "));
 
     if duration_ms == 0 {
         println!("serving until killed (pass --duration-ms to bound the run)");
@@ -598,47 +647,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     std::thread::sleep(std::time::Duration::from_millis(duration_ms));
 
-    server.shutdown();
-    let dead_letters = engine.dead_letters().clone();
-    let (results, sanitize_stats) = engine.shutdown_with_stats();
-    // Flush after the engine drains so the sink sees final counter values
-    // and the last sealed span trees.
-    if let Some(push) = push {
-        push.stop_and_flush();
-    }
-    if !dead_letters.is_empty() {
-        println!("dead letters: {} quarantined record(s)", dead_letters.len());
-        for letter in dead_letters.snapshot() {
-            println!(
-                "  [{}] stage {} item #{}: {}",
-                letter.reason, letter.stage, letter.item_seq, letter.message
-            );
-        }
-    }
-    let mapped: usize = results
-        .iter()
-        .map(|w| w.reconstruction.summary().mapped_spans)
-        .sum();
-    if let Some(stats) = sanitize_stats {
-        println!(
-            "served {duration_ms}ms: {} records in, {} passed sanitization, {} windows, {mapped} spans mapped",
-            stats.received,
-            stats.passed,
-            results.len()
-        );
-    } else {
-        println!(
-            "served {duration_ms}ms: {} windows, {mapped} spans mapped",
-            results.len()
-        );
-    }
-    if let Some(scrape) = scrape {
-        if let Some(out) = flags.get("metrics-out") {
-            let text = traceweaver::pipeline::fetch_metrics(scrape.local_addr())
-                .map_err(|e| e.to_string())?;
-            std::fs::write(out, &text).map_err(|e| format!("{out}: {e}"))?;
-            println!("wrote {out}");
-        }
+    if let Some(scrape) = live.finish(&format!("served {duration_ms}ms"))? {
+        write_metrics_out(flags, &scrape)?;
         scrape.shutdown();
     }
     Ok(())
@@ -768,10 +778,16 @@ fn online_config_from(
         adaptive: flags.contains_key("adaptive-shed"),
         ..defaults.shed
     };
+    let shards: usize = num(flags, "shards", defaults.shards)?;
     Ok(OnlineConfig {
         window: Nanos::from_millis(num(flags, "window-ms", 500u64)?),
         grace,
-        shards: num(flags, "shards", defaults.shards)?,
+        shards,
+        // One shard runs warm — each window starts from the delay
+        // registry the previous one published, which is also what the
+        // benchmark measures. Warm windows form a chain, so an engine
+        // asked for parallel shards runs cold.
+        warm_start: shards <= 1,
         channel_capacity: num(flags, "capacity", defaults.channel_capacity)?,
         backpressure,
         sanitize: Some(sanitize_config_from(flags)),
@@ -972,7 +988,7 @@ struct DeadLetterDoc {
 /// ones whose payload was captured) back into an ingest listener over the
 /// capture wire protocol.
 fn cmd_deadletters(flags: &Flags) -> Result<(), String> {
-    use traceweaver::pipeline::{export_records_with, fetch_deadletters, ExportRetry};
+    use traceweaver::pipeline::{export_records, fetch_deadletters};
 
     let addr = scrape_addr(flags)?;
     let text = fetch_deadletters(addr).map_err(|e| format!("{addr}: {e}"))?;
@@ -1015,8 +1031,7 @@ fn cmd_deadletters(flags: &Flags) -> Result<(), String> {
         println!("nothing to resubmit: no quarantined payload was captured");
         return Ok(());
     }
-    export_records_with(to_addr, &records, ExportRetry::default())
-        .map_err(|e| format!("{to}: {e}"))?;
+    export_records(to_addr, &records).map_err(|e| format!("{to}: {e}"))?;
     println!(
         "resubmitted {}/{} quarantined record(s) to {to}",
         records.len(),

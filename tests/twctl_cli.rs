@@ -1,7 +1,12 @@
 //! `twctl` as a process: flags are checked against the command's table
-//! before any work, and the offline happy path still writes its artifacts.
+//! before any work, the offline happy path still writes its artifacts, and
+//! `serve` keeps reconstructing — warm at one shard — for as long as spans
+//! arrive.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdout, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// Run `twctl <line>` from the system temp directory, so relative
 /// `--out-dir`s land there.
@@ -86,5 +91,155 @@ fn simulate_writes_its_three_artifacts() {
         let len = std::fs::metadata(dir.join(artifact)).map_or(0, |m| m.len());
         assert!(len > 0, "{artifact} missing or empty");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fresh scratch directory holding one simulated hotel stream.
+fn simulated(tag: &str, millis: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("twctl-cli-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let out = twctl(&format!(
+        "simulate --app hotel --rps 300 --millis {millis} --out-dir {}",
+        dir.display()
+    ));
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    dir
+}
+
+fn stderr_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A running `twctl serve` on ports the kernel picked, read back from its
+/// own start-up lines.
+struct Serve {
+    child: Child,
+    stdout: BufReader<ChildStdout>,
+    ingest: String,
+    metrics: String,
+}
+
+impl Serve {
+    /// `serve --graph <dir>/graph.json --checkpoint-dir <dir>/ckpt
+    /// --metrics-out <dir>/final.txt --window-ms 250 <extra>`.
+    fn start(dir: &Path, extra: &str) -> Serve {
+        let line = format!(
+            "serve --graph {0}/graph.json --listen 127.0.0.1:0 --metrics 127.0.0.1:0 \
+             --checkpoint-dir {0}/ckpt --metrics-out {0}/final.txt --window-ms 250 {extra}",
+            dir.display()
+        );
+        let mut child = Command::new(env!("CARGO_BIN_EXE_twctl"))
+            .args(line.split_whitespace())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("twctl serve starts");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let (mut ingest, mut metrics) = (None, None);
+        while ingest.is_none() || metrics.is_none() {
+            let mut line = String::new();
+            assert!(stdout.read_line(&mut line).unwrap() > 0, "serve exited");
+            if let Some(addr) = line.strip_prefix("ingest listening on ") {
+                ingest = Some(addr.trim().to_string());
+            } else if let Some(url) = line.strip_prefix("metrics at http://") {
+                metrics = Some(url.trim().trim_end_matches("/metrics").to_string());
+            }
+        }
+        Serve {
+            child,
+            stdout,
+            ingest: ingest.unwrap(),
+            metrics: metrics.unwrap(),
+        }
+    }
+
+    /// Send the whole stream over one connection, so arrival order — and
+    /// with it the window count — is the stream's own.
+    fn replay(&self, dir: &Path) {
+        let out = twctl(&format!(
+            "replay --spans {}/spans.jsonl --to {} --batch 1000000",
+            dir.display(),
+            self.ingest
+        ));
+        assert!(out.status.success(), "{}", stderr_of(&out));
+    }
+
+    /// Wait out `--duration-ms` and return the `served …` summary line.
+    fn summary(mut self) -> String {
+        let rest: Vec<String> = (&mut self.stdout).lines().map(Result::unwrap).collect();
+        assert!(self.child.wait().unwrap().success(), "{rest:?}");
+        rest.into_iter()
+            .find(|l| l.starts_with("served "))
+            .expect("summary line")
+    }
+}
+
+/// A failed assertion must not leave a server behind.
+impl Drop for Serve {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Value of the un-labelled or fully-labelled series `name` in an
+/// exposition.
+fn sample(exposition: &str, name: &str) -> Option<f64> {
+    exposition
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+}
+
+const FULL_WINDOWS: &str = "tw_engine_windows_total{shed_level=\"full\"}";
+
+/// Nothing else takes window results off a served engine, so `serve` must:
+/// with every queue bounded at 8, an unconsumed results queue used to stop
+/// the pipeline for good after 18 of this stream's 48 windows. And at one
+/// shard `serve` runs the warm engine, so its checkpoint carries the
+/// registry.
+#[test]
+fn serve_keeps_reconstructing_and_runs_warm_at_one_shard() {
+    let dir = simulated("serve-warm", 12_000);
+    let serve = Serve::start(&dir, "--capacity 8 --duration-ms 20000");
+    serve.replay(&dir);
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut live = 0.0;
+    while live < 40.0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(250));
+        let out = twctl(&format!("metrics --addr {}", serve.metrics));
+        assert!(out.status.success(), "{}", stderr_of(&out));
+        live = sample(&String::from_utf8_lossy(&out.stdout), FULL_WINDOWS).unwrap_or(0.0);
+    }
+    assert!(live >= 40.0, "stuck at {live} windows while serving");
+
+    let summary = serve.summary();
+    let scrape = std::fs::read_to_string(dir.join("final.txt")).unwrap();
+    let windows = sample(&scrape, FULL_WINDOWS).unwrap();
+    assert!(
+        summary.contains(&format!(", {windows} windows, ")),
+        "counter says {windows}: {summary}"
+    );
+    assert!(sample(&scrape, "tw_engine_warm_edges").unwrap() > 0.0);
+    assert!(sample(&scrape, "tw_core_warm_tasks_total").unwrap() > 0.0);
+    let registry = traceweaver::pipeline::load_checkpoint(&dir.join("ckpt"))
+        .expect("final checkpoint")
+        .registry
+        .expect("a warm engine checkpoints its registry");
+    assert!(!registry.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Warm windows form a chain, so `--shards 2` keeps the cold engine: no
+/// registry to checkpoint.
+#[test]
+fn sharded_serve_runs_cold() {
+    let dir = simulated("serve-cold", 2_000);
+    let serve = Serve::start(&dir, "--shards 2 --duration-ms 4000");
+    serve.replay(&dir);
+    let summary = serve.summary();
+    assert!(!summary.contains(" 0 spans mapped"), "{summary}");
+    let doc = traceweaver::pipeline::load_checkpoint(&dir.join("ckpt")).expect("final checkpoint");
+    assert!(doc.watermark > 0, "{summary}");
+    assert!(doc.registry.is_none(), "sharded engine carried a registry");
     std::fs::remove_dir_all(&dir).ok();
 }
