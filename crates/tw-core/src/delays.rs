@@ -174,8 +174,9 @@ impl DelayModel {
         model
     }
 
-    /// Refit every edge with a BIC-selected GMM over observed gaps
-    /// (iterations ≥ 2). Edges with no samples keep their previous model.
+    /// Refit every edge in `gaps` with a BIC-selected GMM over its observed
+    /// gaps (iterations ≥ 2). Edges absent from `gaps`, or with fewer than
+    /// three samples, keep their previous model.
     pub fn refit(&self, gaps: &HashMap<EdgeKey, Vec<f64>>, params: &Params) -> Self {
         let opts = GmmFitOptions {
             max_components: params.max_gmm_components,

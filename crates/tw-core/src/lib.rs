@@ -252,6 +252,8 @@ impl TraceWeaver {
             (*key, mapping, ranked, report, gaps)
         });
 
+        // A warm pass spends most of its time below, not in the tasks.
+        let absorb_timer = prior.map(|_| telemetry::metrics().stage_absorb.start_timer());
         let mut posterior = prior.cloned();
         let mut result = Reconstruction::default();
         // Partials arrive in input (sorted-key) order, so absorption is
@@ -267,6 +269,7 @@ impl TraceWeaver {
         if let Some(reg) = posterior.as_mut() {
             reg.finish_round();
         }
+        drop(absorb_timer);
         (result, posterior)
     }
 }
@@ -337,6 +340,7 @@ mod tests {
 
         // Round 1: cold (empty registry) — tasks seed, posterior learned.
         let empty = DelayRegistry::new();
+        let absorbs_before = telemetry::metrics().stage_absorb.count();
         let (cold, learned) = tw.reconstruct_records_with_registry(&out.records, &empty);
         assert!(cold.reports.iter().all(|(_, r)| !r.warm_start));
         assert!(!learned.is_empty());
@@ -346,6 +350,9 @@ mod tests {
         let (warm, posterior) = tw.reconstruct_records_with_registry(&out.records, &learned);
         assert!(warm.reports.iter().any(|(_, r)| r.warm_start));
         assert_eq!(posterior.rounds(), 2);
+        // Each registry pass is timed as one `absorb` stage (the global
+        // registry is shared with concurrent tests, hence `>=`).
+        assert!(telemetry::metrics().stage_absorb.count() >= absorbs_before + 2);
         assert!(
             warm.summary().mapped_spans >= cold.summary().mapped_spans,
             "warm prior must not lose mappings on an identical workload"

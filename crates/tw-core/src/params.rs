@@ -19,7 +19,8 @@ pub struct Params {
     /// Buckets used for the seed-distribution variance estimate
     /// (Table 1: R = 10).
     pub seed_buckets: usize,
-    /// Total passes of steps 3–5 (≥ 1; the first uses seed Gaussians).
+    /// Most passes of steps 3–5 a task runs (≥ 1; the first uses seed
+    /// Gaussians). A task stops sooner once a pass moves no edge's gaps.
     pub iterations: usize,
     /// Per-slot fan-out cap during candidate enumeration (closest feasible
     /// child spans considered per backend slot).

@@ -36,12 +36,16 @@ pub(crate) struct CoreMetrics {
     pub em_iterations: Counter,
     /// `tw_core_skip_budget_total`: phantom skip slots granted (§4.2).
     pub skip_budget: Counter,
-    /// `tw_core_gmm_components`: BIC-selected component counts per refit.
+    /// `tw_core_gmm_components`: BIC-selected component count of every
+    /// edge refit a task performed (unchanged edges are not refit).
     pub gmm_components: Histogram,
-    /// `tw_core_stage_seconds{stage=...}`: wall time per task stage.
+    /// `tw_core_stage_seconds{stage=...}`: wall time per stage — the first
+    /// three once per task, `absorb` once per warm pass (the registry
+    /// clone, every task's gaps absorbed and refit, the round closed).
     pub stage_candidates: Histogram,
     pub stage_seed: Histogram,
     pub stage_optimize: Histogram,
+    pub stage_absorb: Histogram,
     /// `tw_core_registry_quarantined_total`: degenerate samples/posteriors
     /// the delay registry refused to absorb (DESIGN.md §9).
     pub registry_quarantined: Counter,
@@ -57,7 +61,7 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
         let stage = |name: &str| {
             r.histogram_with(
                 "tw_core_stage_seconds",
-                "Wall time per reconstruction-task stage.",
+                "Wall time per reconstruction stage: per task, and per warm pass for absorb.",
                 Buckets::exponential(1e-6, 4.0, 12),
                 &[("stage", name)],
             )
@@ -113,6 +117,7 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             stage_candidates: stage("candidates"),
             stage_seed: stage("seed"),
             stage_optimize: stage("optimize"),
+            stage_absorb: stage("absorb"),
             registry_quarantined: r.counter(
                 "tw_core_registry_quarantined_total",
                 "Degenerate samples/posteriors the delay registry refused to absorb.",

@@ -78,6 +78,13 @@ fn scrape_covers_every_pipeline_stage() {
         );
     }
 
+    // The four stages of a window's reconstruction each have a series, so
+    // their sums account for the window (DESIGN.md §10).
+    for stage in ["candidates", "seed", "optimize", "absorb"] {
+        let series = format!("tw_core_stage_seconds_count{{stage=\"{stage}\"}}");
+        assert!(text.contains(&series), "no {series} in:\n{text}");
+    }
+
     // Spot-check values are real, not just registered: frames flowed and
     // windows were reconstructed.
     assert!(text.contains(&format!("tw_ingest_frames_total {}", records.len())));

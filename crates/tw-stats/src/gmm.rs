@@ -234,8 +234,8 @@ impl Gmm {
         Gmm { components: comps }
     }
 
-    /// Fit mixtures for `C = 1..=opts.max_components` and return the one
-    /// minimizing BIC (paper §4.1 step 3).
+    /// Sweep `C = 1..=opts.max_components` until two counts running fail to
+    /// improve BIC, and return the BIC minimizer (paper §4.1 step 3).
     ///
     /// # Examples
     /// ```
@@ -249,16 +249,7 @@ impl Gmm {
     /// assert!(gmm.log_pdf(500.0) > gmm.log_pdf(250.0));
     /// ```
     pub fn fit_auto(xs: &[f64], opts: &GmmFitOptions) -> Self {
-        let mut best: Option<(f64, Gmm)> = None;
-        for c in 1..=opts.max_components.max(1) {
-            let gmm = Gmm::fit(xs, c, opts);
-            let bic = gmm.bic(xs);
-            match &best {
-                Some((b, _)) if *b <= bic => {}
-                _ => best = Some((bic, gmm)),
-            }
-        }
-        best.expect("at least one candidate model").1
+        Gmm::fit_auto_weighted(xs, &vec![1.0; xs.len()], opts)
     }
 
     /// Weighted log-likelihood of a sample under this mixture.
@@ -274,28 +265,19 @@ impl Gmm {
         k * n_eff.ln() - 2.0 * self.log_likelihood_weighted(xs, ws)
     }
 
-    /// [`Gmm::fit_auto`] over a weighted sample: sweep `C` and keep the
-    /// weighted-BIC minimizer.
+    /// [`Gmm::fit_auto`] over a weighted sample, scored by weighted BIC.
     pub fn fit_auto_weighted(xs: &[f64], ws: &[f64], opts: &GmmFitOptions) -> Self {
-        let mut best: Option<(f64, Gmm)> = None;
-        for c in 1..=opts.max_components.max(1) {
-            let gmm = Gmm::fit_weighted(xs, ws, c, opts);
-            let bic = gmm.bic_weighted(xs, ws);
-            match &best {
-                Some((b, _)) if *b <= bic => {}
-                _ => best = Some((bic, gmm)),
-            }
-        }
-        best.expect("at least one candidate model").1
+        min_bic(xs, ws, 1..=opts.max_components.max(1), true, opts)
     }
 
     /// Weighted BIC selection over a *narrowed* sweep: only component
     /// counts within one of `near` (plus the single-Gaussian fallback) are
     /// tried. When a model is refit round after round on a slowly-evolving
     /// sample set — the delay registry's absorb loop — the optimal count
-    /// rarely jumps, so sweeping `{1, near-1, near, near+1}` instead of
-    /// `1..=C_max` buys back most of the sweep cost without giving up the
-    /// ability to grow or shrink by one per round.
+    /// rarely jumps, so sweeping all of `{1, near-1, near, near+1}` (the set
+    /// skips counts, so a rise below `near` says nothing about it) instead
+    /// of `1..=C_max` buys back most of the sweep cost and can still grow or
+    /// shrink the mixture by one per round.
     pub fn fit_auto_weighted_near(
         xs: &[f64],
         ws: &[f64],
@@ -307,17 +289,35 @@ impl Gmm {
         let mut counts = vec![1, near.saturating_sub(1).max(1), near, (near + 1).min(max)];
         counts.sort_unstable();
         counts.dedup();
-        let mut best: Option<(f64, Gmm)> = None;
-        for c in counts {
-            let gmm = Gmm::fit_weighted(xs, ws, c, opts);
-            let bic = gmm.bic_weighted(xs, ws);
-            match &best {
-                Some((b, _)) if *b <= bic => {}
-                _ => best = Some((bic, gmm)),
-            }
-        }
-        best.expect("at least one candidate model").1
+        min_bic(xs, ws, counts, false, opts)
     }
+}
+
+/// The one BIC sweep over ascending `counts`: lowest weighted BIC wins, the
+/// smaller count on a tie. `stop_when_rising` (contiguous counts only) ends
+/// it after two counts running that do not beat the best — DESIGN.md §7.
+fn min_bic(
+    xs: &[f64],
+    ws: &[f64],
+    counts: impl IntoIterator<Item = usize>,
+    stop_when_rising: bool,
+    opts: &GmmFitOptions,
+) -> Gmm {
+    let (mut best, mut rises): (Option<(f64, Gmm)>, usize) = (None, 0);
+    for c in counts {
+        #[cfg(test)]
+        tests::SWEEP_FITS.with(|n| n.set(n.get() + 1));
+        let gmm = Gmm::fit_weighted(xs, ws, c, opts);
+        let bic = gmm.bic_weighted(xs, ws);
+        match &best {
+            Some((b, _)) if *b <= bic => rises += 1,
+            _ => (best, rises) = (Some((bic, gmm)), 0),
+        }
+        if stop_when_rising && rises == 2 {
+            break;
+        }
+    }
+    best.expect("at least one candidate model").1
 }
 
 fn normalize_weights(comps: &mut [GmmComponent]) {
@@ -346,6 +346,19 @@ fn log_sum_exp_given(xs: &[f64], max: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Fits `min_bic` has performed on this thread: the sweeps' cost in
+        /// the unit that matters, counted rather than timed.
+        pub(super) static SWEEP_FITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Fits performed by the sweeps `f` runs.
+    fn sweep_fits<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        let before = SWEEP_FITS.with(|n| n.get());
+        let out = f();
+        (out, SWEEP_FITS.with(|n| n.get()) - before)
+    }
 
     /// Deterministic interleaved bimodal sample: half near 10, half near 50.
     fn bimodal() -> Vec<f64> {
@@ -681,6 +694,136 @@ mod tests {
             "no re-seeded component in {starved:?}"
         );
         assert_matches_reference(&xs, &ws, "dead component");
+    }
+
+    /// The exhaustive sweep `fit_auto` was before it learned to stop: every
+    /// count `1..=max_components`, unweighted fit, unweighted BIC.
+    fn fit_auto_reference(xs: &[f64], opts: &GmmFitOptions) -> Gmm {
+        let mut best: Option<(f64, Gmm)> = None;
+        for c in 1..=opts.max_components.max(1) {
+            let gmm = Gmm::fit(xs, c, opts);
+            let bic = gmm.bic(xs);
+            match &best {
+                Some((b, _)) if *b <= bic => {}
+                _ => best = Some((bic, gmm)),
+            }
+        }
+        best.expect("at least one candidate model").1
+    }
+
+    /// Gap-shaped samples of 1–4 modes: a log-normal body, then up to
+    /// three slower modes, at the sizes an edge sees in one window.
+    fn gap_samples() -> Vec<(String, Vec<f64>)> {
+        let mut out = Vec::new();
+        for seed in [1, 2, 3] {
+            let mut s = crate::sampler::Sampler::new(seed);
+            for modes in 1..=4usize {
+                for n in [3, 12, 60, 250, 900] {
+                    let xs: Vec<f64> = (0..n)
+                        .map(|i| match i % modes {
+                            0 => s.log_normal(5.0, 0.3),
+                            1 => s.normal(900.0, 40.0),
+                            2 => s.normal(2500.0, 90.0),
+                            _ => s.normal(6000.0, 200.0),
+                        })
+                        .collect();
+                    out.push((format!("seed {seed}, {modes} modes, n={n}"), xs));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn contiguous_sweep_stops_after_two_counts_that_do_not_pay() {
+        let opts = GmmFitOptions::default();
+        let (mut stopped, mut exhaustive) = (0, 0);
+        for (what, xs) in gap_samples() {
+            let (auto, fits) = sweep_fits(|| Gmm::fit_auto(&xs, &opts));
+            // It stops where the rule says: two counts running that did not
+            // beat the best before them, or out of counts.
+            let (mut best, mut rises, mut expected) = (f64::INFINITY, 0, opts.max_components);
+            for c in 1..=opts.max_components {
+                let bic = Gmm::fit(&xs, c, &opts).bic(&xs);
+                (best, rises) = if best <= bic {
+                    (best, rises + 1)
+                } else {
+                    (bic, 0)
+                };
+                if rises == 2 {
+                    expected = c;
+                    break;
+                }
+            }
+            assert_eq!(fits, expected, "{what}");
+            // What it returns is the exhaustive sweep cut at that count...
+            let cut = GmmFitOptions {
+                max_components: fits,
+                ..opts
+            };
+            assert_eq!(auto, fit_auto_reference(&xs, &cut), "{what}");
+            // ...and the cut loses nothing once a sample is too large for a
+            // late component to pay by collapsing onto one point (on a few
+            // dozen gaps the exhaustive sweep can find such a spike at C = 5
+            // after two rises; `gap_samples` has four of those).
+            if xs.len() >= 250 {
+                assert_eq!(auto, fit_auto_reference(&xs, &opts), "{what}");
+            }
+            stopped += fits;
+            exhaustive += opts.max_components;
+        }
+        assert!(stopped < exhaustive, "{stopped} fits of {exhaustive}");
+    }
+
+    #[test]
+    fn unit_weight_sweep_is_the_unweighted_sweep() {
+        // `fit_auto` is `fit_auto_weighted` at unit weights: the BIC it
+        // ranks by must be the unweighted BIC to the bit.
+        for (what, xs) in gap_samples() {
+            let ws = vec![1.0; xs.len()];
+            for c in 1..=5 {
+                let gmm = Gmm::fit(&xs, c, &GmmFitOptions::default());
+                assert_eq!(gmm.bic(&xs), gmm.bic_weighted(&xs, &ws), "{what}, c={c}");
+            }
+        }
+    }
+
+    #[test]
+    fn narrowed_sweep_still_tries_every_count_in_its_set() {
+        let opts = GmmFitOptions {
+            max_iters: 40,
+            tol: 1e-5,
+            ..GmmFitOptions::default()
+        };
+        // Unimodal reservoir: BIC rises straight after C = 1, so a
+        // contiguous sweep stops after three fits. The narrowed one must
+        // not stop at all.
+        let mut s = crate::sampler::Sampler::new(4);
+        let xs: Vec<f64> = (0..400).map(|_| s.normal(20.0, 2.0)).collect();
+        let ws = decayed_weights(xs.len(), 64);
+        let (full, fits) = sweep_fits(|| Gmm::fit_auto_weighted(&xs, &ws, &opts));
+        assert_eq!((full.len(), fits), (1, 3));
+        let sets = [
+            (1, vec![1, 2]),
+            (3, vec![1, 2, 3, 4]),
+            (4, vec![1, 3, 4, 5]),
+            (5, vec![1, 4, 5]),
+        ];
+        for (near, set) in sets {
+            let (narrowed, fits) =
+                sweep_fits(|| Gmm::fit_auto_weighted_near(&xs, &ws, &opts, near));
+            assert_eq!(fits, set.len(), "near={near}");
+            // And it returns what fitting all of them by hand returns.
+            let by_hand = set
+                .iter()
+                .map(|&c| Gmm::fit_weighted(&xs, &ws, c, &opts))
+                .min_by(|a, b| {
+                    let (a, b) = (a.bic_weighted(&xs, &ws), b.bic_weighted(&xs, &ws));
+                    a.partial_cmp(&b).expect("finite BIC")
+                })
+                .expect("non-empty set");
+            assert_eq!(narrowed, by_hand, "near={near}");
+        }
     }
 
     #[test]

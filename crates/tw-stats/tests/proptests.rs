@@ -5,6 +5,7 @@ use tw_stats::desc::{percentile, Summary};
 use tw_stats::gaussian::Gaussian;
 use tw_stats::gmm::{Gmm, GmmFitOptions};
 use tw_stats::pearson_correlation;
+use tw_stats::sampler::Sampler;
 use tw_stats::special::{beta_inc_reg, erf, student_t_two_sided_p};
 use tw_stats::welch_t_test;
 
@@ -108,5 +109,39 @@ proptest! {
         let auto = Gmm::fit_auto(&xs, &opts);
         let single = Gmm::fit(&xs, 1, &opts);
         prop_assert!(auto.bic(&xs) <= single.bic(&xs) + 1e-6);
+    }
+
+    /// What holds of the sweep wherever it stops, on gap-shaped samples of
+    /// 1–4 modes: never worse than the single Gaussian it starts from,
+    /// never more components than asked for, and a mixture the delay
+    /// registry would accept (finite parameters, positive weights and
+    /// sigmas, weights summing to one).
+    #[test]
+    fn gmm_bic_sweep_on_multimodal_gaps_is_bounded_and_sane(
+        seed in 0u64..1_000,
+        modes in 1usize..5,
+        n in 10usize..300,
+        max_components in 1usize..6,
+    ) {
+        let mut s = Sampler::new(seed);
+        let xs: Vec<f64> = (0..n)
+            .map(|i| match i % modes {
+                0 => s.log_normal(5.0, 0.3),
+                1 => s.normal(900.0, 40.0),
+                2 => s.normal(2500.0, 90.0),
+                _ => s.normal(6000.0, 200.0),
+            })
+            .collect();
+        let opts = GmmFitOptions { max_components, ..GmmFitOptions::default() };
+        let auto = Gmm::fit_auto(&xs, &opts);
+        prop_assert!(auto.bic(&xs) <= Gmm::fit(&xs, 1, &opts).bic(&xs));
+        prop_assert!((1..=max_components).contains(&auto.len()));
+        for c in &auto.components {
+            prop_assert!(c.weight.is_finite() && c.weight > 0.0);
+            prop_assert!(c.gaussian.mu.is_finite());
+            prop_assert!(c.gaussian.sigma.is_finite() && c.gaussian.sigma > 0.0);
+        }
+        let total: f64 = auto.components.iter().map(|c| c.weight).sum();
+        prop_assert!((total - 1.0).abs() < 1e-6);
     }
 }
