@@ -3,20 +3,16 @@
 //! * [`fcfs`] — the order-matching strawman,
 //! * [`vpath`] — vPath / DeepFlow thread-affinity tracing,
 //! * [`wap5`] — WAP5's delay-based message linking, re-purposed for
-//!   request tracing,
-//! * [`depmap`] — service-level dependency mapping, the weaker related
-//!   problem (§2.3) that the original WAP5/Orion/Sherlock solve.
+//!   request tracing.
 //!
 //! All baselines consume exactly the same observable signal as
 //! TraceWeaver (per-process span views; vPath additionally uses syscall
 //! thread ids when present) and emit a [`tw_model::Mapping`].
 
-pub mod depmap;
 pub mod fcfs;
 pub mod vpath;
 pub mod wap5;
 
-pub use depmap::DependencyMap;
 pub use fcfs::Fcfs;
 pub use vpath::VPath;
 pub use wap5::Wap5;

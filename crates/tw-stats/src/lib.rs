@@ -20,7 +20,6 @@
 pub mod desc;
 pub mod gaussian;
 pub mod gmm;
-pub mod histogram;
 pub mod pearson;
 pub mod sampler;
 pub mod special;

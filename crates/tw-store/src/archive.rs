@@ -20,7 +20,7 @@ use crate::frame::StoreError;
 use crate::manifest::{load_manifest, save_manifest, Manifest, SegmentMeta};
 use crate::metrics::StoreMetrics;
 use crate::query::TraceQuery;
-use crate::segment::{read_segment, write_segment, StoredTrace};
+use crate::segment::{encoded_len, read_segment, scan_segment, write_segment, StoredTrace};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,8 +60,9 @@ impl Default for RetentionPolicy {
 pub struct ArchiveConfig {
     /// Archive directory (created if missing).
     pub dir: PathBuf,
-    /// Seal the active buffer into a segment once its serialized size
-    /// reaches this many bytes.
+    /// Seal the active buffer into a segment once its traces encode to
+    /// this many bytes of file (the frame headers and the footer index,
+    /// a few hundred bytes per segment, come on top).
     pub segment_bytes: u64,
     /// Retention caps.
     pub retention: RetentionPolicy,
@@ -89,7 +90,8 @@ struct State {
     manifest: Manifest,
     /// Traces of sealed windows not yet committed to a segment.
     active: Vec<StoredTrace>,
-    /// Serialized size estimate of `active`.
+    /// Bytes `active` will occupy in a segment's directory and span-row
+    /// frames.
     active_bytes: u64,
     /// `highest observed window index + 1`: what the watermark advances
     /// to at the next commit.
@@ -231,7 +233,7 @@ impl TraceArchive {
         }
         self.metrics.appends.add(traces.len() as u64);
         for trace in traces {
-            state.active_bytes += estimate_bytes(&trace);
+            state.active_bytes += encoded_len(&trace);
             state.active.push(trace);
         }
         state.pending = state.pending.max(index + 1);
@@ -262,24 +264,13 @@ impl TraceArchive {
         self.metrics.queries.inc();
         let _timer = self.metrics.query_seconds.start_timer();
         let state = self.state.lock();
-        let mut out = Vec::new();
-        for seg in &state.manifest.segments {
-            if !q.may_match_segment(&seg.index) {
-                continue;
-            }
-            match read_segment(&self.dir.join(&seg.file)) {
-                Ok(traces) => out.extend(traces.into_iter().filter(|t| q.matches(t))),
-                Err(err) => {
-                    self.metrics.errors.inc();
-                    eprintln!("tw-store: query skipped segment {}: {err}", seg.file);
-                }
-            }
-        }
+        let mut out = scan_committed(&self.dir, &state.manifest, q, |seg, err| {
+            self.metrics.errors.inc();
+            eprintln!("tw-store: query skipped segment {}: {err}", seg.file);
+        });
         out.extend(state.active.iter().filter(|t| q.matches(t)).cloned());
         drop(state);
-        sort_traces(&mut out);
-        out.truncate(q.effective_limit());
-        out
+        ordered(out, q)
     }
 
     fn publish_gauges(&self, state: &State) {
@@ -526,10 +517,34 @@ fn sort_traces(traces: &mut [StoredTrace]) {
     });
 }
 
-/// Serialized-size estimate of one trace inside a segment body (its JSON
-/// plus the separating comma).
-fn estimate_bytes(trace: &StoredTrace) -> u64 {
-    serde_json::to_string(trace).map_or(64, |s| s.len() as u64 + 1)
+/// A query's matches in result order, capped at its limit.
+fn ordered(mut traces: Vec<StoredTrace>, q: &TraceQuery) -> Vec<StoredTrace> {
+    sort_traces(&mut traces);
+    traces.truncate(q.effective_limit());
+    traces
+}
+
+/// The one segment loop: every match of `q` in the committed segments its
+/// footer index cannot rule out. An unreadable segment contributes
+/// nothing and is handed to `on_error`, which decides what that means to
+/// the caller.
+fn scan_committed(
+    dir: &Path,
+    manifest: &Manifest,
+    q: &TraceQuery,
+    mut on_error: impl FnMut(&SegmentMeta, StoreError),
+) -> Vec<StoredTrace> {
+    let mut out = Vec::new();
+    for seg in &manifest.segments {
+        if !q.may_match_segment(&seg.index) {
+            continue;
+        }
+        match scan_segment(&dir.join(&seg.file), q) {
+            Ok(hits) => out.extend(hits),
+            Err(err) => on_error(seg, err),
+        }
+    }
+    out
 }
 
 /// Read-only query against an archive directory — no lock, no cleanup,
@@ -537,20 +552,14 @@ fn estimate_bytes(trace: &StoredTrace) -> u64 {
 /// segment failures propagate as typed errors instead of being skipped.
 pub fn read_query(dir: &Path, q: &TraceQuery) -> Result<Vec<StoredTrace>, StoreError> {
     let manifest = load_manifest(dir)?;
-    let mut out = Vec::new();
-    for seg in &manifest.segments {
-        if !q.may_match_segment(&seg.index) {
-            continue;
-        }
-        out.extend(
-            read_segment(&dir.join(&seg.file))?
-                .into_iter()
-                .filter(|t| q.matches(t)),
-        );
+    let mut failed = None;
+    let out = scan_committed(dir, &manifest, q, |_, err| {
+        failed.get_or_insert(err);
+    });
+    match failed {
+        Some(err) => Err(err),
+        None => Ok(ordered(out, q)),
     }
-    sort_traces(&mut out);
-    out.truncate(q.effective_limit());
-    Ok(out)
 }
 
 /// Stop handle of the background maintenance thread.
@@ -660,6 +669,46 @@ mod tests {
         let text = registry.render();
         assert!(text.contains("tw_store_seals_total 2"), "{text}");
         assert!(text.contains("tw_store_appends_total 2"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `segment_bytes` counts bytes of file: when the size threshold seals
+    /// the buffer, its running count is exactly the sealed segment's
+    /// directory and span-row payloads — the file minus its frame headers
+    /// and footer.
+    #[test]
+    fn active_bytes_at_a_seal_are_the_sealed_body_bytes() {
+        let dir = tmp_dir("sizes");
+        let cfg = ArchiveConfig {
+            segment_bytes: 1_000,
+            ..ArchiveConfig::new(&dir)
+        };
+        let archive = TraceArchive::open(cfg, &Registry::new()).unwrap();
+        let mut counted = 0;
+        for window in 0.. {
+            let mut t = trace(window, window + 1, 7, 1_000, 2_000);
+            let span = t.spans[0];
+            t.spans
+                .extend(std::iter::repeat_n(span, window as usize % 3));
+            counted += encoded_len(&t);
+            archive.observe_window(window, vec![t]);
+            if archive.segment_count() == 1 {
+                break;
+            }
+            assert_eq!(archive.state.lock().active_bytes, counted);
+            assert!(counted < 1_000, "sealed late");
+        }
+        assert!(counted >= 1_000, "sealed early at {counted}");
+
+        let meta = archive.state.lock().manifest.segments[0].clone();
+        let file = std::fs::read(dir.join(&meta.file)).unwrap();
+        let frame_len = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
+        let directory = frame_len(8);
+        let rows = frame_len(8 + 12 + directory as usize);
+        assert_eq!(directory + rows, counted);
+        let footer = crate::frame::to_json(&meta.index).unwrap().len() as u64;
+        assert_eq!(meta.bytes, 8 + 3 * 12 + counted + footer);
+        assert_eq!(meta.bytes, file.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -776,7 +825,7 @@ mod tests {
             segment_bytes: 1,
             compact_min_segments: usize::MAX, // isolate retention
             retention: RetentionPolicy {
-                max_bytes: 600, // roughly two single-trace segments
+                max_bytes: 600, // room for one single-trace segment, not two
                 max_age_ns: 0,
                 tail_latency_ns: 100_000_000,
             },

@@ -5,10 +5,12 @@
 //! [ magic 4 bytes | version u32 LE ] { [ len u64 LE | crc32 u32 LE | payload ] }…
 //! ```
 //!
-//! Segments (`TWSG`, two frames), the archive manifest (`TWSM`, one
-//! frame) and the online checkpoint (`TWCK`, one frame) are all this
-//! layout; payloads are JSON. `write_frames` assembles the whole file
-//! in memory and hands it to [`atomic_write`]; readers go through
+//! Segments (`TWSG`), the archive manifest (`TWSM`, one frame) and the
+//! online checkpoint (`TWCK`, one frame) are all this layout. The version
+//! belongs to the file kind: manifest and checkpoint are version 1 (one
+//! JSON frame, [`write_json`]/[`read_json`]); what a segment's frames
+//! hold is `segment.rs`'s business. `write_frames` assembles the whole
+//! file in memory and hands it to [`atomic_write`]; readers go through
 //! `FrameReader`, which bounds every length read from disk by the bytes
 //! actually left in the file before it allocates or seeks. Any malformed
 //! file is a typed [`StoreError`] — never a panic, never trusted data.
@@ -18,7 +20,8 @@ use serde::Serialize;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-const VERSION: u32 = 1;
+/// Version of the single-JSON-frame files ([`write_json`]/[`read_json`]).
+const JSON_VERSION: u32 = 1;
 /// len + crc in front of each frame.
 const FRAME_HEADER_LEN: usize = 12;
 
@@ -71,31 +74,58 @@ impl std::fmt::Display for StoreError {
     }
 }
 
-/// CRC32 (IEEE 802.3 polynomial, reflected), table-driven.
-fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        let mut i = 0usize;
+/// Slicing-by-8 tables for the reflected IEEE 802.3 polynomial:
+/// `TABLES[0]` is the classic bytewise table, and `TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight input bytes fold
+/// into the running value with eight independent lookups.
+static TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xedb8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
             i += 1;
         }
-        table
-    });
+        k += 1;
+    }
+    tables
+};
+
+/// CRC32 (IEEE 802.3 polynomial, reflected), eight bytes per step with a
+/// bytewise tail.
+fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        crc = TABLES[7][(lo & 0xff) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][usize::from(chunk[4])]
+            ^ TABLES[2][usize::from(chunk[5])]
+            ^ TABLES[1][usize::from(chunk[6])]
+            ^ TABLES[0][usize::from(chunk[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     crc ^ 0xffff_ffff
 }
@@ -115,17 +145,18 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Frame `payloads` behind `magic` and atomically write the file.
-/// Returns its size in bytes.
+/// Frame `payloads` behind `magic` and `version` and atomically write the
+/// file. Returns its size in bytes.
 pub(crate) fn write_frames(
     path: &Path,
     magic: [u8; 4],
+    version: u32,
     payloads: &[&[u8]],
 ) -> std::io::Result<u64> {
     let total: usize = payloads.iter().map(|p| FRAME_HEADER_LEN + p.len()).sum();
     let mut bytes = Vec::with_capacity(magic.len() + 4 + total);
     bytes.extend_from_slice(&magic);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    bytes.extend_from_slice(&version.to_le_bytes());
     for payload in payloads {
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -144,8 +175,13 @@ pub(crate) struct FrameReader {
 }
 
 impl FrameReader {
-    /// Open `path` and validate its magic and version.
-    pub(crate) fn open(path: &Path, magic: [u8; 4]) -> Result<FrameReader, StoreError> {
+    /// Open `path`, validate its magic, and return the file's version,
+    /// which must be one of `accepted`.
+    pub(crate) fn open(
+        path: &Path,
+        magic: [u8; 4],
+        accepted: &[u32],
+    ) -> Result<(FrameReader, u32), StoreError> {
         let file = match std::fs::File::open(path) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreError::Missing),
@@ -157,10 +193,10 @@ impl FrameReader {
             return Err(StoreError::BadMagic);
         }
         let version = u32::from_le_bytes(reader.take()?);
-        if version != VERSION {
+        if !accepted.contains(&version) {
             return Err(StoreError::BadVersion(version));
         }
-        Ok(reader)
+        Ok((reader, version))
     }
 
     fn fill(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
@@ -207,14 +243,24 @@ impl FrameReader {
         Ok(payload)
     }
 
-    /// Seek past the next frame without reading (or checking) its payload.
-    pub(crate) fn skip_frame(&mut self) -> Result<(), StoreError> {
+    /// Seek past the next frame without reading (or checking) its
+    /// payload. Returns the payload length the frame declares.
+    pub(crate) fn skip_frame(&mut self) -> Result<u64, StoreError> {
         let (len, _) = self.frame_header()?;
         let offset = i64::try_from(len).map_err(|_| StoreError::Truncated)?;
         self.file
             .seek(SeekFrom::Current(offset))
             .map_err(StoreError::Io)?;
         self.remaining -= len;
+        Ok(len)
+    }
+
+    /// The last frame has been read: a file with bytes after it was not
+    /// produced by us.
+    pub(crate) fn finish(self) -> Result<(), StoreError> {
+        if self.remaining != 0 {
+            return Err(StoreError::BadPayload("trailing bytes".to_string()));
+        }
         Ok(())
     }
 }
@@ -234,17 +280,14 @@ pub(crate) fn from_json<T: DeserializeOwned>(payload: &[u8]) -> Result<T, StoreE
 
 /// Write a single-frame file (manifest, checkpoint) holding `doc`.
 pub fn write_json<T: Serialize>(path: &Path, magic: [u8; 4], doc: &T) -> std::io::Result<()> {
-    write_frames(path, magic, &[&to_json(doc)?]).map(|_| ())
+    write_frames(path, magic, JSON_VERSION, &[&to_json(doc)?]).map(|_| ())
 }
 
 /// Read a single-frame file: header, one frame, nothing after it.
 pub fn read_json<T: DeserializeOwned>(path: &Path, magic: [u8; 4]) -> Result<T, StoreError> {
-    let mut reader = FrameReader::open(path, magic)?;
+    let (mut reader, _) = FrameReader::open(path, magic, &[JSON_VERSION])?;
     let payload = reader.frame()?;
-    // A file with bytes after its frame was not produced by us.
-    if reader.remaining != 0 {
-        return Err(StoreError::BadPayload("trailing bytes".to_string()));
-    }
+    reader.finish()?;
     from_json(&payload)
 }
 
@@ -252,10 +295,51 @@ pub fn read_json<T: DeserializeOwned>(path: &Path, magic: [u8; 4]) -> Result<T, 
 mod tests {
     use super::*;
 
+    /// The bitwise definition the tables are derived from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Every split between the eight-byte steps and the bytewise tail, at
+    /// every alignment of the slice's start.
+    #[test]
+    fn crc32_equals_the_bitwise_form_at_every_length_and_offset() {
+        let mut rng = proptest::TestRng::for_test("crc32");
+        let mut random = |len: usize| -> Vec<u8> {
+            let mut buf = Vec::with_capacity(len + 8);
+            while buf.len() < len {
+                buf.extend_from_slice(&rng.next_u64().to_le_bytes());
+            }
+            buf.truncate(len);
+            buf
+        };
+        let small = random(78);
+        for len in 0..=70 {
+            for offset in 0..8 {
+                let slice = &small[offset..offset + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "len {len} at {offset}");
+            }
+        }
+        for (i, len) in [1 << 10, 4099, 65_537, 1 << 20].into_iter().enumerate() {
+            let big = random(len + 8);
+            for offset in [i, i + 4] {
+                let slice = &big[offset..offset + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "len {len} at {offset}");
+            }
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! Layout on disk, under one archive directory:
 //!
 //! * **Segments** (`seg-XXXXXXXX.twsg`) — immutable, CRC-framed files,
-//!   each holding a batch of sealed [`StoredTrace`]s plus a footer
+//!   each holding a batch of sealed [`StoredTrace`]s as fixed-width
+//!   binary rows (a trace directory, then the spans) plus a footer
 //!   [`SegmentIndex`] (min/max timestamp, per-service and per-endpoint
 //!   record counts, a latency histogram). Written once via
 //!   write-temp→fsync→rename; never modified afterwards.

@@ -41,33 +41,35 @@ impl TraceQuery {
 
     /// True when a trace passes every filter.
     pub fn matches(&self, trace: &StoredTrace) -> bool {
-        if let Some(from) = self.from_ns {
-            if trace.end < from {
-                return false;
-            }
-        }
-        if let Some(to) = self.to_ns {
-            if trace.start > to {
-                return false;
-            }
-        }
-        if let Some(window) = self.window {
-            if trace.window != window {
-                return false;
-            }
-        }
-        if let Some(min) = self.min_latency_ns {
-            if trace.latency_ns < min {
-                return false;
-            }
-        }
-        match (self.service, self.op) {
-            (None, None) => true,
-            (service, op) => trace.spans.iter().any(|s| {
-                service.is_none_or(|svc| s.record.callee.service.0 == svc)
-                    && op.is_none_or(|op| s.record.callee.op.0 == op)
-            }),
-        }
+        self.matches_header(trace)
+            && (!self.filters_spans()
+                || trace
+                    .spans
+                    .iter()
+                    .any(|s| self.matches_callee(s.record.callee.service.0, s.record.callee.op.0)))
+    }
+
+    /// The filters a trace's own fields decide (time range, window,
+    /// latency) — everything a segment's trace directory holds, so a scan
+    /// applies this before it touches a span.
+    pub(crate) fn matches_header(&self, trace: &StoredTrace) -> bool {
+        self.from_ns.is_none_or(|from| trace.end >= from)
+            && self.to_ns.is_none_or(|to| trace.start <= to)
+            && self.window.is_none_or(|window| trace.window == window)
+            && self
+                .min_latency_ns
+                .is_none_or(|min| trace.latency_ns >= min)
+    }
+
+    /// True when a trace must also have a span passing
+    /// [`matches_callee`](Self::matches_callee).
+    pub(crate) fn filters_spans(&self) -> bool {
+        self.service.is_some() || self.op.is_some()
+    }
+
+    /// The `service`/`op` filters against one span's callee.
+    pub(crate) fn matches_callee(&self, service: u32, op: u32) -> bool {
+        self.service.is_none_or(|s| s == service) && self.op.is_none_or(|o| o == op)
     }
 
     /// Segment-level pruning: false when the footer index proves the

@@ -1,21 +1,51 @@
 //! Segment files: immutable, CRC-framed batches of sealed reconstructed
 //! traces, each carrying a footer index so queries can prune a segment
-//! without parsing its body.
+//! without reading its body.
 //!
-//! A segment is a [`crate::frame`] file with the `TWSG` magic and *two*
-//! frames: the body (JSON `Vec<StoredTrace>`) and the footer (JSON
-//! [`SegmentIndex`]).
+//! A segment is a [`crate::frame`] file with the `TWSG` magic. Version 2,
+//! the only one written, has three frames (DESIGN.md "Durable files" has
+//! the offsets):
+//!
+//! 1. the **trace directory** — one 45-byte little-endian row per trace:
+//!    its own fields and its span count;
+//! 2. the **span rows** — one 69-byte row per span, traces in directory
+//!    order, spans in pre-order;
+//! 3. the **footer** — the JSON [`SegmentIndex`] the manifest embeds.
+//!
+//! Every field is fixed width and stored as it is, so any `StoredTrace`
+//! value round-trips — and `scan_segment` can answer a query from the
+//! directory and the callee columns, building a trace only for a match.
+//! Version 1 (one JSON `Vec<StoredTrace>` frame, then the footer) is still
+//! read; compaction rewrites such segments in version 2.
 //!
 //! [`read_segment_index`] validates the header, seeks past the body, and
 //! parses only the footer — the cheap path the query planner uses before
 //! deciding to read a segment's traces at all.
 
 use crate::frame::{from_json, to_json, write_frames, FrameReader, StoreError};
+use crate::query::TraceQuery;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
+use tw_model::ids::{Endpoint, OperationId, RpcId, ServiceId};
 use tw_model::span::RpcRecord;
+use tw_model::time::Nanos;
 
 const MAGIC: [u8; 4] = *b"TWSG";
+/// Read only: a JSON `Vec<StoredTrace>` frame, then the footer.
+const V1_JSON: u32 = 1;
+/// Directory frame, span-row frame, footer.
+const V2_ROWS: u32 = 2;
+
+/// Bytes of one trace-directory row: `window`, `root`, `start`, `end`,
+/// `latency_ns` as `u64`, `degraded` as one byte, the span count as `u32`.
+const DIR_ROW: usize = 45;
+/// Bytes of one span row: `depth u32`, `rpc u64`, `caller u32`,
+/// `caller_replica u16`, callee `service u32` and `op u32`,
+/// `callee_replica u16`, the four timestamps as `u64`, a thread-presence
+/// byte (bit 0 caller, bit 1 callee) and the two thread ids as `u32`.
+const SPAN_ROW: usize = 69;
+/// Offset of the callee service in a span row; the operation follows it.
+const CALLEE_AT: usize = 18;
 
 /// Upper bounds (ns) of the per-segment latency histogram in
 /// [`SegmentIndex`]: 1ms · 2^k for k in 0..12 (1ms … ~2s); one implicit
@@ -182,34 +212,221 @@ impl SegmentIndex {
     }
 }
 
-/// Serialize and atomically write one sealed segment. Returns the file's
+/// Bytes `trace` occupies in a segment's directory and span-row frames.
+pub(crate) fn encoded_len(trace: &StoredTrace) -> u64 {
+    (DIR_ROW + SPAN_ROW * trace.spans.len()) as u64
+}
+
+fn encode_dir_row(out: &mut Vec<u8>, trace: &StoredTrace, spans: u32) {
+    for field in [
+        trace.window,
+        trace.root,
+        trace.start,
+        trace.end,
+        trace.latency_ns,
+    ] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.push(u8::from(trace.degraded));
+    out.extend_from_slice(&spans.to_le_bytes());
+}
+
+fn encode_span_row(out: &mut Vec<u8>, span: &StoredSpan) {
+    let r = &span.record;
+    out.extend_from_slice(&span.depth.to_le_bytes());
+    out.extend_from_slice(&r.rpc.0.to_le_bytes());
+    out.extend_from_slice(&r.caller.0.to_le_bytes());
+    out.extend_from_slice(&r.caller_replica.to_le_bytes());
+    out.extend_from_slice(&r.callee.service.0.to_le_bytes());
+    out.extend_from_slice(&r.callee.op.0.to_le_bytes());
+    out.extend_from_slice(&r.callee_replica.to_le_bytes());
+    for ts in [r.send_req, r.recv_req, r.send_resp, r.recv_resp] {
+        out.extend_from_slice(&ts.0.to_le_bytes());
+    }
+    out.push(u8::from(r.caller_thread.is_some()) | u8::from(r.callee_thread.is_some()) << 1);
+    out.extend_from_slice(&r.caller_thread.unwrap_or(0).to_le_bytes());
+    out.extend_from_slice(&r.callee_thread.unwrap_or(0).to_le_bytes());
+}
+
+/// The `N` bytes at `at` of a fixed-width row.
+fn le<const N: usize>(row: &[u8], at: usize) -> [u8; N] {
+    row[at..at + N]
+        .try_into()
+        .expect("field lies inside its fixed-width row")
+}
+
+fn bad(what: impl Into<String>) -> StoreError {
+    StoreError::BadPayload(what.into())
+}
+
+/// One directory row as a trace without its spans, and its span count.
+/// Rejects every byte pattern [`encode_dir_row`] cannot produce.
+fn decode_dir_row(row: &[u8]) -> Result<(StoredTrace, u32), StoreError> {
+    let degraded = match row[40] {
+        0 => false,
+        1 => true,
+        other => return Err(bad(format!("degraded byte {other}"))),
+    };
+    let trace = StoredTrace {
+        window: u64::from_le_bytes(le(row, 0)),
+        root: u64::from_le_bytes(le(row, 8)),
+        start: u64::from_le_bytes(le(row, 16)),
+        end: u64::from_le_bytes(le(row, 24)),
+        latency_ns: u64::from_le_bytes(le(row, 32)),
+        degraded,
+        spans: Vec::new(),
+    };
+    Ok((trace, u32::from_le_bytes(le(row, 41))))
+}
+
+/// Rejects every byte pattern [`encode_span_row`] cannot produce.
+fn decode_span_row(row: &[u8]) -> Result<StoredSpan, StoreError> {
+    let flags = row[60];
+    if flags > 3 {
+        return Err(bad(format!("thread flags {flags}")));
+    }
+    let thread = |bit: u8, at: usize| match (flags & bit != 0, u32::from_le_bytes(le(row, at))) {
+        (true, id) => Ok(Some(id)),
+        (false, 0) => Ok(None),
+        (false, id) => Err(bad(format!("thread id {id} without its flag"))),
+    };
+    Ok(StoredSpan {
+        depth: u32::from_le_bytes(le(row, 0)),
+        record: RpcRecord {
+            rpc: RpcId(u64::from_le_bytes(le(row, 4))),
+            caller: ServiceId(u32::from_le_bytes(le(row, 12))),
+            caller_replica: u16::from_le_bytes(le(row, 16)),
+            callee: Endpoint::new(
+                ServiceId(u32::from_le_bytes(le(row, CALLEE_AT))),
+                OperationId(u32::from_le_bytes(le(row, CALLEE_AT + 4))),
+            ),
+            callee_replica: u16::from_le_bytes(le(row, 26)),
+            send_req: Nanos(u64::from_le_bytes(le(row, 28))),
+            recv_req: Nanos(u64::from_le_bytes(le(row, 36))),
+            send_resp: Nanos(u64::from_le_bytes(le(row, 44))),
+            recv_resp: Nanos(u64::from_le_bytes(le(row, 52))),
+            caller_thread: thread(1, 61)?,
+            callee_thread: thread(2, 65)?,
+        },
+    })
+}
+
+/// Encode and atomically write one sealed segment. Returns the file's
 /// size in bytes and the footer index it carries.
 pub fn write_segment(path: &Path, traces: &[StoredTrace]) -> std::io::Result<(u64, SegmentIndex)> {
     let index = SegmentIndex::build(traces);
-    let body = to_json(&traces.to_vec())?;
+    let mut directory = Vec::with_capacity(traces.len() * DIR_ROW);
+    let mut rows = Vec::with_capacity(index.records as usize * SPAN_ROW);
+    for trace in traces {
+        let spans = u32::try_from(trace.spans.len()).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a trace holds more spans than a directory row can count",
+            )
+        })?;
+        encode_dir_row(&mut directory, trace, spans);
+        for span in &trace.spans {
+            encode_span_row(&mut rows, span);
+        }
+    }
     let footer = to_json(&index)?;
-    let len = write_frames(path, MAGIC, &[&body, &footer])?;
+    let len = write_frames(path, MAGIC, V2_ROWS, &[&directory, &rows, &footer])?;
     Ok((len, index))
 }
 
-/// Read and validate a whole segment: both frames CRC-checked, the body
-/// parsed into traces.
-pub fn read_segment(path: &Path) -> Result<Vec<StoredTrace>, StoreError> {
-    let mut reader = FrameReader::open(path, MAGIC)?;
-    let body = reader.frame()?;
-    // Validate the footer too: a segment with a torn index is corrupt
-    // even when its body happens to parse.
+/// The traces of one segment that `q` matches, in file order; the query's
+/// limit is the caller's to apply once every segment is in. Every frame a
+/// returned trace was decoded from has had its CRC checked, and the footer
+/// is validated even though it is not used: a segment with a torn index is
+/// corrupt even when its body decodes.
+pub(crate) fn scan_segment(path: &Path, q: &TraceQuery) -> Result<Vec<StoredTrace>, StoreError> {
+    let (mut reader, version) = FrameReader::open(path, MAGIC, &[V1_JSON, V2_ROWS])?;
+    let traces = if version == V1_JSON {
+        let mut traces: Vec<StoredTrace> = from_json(&reader.frame()?)?;
+        traces.retain(|t| q.matches(t));
+        traces
+    } else {
+        scan_rows(&mut reader, q)?
+    };
     let _: SegmentIndex = from_json(&reader.frame()?)?;
-    from_json(&body)
+    reader.finish()?;
+    Ok(traces)
+}
+
+/// The two body frames of a version-2 segment. The directory decides the
+/// time, window and latency filters; when no row survives, the span rows
+/// are seeked past, unread. Lengths are reconciled — whole directory rows,
+/// and exactly the span rows the directory counts — before anything is
+/// sized from them, so no allocation exceeds the file's own length.
+fn scan_rows(reader: &mut FrameReader, q: &TraceQuery) -> Result<Vec<StoredTrace>, StoreError> {
+    let directory = reader.frame()?;
+    if directory.len() % DIR_ROW != 0 {
+        return Err(bad("directory is not whole rows"));
+    }
+    // (trace without spans, index of its first span row, span count)
+    let mut hits: Vec<(StoredTrace, usize, usize)> = Vec::new();
+    let mut spans_total = 0u64;
+    for row in directory.chunks_exact(DIR_ROW) {
+        let (trace, spans) = decode_dir_row(row)?;
+        if q.matches_header(&trace) {
+            // Both fit: checked against the row frame's length below,
+            // before either is used.
+            hits.push((trace, spans_total as usize, spans as usize));
+        }
+        spans_total = spans_total
+            .checked_add(u64::from(spans))
+            .ok_or_else(|| bad("span counts overflow"))?;
+    }
+    let (rows, rows_len) = if hits.is_empty() {
+        (Vec::new(), reader.skip_frame()?)
+    } else {
+        let rows = reader.frame()?;
+        let len = rows.len() as u64;
+        (rows, len)
+    };
+    if Some(rows_len) != spans_total.checked_mul(SPAN_ROW as u64) {
+        return Err(bad("span rows disagree with the directory"));
+    }
+
+    let callee_matches = |row: &[u8]| {
+        q.matches_callee(
+            u32::from_le_bytes(le(row, CALLEE_AT)),
+            u32::from_le_bytes(le(row, CALLEE_AT + 4)),
+        )
+    };
+    let mut out = Vec::new();
+    for (mut trace, first, spans) in hits {
+        let rows = &rows[first * SPAN_ROW..][..spans * SPAN_ROW];
+        if q.filters_spans() && !rows.chunks_exact(SPAN_ROW).any(callee_matches) {
+            continue;
+        }
+        trace.spans = rows
+            .chunks_exact(SPAN_ROW)
+            .map(decode_span_row)
+            .collect::<Result<_, _>>()?;
+        out.push(trace);
+    }
+    Ok(out)
+}
+
+/// Read and validate a whole segment: every frame CRC-checked, the body
+/// decoded into traces.
+pub fn read_segment(path: &Path) -> Result<Vec<StoredTrace>, StoreError> {
+    scan_segment(path, &TraceQuery::default())
 }
 
 /// Read only a segment's footer index, seeking past the body — the cheap
-/// pruning path. The body CRC is *not* checked here; [`read_segment`]
-/// validates it before any trace is returned to a query.
+/// pruning path. The body CRCs are *not* checked here; `scan_segment`
+/// validates them before any trace is returned to a query.
 pub fn read_segment_index(path: &Path) -> Result<SegmentIndex, StoreError> {
-    let mut reader = FrameReader::open(path, MAGIC)?;
-    reader.skip_frame()?;
-    from_json(&reader.frame()?)
+    let (mut reader, version) = FrameReader::open(path, MAGIC, &[V1_JSON, V2_ROWS])?;
+    let body_frames = if version == V1_JSON { 1 } else { 2 };
+    for _ in 0..body_frames {
+        reader.skip_frame()?;
+    }
+    let index = from_json(&reader.frame()?)?;
+    reader.finish()?;
+    Ok(index)
 }
 
 /// Test fixtures shared by this crate's unit tests.
@@ -256,12 +473,19 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::trace;
     use super::*;
+    use proptest::prelude::*;
+    use std::path::PathBuf;
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("twsg-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
 
     #[test]
     fn segment_round_trips_with_footer_index() {
-        let dir = std::env::temp_dir().join(format!("twsg-rt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("rt");
         let path = dir.join("seg-00000000.twsg");
         let traces = vec![
             trace(3, 1, 7, 1_000_000, 5_000_000),
@@ -288,9 +512,7 @@ mod tests {
 
     #[test]
     fn corrupt_and_truncated_segments_rejected_cleanly() {
-        let dir = std::env::temp_dir().join(format!("twsg-bad-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("bad");
         let path = dir.join("seg-00000000.twsg");
         assert!(matches!(read_segment(&path), Err(StoreError::Missing)));
 
@@ -298,13 +520,16 @@ mod tests {
         write_segment(&path, &traces).unwrap();
         let good = std::fs::read(&path).unwrap();
 
-        // Flip a body bit: the CRC must catch it.
-        let mut bad = good.clone();
-        bad[8 + 12 + 2] ^= 0x01; // file header + frame header + 2
-        std::fs::write(&path, &bad).unwrap();
-        let err = read_segment(&path).unwrap_err();
-        assert!(matches!(err, StoreError::BadCrc), "got {err}");
-        assert_eq!(err.reason(), "corrupt");
+        // Flip a directory bit, then a span-row bit: the frame's CRC must
+        // catch either.
+        for at in [8 + 12 + 2, 8 + 12 + DIR_ROW + 12 + 2] {
+            let mut bad = good.clone();
+            bad[at] ^= 0x01;
+            std::fs::write(&path, &bad).unwrap();
+            let err = read_segment(&path).unwrap_err();
+            assert!(matches!(err, StoreError::BadCrc), "byte {at}: got {err}");
+            assert_eq!(err.reason(), "corrupt");
+        }
 
         // Truncate mid-footer: the index read fails cleanly too.
         std::fs::write(&path, &good[..good.len() - 3]).unwrap();
@@ -327,5 +552,257 @@ mod tests {
             Err(StoreError::BadVersion(99))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Frames whose CRCs hold but whose rows the encoder cannot have
+    /// written: each is a `BadPayload`, and a span count the file cannot
+    /// back is rejected before anything is sized from it.
+    #[test]
+    fn rows_the_encoder_cannot_produce_are_bad_payloads() {
+        let dir = fresh_dir("rows");
+        let path = dir.join("seg-00000000.twsg");
+        let mut t = trace(0, 1, 2, 10, 20);
+        t.spans[0].record.callee_thread = Some(0);
+        let mut directory = Vec::new();
+        encode_dir_row(&mut directory, &t, 1);
+        let mut rows = Vec::new();
+        encode_span_row(&mut rows, &t.spans[0]);
+        let footer = to_json(&SegmentIndex::build(std::slice::from_ref(&t))).unwrap();
+        let write = |directory: &[u8], rows: &[u8]| {
+            write_frames(&path, MAGIC, V2_ROWS, &[directory, rows, &footer]).unwrap();
+        };
+        write(&directory, &rows);
+        assert_eq!(read_segment(&path).unwrap(), vec![t]);
+
+        let patched = |bytes: &[u8], at: usize, with: &[u8]| {
+            let mut bytes = bytes.to_vec();
+            bytes[at..at + with.len()].copy_from_slice(with);
+            bytes
+        };
+        let nowhere = TraceQuery {
+            window: Some(99),
+            ..TraceQuery::default()
+        };
+        let cases = [
+            (
+                "half a directory row",
+                directory[..44].to_vec(),
+                rows.clone(),
+            ),
+            (
+                "degraded byte 2",
+                patched(&directory, 40, &[2]),
+                rows.clone(),
+            ),
+            (
+                "more spans than the file holds",
+                patched(&directory, 41, &u32::MAX.to_le_bytes()),
+                rows.clone(),
+            ),
+            (
+                "rows the directory does not count",
+                directory.clone(),
+                rows.repeat(2),
+            ),
+            (
+                "thread flags 4",
+                directory.clone(),
+                patched(&rows, 60, &[4]),
+            ),
+            (
+                "thread id without its flag",
+                directory.clone(),
+                patched(&rows, 61, &[9]),
+            ),
+        ];
+        for (what, directory, rows) in cases {
+            write(&directory, &rows);
+            let err = read_segment(&path).unwrap_err();
+            assert!(matches!(err, StoreError::BadPayload(_)), "{what}: {err}");
+            // A query no directory row survives seeks past the span rows,
+            // and still reconciles their length with the directory.
+            if rows.len() != SPAN_ROW {
+                let err = scan_segment(&path, &nowhere).unwrap_err();
+                assert!(matches!(err, StoreError::BadPayload(_)), "{what}: {err}");
+            }
+        }
+
+        write(&directory, &rows);
+        let mut trailing = std::fs::read(&path).unwrap();
+        trailing.push(0);
+        std::fs::write(&path, &trailing).unwrap();
+        for err in [
+            read_segment(&path).unwrap_err(),
+            read_segment_index(&path).map(|_| ()).unwrap_err(),
+        ] {
+            assert!(matches!(err, StoreError::BadPayload(_)), "trailing: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Half the draws land in `0..4`, so generated filters select
+    /// something; the other half take the full range.
+    fn mixed() -> impl Strategy<Value = u64> {
+        (any::<bool>(), 0u64..4, any::<u64>())
+            .prop_map(|(wide, small, full)| if wide { full } else { small })
+    }
+
+    /// Any span at all: no field is constrained by another.
+    fn stored_span() -> impl Strategy<Value = StoredSpan> {
+        (
+            (any::<u32>(), any::<u64>(), any::<u32>(), any::<u16>()),
+            (mixed(), mixed(), any::<u16>()),
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            (prop::option::of(0u32..3), prop::option::of(any::<u32>())),
+        )
+            .prop_map(|(caller, callee, ts, threads)| StoredSpan {
+                depth: caller.0,
+                record: RpcRecord {
+                    rpc: RpcId(caller.1),
+                    caller: ServiceId(caller.2),
+                    caller_replica: caller.3,
+                    callee: Endpoint::new(ServiceId(callee.0 as u32), OperationId(callee.1 as u32)),
+                    callee_replica: callee.2,
+                    send_req: Nanos(ts.0),
+                    recv_req: Nanos(ts.1),
+                    send_resp: Nanos(ts.2),
+                    recv_resp: Nanos(ts.3),
+                    caller_thread: threads.0,
+                    callee_thread: threads.1,
+                },
+            })
+    }
+
+    /// Any trace at all, the zero-span one included: `latency_ns` need not
+    /// be `end - start`, `start` need not precede `end`.
+    fn stored_trace() -> impl Strategy<Value = StoredTrace> {
+        (
+            (mixed(), any::<u64>(), mixed(), mixed(), mixed()),
+            any::<bool>(),
+            prop::collection::vec(stored_span(), 0..5),
+        )
+            .prop_map(|(header, degraded, spans)| StoredTrace {
+                window: header.0,
+                root: header.1,
+                start: header.2,
+                end: header.3,
+                latency_ns: header.4,
+                degraded,
+                spans,
+            })
+    }
+
+    /// A query with every filter set; [`masked`] clears a subset.
+    fn full_query() -> impl Strategy<Value = TraceQuery> {
+        (mixed(), mixed(), mixed(), mixed(), mixed(), mixed()).prop_map(|f| TraceQuery {
+            from_ns: Some(f.0),
+            to_ns: Some(f.1),
+            service: Some(f.2 as u32),
+            op: Some(f.3 as u32),
+            min_latency_ns: Some(f.4),
+            window: Some(f.5),
+            limit: 0,
+        })
+    }
+
+    /// `q` with only the filters whose bit is set in `mask` (6 bits).
+    fn masked(q: &TraceQuery, mask: u32) -> TraceQuery {
+        let keep = |bit: u32| mask & (1 << bit) != 0;
+        TraceQuery {
+            from_ns: q.from_ns.filter(|_| keep(0)),
+            to_ns: q.to_ns.filter(|_| keep(1)),
+            service: q.service.filter(|_| keep(2)),
+            op: q.op.filter(|_| keep(3)),
+            min_latency_ns: q.min_latency_ns.filter(|_| keep(4)),
+            window: q.window.filter(|_| keep(5)),
+            limit: 0,
+        }
+    }
+
+    fn brute_force(traces: &[StoredTrace], q: &TraceQuery) -> Vec<StoredTrace> {
+        traces.iter().filter(|t| q.matches(t)).cloned().collect()
+    }
+
+    proptest! {
+        /// Write, read, re-write: the same traces, the same index, the
+        /// same bytes — and every combination of filters scans to what
+        /// `TraceQuery::matches` selects from the traces in memory.
+        #[test]
+        fn any_segment_round_trips_and_scans_like_brute_force(
+            traces in prop::collection::vec(stored_trace(), 0..8),
+            q in full_query(),
+        ) {
+            let dir = fresh_dir("prop-rt");
+            let path = dir.join("seg-00000000.twsg");
+            let (bytes, index) = write_segment(&path, &traces).unwrap();
+            prop_assert_eq!(&index, &SegmentIndex::build(&traces));
+            prop_assert_eq!(read_segment_index(&path).unwrap(), index);
+            let read_back = read_segment(&path).unwrap();
+            prop_assert_eq!(&read_back, &traces);
+
+            let encoded: u64 = traces.iter().map(encoded_len).sum();
+            let footer = to_json(&SegmentIndex::build(&traces)).unwrap().len() as u64;
+            prop_assert_eq!(bytes, 8 + 3 * 12 + encoded + footer);
+            let again = dir.join("seg-00000001.twsg");
+            write_segment(&again, &read_back).unwrap();
+            prop_assert_eq!(std::fs::read(&again).unwrap(), std::fs::read(&path).unwrap());
+
+            for mask in 0..64 {
+                let q = masked(&q, mask);
+                prop_assert_eq!(
+                    scan_segment(&path, &q).unwrap(),
+                    brute_force(&traces, &q),
+                    "{:?}", q
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// A valid file with a bit flipped, a tail cut off, bytes added,
+        /// or a run of another valid file's bytes written over its own:
+        /// every reader answers with a typed error or with exactly what
+        /// the intact file holds — never a panic, never other traces.
+        #[test]
+        fn hostile_bytes_are_typed_errors_or_the_original(
+            traces in prop::collection::vec(stored_trace(), 0..6),
+            donor in prop::collection::vec(stored_trace(), 0..6),
+            q in full_query(),
+            mask in 0u32..64,
+            damage in (0u32..4, any::<u64>(), any::<u64>(), any::<u64>()),
+        ) {
+            let dir = fresh_dir("prop-hostile");
+            let path = dir.join("seg-00000000.twsg");
+            let (_, index) = write_segment(&path, &traces).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let (kind, a, b, c) = damage;
+            let pick = |n: u64, below: usize| (n % below as u64) as usize;
+            let len = bytes.len();
+            match kind {
+                0 => bytes[pick(a, len)] ^= 1 << (b % 8),
+                1 => bytes.truncate(pick(a, len)),
+                2 => bytes.extend(b.to_le_bytes().iter().take(1 + pick(a, 8))),
+                _ => {
+                    write_segment(&path, &donor).unwrap();
+                    let donor = std::fs::read(&path).unwrap();
+                    let from = pick(a, donor.len());
+                    let to = pick(b, len);
+                    let n = (1 + pick(c, 96)).min(donor.len() - from).min(len - to);
+                    bytes[to..to + n].copy_from_slice(&donor[from..from + n]);
+                }
+            }
+            std::fs::write(&path, &bytes).unwrap();
+
+            let q = masked(&q, mask);
+            if let Ok(read) = read_segment(&path) {
+                prop_assert_eq!(read, traces.clone());
+            }
+            if let Ok(read) = read_segment_index(&path) {
+                prop_assert_eq!(read, index);
+            }
+            if let Ok(hits) = scan_segment(&path, &q) {
+                prop_assert_eq!(hits, brute_force(&traces, &q));
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
