@@ -19,6 +19,11 @@ use tw_model::ids::Endpoint;
 use tw_model::span::ObservedSpan;
 use tw_model::time::Nanos;
 
+/// Closest feasible child spans considered per backend slot.
+const MAX_CHILDREN_PER_SLOT: usize = 8;
+/// Candidates enumerated per span before top-K selection.
+const MAX_CANDIDATES_PER_SPAN: usize = 128;
+
 /// Flattened slot layout of a dependency spec: `stages[k]` lists the
 /// endpoints called in stage `k`; `slot_index[k][j]` is the global slot id.
 #[derive(Debug, Clone)]
@@ -163,8 +168,8 @@ impl OutgoingPool {
 /// DFS over stages in dependency order; the reference time for stage `k`
 /// is the latest response among stage `k−1`'s chosen children (the
 /// dependency-order constraint (iii) of §4.1 step 1). Fan-out per slot is
-/// capped at `params.max_children_per_slot` (closest feasible first) and
-/// total candidates at `params.max_candidates_per_span`.
+/// capped at [`MAX_CHILDREN_PER_SLOT`] (closest feasible first) and total
+/// candidates at [`MAX_CANDIDATES_PER_SPAN`].
 ///
 /// When `allow_skips` is true a slot may be skipped (dynamism, §4.2); the
 /// all-skip candidate is included so a fully cached request can map to
@@ -216,7 +221,7 @@ fn dfs_stage(
     chosen: &mut Vec<Option<usize>>,
     out: &mut Vec<Candidate>,
 ) {
-    if out.len() >= params.max_candidates_per_span {
+    if out.len() >= MAX_CANDIDATES_PER_SPAN {
         return;
     }
     if stage == layout.stages.len() {
@@ -252,7 +257,7 @@ fn dfs_stage(
                     ref_t,
                     parent.start,
                     parent.end,
-                    params.max_children_per_slot,
+                    MAX_CHILDREN_PER_SLOT,
                     thread_ok,
                 )
                 .into_iter()
@@ -272,7 +277,7 @@ fn dfs_stage(
     // Cartesian product over the stage's slots.
     let mut combo = vec![0usize; endpoints.len()];
     'product: loop {
-        if out.len() >= params.max_candidates_per_span {
+        if out.len() >= MAX_CANDIDATES_PER_SPAN {
             return;
         }
         // Materialize this combination.
@@ -450,18 +455,15 @@ mod tests {
     fn fanout_cap_respected() {
         let spec = DependencySpec::new(vec![Stage::single(ep(1))]);
         let layout = SlotLayout::from_spec(&spec, true);
+        // More feasible children than the cap.
         let outgoing: Vec<ObservedSpan> = (0..50).map(|i| span(i, ep(1), 10 + i, 90)).collect();
         let pool = OutgoingPool::new(&outgoing);
         let parent = span(99, ep(0), 0, 100);
-        let params = Params {
-            max_children_per_slot: 4,
-            ..Params::default()
-        };
-        let cands = enumerate_candidates(0, &parent, &layout, &pool, &params, false);
-        assert_eq!(cands.len(), 4);
-        // Closest-first: the 4 earliest feasible spans.
+        let cands = enumerate_candidates(0, &parent, &layout, &pool, &Params::default(), false);
+        assert_eq!(cands.len(), MAX_CHILDREN_PER_SLOT);
+        // Closest-first: the earliest feasible spans.
         let picked: Vec<usize> = cands.iter().map(|c| c.children[0].unwrap()).collect();
-        assert_eq!(picked, vec![0, 1, 2, 3]);
+        assert_eq!(picked, (0..MAX_CHILDREN_PER_SLOT).collect::<Vec<_>>());
     }
 
     #[test]

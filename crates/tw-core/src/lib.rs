@@ -185,7 +185,7 @@ impl TraceWeaver {
 
     /// Warm-path reconstruction: tasks whose process appears in `prior`
     /// skip the seed bootstrap and start EM from the registry's models
-    /// (running [`Params::warm_iterations`] passes); the others seed cold.
+    /// (running one pass); the others seed cold.
     /// Returns the reconstruction plus the *posterior* registry — `prior`
     /// advanced by one absorb round with every task's final edge gaps
     /// (decayed reservoirs, weighted refit).

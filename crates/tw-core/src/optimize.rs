@@ -31,14 +31,15 @@ pub struct BatchAssignment {
 /// `per_parent[i]` holds parent `i`'s scored candidates, best first and
 /// already truncated to top-K. `deadline` is the reconstruction pass's
 /// shared wall-clock cutoff (degradation ladder, DESIGN.md §9); `None`
-/// leaves the solve bounded only by [`Params::mis_node_budget`].
+/// leaves the solve bounded only by the solver's
+/// [`tw_solver::mis::DEFAULT_NODE_BUDGET`].
 pub fn optimize_batch(
     per_parent: &[Vec<Candidate>],
     params: &Params,
     deadline: Option<std::time::Instant>,
 ) -> BatchAssignment {
     if params.use_joint_optimization {
-        optimize_mis(per_parent, params, deadline)
+        optimize_mis(per_parent, deadline)
     } else {
         BatchAssignment {
             picks: optimize_greedy(per_parent),
@@ -50,7 +51,6 @@ pub fn optimize_batch(
 /// Exact MIS-based joint optimization.
 fn optimize_mis(
     per_parent: &[Vec<Candidate>],
-    params: &Params,
     deadline: Option<std::time::Instant>,
 ) -> BatchAssignment {
     // Flatten vertices.
@@ -89,8 +89,8 @@ fn optimize_mis(
         }
     }
     let solution = g.solve(&SolveOptions {
-        node_budget: params.mis_node_budget,
         deadline,
+        ..SolveOptions::default()
     });
 
     let mut out = vec![None; per_parent.len()];

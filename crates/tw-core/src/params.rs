@@ -19,19 +19,9 @@ pub struct Params {
     /// Buckets used for the seed-distribution variance estimate
     /// (Table 1: R = 10).
     pub seed_buckets: usize,
-    /// Most passes of steps 3–5 a task runs (≥ 1; the first uses seed
-    /// Gaussians). A task stops sooner once a pass moves no edge's gaps.
-    pub iterations: usize,
-    /// Per-slot fan-out cap during candidate enumeration (closest feasible
-    /// child spans considered per backend slot).
-    pub max_children_per_slot: usize,
-    /// Cap on enumerated candidates per span before top-K selection.
-    pub max_candidates_per_span: usize,
     /// Log-density penalty charged for each skip span used by a candidate
     /// (dynamism handling, §4.2).
     pub skip_log_penalty: f64,
-    /// Branch-and-bound node budget for the MIS solver.
-    pub mis_node_budget: u64,
     /// Wall-clock budget, in microseconds, shared by all MIS solves of one
     /// reconstruction pass (0 = unbounded). When the deadline expires each
     /// remaining batch ships its greedy incumbent and is counted in
@@ -56,22 +46,6 @@ pub struct Params {
     /// deployment when that is known to hold. Off by default.
     pub use_thread_hints: bool,
 
-    // --- Warm-start delay registry ---
-    /// Multiplicative down-weighting applied to every delay-registry
-    /// reservoir sample per absorb round: fresh gaps enter at weight 1,
-    /// a sample from `k` rounds ago counts `delay_decay^k`. Lower values
-    /// track load shifts / deploys faster; 1.0 never forgets.
-    pub delay_decay: f64,
-    /// Maximum gap samples retained per registry edge; the oldest are
-    /// evicted first. Bounds absorb cost independent of uptime.
-    pub reservoir_capacity: usize,
-    /// Iterations of steps 3–5 when a task starts from a warm prior. The
-    /// prior already encodes cross-window evidence, so a single
-    /// score-and-optimize pass suffices by default — model refinement
-    /// happens in the registry's absorb step instead of inside the task.
-    /// Clamped to at least 1; ignored on cold starts.
-    pub warm_iterations: usize,
-
     // --- Ablation toggles (Figure 5) ---
     /// Use the dependency order to constrain candidates (line 3 of the
     /// ablation: "using invocation order to apply constraints").
@@ -92,18 +66,11 @@ impl Default for Params {
             top_k: 5,
             max_gmm_components: 5,
             seed_buckets: 10,
-            iterations: 3,
-            max_children_per_slot: 8,
-            max_candidates_per_span: 128,
             skip_log_penalty: -14.0,
-            mis_node_budget: tw_solver::mis::DEFAULT_NODE_BUDGET,
             solver_deadline_us: 0,
             threads: 1,
             handle_dynamism: false,
             use_thread_hints: false,
-            delay_decay: 0.5,
-            reservoir_capacity: 512,
-            warm_iterations: 1,
             use_order_constraints: true,
             use_iteration: true,
             use_joint_optimization: true,
@@ -176,22 +143,6 @@ impl Params {
             std::time::Instant::now() + std::time::Duration::from_micros(self.solver_deadline_us)
         })
     }
-
-    /// Effective iteration count after the ablation toggle.
-    pub fn effective_iterations(&self) -> usize {
-        if self.use_iteration {
-            self.iterations.max(1)
-        } else {
-            1
-        }
-    }
-
-    /// Iteration count for warm-started tasks: the prior replaces the seed
-    /// pass, so fewer refit rounds are needed. Respects the iteration
-    /// ablation and never exceeds the cold count.
-    pub fn effective_warm_iterations(&self) -> usize {
-        self.warm_iterations.max(1).min(self.effective_iterations())
-    }
 }
 
 #[cfg(test)]
@@ -228,36 +179,8 @@ mod tests {
         let p = Params::default().ablate_order_constraints();
         assert!(!p.use_order_constraints);
         let p = Params::default().ablate_iteration();
-        assert_eq!(p.effective_iterations(), 1);
+        assert!(!p.use_iteration);
         let p = Params::default().ablate_joint_optimization();
         assert!(!p.use_joint_optimization);
-    }
-
-    #[test]
-    fn warm_iterations_clamped() {
-        let p = Params::default();
-        assert!(p.delay_decay > 0.0 && p.delay_decay <= 1.0);
-        assert!(p.reservoir_capacity > 0);
-        assert_eq!(p.effective_warm_iterations(), 1);
-        let p = Params {
-            warm_iterations: 10,
-            ..Params::default()
-        };
-        assert_eq!(
-            p.effective_warm_iterations(),
-            p.effective_iterations(),
-            "warm count never exceeds cold"
-        );
-        let p = Params::default().ablate_iteration();
-        assert_eq!(p.effective_warm_iterations(), 1);
-    }
-
-    #[test]
-    fn effective_iterations_floor() {
-        let p = Params {
-            iterations: 0,
-            ..Params::default()
-        };
-        assert_eq!(p.effective_iterations(), 1);
     }
 }

@@ -12,10 +12,10 @@
 //! a bounded reservoir of the gap samples that produced it. After each
 //! round the caller feeds the round's inferred gaps back via
 //! [`DelayRegistry::absorb`]: existing reservoir samples are decayed by
-//! [`crate::Params::delay_decay`], fresh samples enter at weight 1, the
-//! reservoir is truncated to [`crate::Params::reservoir_capacity`], and
-//! the edge's GMM is refit with a *weighted* EM (BIC-selected component
-//! count over the effective sample size). Exponential decay means the
+//! [`DELAY_DECAY`], fresh samples enter at weight 1, the reservoir is
+//! truncated to [`RESERVOIR_CAPACITY`], and the edge's GMM is refit with
+//! a *weighted* EM (BIC-selected component count over the effective
+//! sample size). Exponential decay means the
 //! model tracks load shifts and redeploys instead of averaging over them;
 //! the bound keeps absorb cost independent of uptime.
 //!
@@ -31,9 +31,19 @@ use std::collections::{BTreeMap, HashMap};
 use tw_model::span::ProcessKey;
 use tw_stats::gmm::{Gmm, GmmFitOptions};
 
-/// Decayed samples below this weight are evicted: with the default decay
-/// of 0.5 a sample survives ~7 absorb rounds before falling out, bounding
-/// how long a dead delay regime can linger.
+/// Multiplicative down-weighting applied to every reservoir sample per
+/// absorb round: fresh gaps enter at weight 1, a sample from `k` rounds
+/// ago counts `DELAY_DECAY^k`, so the model tracks load shifts and deploys
+/// instead of averaging over them.
+const DELAY_DECAY: f64 = 0.5;
+
+/// Gap samples retained per edge, oldest evicted first: bounds absorb cost
+/// independent of uptime.
+const RESERVOIR_CAPACITY: usize = 512;
+
+/// Decayed samples below this weight are evicted: at [`DELAY_DECAY`] a
+/// sample survives ~7 absorb rounds before falling out, bounding how long
+/// a dead delay regime can linger.
 const MIN_RESERVOIR_WEIGHT: f64 = 1e-2;
 
 /// Largest gap magnitude (µs) accepted into a reservoir: one minute.
@@ -46,9 +56,9 @@ const MAX_ABS_GAP_US: f64 = 60.0e6;
 /// A bounded reservoir of gap samples with exponentially decayed weights.
 ///
 /// Samples are stored oldest-first; every [`GapReservoir::absorb`] call
-/// multiplies existing weights by the decay factor, appends the new
+/// multiplies existing weights by [`DELAY_DECAY`], appends the new
 /// window's samples at weight 1, and evicts from the front (oldest) when
-/// over capacity or below the weight floor.
+/// over [`RESERVOIR_CAPACITY`] or below the weight floor.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GapReservoir {
     /// `(gap_us, weight)`, oldest first.
@@ -70,16 +80,16 @@ impl GapReservoir {
     }
 
     /// Decay existing samples, append `fresh` at weight 1, truncate to
-    /// `capacity` by evicting the oldest.
-    pub fn absorb(&mut self, fresh: &[f64], decay: f64, capacity: usize) {
+    /// [`RESERVOIR_CAPACITY`] by evicting the oldest.
+    pub fn absorb(&mut self, fresh: &[f64]) {
         for (_, w) in self.samples.iter_mut() {
-            *w *= decay;
+            *w *= DELAY_DECAY;
         }
         self.samples.retain(|&(_, w)| w >= MIN_RESERVOIR_WEIGHT);
         self.samples.extend(fresh.iter().map(|&g| (g, 1.0)));
-        let cap = capacity.max(1);
-        if self.samples.len() > cap {
-            self.samples.drain(..self.samples.len() - cap);
+        if self.samples.len() > RESERVOIR_CAPACITY {
+            self.samples
+                .drain(..self.samples.len() - RESERVOIR_CAPACITY);
         }
     }
 
@@ -266,7 +276,7 @@ impl DelayRegistry {
         // Registry fits are warm-start priors, not final scoring models:
         // each gets refined again inside the next task's EM loop, so a
         // looser tolerance and iteration cap keep absorb cheap (it runs
-        // once per window over up to `reservoir_capacity` samples/edge)
+        // once per window over up to `RESERVOIR_CAPACITY` samples/edge)
         // without hurting downstream accuracy.
         let opts = GmmFitOptions {
             max_components: params.max_gmm_components,
@@ -297,9 +307,7 @@ impl DelayRegistry {
                 model: Gmm::single(tw_stats::gaussian::Gaussian::new(0.0, 1.0)),
                 reservoir: GapReservoir::default(),
             });
-            state
-                .reservoir
-                .absorb(&fresh, params.delay_decay, params.reservoir_capacity);
+            state.reservoir.absorb(&fresh);
             let (xs, ws) = state.reservoir.columns();
             if xs.is_empty() {
                 continue;
@@ -403,10 +411,7 @@ mod tests {
     #[test]
     fn decay_shifts_model_toward_fresh_regime() {
         let mut reg = DelayRegistry::new();
-        let p = Params {
-            delay_decay: 0.2,
-            ..Params::default()
-        };
+        let p = Params::default();
         let key = ekey(0, 0);
         // Old regime at 10us for 3 rounds, then a deploy moves it to 80us.
         let mut old = HashMap::new();
@@ -432,19 +437,19 @@ mod tests {
     fn reservoir_is_bounded() {
         let mut res = GapReservoir::default();
         for _ in 0..20 {
-            res.absorb(&vec![1.0; 100], 0.9, 256);
+            res.absorb(&[1.0; 400]);
         }
-        assert!(res.len() <= 256);
-        assert!(res.total_weight() <= 256.0 + 1e-9);
+        assert_eq!(res.len(), RESERVOIR_CAPACITY);
+        assert!(res.total_weight() <= RESERVOIR_CAPACITY as f64 + 1e-9);
     }
 
     #[test]
     fn reservoir_evicts_fully_decayed_samples() {
         let mut res = GapReservoir::default();
-        res.absorb(&[5.0, 6.0], 0.5, 1024);
+        res.absorb(&[5.0, 6.0]);
         // 8 empty rounds: 0.5^8 ≈ 0.004 < floor, so the originals vanish.
         for _ in 0..8 {
-            res.absorb(&[], 0.5, 1024);
+            res.absorb(&[]);
         }
         assert!(res.is_empty());
     }

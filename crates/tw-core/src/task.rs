@@ -14,6 +14,11 @@ use tw_model::ids::{Endpoint, RpcId};
 use tw_model::mapping::{Mapping, RankedMapping};
 use tw_model::span::SpanView;
 
+/// Most passes of steps 3–5 a cold task runs; the first scores under the
+/// seed Gaussians, and a task stops sooner once a pass moves no edge's
+/// gaps (DESIGN.md §7).
+const MAX_ITERATIONS: usize = 3;
+
 /// Diagnostics from one task, used for confidence scores (§6.3.2) and the
 /// evaluation harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -90,8 +95,9 @@ impl<'a> ReconstructionTask<'a> {
 
     /// Provide a warm-start prior delay model. The task skips the
     /// seed-Gaussian / WAP5 bootstrap, starts EM from the prior, and runs
-    /// [`Params::effective_warm_iterations`] passes instead of the cold
-    /// count. An empty prior is ignored (cold behavior).
+    /// one pass: the prior already encodes cross-window evidence, and
+    /// refinement happens in the registry's absorb step instead. An empty
+    /// prior is ignored (cold behavior).
     pub fn with_prior(mut self, prior: &'a DelayModel) -> Self {
         self.prior = Some(prior);
         self
@@ -271,12 +277,13 @@ impl<'a> ReconstructionTask<'a> {
         }
         telemetry.skip_budget.add(budget.total() as u64);
 
-        // §4.1 step 6 iterates "to convergence": the configured count is
-        // the cap, the fixed point below is the exit.
-        let max_iterations = if warm {
-            params.effective_warm_iterations()
+        // §4.1 step 6 iterates "to convergence": `MAX_ITERATIONS` is the
+        // cap, the fixed point below is the exit. A warm task, like the
+        // iteration ablation, runs the one pass.
+        let max_iterations = if warm || !params.use_iteration {
+            1
         } else {
-            params.effective_iterations()
+            MAX_ITERATIONS
         };
         let exec = Executor::from_params(params);
         // Wall-clock cutoff shared by every MIS solve below: an explicit
@@ -771,7 +778,7 @@ mod tests {
                     let what = format!("{} {key:?} dynamism={}", app.name, params.handle_dynamism);
                     let task = ReconstructionTask::new(&graph, &params, &view);
                     let (report, gaps) = assert_matches_exhaustive_loop(task, &what);
-                    early_exits += usize::from(report.iterations < params.iterations);
+                    early_exits += usize::from(report.iterations < MAX_ITERATIONS);
                     for (edge, gaps) in gaps.iter().filter(|_| !params.handle_dynamism) {
                         edges += 1;
                         if !sweep_matches_exhaustive(gaps) {
@@ -875,7 +882,7 @@ mod tests {
         let params = Params::default();
         let task = ReconstructionTask::new(&g, &params, &view);
         let (report, _) = assert_matches_exhaustive_loop(task, "ambiguous");
-        assert_eq!(report.iterations, params.iterations);
+        assert_eq!(report.iterations, MAX_ITERATIONS);
     }
 
     /// Ranked output contains the truth within top-K even under ambiguity.

@@ -214,20 +214,13 @@ fn gmm_iterations_help_on_bimodal_gaps() {
     let sim = Simulator::new(config).unwrap();
     let out = sim.run(&Workload::poisson(root, 900.0, Nanos::from_millis(1_000)));
 
-    let acc = |iters: usize| {
-        let mut p = Params {
-            iterations: iters,
-            ..Params::default()
-        };
-        if iters == 1 {
-            p = p.ablate_iteration();
-        }
+    let acc = |p: Params| {
         let tw = TraceWeaver::new(call_graph.clone(), p);
         end_to_end_accuracy_all_roots(&tw.reconstruct_records(&out.records).mapping, &out.truth)
             .ratio()
     };
-    let one = acc(1);
-    let three = acc(3);
+    let one = acc(Params::default().ablate_iteration());
+    let three = acc(Params::default());
     assert!(
         three >= one - 0.01,
         "iterating must not hurt: 1 iter {one}, 3 iters {three}"

@@ -1,7 +1,8 @@
-//! Property-based tests for the reconstruction algorithm's invariants.
+//! Property-based tests for the reconstruction algorithm's invariants,
+//! on hand-built span layouts and on simulated workloads.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use tw_core::batching::make_batches;
 use tw_core::candidates::{enumerate_candidates, OutgoingPool, SlotLayout};
 use tw_core::delays::edge_gaps;
@@ -9,8 +10,10 @@ use tw_core::params::Params;
 use tw_core::{Params as P, TraceWeaver};
 use tw_model::callgraph::{CallGraph, DependencySpec, Stage};
 use tw_model::ids::{Endpoint, OperationId, RpcId, ServiceId};
-use tw_model::span::{ObservedSpan, SpanView};
+use tw_model::span::{ObservedSpan, RpcRecord, SpanView};
 use tw_model::time::Nanos;
+use tw_sim::apps::{hotel_reservation, media_microservices, nodejs_app};
+use tw_sim::{Simulator, Workload};
 
 fn ep(s: u32) -> Endpoint {
     Endpoint::new(ServiceId(s), OperationId(0))
@@ -160,6 +163,66 @@ proptest! {
             for &k in kids {
                 prop_assert!(used.insert(k));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every mapping reconstructed from a simulated workload obeys the
+    /// paper's constraints (§4.1 step 1): each child lies inside its
+    /// parent on the process clock, a later dependency stage starts only
+    /// after every child of an earlier one has ended, no child has two
+    /// parents, and the ranked top-K list holds the chosen child set.
+    #[test]
+    fn simulated_mappings_satisfy_paper_invariants(
+        app in 0usize..3,
+        seed in any::<u64>(),
+        rps in 100.0f64..900.0,
+        dynamism in any::<bool>(),
+    ) {
+        let app = match app {
+            0 => hotel_reservation(seed),
+            1 => media_microservices(seed),
+            _ => nodejs_app(seed),
+        };
+        let graph = app.config.call_graph();
+        let out = Simulator::new(app.config)
+            .unwrap()
+            .run(&Workload::poisson(app.roots[0], rps, Nanos::from_millis(200)));
+        let params = if dynamism { P::with_dynamism() } else { P::default() };
+        let result = TraceWeaver::new(graph.clone(), params).reconstruct_records(&out.records);
+        let records: HashMap<RpcId, &RpcRecord> = out.records.iter().map(|r| (r.rpc, r)).collect();
+        prop_assert!(!result.mapping.is_empty(), "nothing mapped");
+
+        let mut used: HashSet<RpcId> = HashSet::new();
+        for (parent, kids) in result.mapping.iter() {
+            let p = records[&parent];
+            let stages_of = |e: Endpoint| -> Vec<usize> {
+                let spec = graph.get(p.callee).expect("a mapped parent has a spec");
+                (0..spec.stages.len()).filter(|&k| spec.stages[k].calls.contains(&e)).collect()
+            };
+            for &k in kids {
+                prop_assert!(used.insert(k), "span {k:?} has two parents");
+                let c = records[&k];
+                prop_assert!(
+                    p.recv_req <= c.send_req && c.recv_resp <= p.send_resp,
+                    "child {k:?} outside parent {parent:?}"
+                );
+            }
+            for &a in kids {
+                for &b in kids {
+                    let (a, b) = (records[&a], records[&b]);
+                    let (sa, sb) = (stages_of(a.callee), stages_of(b.callee));
+                    if sa.iter().max() < sb.iter().min() {
+                        prop_assert!(a.recv_resp <= b.send_req, "stage order under {parent:?}");
+                    }
+                }
+            }
+            let ranked = result.ranked.candidates(parent);
+            prop_assert!(ranked.len() <= params.top_k);
+            prop_assert!(ranked.iter().any(|c| c.as_slice() == kids), "{parent:?} unranked");
         }
     }
 }

@@ -335,7 +335,7 @@ mod tests {
             window_ns: 1_000_000_000,
             sanitizer: Some(SanitizerSnapshot {
                 watermark: 77,
-                records_seen: 9,
+                records_since_resolve: 9,
                 ..SanitizerSnapshot::default()
             }),
             registry: None,
@@ -348,7 +348,7 @@ mod tests {
         assert_eq!(loaded.window_ns, 1_000_000_000);
         let snap = loaded.sanitizer.unwrap();
         assert_eq!(snap.watermark, 77);
-        assert_eq!(snap.records_seen, 9);
+        assert_eq!(snap.records_since_resolve, 9);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

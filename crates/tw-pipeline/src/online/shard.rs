@@ -27,8 +27,6 @@ pub(super) struct EngineMetrics {
     transitions: [Counter; 4],
     latency: Histogram,
     pickup_queue_depth: Histogram,
-    queue_depth: Gauge,
-    records: Counter,
     shed_records: Counter,
     warm_edges: Gauge,
     /// When set, window-latency observations of self-traced windows carry
@@ -67,14 +65,6 @@ impl EngineMetrics {
                 "Windows waiting in the work queue when a worker picked one up.",
                 Buckets::fixed(&[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
             ),
-            queue_depth: registry.gauge(
-                "tw_engine_queue_depth",
-                "Work-queue depth at the most recent window pickup.",
-            ),
-            records: registry.counter(
-                "tw_engine_records_total",
-                "Records processed through windows (reconstructed or shed).",
-            ),
             shed_records: registry.counter(
                 "tw_engine_shed_records_total",
                 "Records carried through unreconstructed because their window was skipped.",
@@ -110,8 +100,6 @@ impl EngineMetrics {
             None => self.latency.observe(latency),
         }
         self.pickup_queue_depth.observe(result.queue_depth as f64);
-        self.queue_depth.set(result.queue_depth as f64);
-        self.records.add(result.records.len() as u64);
         self.shed_records.add(result.shed_records as u64);
         if result.warm_edges > 0 {
             self.warm_edges.set(result.warm_edges as f64);

@@ -33,10 +33,9 @@
 //!    Resolving per *service* (not per edge) is what keeps each
 //!    process's incoming and outgoing spans mutually consistent —
 //!    correcting each record against only its own edge would tear a
-//!    process's two span sides into different clock frames. Edges that
-//!    stop producing samples can be aged out ([`SanitizeConfig::
-//!    skew_edge_ttl`]), and services that fall out of the resolved map
-//!    have their gauges zeroed rather than exporting stale offsets;
+//!    process's two span sides into different clock frames. An edge
+//!    stays in the resolution once seen (the service graph bounds how
+//!    many there are), holding its last estimate while it is idle;
 //! 5. **late arrival** — optionally, records arriving more than a
 //!    horizon behind the sanitizer's watermark are dropped with an
 //!    explicit counter instead of landing in long-closed windows.
@@ -61,16 +60,18 @@ use tw_model::span::{RpcRecord, EXTERNAL};
 use tw_model::time::Nanos;
 use tw_telemetry::{Counter, Gauge, Registry};
 
+/// How many recent `RpcId`s the dedup filter remembers. Duplicates
+/// arriving further apart than this pass through; the filter's memory is
+/// bounded regardless of stream length.
+const DEDUP_CAPACITY: usize = 65_536;
+
+/// Re-solve the per-service offsets from the edge estimates every this
+/// many records (count-based, so the stage stays deterministic).
+const SKEW_RESOLVE_INTERVAL: u64 = 64;
+
 /// Sanitizer configuration.
 #[derive(Debug, Clone)]
 pub struct SanitizeConfig {
-    /// How many recent `RpcId`s the dedup filter remembers. Duplicates
-    /// arriving further apart than this pass through; the filter's
-    /// memory is bounded regardless of stream length.
-    pub dedup_capacity: usize,
-    /// Re-solve the per-service offsets from the edge estimates every
-    /// this many records (count-based, so the stage stays deterministic).
-    pub skew_resolve_interval: u64,
     /// Track per-edge clock *drift* (offset slope) with a windowed
     /// least-squares fit, and correct every timestamp as
     /// `offset + drift · (ts − anchor)`. When disabled, correction falls
@@ -78,11 +79,6 @@ pub struct SanitizeConfig {
     /// behavior) — also the per-edge fallback while a ring is too small
     /// or too clustered for a trustworthy slope.
     pub drift_correction: bool,
-    /// Age out edges that produced no skew sample within this many
-    /// received records; a service orphaned by the pruning drops out of
-    /// the resolved map and its gauges are zeroed. `None` keeps edges
-    /// (and their last estimates) forever.
-    pub skew_edge_ttl: Option<u64>,
     /// Drop records whose corrected `recv_resp` is more than this behind
     /// the watermark. `None` admits arbitrarily late records.
     pub late_horizon: Option<Nanos>,
@@ -91,10 +87,7 @@ pub struct SanitizeConfig {
 impl Default for SanitizeConfig {
     fn default() -> Self {
         SanitizeConfig {
-            dedup_capacity: 65_536,
-            skew_resolve_interval: 64,
             drift_correction: true,
-            skew_edge_ttl: None,
             late_horizon: None,
         }
     }
@@ -226,8 +219,6 @@ struct EdgeSkew {
     /// Last resolved fit `(offset at anchor, drift)` — the prediction
     /// baseline for innovation accounting.
     fit: Option<(f64, f64)>,
-    /// Record counter at this edge's most recent sample, for TTL aging.
-    last_seen: u64,
 }
 
 impl EdgeSkew {
@@ -328,7 +319,6 @@ pub struct Sanitizer {
     /// time coordinates are relative to it, so the f64 math downstream
     /// only ever sees stream-local magnitudes.
     anchor: Option<Nanos>,
-    records_seen: u64,
     records_since_resolve: u64,
     watermark: Nanos,
 }
@@ -354,7 +344,6 @@ impl Sanitizer {
             edges: BTreeMap::new(),
             offsets: BTreeMap::new(),
             anchor: None,
-            records_seen: 0,
             records_since_resolve: 0,
             watermark: Nanos::ZERO,
         }
@@ -388,7 +377,6 @@ impl Sanitizer {
     /// (the reason is counted in [`SanitizeStats`]).
     pub fn sanitize(&mut self, rec: RpcRecord) -> Option<RpcRecord> {
         self.metrics.received.inc();
-        self.records_seen += 1;
         // The drift anchor is the first timestamp ever seen (caller's
         // side, pre-correction): every later time coordinate is relative
         // to it, keeping drift math in stream-local magnitudes.
@@ -410,7 +398,7 @@ impl Sanitizer {
         }
         self.seen.insert(rec.rpc);
         self.ring.push_back(rec.rpc);
-        if self.ring.len() > self.cfg.dedup_capacity {
+        if self.ring.len() > DEDUP_CAPACITY {
             if let Some(old) = self.ring.pop_front() {
                 self.seen.remove(&old);
             }
@@ -430,7 +418,7 @@ impl Sanitizer {
         let mut rec = rec;
         self.observe_skew(&rec);
         self.records_since_resolve += 1;
-        if self.offsets.is_empty() || self.records_since_resolve >= self.cfg.skew_resolve_interval {
+        if self.offsets.is_empty() || self.records_since_resolve >= SKEW_RESOLVE_INTERVAL {
             self.resolve_offsets();
             self.records_since_resolve = 0;
         }
@@ -494,7 +482,6 @@ impl Sanitizer {
         // perturbs the coordinate only at second order (ppm of ppm).
         let mid = self.rel(Nanos((rec.send_req.0 / 2) + (rec.recv_resp.0 / 2)));
         let key = (rec.caller, rec.callee.service);
-        let records_seen = self.records_seen;
         let edge = self.edges.entry(key).or_insert_with(|| EdgeSkew {
             // First sample seeds the EWMA directly: a fresh edge must
             // not spend ~1/α samples converging on a constant offset.
@@ -502,13 +489,11 @@ impl Sanitizer {
             samples: 0,
             ring: VecDeque::new(),
             fit: None,
-            last_seen: records_seen,
         });
         if edge.samples > 0 {
             edge.offset += SKEW_ALPHA * (sample - edge.offset);
         }
         edge.samples += 1;
-        edge.last_seen = records_seen;
         if self.cfg.drift_correction {
             self.metrics.drift_samples.inc();
             if let Some((a, b)) = edge.fit {
@@ -531,16 +516,9 @@ impl Sanitizer {
     /// drift)` additively along edges. `EXTERNAL` anchors the frame at
     /// `(0, 0)` when present; any disconnected component is anchored at
     /// its smallest service id. Deterministic: adjacency and visit order
-    /// come from `BTreeMap` iteration. Edges idle past
-    /// [`SanitizeConfig::skew_edge_ttl`] are pruned first, and services
-    /// that fall out of the resolution get their gauges zeroed instead
-    /// of exporting stale values.
+    /// come from `BTreeMap` iteration. Edges are never removed, so a
+    /// service, once resolved, stays in the resolution.
     fn resolve_offsets(&mut self) {
-        if let Some(ttl) = self.cfg.skew_edge_ttl {
-            let now = self.records_seen;
-            self.edges
-                .retain(|_, edge| now.saturating_sub(edge.last_seen) <= ttl);
-        }
         let mut adjacency: BTreeMap<ServiceId, Vec<(ServiceId, f64, f64)>> = BTreeMap::new();
         for (&(caller, callee), edge) in self.edges.iter_mut() {
             let (offset, drift) = edge.solve(self.cfg.drift_correction);
@@ -603,18 +581,6 @@ impl Sanitizer {
             });
             drift_gauge.set(model.drift * 1e9);
         }
-        // Services that fell out of the resolution (all their edges aged
-        // out) must not keep exporting their last offset forever.
-        for (svc, gauge) in &self.skew_gauges {
-            if !models.contains_key(svc) {
-                gauge.set(0.0);
-            }
-        }
-        for (svc, gauge) in &self.drift_gauges {
-            if !models.contains_key(svc) {
-                gauge.set(0.0);
-            }
-        }
         self.offsets = models;
     }
 
@@ -665,7 +631,6 @@ pub struct EdgeSkewSnapshot {
     pub ring: Vec<(i64, f64)>,
     pub fit_offset: Option<f64>,
     pub fit_drift: Option<f64>,
-    pub last_seen: u64,
 }
 
 /// Serializable image of one service's resolved clock model.
@@ -689,7 +654,6 @@ pub struct SanitizerSnapshot {
     pub anchor: Option<u64>,
     /// Sanitizer watermark (ns): max corrected `recv_resp` seen.
     pub watermark: u64,
-    pub records_seen: u64,
     pub records_since_resolve: u64,
     /// Dedup ring contents (RpcIds), oldest first.
     pub dedup_ring: Vec<u64>,
@@ -703,7 +667,6 @@ impl Sanitizer {
         SanitizerSnapshot {
             anchor: self.anchor.map(|a| a.0),
             watermark: self.watermark.0,
-            records_seen: self.records_seen,
             records_since_resolve: self.records_since_resolve,
             dedup_ring: self.ring.iter().map(|id| id.0).collect(),
             edges: self
@@ -717,7 +680,6 @@ impl Sanitizer {
                     ring: e.ring.iter().copied().collect(),
                     fit_offset: e.fit.map(|(o, _)| o),
                     fit_drift: e.fit.map(|(_, d)| d),
-                    last_seen: e.last_seen,
                 })
                 .collect(),
             services: self
@@ -739,7 +701,6 @@ impl Sanitizer {
     pub fn restore(&mut self, snap: &SanitizerSnapshot) {
         self.anchor = snap.anchor.map(Nanos);
         self.watermark = Nanos(snap.watermark);
-        self.records_seen = snap.records_seen;
         self.records_since_resolve = snap.records_since_resolve;
         self.ring = snap.dedup_ring.iter().map(|&id| RpcId(id)).collect();
         self.seen = snap.dedup_ring.iter().map(|&id| RpcId(id)).collect();
@@ -757,7 +718,6 @@ impl Sanitizer {
                             (Some(o), Some(d)) => Some((o, d)),
                             _ => None,
                         },
-                        last_seen: e.last_seen,
                     },
                 )
             })
@@ -969,20 +929,18 @@ mod tests {
 
     #[test]
     fn duplicates_rejected_within_bounded_memory() {
-        let mut s = Sanitizer::new(SanitizeConfig {
-            dedup_capacity: 2,
-            ..SanitizeConfig::default()
-        });
-        assert!(s.sanitize(rec(1, 0)).is_some());
-        assert!(s.sanitize(rec(1, 0)).is_none(), "immediate dup rejected");
-        assert!(s.sanitize(rec(2, 500)).is_some());
-        assert!(s.sanitize(rec(3, 1_000)).is_some());
-        // Id 1 has been evicted from the 2-slot ring by now: a very late
-        // duplicate passes — the price of bounded memory.
-        assert!(s.sanitize(rec(1, 0)).is_some());
+        let mut s = Sanitizer::new(SanitizeConfig::default());
+        assert!(s.sanitize(rec(0, 0)).is_some());
+        assert!(s.sanitize(rec(0, 0)).is_none(), "immediate dup rejected");
+        // Capacity more distinct ids push id 0 out of the ring: a very
+        // late duplicate passes — the price of bounded memory.
+        for id in 1..=DEDUP_CAPACITY as u64 {
+            assert!(s.sanitize(rec(id, id)).is_some());
+        }
+        assert!(s.sanitize(rec(0, 0)).is_some());
         assert_eq!(s.stats().duplicates, 1);
-        assert!(s.ring.len() <= 2);
-        assert!(s.seen.len() <= 2);
+        assert_eq!(s.ring.len(), DEDUP_CAPACITY);
+        assert_eq!(s.seen.len(), DEDUP_CAPACITY);
     }
 
     #[test]
@@ -1010,10 +968,7 @@ mod tests {
 
     #[test]
     fn skew_estimated_and_corrected_per_edge() {
-        let mut s = Sanitizer::new(SanitizeConfig {
-            skew_resolve_interval: 8,
-            ..SanitizeConfig::default()
-        });
+        let mut s = Sanitizer::new(SanitizeConfig::default());
         let skew = 5_000_000i64; // callee clock 5ms fast
         let clean: Vec<RpcRecord> = (0..200).map(|i| rec(i, 1_000 + i * 500)).collect();
         let skewed: Vec<RpcRecord> = clean
@@ -1048,10 +1003,7 @@ mod tests {
         // EXTERNAL → A → B with B's clock 2ms fast: A's offset resolves
         // to ~0, B's to ~2ms, so A's incoming span and A's outgoing span
         // (the A→B record's caller side) stay in one frame.
-        let mut s = Sanitizer::new(SanitizeConfig {
-            skew_resolve_interval: 4,
-            ..SanitizeConfig::default()
-        });
+        let mut s = Sanitizer::new(SanitizeConfig::default());
         let skew = 2_000_000u64;
         let a = ServiceId(0);
         let b = ServiceId(1);
@@ -1197,55 +1149,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_service_gauges_zeroed_when_edges_age_out() {
-        let registry = Registry::new();
-        let mut s = Sanitizer::new_in(
-            SanitizeConfig {
-                skew_resolve_interval: 8,
-                skew_edge_ttl: Some(32),
-                ..SanitizeConfig::default()
-            },
-            &registry,
-        );
-        let skew = 4_000_000u64;
-        // Edge EXTERNAL→0 with a real offset...
-        for i in 0..32u64 {
-            let mut r = rec(i, 1_000 + i * 500);
-            r.recv_req = Nanos(r.recv_req.0 + skew);
-            r.send_resp = Nanos(r.send_resp.0 + skew);
-            s.sanitize(r);
-        }
-        let offset_gauge = registry.gauge_with(
-            "tw_sanitize_skew_offset_ns",
-            "Resolved per-service clock offset (ns) relative to the anchor frame.",
-            &[("service", "0")],
-        );
-        let drift_gauge = registry.gauge_with(
-            "tw_sanitize_drift_ppb",
-            "Resolved per-service clock drift rate (parts per billion) relative to the anchor frame.",
-            &[("service", "0")],
-        );
-        assert!(
-            offset_gauge.get() > 1_000_000.0,
-            "offset gauge live while edge is fresh: {}",
-            offset_gauge.get()
-        );
-        // ...then the edge goes silent while another keeps the stream
-        // alive long enough for the TTL (32 records) to expire it.
-        for i in 0..64u64 {
-            let mut r = rec(1_000 + i, 50_000 + i * 500);
-            r.callee.service = ServiceId(1);
-            s.sanitize(r);
-        }
-        assert!(
-            s.service_model(ServiceId(0)).is_none(),
-            "aged-out service still resolved"
-        );
-        assert_eq!(offset_gauge.get(), 0.0, "stale offset gauge not zeroed");
-        assert_eq!(drift_gauge.get(), 0.0, "stale drift gauge not zeroed");
-    }
-
-    #[test]
     fn late_records_dropped_beyond_horizon() {
         let mut s = Sanitizer::new(SanitizeConfig {
             late_horizon: Some(Nanos::from_millis(1)),
@@ -1294,10 +1197,7 @@ mod tests {
         // Feed a skewed + drifting stream, snapshot mid-way, and check a
         // restored sanitizer corrects the remainder bit-identically to
         // the uninterrupted one.
-        let cfg = SanitizeConfig {
-            skew_resolve_interval: 8,
-            ..SanitizeConfig::default()
-        };
+        let cfg = SanitizeConfig::default();
         let (_, skewed) = drifting_stream(400, 1_000, 3_000_000, 150.0);
         let (head, tail) = skewed.split_at(200);
 

@@ -233,7 +233,10 @@ fn golden_layout_of_checkpoint_manifest_and_segment() {
 #[test]
 fn version_1_archive_is_read_and_compacted_into_version_2() {
     let dir = fresh_dir("v1-archive");
-    let all = traces();
+    // Four single-trace segments: enough small ones for compaction to run.
+    let mut all = traces();
+    all.insert(1, trace(3, 3, 1_500_000, 2_000_000));
+    all.push(trace(4, 4, 3_000_000, 4_000_000));
     let mut manifest = Manifest {
         next_seq: all.len() as u64,
         watermark: 5,
@@ -268,13 +271,9 @@ fn version_1_archive_is_read_and_compacted_into_version_2() {
         service: Some(5),
         ..TraceQuery::default()
     };
-    assert_eq!(read_query(&dir, &slow).unwrap(), all[1..]);
+    assert_eq!(read_query(&dir, &slow).unwrap(), all[2..3]);
 
-    let cfg = ArchiveConfig {
-        compact_min_segments: 2,
-        ..ArchiveConfig::new(&dir)
-    };
-    let archive = TraceArchive::open(cfg, &Registry::new()).unwrap();
+    let archive = TraceArchive::open(ArchiveConfig::new(&dir), &Registry::new()).unwrap();
     assert_eq!(archive.query(&everything), all);
     archive.maintain();
     assert_eq!(archive.segment_count(), 1);

@@ -28,32 +28,13 @@ use std::sync::Arc;
 use std::time::Duration;
 use tw_telemetry::Registry;
 
-/// Retention caps, enforced by the maintenance pass. A cap of 0 means
-/// "unbounded". Eviction is segment-granular, oldest first, but *tail
-/// retention* salvages each evicted segment's high-latency and degraded
-/// traces into a tail segment before the bulk is dropped — the rare slow
-/// traces are the ones worth keeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetentionPolicy {
-    /// Evict oldest segments while committed bytes exceed this (0 = off).
-    pub max_bytes: u64,
-    /// Evict segments whose newest trace is older than this relative to
-    /// the archive's newest trace, in stream nanoseconds (0 = off).
-    pub max_age_ns: u64,
-    /// Traces with latency at or above this (or flagged degraded) survive
-    /// eviction into a tail segment.
-    pub tail_latency_ns: u64,
-}
+/// Traces with latency at or above this (or flagged degraded) survive
+/// retention's eviction into a tail segment.
+const TAIL_LATENCY_NS: u64 = 500_000_000;
 
-impl Default for RetentionPolicy {
-    fn default() -> Self {
-        RetentionPolicy {
-            max_bytes: 0,
-            max_age_ns: 0,
-            tail_latency_ns: 500_000_000,
-        }
-    }
-}
+/// Merge small segments (< `segment_bytes / 2`) once at least this many
+/// have accumulated.
+const COMPACT_MIN_SEGMENTS: usize = 4;
 
 /// Archive configuration ([`crate::TraceArchive::open`]).
 #[derive(Debug, Clone)]
@@ -64,11 +45,12 @@ pub struct ArchiveConfig {
     /// this many bytes of file (the frame headers and the footer index,
     /// a few hundred bytes per segment, come on top).
     pub segment_bytes: u64,
-    /// Retention caps.
-    pub retention: RetentionPolicy,
-    /// Merge small segments (< `segment_bytes / 2`) once at least this
-    /// many have accumulated.
-    pub compact_min_segments: usize,
+    /// Retention cap: evict the oldest segments while committed bytes
+    /// exceed this (0 = unbounded). Eviction is segment-granular, but
+    /// *tail retention* first salvages each evicted segment's degraded
+    /// and slow (≥ [`TAIL_LATENCY_NS`]) traces into a tail segment — the
+    /// rare slow traces are the ones worth keeping.
+    pub retention_bytes: u64,
     /// Background maintenance cadence ([`spawn_compactor`]).
     pub compact_interval: Duration,
 }
@@ -79,8 +61,7 @@ impl ArchiveConfig {
         ArchiveConfig {
             dir: dir.into(),
             segment_bytes: 1 << 20,
-            retention: RetentionPolicy::default(),
-            compact_min_segments: 4,
+            retention_bytes: 0,
             compact_interval: Duration::from_secs(2),
         }
     }
@@ -344,7 +325,7 @@ impl TraceArchive {
             .filter(|s| !s.tail && s.bytes < threshold)
             .cloned()
             .collect();
-        if small.len() < self.cfg.compact_min_segments.max(2) {
+        if small.len() < COMPACT_MIN_SEGMENTS {
             return;
         }
         let mut merged = Vec::new();
@@ -402,38 +383,19 @@ impl TraceArchive {
     }
 
     fn retain_locked(&self, state: &mut State) {
-        let policy = self.cfg.retention;
-        if policy.max_bytes == 0 && policy.max_age_ns == 0 {
+        let cap = self.cfg.retention_bytes;
+        if cap == 0 {
             return;
         }
-        if state.manifest.segments.len() <= 1 {
-            return;
-        }
-        let newest_ts = state
-            .manifest
-            .segments
-            .iter()
-            .map(|s| s.index.max_ts)
-            .max()
-            .unwrap_or(0);
-        let mut evict: Vec<(SegmentMeta, &'static str)> = Vec::new();
-        let mut keep: Vec<SegmentMeta> = Vec::new();
-        for seg in &state.manifest.segments {
-            let age = newest_ts.saturating_sub(seg.index.max_ts);
-            if policy.max_age_ns > 0 && age > policy.max_age_ns {
-                evict.push((seg.clone(), "age"));
-            } else {
-                keep.push(seg.clone());
+        // Oldest first, but never the newest segment.
+        let mut total = state.manifest.total_bytes();
+        let mut evict: Vec<SegmentMeta> = Vec::new();
+        for seg in &state.manifest.segments[..state.manifest.segments.len().saturating_sub(1)] {
+            if total <= cap {
+                break;
             }
-        }
-        if policy.max_bytes > 0 {
-            let mut total: u64 = keep.iter().map(|s| s.bytes).sum();
-            // Oldest first, but never the newest segment.
-            while total > policy.max_bytes && keep.len() > 1 {
-                let seg = keep.remove(0);
-                total -= seg.bytes;
-                evict.push((seg, "size"));
-            }
+            total -= seg.bytes;
+            evict.push(seg.clone());
         }
         if evict.is_empty() {
             return;
@@ -442,13 +404,13 @@ impl TraceArchive {
         // non-tail segments before the bulk is dropped. Tail segments are
         // final — evicting one drops its traces for good.
         let mut salvaged: Vec<StoredTrace> = Vec::new();
-        for (seg, reason) in &evict {
+        for seg in &evict {
             let mut dropped = seg.index.traces;
             if !seg.tail {
                 match read_segment(&self.dir.join(&seg.file)) {
                     Ok(traces) => {
                         for trace in traces {
-                            if trace.degraded || trace.latency_ns >= policy.tail_latency_ns {
+                            if trace.degraded || trace.latency_ns >= TAIL_LATENCY_NS {
                                 salvaged.push(trace);
                                 dropped -= 1;
                             }
@@ -460,13 +422,10 @@ impl TraceArchive {
                     }
                 }
             }
-            match *reason {
-                "age" => self.metrics.dropped_age.add(dropped),
-                _ => self.metrics.dropped_size.add(dropped),
-            }
+            self.metrics.dropped_size.add(dropped);
         }
         let mut manifest = state.manifest.clone();
-        let gone: std::collections::HashSet<u64> = evict.iter().map(|(s, _)| s.seq).collect();
+        let gone: std::collections::HashSet<u64> = evict.iter().map(|s| s.seq).collect();
         manifest.segments.retain(|s| !gone.contains(&s.seq));
         if !salvaged.is_empty() {
             sort_traces(&mut salvaged);
@@ -494,7 +453,7 @@ impl TraceArchive {
         match save_manifest(&self.dir, &manifest) {
             Ok(()) => {
                 state.manifest = manifest;
-                for (seg, _) in &evict {
+                for seg in &evict {
                     let _ = std::fs::remove_file(self.dir.join(&seg.file));
                 }
                 self.publish_gauges(state);
@@ -796,15 +755,14 @@ mod tests {
             // Large enough that a one-trace segment is "small" (< half),
             // with per-window seals forced below.
             segment_bytes: 64 << 10,
-            compact_min_segments: 3,
             ..ArchiveConfig::new(&dir)
         };
         let archive = TraceArchive::open(cfg, &registry).unwrap();
-        for w in 0..4u64 {
+        for w in 0..COMPACT_MIN_SEGMENTS as u64 {
             archive.observe_window(w, vec![trace(w, w + 1, 7, w * 1_000, w * 1_000 + 500)]);
             archive.sync();
         }
-        assert!(archive.segment_count() >= 3);
+        assert_eq!(archive.segment_count(), COMPACT_MIN_SEGMENTS);
         let before = archive.query(&TraceQuery::default());
         archive.maintain();
         assert_eq!(archive.segment_count(), 1, "smalls merged into one");
@@ -822,13 +780,10 @@ mod tests {
         let dir = tmp_dir("retain");
         let registry = Registry::new();
         let cfg = ArchiveConfig {
+            // Every window seals alone, and no segment is under half of
+            // one byte, so compaction never runs.
             segment_bytes: 1,
-            compact_min_segments: usize::MAX, // isolate retention
-            retention: RetentionPolicy {
-                max_bytes: 600, // room for one single-trace segment, not two
-                max_age_ns: 0,
-                tail_latency_ns: 100_000_000,
-            },
+            retention_bytes: 600, // room for one single-trace segment, not two
             ..ArchiveConfig::new(&dir)
         };
         let archive = TraceArchive::open(cfg, &registry).unwrap();

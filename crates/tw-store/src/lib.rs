@@ -25,7 +25,7 @@
 //!   archived, so replay re-archives them — nothing silently vanishes).
 //!
 //! A background compactor merges small segments and a retention pass
-//! enforces size/age caps with a *tail-retention* policy: when a segment
+//! enforces a byte cap with a *tail-retention* policy: when a segment
 //! is evicted, its high-latency and degraded traces are salvaged into a
 //! tail segment first — the rare slow traces are the valuable ones.
 //!
@@ -41,9 +41,7 @@ pub mod metrics;
 pub mod query;
 pub mod segment;
 
-pub use archive::{
-    read_query, spawn_compactor, ArchiveConfig, CompactorHandle, RetentionPolicy, TraceArchive,
-};
+pub use archive::{read_query, spawn_compactor, ArchiveConfig, CompactorHandle, TraceArchive};
 pub use frame::StoreError;
 pub use manifest::{load_manifest, save_manifest, Manifest, SegmentMeta, MANIFEST_FILE};
 pub use metrics::StoreMetrics;

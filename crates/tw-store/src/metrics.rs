@@ -20,9 +20,8 @@ pub struct StoreMetrics {
     pub seals: Counter,
     /// `tw_store_compactions_total` — small-segment merges.
     pub compactions: Counter,
-    /// `tw_store_retention_dropped_total{reason="age"|"size"}` — traces
-    /// evicted by retention (salvaged tail traces excluded).
-    pub dropped_age: Counter,
+    /// `tw_store_retention_dropped_total{reason="size"}` — traces evicted
+    /// by the retention byte cap (salvaged tail traces excluded).
     pub dropped_size: Counter,
     /// `tw_store_tail_kept_total` — high-latency/degraded traces salvaged
     /// into a tail segment when their segment was evicted.
@@ -47,13 +46,6 @@ pub struct StoreMetrics {
 
 impl StoreMetrics {
     pub fn new(registry: &Registry) -> Self {
-        let dropped = |reason: &str| {
-            registry.counter_with(
-                "tw_store_retention_dropped_total",
-                "Traces evicted by the retention pass, by cap that triggered it.",
-                &[("reason", reason)],
-            )
-        };
         let cold = |reason: &str| {
             registry.counter_with(
                 "tw_store_cold_starts_total",
@@ -86,8 +78,11 @@ impl StoreMetrics {
                 "tw_store_compactions_total",
                 "Compaction passes that merged small segments into one.",
             ),
-            dropped_age: dropped("age"),
-            dropped_size: dropped("size"),
+            dropped_size: registry.counter_with(
+                "tw_store_retention_dropped_total",
+                "Traces evicted by the retention pass, by cap that triggered it.",
+                &[("reason", "size")],
+            ),
             tail_kept: registry.counter(
                 "tw_store_tail_kept_total",
                 "High-latency or degraded traces salvaged into a tail segment at eviction.",

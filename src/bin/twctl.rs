@@ -484,6 +484,7 @@ impl LivePipeline {
 
         let registry = traceweaver::telemetry::Registry::new();
         let sources = || vec![registry.clone(), traceweaver::telemetry::global().clone()];
+        let mut config = online_config_from(flags, registry.clone())?;
         let health = ServeHealth::new();
         let scrape = match metrics_addr {
             Some(addr) => Some(
@@ -492,7 +493,6 @@ impl LivePipeline {
             ),
             None => None,
         };
-        let mut config = online_config_from(flags, registry.clone())?;
         let recorder = trace_recorder_from(flags, &registry)?;
         config.trace = recorder.clone();
         if let Some(rec) = &recorder {
@@ -727,6 +727,19 @@ fn sanitize_config_from(flags: &Flags) -> traceweaver::pipeline::SanitizeConfig 
     }
 }
 
+/// A directory flag's value, rejected when it names an existing
+/// non-directory: unchecked, the stage using it would fail only once
+/// serving (the archive panics at start, the checkpointer never writes).
+/// A missing directory is fine — its stage creates it.
+fn dir_flag<'a>(flags: &'a Flags, name: &str) -> Result<Option<&'a String>, String> {
+    match flags.get(name) {
+        Some(dir) if Path::new(dir).exists() && !Path::new(dir).is_dir() => {
+            Err(format!("--{name} {dir}: not a directory"))
+        }
+        value => Ok(value),
+    }
+}
+
 /// Build an [`OnlineConfig`] from the shared staged-pipeline flag block —
 /// `--window-ms`, `--grace-ms`, `--shards`, `--capacity`,
 /// `--backpressure block|shed` — plus `--no-drift` via
@@ -746,7 +759,7 @@ fn online_config_from(
         Some("shed") => traceweaver::pipeline::Backpressure::Shed,
         Some(other) => return Err(format!("--backpressure `{other}` (expected block|shed)")),
     };
-    let checkpoint = match flags.get("checkpoint-dir") {
+    let checkpoint = match dir_flag(flags, "checkpoint-dir")? {
         Some(dir) => {
             let mut cfg = traceweaver::pipeline::CheckpointConfig::new(dir);
             cfg.interval =
@@ -758,11 +771,11 @@ fn online_config_from(
         }
         None => None,
     };
-    let archive = match flags.get("archive-dir") {
+    let archive = match dir_flag(flags, "archive-dir")? {
         Some(dir) => {
             let mut cfg = traceweaver::store::ArchiveConfig::new(dir);
             cfg.segment_bytes = num(flags, "archive-segment-bytes", cfg.segment_bytes)?;
-            cfg.retention.max_bytes = num(flags, "archive-retention", cfg.retention.max_bytes)?;
+            cfg.retention_bytes = num(flags, "archive-retention", cfg.retention_bytes)?;
             Some(cfg)
         }
         None => {

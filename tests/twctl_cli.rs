@@ -110,6 +110,25 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// A directory flag naming a regular file is an argument error before
+/// serve binds — not a panic (`--archive-dir`) nor a serve that never
+/// checkpoints (`--checkpoint-dir`).
+#[test]
+fn directory_flags_naming_a_file_are_rejected() {
+    let dir = simulated("dir-flags", 200);
+    let file = dir.join("graph.json");
+    for flag in ["--archive-dir", "--checkpoint-dir"] {
+        assert_rejected(
+            &format!(
+                "serve --graph {0} --duration-ms 1 {flag} {0}",
+                file.display()
+            ),
+            &format!("{flag} {}: not a directory", file.display()),
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A running `twctl serve` on ports the kernel picked, read back from its
 /// own start-up lines.
 struct Serve {
