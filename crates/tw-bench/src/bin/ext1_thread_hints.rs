@@ -4,8 +4,8 @@
 //! shows the accuracy headroom thread hints buy at very high load on a
 //! blocking-pool variant of HotelReservation.
 
-use tw_bench::{e2e_accuracy, ms, sim_app, Table};
-use tw_core::{Params, TraceWeaver};
+use tw_bench::{e2e_accuracy, ms, sim_app, traceweaver, Table};
+use tw_core::Params;
 use tw_sim::apps::{hotel_reservation, BenchApp};
 use tw_sim::ThreadingModel;
 
@@ -29,10 +29,10 @@ fn main() {
         let app = blocking_hotel(71);
         let call_graph = app.config.call_graph();
         let out = sim_app(&app, rps, ms(1_500));
-        let base = TraceWeaver::new(call_graph.clone(), Params::default())
-            .reconstruct_records(&out.records);
-        let hinted = TraceWeaver::new(call_graph, Params::with_thread_hints())
-            .reconstruct_records(&out.records);
+        let base =
+            traceweaver(call_graph.clone(), Params::default()).reconstruct_records(&out.records);
+        let hinted =
+            traceweaver(call_graph, Params::with_thread_hints()).reconstruct_records(&out.records);
         table.row(vec![
             format!("{rps:.0}"),
             format!("{:.1}", e2e_accuracy(&base.mapping, &out.truth)),

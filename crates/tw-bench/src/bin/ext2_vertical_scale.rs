@@ -4,8 +4,8 @@
 //! easier than vertically scaled ones (one fat container). This sweep
 //! fixes aggregate load and varies the replica count of every service.
 
-use tw_bench::{e2e_accuracy, ms, sim_app, Table};
-use tw_core::{Params, TraceWeaver};
+use tw_bench::{e2e_accuracy, ms, sim_app, traceweaver, Table};
+use tw_core::Params;
 use tw_sim::apps::hotel_reservation;
 
 fn main() {
@@ -21,8 +21,7 @@ fn main() {
         }
         let call_graph = app.config.call_graph();
         let out = sim_app(&app, 1_200.0, ms(1_500));
-        let result =
-            TraceWeaver::new(call_graph, Params::default()).reconstruct_records(&out.records);
+        let result = traceweaver(call_graph, Params::default()).reconstruct_records(&out.records);
         table.row(vec![
             replicas.to_string(),
             format!("{:.1}", e2e_accuracy(&result.mapping, &out.truth)),

@@ -5,8 +5,8 @@
 //! retry probability at the search→geo call grows, with and without
 //! dynamism handling, so users know what to expect on retry-heavy apps.
 
-use tw_bench::{e2e_accuracy, ms, sim_app, Table};
-use tw_core::{Params, TraceWeaver};
+use tw_bench::{e2e_accuracy, ms, sim_app, traceweaver, Table};
+use tw_core::Params;
 use tw_sim::apps::hotel_reservation;
 
 fn main() {
@@ -24,10 +24,10 @@ fn main() {
 
         let call_graph = app.config.call_graph();
         let out = sim_app(&app, 300.0, ms(1_500));
-        let base = TraceWeaver::new(call_graph.clone(), Params::default())
-            .reconstruct_records(&out.records);
+        let base =
+            traceweaver(call_graph.clone(), Params::default()).reconstruct_records(&out.records);
         let dynamism =
-            TraceWeaver::new(call_graph, Params::with_dynamism()).reconstruct_records(&out.records);
+            traceweaver(call_graph, Params::with_dynamism()).reconstruct_records(&out.records);
         table.row(vec![
             format!("{:.0}%", p * 100.0),
             format!("{:.1}", e2e_accuracy(&base.mapping, &out.truth)),

@@ -2,8 +2,8 @@
 //! comparing TraceWeaver, WAP5, vPath/DeepFlow and FCFS; plus the top-5
 //! accuracy series (§6.2.1).
 
-use tw_bench::{e2e_accuracy, ms, reconstruct_with, sim_app, Algo, Table};
-use tw_core::{Params, TraceWeaver};
+use tw_bench::{e2e_accuracy, ms, reconstruct_with, sim_app, traceweaver, Algo, Table};
+use tw_core::Params;
 use tw_model::metrics::top_k_accuracy;
 use tw_sim::apps::{hotel_reservation, media_microservices, nodejs_app, BenchApp};
 
@@ -40,7 +40,7 @@ fn main() {
             let mut cells = vec![app.name.to_string(), format!("{rps:.0}")];
 
             // TraceWeaver + its top-5 series.
-            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
+            let tw = traceweaver(call_graph.clone(), Params::default());
             let result = tw.reconstruct_records(&out.records);
             cells.push(format!("{:.1}", e2e_accuracy(&result.mapping, &out.truth)));
             let parents: Vec<_> = out.records.iter().map(|r| r.rpc).collect();

@@ -6,8 +6,8 @@
 //! 3. − distribution-improving iterations (GMM refits, §4.1 step 6),
 //! 4. − joint optimization across spans (greedy per-span assignment).
 
-use tw_bench::{e2e_accuracy, ms, sim_app, Table};
-use tw_core::{Params, TraceWeaver};
+use tw_bench::{e2e_accuracy, ms, sim_app, traceweaver, Table};
+use tw_core::Params;
 use tw_sim::apps::{hotel_reservation, media_microservices};
 
 fn main() {
@@ -45,10 +45,8 @@ fn main() {
     let media_out = sim_app(&media, 400.0, ms(1_500));
 
     for (name, params) in variants {
-        let h =
-            TraceWeaver::new(hotel_graph.clone(), params).reconstruct_records(&hotel_out.records);
-        let m =
-            TraceWeaver::new(media_graph.clone(), params).reconstruct_records(&media_out.records);
+        let h = traceweaver(hotel_graph.clone(), params).reconstruct_records(&hotel_out.records);
+        let m = traceweaver(media_graph.clone(), params).reconstruct_records(&media_out.records);
         table.row(vec![
             name.to_string(),
             format!("{:.1}", e2e_accuracy(&h.mapping, &hotel_out.truth)),

@@ -3,9 +3,9 @@
 //! enough that operators can use confidence to pick which services to
 //! instrument manually (§6.3.2).
 
-use std::collections::HashMap;
-use tw_bench::{ms, sim_app, Table};
-use tw_core::{Params, TraceWeaver};
+use std::collections::BTreeMap;
+use tw_bench::{ms, sim_app, traceweaver, Table};
+use tw_core::Params;
 use tw_model::ids::ServiceId;
 use tw_model::metrics::per_service_accuracy;
 use tw_sim::apps::{hotel_reservation, media_microservices, nodejs_app};
@@ -27,12 +27,14 @@ fn main() {
         let catalog = app.config.catalog.clone();
         let call_graph = app.config.call_graph();
         let out = sim_app(&app, rps, ms(1_000));
-        let tw = TraceWeaver::new(call_graph, Params::default());
+        let tw = traceweaver(call_graph, Params::default());
         let result = tw.reconstruct_records(&out.records);
         let confidence = result.confidence_by_service();
 
-        // Actual per-service accuracy from ground truth.
-        let mut parents_by_service: HashMap<ServiceId, Vec<_>> = HashMap::new();
+        // Actual per-service accuracy from ground truth, in service-id
+        // order so the rows (and r's summation order) are a function of
+        // the code.
+        let mut parents_by_service: BTreeMap<ServiceId, Vec<_>> = BTreeMap::new();
         for r in &out.records {
             parents_by_service
                 .entry(r.callee.service)
@@ -58,7 +60,9 @@ fn main() {
         &format!("Figure 6b: confidence vs accuracy (Pearson r = {r:.3})"),
         &["service@load", "confidence", "accuracy"],
     );
-    points.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+    // Ties on confidence are common (many services read 100.0): break
+    // them on the label.
+    points.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
     for (name, conf, acc) in points {
         table.row(vec![name, format!("{conf:.1}"), format!("{acc:.1}")]);
     }

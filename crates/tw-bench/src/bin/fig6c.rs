@@ -10,8 +10,8 @@
 //! * ground-truth traces (oracle).
 
 use std::collections::HashMap;
-use tw_bench::{ms, Table};
-use tw_core::{Params, TraceWeaver};
+use tw_bench::{ms, traceweaver, Table};
+use tw_core::Params;
 use tw_model::ids::{RpcId, ServiceId};
 use tw_model::metrics::exclusive_time_per_service;
 use tw_model::time::Nanos;
@@ -33,7 +33,7 @@ fn main() {
             .with_slow_fraction(0.10),
     );
 
-    let tw = TraceWeaver::new(call_graph, Params::default());
+    let tw = traceweaver(call_graph, Params::default());
     let result = tw.reconstruct_records(&out.records);
 
     // Top-2% end-to-end traces.

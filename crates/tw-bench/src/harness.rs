@@ -30,12 +30,10 @@ impl Algo {
         }
     }
 
-    /// The paper's four-way comparison set. TraceWeaver runs on the
-    /// executor width given by [`bench_threads`], so every figure binary
-    /// parallelizes via `TW_THREADS` without per-binary wiring.
+    /// The paper's four-way comparison set.
     pub fn comparison_set() -> Vec<Algo> {
         vec![
-            Algo::TraceWeaver(Params::with_threads(bench_threads())),
+            Algo::TraceWeaver(Params::default()),
             Algo::Wap5,
             Algo::VPath,
             Algo::Fcfs,
@@ -54,11 +52,24 @@ pub fn bench_threads() -> usize {
         .max(1)
 }
 
+/// TraceWeaver over `call_graph` with `params` on [`bench_threads`]
+/// workers: every figure binary builds its engine here, so each one
+/// honours `TW_THREADS`.
+pub fn traceweaver(call_graph: CallGraph, params: Params) -> TraceWeaver {
+    TraceWeaver::new(
+        call_graph,
+        Params {
+            threads: bench_threads(),
+            ..params
+        },
+    )
+}
+
 /// Reconstruct with the given algorithm.
 pub fn reconstruct_with(algo: &Algo, records: &[RpcRecord], call_graph: &CallGraph) -> Mapping {
     match algo {
         Algo::TraceWeaver(params) => {
-            TraceWeaver::new(call_graph.clone(), *params)
+            traceweaver(call_graph.clone(), *params)
                 .reconstruct_records(records)
                 .mapping
         }

@@ -24,7 +24,7 @@
 pub mod harness;
 pub mod report;
 
-pub use harness::{bench_threads, e2e_accuracy, reconstruct_with, sim_app, Algo};
+pub use harness::{bench_threads, e2e_accuracy, reconstruct_with, sim_app, traceweaver, Algo};
 pub use report::{RunMeta, Table};
 
 /// True when quick mode is requested (CI / smoke runs).

@@ -1,169 +1,78 @@
-//! Work-stealing executor for reconstruction fan-out.
+//! The one parallel level of reconstruction (DESIGN.md §6).
 //!
-//! The paper's decomposition (§4.1) makes reconstruction embarrassingly
-//! parallel at two levels: per-container tasks are fully independent, and
-//! within a task the candidate-scoring step only *reads* the shared
-//! [`crate::delays::DelayModel`], so optimization batches score
-//! concurrently (only the `used`-span commit of §4.1 step 5(v) stays
-//! sequential). Both levels funnel through [`Executor::map`], an ordered
-//! map over a work-stealing pool: tasks start FIFO from a shared
-//! [`Injector`], idle workers steal from busy ones, and results land in
-//! input order so output is identical to the sequential path regardless
-//! of thread count or scheduling.
-//!
-//! `threads == 1` bypasses the pool entirely and runs inline — the
-//! sequential fallback is the exact same code path as before the executor
-//! existed, not a one-worker pool.
+//! Per-container tasks are independent (paper §4.1) and never spawn
+//! further tasks, so one shared queue balances skewed task sizes as well
+//! as work stealing would: a worker that finishes a short task pulls the
+//! next one. Everything inside a task — scoring, MIS, commit, refit —
+//! runs sequentially on the worker that pulled it.
 
-use crate::params::Params;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 
-/// A reconstruction thread pool. Cheap to construct: threads are scoped
-/// per [`Executor::map`] call, so an `Executor` is just a configured
-/// width.
-#[derive(Debug, Clone, Copy)]
-pub struct Executor {
-    threads: usize,
-}
-
-impl Executor {
-    /// An executor with `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        Executor {
-            threads: threads.max(1),
+/// Apply `f` to every item on `min(threads, items.len())` scoped workers
+/// pulling from one shared queue. Each result lands in its item's slot,
+/// so the output is in input order and equals the sequential map for
+/// every thread count; `f` must be deterministic per item. With at most
+/// one worker it runs inline on the calling thread.
+pub(crate) fn ordered_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let workers = threads.min(items.len());
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let (tx, rx) = unbounded();
+    for pair in items.into_iter().enumerate() {
+        // Unbounded, with `rx` alive below: the send cannot fail.
+        let _ = tx.send(pair);
+    }
+    drop(tx); // the queue ends once drained
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let (rx, slots, f) = (&rx, &slots, &f);
+            scope.spawn(move || {
+                for (i, item) in rx {
+                    *slots[i].lock() = Some(f(item));
+                }
+            });
         }
-    }
-
-    /// The executor configured by [`Params::threads`].
-    pub fn from_params(params: &Params) -> Self {
-        Executor::new(params.threads)
-    }
-
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// True when `map` runs inline on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// Apply `f` to every item, returning results in input order.
-    ///
-    /// Work-stealing schedule: all items start in a shared injector;
-    /// each worker drains its own deque first, then batch-steals from
-    /// the injector, then steals from siblings. Because no task spawns
-    /// further tasks, a worker that observes every queue empty can
-    /// safely retire. `f` must be deterministic per item for output
-    /// determinism — scheduling order is not.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        if self.is_sequential() || items.len() <= 1 {
-            return items.into_iter().map(&f).collect();
-        }
-        let n = items.len();
-        let workers = self.threads.min(n);
-
-        let injector: Injector<(usize, T)> = Injector::new();
-        for pair in items.into_iter().enumerate() {
-            injector.push(pair);
-        }
-        // Result slots indexed by item position: workers race on
-        // different slots, never the same one.
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-        let deques: Vec<Worker<(usize, T)>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<(usize, T)>> = deques.iter().map(|d| d.stealer()).collect();
-
-        std::thread::scope(|scope| {
-            for deque in deques {
-                let injector = &injector;
-                let stealers = &stealers;
-                let slots = &slots;
-                let f = &f;
-                scope.spawn(move || loop {
-                    let task = deque.pop().or_else(|| {
-                        std::iter::repeat_with(|| {
-                            injector
-                                .steal_batch_and_pop(&deque)
-                                .or_else(|| stealers.iter().map(|s| s.steal()).collect())
-                        })
-                        .find(|s| !s.is_retry())
-                        .and_then(Steal::success)
-                    });
-                    match task {
-                        Some((i, item)) => *slots[i].lock() = Some(f(item)),
-                        None => break,
-                    }
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every queued task ran"))
-            .collect()
-    }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every queued item ran"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn map_preserves_order() {
-        let exec = Executor::new(4);
-        let out = exec.map((0..100).collect(), |x: i32| x * x);
-        assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<_>>());
+    /// Deliberately uneven per-item cost: every seventh item spins a
+    /// hundred times longer, so workers finish out of step.
+    fn uneven(x: u64) -> (u64, u64) {
+        let spins = if x.is_multiple_of(7) { 20_000 } else { 200 };
+        let mut acc = x;
+        for _ in 0..spins {
+            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+        }
+        (x, acc)
     }
 
-    #[test]
-    fn sequential_fallback_identical() {
-        let items: Vec<u64> = (0..50).collect();
-        let seq = Executor::new(1).map(items.clone(), |x| x.wrapping_mul(0x9e37_79b9));
-        let par = Executor::new(8).map(items, |x| x.wrapping_mul(0x9e37_79b9));
-        assert_eq!(seq, par);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        let exec = Executor::new(0);
-        assert!(exec.is_sequential());
-        assert_eq!(exec.threads(), 1);
-        assert_eq!(exec.map(vec![1, 2, 3], |x| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let out = Executor::new(16).map(vec![7usize, 8], |x| x);
-        assert_eq!(out, vec![7, 8]);
-    }
-
-    #[test]
-    fn empty_input() {
-        let out: Vec<i32> = Executor::new(4).map(Vec::<i32>::new(), |x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn uneven_work_is_stolen() {
-        // One item is 1000x heavier; with stealing every result still
-        // arrives and order is preserved.
-        let out = Executor::new(4).map((0..64u64).collect(), |x| {
-            let spins = if x == 0 { 1_000_000 } else { 1_000 };
-            let mut acc = x;
-            for _ in 0..spins {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            (x, acc)
-        });
-        for (i, (x, _)) in out.iter().enumerate() {
-            assert_eq!(i as u64, *x);
+        #[test]
+        fn ordered_map_equals_the_sequential_map(
+            threads in 0usize..10,
+            items in prop::collection::vec(any::<u64>(), 0..200),
+        ) {
+            let sequential: Vec<(u64, u64)> = items.iter().map(|&x| uneven(x)).collect();
+            prop_assert_eq!(ordered_map(threads, items, uneven), sequential);
         }
     }
 }

@@ -49,14 +49,13 @@ pub mod batching;
 pub mod candidates;
 pub mod delays;
 pub mod dynamism;
-pub mod executor;
+mod executor;
 pub mod optimize;
 pub mod params;
 pub mod registry;
 pub mod task;
 mod telemetry;
 
-pub use executor::Executor;
 pub use params::Params;
 pub use registry::{DelayRegistry, RegistryWatch};
 pub use task::{ReconstructionTask, TaskReport};
@@ -167,14 +166,13 @@ impl TraceWeaver {
 
     /// Reconstruct from per-process span views.
     ///
-    /// Per-container tasks are independent (paper §4.1), so they fan out
-    /// across the work-stealing [`Executor`] configured by
-    /// [`Params::threads`]. The output is identical for every thread
-    /// count: tasks own disjoint parents, results merge in sorted key
-    /// order, and `threads = 1` runs inline on the calling thread.
+    /// Per-container tasks are independent (paper §4.1), so
+    /// [`Params::threads`] workers pull them from one shared queue. The
+    /// output is identical for every thread count: tasks own disjoint
+    /// parents, results merge in sorted key order, and `threads = 1` runs
+    /// inline on the calling thread.
     pub fn reconstruct(&self, views: &HashMap<ProcessKey, SpanView>) -> Reconstruction {
-        self.reconstruct_inner(views, &Executor::from_params(&self.params), None)
-            .0
+        self.reconstruct_inner(views, None).0
     }
 
     /// Convenience: split raw records into per-process views and
@@ -199,8 +197,7 @@ impl TraceWeaver {
         views: &HashMap<ProcessKey, SpanView>,
         prior: &DelayRegistry,
     ) -> (Reconstruction, DelayRegistry) {
-        let (result, posterior) =
-            self.reconstruct_inner(views, &Executor::from_params(&self.params), Some(prior));
+        let (result, posterior) = self.reconstruct_inner(views, Some(prior));
         (result, posterior.expect("posterior present on warm path"))
     }
 
@@ -217,7 +214,6 @@ impl TraceWeaver {
     fn reconstruct_inner(
         &self,
         views: &HashMap<ProcessKey, SpanView>,
-        exec: &Executor,
         prior: Option<&DelayRegistry>,
     ) -> (Reconstruction, Option<DelayRegistry>) {
         // Deterministic task order.
@@ -240,7 +236,7 @@ impl TraceWeaver {
         // bounded by `Params::solver_deadline_us` (None when 0).
         let deadline = self.params.solver_deadline();
 
-        let partials = exec.map(keys, |key| {
+        let partials = executor::ordered_map(self.params.threads, keys, |key| {
             let mut task = ReconstructionTask::new(&self.call_graph, &self.params, &views[key])
                 .with_deadline(deadline);
             if let Some(model) = priors.get(key) {
@@ -257,7 +253,7 @@ impl TraceWeaver {
         let mut posterior = prior.cloned();
         let mut result = Reconstruction::default();
         // Partials arrive in input (sorted-key) order, so absorption is
-        // deterministic regardless of executor scheduling.
+        // deterministic regardless of worker scheduling.
         for (key, mapping, ranked, report, gaps) in partials {
             result.mapping.merge(mapping);
             result.ranked.merge(ranked);

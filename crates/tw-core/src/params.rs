@@ -29,11 +29,11 @@ pub struct Params {
     /// makes results timing-dependent — paths that guarantee bit-identical
     /// output across thread counts must leave it 0.
     pub solver_deadline_us: u64,
-    /// Worker threads for the reconstruction executor: per-service tasks
-    /// fan out across threads, and candidate scoring parallelizes across
-    /// optimization batches within a task. `1` (the default) runs fully
-    /// sequential; values are clamped to at least 1. Output is identical
-    /// for every value — threads change wall time only.
+    /// Workers per reconstruction pass (per shard, online): per-container
+    /// tasks are pulled from one shared queue, and each task runs
+    /// sequentially. `1` (the default) runs inline; `0` acts as `1`.
+    /// Output is identical for every value — threads change wall time
+    /// only.
     pub threads: usize,
     /// Enable dynamism handling (skip spans). Off by default: the static
     /// algorithm is the paper's §4.1; turn on for workloads with caching /
@@ -96,25 +96,12 @@ impl Params {
         }
     }
 
-    /// Paper defaults with a parallel reconstruction executor of
-    /// `threads` workers.
+    /// Paper defaults with `threads` reconstruction workers.
     pub fn with_threads(threads: usize) -> Self {
         Params {
             threads,
             ..Params::default()
         }
-    }
-
-    /// Divide this configuration's intra-window executor threads across
-    /// `lanes` concurrent pipeline lanes (e.g. window shards): each lane
-    /// gets an equal share, at least 1, so an engine sharded N ways keeps
-    /// roughly the same total executor parallelism instead of
-    /// oversubscribing the host N-fold. Executor results are ordered and
-    /// thread-count invariant, so the share never changes reconstruction
-    /// output — only wall time.
-    pub fn share_threads(mut self, lanes: usize) -> Self {
-        self.threads = (self.threads / lanes.max(1)).max(1);
-        self
     }
 
     /// Ablation: no dependency-order constraints.
@@ -164,14 +151,6 @@ mod tests {
         let p = Params::with_threads(8);
         assert_eq!(p.threads, 8);
         assert_eq!(p.batch_size, Params::default().batch_size);
-    }
-
-    #[test]
-    fn share_threads_divides_with_floor() {
-        assert_eq!(Params::with_threads(8).share_threads(2).threads, 4);
-        assert_eq!(Params::with_threads(8).share_threads(3).threads, 2);
-        assert_eq!(Params::with_threads(2).share_threads(8).threads, 1);
-        assert_eq!(Params::with_threads(4).share_threads(0).threads, 4);
     }
 
     #[test]

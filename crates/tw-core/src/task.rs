@@ -4,7 +4,6 @@ use crate::batching::make_batches;
 use crate::candidates::{enumerate_candidates, Candidate, OutgoingPool, SlotLayout};
 use crate::delays::{edge_gaps, score_candidate, DelayModel, EdgeKey};
 use crate::dynamism::{allocate_skips, batch_exclusive_counts, seed_from_wap5, SkipBudget};
-use crate::executor::Executor;
 use crate::optimize::optimize_batch;
 use crate::params::Params;
 use std::collections::{HashMap, HashSet};
@@ -285,7 +284,6 @@ impl<'a> ReconstructionTask<'a> {
         } else {
             MAX_ITERATIONS
         };
-        let exec = Executor::from_params(params);
         // Wall-clock cutoff shared by every MIS solve below: an explicit
         // orchestrator-supplied instant wins; otherwise the per-task
         // budget knob anchors here.
@@ -298,31 +296,14 @@ impl<'a> ReconstructionTask<'a> {
         let mut iterations = 0usize;
         for iter in 0..max_iterations {
             iterations = iter + 1;
-            // Score and rank candidates under the current model. Scoring
-            // only reads the shared model, so batches score concurrently
-            // (§4.1 step 5(v): only the `used`-span commit below stays
-            // sequential). `make_batches` returns contiguous ranges
-            // covering 0..n, so the candidate table splits into disjoint
-            // mutable slices, one per batch.
-            let mut slices: Vec<(usize, &mut [Vec<Candidate>])> = Vec::new();
-            let mut rest: &mut [Vec<Candidate>] = &mut candidates;
-            let mut offset = 0usize;
-            for r in &batches {
-                let (head, tail) = rest.split_at_mut(r.end - offset);
-                slices.push((r.start, head));
-                rest = tail;
-                offset = r.end;
-            }
-            exec.map(slices, |(start, slice)| {
-                for (j, cands) in slice.iter_mut().enumerate() {
-                    let p = &incoming[start + j];
-                    let layout = &layouts[&p.endpoint];
-                    for c in cands.iter_mut() {
-                        c.score = score_candidate(p.endpoint, p, layout, c, &pool, &model, params);
-                    }
-                    cands.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
+            // Score and rank candidates under the current model.
+            for (p, cands) in incoming.iter().zip(&mut candidates) {
+                let layout = &layouts[&p.endpoint];
+                for c in cands.iter_mut() {
+                    c.score = score_candidate(p.endpoint, p, layout, c, &pool, &model, params);
                 }
-            });
+                cands.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
+            }
 
             // Optimize batch by batch; spans claimed by earlier batches are
             // deleted from later ones (§4.1 step 5 (v)).

@@ -37,9 +37,6 @@ pub struct OnlineEngine {
     checkpointer: Option<Checkpointer>,
     archive: Option<Arc<TraceArchive>>,
     compactor: Option<CompactorHandle>,
-    /// Stage failures surfaced by the last drain (escalated supervisors,
-    /// merge-thread panics) — populated by shutdown, empty on a clean run.
-    failures: Vec<String>,
 }
 
 /// Where a (re)started engine picks up: what [`recover`] read back from
@@ -142,11 +139,6 @@ impl OnlineEngine {
             src.archive = Some(archive.watermark_handle());
         }
 
-        // Each shard reconstructs with an equal share of the configured
-        // intra-window executor threads (results are thread-count
-        // invariant, so the share only affects wall time).
-        let base = TraceWeaver::new(tw.call_graph().clone(), tw.params().share_threads(shards));
-
         // The checkpointed registry takes precedence over any configured
         // bootstrap (it is strictly newer).
         let (reg_tx, reg_rx) = bounded::<DelayRegistry>(1);
@@ -193,7 +185,7 @@ impl OnlineEngine {
             shards,
             router,
             |i| {
-                let mut shard = WindowShard::new(i, window, shed, base.clone(), metrics.clone());
+                let mut shard = WindowShard::new(i, window, shed, tw.clone(), metrics.clone());
                 shard.warm = warm_state.take();
                 shard.sealed = sealed.as_ref().map(|v| v[i].clone());
                 shard.trace = trace.clone();
@@ -237,7 +229,6 @@ impl OnlineEngine {
             checkpointer,
             archive: resume.archive,
             compactor,
-            failures: Vec::new(),
         }
     }
 
@@ -272,13 +263,6 @@ impl OnlineEngine {
     /// readable after shutdown.
     pub fn dead_letters(&self) -> &DeadLetterQueue {
         &self.dead_letters
-    }
-
-    /// Stage failures surfaced by the drain (escalated supervisors or a
-    /// panicked merge thread), rendered for operators. Empty before
-    /// shutdown and after a clean run.
-    pub fn failures(&self) -> &[String] {
-        &self.failures
     }
 
     /// Stage names of the underlying pipeline graph, in topological
@@ -331,7 +315,6 @@ impl OnlineEngine {
                 for failure in &report.failures {
                     eprintln!("tw-online: {failure}");
                 }
-                self.failures = report.failures.iter().map(|f| f.to_string()).collect();
                 report.results
             }
             None => Vec::new(),

@@ -208,7 +208,6 @@ mod tests {
         router_poison: &[RpcId],
         telemetry: &Registry,
     ) -> (ShutdownReport<WindowResult>, DeadLetterQueue) {
-        let base = TraceWeaver::new(tw.call_graph().clone(), tw.params().share_threads(shards));
         let metrics = EngineMetrics::new(telemetry, None);
         let queue = QueueCfg::block(1024);
         let supervisor = Supervisor::default();
@@ -233,7 +232,7 @@ mod tests {
                         i,
                         WINDOW,
                         ShedPolicy::default(),
-                        base.clone(),
+                        tw.clone(),
                         metrics.clone(),
                     )
                 },

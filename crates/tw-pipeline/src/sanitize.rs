@@ -366,13 +366,6 @@ impl Sanitizer {
         self.edges.get(&(caller, callee)).and_then(|e| e.fit)
     }
 
-    /// Resolved clock model for one service: `(offset at the anchor in
-    /// ns, drift in ns/ns)`. `None` if the service is not in the current
-    /// resolution.
-    pub fn service_model(&self, svc: ServiceId) -> Option<(f64, f64)> {
-        self.offsets.get(&svc).map(|m| (m.offset, m.drift))
-    }
-
     /// Process one record: `Some(clean)` to forward, `None` if rejected
     /// (the reason is counted in [`SanitizeStats`]).
     pub fn sanitize(&mut self, rec: RpcRecord) -> Option<RpcRecord> {

@@ -456,11 +456,6 @@ impl StageTimer {
     pub fn discard(mut self) {
         self.armed = false;
     }
-
-    /// Seconds elapsed so far, without stopping.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
 }
 
 impl Drop for StageTimer {

@@ -339,11 +339,6 @@ impl SpanRecorder {
             .collect()
     }
 
-    /// Number of sealed trees currently retained.
-    pub fn finished_len(&self) -> usize {
-        self.inner.finished.lock().unwrap().len()
-    }
-
     /// Render recent (sealed, newest first) and active trees as a JSON
     /// document for `GET /spans` and the push exporter.
     pub fn render_json(&self) -> String {
