@@ -166,13 +166,13 @@ struct PipelineRun {
 /// engine (warm-start mode) — the deployment the robustness story
 /// assumes: delay models are estimated while telemetry is clean, so a
 /// faulty period reconstructs against sharp priors instead of reseeding
-/// each 250ms window from its own damaged spans.
+/// each 250ms window from its own damaged spans. An empty registry runs
+/// warm from scratch; `None` runs every window cold.
 fn run_pipeline(
     records: &[tw_model::span::RpcRecord],
     call_graph: &tw_model::callgraph::CallGraph,
     params: Params,
     shed: ShedPolicy,
-    engine_threads: usize,
     warm: Option<&DelayRegistry>,
     sanitize: SanitizeConfig,
 ) -> PipelineRun {
@@ -187,7 +187,6 @@ fn run_pipeline(
             window: Nanos::from_millis(250),
             grace: Nanos::from_millis(50),
             channel_capacity: 4096,
-            shards: engine_threads,
             shed,
             warm_start: warm.is_some(),
             initial_registry: warm.cloned(),
@@ -265,7 +264,6 @@ fn main() {
         &call_graph,
         params,
         no_shed,
-        1,
         Some(&healthy),
         SanitizeConfig::default(),
     );
@@ -291,7 +289,6 @@ fn main() {
                 &call_graph,
                 params,
                 no_shed,
-                1,
                 Some(&healthy),
                 SanitizeConfig::default(),
             );
@@ -334,14 +331,13 @@ fn main() {
     };
     let runs: Vec<PipelineRun> = [1usize, 2, 8]
         .iter()
-        .map(|&t| {
+        .map(|&threads| {
             run_pipeline(
                 &perturbed,
                 &call_graph,
-                params,
+                Params { threads, ..params },
                 forced,
-                t,
-                None,
+                Some(&DelayRegistry::new()),
                 SanitizeConfig::default(),
             )
         })
@@ -394,7 +390,6 @@ fn main() {
         &call_graph,
         tight,
         no_shed,
-        1,
         None,
         SanitizeConfig::default(),
     );
@@ -537,7 +532,6 @@ fn drift_sweep(params: Params) {
                 &call_graph,
                 params,
                 no_shed,
-                1,
                 Some(&healthy),
                 cfg.clone(),
             );
@@ -621,13 +615,12 @@ fn drift_sweep(params: Params) {
     let (perturbed, _) = plan.apply(&out.records);
     let runs: Vec<PipelineRun> = [1usize, 2, 8]
         .iter()
-        .map(|&t| {
+        .map(|&threads| {
             run_pipeline(
                 &perturbed,
                 &call_graph,
-                params,
+                Params { threads, ..params },
                 no_shed,
-                t,
                 Some(&healthy),
                 SanitizeConfig::default(),
             )

@@ -126,7 +126,7 @@ impl<'a> ReconstructionTask<'a> {
     /// Run the pipeline, writing results into `mapping` / `ranked`.
     ///
     /// `make_batches` requires incoming spans sorted by `(start, end)`;
-    /// out-of-order ingestion (network reordering, merged shards) is
+    /// out-of-order ingestion (network reordering, merged captures) is
     /// detected here and handled by reconstructing over a sorted copy.
     /// Results are keyed by `RpcId`, so the caller sees identical output
     /// either way.

@@ -1,13 +1,12 @@
-//! The archive sink stage (DESIGN.md §14): sits after the merge in the
-//! online pipeline, converts each sealed window's reconstruction into
+//! The archive sink stage (DESIGN.md §14): sits after the window shard in
+//! the online pipeline, converts each sealed window's reconstruction into
 //! [`StoredTrace`]s, appends them to a durable [`TraceArchive`], and
 //! re-emits the window unchanged — results consumers see the exact same
 //! stream with or without archiving.
 //!
-//! Because the stage runs after the merge, it observes windows in global
-//! window order regardless of shard count, so the archive's segmentation
-//! is deterministic: 1, 2, and 8 shards produce byte-identical archive
-//! directories.
+//! The one window shard seals windows in index order, so the archive's
+//! segmentation is deterministic: 1, 2 and 8 reconstruction threads
+//! produce byte-identical archive directories.
 
 use crate::online::{DegradationLevel, WindowResult};
 use crate::pipeline::{DeadLetterPayload, Emitter, Stage, StageCtx};
@@ -90,7 +89,7 @@ impl Stage for ArchiveStage {
         self.archive
             .observe_window(item.index, stored_traces(&item));
         // Window results are never shed: the archive hop blocks under
-        // pressure like the merge hop does.
+        // pressure like the shard's hop does.
         out.emit_pressure(item);
     }
 

@@ -59,8 +59,8 @@ impl CheckpointConfig {
 /// The serialized checkpoint payload.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CheckpointDoc {
-    /// Global sealed watermark: every window with index < this was
-    /// reconstructed and handed to the merge before the checkpoint.
+    /// Sealed watermark: every window with index < this was
+    /// reconstructed and handed downstream before the checkpoint.
     /// Restart resumes routing at this index.
     pub watermark: u64,
     /// Window length (ns) the watermark was computed under. A restart
@@ -161,13 +161,13 @@ impl RecoveryMetrics {
     }
 }
 
-/// Live handles the checkpointer samples: per-shard sealed watermarks
-/// (each shard stores `mark + 1` after processing a cut; the global
-/// watermark is the minimum), the sanitizer's published snapshot, and
-/// the warm registry watch. Cloning shares the underlying state.
+/// Live handles the checkpointer samples: the window shard's sealed
+/// watermark (`index + 1` after it seals a window), the sanitizer's
+/// published snapshot, and the warm registry watch. Cloning shares the
+/// underlying state.
 #[derive(Clone)]
 pub struct CheckpointSources {
-    pub sealed: Vec<Arc<AtomicU64>>,
+    pub sealed: Arc<AtomicU64>,
     pub window_ns: u64,
     pub sanitizer: SanitizerSnapshotSlot,
     pub registry: RegistryWatch,
@@ -176,11 +176,9 @@ pub struct CheckpointSources {
 }
 
 impl CheckpointSources {
-    pub fn new(shards: usize, window_ns: u64, start_watermark: u64) -> Self {
+    pub fn new(window_ns: u64, start_watermark: u64) -> Self {
         CheckpointSources {
-            sealed: (0..shards.max(1))
-                .map(|_| Arc::new(AtomicU64::new(start_watermark)))
-                .collect(),
+            sealed: Arc::new(AtomicU64::new(start_watermark)),
             window_ns,
             sanitizer: SanitizerSnapshotSlot::default(),
             registry: RegistryWatch::new(),
@@ -188,21 +186,10 @@ impl CheckpointSources {
         }
     }
 
-    /// Global sealed watermark: the minimum over per-shard marks (every
-    /// shard observes every cut, so the slowest shard bounds what is
-    /// safely sealed everywhere).
-    pub fn watermark(&self) -> u64 {
-        self.sealed
-            .iter()
-            .map(|s| s.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Assemble the current checkpoint payload.
     pub fn doc(&self) -> CheckpointDoc {
         CheckpointDoc {
-            watermark: self.watermark(),
+            watermark: self.sealed.load(Ordering::Acquire),
             window_ns: self.window_ns,
             sanitizer: self.sanitizer.lock().clone(),
             registry: self.registry.latest(),
@@ -406,16 +393,5 @@ mod tests {
             Err(CheckpointError::BadVersion(99))
         ));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sources_watermark_is_min_over_shards() {
-        let sources = CheckpointSources::new(3, 1_000, 5);
-        assert_eq!(sources.watermark(), 5);
-        sources.sealed[0].store(9, Ordering::Release);
-        sources.sealed[1].store(7, Ordering::Release);
-        assert_eq!(sources.watermark(), 5, "slowest shard bounds the seal");
-        sources.sealed[2].store(8, Ordering::Release);
-        assert_eq!(sources.watermark(), 7);
     }
 }

@@ -12,8 +12,8 @@
 //!   late-arrival accounting (DESIGN.md §9);
 //! * [`pipeline`] — the staged-pipeline core: the [`Stage`] abstraction,
 //!   bounded inter-stage queues with explicit backpressure (block or
-//!   shed-with-counter), sharded fan-out with a deterministic merge, and
-//!   the [`PipelineBuilder`] the online path composes on (DESIGN.md §11);
+//!   shed-with-counter), and the [`PipelineBuilder`] the online path
+//!   chains its stages with (DESIGN.md §11);
 //! * [`sampling`] — **tail-based sampling** on reconstructed traces: once
 //!   a window is mapped, a configured fraction of complete traces is kept
 //!   and the rest dropped — the sampling style head-based tracing cannot
@@ -46,8 +46,8 @@ pub use net::{
 };
 pub use online::{DegradationLevel, OnlineConfig, OnlineEngine, ShedPolicy, WindowResult};
 pub use pipeline::{
-    Backpressure, DeadLetterPayload, Emitter, Pipeline, PipelineBuilder, QueueCfg, Sequenced,
-    ShardMsg, ShutdownReport, Stage, StageCtx,
+    Backpressure, DeadLetterPayload, Emitter, Pipeline, PipelineBuilder, QueueCfg, ShutdownReport,
+    Stage, StageCtx,
 };
 pub use sampling::TailSampler;
 pub use sanitize::{

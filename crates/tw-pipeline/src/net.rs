@@ -283,10 +283,9 @@ fn serve_connection(
 /// The full online deployment topology (§5.3) in one call: start an
 /// [`OnlineEngine`] (a supervised staged pipeline, DESIGN.md §11) and
 /// bind an [`IngestServer`] as its source, so capture agents export wire
-/// frames straight into sharded windowed reconstruction.
-/// `config.shards` sets how many window shards reconstruct concurrently;
-/// shut down the server before the engine so in-flight connections drain
-/// into the final windows.
+/// frames straight into windowed reconstruction. Shut down the server
+/// before the engine so in-flight connections drain into the final
+/// windows.
 pub fn serve_online(
     addr: &str,
     tw: TraceWeaver,
@@ -304,7 +303,7 @@ pub fn serve_online(
 /// causality-checked, skew-corrected and late-filtered before they reach
 /// windowing (DESIGN.md §9). Shut down the server first, then the engine
 /// — the engine's ordered shutdown drains the sanitizer into the window
-/// shards before they flush. Read the sanitizer's final counters with
+/// shard before it flushes. Read the sanitizer's final counters with
 /// [`OnlineEngine::sanitize_stats`].
 pub fn serve_online_sanitized(
     addr: &str,
@@ -858,7 +857,7 @@ mod tests {
                 window: N::from_millis(100),
                 grace: N::from_millis(50),
                 channel_capacity: 4_096,
-                shards: 2,
+                warm_start: true,
                 ..crate::online::OnlineConfig::default()
             },
         )

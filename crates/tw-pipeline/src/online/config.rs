@@ -2,7 +2,7 @@
 //! online engine's public data types.
 
 use crate::checkpoint::CheckpointConfig;
-use crate::pipeline::{Backpressure, Sequenced};
+use crate::pipeline::Backpressure;
 use crate::sanitize::SanitizeConfig;
 use std::time::Duration;
 use tw_core::{DelayRegistry, Reconstruction};
@@ -53,16 +53,9 @@ pub struct OnlineConfig {
     /// Extra wait beyond the window end before processing, covering the
     /// app's maximum response latency.
     pub grace: Nanos,
-    /// Channel capacity for ingestion back-pressure: every record-carrying
-    /// queue in the pipeline graph is bounded to this many items.
+    /// Channel capacity for ingestion back-pressure: every queue in the
+    /// pipeline graph is bounded to this many items.
     pub channel_capacity: usize,
-    /// Window shards: the window stream fans out over this many parallel
-    /// windowing+reconstruction stages, keyed by a stable hash of the
-    /// window index, and a merge stage restores global window order.
-    /// Results are byte-identical for every value — shards change wall
-    /// time only. Defaults to 1; `0` is clamped to 1, as is any value in
-    /// warm-start mode (the registry chain serializes windows).
-    pub shards: usize,
     /// Run a [`crate::SanitizeStage`] between ingest and windowing, inside the
     /// same supervised graph ([`crate::net::serve_online_sanitized`] sets
     /// this). `None` feeds records to the window router unfiltered.
@@ -71,12 +64,14 @@ pub struct OnlineConfig {
     /// ([`Backpressure::Block`] by default — lossless, pressure
     /// propagates to ingest). [`Backpressure::Shed`] drops records at
     /// full queues with `tw_pipeline_shed_total` accounting; window-cut
-    /// marks always survive.
+    /// marks and window results always survive.
     pub backpressure: Backpressure,
     /// Carry a [`DelayRegistry`] across windows: each window warm-starts
     /// from the posterior published by the previous window, decoupling
     /// estimation quality from window size (§5.3's window-sizing
-    /// tension).
+    /// tension). Parallelism stays inside each window, on
+    /// [`tw_core::Params::threads`] workers. `twctl serve` always runs
+    /// warm; `false` reconstructs every window cold.
     pub warm_start: bool,
     /// Starting registry for warm mode — e.g. loaded from a previous
     /// run's posterior or `twctl learn-delays` output. `None` starts
@@ -100,19 +95,20 @@ pub struct OnlineConfig {
     pub telemetry: Registry,
     /// Self-tracing recorder (`tw_telemetry::trace`): when set, every
     /// head-sampled window records one span tree as it flows
-    /// sanitize → route → collect → reconstruct → merge hand-off, with
+    /// sanitize → route → collect → reconstruct → result hand-off, with
     /// supervisor restarts and checkpoint writes attached as events, and
     /// slow-window latency observations carry `window_id`/`span_id`
     /// exemplars. `None` (the default) disables self-tracing entirely.
     /// Like metrics, tracing never feeds back into reconstruction.
     pub trace: Option<SpanRecorder>,
     /// Durable trace archive (DESIGN.md §14): when set, an archive sink
-    /// stage after the merge converts each sealed window's reconstruction
-    /// into stored traces and appends them to a segmented on-disk archive
-    /// (`tw-store`), queryable via [`crate::OnlineEngine::archive`], `GET
-    /// /traces`, and `twctl query`. The archive's durable watermark rides
-    /// in the checkpoint so restarts neither re-archive nor lose sealed
-    /// windows. `None` (the default) disables archiving entirely.
+    /// stage after the window shard converts each sealed window's
+    /// reconstruction into stored traces and appends them to a segmented
+    /// on-disk archive (`tw-store`), queryable via
+    /// [`crate::OnlineEngine::archive`], `GET /traces`, and `twctl query`.
+    /// The archive's durable watermark rides in the checkpoint so restarts
+    /// neither re-archive nor lose sealed windows. `None` (the default)
+    /// disables archiving entirely.
     pub archive: Option<ArchiveConfig>,
 }
 
@@ -122,7 +118,6 @@ impl Default for OnlineConfig {
             window: Nanos::from_secs(1),
             grace: Nanos::from_millis(200),
             channel_capacity: 65_536,
-            shards: 1,
             sanitize: None,
             backpressure: Backpressure::Block,
             warm_start: false,
@@ -146,9 +141,9 @@ pub struct WindowResult {
     /// Records processed in this window.
     pub records: Vec<RpcRecord>,
     pub reconstruction: Reconstruction,
-    /// Windows still waiting in the work queue when this one was picked
-    /// up — a live back-pressure signal (persistently > 0 means
-    /// reconstruction can't keep up with ingest at this thread count).
+    /// Windows still open in the shard when this one was sealed — a live
+    /// back-pressure signal (persistently > 0 means reconstruction can't
+    /// keep up with ingest at this thread count).
     pub queue_depth: usize,
     /// Wall-clock time the reconstruction of this window took.
     pub latency: Duration,
@@ -185,14 +180,5 @@ impl WindowResult {
         } else {
             mapped as f64 / total as f64
         }
-    }
-}
-
-impl Sequenced for WindowResult {
-    /// Window indices are globally unique (each window is owned by
-    /// exactly one shard) and each shard emits in ascending index order,
-    /// so merging on the index restores global window order.
-    fn seq(&self) -> u64 {
-        self.index
     }
 }

@@ -9,7 +9,7 @@ use crate::archive::ArchiveStage;
 use crate::checkpoint::{
     load_checkpoint, CheckpointError, CheckpointSources, Checkpointer, RecoveryMetrics,
 };
-use crate::pipeline::{Backpressure, Pipeline, PipelineBuilder, QueueCfg};
+use crate::pipeline::{Pipeline, PipelineBuilder, QueueCfg};
 use crate::sanitize::{SanitizeMetrics, SanitizeStage, SanitizeStats, SanitizerSnapshot};
 use crate::supervise::{DeadLetterQueue, Supervisor};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -19,9 +19,9 @@ use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
 use tw_store::{spawn_compactor, CompactorHandle, TraceArchive};
 
-/// The online engine: a supervised [`Pipeline`] composing (optional)
-/// sanitize → window-router → window shards → merge, built with
-/// [`PipelineBuilder`].
+/// The online engine: a supervised [`Pipeline`] chaining (optional)
+/// sanitize → window-router → window shard → (optional) archive, built
+/// with [`PipelineBuilder`].
 ///
 /// Dropping / closing the ingest sender cascades an ordered shutdown
 /// through the graph: every stage drains its input, flushes buffered
@@ -119,9 +119,6 @@ impl OnlineEngine {
         config.window = Nanos(config.window.0.max(1));
         let resume = recover(&config);
         let warm = config.warm_start;
-        // Warm windows chain through the registry (k+1 starts from k's
-        // posterior), so the warm path runs on a single shard.
-        let shards = if warm { 1 } else { config.shards.max(1) };
         let shed = config.shed;
         let window = config.window;
         let trace = config.trace.clone();
@@ -134,7 +131,7 @@ impl OnlineEngine {
         let mut sources = config
             .checkpoint
             .as_ref()
-            .map(|_| CheckpointSources::new(shards, window.0, resume.watermark));
+            .map(|_| CheckpointSources::new(window.0, resume.watermark));
         if let (Some(src), Some(archive)) = (&mut sources, &resume.archive) {
             src.archive = Some(archive.watermark_handle());
         }
@@ -142,7 +139,7 @@ impl OnlineEngine {
         // The checkpointed registry takes precedence over any configured
         // bootstrap (it is strictly newer).
         let (reg_tx, reg_rx) = bounded::<DelayRegistry>(1);
-        let mut warm_state = warm.then(|| WarmState {
+        let warm_state = warm.then(|| WarmState {
             registry: resume
                 .registry
                 .or(config.initial_registry.take())
@@ -180,30 +177,19 @@ impl OnlineEngine {
         if let (Some(rm), true) = (&resume.recovery, resume.watermark > 0) {
             router = router.resume(resume.watermark, rm.windows_lost.clone());
         }
-        let sealed = sources.as_ref().map(|s| s.sealed.clone());
-        let builder = builder.shard(
-            shards,
-            router,
-            |i| {
-                let mut shard = WindowShard::new(i, window, shed, tw.clone(), metrics.clone());
-                shard.warm = warm_state.take();
-                shard.sealed = sealed.as_ref().map(|v| v[i].clone());
-                shard.trace = trace.clone();
-                shard
-            },
-            record_queue,
-        );
-        // The archive sink rides after the merge, where window order is
-        // global and deterministic. Its hop always blocks: window results
-        // are never shed, whatever the record queues' policy.
+        let mut shard = WindowShard::new(window, shed, tw, metrics);
+        shard.warm = warm_state;
+        shard.sealed = sources.as_ref().map(|s| s.sealed.clone());
+        shard.trace = trace.clone();
+        // Records may be shed on the router's hop; window results never
+        // are, whatever the record queues' policy: the shard's and the
+        // archive's hops always block.
+        let result_queue = QueueCfg::block(config.channel_capacity);
+        let builder = builder
+            .stage(router, record_queue)
+            .stage(shard, result_queue);
         let builder = match &resume.archive {
-            Some(archive) => builder.stage(
-                ArchiveStage::new(archive.clone()),
-                QueueCfg {
-                    capacity: config.channel_capacity,
-                    policy: Backpressure::Block,
-                },
-            ),
+            Some(archive) => builder.stage(ArchiveStage::new(archive.clone()), result_queue),
             None => builder,
         };
         let pipeline = builder.build();
@@ -287,7 +273,7 @@ impl OnlineEngine {
     ///
     /// The shutdown is ordered and drain-safe: closing the ingest sender
     /// cascades end-of-stream down the graph, every still-open window
-    /// flushes *through reconstruction* before its shard exits, and the
+    /// flushes *through reconstruction* before the shard exits, and the
     /// results queue is drained while stages are joined, so nothing is
     /// silently dropped and a bounded results queue can never deadlock
     /// the join.
@@ -350,12 +336,21 @@ impl Drop for OnlineEngine {
 mod tests {
     use super::*;
     use crate::checkpoint::CheckpointConfig;
-    use crate::online::{DegradationLevel, ShedPolicy};
+    use crate::online::{assert_same_windows, DegradationLevel, ShedPolicy};
     use tw_core::Params;
     use tw_model::metrics::end_to_end_accuracy_all_roots;
     use tw_sim::apps::two_service_chain;
     use tw_sim::{Simulator, Workload};
     use tw_telemetry::Registry;
+
+    /// A weaver on `threads` reconstruction workers.
+    fn weaver(graph: &tw_model::CallGraph, threads: usize) -> TraceWeaver {
+        let params = Params {
+            threads,
+            ..Params::default()
+        };
+        TraceWeaver::new(graph.clone(), params)
+    }
 
     #[test]
     fn online_matches_offline_accuracy() {
@@ -413,9 +408,9 @@ mod tests {
         }
     }
 
-    /// A multi-worker pipeline must emit the same windows, in the same
-    /// order, with the same mappings as the single-worker engine — the
-    /// collector restores order, workers only change wall time.
+    /// The warm engine must emit the same windows, in the same order, with
+    /// the same mappings at 1, 2 and 8 reconstruction threads — workers
+    /// only change wall time.
     #[test]
     fn pipelined_workers_match_sequential() {
         let app = two_service_chain(53);
@@ -427,14 +422,13 @@ mod tests {
         records.sort_by_key(|r| r.send_req);
 
         let run = |threads: usize| -> Vec<WindowResult> {
-            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
             let engine = OnlineEngine::start(
-                tw,
+                weaver(&call_graph, threads),
                 OnlineConfig {
                     window: Nanos::from_millis(250),
                     grace: Nanos::from_millis(50),
                     channel_capacity: 1024,
-                    shards: threads,
+                    warm_start: true,
                     ..OnlineConfig::default()
                 },
             );
@@ -447,28 +441,19 @@ mod tests {
         };
 
         let seq = run(1);
-        let par = run(4);
         assert!(
             seq.len() >= 4,
             "expected several windows, got {}",
             seq.len()
         );
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.index, b.index, "window order must be restored");
-            assert_eq!(a.end, b.end);
-            assert_eq!(a.records, b.records);
-            for r in &a.records {
-                assert_eq!(
-                    a.reconstruction.mapping.children(r.rpc),
-                    b.reconstruction.mapping.children(r.rpc),
-                    "mapping diverged in window {}",
-                    a.index
-                );
+        for threads in [2, 8] {
+            let par = run(threads);
+            assert_same_windows(&seq, &par, &format!("{threads} threads"));
+            for (a, b) in seq.iter().zip(&par) {
+                // Worker metrics are populated.
+                assert!(a.latency.as_nanos() > 0);
+                assert!(b.queue_depth <= seq.len());
             }
-            // Worker metrics are populated.
-            assert!(a.latency.as_nanos() > 0);
-            assert!(b.queue_depth <= seq.len());
         }
     }
 
@@ -540,14 +525,13 @@ mod tests {
         records.sort_by_key(|r| r.send_req);
 
         let run = |threads: usize, level: DegradationLevel| -> Vec<WindowResult> {
-            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
             let engine = OnlineEngine::start(
-                tw,
+                weaver(&call_graph, threads),
                 OnlineConfig {
                     window: Nanos::from_millis(250),
                     grace: Nanos::from_millis(50),
                     channel_capacity: 1024,
-                    shards: threads,
+                    warm_start: true,
                     shed: ShedPolicy {
                         forced: Some(level),
                         ..ShedPolicy::default()
@@ -566,23 +550,11 @@ mod tests {
         for level in [DegradationLevel::ShrinkBatch, DegradationLevel::Greedy] {
             let runs: Vec<Vec<WindowResult>> = [1, 2, 8].iter().map(|&t| run(t, level)).collect();
             assert!(runs[0].len() >= 4, "got {} windows", runs[0].len());
-            for other in &runs[1..] {
-                assert_eq!(runs[0].len(), other.len());
-                for (a, b) in runs[0].iter().zip(other) {
-                    assert_eq!(a.index, b.index);
-                    assert_eq!(a.records, b.records);
-                    assert_eq!(a.degradation, level);
-                    assert_eq!(b.degradation, level);
-                    for r in &a.records {
-                        assert_eq!(
-                            a.reconstruction.mapping.children(r.rpc),
-                            b.reconstruction.mapping.children(r.rpc),
-                            "degraded mapping diverged in window {} at {level:?}",
-                            a.index
-                        );
-                    }
-                }
+            for (other, threads) in runs[1..].iter().zip([2, 8]) {
+                assert_same_windows(&runs[0], other, &format!("{level:?} at {threads} threads"));
+                assert!(other.iter().all(|w| w.degradation == level));
             }
+            assert!(runs[0].iter().all(|w| w.degradation == level));
         }
     }
 
@@ -678,13 +650,11 @@ mod tests {
         }
     }
 
-    /// The merged result stream is byte-identical at 1, 2, and 8 window
-    /// shards — the router stamps window indices before fan-out, so shard
-    /// count can only change *where* a window reconstructs, never what it
-    /// contains or where it lands in the output order. Runs with the
-    /// sanitize stage embedded so the full composed graph is exercised.
+    /// The composed graph — sanitize → window-router → window/0 — emits a
+    /// byte-identical warm result stream at 1, 2 and 8 reconstruction
+    /// threads, and loses no record.
     #[test]
-    fn sharded_merge_is_deterministic_across_shard_counts() {
+    fn composed_graph_is_deterministic_across_threads() {
         let app = two_service_chain(59);
         let call_graph = app.config.call_graph();
         let root = app.roots[0];
@@ -693,15 +663,14 @@ mod tests {
         let mut records = out.records.clone();
         records.sort_by_key(|r| r.send_req);
 
-        let run = |shards: usize| -> (Vec<WindowResult>, Vec<String>) {
-            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
+        let run = |threads: usize| -> (Vec<WindowResult>, Vec<String>) {
             let engine = OnlineEngine::start(
-                tw,
+                weaver(&call_graph, threads),
                 OnlineConfig {
                     window: Nanos::from_millis(250),
                     grace: Nanos::from_millis(50),
                     channel_capacity: 64,
-                    shards,
+                    warm_start: true,
                     sanitize: Some(crate::sanitize::SanitizeConfig::default()),
                     ..OnlineConfig::default()
                 },
@@ -717,30 +686,12 @@ mod tests {
 
         let (base, names) = run(1);
         assert!(base.len() >= 4, "got {} windows", base.len());
-        assert!(names.iter().any(|n| n == "sanitize"));
-        assert_eq!(names.iter().filter(|n| n.starts_with("window/")).count(), 1);
+        assert_eq!(names, ["sanitize", "window-router", "window/0"]);
         let total: usize = base.iter().map(|w| w.records.len()).sum();
-        assert_eq!(total, out.records.len(), "no records lost at 1 shard");
-        for shards in [2usize, 8] {
-            let (other, names) = run(shards);
-            assert_eq!(
-                names.iter().filter(|n| n.starts_with("window/")).count(),
-                shards
-            );
-            assert_eq!(base.len(), other.len());
-            for (a, b) in base.iter().zip(&other) {
-                assert_eq!(a.index, b.index, "merge must restore global order");
-                assert_eq!(a.end, b.end);
-                assert_eq!(a.records, b.records, "window contents moved between shards");
-                for r in &a.records {
-                    assert_eq!(
-                        a.reconstruction.mapping.children(r.rpc),
-                        b.reconstruction.mapping.children(r.rpc),
-                        "mapping diverged in window {} at {shards} shards",
-                        a.index
-                    );
-                }
-            }
+        assert_eq!(total, out.records.len(), "no records lost");
+        for threads in [2, 8] {
+            let (other, _) = run(threads);
+            assert_same_windows(&base, &other, &format!("{threads} threads"));
         }
     }
 
@@ -796,12 +747,12 @@ mod tests {
         assert!(!registry.is_empty());
     }
 
-    /// Checkpoint round-trip: write a checkpoint at a mid-stream sealed
-    /// watermark, restart the engine from it, and replay the remainder of
-    /// the stream — the resumed engine must emit windows byte-identical
-    /// to the uninterrupted run from the watermark on, at 1, 2, and 8
-    /// shards, with `tw_pipeline_recovery_*` reporting the restore and a
-    /// zero gap (and the true gap when windows really were lost).
+    /// Checkpoint round-trip: checkpoint a warm engine at a mid-stream
+    /// sealed watermark, restart from it, and replay the remainder of the
+    /// stream — the resumed engine must emit windows byte-identical to the
+    /// uninterrupted run from the watermark on, at 1, 2 and 8 threads,
+    /// with `tw_pipeline_recovery_*` reporting the restore and a zero gap
+    /// (and the true gap when windows really were lost).
     #[test]
     fn checkpoint_restore_matches_uninterrupted_run() {
         let app = two_service_chain(61);
@@ -817,43 +768,40 @@ mod tests {
         let window = Nanos::from_millis(250);
         let by_ts = |r: &RpcRecord| r.recv_resp.0.div_ceil(window.0).saturating_sub(1);
 
-        let run = |shards: usize,
-                   dir: Option<&std::path::Path>,
-                   recs: &[RpcRecord],
-                   telemetry: &Registry|
-         -> Vec<WindowResult> {
-            let tw = TraceWeaver::new(call_graph.clone(), Params::default());
-            let engine = OnlineEngine::start(
-                tw,
+        let start = |threads: usize, dir: Option<&std::path::Path>, telemetry: &Registry| {
+            OnlineEngine::start(
+                weaver(&call_graph, threads),
                 OnlineConfig {
                     window,
                     grace: Nanos::from_millis(50),
                     channel_capacity: 1024,
-                    shards,
+                    warm_start: true,
                     checkpoint: dir.map(CheckpointConfig::new),
                     telemetry: telemetry.clone(),
                     ..OnlineConfig::default()
                 },
-            );
+            )
+        };
+        let feed = |engine: &OnlineEngine, recs: &[RpcRecord]| {
             let ingest = engine.ingest_handle();
             for r in recs {
                 ingest.send(*r).unwrap();
             }
-            drop(ingest);
-            engine.shutdown()
         };
-
-        for shards in [1usize, 2, 8] {
-            let baseline = run(shards, None, &records, &Registry::new());
-            assert!(baseline.len() >= 4, "got {} windows", baseline.len());
-            let watermark = baseline[baseline.len() / 2].index;
-            let suffix: Vec<RpcRecord> = records
+        // The registry a warm engine holds after sealing every window
+        // before `watermark` — what its checkpoint at that point carries.
+        let registry_before = |threads: usize, watermark: u64| {
+            let prefix: Vec<RpcRecord> = records
                 .iter()
                 .copied()
-                .filter(|r| by_ts(r) >= watermark)
+                .filter(|r| by_ts(r) < watermark)
                 .collect();
-            let dir =
-                std::env::temp_dir().join(format!("twck-resume-{}-{shards}", std::process::id()));
+            let engine = start(threads, None, &Registry::new());
+            feed(&engine, &prefix);
+            engine.shutdown_with_registry().1.expect("warm registry")
+        };
+        let checkpoint = |tag: &str, watermark: u64, registry: DelayRegistry| {
+            let dir = std::env::temp_dir().join(format!("twck-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             crate::checkpoint::write_checkpoint(
                 &dir,
@@ -861,33 +809,47 @@ mod tests {
                     watermark,
                     window_ns: window.0,
                     sanitizer: None,
-                    registry: None,
+                    registry: Some(registry),
                     archived: None,
                 },
             )
             .unwrap();
+            dir
+        };
+
+        let baseline = {
+            let engine = start(1, None, &Registry::new());
+            feed(&engine, &records);
+            engine.shutdown()
+        };
+        assert!(baseline.len() >= 4, "got {} windows", baseline.len());
+        let watermark = baseline[baseline.len() / 2].index;
+        let suffix: Vec<RpcRecord> = records
+            .iter()
+            .copied()
+            .filter(|r| by_ts(r) >= watermark)
+            .collect();
+        let expected: Vec<WindowResult> = baseline
+            .into_iter()
+            .filter(|w| w.index >= watermark)
+            .collect();
+        let registry = registry_before(1, watermark);
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                registry_before(threads, watermark),
+                registry,
+                "checkpointed registry moved at {threads} threads"
+            );
+            let dir = checkpoint(&format!("resume-{threads}"), watermark, registry.clone());
             let telemetry = Registry::new();
-            let resumed = run(shards, Some(&dir), &suffix, &telemetry);
-            let expected: Vec<&WindowResult> =
-                baseline.iter().filter(|w| w.index >= watermark).collect();
-            assert_eq!(expected.len(), resumed.len(), "at {shards} shards");
-            for (a, b) in expected.iter().zip(&resumed) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.end, b.end);
-                assert_eq!(
-                    a.records, b.records,
-                    "window {} diverged after restore at {shards} shards",
-                    a.index
-                );
-                for r in &a.records {
-                    assert_eq!(
-                        a.reconstruction.mapping.children(r.rpc),
-                        b.reconstruction.mapping.children(r.rpc),
-                        "mapping diverged in window {} after restore",
-                        a.index
-                    );
-                }
-            }
+            let engine = start(threads, Some(&dir), &telemetry);
+            feed(&engine, &suffix);
+            let resumed = engine.shutdown();
+            assert_same_windows(
+                &expected,
+                &resumed,
+                &format!("after restore at {threads} threads"),
+            );
             let text = telemetry.render();
             assert!(
                 text.contains("tw_pipeline_recovery_restores_total 1"),
@@ -903,29 +865,17 @@ mod tests {
         // Crash gap: resume from watermark W but replay only from W+2 —
         // the probe must report exactly the two windows that died with
         // the previous process.
-        let baseline = run(1, None, &records, &Registry::new());
-        let watermark = baseline[baseline.len() / 2].index;
-        let gap_suffix: Vec<RpcRecord> = records
+        let gap_suffix: Vec<RpcRecord> = suffix
             .iter()
             .copied()
             .filter(|r| by_ts(r) >= watermark + 2)
             .collect();
         assert!(!gap_suffix.is_empty());
-        let dir = std::env::temp_dir().join(format!("twck-gap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        crate::checkpoint::write_checkpoint(
-            &dir,
-            &crate::checkpoint::CheckpointDoc {
-                watermark,
-                window_ns: window.0,
-                sanitizer: None,
-                registry: None,
-                archived: None,
-            },
-        )
-        .unwrap();
+        let dir = checkpoint("gap", watermark, registry);
         let telemetry = Registry::new();
-        let _ = run(1, Some(&dir), &gap_suffix, &telemetry);
+        let engine = start(1, Some(&dir), &telemetry);
+        feed(&engine, &gap_suffix);
+        let _ = engine.shutdown();
         assert!(
             telemetry
                 .render()

@@ -8,25 +8,26 @@
 //! grace period, reconstructs every record that completed inside the
 //! window. The grace period plays the paper's role of "the window needs to
 //! be chosen based on the known response latency distribution of the app":
-//! records of one trace always land in the same window because a trace's
-//! root response is its last event.
+//! it delays the cut until late records of the window have arrived. It
+//! does not keep a trace in one window: a record lands in the window of
+//! its own `recv_resp`, so a child that completes before a cut is sealed
+//! one window before its parent. ROADMAP's window-seams item measures
+//! what that costs.
 //!
-//! The engine is composed from the staged-pipeline core
+//! The engine is one linear chain of stages from the staged-pipeline core
 //! ([`crate::pipeline`]): every hop is a bounded queue with explicit
 //! backpressure and `tw_pipeline_*` telemetry,
 //!
 //! ```text
-//! ingest ─▶ [sanitize] ─▶ window-router ─▶ window/0..N (shards) ─▶ merge ─▶ results
+//! ingest ─▶ [sanitize] ─▶ window-router ─▶ window/0 ─▶ [archive] ─▶ results
 //! ```
 //!
 //! with one module per decision:
 //!
 //! * `config` — what can be configured, and what a window result carries;
 //! * `shed` — when to degrade a window, and what each ladder rung runs;
-//! * `router` — which window a record belongs to. It stamps the index in
-//!   arrival order, before the fan-out, so each window's contents — and
-//!   the merged stream — are byte-identical at 1, 2, and 8 shards: shards
-//!   change wall time only;
+//! * `router` — which window a record belongs to, stamped in arrival
+//!   order;
 //! * `shard` — what sealing a window does, on a cut mark or in the
 //!   shutdown drain, and the warm registry chain it may carry;
 //! * `engine` — how the engine recovers, starts and drains.
@@ -35,12 +36,10 @@
 //! [`tw_core::DelayRegistry`] through the window stream: window *k*'s
 //! posterior is published — in window order — before window *k+1* is
 //! reconstructed, so every window after the first skips the seed
-//! bootstrap and starts EM from accumulated cross-window evidence. Windows gain a sequential
-//! model dependency in this mode, so the warm path runs on a single
-//! window shard (the registry chain *is* the order); use
-//! [`tw_core::Params::threads`] for intra-window parallelism instead of
-//! `OnlineConfig::shards`. The emitted stream stays byte-identical for
-//! every thread count.
+//! bootstrap and starts EM from accumulated cross-window evidence.
+//! Parallelism lives inside each window: [`tw_core::Params::threads`]
+//! workers run its per-process tasks, and the emitted stream stays
+//! byte-identical for every thread count.
 
 mod config;
 mod engine;
@@ -50,3 +49,23 @@ mod shed;
 
 pub use config::{DegradationLevel, OnlineConfig, ShedPolicy, WindowResult};
 pub use engine::OnlineEngine;
+
+/// The determinism oracle of the engine's and the router's tests: the same
+/// windows, with the same ends, records and mappings, in the same order.
+#[cfg(test)]
+fn assert_same_windows(a: &[WindowResult], b: &[WindowResult], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: window count");
+    for (a, b) in a.iter().zip(b) {
+        assert_eq!(a.index, b.index, "{what}: window order");
+        assert_eq!(a.end, b.end, "{what}: window {} end", a.index);
+        assert_eq!(a.records, b.records, "{what}: window {}", a.index);
+        for r in &a.records {
+            assert_eq!(
+                a.reconstruction.mapping.children(r.rpc),
+                b.reconstruction.mapping.children(r.rpc),
+                "{what}: mapping diverged in window {}",
+                a.index
+            );
+        }
+    }
+}

@@ -1,7 +1,7 @@
-//! Which window a record belongs to: the sequential head of the sharded
-//! windowing stage.
+//! Which window a record belongs to: the sequential head of the windowing
+//! stage.
 
-use crate::pipeline::{shard_hash, Emitter, ShardMsg, Stage, StageCtx};
+use crate::pipeline::{DeadLetterPayload, Emitter, Stage, StageCtx};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use tw_model::span::RpcRecord;
@@ -9,17 +9,40 @@ use tw_model::time::Nanos;
 use tw_telemetry::trace::{SpanGuard, SpanRecorder};
 use tw_telemetry::Gauge;
 
-/// The window router: a [`Stage`] whose [`Emitter`] has one lane per
-/// window shard. For each record, in arrival order, it computes the
+/// Router → shard message: a record stamped with its window index, or the
+/// cut that seals a window.
+#[derive(Debug)]
+pub(super) enum WindowMsg {
+    Record(u64, RpcRecord),
+    Cut(u64),
+}
+
+/// A routed record quarantines with its record and window; a cut with its
+/// window.
+impl DeadLetterPayload for WindowMsg {
+    fn dead_letter_record(&self) -> Option<RpcRecord> {
+        match self {
+            WindowMsg::Record(_, rec) => Some(*rec),
+            WindowMsg::Cut(_) => None,
+        }
+    }
+
+    fn dead_letter_window(&self) -> Option<u64> {
+        match self {
+            WindowMsg::Record(window, _) | WindowMsg::Cut(window) => Some(*window),
+        }
+    }
+}
+
+/// The window router. For each record, in arrival order, it computes the
 /// *effective window index* — `max(⌈recv_resp / window⌉ − 1, first
-/// uncut window)`, exactly the window the legacy single-threaded
-/// windower would have flushed the record in (late records land in the
-/// first window still open at their arrival) — and routes the record to
-/// `shard_hash(index) % shards`. When the watermark passes a window's
-/// end plus grace it broadcasts a cut [`ShardMsg::Mark`] every shard
-/// observes. Item-before-mark queue order guarantees a window's records
-/// are all buffered in its owning shard before any shard sees the cut,
-/// so window contents are invariant in the shard count.
+/// uncut window)`, so a late record lands in the first window still open
+/// at its arrival — and sends the stamped record to the window shard
+/// under the hop's backpressure policy. When the watermark passes a
+/// window's end plus grace it sends the [`WindowMsg::Cut`], which always
+/// blocks: a lost cut would leave its window open forever. The queue is
+/// FIFO, so a window's records are all buffered in the shard before its
+/// cut arrives.
 pub(super) struct WindowRouter {
     window: Nanos,
     grace: Nanos,
@@ -28,7 +51,7 @@ pub(super) struct WindowRouter {
     recovery: Option<RouterRecovery>,
     trace: Option<SpanRecorder>,
     /// Open "route" spans, one per sampled window, finished when the
-    /// window's cut mark is broadcast.
+    /// window's cut is sent.
     route_spans: BTreeMap<u64, SpanGuard>,
 }
 
@@ -76,18 +99,13 @@ impl WindowRouter {
 
 impl Stage for WindowRouter {
     type In = RpcRecord;
-    type Out = ShardMsg<(u64, RpcRecord)>;
+    type Out = WindowMsg;
 
     fn name(&self) -> &str {
         "window-router"
     }
 
-    fn process(
-        &mut self,
-        rec: RpcRecord,
-        _ctx: &StageCtx,
-        out: &mut Emitter<ShardMsg<(u64, RpcRecord)>>,
-    ) {
+    fn process(&mut self, rec: RpcRecord, _ctx: &StageCtx, out: &mut Emitter<WindowMsg>) {
         self.watermark = self.watermark.max(rec.recv_resp);
         let by_ts = rec.recv_resp.0.div_ceil(self.window.0).saturating_sub(1);
         if let Some(probe) = self.recovery.take() {
@@ -106,8 +124,7 @@ impl Stage for WindowRouter {
                 }
             }
         }
-        let shard = (shard_hash(index) % out.lanes() as u64) as usize;
-        out.emit_to(shard, ShardMsg::Item((index, rec)));
+        out.emit(WindowMsg::Record(index, rec));
         while self.watermark.0
             >= self
                 .window_end(self.first_uncut)
@@ -116,29 +133,31 @@ impl Stage for WindowRouter {
             if let Some(guard) = self.route_spans.remove(&self.first_uncut) {
                 guard.event(format!("cut at watermark {}", self.watermark.0));
             }
-            out.broadcast(ShardMsg::Mark(self.first_uncut));
+            out.emit_pressure(WindowMsg::Cut(self.first_uncut));
             self.first_uncut += 1;
         }
     }
     // No flush override: windows still open when the stream closes are
-    // flushed by the shards themselves (their input queues close after
-    // the router exits).
+    // flushed by the shard itself (its input queue closes after the
+    // router exits).
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::shard::{EngineMetrics, WindowShard};
-    use crate::online::{ShedPolicy, WindowResult};
+    use crate::online::shard::{EngineMetrics, WarmState, WindowShard};
+    use crate::online::{assert_same_windows, ShedPolicy, WindowResult};
     use crate::pipeline::{PipelineBuilder, QueueCfg, ShutdownReport};
     use crate::supervise::{DeadLetterQueue, Supervisor};
-    use tw_core::{Params, TraceWeaver};
+    use tw_core::{DelayRegistry, Params, TraceWeaver};
+    use tw_model::callgraph::CallGraph;
     use tw_model::ids::RpcId;
     use tw_sim::apps::two_service_chain;
     use tw_sim::{Simulator, Workload};
     use tw_telemetry::Registry;
 
     const WINDOW: Nanos = Nanos(250_000_000);
+    const THREADS: [usize; 3] = [1, 2, 8];
 
     /// Forwards records, panicking on the poison ones: a fault in a stage
     /// upstream of the router.
@@ -172,7 +191,7 @@ mod tests {
 
     impl Stage for PoisonRouter {
         type In = RpcRecord;
-        type Out = ShardMsg<(u64, RpcRecord)>;
+        type Out = WindowMsg;
         fn name(&self) -> &str {
             self.inner.name()
         }
@@ -187,7 +206,7 @@ mod tests {
     }
 
     /// A seeded two-service stream in send order, and its call graph.
-    fn stream(seed: u64) -> (TraceWeaver, Vec<RpcRecord>) {
+    fn stream(seed: u64) -> (CallGraph, Vec<RpcRecord>) {
         let app = two_service_chain(seed);
         let call_graph = app.config.call_graph();
         let root = app.roots[0];
@@ -195,20 +214,35 @@ mod tests {
         let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(2)));
         let mut records = out.records;
         records.sort_by_key(|r| r.send_req);
-        (TraceWeaver::new(call_graph, Params::default()), records)
+        (call_graph, records)
     }
 
-    /// source → poison stage → (poison) window router → `shards` window
-    /// shards → merge, fed `records`, drained.
+    /// source → poison stage → (poison) window router → warm window shard
+    /// on `threads` workers, fed `records`, drained.
     fn run(
-        tw: &TraceWeaver,
+        graph: &CallGraph,
         records: &[RpcRecord],
-        shards: usize,
+        threads: usize,
         stage_poison: &[RpcId],
         router_poison: &[RpcId],
         telemetry: &Registry,
     ) -> (ShutdownReport<WindowResult>, DeadLetterQueue) {
-        let metrics = EngineMetrics::new(telemetry, None);
+        let params = Params {
+            threads,
+            ..Params::default()
+        };
+        let tw = TraceWeaver::new(graph.clone(), params);
+        let mut shard = WindowShard::new(
+            WINDOW,
+            ShedPolicy::default(),
+            tw,
+            EngineMetrics::new(telemetry, None),
+        );
+        shard.warm = Some(WarmState {
+            registry: DelayRegistry::default(),
+            out: crossbeam::channel::bounded(1).0,
+            watch: None,
+        });
         let queue = QueueCfg::block(1024);
         let supervisor = Supervisor::default();
         let dlq = supervisor.dead_letters().clone();
@@ -221,23 +255,14 @@ mod tests {
                 },
                 queue,
             )
-            .shard(
-                shards,
+            .stage(
                 PoisonRouter {
                     inner: WindowRouter::new(WINDOW, Nanos::from_millis(50), None),
                     poison: router_poison.to_vec(),
                 },
-                |i| {
-                    WindowShard::new(
-                        i,
-                        WINDOW,
-                        ShedPolicy::default(),
-                        tw.clone(),
-                        metrics.clone(),
-                    )
-                },
                 queue,
             )
+            .stage(shard, queue)
             .build();
         for r in records {
             // An escalated stage stops consuming; the rest of the stream
@@ -250,47 +275,36 @@ mod tests {
         (pipeline.shutdown(), dlq)
     }
 
-    /// Every window of `faulted` matches `clean` except that the window
-    /// holding the poison record lost exactly that record.
-    fn assert_only_poison_lost(
-        clean: &[WindowResult],
-        faulted: &[WindowResult],
-        poison: RpcId,
-        shards: usize,
-    ) {
-        assert_eq!(
-            clean.len(),
-            faulted.len(),
-            "windows lost at {shards} shards"
-        );
+    /// Every window of `faulted` holds the records of `clean` except that
+    /// the window holding the poison record lost exactly that record.
+    /// Mappings match up to that window; after it the warm chain carries
+    /// the poisoned window's posterior, so they may legitimately move.
+    fn assert_only_poison_lost(clean: &[WindowResult], faulted: &[WindowResult], poison: RpcId) {
+        assert_eq!(clean.len(), faulted.len(), "windows lost");
+        let poisoned = clean
+            .iter()
+            .find(|w| w.records.iter().any(|r| r.rpc == poison))
+            .expect("poison record was routed")
+            .index;
         for (a, b) in clean.iter().zip(faulted) {
-            assert_eq!(a.index, b.index, "window order broken at {shards} shards");
-            if a.records.iter().any(|r| r.rpc == poison) {
-                let filtered: Vec<RpcRecord> = a
-                    .records
-                    .iter()
-                    .copied()
-                    .filter(|r| r.rpc != poison)
-                    .collect();
-                assert!(filtered.len() + 1 == a.records.len());
-                assert_eq!(
-                    filtered, b.records,
-                    "faulted window must lose exactly the poison record"
+            assert_eq!(a.index, b.index, "window order broken");
+            let expected: Vec<RpcRecord> = a
+                .records
+                .iter()
+                .copied()
+                .filter(|r| r.rpc != poison)
+                .collect();
+            assert_eq!(
+                expected, b.records,
+                "window {} must lose exactly the poison record",
+                a.index
+            );
+            if a.index < poisoned {
+                assert_same_windows(
+                    std::slice::from_ref(a),
+                    std::slice::from_ref(b),
+                    "before the poison",
                 );
-            } else {
-                assert_eq!(
-                    a.records, b.records,
-                    "unaffected window {} diverged at {shards} shards",
-                    a.index
-                );
-                for r in &a.records {
-                    assert_eq!(
-                        a.reconstruction.mapping.children(r.rpc),
-                        b.reconstruction.mapping.children(r.rpc),
-                        "unaffected mapping diverged in window {}",
-                        a.index
-                    );
-                }
             }
         }
     }
@@ -301,24 +315,25 @@ mod tests {
 
     /// Kill-a-stage-mid-window: a stage that panics on one poison record
     /// is restarted by the supervisor, the poison lands in the
-    /// dead-letter queue, and every window *not* containing the poison is
-    /// byte-identical to the fault-free run — at 1, 2, and 8 shards.
+    /// dead-letter queue, and only the poison is lost — with the same
+    /// output at 1, 2 and 8 reconstruction threads.
     #[test]
     fn stage_panic_quarantines_poison_and_preserves_other_windows() {
-        let (tw, records) = stream(63);
+        let (graph, records) = stream(63);
         let poison = records[records.len() / 2].rpc;
+        let (clean, _) = run(&graph, &records, 1, &[], &[], &Registry::new());
+        let clean = clean.expect_clean();
 
-        for shards in [1usize, 2, 8] {
-            let (clean_report, _) = run(&tw, &records, shards, &[], &[], &Registry::new());
-            let clean = clean_report.expect_clean();
+        let mut reference: Option<Vec<WindowResult>> = None;
+        for threads in THREADS {
             let telemetry = Registry::new();
-            let (report, dlq) = run(&tw, &records, shards, &[poison], &[], &telemetry);
+            let (report, dlq) = run(&graph, &records, threads, &[poison], &[], &telemetry);
             assert!(
                 report.is_clean(),
                 "one panic must restart, not escalate: {:?}",
                 failure_list(&report)
             );
-            assert_only_poison_lost(&clean, &report.results, poison, shards);
+            assert_only_poison_lost(&clean, &report.results, poison);
             let letters = dlq.snapshot();
             assert_eq!(letters.len(), 1, "exactly one quarantined item");
             assert_eq!(letters[0].stage, "poison");
@@ -337,31 +352,38 @@ mod tests {
                 text.contains("tw_pipeline_dead_letter_total{reason=\"panic\",stage=\"poison\"} 1"),
                 "{text}"
             );
+            match &reference {
+                None => reference = Some(report.results),
+                Some(base) => {
+                    assert_same_windows(base, &report.results, &format!("{threads} threads"))
+                }
+            }
         }
     }
 
     /// The router runs on the same supervised loop as every stage: a
     /// poison record panicking it is quarantined with its payload, the
     /// router resumes with its watermark and `first_uncut` intact, and
-    /// every window not containing the poison is byte-identical to the
-    /// fault-free run — at 1, 2, and 8 shards.
+    /// only the poison is lost — with the same output at 1, 2 and 8
+    /// reconstruction threads.
     #[test]
     fn router_panic_quarantines_poison_and_keeps_its_watermark() {
-        let (tw, records) = stream(63);
+        let (graph, records) = stream(63);
         let mid = records.len() / 2;
         let poison = records[mid].rpc;
+        let (clean, _) = run(&graph, &records, 1, &[], &[], &Registry::new());
+        let clean = clean.expect_clean();
 
-        for shards in [1usize, 2, 8] {
-            let (clean_report, _) = run(&tw, &records, shards, &[], &[], &Registry::new());
-            let clean = clean_report.expect_clean();
+        let mut reference: Option<Vec<WindowResult>> = None;
+        for threads in THREADS {
             let telemetry = Registry::new();
-            let (report, dlq) = run(&tw, &records, shards, &[], &[poison], &telemetry);
+            let (report, dlq) = run(&graph, &records, threads, &[], &[poison], &telemetry);
             assert!(
                 report.is_clean(),
                 "one panic must restart, not escalate: {:?}",
                 failure_list(&report)
             );
-            assert_only_poison_lost(&clean, &report.results, poison, shards);
+            assert_only_poison_lost(&clean, &report.results, poison);
             let letters = dlq.snapshot();
             assert_eq!(letters.len(), 1, "exactly one quarantined item");
             assert_eq!(letters[0].stage, "window-router");
@@ -386,6 +408,12 @@ mod tests {
                 ),
                 "{text}"
             );
+            match &reference {
+                None => reference = Some(report.results),
+                Some(base) => {
+                    assert_same_windows(base, &report.results, &format!("{threads} threads"))
+                }
+            }
         }
     }
 
@@ -395,12 +423,12 @@ mod tests {
     /// `shutdown`.
     #[test]
     fn router_escalates_on_sixth_panic_into_a_clean_report() {
-        let (tw, records) = stream(63);
+        let (graph, records) = stream(63);
         let mid = records.len() / 2;
         let poison: Vec<RpcId> = records[mid..mid + 6].iter().map(|r| r.rpc).collect();
 
         let telemetry = Registry::new();
-        let (report, dlq) = run(&tw, &records, 2, &[], &poison, &telemetry);
+        let (report, dlq) = run(&graph, &records, 2, &[], &poison, &telemetry);
         assert_eq!(report.failures.len(), 1, "{:?}", failure_list(&report));
         assert_eq!(report.failures[0].stage, "window-router");
         assert!(
@@ -412,7 +440,7 @@ mod tests {
         );
         assert_eq!(dlq.len(), 6, "every poison quarantined");
         // What was routed before the escalation still drained through the
-        // shards, in order, and holds nothing from the poisoned tail.
+        // shard, in order, and holds nothing from the poisoned tail.
         let routed: usize = report.results.iter().map(|w| w.records.len()).sum();
         assert_eq!(routed, mid);
         for pair in report.results.windows(2) {

@@ -1,10 +1,11 @@
-//! What sealing a window does: one windowing+reconstruction shard, the
+//! What sealing a window does: the windowing+reconstruction shard, the
 //! warm registry chain it may carry, and the `tw_engine_*` series every
 //! sealed window reports into.
 
 use super::config::{DegradationLevel, ShedPolicy, WindowResult};
+use super::router::WindowMsg;
 use super::shed::{LadderedWeaver, ShedLadder};
-use crate::pipeline::{Emitter, ShardMsg, Stage, StageCtx};
+use crate::pipeline::{Emitter, Stage, StageCtx};
 use crossbeam::channel::Sender;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -16,12 +17,12 @@ use tw_model::time::Nanos;
 use tw_telemetry::trace::{SpanGuard, SpanRecorder};
 use tw_telemetry::{Buckets, Counter, Gauge, Histogram, Registry};
 
-/// Registry-backed engine instrumentation, cloned into every worker. The
-/// previous per-window latency/queue-depth fields on [`WindowResult`]
-/// remain as per-window snapshots; these series are their cumulative view.
+/// Registry-backed engine instrumentation. The per-window latency and
+/// queue-depth fields on [`WindowResult`] are per-window snapshots; these
+/// series are their cumulative view.
 #[derive(Debug, Clone)]
 pub(super) struct EngineMetrics {
-    /// Windows sealed and per-worker ladder movements, both indexed by
+    /// Windows sealed and ladder movements, both indexed by
     /// [`DegradationLevel`] (for a movement, the rung moved to).
     windows: [Counter; 4],
     transitions: [Counter; 4],
@@ -77,8 +78,8 @@ impl EngineMetrics {
         }
     }
 
-    /// Record one finished window. `last_level` is the worker-local
-    /// previous rung, used to count ladder transitions.
+    /// Record one finished window. `last_level` is the previous window's
+    /// rung, used to count ladder transitions.
     fn observe_window(&self, result: &WindowResult, last_level: &mut Option<DegradationLevel>) {
         self.windows[result.degradation as usize].inc();
         if *last_level != Some(result.degradation) {
@@ -107,7 +108,7 @@ impl EngineMetrics {
     }
 }
 
-/// Warm-start state carried by the single window shard in warm mode: the
+/// Warm-start state the window shard carries in warm mode: the
 /// registry chain plus the channel that hands the final posterior back
 /// through [`crate::OnlineEngine::shutdown_with_registry`].
 pub(super) struct WarmState {
@@ -119,47 +120,41 @@ pub(super) struct WarmState {
     pub(super) watch: Option<RegistryWatch>,
 }
 
-/// One windowing+reconstruction shard ([`Stage`]): buffers the records
-/// of the windows it owns, seals one whole window per cut mark, and seals
-/// still-open windows (in index order) on shutdown — the drain path that
-/// guarantees no record is silently dropped.
+/// The windowing+reconstruction shard ([`Stage`] `window/0`): buffers
+/// each open window's records, seals one whole window per cut mark, and
+/// seals still-open windows (in index order) on shutdown — the drain path
+/// that guarantees no record is silently dropped.
 pub(super) struct WindowShard {
-    name: String,
     window: Nanos,
     shed: ShedLadder,
     ladder: LadderedWeaver,
     metrics: EngineMetrics,
-    /// Open windows owned by this shard, keyed by window index. `len()`
-    /// is the shard's backlog, reported as [`WindowResult::queue_depth`].
+    /// Open windows, keyed by window index. `len()` is the shard's
+    /// backlog, reported as [`WindowResult::queue_depth`].
     open: BTreeMap<u64, Vec<RpcRecord>>,
     last_level: Option<DegradationLevel>,
     pub(super) warm: Option<WarmState>,
-    /// This shard's sealed watermark (`highest cut index + 1`), sampled
-    /// by the checkpointer; the global watermark is the minimum across
-    /// shards. `None` when checkpointing is off.
+    /// Sealed watermark (`highest sealed index + 1`), sampled by the
+    /// checkpointer. `None` when checkpointing is off.
     pub(super) sealed: Option<Arc<AtomicU64>>,
     /// Self-trace recorder; the shard contributes "collect" (buffering)
     /// and "reconstruct" spans and seals each window's tree after the
-    /// merge hand-off.
+    /// result hand-off.
     pub(super) trace: Option<SpanRecorder>,
-    /// Open "collect" spans for windows this shard owns, finished when
-    /// the window's cut mark arrives.
+    /// Open "collect" spans, finished when the window's cut mark arrives.
     collect_spans: BTreeMap<u64, SpanGuard>,
 }
 
 impl WindowShard {
-    /// Shard `shard` of a cold, untraced, uncheckpointed engine; the
-    /// engine sets `warm`, `sealed` and `trace` on the shards that carry
-    /// them.
+    /// The shard of a cold, untraced, uncheckpointed engine; the engine
+    /// sets `warm`, `sealed` and `trace` when it runs with them.
     pub(super) fn new(
-        shard: usize,
         window: Nanos,
         shed: ShedPolicy,
         weaver: TraceWeaver,
         metrics: EngineMetrics,
     ) -> Self {
         WindowShard {
-            name: format!("window/{shard}"),
             window,
             shed: ShedLadder::new(shed),
             ladder: LadderedWeaver::new(weaver),
@@ -226,29 +221,27 @@ impl WindowShard {
 
     /// Seal window `index`, the one thing a cut mark and the shutdown
     /// drain both do: pick the ladder rung, end the window's "collect"
-    /// span, reconstruct, hand the result to the merge, seal its span
-    /// tree, and advance this shard's sealed watermark. `tick_depth` is
-    /// the shard's input-queue depth at a live cut mark and `None` in the
-    /// drain (see [`ShedLadder::pick_level`]).
+    /// span, reconstruct, hand the result downstream, seal its span tree,
+    /// and advance the sealed watermark. `tick_depth` is the shard's
+    /// input-queue depth at a live cut mark and `None` in the drain (see
+    /// [`ShedLadder::pick_level`]).
     fn seal(&mut self, index: u64, tick_depth: Option<usize>, out: &mut Emitter<WindowResult>) {
         let level = self.shed.pick_level(tick_depth);
-        // Only the owning shard buffered this window; everyone else
-        // observes the mark and moves on. Empty windows were never
-        // buffered anywhere and produce no result.
+        // An empty window was never buffered and produces no result.
         if let Some(records) = self.open.remove(&index) {
             drop(self.collect_spans.remove(&index)); // buffering ends at the cut
             let backlog = self.open.len();
             let result = self.reconstruct(index, records, backlog, level);
-            out.emit(result);
+            // Never shed: the sealed watermark below moves past this
+            // window, so a dropped result would be lost for good.
+            out.emit_pressure(result);
             if let Some(trace) = &self.trace {
-                trace.event(index, None, "merge hand-off");
+                trace.event(index, None, "result hand-off");
                 trace.seal(index);
             }
         }
-        // Every shard observes every mark in cut order, so each shard's
-        // sealed watermark advances even for windows it does not own —
-        // the min across shards is the global sealed frontier the
-        // checkpointer persists.
+        // The watermark advances on every mark, empty windows included:
+        // it is the sealed frontier the checkpointer persists.
         if let Some(sealed) = &self.sealed {
             sealed.fetch_max(index + 1, Ordering::AcqRel);
         }
@@ -256,21 +249,16 @@ impl WindowShard {
 }
 
 impl Stage for WindowShard {
-    type In = ShardMsg<(u64, RpcRecord)>;
+    type In = WindowMsg;
     type Out = WindowResult;
 
     fn name(&self) -> &str {
-        &self.name
+        "window/0"
     }
 
-    fn process(
-        &mut self,
-        msg: ShardMsg<(u64, RpcRecord)>,
-        ctx: &StageCtx,
-        out: &mut Emitter<WindowResult>,
-    ) {
+    fn process(&mut self, msg: WindowMsg, ctx: &StageCtx, out: &mut Emitter<WindowResult>) {
         match msg {
-            ShardMsg::Item((index, rec)) => {
+            WindowMsg::Record(index, rec) => {
                 if let Some(trace) = &self.trace {
                     if let Entry::Vacant(e) = self.collect_spans.entry(index) {
                         if let Some(guard) = trace.span(index, "collect") {
@@ -280,7 +268,7 @@ impl Stage for WindowShard {
                 }
                 self.open.entry(index).or_default().push(rec);
             }
-            ShardMsg::Mark(index) => self.seal(index, Some(ctx.queue_depth), out),
+            WindowMsg::Cut(index) => self.seal(index, Some(ctx.queue_depth), out),
         }
     }
 

@@ -38,7 +38,7 @@ impl Default for AdaptiveShed {
     }
 }
 
-/// Per-shard runtime state of the adaptive ladder.
+/// Runtime state of the adaptive ladder.
 #[derive(Debug, Clone)]
 struct AdaptiveState {
     cfg: AdaptiveShed,
@@ -92,7 +92,7 @@ impl AdaptiveState {
     }
 }
 
-/// Per-shard shed ladder: a [`ShedPolicy`] plus the adaptive ladder's
+/// The shard's shed ladder: a [`ShedPolicy`] plus the adaptive ladder's
 /// runtime state.
 #[derive(Debug, Clone)]
 pub(super) struct ShedLadder {

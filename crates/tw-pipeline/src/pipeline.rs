@@ -1,9 +1,7 @@
 //! The staged-pipeline core: a first-class [`Stage`] abstraction, bounded
-//! inter-stage queues with an explicit [`Backpressure`] policy, sharded
-//! fan-out (a router is a stage whose [`Emitter`] has one lane per shard)
-//! with a deterministic merge, and a [`PipelineBuilder`] that
-//! composes stages into one supervised graph with a single ordered
-//! shutdown path (DESIGN.md §11).
+//! inter-stage queues with an explicit [`Backpressure`] policy, and a
+//! [`PipelineBuilder`] that chains stages into one supervised linear graph
+//! with a single ordered shutdown path (DESIGN.md §11).
 //!
 //! Before this module the online path was hand-wired: `IngestServer`,
 //! the sanitizer thread, and `OnlineEngine` each owned bespoke channels,
@@ -63,17 +61,6 @@ pub trait DeadLetterPayload {
 impl DeadLetterPayload for RpcRecord {
     fn dead_letter_record(&self) -> Option<RpcRecord> {
         Some(*self)
-    }
-}
-
-/// Window-routed records (`(window, record)`) carry both hooks.
-impl DeadLetterPayload for (u64, RpcRecord) {
-    fn dead_letter_record(&self) -> Option<RpcRecord> {
-        Some(self.1)
-    }
-
-    fn dead_letter_window(&self) -> Option<u64> {
-        Some(self.0)
     }
 }
 
@@ -141,8 +128,7 @@ pub trait Stage: Send + 'static {
     fn name(&self) -> &str;
 
     /// Process one item. Emission is explicit — a filter emits 0..1, a
-    /// windower emits whole windows when cuts pass, a router picks the
-    /// lane ([`Emitter::emit_to`]).
+    /// windower emits whole windows when cuts pass.
     fn process(&mut self, item: Self::In, ctx: &StageCtx, out: &mut Emitter<Self::Out>);
 
     /// Drain on shutdown: called exactly once, after the input closes and
@@ -152,93 +138,52 @@ pub trait Stage: Send + 'static {
     fn flush(&mut self, _ctx: &StageCtx, _out: &mut Emitter<Self::Out>) {}
 }
 
-/// A stage's handle on its output: one bounded queue for a linear stage,
-/// one per shard ("lane") for a router. Enforces the hop's
+/// A stage's handle on its output queue. Enforces the hop's
 /// [`Backpressure`] policy and counts sheds.
 pub struct Emitter<T> {
-    lanes: Vec<Lane<T>>,
+    tx: Sender<T>,
+    closed: bool,
     policy: Backpressure,
     shed: Counter,
 }
 
-struct Lane<T> {
-    tx: Sender<T>,
-    closed: bool,
-}
-
-impl<T> Lane<T> {
-    /// Blocking send; latches closed once the receiver is gone.
-    fn send(&mut self, item: T) {
-        if !self.closed && self.tx.send(item).is_err() {
-            self.closed = true;
-        }
-    }
-}
-
 impl<T> Emitter<T> {
-    fn new(txs: Vec<Sender<T>>, policy: Backpressure, shed: Counter) -> Self {
+    fn new(tx: Sender<T>, policy: Backpressure, shed: Counter) -> Self {
         Emitter {
-            lanes: txs
-                .into_iter()
-                .map(|tx| Lane { tx, closed: false })
-                .collect(),
+            tx,
+            closed: false,
             policy,
             shed,
         }
     }
 
-    /// Emit one item on lane 0 — the only lane of every stage but a
-    /// router — under the hop's policy.
+    /// Emit one item under the hop's policy. On a closed downstream the
+    /// item is dropped and the emitter latches closed (shutdown path).
     pub fn emit(&mut self, item: T) {
-        self.emit_to(0, item);
-    }
-
-    /// Emit one item on `lane` under the hop's policy. On a closed
-    /// downstream the item is dropped and the lane latches closed
-    /// (shutdown path).
-    pub fn emit_to(&mut self, lane: usize, item: T) {
-        let lane = &mut self.lanes[lane];
-        if lane.closed {
-            return;
-        }
         match self.policy {
-            Backpressure::Block => lane.send(item),
-            Backpressure::Shed => match lane.tx.try_send(item) {
+            Backpressure::Block => self.emit_pressure(item),
+            Backpressure::Shed if self.closed => {}
+            Backpressure::Shed => match self.tx.try_send(item) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => self.shed.inc(),
-                Err(TrySendError::Disconnected(_)) => lane.closed = true,
+                Err(TrySendError::Disconnected(_)) => self.closed = true,
             },
         }
     }
 
-    /// Emit on lane 0 bypassing the shed policy: always block. For
-    /// loss-intolerant hand-offs that must survive even on a shedding
-    /// queue.
+    /// Emit bypassing the shed policy: always block. For loss-intolerant
+    /// hand-offs (window cuts, window results) that must survive even on
+    /// a shedding queue.
     pub fn emit_pressure(&mut self, item: T) {
-        self.lanes[0].send(item);
-    }
-
-    /// Send a copy of `item` down every lane, bypassing the shed policy:
-    /// control marks (e.g. window cuts) must reach every shard even when
-    /// records are being dropped.
-    pub fn broadcast(&mut self, item: T)
-    where
-        T: Clone,
-    {
-        for lane in &mut self.lanes {
-            lane.send(item.clone());
+        if !self.closed && self.tx.send(item).is_err() {
+            self.closed = true;
         }
     }
 
-    /// Number of output lanes (1 unless this stage is a router).
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// True once every lane's receiver is gone; the stage can stop doing
-    /// work whose output has nowhere to go.
+    /// True once the receiver is gone; the stage can stop doing work
+    /// whose output has nowhere to go.
     pub fn is_closed(&self) -> bool {
-        self.lanes.iter().all(|lane| lane.closed)
+        self.closed
     }
 }
 
@@ -354,73 +299,9 @@ fn spawn_stage<S: Stage>(
         .expect("spawn stage thread")
 }
 
-/// Message on a shard queue: a routed item, or a control mark every shard
-/// must observe (e.g. "window *k* is closed"). A router is a [`Stage`]
-/// whose output is `ShardMsg`: items go to one lane with
-/// [`Emitter::emit_to`], marks to every lane with [`Emitter::broadcast`],
-/// so they survive shedding queues. It runs sequentially over the input
-/// stream, so stateful routing (e.g. watermark bookkeeping) stays
-/// deterministic in arrival order.
-#[derive(Debug, Clone)]
-pub enum ShardMsg<T> {
-    Item(T),
-    Mark(u64),
-}
-
-impl<T: DeadLetterPayload> DeadLetterPayload for ShardMsg<T> {
-    fn dead_letter_record(&self) -> Option<RpcRecord> {
-        match self {
-            ShardMsg::Item(item) => item.dead_letter_record(),
-            ShardMsg::Mark(_) => None,
-        }
-    }
-
-    fn dead_letter_window(&self) -> Option<u64> {
-        match self {
-            ShardMsg::Item(item) => item.dead_letter_window(),
-            ShardMsg::Mark(window) => Some(*window),
-        }
-    }
-}
-
-/// Output of a sharded stage: carries a globally unique, per-shard
-/// monotone sequence number the merge stage restores global order by.
-pub trait Sequenced {
-    fn seq(&self) -> u64;
-}
-
-/// K-way merge: each shard emits in ascending `seq` order and every seq
-/// belongs to exactly one shard, so streaming the minimum head yields the
-/// deterministic global order — identical for every shard count.
-fn run_merge<T: Sequenced + Send + 'static>(
-    ins: Vec<Receiver<T>>,
-    mut out: Emitter<T>,
-    metrics: StageMetrics,
-) {
-    let mut heads: Vec<Option<T>> = ins.iter().map(|rx| rx.recv().ok()).collect();
-    loop {
-        let next = heads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.as_ref().map(|t| (t.seq(), i)))
-            .min();
-        let Some((_, i)) = next else { break };
-        let item = heads[i].take().expect("head present");
-        metrics.items.inc();
-        let t0 = Instant::now();
-        out.emit(item);
-        metrics.busy.add(t0.elapsed().as_secs_f64());
-        if out.is_closed() {
-            return;
-        }
-        heads[i] = ins[i].recv().ok();
-    }
-}
-
-/// Composes stages into a supervised graph. Start from
-/// [`PipelineBuilder::source`], chain [`stage`](PipelineBuilder::stage)
-/// and [`shard`](PipelineBuilder::shard), then
-/// [`build`](PipelineBuilder::build). Every hop is a bounded queue with
+/// Composes stages into a supervised linear graph. Start from
+/// [`PipelineBuilder::source`], chain [`stage`](PipelineBuilder::stage)s,
+/// then [`build`](PipelineBuilder::build). Every hop is a bounded queue with
 /// `tw_pipeline_*` telemetry in the builder's registry.
 pub struct PipelineBuilder<T: Send + 'static> {
     registry: Registry,
@@ -465,7 +346,7 @@ impl<T: Send + 'static> PipelineBuilder<T> {
     {
         let name = stage.name().to_string();
         let (tx, rx) = bounded(queue.capacity.max(1));
-        let out = Emitter::new(vec![tx], queue.policy, shed_counter(&self.registry, &name));
+        let out = Emitter::new(tx, queue.policy, shed_counter(&self.registry, &name));
         let metrics = StageMetrics::new(&self.registry, &name);
         let sup = self.supervisor.for_stage(&self.registry, &name);
         let handle = spawn_stage(stage, self.tail, out, metrics, sup);
@@ -475,90 +356,6 @@ impl<T: Send + 'static> PipelineBuilder<T> {
             supervisor: self.supervisor,
             stages: self.stages,
             tail: rx,
-        }
-    }
-
-    /// Append a sharded stage: `router` — a stage whose [`Emitter`] has
-    /// one lane per shard — fans the stream out over `shards` parallel
-    /// instances (built by `make`, one per shard), and a merge thread
-    /// restores the deterministic global order of their [`Sequenced`]
-    /// outputs. `queue` applies to each shard's input queue and to the
-    /// merged output queue.
-    pub fn shard<R, S, M>(
-        mut self,
-        shards: usize,
-        router: R,
-        mut make: M,
-        queue: QueueCfg,
-    ) -> PipelineBuilder<S::Out>
-    where
-        R: Stage<In = T, Out = S::In>,
-        S: Stage,
-        S::Out: Sequenced,
-        M: FnMut(usize) -> S,
-    {
-        let shards = shards.max(1);
-        let router_name = router.name().to_string();
-
-        // Shard input queues + stage threads.
-        let mut shard_txs = Vec::with_capacity(shards);
-        let mut shard_out_rxs = Vec::with_capacity(shards);
-        let mut shard_handles = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let stage = make(i);
-            let name = stage.name().to_string();
-            let (in_tx, in_rx) = bounded(queue.capacity.max(1));
-            let (out_tx, out_rx) = bounded(queue.capacity.max(1));
-            let out = Emitter::new(
-                vec![out_tx],
-                // Shard outputs feed the merge; shedding a sequenced item
-                // would stall the k-way merge's order restoration, so this
-                // hop always blocks. The shard *input* hop carries the
-                // configured policy.
-                Backpressure::Block,
-                shed_counter(&self.registry, &name),
-            );
-            let metrics = StageMetrics::new(&self.registry, &name);
-            let sup = self.supervisor.for_stage(&self.registry, &name);
-            shard_handles.push((name, spawn_stage(stage, in_rx, out, metrics, sup)));
-            shard_txs.push(in_tx);
-            shard_out_rxs.push(out_rx);
-        }
-
-        // The router consumes the current tail on the same supervised
-        // loop as any stage: a poison item panicking it is quarantined
-        // and the router resumes with its watermark state intact.
-        let router_out = Emitter::new(
-            shard_txs,
-            queue.policy,
-            shed_counter(&self.registry, &router_name),
-        );
-        let router_metrics = StageMetrics::new(&self.registry, &router_name);
-        let router_sup = self.supervisor.for_stage(&self.registry, &router_name);
-        let router_handle = spawn_stage(router, self.tail, router_out, router_metrics, router_sup);
-        self.stages.push((router_name.clone(), router_handle));
-        self.stages.extend(shard_handles);
-
-        // Merge thread: k-way merge by seq into one output queue.
-        let merge_name = format!("{router_name}-merge");
-        let (merged_tx, merged_rx) = bounded(queue.capacity.max(1));
-        let merge_out = Emitter::new(
-            vec![merged_tx],
-            queue.policy,
-            shed_counter(&self.registry, &merge_name),
-        );
-        let merge_metrics = StageMetrics::new(&self.registry, &merge_name);
-        let merge_handle = std::thread::Builder::new()
-            .name(format!("tw-{merge_name}"))
-            .spawn(move || run_merge(shard_out_rxs, merge_out, merge_metrics))
-            .expect("spawn merge thread");
-        self.stages.push((merge_name, merge_handle));
-
-        PipelineBuilder {
-            registry: self.registry,
-            supervisor: self.supervisor,
-            stages: self.stages,
-            tail: merged_rx,
         }
     }
 
@@ -627,8 +424,8 @@ impl<T> Pipeline<T> {
                 }
             }
             if let Err(payload) = handle.join() {
-                // A panic that escaped the supervised loop (runner bug or
-                // merge-thread panic): report, never re-panic.
+                // A panic that escaped the supervised loop (a runner bug):
+                // report, never re-panic.
                 self.supervisor
                     .record_failure(&name, panic_message(payload.as_ref()));
             }
@@ -676,15 +473,6 @@ impl<T> Drop for Pipeline<T> {
         // while the cascade finishes.
         self.join_draining(drop);
     }
-}
-
-/// Deterministic 64-bit mix (splitmix64 finalizer) for stable shard
-/// routing: the same key maps to the same shard on every run and host.
-pub fn shard_hash(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -823,125 +611,5 @@ mod tests {
         let out = pipeline.shutdown().expect_clean();
         assert_eq!(out.len(), 64, "flush emitted everything buffered");
         assert_eq!(out[5], 10, "flush ran the stage's transformation");
-    }
-
-    #[derive(Debug, PartialEq)]
-    struct SeqItem {
-        seq: u64,
-        shard: usize,
-    }
-
-    impl Sequenced for SeqItem {
-        fn seq(&self) -> u64 {
-            self.seq
-        }
-    }
-
-    /// Router: hash keys across shards, broadcasting a mark every 10.
-    struct HashRouter;
-
-    impl Stage for HashRouter {
-        type In = u64;
-        type Out = ShardMsg<u64>;
-        fn name(&self) -> &str {
-            "router"
-        }
-        fn process(&mut self, item: u64, _ctx: &StageCtx, out: &mut Emitter<ShardMsg<u64>>) {
-            let shard = (shard_hash(item) % out.lanes() as u64) as usize;
-            out.emit_to(shard, ShardMsg::Item(item));
-            if item % 10 == 9 {
-                out.broadcast(ShardMsg::Mark(item));
-            }
-        }
-    }
-
-    /// Shard stage: emits each item tagged with its shard, on marks only
-    /// (plus flush), in ascending seq order.
-    struct MarkStage {
-        shard: usize,
-        name: String,
-        held: Vec<u64>,
-    }
-
-    impl Stage for MarkStage {
-        type In = ShardMsg<u64>;
-        type Out = SeqItem;
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn process(&mut self, msg: ShardMsg<u64>, _ctx: &StageCtx, out: &mut Emitter<SeqItem>) {
-            match msg {
-                ShardMsg::Item(v) => self.held.push(v),
-                ShardMsg::Mark(upto) => {
-                    self.held.sort_unstable();
-                    let ready: Vec<u64> =
-                        self.held.iter().copied().filter(|&v| v <= upto).collect();
-                    self.held.retain(|&v| v > upto);
-                    for v in ready {
-                        out.emit(SeqItem {
-                            seq: v,
-                            shard: self.shard,
-                        });
-                    }
-                }
-            }
-        }
-        fn flush(&mut self, _ctx: &StageCtx, out: &mut Emitter<SeqItem>) {
-            self.held.sort_unstable();
-            for v in self.held.drain(..) {
-                out.emit(SeqItem {
-                    seq: v,
-                    shard: self.shard,
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_merge_restores_global_order_at_any_shard_count() {
-        let run = |shards: usize| -> Vec<u64> {
-            let registry = Registry::new();
-            let (tx, builder) = PipelineBuilder::<u64>::source(&registry, QueueCfg::block(64));
-            let pipeline = builder
-                .shard(
-                    shards,
-                    HashRouter,
-                    |i| MarkStage {
-                        shard: i,
-                        name: format!("mark/{i}"),
-                        held: Vec::new(),
-                    },
-                    QueueCfg::block(64),
-                )
-                .build();
-            for i in 0..100u64 {
-                tx.send(i).unwrap();
-            }
-            drop(tx);
-            pipeline
-                .shutdown()
-                .expect_clean()
-                .into_iter()
-                .map(|s| s.seq)
-                .collect()
-        };
-        let reference = run(1);
-        assert_eq!(reference, (0..100).collect::<Vec<u64>>());
-        for shards in [2usize, 8] {
-            assert_eq!(
-                run(shards),
-                reference,
-                "{shards}-shard merge diverged from 1-shard order"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_hash_is_stable() {
-        // Routing must be identical across runs/hosts: pin a few values.
-        assert_eq!(shard_hash(0) % 8, shard_hash(0) % 8);
-        let spread: std::collections::HashSet<u64> =
-            (0..64u64).map(|k| shard_hash(k) % 8).collect();
-        assert!(spread.len() >= 6, "splitmix spreads windows across shards");
     }
 }

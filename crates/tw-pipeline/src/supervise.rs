@@ -142,7 +142,7 @@ impl Default for DeadLetterQueue {
 /// escaped the supervised loop entirely (runner bug).
 #[derive(Debug, Clone)]
 pub struct StageFailure {
-    /// Stage (or router/merge) name.
+    /// Stage name.
     pub stage: String,
     /// Stringified panic payload / escalation summary.
     pub payload: String,

@@ -1,13 +1,19 @@
 //! Archive durability end to end (DESIGN.md §14): the on-disk archive a
-//! pipeline run produces must be byte-identical at every shard count, a
-//! clean restart must neither re-archive nor lose sealed windows, and
-//! live queries over HTTP must resolve exemplar window ids.
+//! warm pipeline run produces must be byte-identical at every thread
+//! count, a clean restart must neither re-archive nor lose sealed windows,
+//! a shedding pipeline must never shed a sealed window, and live queries
+//! over HTTP must resolve exemplar window ids.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 use tw_core::{Params, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
-use tw_pipeline::{fetch_traces, CheckpointConfig, MetricsServer, OnlineConfig, OnlineEngine};
+use tw_pipeline::{
+    fetch_traces, stored_traces, Backpressure, CheckpointConfig, MetricsServer, OnlineConfig,
+    OnlineEngine,
+};
 use tw_sim::apps::hotel_reservation;
 use tw_sim::{Simulator, Workload};
 use tw_store::{read_query, ArchiveConfig, TraceQuery};
@@ -29,26 +35,35 @@ fn archive_cfg(dir: &Path) -> ArchiveConfig {
         // Small segments so several seal mid-run; a long maintenance
         // interval keeps the background compactor out of the comparison.
         segment_bytes: 64 << 10,
-        compact_interval: std::time::Duration::from_secs(3600),
+        compact_interval: Duration::from_secs(3600),
         ..ArchiveConfig::new(dir)
     }
 }
 
+/// A weaver on `threads` reconstruction workers.
+fn weaver(call_graph: &tw_model::CallGraph, threads: usize) -> TraceWeaver {
+    let params = Params {
+        threads,
+        ..Params::default()
+    };
+    TraceWeaver::new(call_graph.clone(), params)
+}
+
+/// Run the warm engine over `records` on `threads` workers, archiving.
 fn run_engine(
     call_graph: &tw_model::CallGraph,
     records: &[RpcRecord],
-    shards: usize,
+    threads: usize,
     archive_dir: &Path,
     checkpoint_dir: Option<&Path>,
 ) {
-    let tw = TraceWeaver::new(call_graph.clone(), Params::default());
     let engine = OnlineEngine::start(
-        tw,
+        weaver(call_graph, threads),
         OnlineConfig {
             window: Nanos::from_millis(250),
             grace: Nanos::from_millis(50),
             channel_capacity: 4096,
-            shards,
+            warm_start: true,
             archive: Some(archive_cfg(archive_dir)),
             checkpoint: checkpoint_dir.map(CheckpointConfig::new),
             ..OnlineConfig::default()
@@ -84,13 +99,13 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// The archive stage runs after the merge, where window order is global:
-/// 1, 2, and 8 shards must write byte-identical archive directories
-/// (same segment files, same manifest).
+/// The archive stage sees windows in index order from the one window
+/// shard: 1, 2 and 8 reconstruction threads must write byte-identical
+/// archive directories (same segment files, same manifest).
 #[test]
-fn archive_byte_identical_across_shard_counts() {
+fn archive_byte_identical_across_threads() {
     let (call_graph, records) = workload(811);
-    let baseline_dir = tmp("shards-1");
+    let baseline_dir = tmp("threads-1");
     run_engine(&call_graph, &records, 1, &baseline_dir, None);
     let baseline = dir_bytes(&baseline_dir);
     assert!(
@@ -102,20 +117,20 @@ fn archive_byte_identical_across_shard_counts() {
         "workload sealed at least one segment"
     );
 
-    for shards in [2usize, 8] {
-        let dir = tmp(&format!("shards-{shards}"));
-        run_engine(&call_graph, &records, shards, &dir, None);
+    for threads in [2usize, 8] {
+        let dir = tmp(&format!("threads-{threads}"));
+        run_engine(&call_graph, &records, threads, &dir, None);
         let got = dir_bytes(&dir);
         assert_eq!(
             baseline.len(),
             got.len(),
-            "file count diverged at {shards} shards"
+            "file count diverged at {threads} threads"
         );
         for ((name_a, bytes_a), (name_b, bytes_b)) in baseline.iter().zip(&got) {
-            assert_eq!(name_a, name_b, "file set diverged at {shards} shards");
+            assert_eq!(name_a, name_b, "file set diverged at {threads} threads");
             assert_eq!(
                 bytes_a, bytes_b,
-                "{name_a} not byte-identical at {shards} shards"
+                "{name_a} not byte-identical at {threads} threads"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -185,6 +200,86 @@ fn restart_neither_duplicates_nor_loses_traces() {
     }
 }
 
+/// `Backpressure::Shed` may drop records, never a sealed window: sealing
+/// advances the checkpoint's sealed watermark past the window, so a shed
+/// result would be lost for good. With every queue one item deep and
+/// nothing reading the results until the whole stream was offered, each
+/// window `tw_engine_windows_total` counts must still reach the results
+/// and have its root traces in the archive.
+#[test]
+fn shedding_pipeline_never_sheds_a_sealed_window() {
+    let (call_graph, records) = workload(814);
+    let window = Nanos::from_millis(100);
+    let last = records.last().unwrap().recv_resp.0.div_ceil(window.0);
+    assert!(last >= 10, "the stream spans {last} windows");
+    let archive_dir = tmp("shed");
+    let telemetry = Registry::new();
+    let engine = OnlineEngine::start(
+        weaver(&call_graph, 1),
+        OnlineConfig {
+            window,
+            grace: Nanos::from_millis(50),
+            channel_capacity: 1,
+            backpressure: Backpressure::Shed,
+            warm_start: true,
+            archive: Some(archive_cfg(&archive_dir)),
+            telemetry: telemetry.clone(),
+            ..OnlineConfig::default()
+        },
+    );
+    // Offer every record before reading anything, as a shedding ingest
+    // would: wait for room while the graph moves, and once the unread
+    // results have stopped it (no room for half a second), drop the rest.
+    let ingest = engine.ingest_handle();
+    let mut stopped = false;
+    for r in &records {
+        let deadline = Instant::now() + Duration::from_millis(500);
+        while !stopped && ingest.try_send(*r).is_err() {
+            std::thread::sleep(Duration::from_micros(50));
+            stopped = Instant::now() > deadline;
+        }
+    }
+    drop(ingest);
+    let results = engine.shutdown();
+
+    let text = telemetry.render();
+    let series =
+        |name: &str| -> Vec<&str> { text.lines().filter(|l| l.starts_with(name)).collect() };
+    let sealed: f64 = series("tw_engine_windows_total{")
+        .iter()
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+        .sum();
+    assert!(sealed > 0.0, "no window sealed");
+    assert_eq!(
+        results.len() as f64,
+        sealed,
+        "sealed windows were shed: {:?}",
+        series("tw_pipeline_shed_total")
+    );
+    let archived: BTreeSet<(u64, u64)> = read_query(
+        &archive_dir,
+        &TraceQuery {
+            limit: usize::MAX,
+            ..TraceQuery::default()
+        },
+    )
+    .unwrap()
+    .iter()
+    .map(|t| (t.window, t.root))
+    .collect();
+    let expected: BTreeSet<(u64, u64)> = results
+        .iter()
+        .flat_map(stored_traces)
+        .map(|t| (t.window, t.root))
+        .collect();
+    assert!(!expected.is_empty());
+    assert_eq!(
+        archived, expected,
+        "archive is missing sealed windows' traces"
+    );
+    let _ = std::fs::remove_dir_all(&archive_dir);
+}
+
 /// The live read path: a `MetricsServer` with the engine's archive
 /// attached serves `GET /traces`, filters apply, and a window id (the
 /// exemplar `window_id` label) resolves to that window's stored traces.
@@ -200,7 +295,6 @@ fn http_traces_endpoint_serves_and_filters() {
             window: Nanos::from_millis(250),
             grace: Nanos::from_millis(50),
             channel_capacity: 4096,
-            shards: 2,
             archive: Some(archive_cfg(&archive_dir)),
             telemetry: telemetry.clone(),
             ..OnlineConfig::default()

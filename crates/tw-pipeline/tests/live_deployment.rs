@@ -18,15 +18,20 @@ fn tcp_to_engine_to_sampler() {
     let sim = Simulator::new(app.config).unwrap();
     let out = sim.run(&Workload::poisson(app.roots[0], 250.0, Nanos::from_secs(2)));
 
-    // Online engine fed by a TCP ingestion server.
-    let tw = TraceWeaver::new(call_graph, Params::default());
+    // The warm online engine, on two reconstruction threads, fed by a TCP
+    // ingestion server.
+    let params = Params {
+        threads: 2,
+        ..Params::default()
+    };
+    let tw = TraceWeaver::new(call_graph, params);
     let engine = OnlineEngine::start(
         tw,
         OnlineConfig {
             window: Nanos::from_millis(500),
             grace: Nanos::from_millis(100),
             channel_capacity: 16_384,
-            shards: 2,
+            warm_start: true,
             ..OnlineConfig::default()
         },
     );

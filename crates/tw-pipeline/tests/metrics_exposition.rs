@@ -44,7 +44,7 @@ fn scrape_covers_every_pipeline_stage() {
     export_records(server.local_addr(), &records).expect("export records");
 
     // Drain in pipeline order: the server first, then the engine's
-    // ordered shutdown cascade (sanitize → window shards → merge).
+    // ordered shutdown cascade (sanitize → window router → window shard).
     server.shutdown();
     let (results, sanitize_stats) = engine.shutdown_with_stats();
     let sanitize_stats = sanitize_stats.expect("sanitize stage embedded");

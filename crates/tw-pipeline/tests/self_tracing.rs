@@ -1,7 +1,7 @@
 //! End-to-end self-tracing: the online pipeline records one span tree per
-//! window (sanitize → route → collect → reconstruct → merge hand-off),
+//! window (sanitize → route → collect → reconstruct → result hand-off),
 //! slow-window exemplars on `/metrics` link to those trees via
-//! `GET /spans`, and the trees are deterministic across shard counts.
+//! `GET /spans`, and the trees are deterministic across thread counts.
 
 use std::collections::BTreeMap;
 use tw_core::{Params, TraceWeaver};
@@ -43,10 +43,10 @@ fn tree_shapes(recorder: &SpanRecorder) -> BTreeMap<u64, Vec<String>> {
 }
 
 #[test]
-fn span_trees_are_deterministic_across_shard_counts() {
+fn span_trees_are_deterministic_across_threads() {
     let (call_graph, records) = workload(91);
 
-    let run = |shards: usize| {
+    let run = |threads: usize| {
         let recorder = SpanRecorder::new(
             TraceConfig {
                 sample: 1,
@@ -54,13 +54,17 @@ fn span_trees_are_deterministic_across_shard_counts() {
             },
             &Registry::new(),
         );
-        let tw = TraceWeaver::new(call_graph.clone(), Params::default());
+        let params = Params {
+            threads,
+            ..Params::default()
+        };
+        let tw = TraceWeaver::new(call_graph.clone(), params);
         let engine = OnlineEngine::start(
             tw,
             OnlineConfig {
                 window: Nanos::from_millis(100),
                 grace: Nanos::from_millis(50),
-                shards,
+                warm_start: true,
                 sanitize: Some(SanitizeConfig::default()),
                 trace: Some(recorder.clone()),
                 ..OnlineConfig::default()
@@ -81,8 +85,8 @@ fn span_trees_are_deterministic_across_shard_counts() {
     let (eight, _) = run(8);
 
     assert_eq!(one.len(), windows_one, "one sealed tree per emitted window");
-    assert_eq!(one, two, "1-shard and 2-shard span trees diverge");
-    assert_eq!(one, eight, "1-shard and 8-shard span trees diverge");
+    assert_eq!(one, two, "1-thread and 2-thread span trees diverge");
+    assert_eq!(one, eight, "1-thread and 8-thread span trees diverge");
 
     // Every tree covers the full online path in stage order.
     for (window, names) in &one {

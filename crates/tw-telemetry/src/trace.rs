@@ -3,7 +3,7 @@
 //! TraceWeaver reconstructs traces for services it cannot instrument; this
 //! module turns the tracer on itself. A [`SpanRecorder`] records a bounded
 //! ring of per-window span trees as each window flows through the online
-//! pipeline (sanitize → route → collect → reconstruct → merge hand-off),
+//! pipeline (sanitize → route → collect → reconstruct → result hand-off),
 //! with supervisor restarts and checkpoint writes attached as span events.
 //!
 //! Design constraints mirror the metrics layer:
@@ -17,9 +17,9 @@
 //!   trees are force-sealed if the active set outgrows the same bound, so
 //!   a window that never cuts cannot leak.
 //! * **Head-sampled by window index** — `index % sample == 0` keeps every
-//!   shard's view of "is this window traced" identical without
+//!   stage's view of "is this window traced" identical without
 //!   coordination, which is what makes span trees deterministic across
-//!   1/2/8-shard runs.
+//!   runs and thread counts.
 //!
 //! [`SpanGuard`] mirrors `StageTimer`: RAII finish-on-drop with an explicit
 //! `discard`.
@@ -63,7 +63,7 @@ pub struct SpanData {
 }
 
 /// A point event attached to a span (supervisor restart, checkpoint write,
-/// window cut, merge hand-off).
+/// window cut, result hand-off).
 #[derive(Clone, Debug)]
 pub struct EventData {
     pub at_ns: u64,
@@ -159,7 +159,7 @@ impl SpanRecorder {
     }
 
     /// Head-sampling decision for a window index. Deterministic across
-    /// shards and runs.
+    /// stages and runs.
     pub fn sampled(&self, window: u64) -> bool {
         self.inner.sample != 0 && window.is_multiple_of(self.inner.sample)
     }

@@ -63,7 +63,7 @@ struct Command {
 /// The live-pipeline block `serve` and `simulate --metrics` share: what
 /// `online_config_from`, `trace_recorder_from` and `push_exporter_from`
 /// read.
-const PIPELINE_VALUES: &str = "window-ms grace-ms shards capacity backpressure \
+const PIPELINE_VALUES: &str = "window-ms grace-ms capacity backpressure \
     checkpoint-dir checkpoint-interval-ms archive-dir archive-segment-bytes archive-retention \
     trace-sample span-ring push-url push-interval-ms";
 const PIPELINE_SWITCHES: &str = "adaptive-shed no-drift";
@@ -187,7 +187,7 @@ USAGE:
   twctl push-sink    [--listen ADDR] [--batches N]
   twctl help
 
-  pipeline flags:    [--window-ms N] [--grace-ms N] [--shards N] [--capacity N]
+  pipeline flags:    [--window-ms N] [--grace-ms N] [--capacity N]
                      [--backpressure block|shed] [--adaptive-shed] [--no-drift]
                      [--checkpoint-dir DIR] [--checkpoint-interval-ms N]
                      [--archive-dir DIR] [--archive-segment-bytes N] [--archive-retention BYTES]
@@ -212,27 +212,25 @@ can be scraped; --metrics-out also writes the exposition to a file.
 polls it and shows the busiest series with per-second rates.
 
 `serve` runs the staged online pipeline as a standalone server: TCP
-ingest at --listen (default 127.0.0.1:0), sanitize, sharded windowing,
+ingest at --listen (default 127.0.0.1:0), sanitize, windowing,
 reconstruction, with the Prometheus exposition at --metrics. It drains
 and prints a summary after --duration-ms, or serves until killed when
-the flag is absent. With one shard (the default) the engine runs warm:
-every window starts from the delay registry the previous one learned.
---shards N>1 splits windowing into N parallel shards (merged back into
-deterministic global order) and runs cold: each window seeds its own
-delay models. --capacity bounds every inter-stage queue, and
---backpressure picks what happens when a queue fills: `block`
-(lossless, default) or `shed` (drop + count).
+the flag is absent. The engine always runs warm: every window starts
+from the delay registry the previous one learned. --capacity bounds
+every inter-stage queue, and --backpressure picks what happens when a
+record queue fills: `block` (lossless, default) or `shed` (drop +
+count); window cuts and window results are never shed.
 --adaptive-shed turns on load shedding: the degradation ladder moves one
 rung at a time on the queue-depth slope (EWMA, with hysteresis). Without
 it no window is ever shed.
 --checkpoint-dir enables crash-safe recovery: the engine periodically
 (every --checkpoint-interval-ms, default 1000) snapshots its sealed
-watermark, sanitizer skew state, and (when warm) delay registry to DIR,
+watermark, sanitizer skew state, and delay registry to DIR,
 restores them on the next start, and reports the recovery gap in
 tw_pipeline_recovery_* metrics. The metrics endpoint also serves
 /healthz (liveness), /readyz (503 until the restore finishes), and
 /deadletters (records quarantined by the stage supervisor as JSON).
---archive-dir adds a durable trace archive behind the merge: every
+--archive-dir adds a durable trace archive behind the window shard: every
 sealed window's reconstructed traces are appended to CRC-framed
 segment files (sealed at --archive-segment-bytes, default 1 MiB) under
 an atomically-committed manifest, a background compactor merges small
@@ -266,7 +264,7 @@ falls back to the constant-offset estimator. The same flag applies to
 the live pipeline behind `simulate --metrics` and `serve`.
 
 Self-tracing: the live pipeline records one span tree per window
-(sanitize → route → collect → reconstruct → merge hand-off, plus
+(sanitize → route → collect → reconstruct → result hand-off, plus
 supervisor restarts and checkpoint writes as events). --trace-sample N
 head-samples every Nth window (default 1 = all, 0 = off), --span-ring
 bounds the sealed-tree ring. Trees are served at GET /spans next to
@@ -508,7 +506,7 @@ impl LivePipeline {
 
         // Nothing downstream of this process takes window results: tally
         // each one and drop it, so the results queue never fills (a full
-        // one blocks the merge, and through it the whole graph back to
+        // one blocks the shard, and through it the whole graph back to
         // the ingest socket) and no window outlives its own summary.
         let results = engine.results().clone();
         let consumer = std::thread::spawn(move || {
@@ -614,7 +612,7 @@ fn cmd_replay(flags: &Flags) -> Result<(), String> {
 }
 
 /// Run the staged online pipeline as a standalone server: TCP ingest →
-/// sanitize → sharded windowing → reconstruction, with an optional
+/// sanitize → windowing → warm reconstruction, with an optional
 /// Prometheus scrape endpoint. Bounded by `--duration-ms` when given,
 /// otherwise serves until the process is killed.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
@@ -741,7 +739,7 @@ fn dir_flag<'a>(flags: &'a Flags, name: &str) -> Result<Option<&'a String>, Stri
 }
 
 /// Build an [`OnlineConfig`] from the shared staged-pipeline flag block —
-/// `--window-ms`, `--grace-ms`, `--shards`, `--capacity`,
+/// `--window-ms`, `--grace-ms`, `--capacity`,
 /// `--backpressure block|shed` — plus `--no-drift` via
 /// [`sanitize_config_from`]. Used by both `simulate --metrics` and
 /// `serve` so new pipeline flags land in exactly one place.
@@ -791,16 +789,12 @@ fn online_config_from(
         adaptive: flags.contains_key("adaptive-shed"),
         ..defaults.shed
     };
-    let shards: usize = num(flags, "shards", defaults.shards)?;
     Ok(OnlineConfig {
         window: Nanos::from_millis(num(flags, "window-ms", 500u64)?),
         grace,
-        shards,
-        // One shard runs warm — each window starts from the delay
-        // registry the previous one published, which is also what the
-        // benchmark measures. Warm windows form a chain, so an engine
-        // asked for parallel shards runs cold.
-        warm_start: shards <= 1,
+        // Each window starts from the delay registry the previous one
+        // published, which is also what the benchmark measures.
+        warm_start: true,
         channel_capacity: num(flags, "capacity", defaults.channel_capacity)?,
         backpressure,
         sanitize: Some(sanitize_config_from(flags)),

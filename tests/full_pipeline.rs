@@ -460,16 +460,20 @@ fn drift_faulted_stream_is_corrected_and_deterministic() {
     }
     assert!(checked > 100, "nesting assertions actually ran: {checked}");
 
-    // Determinism: the sanitized stream feeds the online engine at 1/2/8
-    // worker threads; window shapes and merged mappings must match.
+    // Determinism: the sanitized stream feeds the warm online engine at
+    // 1/2/8 worker threads; window shapes and merged mappings must match.
     let run = |threads: usize| {
-        let tw = TraceWeaver::new(call_graph.clone(), Params::default());
+        let params = Params {
+            threads,
+            ..Params::default()
+        };
+        let tw = TraceWeaver::new(call_graph.clone(), params);
         let engine = OnlineEngine::start(
             tw,
             OnlineConfig {
                 window: Nanos::from_millis(250),
                 grace: Nanos::from_millis(50),
-                shards: threads,
+                warm_start: true,
                 ..OnlineConfig::default()
             },
         );

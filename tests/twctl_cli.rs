@@ -1,7 +1,6 @@
 //! `twctl` as a process: flags are checked against the command's table
 //! before any work, the offline happy path still writes its artifacts, and
-//! `serve` keeps reconstructing — warm at one shard — for as long as spans
-//! arrive.
+//! `serve` keeps reconstructing — warm — for as long as spans arrive.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -32,8 +31,8 @@ fn assert_rejected(line: &str, needle: &str) {
 
 #[test]
 fn unknown_flag_is_rejected_before_any_work() {
-    // A typo of `--shards` must not serve silently with one shard.
-    assert_rejected("serve --graph g.json --shard 4", "unknown flag --shard");
+    // A typo of a flag must not serve silently without it.
+    assert_rejected("serve --graph g.json --capcity 4", "unknown flag --capcity");
     // A flag another command owns is still unknown here.
     assert_rejected("metrics --graph g.json", "unknown flag --graph");
 
@@ -59,13 +58,16 @@ fn value_flag_without_a_value_is_rejected() {
 }
 
 #[test]
-fn removed_sanitizer_flags_are_rejected() {
+fn removed_flags_are_rejected() {
     for flag in ["--skew-alpha", "--drift-window", "--drift-max-ppm"] {
         assert_rejected(
             &format!("evaluate --spans s --graph g --truth t --sanitize {flag} 1"),
             "unknown flag",
         );
     }
+    // `serve` always runs one warm window shard, so `--shards` is unknown;
+    // an empty stdout means it failed before binding.
+    assert_rejected("serve --graph g.json --shards 2", "unknown flag --shards");
 }
 
 #[test]
@@ -212,9 +214,8 @@ const FULL_WINDOWS: &str = "tw_engine_windows_total{shed_level=\"full\"}";
 
 /// Nothing else takes window results off a served engine, so `serve` must:
 /// with every queue bounded at 8, an unconsumed results queue used to stop
-/// the pipeline for good after 18 of this stream's 48 windows. And at one
-/// shard `serve` runs the warm engine, so its checkpoint carries the
-/// registry.
+/// the pipeline for good after 18 of this stream's 48 windows. And `serve`
+/// runs the warm engine, so its checkpoint carries the registry.
 #[test]
 fn serve_keeps_reconstructing_and_runs_warm_at_one_shard() {
     let dir = simulated("serve-warm", 12_000);
@@ -245,20 +246,5 @@ fn serve_keeps_reconstructing_and_runs_warm_at_one_shard() {
         .registry
         .expect("a warm engine checkpoints its registry");
     assert!(!registry.is_empty());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Warm windows form a chain, so `--shards 2` keeps the cold engine: no
-/// registry to checkpoint.
-#[test]
-fn sharded_serve_runs_cold() {
-    let dir = simulated("serve-cold", 2_000);
-    let serve = Serve::start(&dir, "--shards 2 --duration-ms 4000");
-    serve.replay(&dir);
-    let summary = serve.summary();
-    assert!(!summary.contains(" 0 spans mapped"), "{summary}");
-    let doc = traceweaver::pipeline::load_checkpoint(&dir.join("ckpt")).expect("final checkpoint");
-    assert!(doc.watermark > 0, "{summary}");
-    assert!(doc.registry.is_none(), "sharded engine carried a registry");
     std::fs::remove_dir_all(&dir).ok();
 }
