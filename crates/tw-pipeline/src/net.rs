@@ -15,6 +15,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 use tw_capture::wire::{encode_records, FrameDecoder};
 use tw_core::TraceWeaver;
 use tw_model::span::RpcRecord;
@@ -346,10 +347,24 @@ fn export_metrics() -> &'static ExportMetrics {
 
 /// Connect+write attempts [`export_records`] makes per batch, and the
 /// backoff between them: `BASE · 2ⁿ⁻¹` capped at `MAX`, with deterministic
-/// jitter of up to +25 % ([`http::backoff`]).
+/// jitter of up to +25 % ([`backoff`]).
 const EXPORT_ATTEMPTS: u32 = 5;
-const EXPORT_BACKOFF_BASE: std::time::Duration = std::time::Duration::from_millis(20);
-const EXPORT_BACKOFF_MAX: std::time::Duration = std::time::Duration::from_secs(1);
+const EXPORT_BACKOFF_BASE: Duration = Duration::from_millis(20);
+const EXPORT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
+/// Backoff before retry `attempt + 1` (1-based `attempt`): `base · 2ⁿ⁻¹`
+/// capped at `max`, plus up to +25 % jitter from splitmix64 over
+/// (attempt, port) — no RNG state, so schedules are reproducible run to
+/// run yet desynchronized across clients of different servers.
+fn backoff(base: Duration, max: Duration, attempt: u32, port: u16) -> Duration {
+    let exp = attempt.saturating_sub(1).min(20);
+    let nominal = base.saturating_mul(1u32 << exp).min(max);
+    let mut z = ((u64::from(attempt) << 32) | u64::from(port)).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    nominal + nominal.mul_f64((z % 256) as f64 / 1024.0)
+}
 
 /// Transient failures worth retrying: the server not (yet) accepting, or
 /// a non-blocking/interrupted write. Anything else (e.g. permission
@@ -402,7 +417,7 @@ pub fn export_records_with(
             }
             Err(err) if attempt < attempts && retryable(&err) => {
                 metrics.retries.inc();
-                std::thread::sleep(http::backoff(
+                std::thread::sleep(backoff(
                     EXPORT_BACKOFF_BASE,
                     EXPORT_BACKOFF_MAX,
                     attempt,
@@ -501,7 +516,7 @@ impl MetricsServer {
         sources: Vec<Registry>,
         health: ServeHealth,
     ) -> std::io::Result<MetricsServer> {
-        let server = http::Server::bind(addr, 0, move |request| {
+        let server = http::Server::bind(addr, move |request| {
             serve_scrape(&request, &sources, &health)
         })?;
         Ok(MetricsServer { server })
@@ -609,7 +624,7 @@ fn parse_trace_query(raw: &str) -> tw_store::TraceQuery {
 /// `GET` one path from a [`MetricsServer`] and return the body. Errors on
 /// connect failure or a non-200 status.
 fn fetch_path(addr: SocketAddr, path: &str) -> std::io::Result<String> {
-    let (status, body) = http::request(addr, "GET", path, "", std::time::Duration::from_secs(5))?;
+    let (status, body) = http::get(addr, path, Duration::from_secs(5))?;
     if status != 200 {
         return Err(std::io::Error::other(format!(
             "GET {path} failed: {status}"
@@ -697,6 +712,16 @@ mod tests {
             recv_resp: Nanos(rpc * 1_000 + 510),
             caller_thread: Some(1),
             callee_thread: Some(2),
+        }
+    }
+
+    #[test]
+    fn backoff_is_deterministic_and_bounded() {
+        let (base, max) = (Duration::from_millis(20), Duration::from_secs(1));
+        assert_eq!(backoff(base, max, 1, 9200), backoff(base, max, 1, 9200));
+        for n in 1..=40 {
+            // nominal <= max, jitter adds at most 25%.
+            assert!(backoff(base, max, n, 9200) <= max.mul_f64(1.25));
         }
     }
 

@@ -3,12 +3,16 @@
 //! `GET /metrics` endpoint, asserting the exposition is lint-clean and
 //! covers every stage of DESIGN.md §10.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 use tw_core::{Params, TraceWeaver};
 use tw_model::time::Nanos;
 use tw_pipeline::net::{export_records, fetch_metrics, serve_online_sanitized, MetricsServer};
 use tw_pipeline::{OnlineConfig, SanitizeConfig};
 use tw_sim::apps::two_service_chain;
 use tw_sim::{Simulator, Workload};
+use tw_telemetry::http::get;
 use tw_telemetry::Registry;
 
 #[test]
@@ -97,10 +101,8 @@ fn scrape_covers_every_pipeline_stage() {
 /// A scrape against a path other than /metrics 404s instead of hanging.
 #[test]
 fn unknown_path_is_a_clean_404() {
-    use std::io::{Read, Write};
-
     let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()]).expect("bind");
-    let mut stream = std::net::TcpStream::connect(scrape.local_addr()).expect("connect");
+    let mut stream = TcpStream::connect(scrape.local_addr()).expect("connect");
     stream
         .write_all(b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
         .unwrap();
@@ -115,9 +117,6 @@ fn unknown_path_is_a_clean_404() {
 /// to answer the next request.
 #[test]
 fn huge_traces_query_value_saturates_and_server_survives() {
-    use std::time::Duration;
-    use tw_telemetry::http::request;
-
     let dir = std::env::temp_dir().join(format!("tw-scrape-sat-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let archive =
@@ -130,25 +129,62 @@ fn huge_traces_query_value_saturates_and_server_survives() {
 
     let max = u64::MAX;
     let path = format!("/traces?min_latency_ms={max}&from_ms={max}&to_ms={max}");
-    let (status, body) = request(
-        scrape.local_addr(),
-        "GET",
-        &path,
-        "",
-        Duration::from_secs(5),
-    )
-    .expect("GET");
+    let (status, body) = get(scrape.local_addr(), &path, Duration::from_secs(5)).expect("GET");
     assert_eq!(status, 200, "got: {body}");
     assert_eq!(body, "{\"traces\":[]}");
-    let (status, body) = request(
-        scrape.local_addr(),
-        "GET",
-        "/healthz",
-        "",
-        Duration::from_secs(5),
-    )
-    .expect("GET /healthz after the hostile query");
+    let (status, body) = get(scrape.local_addr(), "/healthz", Duration::from_secs(5))
+        .expect("GET /healthz after the hostile query");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
     scrape.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No request carries a body: one that declares a `Content-Length` is
+/// answered 413 before anything more is read, and the endpoint keeps
+/// serving.
+#[test]
+fn declared_request_body_is_refused_with_413() {
+    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()]).expect("bind");
+    let mut stream = TcpStream::connect(scrape.local_addr()).expect("connect");
+    stream
+        .write_all(b"POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 413"), "got: {response}");
+    let (status, body) = get(scrape.local_addr(), "/healthz", Duration::from_secs(5))
+        .expect("GET /healthz after the refused body");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    scrape.shutdown();
+}
+
+/// The endpoint answers one connection at a time, so a request head has
+/// one deadline, not one per read: a client trickling a head that never
+/// ends must not hold the liveness probe behind it.
+#[test]
+fn slow_client_does_not_stall_the_scrape_endpoint() {
+    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()]).expect("bind");
+    let addr = scrape.local_addr();
+    let trickle = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let start = Instant::now();
+        for byte in b"GET /metrics HTTP/1.1\r\n" {
+            if start.elapsed() >= Duration::from_secs(6) || stream.write_all(&[*byte]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(300));
+        }
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    let start = Instant::now();
+    let (status, body) = get(addr, "/healthz", Duration::from_secs(4))
+        .expect("GET /healthz while another client trickles its head");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    assert!(
+        start.elapsed() < Duration::from_secs(4),
+        "{:?}",
+        start.elapsed()
+    );
+    trickle.join().unwrap();
+    scrape.shutdown();
 }

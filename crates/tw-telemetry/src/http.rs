@@ -1,22 +1,24 @@
 //! The one way this process speaks HTTP/1.1 (DESIGN.md "HTTP surface"):
-//! a bounded request reader, a response writer, a one-shot client, an
-//! accept-loop [`Server`] handle, and the jittered retry [`backoff`].
+//! a bounded, GET-only request reader, a response writer, a one-shot
+//! [`get`] client, and an accept-loop [`Server`] handle.
 //!
-//! Hand-rolled on blocking `std::net`: scrapes and pushes are rare and
-//! small, so one connection at a time with short socket timeouts and
-//! `Connection: close` is robust and dependency-free. (Parsing *captured*
-//! application traffic is a different job and lives in `tw-capture`.)
+//! Hand-rolled on blocking `std::net`: scrapes are rare and small, so one
+//! connection at a time with a short head deadline and `Connection: close`
+//! is robust and dependency-free. No request carries a body. (Parsing
+//! *captured* application traffic is a different job and lives in
+//! `tw-capture`.)
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Request heads larger than this are dropped unanswered.
 const MAX_HEAD: usize = 64 * 1024;
-/// Server-side socket read/write timeout per connection.
+/// Server-side deadline for a whole request head, and the socket write
+/// timeout.
 const SERVER_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One parsed request.
@@ -27,7 +29,6 @@ pub struct Request {
     pub path: String,
     /// Everything after the first `?` (empty when absent).
     pub query: String,
-    pub body: String,
 }
 
 /// What a [`Server`] handler answers with.
@@ -54,13 +55,21 @@ fn invalid(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-/// Read one request: the head up to [`MAX_HEAD`], then a body of exactly
-/// `Content-Length` bytes. A declared length over `max_body` is answered
-/// `413` before any of the body is read or allocated.
-fn read_request(stream: &mut TcpStream, max_body: usize) -> std::io::Result<Request> {
+/// Read one request head, up to [`MAX_HEAD`] bytes and all of it within
+/// one [`SERVER_TIMEOUT`]: each read waits only for the time left, so a
+/// client trickling bytes cannot hold the one-at-a-time accept loop
+/// longer than that. A request that declares a `Content-Length` above 0
+/// is answered `413` before anything more is read.
+fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
+    let deadline = Instant::now() + SERVER_TIMEOUT;
     let mut data = Vec::with_capacity(512);
     let mut buf = [0u8; 1024];
     let head_end = loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut buf)?;
         if n == 0 {
             return Err(std::io::ErrorKind::UnexpectedEof.into());
@@ -83,26 +92,20 @@ fn read_request(stream: &mut TcpStream, max_body: usize) -> std::io::Result<Requ
         .find_map(|l| {
             let (k, v) = l.split_once(':')?;
             k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse::<usize>().ok())?
+                .then(|| v.trim().parse::<u64>().ok())?
         })
         .unwrap_or(0);
-    if content_length > max_body {
+    if content_length > 0 {
         respond(
             stream,
-            &Response::text("413 Payload Too Large", "body too large\n"),
+            &Response::text("413 Payload Too Large", "request bodies are not accepted\n"),
         )?;
-        return Err(invalid("request body too large"));
+        return Err(invalid("request declares a body"));
     }
-    let mut body = data.split_off(head_end);
-    body.truncate(content_length);
-    let have = body.len();
-    body.resize(content_length, 0);
-    stream.read_exact(&mut body[have..])?;
     Ok(Request {
         method,
         path: path.to_string(),
         query: query.to_string(),
-        body: String::from_utf8_lossy(&body).into_owned(),
     })
 }
 
@@ -120,28 +123,13 @@ fn respond(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// One request to `addr`; returns the status code and the body. `timeout`
-/// bounds the connect and each socket read/write. A non-empty `body` is
-/// sent as `application/json`.
-pub fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    timeout: Duration,
-) -> std::io::Result<(u16, String)> {
+/// `GET path` from `addr`; returns the status code and the body. `timeout`
+/// bounds the connect and each socket read/write.
+pub fn get(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut message = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
-    if !body.is_empty() {
-        message.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            body.len()
-        ));
-    }
-    message.push_str("\r\n");
-    message.push_str(body);
+    let message = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
     stream.write_all(message.as_bytes())?;
     stream.flush()?;
     let mut response = String::new();
@@ -168,11 +156,9 @@ pub struct Server {
 
 impl Server {
     /// Bind (`"127.0.0.1:0"` picks a free port) and serve. Requests
-    /// declaring a body over `max_body` bytes are answered `413` without
-    /// reaching `handler`.
+    /// declaring a body are answered `413` without reaching `handler`.
     pub fn bind(
         addr: &str,
-        max_body: usize,
         mut handler: impl FnMut(Request) -> Response + Send + 'static,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
@@ -187,9 +173,8 @@ impl Server {
                         break;
                     }
                     let Ok(mut stream) = conn else { break };
-                    let _ = stream.set_read_timeout(Some(SERVER_TIMEOUT));
                     let _ = stream.set_write_timeout(Some(SERVER_TIMEOUT));
-                    if let Ok(request) = read_request(&mut stream, max_body) {
+                    if let Ok(request) = read_request(&mut stream) {
                         let _ = respond(&mut stream, &handler(request));
                     }
                 }
@@ -217,54 +202,23 @@ impl Drop for Server {
     }
 }
 
-/// Backoff before retry `attempt + 1` (1-based `attempt`): `base · 2ⁿ⁻¹`
-/// capped at `max`, plus up to +25 % jitter from splitmix64 over
-/// (attempt, port) — no RNG state, so schedules are reproducible run to
-/// run yet desynchronized across clients of different servers.
-pub fn backoff(base: Duration, max: Duration, attempt: u32, port: u16) -> Duration {
-    let exp = attempt.saturating_sub(1).min(20);
-    let nominal = base.saturating_mul(1u32 << exp).min(max);
-    let mut z = ((u64::from(attempt) << 32) | u64::from(port)).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    nominal + nominal.mul_f64((z % 256) as f64 / 1024.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let (base, max) = (Duration::from_millis(20), Duration::from_secs(1));
-        assert_eq!(backoff(base, max, 1, 9200), backoff(base, max, 1, 9200));
-        for n in 1..=40 {
-            // nominal <= max, jitter adds at most 25%.
-            assert!(backoff(base, max, n, 9200) <= max.mul_f64(1.25));
-        }
-    }
-
-    #[test]
-    fn server_round_trips_query_and_body() {
-        let server = Server::bind("127.0.0.1:0", 16, |req| {
+    fn server_round_trips_path_and_query() {
+        let server = Server::bind("127.0.0.1:0", |req| {
             Response::text(
                 "200 OK",
-                &format!("{} {} {} {}", req.method, req.path, req.query, req.body),
+                &format!("{} {} {}", req.method, req.path, req.query),
             )
         })
         .unwrap();
         let timeout = Duration::from_secs(5);
-        let (status, body) = request(
-            server.local_addr(),
-            "POST",
-            "/a?b=1&c",
-            "{\"k\":1}",
-            timeout,
-        )
-        .unwrap();
-        assert_eq!((status, body.as_str()), (200, "POST /a b=1&c {\"k\":1}"));
-        let (status, body) = request(server.local_addr(), "GET", "/x", "", timeout).unwrap();
-        assert_eq!((status, body.as_str()), (200, "GET /x  "));
+        let (status, body) = get(server.local_addr(), "/a?b=1&c", timeout).unwrap();
+        assert_eq!((status, body.as_str()), (200, "GET /a b=1&c"));
+        let (status, body) = get(server.local_addr(), "/x", timeout).unwrap();
+        assert_eq!((status, body.as_str()), (200, "GET /x "));
     }
 }

@@ -26,6 +26,10 @@
 //! `tw_sanitize_*`, `tw_engine_*` vs `tw_core_*`, `tw_solver_*`,
 //! `tw_capture_*`), see DESIGN.md §10.
 //!
+//! Telemetry leaves the process only by being scraped: [`http`] is the
+//! GET-only server and client behind `/metrics` and `/spans`, [`trace`]
+//! the self-tracing span recorder, and [`lint`] the exposition checker.
+//!
 //! ## Hot-path cost
 //!
 //! Counter increments are a relaxed `fetch_add` on a cache-line-padded
@@ -39,7 +43,6 @@ mod expose;
 pub mod http;
 pub mod lint;
 mod metrics;
-pub mod push;
 pub mod trace;
 
 pub use expose::{render_families, render_families_openmetrics, snapshot_has_exemplars};

@@ -328,7 +328,7 @@ impl SpanRecorder {
     }
 
     /// Sealed trees currently in the ring, oldest first. Cloned for tests
-    /// and the push exporter.
+    /// and the benchmark.
     pub fn finished_snapshot(&self) -> Vec<WindowTrace> {
         self.inner
             .finished
@@ -340,7 +340,7 @@ impl SpanRecorder {
     }
 
     /// Render recent (sealed, newest first) and active trees as a JSON
-    /// document for `GET /spans` and the push exporter.
+    /// document for `GET /spans`.
     pub fn render_json(&self) -> String {
         let recent: Vec<WindowTrace> = {
             let finished = self.inner.finished.lock().unwrap();
@@ -412,7 +412,7 @@ impl Drop for SpanGuard {
 
 /// Minimal JSON string escaping (the only JSON we emit by hand; the crate
 /// is std-only by policy).
-pub(crate) fn escape_json(s: &str) -> String {
+fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -19,6 +19,7 @@ use std::process::ExitCode;
 use traceweaver::capture::{generate_test_traces, infer_call_graph};
 use traceweaver::model::export::to_jaeger;
 use traceweaver::model::span::EXTERNAL;
+use traceweaver::model::RpcRecord;
 use traceweaver::prelude::*;
 use traceweaver::sim::apps::{
     hotel_reservation, media_microservices, nodejs_app, social_network, two_service_chain, BenchApp,
@@ -61,11 +62,10 @@ struct Command {
 }
 
 /// The live-pipeline block `serve` and `simulate --metrics` share: what
-/// `online_config_from`, `trace_recorder_from` and `push_exporter_from`
-/// read.
+/// `online_config_from` and `trace_recorder_from` read.
 const PIPELINE_VALUES: &str = "window-ms grace-ms capacity backpressure \
     checkpoint-dir checkpoint-interval-ms archive-dir archive-segment-bytes archive-retention \
-    trace-sample span-ring push-url push-interval-ms";
+    trace-sample span-ring";
 const PIPELINE_SWITCHES: &str = "adaptive-shed no-drift";
 /// What `maybe_sanitize` reads.
 const SANITIZE_SWITCHES: &str = "sanitize no-drift";
@@ -150,12 +150,6 @@ const COMMANDS: &[Command] = &[
         switches: &["json"],
     },
     Command {
-        name: "push-sink",
-        run: cmd_push_sink,
-        values: &["listen batches"],
-        switches: &[],
-    },
-    Command {
         name: "help",
         run: cmd_help,
         values: &[],
@@ -184,7 +178,6 @@ USAGE:
   twctl deadletters  --addr HOST:PORT [--resubmit --to HOST:PORT]
   twctl query        (--dir DIR | --addr HOST:PORT) [--service N] [--op N] [--window N]
                      [--min-latency-ms N] [--from-ms N] [--to-ms N] [--limit N] [--json]
-  twctl push-sink    [--listen ADDR] [--batches N]
   twctl help
 
   pipeline flags:    [--window-ms N] [--grace-ms N] [--capacity N]
@@ -192,7 +185,6 @@ USAGE:
                      [--checkpoint-dir DIR] [--checkpoint-interval-ms N]
                      [--archive-dir DIR] [--archive-segment-bytes N] [--archive-retention BYTES]
                      [--trace-sample N] [--span-ring N]
-                     [--push-url HOST:PORT[/path]] [--push-interval-ms N]
 
 A flag the command does not list, or a value flag without a value, is an
 error before any work starts.
@@ -271,13 +263,6 @@ bounds the sealed-tree ring. Trees are served at GET /spans next to
 /metrics, and slow-window latency histogram buckets carry OpenMetrics
 exemplars whose window_id/span_id labels resolve there (the exposition
 switches to the OpenMetrics content type when exemplars are present).
-
-Push export: --push-url makes the pipeline POST its exposition (and
-span trees, when tracing is on) to a sink every --push-interval-ms,
-skipping unchanged snapshots, with bounded retry/backoff and a final
-unconditional flush at shutdown; progress is visible in the
-tw_export_push_* counters. `push-sink` runs a loopback sink that
-prints a line per received batch.
 
 `deadletters` fetches a serving pipeline's /deadletters quarantine and
 pretty-prints each record with its failure reason, stage, and window
@@ -374,7 +359,7 @@ fn read_json<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, String> {
     serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_spans(path: &str) -> Result<Vec<traceweaver::model::RpcRecord>, String> {
+fn load_spans(path: &str) -> Result<Vec<RpcRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     text.lines()
         .filter(|l| !l.trim().is_empty())
@@ -428,7 +413,7 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
 fn serve_simulated_metrics(
     flags: &Flags,
     graph: CallGraph,
-    records: &[traceweaver::model::RpcRecord],
+    records: &[RpcRecord],
 ) -> Result<(), String> {
     let metrics_addr = flag(flags, "metrics")?;
     let hold_ms: u64 = num(flags, "metrics-hold-ms", 5_000u64)?;
@@ -451,13 +436,12 @@ fn serve_simulated_metrics(
 }
 
 /// The live pipeline `serve` and `simulate --metrics` both run: one
-/// registry behind the scrape endpoint, the self-trace recorder, the push
-/// exporter, TCP ingest into the online engine, and a consumer that takes
-/// every window result off the engine's results queue as it is emitted.
+/// registry behind the scrape endpoint, the self-trace recorder, TCP
+/// ingest into the online engine, and a consumer that takes every window
+/// result off the engine's results queue as it is emitted.
 struct LivePipeline {
     scrape: Option<traceweaver::pipeline::MetricsServer>,
     recorder: Option<traceweaver::telemetry::trace::SpanRecorder>,
-    push: Option<traceweaver::telemetry::push::PushExporter>,
     server: traceweaver::pipeline::IngestServer,
     engine: OnlineEngine,
     /// Returns `(windows, mapped spans)` consumed once the queue closes.
@@ -481,13 +465,16 @@ impl LivePipeline {
         use traceweaver::pipeline::net::{serve_online, MetricsServer, ServeHealth};
 
         let registry = traceweaver::telemetry::Registry::new();
-        let sources = || vec![registry.clone(), traceweaver::telemetry::global().clone()];
         let mut config = online_config_from(flags, registry.clone())?;
         let health = ServeHealth::new();
         let scrape = match metrics_addr {
             Some(addr) => Some(
-                MetricsServer::bind_with(addr, sources(), health.clone())
-                    .map_err(|e| format!("metrics endpoint {addr}: {e}"))?,
+                MetricsServer::bind_with(
+                    addr,
+                    vec![registry.clone(), traceweaver::telemetry::global().clone()],
+                    health.clone(),
+                )
+                .map_err(|e| format!("metrics endpoint {addr}: {e}"))?,
             ),
             None => None,
         };
@@ -496,7 +483,6 @@ impl LivePipeline {
         if let Some(rec) = &recorder {
             health.attach_spans(rec.clone());
         }
-        let push = push_exporter_from(flags, sources(), recorder.clone(), &registry)?;
         let (server, engine) = serve_online(listen, tw, config).map_err(|e| e.to_string())?;
         health.attach_dead_letters(engine.dead_letters().clone());
         if let Some(archive) = engine.archive() {
@@ -517,7 +503,6 @@ impl LivePipeline {
         Ok(LivePipeline {
             scrape,
             recorder,
-            push,
             server,
             engine,
             consumer,
@@ -526,17 +511,13 @@ impl LivePipeline {
 
     /// Drain in pipeline order so every stage's counters are final — the
     /// server first (its connections drain into the engine), then the
-    /// engine's single ordered shutdown cascade, then the push exporter,
-    /// so the sink sees final counter values and the last sealed span
-    /// trees — and print the run's summary under `label`. The scrape
-    /// endpoint is handed back still serving.
+    /// engine's single ordered shutdown cascade — and print the run's
+    /// summary under `label`. The scrape endpoint is handed back still
+    /// serving.
     fn finish(self, label: &str) -> Result<Option<traceweaver::pipeline::MetricsServer>, String> {
         self.server.shutdown();
         let dead_letters = self.engine.dead_letters().clone();
         let (rest, stats) = self.engine.shutdown_with_stats();
-        if let Some(push) = self.push {
-            push.stop_and_flush();
-        }
         // The results queue closed with the last stage, so the consumer
         // has returned; what it did not get to, the drain returned.
         let (windows, mapped) = self.consumer.join().map_err(|_| "results consumer died")?;
@@ -825,39 +806,10 @@ fn trace_recorder_from(
     )))
 }
 
-/// Spawn the push exporter when `--push-url` is given: every
-/// `--push-interval-ms` (default 1000) it POSTs the changed exposition
-/// (plus span trees, when tracing is on) to the sink, with bounded
-/// retry/backoff; `tw_export_push_*` counters land on `registry`.
-fn push_exporter_from(
-    flags: &Flags,
-    sources: Vec<traceweaver::telemetry::Registry>,
-    recorder: Option<traceweaver::telemetry::trace::SpanRecorder>,
-    registry: &traceweaver::telemetry::Registry,
-) -> Result<Option<traceweaver::telemetry::push::PushExporter>, String> {
-    match flags.get("push-url") {
-        Some(url) => {
-            let mut cfg = traceweaver::telemetry::push::PushConfig::new(url.clone());
-            cfg.interval =
-                std::time::Duration::from_millis(num(flags, "push-interval-ms", 1_000u64)?.max(10));
-            Ok(Some(traceweaver::telemetry::push::PushExporter::spawn(
-                cfg, sources, recorder, registry,
-            )))
-        }
-        None if flags.contains_key("push-interval-ms") => {
-            Err("--push-interval-ms requires --push-url".to_string())
-        }
-        None => Ok(None),
-    }
-}
-
 /// Apply `--sanitize` when requested: replay the recorded spans through
 /// the online sanitizer (dedup, causality, skew correction) and keep the
 /// survivors.
-fn maybe_sanitize(
-    flags: &Flags,
-    records: Vec<traceweaver::model::RpcRecord>,
-) -> Vec<traceweaver::model::RpcRecord> {
+fn maybe_sanitize(flags: &Flags, records: Vec<RpcRecord>) -> Vec<RpcRecord> {
     if !flags.contains_key("sanitize") {
         return records;
     }
@@ -893,55 +845,17 @@ fn cmd_reconstruct(flags: &Flags) -> Result<(), String> {
     );
 
     if let Some(jaeger_path) = flags.get("jaeger") {
-        // Catalog is not shipped in spans.jsonl; synthesize generic names.
-        let mut catalog = Catalog::new();
-        let mut max_svc = 0;
-        let mut max_op = 0;
-        for r in &records {
-            if r.callee.service.0 != u32::MAX {
-                max_svc = max_svc.max(r.callee.service.0);
-            }
-            max_op = max_op.max(r.callee.op.0);
-        }
-        for s in 0..=max_svc {
-            catalog.service(&format!("service-{s}"));
-        }
-        for o in 0..=max_op {
-            catalog.operation(&format!("op-{o}"));
-        }
-        let by_id: HashMap<_, _> = records.iter().map(|r| (r.rpc, *r)).collect();
-        let roots: Vec<RpcId> = records
-            .iter()
-            .filter(|r| r.caller == EXTERNAL)
-            .map(|r| r.rpc)
-            .collect();
+        let (catalog, by_id, roots) = span_index(&records);
         let doc = to_jaeger(&roots, &result.mapping, &by_id, &catalog);
         write_json(Path::new(jaeger_path), &doc)?;
     }
     Ok(())
 }
 
-fn cmd_waterfall(flags: &Flags) -> Result<(), String> {
-    let records = load_spans(flag(flags, "spans")?)?;
-    let graph: CallGraph = read_json(flag(flags, "graph")?)?;
-    let width: usize = num(flags, "width", 60usize)?;
-    let tw = TraceWeaver::new(graph, params_from(flags));
-    let result = tw.reconstruct_records(&records);
-
-    let roots: Vec<RpcId> = records
-        .iter()
-        .filter(|r| r.caller == EXTERNAL)
-        .map(|r| r.rpc)
-        .collect();
-    if roots.is_empty() {
-        return Err("no root (external) spans in the input".into());
-    }
-    let idx: usize = num(flags, "trace", 0usize)?;
-    let root = *roots
-        .get(idx)
-        .ok_or_else(|| format!("--trace {idx} out of range (have {} traces)", roots.len()))?;
-
-    // Names are not shipped with spans: use generic labels.
+/// What a span file does not ship, rebuilt from its records: a catalog
+/// naming every service `service-N` and every operation `op-N`, the
+/// records by id, and the external (root) records in file order.
+fn span_index(records: &[RpcRecord]) -> (Catalog, HashMap<RpcId, RpcRecord>, Vec<RpcId>) {
     let mut catalog = Catalog::new();
     let max_svc = records
         .iter()
@@ -956,7 +870,30 @@ fn cmd_waterfall(flags: &Flags) -> Result<(), String> {
     for o in 0..=max_op {
         catalog.operation(&format!("op-{o}"));
     }
-    let by_id: HashMap<_, _> = records.iter().map(|r| (r.rpc, *r)).collect();
+    let by_id = records.iter().map(|r| (r.rpc, *r)).collect();
+    let roots = records
+        .iter()
+        .filter(|r| r.caller == EXTERNAL)
+        .map(|r| r.rpc)
+        .collect();
+    (catalog, by_id, roots)
+}
+
+fn cmd_waterfall(flags: &Flags) -> Result<(), String> {
+    let records = load_spans(flag(flags, "spans")?)?;
+    let graph: CallGraph = read_json(flag(flags, "graph")?)?;
+    let width: usize = num(flags, "width", 60usize)?;
+    let tw = TraceWeaver::new(graph, params_from(flags));
+    let result = tw.reconstruct_records(&records);
+
+    let (catalog, by_id, roots) = span_index(&records);
+    if roots.is_empty() {
+        return Err("no root (external) spans in the input".into());
+    }
+    let idx: usize = num(flags, "trace", 0usize)?;
+    let root = *roots
+        .get(idx)
+        .ok_or_else(|| format!("--trace {idx} out of range (have {} traces)", roots.len()))?;
     print!(
         "{}",
         traceweaver::viz::render_waterfall(root, &result.mapping, &by_id, &catalog, width)
@@ -986,7 +923,7 @@ struct DeadLetterDoc {
     reason: String,
     message: String,
     item_seq: u64,
-    record: Option<traceweaver::model::RpcRecord>,
+    record: Option<RpcRecord>,
     window: Option<u64>,
 }
 
@@ -1032,8 +969,7 @@ fn cmd_deadletters(flags: &Flags) -> Result<(), String> {
     }
     let to = flag(flags, "to")?;
     let to_addr: std::net::SocketAddr = to.parse().map_err(|e| format!("--to {to}: {e}"))?;
-    let records: Vec<traceweaver::model::RpcRecord> =
-        letters.iter().filter_map(|l| l.record).collect();
+    let records: Vec<RpcRecord> = letters.iter().filter_map(|l| l.record).collect();
     if records.is_empty() {
         println!("nothing to resubmit: no quarantined payload was captured");
         return Ok(());
@@ -1104,34 +1040,6 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Run a loopback push sink: accept `PushExporter` batches on --listen,
-/// print a line per batch, and (optionally) exit after --batches. The CI
-/// smoke job uses this to prove push export survives a sink restart.
-fn cmd_push_sink(flags: &Flags) -> Result<(), String> {
-    let listen = flags.get("listen").map_or("127.0.0.1:0", String::as_str);
-    let batches: u64 = num(flags, "batches", 0u64)?; // 0 = serve forever
-    let sink = traceweaver::telemetry::push::PushSink::bind(listen)
-        .map_err(|e| format!("{listen}: {e}"))?;
-    println!("push sink listening on {}", sink.addr());
-    let mut seen = 0u64;
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let now = sink.batches();
-        if now > seen {
-            println!(
-                "received batch {now} ({} bytes latest)",
-                sink.last_body().len()
-            );
-            seen = now;
-        }
-        if batches != 0 && seen >= batches {
-            sink.shutdown();
-            println!("received {seen} batch(es), exiting");
-            return Ok(());
-        }
-    }
 }
 
 /// One scrape parsed into `(series, value)` pairs. Comment lines are

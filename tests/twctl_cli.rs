@@ -68,6 +68,21 @@ fn removed_flags_are_rejected() {
     // `serve` always runs one warm window shard, so `--shards` is unknown;
     // an empty stdout means it failed before binding.
     assert_rejected("serve --graph g.json --shards 2", "unknown flag --shards");
+    // Telemetry is scrape-only: the push exporter's flags and its sink
+    // command are gone.
+    assert_rejected(
+        "serve --graph g.json --push-url 127.0.0.1:1",
+        "unknown flag --push-url",
+    );
+    let dir = format!("twctl-cli-push-{}", std::process::id());
+    assert_rejected(
+        &format!("simulate --app chain --out-dir {dir} --push-interval-ms 10"),
+        "unknown flag --push-interval-ms",
+    );
+    assert_rejected(
+        "push-sink --listen 127.0.0.1:0",
+        "unknown command `push-sink`",
+    );
 }
 
 #[test]
