@@ -57,7 +57,7 @@ pub mod task;
 mod telemetry;
 
 pub use params::Params;
-pub use registry::{DelayRegistry, RegistryWatch};
+pub use registry::DelayRegistry;
 pub use task::{ReconstructionTask, TaskReport};
 
 use std::collections::HashMap;

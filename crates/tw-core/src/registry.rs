@@ -342,42 +342,6 @@ impl DelayRegistry {
     }
 }
 
-/// A shared publish cell for streaming registry snapshots out of a
-/// reconstruction loop without coupling it to the consumer.
-///
-/// The warm online path publishes a clone after each absorb round; a
-/// checkpointer (or any other observer) reads the latest snapshot at its
-/// own cadence. Cloning the watch shares the underlying cell.
-#[derive(Clone, Default)]
-pub struct RegistryWatch {
-    inner: std::sync::Arc<std::sync::Mutex<Option<DelayRegistry>>>,
-}
-
-impl RegistryWatch {
-    pub fn new() -> Self {
-        RegistryWatch::default()
-    }
-
-    /// Replace the published snapshot with a clone of `registry`.
-    pub fn publish(&self, registry: &DelayRegistry) {
-        *self.inner.lock().expect("registry watch poisoned") = Some(registry.clone());
-    }
-
-    /// Clone out the most recently published snapshot, if any.
-    pub fn latest(&self) -> Option<DelayRegistry> {
-        self.inner.lock().expect("registry watch poisoned").clone()
-    }
-
-    /// Absorb rounds of the latest snapshot (cheap staleness probe).
-    pub fn rounds(&self) -> Option<u64> {
-        self.inner
-            .lock()
-            .expect("registry watch poisoned")
-            .as_ref()
-            .map(DelayRegistry::rounds)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

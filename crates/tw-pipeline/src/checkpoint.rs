@@ -5,31 +5,32 @@
 //! indices from scratch), the sanitizer's skew/drift filters (so
 //! correction restarted cold and mis-corrected until re-convergence),
 //! and the warm [`DelayRegistry`] (so reconstruction quality fell back
-//! to the bootstrap for many windows). This module periodically
-//! snapshots all three into one atomically-replaced file: a
-//! single-frame [`tw_store::frame`] file with the `TWCK` magic and a JSON
-//! [`CheckpointDoc`] payload. Any mismatch on load is a *clean*
-//! rejection: the engine falls back to a cold start and counts the
-//! reason, it never trusts a corrupt checkpoint.
+//! to the bootstrap for many windows). The window shard persists all
+//! three into one atomically-replaced file: a single-frame
+//! [`tw_store::frame`] file with the `TWCK` magic and a JSON
+//! [`CheckpointDoc`] payload. It writes at the end of a seal, once the
+//! interval has passed since its last write, and once more after the
+//! drain, so no thread of its own runs. Any mismatch on load is a
+//! *clean* rejection: the engine falls back to a cold start and counts
+//! the reason, it never trusts a corrupt checkpoint.
 //!
-//! Consistency model: the three state sources are sampled near-in-time
-//! but not transactionally — the watermark is authoritative (it is what
-//! restart resumes from), while sanitizer and registry snapshots may
-//! trail it by a bounded publication interval. Both are *estimators*, so
-//! staleness degrades correction/warm-start quality marginally; it never
-//! produces wrong window membership. Windows sealed after the last
-//! checkpoint are lost on crash (bounded by the checkpoint interval) and
-//! reported honestly via `tw_pipeline_recovery_windows_lost`.
+//! Consistency model: the watermark and the registry are the shard's own
+//! and exact at the write — the watermark is authoritative (it is what
+//! restart resumes from). The sanitizer snapshot may trail it by one
+//! publication interval; it is an *estimator*, so staleness degrades
+//! correction quality marginally and never produces wrong window
+//! membership. Windows sealed after the last write are lost on crash
+//! (the seals since that write) and reported honestly via
+//! `tw_pipeline_recovery_windows_lost`.
 
 use crate::sanitize::{SanitizerSnapshot, SanitizerSnapshotSlot};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-use tw_core::{DelayRegistry, RegistryWatch};
+use std::time::{Duration, Instant};
+use tw_core::DelayRegistry;
 use tw_store::frame::{read_json, write_json};
-use tw_telemetry::trace::SpanRecorder;
+use tw_store::TraceArchive;
 use tw_telemetry::{Counter, Gauge, Registry};
 
 const MAGIC: [u8; 4] = *b"TWCK";
@@ -41,8 +42,9 @@ pub const CHECKPOINT_FILE: &str = "online.ckpt";
 pub struct CheckpointConfig {
     /// Directory holding the checkpoint file (created if missing).
     pub dir: PathBuf,
-    /// How often the checkpointer thread writes a snapshot. Bounds the
-    /// recovery gap: at most this much sealed progress is lost on crash.
+    /// Least time between two writes. The window shard writes at the
+    /// first seal after it has passed, so a crash loses the seals since
+    /// the last write.
     pub interval: Duration,
 }
 
@@ -134,7 +136,7 @@ impl RecoveryMetrics {
             cold_io: cold("io"),
             windows_lost: registry.gauge(
                 "tw_pipeline_recovery_windows_lost",
-                "Recovery gap of the most recent restore: window indices between the restored watermark and the first live record (bounded by the checkpoint interval).",
+                "Recovery gap of the most recent restore: window indices between the restored watermark and the first live record (the seals since the last checkpoint write).",
             ),
             watermark: registry.gauge(
                 "tw_pipeline_recovery_watermark",
@@ -161,149 +163,70 @@ impl RecoveryMetrics {
     }
 }
 
-/// Live handles the checkpointer samples: the window shard's sealed
-/// watermark (`index + 1` after it seals a window), the sanitizer's
-/// published snapshot, and the warm registry watch. Cloning shares the
-/// underlying state.
-#[derive(Clone)]
-pub struct CheckpointSources {
-    pub sealed: Arc<AtomicU64>,
-    pub window_ns: u64,
-    pub sanitizer: SanitizerSnapshotSlot,
-    pub registry: RegistryWatch,
-    /// Trace-archive durable watermark, when the engine archives.
-    pub archive: Option<Arc<AtomicU64>>,
+/// The checkpoint as the window shard keeps it (DESIGN.md §12): the
+/// sealed watermark it advances at every seal, the other stages' state it
+/// reads when it writes, and when it last wrote.
+pub(crate) struct ShardCheckpoint {
+    dir: PathBuf,
+    interval: Duration,
+    window_ns: u64,
+    /// `index + 1` of the last window sealed.
+    sealed: u64,
+    last_write: Instant,
+    metrics: RecoveryMetrics,
+    /// The sanitize stage's published snapshot, when it sanitizes.
+    pub(crate) sanitizer: Option<SanitizerSnapshotSlot>,
+    /// The archive whose durable watermark rides along, when it archives.
+    pub(crate) archive: Option<Arc<TraceArchive>>,
 }
 
-impl CheckpointSources {
-    pub fn new(window_ns: u64, start_watermark: u64) -> Self {
-        CheckpointSources {
-            sealed: Arc::new(AtomicU64::new(start_watermark)),
+impl ShardCheckpoint {
+    pub(crate) fn new(
+        cfg: &CheckpointConfig,
+        window_ns: u64,
+        watermark: u64,
+        metrics: RecoveryMetrics,
+    ) -> Self {
+        ShardCheckpoint {
+            dir: cfg.dir.clone(),
+            interval: cfg.interval,
             window_ns,
-            sanitizer: SanitizerSnapshotSlot::default(),
-            registry: RegistryWatch::new(),
+            sealed: watermark,
+            last_write: Instant::now(),
+            metrics,
+            sanitizer: None,
             archive: None,
         }
     }
 
-    /// Assemble the current checkpoint payload.
-    pub fn doc(&self) -> CheckpointDoc {
-        CheckpointDoc {
-            watermark: self.sealed.load(Ordering::Acquire),
+    /// Window `index` is sealed: advance the watermark past it, and write
+    /// when the interval has passed since the last write. Returns the
+    /// span event describing a write.
+    pub(crate) fn seal(&mut self, index: u64, registry: Option<&DelayRegistry>) -> Option<String> {
+        self.sealed = self.sealed.max(index + 1);
+        (self.last_write.elapsed() >= self.interval).then(|| self.write(registry))
+    }
+
+    /// Write the checkpoint now and describe the outcome.
+    pub(crate) fn write(&mut self, registry: Option<&DelayRegistry>) -> String {
+        self.last_write = Instant::now();
+        let doc = CheckpointDoc {
+            watermark: self.sealed,
             window_ns: self.window_ns,
-            sanitizer: self.sanitizer.lock().clone(),
-            registry: self.registry.latest(),
-            archived: self.archive.as_ref().map(|w| w.load(Ordering::Acquire)),
-        }
-    }
-}
-
-/// The background checkpoint writer: samples [`CheckpointSources`] every
-/// interval and atomically replaces the checkpoint file. Stop with
-/// [`stop_and_flush`](Checkpointer::stop_and_flush), which writes one
-/// final checkpoint after the pipeline has drained (so a clean shutdown
-/// resumes past everything).
-pub struct Checkpointer {
-    dir: PathBuf,
-    sources: CheckpointSources,
-    metrics: RecoveryMetrics,
-    recorder: Option<SpanRecorder>,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Checkpointer {
-    pub fn spawn(
-        cfg: &CheckpointConfig,
-        sources: CheckpointSources,
-        metrics: RecoveryMetrics,
-        recorder: Option<SpanRecorder>,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let dir = cfg.dir.clone();
-            let interval = cfg.interval.max(Duration::from_millis(10));
-            let sources = sources.clone();
-            let metrics = metrics.clone();
-            let recorder = recorder.clone();
-            let stop = stop.clone();
-            std::thread::Builder::new()
-                .name("tw-checkpoint".into())
-                .spawn(move || {
-                    let mut last_watermark = None;
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::park_timeout(interval);
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let doc = sources.doc();
-                        // Skip redundant writes while the stream is idle
-                        // at the same watermark.
-                        if last_watermark == Some(doc.watermark) {
-                            continue;
-                        }
-                        last_watermark = Some(doc.watermark);
-                        write_doc(&dir, &doc, &metrics, recorder.as_ref());
-                    }
-                })
-                .expect("spawn checkpoint thread")
+            sanitizer: self.sanitizer.as_ref().and_then(|s| s.lock().clone()),
+            registry: registry.cloned(),
+            archived: self.archive.as_ref().map(|a| a.watermark()),
         };
-        Checkpointer {
-            dir: cfg.dir.clone(),
-            sources,
-            metrics,
-            recorder,
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stop the writer thread and persist one final checkpoint from the
-    /// current (post-drain) state.
-    pub fn stop_and_flush(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-        write_doc(
-            &self.dir,
-            &self.sources.doc(),
-            &self.metrics,
-            self.recorder.as_ref(),
-        );
-    }
-}
-
-impl Drop for Checkpointer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-    }
-}
-
-fn write_doc(
-    dir: &Path,
-    doc: &CheckpointDoc,
-    metrics: &RecoveryMetrics,
-    recorder: Option<&SpanRecorder>,
-) {
-    match write_checkpoint(dir, doc) {
-        Ok(()) => {
-            metrics.writes.inc();
-            metrics.watermark.set(doc.watermark as f64);
-            if let Some(rec) = recorder {
-                rec.event_newest(format!("checkpoint written (watermark {})", doc.watermark));
+        match write_checkpoint(&self.dir, &doc) {
+            Ok(()) => {
+                self.metrics.writes.inc();
+                self.metrics.watermark.set(doc.watermark as f64);
+                format!("checkpoint written (watermark {})", doc.watermark)
             }
-        }
-        Err(e) => {
-            metrics.write_errors.inc();
-            eprintln!("tw-checkpoint: write failed: {e}");
-            if let Some(rec) = recorder {
-                rec.event_newest(format!("checkpoint write failed: {e}"));
+            Err(e) => {
+                self.metrics.write_errors.inc();
+                eprintln!("tw-online: checkpoint write failed: {e}");
+                format!("checkpoint write failed: {e}")
             }
         }
     }

@@ -38,7 +38,7 @@ pub mod supervise;
 pub use archive::{stored_traces, ArchiveStage};
 pub use checkpoint::{
     load_checkpoint, write_checkpoint, CheckpointConfig, CheckpointDoc, CheckpointError,
-    CheckpointSources, Checkpointer, RecoveryMetrics,
+    RecoveryMetrics,
 };
 pub use net::{
     export_records, export_records_with, fetch_deadletters, fetch_metrics, fetch_spans,

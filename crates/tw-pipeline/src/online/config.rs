@@ -81,9 +81,10 @@ pub struct OnlineConfig {
     /// Back-pressure load shedding (DESIGN.md §11). Disabled by default to
     /// preserve determinism across thread counts.
     pub shed: ShedPolicy,
-    /// Crash-safe checkpointing (DESIGN.md §12): periodically persist the
-    /// sealed-window watermark, sanitizer skew state, and warm registry;
-    /// restore them on the next start and resume past the watermark.
+    /// Crash-safe checkpointing (DESIGN.md §12): the window shard persists
+    /// the sealed-window watermark, sanitizer skew state, and warm registry
+    /// as it seals; the next start restores them and resumes past the
+    /// watermark.
     /// `None` (the default) disables checkpointing entirely.
     pub checkpoint: Option<CheckpointConfig>,
     /// Registry for the engine's `tw_engine_*` series (window latency and

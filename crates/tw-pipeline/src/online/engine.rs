@@ -1,23 +1,25 @@
 //! How the engine recovers, starts and drains: [`recover`] reads back
 //! where a previous process stopped, [`OnlineEngine::start`] assembles the
 //! supervised graph from that point, and shutdown drains it in order.
+//! The stages are the engine's only threads: the window shard writes the
+//! checkpoint and the archive maintains itself at commit.
 
 use super::config::{OnlineConfig, WindowResult};
 use super::router::WindowRouter;
 use super::shard::{EngineMetrics, WarmState, WindowShard};
 use crate::archive::ArchiveStage;
-use crate::checkpoint::{
-    load_checkpoint, CheckpointError, CheckpointSources, Checkpointer, RecoveryMetrics,
-};
+use crate::checkpoint::{load_checkpoint, CheckpointError, RecoveryMetrics, ShardCheckpoint};
 use crate::pipeline::{Pipeline, PipelineBuilder, QueueCfg};
-use crate::sanitize::{SanitizeMetrics, SanitizeStage, SanitizeStats, SanitizerSnapshot};
+use crate::sanitize::{
+    SanitizeMetrics, SanitizeStage, SanitizeStats, SanitizerSnapshot, SanitizerSnapshotSlot,
+};
 use crate::supervise::{DeadLetterQueue, Supervisor};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::sync::Arc;
 use tw_core::{DelayRegistry, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
-use tw_store::{spawn_compactor, CompactorHandle, TraceArchive};
+use tw_store::TraceArchive;
 
 /// The online engine: a supervised [`Pipeline`] chaining (optional)
 /// sanitize → window-router → window shard → (optional) archive, built
@@ -26,7 +28,8 @@ use tw_store::{spawn_compactor, CompactorHandle, TraceArchive};
 /// Dropping / closing the ingest sender cascades an ordered shutdown
 /// through the graph: every stage drains its input, flushes buffered
 /// state (open windows reconstruct, they are never dropped), and closes
-/// its output.
+/// its output. Fields drop in declaration order, so dropping the engine
+/// closes `ingest` before `pipeline`'s drop drains and joins the graph.
 pub struct OnlineEngine {
     ingest: Option<Sender<RpcRecord>>,
     results: Receiver<WindowResult>,
@@ -34,9 +37,7 @@ pub struct OnlineEngine {
     registry: Option<Receiver<DelayRegistry>>,
     sanitize_metrics: Option<SanitizeMetrics>,
     dead_letters: DeadLetterQueue,
-    checkpointer: Option<Checkpointer>,
     archive: Option<Arc<TraceArchive>>,
-    compactor: Option<CompactorHandle>,
 }
 
 /// Where a (re)started engine picks up: what [`recover`] read back from
@@ -128,13 +129,20 @@ impl OnlineEngine {
             policy: config.backpressure,
         };
 
-        let mut sources = config
-            .checkpoint
-            .as_ref()
-            .map(|_| CheckpointSources::new(window.0, resume.watermark));
-        if let (Some(src), Some(archive)) = (&mut sources, &resume.archive) {
-            src.archive = Some(archive.watermark_handle());
-        }
+        // The window shard writes the checkpoint; it reads the sanitizer's
+        // published snapshot and the archive's watermark when it does.
+        let checkpoint = match (&config.checkpoint, &resume.recovery) {
+            (Some(cfg), Some(rm)) => {
+                let mut ck = ShardCheckpoint::new(cfg, window.0, resume.watermark, rm.clone());
+                ck.archive = resume.archive.clone();
+                ck.sanitizer = config
+                    .sanitize
+                    .as_ref()
+                    .map(|_| SanitizerSnapshotSlot::default());
+                Some(ck)
+            }
+            _ => None,
+        };
 
         // The checkpointed registry takes precedence over any configured
         // bootstrap (it is strictly newer).
@@ -145,7 +153,6 @@ impl OnlineEngine {
                 .or(config.initial_registry.take())
                 .unwrap_or_default(),
             out: reg_tx,
-            watch: sources.as_ref().map(|s| s.registry.clone()),
         });
 
         let mut supervisor = Supervisor::new(DeadLetterQueue::default());
@@ -165,8 +172,8 @@ impl OnlineEngine {
                 if let Some(recorder) = &trace {
                     stage = stage.with_trace(recorder.clone(), window.0);
                 }
-                if let Some(src) = &sources {
-                    stage = stage.publish_snapshots(src.sanitizer.clone());
+                if let Some(slot) = checkpoint.as_ref().and_then(|c| c.sanitizer.clone()) {
+                    stage = stage.publish_snapshots(slot);
                 }
                 let handle = stage.metrics_handle();
                 (builder.stage(stage, record_queue), Some(handle))
@@ -179,7 +186,7 @@ impl OnlineEngine {
         }
         let mut shard = WindowShard::new(window, shed, tw, metrics);
         shard.warm = warm_state;
-        shard.sealed = sources.as_ref().map(|s| s.sealed.clone());
+        shard.checkpoint = checkpoint;
         shard.trace = trace.clone();
         // Records may be shed on the router's hop; window results never
         // are, whatever the record queues' policy: the shard's and the
@@ -193,17 +200,6 @@ impl OnlineEngine {
             None => builder,
         };
         let pipeline = builder.build();
-        let compactor = match (&resume.archive, &config.archive) {
-            (Some(archive), Some(cfg)) => Some(spawn_compactor(archive, cfg.compact_interval)),
-            _ => None,
-        };
-
-        let checkpointer = match (config.checkpoint.as_ref(), sources, resume.recovery) {
-            (Some(ck), Some(sources), Some(rm)) => {
-                Some(Checkpointer::spawn(ck, sources, rm, trace.clone()))
-            }
-            _ => None,
-        };
 
         OnlineEngine {
             ingest: Some(ingest_tx),
@@ -212,9 +208,7 @@ impl OnlineEngine {
             registry: warm.then_some(reg_rx),
             sanitize_metrics,
             dead_letters,
-            checkpointer,
             archive: resume.archive,
-            compactor,
         }
     }
 
@@ -293,42 +287,18 @@ impl OnlineEngine {
         (results, stats)
     }
 
+    /// Close the source and run the one `Pipeline::shutdown`: the shard's
+    /// flush writes the final checkpoint, the archive's flush commits.
     fn drain(&mut self) -> Vec<WindowResult> {
         self.ingest.take(); // close the source: the shutdown cascade begins
-        let results = match self.pipeline.take() {
-            Some(pipeline) => {
-                let report = pipeline.shutdown();
-                for failure in &report.failures {
-                    eprintln!("tw-online: {failure}");
-                }
-                report.results
-            }
-            None => Vec::new(),
+        let Some(pipeline) = self.pipeline.take() else {
+            return Vec::new();
         };
-        // The archive stage's flush sealed everything during the drain;
-        // stop the background compactor after, then flush the final
-        // checkpoint so it samples the fully-advanced archive watermark.
-        if let Some(compactor) = self.compactor.take() {
-            compactor.stop();
+        let report = pipeline.shutdown();
+        for failure in &report.failures {
+            eprintln!("tw-online: {failure}");
         }
-        // Final checkpoint after the drain: a clean shutdown persists the
-        // fully-sealed watermark, so a restart replays nothing.
-        if let Some(checkpointer) = self.checkpointer.take() {
-            checkpointer.stop_and_flush();
-        }
-        results
-    }
-}
-
-impl Drop for OnlineEngine {
-    fn drop(&mut self) {
-        self.ingest.take();
-        // Pipeline::drop drains and joins the graph.
-        self.pipeline.take();
-        // CompactorHandle::drop stops the maintenance thread.
-        self.compactor.take();
-        // Checkpointer::drop stops the writer without a final flush.
-        self.checkpointer.take();
+        report.results
     }
 }
 
@@ -341,6 +311,7 @@ mod tests {
     use tw_model::metrics::end_to_end_accuracy_all_roots;
     use tw_sim::apps::two_service_chain;
     use tw_sim::{Simulator, Workload};
+    use tw_telemetry::trace::{SpanRecorder, TraceConfig};
     use tw_telemetry::Registry;
 
     /// A weaver on `threads` reconstruction workers.
@@ -963,6 +934,73 @@ mod tests {
             windows_b[0].warm_edges > 0,
             "first window after restore must warm-start from the checkpoint"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The window shard writes the checkpoint at the end of a seal once the
+    /// interval has passed, and once more after the drain. With a zero
+    /// interval every seal writes, and each write lands on the sealed
+    /// window's own span tree.
+    #[test]
+    fn every_seal_writes_the_checkpoint_at_a_zero_interval() {
+        let app = two_service_chain(63);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(2)));
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+        let dir = std::env::temp_dir().join(format!("twck-every-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let telemetry = Registry::new();
+        let recorder = SpanRecorder::new(TraceConfig::default(), &telemetry);
+        let engine = OnlineEngine::start(
+            TraceWeaver::new(call_graph, Params::default()),
+            OnlineConfig {
+                window: Nanos::from_millis(250),
+                grace: Nanos::from_millis(50),
+                channel_capacity: 1024,
+                warm_start: true,
+                checkpoint: Some(CheckpointConfig {
+                    interval: std::time::Duration::ZERO,
+                    ..CheckpointConfig::new(&dir)
+                }),
+                telemetry: telemetry.clone(),
+                trace: Some(recorder.clone()),
+                ..OnlineConfig::default()
+            },
+        );
+        let ingest = engine.ingest_handle();
+        for r in &records {
+            ingest.send(*r).unwrap();
+        }
+        drop(ingest);
+        let windows = engine.shutdown();
+        assert!(windows.len() >= 4, "got {} windows", windows.len());
+        assert!(
+            windows.windows(2).all(|p| p[1].index == p[0].index + 1),
+            "every index holds records, so every seal emitted a window"
+        );
+
+        let trees = recorder.finished_snapshot();
+        for w in &windows {
+            let tree = trees.iter().find(|t| t.window == w.index).expect("tree");
+            let written = format!("checkpoint written (watermark {})", w.index + 1);
+            assert!(
+                tree.events.iter().any(|e| e.message == written),
+                "window {} tree lacks `{written}`",
+                w.index
+            );
+        }
+        let writes = format!("tw_pipeline_checkpoint_writes_total {}", windows.len() + 1);
+        let text = telemetry.render();
+        assert!(
+            text.contains(&writes),
+            "one write per seal plus the drain's:\n{text}"
+        );
+        let doc = crate::checkpoint::load_checkpoint(&dir).unwrap();
+        assert_eq!(doc.watermark, windows.last().unwrap().index + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -58,7 +58,8 @@ pub(super) struct WindowRouter {
 /// One-shot recovery-gap probe: after a checkpoint restore the router
 /// reports, on the first live record, how many window indices fall
 /// between the restored watermark and where the stream actually resumes —
-/// the windows lost to the crash (bounded by the checkpoint interval).
+/// the windows lost to the crash: those the window shard sealed after its
+/// last checkpoint write.
 struct RouterRecovery {
     resumed_at: u64,
     windows_lost: Gauge,
@@ -241,7 +242,6 @@ mod tests {
         shard.warm = Some(WarmState {
             registry: DelayRegistry::default(),
             out: crossbeam::channel::bounded(1).0,
-            watch: None,
         });
         let queue = QueueCfg::block(1024);
         let supervisor = Supervisor::default();

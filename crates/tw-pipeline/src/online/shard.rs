@@ -5,13 +5,12 @@
 use super::config::{DegradationLevel, ShedPolicy, WindowResult};
 use super::router::WindowMsg;
 use super::shed::{LadderedWeaver, ShedLadder};
+use crate::checkpoint::ShardCheckpoint;
 use crate::pipeline::{Emitter, Stage, StageCtx};
 use crossbeam::channel::Sender;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use tw_core::{DelayRegistry, Reconstruction, RegistryWatch, TraceWeaver};
+use tw_core::{DelayRegistry, Reconstruction, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
 use tw_telemetry::trace::{SpanGuard, SpanRecorder};
@@ -114,10 +113,6 @@ impl EngineMetrics {
 pub(super) struct WarmState {
     pub(super) registry: DelayRegistry,
     pub(super) out: Sender<DelayRegistry>,
-    /// Checkpointing hook: the posterior is published here after every
-    /// absorbed window so the checkpointer can persist a warm registry
-    /// no staler than one window.
-    pub(super) watch: Option<RegistryWatch>,
 }
 
 /// The windowing+reconstruction shard ([`Stage`] `window/0`): buffers
@@ -134,9 +129,9 @@ pub(super) struct WindowShard {
     open: BTreeMap<u64, Vec<RpcRecord>>,
     last_level: Option<DegradationLevel>,
     pub(super) warm: Option<WarmState>,
-    /// Sealed watermark (`highest sealed index + 1`), sampled by the
-    /// checkpointer. `None` when checkpointing is off.
-    pub(super) sealed: Option<Arc<AtomicU64>>,
+    /// The checkpoint this shard writes (DESIGN.md §12). `None` when
+    /// checkpointing is off.
+    pub(super) checkpoint: Option<ShardCheckpoint>,
     /// Self-trace recorder; the shard contributes "collect" (buffering)
     /// and "reconstruct" spans and seals each window's tree after the
     /// result hand-off.
@@ -147,7 +142,7 @@ pub(super) struct WindowShard {
 
 impl WindowShard {
     /// The shard of a cold, untraced, uncheckpointed engine; the engine
-    /// sets `warm`, `sealed` and `trace` when it runs with them.
+    /// sets `warm`, `checkpoint` and `trace` when it runs with them.
     pub(super) fn new(
         window: Nanos,
         shed: ShedPolicy,
@@ -162,7 +157,7 @@ impl WindowShard {
             open: BTreeMap::new(),
             last_level: None,
             warm: None,
-            sealed: None,
+            checkpoint: None,
             trace: None,
             collect_spans: BTreeMap::new(),
         }
@@ -193,9 +188,6 @@ impl WindowShard {
                     let (reconstruction, posterior) =
                         tw.reconstruct_records_with_registry(&records, &warm.registry);
                     warm.registry = posterior;
-                    if let Some(watch) = &warm.watch {
-                        watch.publish(&warm.registry);
-                    }
                     (reconstruction, 0)
                 }
                 None => (tw.reconstruct_records(&records), 0),
@@ -221,14 +213,16 @@ impl WindowShard {
 
     /// Seal window `index`, the one thing a cut mark and the shutdown
     /// drain both do: pick the ladder rung, end the window's "collect"
-    /// span, reconstruct, hand the result downstream, seal its span tree,
-    /// and advance the sealed watermark. `tick_depth` is the shard's
-    /// input-queue depth at a live cut mark and `None` in the drain (see
-    /// [`ShedLadder::pick_level`]).
+    /// span, reconstruct, hand the result downstream, advance the sealed
+    /// watermark and write the checkpoint when it is due, and seal the
+    /// span tree. `tick_depth` is the shard's input-queue depth at a live
+    /// cut mark and `None` in the drain (see [`ShedLadder::pick_level`]).
     fn seal(&mut self, index: u64, tick_depth: Option<usize>, out: &mut Emitter<WindowResult>) {
         let level = self.shed.pick_level(tick_depth);
         // An empty window was never buffered and produces no result.
-        if let Some(records) = self.open.remove(&index) {
+        let records = self.open.remove(&index);
+        let emitted = records.is_some();
+        if let Some(records) = records {
             drop(self.collect_spans.remove(&index)); // buffering ends at the cut
             let backlog = self.open.len();
             let result = self.reconstruct(index, records, backlog, level);
@@ -237,13 +231,22 @@ impl WindowShard {
             out.emit_pressure(result);
             if let Some(trace) = &self.trace {
                 trace.event(index, None, "result hand-off");
-                trace.seal(index);
             }
         }
         // The watermark advances on every mark, empty windows included:
-        // it is the sealed frontier the checkpointer persists.
-        if let Some(sealed) = &self.sealed {
-            sealed.fetch_max(index + 1, Ordering::AcqRel);
+        // it is the sealed frontier the checkpoint persists.
+        let registry = self.warm.as_ref().map(|w| &w.registry);
+        let written = self
+            .checkpoint
+            .as_mut()
+            .and_then(|c| c.seal(index, registry));
+        if let Some(trace) = &self.trace {
+            if let Some(event) = written {
+                trace.event(index, None, event);
+            }
+            if emitted {
+                trace.seal(index);
+            }
         }
     }
 }
@@ -274,15 +277,16 @@ impl Stage for WindowShard {
 
     /// Drain on shutdown: seal every still-open window, in index order,
     /// through the same ladder — partially filled windows flush through
-    /// reconstruction instead of being dropped.
+    /// reconstruction instead of being dropped — then write the final
+    /// checkpoint, so a clean restart replays nothing.
     fn flush(&mut self, _ctx: &StageCtx, out: &mut Emitter<WindowResult>) {
         while let Some(index) = self.open.keys().next().copied() {
             self.seal(index, None, out);
         }
+        if let Some(checkpoint) = &mut self.checkpoint {
+            checkpoint.write(self.warm.as_ref().map(|w| &w.registry));
+        }
         if let Some(warm) = self.warm.take() {
-            if let Some(watch) = &warm.watch {
-                watch.publish(&warm.registry);
-            }
             let _ = warm.out.send(warm.registry);
         }
     }

@@ -732,7 +732,8 @@ impl Sanitizer {
 }
 
 /// Shared slot a [`SanitizeStage`] periodically publishes its snapshot
-/// into; the checkpointer reads the latest published image.
+/// into; the window shard reads the latest image when it writes the
+/// checkpoint.
 pub type SanitizerSnapshotSlot = Arc<parking_lot::Mutex<Option<SanitizerSnapshot>>>;
 
 /// The sanitizer as a composable pipeline [`Stage`]: compose it between
@@ -806,7 +807,7 @@ impl SanitizeStage {
     }
 
     /// Publish a [`SanitizerSnapshot`] into `slot` periodically (and at
-    /// flush), for the checkpointer to persist.
+    /// flush), for the checkpoint to persist.
     pub fn publish_snapshots(mut self, slot: SanitizerSnapshotSlot) -> Self {
         self.snapshot_slot = Some(slot);
         self
@@ -831,7 +832,7 @@ impl SanitizeStage {
 
     fn maybe_publish(&mut self, force: bool) {
         /// Processed records between publications (publication cadence,
-        /// not the checkpointer's write cadence).
+        /// not the checkpoint's write cadence).
         const SNAPSHOT_RECORDS: u64 = 256;
         let Some(slot) = &self.snapshot_slot else {
             return;

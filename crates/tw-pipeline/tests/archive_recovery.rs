@@ -32,10 +32,8 @@ fn workload(seed: u64) -> (tw_model::CallGraph, Vec<RpcRecord>) {
 
 fn archive_cfg(dir: &Path) -> ArchiveConfig {
     ArchiveConfig {
-        // Small segments so several seal mid-run; a long maintenance
-        // interval keeps the background compactor out of the comparison.
+        // Small segments so several seal mid-run.
         segment_bytes: 64 << 10,
-        compact_interval: Duration::from_secs(3600),
         ..ArchiveConfig::new(dir)
     }
 }

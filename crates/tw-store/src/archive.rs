@@ -7,7 +7,10 @@
 //! 1. the active buffer serializes into a new segment file, written via
 //!    write-temp→fsync→rename;
 //! 2. the manifest — now listing the segment and carrying the advanced
-//!    archived-window watermark — replaces the old one the same way.
+//!    archived-window watermark — replaces the old one the same way;
+//! 3. maintenance runs: a new segment is the only event that can change
+//!    what compaction or retention would do, so the layout on disk is a
+//!    function of the window stream, never of wall time.
 //!
 //! A crash after (1) but before (2) leaves an orphan segment file: the
 //! next open removes it, and because the watermark only advances in (2),
@@ -23,9 +26,7 @@ use crate::query::TraceQuery;
 use crate::segment::{encoded_len, read_segment, scan_segment, write_segment, StoredTrace};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tw_telemetry::Registry;
 
 /// Traces with latency at or above this (or flagged degraded) survive
@@ -51,8 +52,6 @@ pub struct ArchiveConfig {
     /// and slow (≥ [`TAIL_LATENCY_NS`]) traces into a tail segment — the
     /// rare slow traces are the ones worth keeping.
     pub retention_bytes: u64,
-    /// Background maintenance cadence ([`spawn_compactor`]).
-    pub compact_interval: Duration,
 }
 
 impl ArchiveConfig {
@@ -62,7 +61,6 @@ impl ArchiveConfig {
             dir: dir.into(),
             segment_bytes: 1 << 20,
             retention_bytes: 0,
-            compact_interval: Duration::from_secs(2),
         }
     }
 }
@@ -80,16 +78,16 @@ struct State {
 }
 
 /// The live trace archive. Thread-safe; share via `Arc` between the
-/// pipeline's archive stage, the metrics server's `/traces` endpoint, and
-/// the background compactor.
+/// pipeline's archive stage, the window shard's checkpoint, and the
+/// metrics server's `/traces` endpoint.
 pub struct TraceArchive {
     dir: PathBuf,
     cfg: ArchiveConfig,
     metrics: StoreMetrics,
     state: Mutex<State>,
     /// Durable archived-window watermark, mirrored from the manifest
-    /// after every commit — the checkpointer samples this.
-    watermark: Arc<AtomicU64>,
+    /// after every commit, so reading it never waits on a commit's fsync.
+    watermark: AtomicU64,
     cold_start: Option<String>,
 }
 
@@ -147,7 +145,7 @@ impl TraceArchive {
                 }
             }
         }
-        let watermark = Arc::new(AtomicU64::new(manifest.watermark));
+        let watermark = AtomicU64::new(manifest.watermark);
         let archive = TraceArchive {
             dir: cfg.dir.clone(),
             metrics,
@@ -180,11 +178,6 @@ impl TraceArchive {
     /// it is inside a committed segment.
     pub fn watermark(&self) -> u64 {
         self.watermark.load(Ordering::Acquire)
-    }
-
-    /// Shared handle on the watermark, for the checkpointer to sample.
-    pub fn watermark_handle(&self) -> Arc<AtomicU64> {
-        self.watermark.clone()
     }
 
     /// Committed segment count.
@@ -230,12 +223,16 @@ impl TraceArchive {
     }
 
     /// One maintenance pass: merge small segments, then enforce
-    /// retention. The background compactor calls this on its interval;
-    /// tests call it directly for determinism.
+    /// retention. Every commit that writes a segment runs it; call it
+    /// directly for a directory that was opened and not written to
+    /// (opening never maintains).
     pub fn maintain(&self) {
-        let mut state = self.state.lock();
-        self.compact_locked(&mut state);
-        self.retain_locked(&mut state);
+        self.maintain_locked(&mut self.state.lock());
+    }
+
+    fn maintain_locked(&self, state: &mut State) {
+        self.compact_locked(state);
+        self.retain_locked(state);
     }
 
     /// Serve a query against committed segments (pruned via their footer
@@ -262,9 +259,10 @@ impl TraceArchive {
         self.metrics.watermark.set(state.manifest.watermark as f64);
     }
 
-    /// Commit: segment first, manifest second. On any failure the
-    /// in-memory state is left unchanged (the buffer retries at the next
-    /// seal) and the previous committed state stays intact.
+    /// Commit: segment first, manifest second, then maintenance if a
+    /// segment was written. On any failure the in-memory state is left
+    /// unchanged (the buffer retries at the next seal) and the previous
+    /// committed state stays intact.
     fn seal_locked(&self, state: &mut State) {
         if state.active.is_empty() && state.manifest.watermark == state.pending {
             return;
@@ -299,12 +297,13 @@ impl TraceArchive {
                 state.manifest = manifest;
                 state.active.clear();
                 state.active_bytes = 0;
-                if wrote_segment {
-                    self.metrics.seals.inc();
-                }
                 self.watermark
                     .store(state.manifest.watermark, Ordering::Release);
                 self.publish_gauges(state);
+                if wrote_segment {
+                    self.metrics.seals.inc();
+                    self.maintain_locked(state);
+                }
             }
             Err(err) => {
                 // The segment file (if written) is an orphan until a
@@ -404,8 +403,9 @@ impl TraceArchive {
         // non-tail segments before the bulk is dropped. Tail segments are
         // final — evicting one drops its traces for good.
         let mut salvaged: Vec<StoredTrace> = Vec::new();
+        let mut dropped = 0;
         for seg in &evict {
-            let mut dropped = seg.index.traces;
+            dropped += seg.index.traces;
             if !seg.tail {
                 match read_segment(&self.dir.join(&seg.file)) {
                     Ok(traces) => {
@@ -422,11 +422,11 @@ impl TraceArchive {
                     }
                 }
             }
-            self.metrics.dropped_size.add(dropped);
         }
         let mut manifest = state.manifest.clone();
         let gone: std::collections::HashSet<u64> = evict.iter().map(|s| s.seq).collect();
         manifest.segments.retain(|s| !gone.contains(&s.seq));
+        let mut tail_file = None;
         if !salvaged.is_empty() {
             sort_traces(&mut salvaged);
             let seq = manifest.next_seq;
@@ -434,6 +434,7 @@ impl TraceArchive {
             match write_segment(&self.dir.join(&file), &salvaged) {
                 Ok((bytes, index)) => {
                     manifest.next_seq = seq + 1;
+                    tail_file = Some(self.dir.join(&file));
                     manifest.segments.push(SegmentMeta {
                         file,
                         seq,
@@ -441,7 +442,6 @@ impl TraceArchive {
                         tail: true,
                         index,
                     });
-                    self.metrics.tail_kept.add(salvaged.len() as u64);
                 }
                 Err(err) => {
                     self.metrics.errors.inc();
@@ -453,6 +453,9 @@ impl TraceArchive {
         match save_manifest(&self.dir, &manifest) {
             Ok(()) => {
                 state.manifest = manifest;
+                // Counted only now: an eviction is real once committed.
+                self.metrics.dropped_size.add(dropped);
+                self.metrics.tail_kept.add(salvaged.len() as u64);
                 for seg in &evict {
                     let _ = std::fs::remove_file(self.dir.join(&seg.file));
                 }
@@ -461,6 +464,9 @@ impl TraceArchive {
             Err(err) => {
                 self.metrics.errors.inc();
                 eprintln!("tw-store: retention manifest write failed: {err}");
+                if let Some(path) = tail_file {
+                    let _ = std::fs::remove_file(path);
+                }
             }
         }
     }
@@ -518,60 +524,6 @@ pub fn read_query(dir: &Path, q: &TraceQuery) -> Result<Vec<StoredTrace>, StoreE
     match failed {
         Some(err) => Err(err),
         None => Ok(ordered(out, q)),
-    }
-}
-
-/// Stop handle of the background maintenance thread.
-pub struct CompactorHandle {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl CompactorHandle {
-    /// Stop and join the thread (also happens on drop).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for CompactorHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Spawn the background compactor: one [`TraceArchive::maintain`] pass
-/// per interval until stopped.
-pub fn spawn_compactor(archive: &Arc<TraceArchive>, interval: Duration) -> CompactorHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let handle = {
-        let archive = archive.clone();
-        let stop = stop.clone();
-        let interval = interval.max(Duration::from_millis(10));
-        std::thread::Builder::new()
-            .name("tw-compactor".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::park_timeout(interval);
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    archive.maintain();
-                }
-            })
-            .expect("spawn compactor thread")
-    };
-    CompactorHandle {
-        stop,
-        handle: Some(handle),
     }
 }
 
@@ -747,6 +699,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The commit that writes the `COMPACT_MIN_SEGMENTS`-th small segment
+    /// merges them all: no separate maintenance call.
     #[test]
     fn compaction_merges_small_segments() {
         let dir = tmp_dir("compact");
@@ -758,13 +712,17 @@ mod tests {
             ..ArchiveConfig::new(&dir)
         };
         let archive = TraceArchive::open(cfg, &registry).unwrap();
-        for w in 0..COMPACT_MIN_SEGMENTS as u64 {
+        let last = COMPACT_MIN_SEGMENTS as u64 - 1;
+        for w in 0..=last {
             archive.observe_window(w, vec![trace(w, w + 1, 7, w * 1_000, w * 1_000 + 500)]);
-            archive.sync();
+            if w < last {
+                archive.sync();
+                assert_eq!(archive.segment_count(), w as usize + 1, "merged too early");
+            }
         }
-        assert_eq!(archive.segment_count(), COMPACT_MIN_SEGMENTS);
         let before = archive.query(&TraceQuery::default());
-        archive.maintain();
+        assert_eq!(before.len(), COMPACT_MIN_SEGMENTS);
+        archive.sync();
         assert_eq!(archive.segment_count(), 1, "smalls merged into one");
         assert_eq!(archive.query(&TraceQuery::default()), before);
         assert!(registry.render().contains("tw_store_compactions_total 1"));
@@ -775,6 +733,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Roots of every trace the archive answers with, in result order.
+    fn roots(archive: &TraceArchive) -> Vec<u64> {
+        let all = archive.query(&TraceQuery::default());
+        all.iter().map(|t| t.root).collect()
+    }
+
+    /// A series' value in `registry`'s exposition (`name` with labels).
+    fn series(registry: &Registry, name: &str) -> f64 {
+        let text = registry.render();
+        let value = text
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok());
+        value.unwrap_or_else(|| panic!("{name} not exported:\n{text}"))
+    }
+
+    const DROPPED: &str = "tw_store_retention_dropped_total{reason=\"size\"}";
+    const TAIL_KEPT: &str = "tw_store_tail_kept_total";
+    const ERRORS: &str = "tw_store_errors_total";
+
+    /// Retention runs at the commit that exceeded the cap: its bulk goes
+    /// at once, and its slow traces live on in a tail segment.
     #[test]
     fn retention_drops_bulk_but_salvages_tail_traces() {
         let dir = tmp_dir("retain");
@@ -789,31 +768,73 @@ mod tests {
         let archive = TraceArchive::open(cfg, &registry).unwrap();
         // Window 0: fast (droppable). Window 1: slow (tail-worthy).
         archive.observe_window(0, vec![trace(0, 1, 7, 1_000, 2_000)]);
+        assert_eq!(roots(&archive), [1], "the newest segment is never evicted");
         archive.observe_window(1, vec![trace(1, 2, 7, 10_000, 900_000_000)]);
-        for w in 2..6u64 {
-            archive.observe_window(
-                w,
-                vec![trace(w, w + 1, 7, w * 1_000_000, w * 1_000_000 + 10)],
-            );
-        }
-        let before = archive.committed_bytes();
-        assert!(before > 600);
+        assert!(
+            archive.committed_bytes() <= 600,
+            "over the cap after its commit"
+        );
+        assert_eq!(roots(&archive), [2], "bulk dropped");
+        assert_eq!(series(&registry, DROPPED), 1.0);
+
+        // Evicting the slow trace's segment salvages it into a tail segment.
+        archive.observe_window(2, vec![trace(2, 3, 7, 2_000_000, 2_000_010)]);
+        assert_eq!(roots(&archive), [2, 3], "tail trace salvaged");
+        assert_eq!(series(&registry, DROPPED), 1.0);
+        assert_eq!(series(&registry, TAIL_KEPT), 1.0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A retention pass that cannot commit evicts nothing, so it counts
+    /// nothing: a failed tail-segment write or manifest save leaves the
+    /// counters, the committed bytes and the directory as they were, and
+    /// counts the error.
+    #[test]
+    fn failed_retention_pass_counts_no_eviction() {
+        let dir = tmp_dir("retain-fail");
+        let registry = Registry::new();
+        let cfg = ArchiveConfig {
+            segment_bytes: 1,
+            retention_bytes: 600,
+            ..ArchiveConfig::new(&dir)
+        };
+        let archive = TraceArchive::open(cfg, &registry).unwrap();
+        // The tail segment would be the third file: a directory in its
+        // place fails the write.
+        let tail = dir.join(Manifest::segment_file(2));
+        std::fs::create_dir(&tail).unwrap();
+        // Window 0 holds a slow trace (salvaged) and a fast one (dropped).
+        let slow = trace(0, 1, 7, 1_000, 900_000_000);
+        archive.observe_window(0, vec![slow, trace(0, 2, 7, 2_000, 3_000)]);
+        archive.observe_window(1, vec![trace(1, 3, 7, 10_000, 20_000)]);
+        let bytes = archive.committed_bytes();
+        assert!(bytes > 600);
+
+        let unmoved = |errors: f64| {
+            assert_eq!(archive.segment_count(), 2);
+            assert_eq!(archive.committed_bytes(), bytes, "nothing evicted");
+            assert_eq!(series(&registry, DROPPED), 0.0);
+            assert_eq!(series(&registry, TAIL_KEPT), 0.0);
+            assert_eq!(series(&registry, ERRORS), errors);
+        };
+        let errors = series(&registry, ERRORS);
         archive.maintain();
-        assert!(archive.committed_bytes() <= before, "retention shrank it");
-        let remaining = archive.query(&TraceQuery::default());
-        // The slow trace survived eviction via the tail segment.
-        assert!(
-            remaining.iter().any(|t| t.root == 2),
-            "tail trace salvaged, got {remaining:?}"
-        );
-        // The fast window-0 trace is gone.
-        assert!(remaining.iter().all(|t| t.root != 1), "bulk dropped");
-        let text = registry.render();
-        assert!(
-            text.contains("tw_store_retention_dropped_total{reason=\"size\"}"),
-            "{text}"
-        );
-        assert!(text.contains("tw_store_tail_kept_total 1"), "{text}");
+        unmoved(errors + 1.0);
+
+        // Now the tail write succeeds but the manifest save fails: the
+        // uncommitted tail file goes with the pass.
+        std::fs::remove_dir(&tail).unwrap();
+        let manifest_tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
+        std::fs::create_dir(&manifest_tmp).unwrap();
+        archive.maintain();
+        unmoved(errors + 2.0);
+        assert!(!tail.exists(), "uncommitted tail segment left behind");
+
+        std::fs::remove_dir(&manifest_tmp).unwrap();
+        archive.maintain();
+        assert_eq!(roots(&archive), [1, 3]);
+        assert_eq!(series(&registry, DROPPED), 1.0);
+        assert_eq!(series(&registry, TAIL_KEPT), 1.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,9 +24,10 @@
 //!   file that the next open removes (its windows were never recorded as
 //!   archived, so replay re-archives them — nothing silently vanishes).
 //!
-//! A background compactor merges small segments and a retention pass
-//! enforces a byte cap with a *tail-retention* policy: when a segment
-//! is evicted, its high-latency and degraded traces are salvaged into a
+//! The archive maintains itself at commit, with no thread of its own:
+//! every commit that writes a segment then merges small segments and
+//! enforces a byte cap with a *tail-retention* policy: when a segment is
+//! evicted, its high-latency and degraded traces are salvaged into a
 //! tail segment first — the rare slow traces are the valuable ones.
 //!
 //! Reads go through [`TraceQuery`] (time range × service × endpoint ×
@@ -41,7 +42,7 @@ pub mod metrics;
 pub mod query;
 pub mod segment;
 
-pub use archive::{read_query, spawn_compactor, ArchiveConfig, CompactorHandle, TraceArchive};
+pub use archive::{read_query, ArchiveConfig, TraceArchive};
 pub use frame::StoreError;
 pub use manifest::{load_manifest, save_manifest, Manifest, SegmentMeta, MANIFEST_FILE};
 pub use metrics::StoreMetrics;

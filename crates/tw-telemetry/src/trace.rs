@@ -273,7 +273,7 @@ impl SpanRecorder {
 
     /// Attach an event to the newest open window tree. Used for events that
     /// are not attributable to a specific window from the call site
-    /// (supervisor restarts, checkpoint writes).
+    /// (supervisor restarts).
     pub fn event_newest(&self, message: impl Into<String>) {
         let now = self.now_ns();
         let mut active = self.inner.active.lock().unwrap();

@@ -215,20 +215,21 @@ count); window cuts and window results are never shed.
 --adaptive-shed turns on load shedding: the degradation ladder moves one
 rung at a time on the queue-depth slope (EWMA, with hysteresis). Without
 it no window is ever shed.
---checkpoint-dir enables crash-safe recovery: the engine periodically
-(every --checkpoint-interval-ms, default 1000) snapshots its sealed
-watermark, sanitizer skew state, and delay registry to DIR,
-restores them on the next start, and reports the recovery gap in
+--checkpoint-dir enables crash-safe recovery: the window shard writes
+its sealed watermark, the sanitizer's skew state, and the delay
+registry to DIR at the first window seal after each
+--checkpoint-interval-ms (default 1000) and once more at the drain;
+the next start restores them and reports the recovery gap in
 tw_pipeline_recovery_* metrics. The metrics endpoint also serves
 /healthz (liveness), /readyz (503 until the restore finishes), and
 /deadletters (records quarantined by the stage supervisor as JSON).
 --archive-dir adds a durable trace archive behind the window shard: every
 sealed window's reconstructed traces are appended to CRC-framed
 segment files (sealed at --archive-segment-bytes, default 1 MiB) under
-an atomically-committed manifest, a background compactor merges small
-segments, and --archive-retention caps the archive's total bytes
-(evicting oldest-first but salvaging high-latency/degraded traces into
-a tail segment). The archive watermark rides in the checkpoint, so a
+an atomically-committed manifest; each commit then merges small
+segments and enforces --archive-retention, a cap on the archive's total
+bytes (evicting oldest-first but salvaging high-latency/degraded traces
+into a tail segment). The archive watermark rides in the checkpoint, so a
 crash + restart neither re-archives nor loses sealed windows; progress
 is visible in the tw_store_* metrics and the metrics endpoint gains
 GET /traces.
@@ -708,7 +709,7 @@ fn sanitize_config_from(flags: &Flags) -> traceweaver::pipeline::SanitizeConfig 
 
 /// A directory flag's value, rejected when it names an existing
 /// non-directory: unchecked, the stage using it would fail only once
-/// serving (the archive panics at start, the checkpointer never writes).
+/// serving (the archive panics at start, no checkpoint write succeeds).
 /// A missing directory is fine — its stage creates it.
 fn dir_flag<'a>(flags: &'a Flags, name: &str) -> Result<Option<&'a String>, String> {
     match flags.get(name) {
