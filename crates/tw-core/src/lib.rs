@@ -57,7 +57,7 @@ pub mod task;
 mod telemetry;
 
 pub use params::Params;
-pub use registry::DelayRegistry;
+pub use registry::{DelayRegistry, GapRound};
 pub use task::{ReconstructionTask, TaskReport};
 
 use std::collections::HashMap;
@@ -184,21 +184,44 @@ impl TraceWeaver {
     /// Warm-path reconstruction: tasks whose process appears in `prior`
     /// skip the seed bootstrap and start EM from the registry's models
     /// (running one pass); the others seed cold.
-    /// Returns the reconstruction plus the *posterior* registry — `prior`
-    /// advanced by one absorb round with every task's final edge gaps
-    /// (decayed reservoirs, weighted refit).
+    /// Returns the reconstruction plus the round of every task's final
+    /// edge gaps, for [`DelayRegistry::absorb_round`] to fold into the
+    /// next pass's prior. The result needs no absorb, so a caller can hand
+    /// it on first and refit after.
     ///
     /// Like [`TraceWeaver::reconstruct`], the output (including the
-    /// posterior registry) is byte-identical for every thread count:
-    /// tasks are pure, results return in input order, and absorption
-    /// iterates processes and edges in sorted order.
+    /// round) is byte-identical for every thread count: tasks are pure
+    /// and results return in sorted process order.
+    pub fn reconstruct_warm(
+        &self,
+        views: &HashMap<ProcessKey, SpanView>,
+        prior: &DelayRegistry,
+    ) -> (Reconstruction, GapRound) {
+        self.reconstruct_inner(views, Some(prior))
+    }
+
+    /// Convenience: split raw records into per-process views and run
+    /// [`TraceWeaver::reconstruct_warm`].
+    pub fn reconstruct_records_warm(
+        &self,
+        records: &[RpcRecord],
+        prior: &DelayRegistry,
+    ) -> (Reconstruction, GapRound) {
+        self.reconstruct_warm(&split_by_process(records), prior)
+    }
+
+    /// [`TraceWeaver::reconstruct_warm`] plus its absorb: returns the
+    /// reconstruction and the *posterior* registry, `prior` advanced by one
+    /// absorb round (decayed reservoirs, weighted refit).
     pub fn reconstruct_with_registry(
         &self,
         views: &HashMap<ProcessKey, SpanView>,
         prior: &DelayRegistry,
     ) -> (Reconstruction, DelayRegistry) {
-        let (result, posterior) = self.reconstruct_inner(views, Some(prior));
-        (result, posterior.expect("posterior present on warm path"))
+        let (result, round) = self.reconstruct_warm(views, prior);
+        let mut posterior = prior.clone();
+        posterior.absorb_round(round, &self.params);
+        (result, posterior)
     }
 
     /// Convenience: split raw records into per-process views and run
@@ -211,11 +234,12 @@ impl TraceWeaver {
         self.reconstruct_with_registry(&split_by_process(records), prior)
     }
 
+    /// One pass; the gap round is collected only on the warm path.
     fn reconstruct_inner(
         &self,
         views: &HashMap<ProcessKey, SpanView>,
         prior: Option<&DelayRegistry>,
-    ) -> (Reconstruction, Option<DelayRegistry>) {
+    ) -> (Reconstruction, GapRound) {
         // Deterministic task order.
         let mut keys: Vec<&ProcessKey> = views.keys().collect();
         keys.sort();
@@ -248,25 +272,19 @@ impl TraceWeaver {
             (*key, mapping, ranked, report, gaps)
         });
 
-        // A warm pass spends most of its time below, not in the tasks.
-        let absorb_timer = prior.map(|_| telemetry::metrics().stage_absorb.start_timer());
-        let mut posterior = prior.cloned();
         let mut result = Reconstruction::default();
-        // Partials arrive in input (sorted-key) order, so absorption is
-        // deterministic regardless of worker scheduling.
+        let mut round = GapRound::default();
+        // Partials arrive in input (sorted-key) order, so the round's
+        // absorb order is deterministic regardless of worker scheduling.
         for (key, mapping, ranked, report, gaps) in partials {
             result.mapping.merge(mapping);
             result.ranked.merge(ranked);
             result.reports.push((key, report));
-            if let Some(reg) = posterior.as_mut() {
-                reg.absorb(key, &gaps, &self.params);
+            if prior.is_some() {
+                round.0.push((key, gaps));
             }
         }
-        if let Some(reg) = posterior.as_mut() {
-            reg.finish_round();
-        }
-        drop(absorb_timer);
-        (result, posterior)
+        (result, round)
     }
 }
 
@@ -353,6 +371,45 @@ mod tests {
             warm.summary().mapped_spans >= cold.summary().mapped_spans,
             "warm prior must not lose mappings on an identical workload"
         );
+    }
+
+    /// The split warm pass is the composed one: `reconstruct_records_warm`
+    /// then `absorb_round` gives the same mappings and an `==` posterior
+    /// as `reconstruct_records_with_registry`, from an empty prior and
+    /// from a learned one.
+    #[test]
+    fn warm_pass_then_absorb_round_is_the_composed_pass() {
+        let app = tw_sim::apps::hotel_reservation(83);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = tw_sim::Simulator::new(app.config).unwrap();
+        let out = sim.run(&tw_sim::Workload::poisson(
+            root,
+            300.0,
+            tw_model::time::Nanos::from_millis(600),
+        ));
+        let (first, second) = out.records.split_at(out.records.len() / 2);
+        let tw = TraceWeaver::new(call_graph, Params::with_threads(2));
+
+        let mut prior = DelayRegistry::new();
+        for records in [first, second] {
+            let (composed, posterior) = tw.reconstruct_records_with_registry(records, &prior);
+            let (split, round) = tw.reconstruct_records_warm(records, &prior);
+            for rec in records {
+                assert_eq!(
+                    composed.mapping.children(rec.rpc),
+                    split.mapping.children(rec.rpc)
+                );
+                assert_eq!(
+                    composed.ranked.candidates(rec.rpc),
+                    split.ranked.candidates(rec.rpc)
+                );
+            }
+            prior.absorb_round(round, tw.params());
+            assert_eq!(prior, posterior);
+        }
+        assert_eq!(prior.rounds(), 2);
+        assert!(!prior.is_empty());
     }
 
     #[test]

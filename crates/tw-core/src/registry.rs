@@ -11,7 +11,7 @@
 //! rounds: for every `(ProcessKey, EdgeKey)` it keeps the current GMM and
 //! a bounded reservoir of the gap samples that produced it. After each
 //! round the caller feeds the round's inferred gaps back via
-//! [`DelayRegistry::absorb`]: existing reservoir samples are decayed by
+//! [`DelayRegistry::absorb_round`]: existing reservoir samples are decayed by
 //! [`DELAY_DECAY`], fresh samples enter at weight 1, the reservoir is
 //! truncated to [`RESERVOIR_CAPACITY`], and the edge's GMM is refit with
 //! a *weighted* EM (BIC-selected component count over the effective
@@ -107,6 +107,13 @@ pub struct EdgeState {
     /// The decayed samples backing the model.
     pub reservoir: GapReservoir,
 }
+
+/// One warm pass's inferred edge gaps, per process in sorted process
+/// order: what [`crate::TraceWeaver::reconstruct_warm`] hands back and
+/// [`DelayRegistry::absorb_round`] folds in. Every task of the pass has an
+/// entry, with or without gaps.
+#[derive(Debug, Clone, Default)]
+pub struct GapRound(pub(crate) Vec<(ProcessKey, HashMap<EdgeKey, Vec<f64>>)>);
 
 /// Serialized form: nested maps flatten to entry lists because JSON maps
 /// need string keys.
@@ -339,6 +346,16 @@ impl DelayRegistry {
     /// pass over many processes).
     pub fn finish_round(&mut self) {
         self.rounds += 1;
+    }
+
+    /// Absorb one warm pass's gaps, process by process in the round's
+    /// sorted order, then close the round. Timed as the `absorb` stage.
+    pub fn absorb_round(&mut self, round: GapRound, params: &Params) {
+        let _timer = crate::telemetry::metrics().stage_absorb.start_timer();
+        for (process, gaps) in &round.0 {
+            self.absorb(*process, gaps, params);
+        }
+        self.finish_round();
     }
 }
 

@@ -40,8 +40,8 @@ pub(crate) struct CoreMetrics {
     /// edge refit a task performed (unchanged edges are not refit).
     pub gmm_components: Histogram,
     /// `tw_core_stage_seconds{stage=...}`: wall time per stage — the first
-    /// three once per task, `absorb` once per warm pass (the registry
-    /// clone, every task's gaps absorbed and refit, the round closed).
+    /// three once per task, `absorb` once per `DelayRegistry::absorb_round`
+    /// (every task's gaps absorbed and refit, the round closed).
     pub stage_candidates: Histogram,
     pub stage_seed: Histogram,
     pub stage_optimize: Histogram,

@@ -95,11 +95,11 @@ pub struct OnlineConfig {
     /// results stay byte-identical with or without observers.
     pub telemetry: Registry,
     /// Self-tracing recorder (`tw_telemetry::trace`): when set, every
-    /// head-sampled window records one span tree as it flows
-    /// sanitize → route → collect → reconstruct → result hand-off, with
-    /// supervisor restarts and checkpoint writes attached as events, and
-    /// slow-window latency observations carry `window_id`/`span_id`
-    /// exemplars. `None` (the default) disables self-tracing entirely.
+    /// head-sampled window records one span tree as it flows sanitize →
+    /// route → collect → reconstruct → result hand-off → absorb (warm
+    /// windows), with supervisor restarts and checkpoint writes attached
+    /// as events, and slow-window latency observations carry
+    /// `window_id`/`span_id` exemplars. `None` (the default) disables self-tracing entirely.
     /// Like metrics, tracing never feeds back into reconstruction.
     pub trace: Option<SpanRecorder>,
     /// Durable trace archive (DESIGN.md §14): when set, an archive sink
@@ -146,7 +146,9 @@ pub struct WindowResult {
     /// back-pressure signal (persistently > 0 means reconstruction can't
     /// keep up with ingest at this thread count).
     pub queue_depth: usize,
-    /// Wall-clock time the reconstruction of this window took.
+    /// Wall-clock time the reconstruction of this window took: from the
+    /// start of its seal to the result, so the warm registry's refit,
+    /// which runs after the hand-off, is not in it.
     pub latency: Duration,
     /// Delay-registry edges this window warm-started from (0 = cold
     /// start: no prior, or warm mode disabled).

@@ -666,6 +666,72 @@ mod tests {
         }
     }
 
+    /// The online chain is the offline chain: replaying each emitted
+    /// window's records, in index order, through the composed warm pass
+    /// from an empty registry reproduces every window's mappings and
+    /// ranked candidates and the engine's final registry, at 1 and 2
+    /// threads. Where the shard runs the refit does not change what it
+    /// computes.
+    #[test]
+    fn warm_engine_chain_matches_offline_replay() {
+        let app = two_service_chain(64);
+        let call_graph = app.config.call_graph();
+        let root = app.roots[0];
+        let sim = Simulator::new(app.config).unwrap();
+        let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(2)));
+        let mut records = out.records.clone();
+        records.sort_by_key(|r| r.send_req);
+
+        for threads in [1, 2] {
+            let tw = weaver(&call_graph, threads);
+            let engine = OnlineEngine::start(
+                tw.clone(),
+                OnlineConfig {
+                    window: Nanos::from_millis(250),
+                    grace: Nanos::from_millis(50),
+                    channel_capacity: 1024,
+                    warm_start: true,
+                    ..OnlineConfig::default()
+                },
+            );
+            let ingest = engine.ingest_handle();
+            for r in &records {
+                ingest.send(*r).unwrap();
+            }
+            drop(ingest);
+            let (windows, online) = engine.shutdown_with_registry();
+            assert!(windows.len() >= 4, "got {} windows", windows.len());
+            assert!(windows.windows(2).all(|p| p[0].index < p[1].index));
+
+            let mut offline = DelayRegistry::new();
+            for w in &windows {
+                let (expected, posterior) =
+                    tw.reconstruct_records_with_registry(&w.records, &offline);
+                offline = posterior;
+                let got = &w.reconstruction;
+                for r in &w.records {
+                    assert_eq!(
+                        got.mapping.children(r.rpc),
+                        expected.mapping.children(r.rpc),
+                        "{threads} threads: mapping diverged in window {}",
+                        w.index
+                    );
+                    assert_eq!(
+                        got.ranked.candidates(r.rpc),
+                        expected.ranked.candidates(r.rpc),
+                        "{threads} threads: ranking diverged in window {}",
+                        w.index
+                    );
+                }
+            }
+            assert_eq!(
+                online.expect("warm engine returns its registry"),
+                offline,
+                "{threads} threads: online registry chain left the offline one"
+            );
+        }
+    }
+
     /// Shutdown drains partial windows *through reconstruction*: windows
     /// that never saw a cut mark still come back reconstructed (mapped
     /// spans, nominal ends) from `shutdown_with_registry`, and in warm
@@ -940,7 +1006,8 @@ mod tests {
     /// The window shard writes the checkpoint at the end of a seal once the
     /// interval has passed, and once more after the drain. With a zero
     /// interval every seal writes, and each write lands on the sealed
-    /// window's own span tree.
+    /// window's own span tree, after the result hand-off and the refit
+    /// that follows it.
     #[test]
     fn every_seal_writes_the_checkpoint_at_a_zero_interval() {
         let app = two_service_chain(63);
@@ -987,11 +1054,17 @@ mod tests {
         for w in &windows {
             let tree = trees.iter().find(|t| t.window == w.index).expect("tree");
             let written = format!("checkpoint written (watermark {})", w.index + 1);
-            assert!(
-                tree.events.iter().any(|e| e.message == written),
-                "window {} tree lacks `{written}`",
-                w.index
-            );
+            let at = |message: &str| {
+                let event = tree.events.iter().find(|e| e.message == message);
+                event.unwrap_or_else(|| panic!("window {} tree lacks `{message}`", w.index))
+            };
+            let absorb = tree
+                .spans
+                .iter()
+                .find(|s| s.name == "absorb")
+                .expect("absorb span");
+            assert!(at("result hand-off").at_ns <= absorb.start_ns);
+            assert!(absorb.end_ns.expect("closed") <= at(&written).at_ns);
         }
         let writes = format!("tw_pipeline_checkpoint_writes_total {}", windows.len() + 1);
         let text = telemetry.render();

@@ -10,7 +10,8 @@ use crate::pipeline::{Emitter, Stage, StageCtx};
 use crossbeam::channel::Sender;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use tw_core::{DelayRegistry, Reconstruction, TraceWeaver};
+use std::time::Instant;
+use tw_core::{DelayRegistry, GapRound, Reconstruction, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
 use tw_telemetry::trace::{SpanGuard, SpanRecorder};
@@ -132,9 +133,9 @@ pub(super) struct WindowShard {
     /// The checkpoint this shard writes (DESIGN.md §12). `None` when
     /// checkpointing is off.
     pub(super) checkpoint: Option<ShardCheckpoint>,
-    /// Self-trace recorder; the shard contributes "collect" (buffering)
-    /// and "reconstruct" spans and seals each window's tree after the
-    /// result hand-off.
+    /// Self-trace recorder; the shard contributes "collect" (buffering),
+    /// "reconstruct" and, on a warm window, "absorb" spans, and seals each
+    /// window's tree after the checkpoint event.
     pub(super) trace: Option<SpanRecorder>,
     /// Open "collect" spans, finished when the window's cut mark arrives.
     collect_spans: BTreeMap<u64, SpanGuard>,
@@ -163,13 +164,18 @@ impl WindowShard {
         }
     }
 
+    /// Reconstruct window `index` against the current prior. The returned
+    /// gap round is empty unless the window ran warm; `started` is the
+    /// seal's start, so [`WindowResult::latency`] runs from there to the
+    /// result.
     fn reconstruct(
         &mut self,
         index: u64,
         records: Vec<RpcRecord>,
         backlog: usize,
         level: DegradationLevel,
-    ) -> WindowResult {
+        started: Instant,
+    ) -> (WindowResult, GapRound) {
         let end = Nanos((index + 1).saturating_mul(self.window.0));
         let warm_edges = self.warm.as_ref().map_or(0, |w| w.registry.len());
         let span = self
@@ -179,22 +185,22 @@ impl WindowShard {
         if let Some(span) = &span {
             span.event(format!("level {level:?}, {} records", records.len()));
         }
-        let t0 = std::time::Instant::now();
-        // A skipped window contributes no posterior: the registry carries
-        // the last reconstructed window's models forward unchanged.
-        let (reconstruction, shed_records) = match self.ladder.for_level(level) {
-            Some(tw) => match self.warm.as_mut() {
+        let (reconstruction, round, shed_records) = match self.ladder.for_level(level) {
+            Some(tw) => match &self.warm {
                 Some(warm) => {
-                    let (reconstruction, posterior) =
-                        tw.reconstruct_records_with_registry(&records, &warm.registry);
-                    warm.registry = posterior;
-                    (reconstruction, 0)
+                    let (reconstruction, round) =
+                        tw.reconstruct_records_warm(&records, &warm.registry);
+                    (reconstruction, round, 0)
                 }
-                None => (tw.reconstruct_records(&records), 0),
+                None => (tw.reconstruct_records(&records), GapRound::default(), 0),
             },
-            None => (Reconstruction::default(), records.len()),
+            None => (
+                Reconstruction::default(),
+                GapRound::default(),
+                records.len(),
+            ),
         };
-        let latency = t0.elapsed();
+        let latency = started.elapsed();
         let result = WindowResult {
             index,
             end,
@@ -208,16 +214,18 @@ impl WindowShard {
         };
         drop(span); // reconstruction done; observe_window still needs the live tree
         self.metrics.observe_window(&result, &mut self.last_level);
-        result
+        (result, round)
     }
 
     /// Seal window `index`, the one thing a cut mark and the shutdown
     /// drain both do: pick the ladder rung, end the window's "collect"
-    /// span, reconstruct, hand the result downstream, advance the sealed
+    /// span, reconstruct against the prior, hand the result downstream,
+    /// absorb the window's gaps into the registry, advance the sealed
     /// watermark and write the checkpoint when it is due, and seal the
     /// span tree. `tick_depth` is the shard's input-queue depth at a live
     /// cut mark and `None` in the drain (see [`ShedLadder::pick_level`]).
     fn seal(&mut self, index: u64, tick_depth: Option<usize>, out: &mut Emitter<WindowResult>) {
+        let started = Instant::now();
         let level = self.shed.pick_level(tick_depth);
         // An empty window was never buffered and produces no result.
         let records = self.open.remove(&index);
@@ -225,12 +233,20 @@ impl WindowShard {
         if let Some(records) = records {
             drop(self.collect_spans.remove(&index)); // buffering ends at the cut
             let backlog = self.open.len();
-            let result = self.reconstruct(index, records, backlog, level);
+            let (result, round) = self.reconstruct(index, records, backlog, level, started);
             // Never shed: the sealed watermark below moves past this
             // window, so a dropped result would be lost for good.
             out.emit_pressure(result);
             if let Some(trace) = &self.trace {
                 trace.event(index, None, "result hand-off");
+            }
+            // The refit only shapes the next window's prior, so it runs
+            // after the hand-off. A skipped window contributes no round:
+            // the registry carries the last reconstructed window's models
+            // forward unchanged.
+            if let (Some(warm), Some(tw)) = (self.warm.as_mut(), self.ladder.for_level(level)) {
+                let _span = self.trace.as_ref().and_then(|t| t.span(index, "absorb"));
+                warm.registry.absorb_round(round, tw.params());
             }
         }
         // The watermark advances on every mark, empty windows included:

@@ -1,5 +1,6 @@
 //! End-to-end self-tracing: the online pipeline records one span tree per
-//! window (sanitize → route → collect → reconstruct → result hand-off),
+//! window (sanitize → route → collect → reconstruct → result hand-off →
+//! absorb),
 //! slow-window exemplars on `/metrics` link to those trees via
 //! `GET /spans`, and the trees are deterministic across thread counts.
 
@@ -88,11 +89,19 @@ fn span_trees_are_deterministic_across_threads() {
     assert_eq!(one, two, "1-thread and 2-thread span trees diverge");
     assert_eq!(one, eight, "1-thread and 8-thread span trees diverge");
 
-    // Every tree covers the full online path in stage order.
+    // Every tree covers the full online path in stage order; the warm
+    // refit for the next window comes after the result.
     for (window, names) in &one {
         assert_eq!(
             names,
-            &["window", "sanitize", "route", "collect", "reconstruct"],
+            &[
+                "window",
+                "sanitize",
+                "route",
+                "collect",
+                "reconstruct",
+                "absorb"
+            ],
             "unexpected span shape for window {window}"
         );
     }

@@ -3,13 +3,14 @@
 //! TraceWeaver reconstructs traces for services it cannot instrument; this
 //! module turns the tracer on itself. A [`SpanRecorder`] records a bounded
 //! ring of per-window span trees as each window flows through the online
-//! pipeline (sanitize → route → collect → reconstruct → result hand-off),
-//! with supervisor restarts and checkpoint writes attached as span events.
+//! pipeline (sanitize → route → collect → reconstruct → result hand-off →
+//! absorb), with supervisor restarts and checkpoint writes attached as
+//! span events.
 //!
 //! Design constraints mirror the metrics layer:
 //!
 //! * **Lock-cheap** — the hot path (per-record) never touches the recorder;
-//!   spans are created per *window* (route/collect/reconstruct), so the
+//!   spans are created per *window* (route/collect/reconstruct/absorb), so the
 //!   per-window mutex is uncontended in practice. Unsampled windows cost
 //!   one modulo.
 //! * **Bounded** — finished trees live in a ring of configurable capacity;

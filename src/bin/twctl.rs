@@ -257,13 +257,14 @@ falls back to the constant-offset estimator. The same flag applies to
 the live pipeline behind `simulate --metrics` and `serve`.
 
 Self-tracing: the live pipeline records one span tree per window
-(sanitize → route → collect → reconstruct → result hand-off, plus
-supervisor restarts and checkpoint writes as events). --trace-sample N
-head-samples every Nth window (default 1 = all, 0 = off), --span-ring
-bounds the sealed-tree ring. Trees are served at GET /spans next to
-/metrics, and slow-window latency histogram buckets carry OpenMetrics
-exemplars whose window_id/span_id labels resolve there (the exposition
-switches to the OpenMetrics content type when exemplars are present).
+(sanitize → route → collect → reconstruct → result hand-off → absorb,
+plus supervisor restarts and checkpoint writes as events).
+--trace-sample N head-samples every Nth window (default 1 = all, 0 =
+off), --span-ring bounds the sealed-tree ring. Trees are served at GET
+/spans next to /metrics, and slow-window latency histogram buckets carry
+OpenMetrics exemplars whose window_id/span_id labels resolve there (the
+exposition switches to the OpenMetrics content type when exemplars are
+present).
 
 `deadletters` fetches a serving pipeline's /deadletters quarantine and
 pretty-prints each record with its failure reason, stage, and window
@@ -660,21 +661,25 @@ fn params_from(flags: &Flags) -> Params {
     }
 }
 
-/// Load the `--delay-model` registry when the flag is present.
-fn delay_model_from(flags: &Flags) -> Result<Option<DelayRegistry>, String> {
-    match flags.get("delay-model") {
-        None => Ok(None),
-        Some(path) => {
-            let registry = load_registry(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "loaded delay model: {} edges across {} processes ({} rounds)",
-                registry.len(),
-                registry.processes(),
-                registry.rounds()
-            );
-            Ok(Some(registry))
-        }
-    }
+/// Reconstruct `records`, warm from the `--delay-model` registry when the
+/// flag is present. The warm pass's gaps are dropped: nothing here keeps
+/// a posterior, so no absorb round is paid for.
+fn reconstruct_maybe_warm(
+    flags: &Flags,
+    tw: &TraceWeaver,
+    records: &[RpcRecord],
+) -> Result<Reconstruction, String> {
+    let Some(path) = flags.get("delay-model") else {
+        return Ok(tw.reconstruct_records(records));
+    };
+    let registry = load_registry(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "loaded delay model: {} edges across {} processes ({} rounds)",
+        registry.len(),
+        registry.processes(),
+        registry.rounds()
+    );
+    Ok(tw.reconstruct_records_warm(records, &registry).0)
 }
 
 fn cmd_learn_delays(flags: &Flags) -> Result<(), String> {
@@ -831,10 +836,7 @@ fn cmd_reconstruct(flags: &Flags) -> Result<(), String> {
     let records = maybe_sanitize(flags, load_spans(flag(flags, "spans")?)?);
     let graph: CallGraph = read_json(flag(flags, "graph")?)?;
     let tw = TraceWeaver::new(graph, params_from(flags));
-    let result = match delay_model_from(flags)? {
-        Some(registry) => tw.reconstruct_records_with_registry(&records, &registry).0,
-        None => tw.reconstruct_records(&records),
-    };
+    let result = reconstruct_maybe_warm(flags, &tw, &records)?;
     let s = result.summary();
     println!(
         "reconstructed {}/{} spans across {} tasks ({} batches, {:.1}% mapped)",
@@ -1106,10 +1108,7 @@ fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
     let graph: CallGraph = read_json(flag(flags, "graph")?)?;
     let truth: TruthIndex = read_json(flag(flags, "truth")?)?;
     let tw = TraceWeaver::new(graph, params_from(flags));
-    let result = match delay_model_from(flags)? {
-        Some(registry) => tw.reconstruct_records_with_registry(&records, &registry).0,
-        None => tw.reconstruct_records(&records),
-    };
+    let result = reconstruct_maybe_warm(flags, &tw, &records)?;
 
     let e2e = end_to_end_accuracy_all_roots(&result.mapping, &truth);
     let per_span = per_service_accuracy(&result.mapping, &truth, records.iter().map(|r| r.rpc));
