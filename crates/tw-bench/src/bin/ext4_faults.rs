@@ -476,7 +476,6 @@ fn drift_sweep(params: Params) {
     let no_shed = ShedPolicy::default();
     let const_only = SanitizeConfig {
         drift_correction: false,
-        ..SanitizeConfig::default()
     };
 
     let mut table = Table::new(

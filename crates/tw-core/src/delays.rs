@@ -270,8 +270,14 @@ pub fn edge_gaps(
     out
 }
 
+/// Log-density penalty charged for each skip span a candidate uses
+/// (dynamism handling, §4.2).
+const SKIP_LOG_PENALTY: f64 = -14.0;
+
 /// Score a candidate: sum of edge log-densities plus the per-skip penalty
-/// (§4.1 step 4 / §4.2).
+/// (§4.1 step 4 / §4.2). `_params` is unread — the penalty is the
+/// constant `SKIP_LOG_PENALTY` — and stays because `bench/` calls this
+/// signature.
 pub fn score_candidate(
     served: Endpoint,
     parent: &ObservedSpan,
@@ -279,13 +285,13 @@ pub fn score_candidate(
     candidate: &Candidate,
     pool: &OutgoingPool,
     model: &DelayModel,
-    params: &Params,
+    _params: &Params,
 ) -> f64 {
     let mut score = 0.0;
     for (key, gap) in edge_gaps(served, parent, layout, candidate, pool) {
         score += model.log_pdf(&key, gap);
     }
-    score + params.skip_log_penalty * candidate.num_skips() as f64
+    score + SKIP_LOG_PENALTY * candidate.num_skips() as f64
 }
 
 #[cfg(test)]
@@ -423,7 +429,7 @@ mod tests {
         let p = Params::default();
         let s = score_candidate(served, &parent, &layout, &skip, &pool, &model, &p);
         // Final edge unmodeled (-20) + one skip penalty.
-        assert_eq!(s, UNMODELED_LOG_DENSITY + p.skip_log_penalty);
+        assert_eq!(s, UNMODELED_LOG_DENSITY + SKIP_LOG_PENALTY);
     }
 
     #[test]

@@ -19,9 +19,6 @@ pub struct Params {
     /// Buckets used for the seed-distribution variance estimate
     /// (Table 1: R = 10).
     pub seed_buckets: usize,
-    /// Log-density penalty charged for each skip span used by a candidate
-    /// (dynamism handling, §4.2).
-    pub skip_log_penalty: f64,
     /// Wall-clock budget, in microseconds, shared by all MIS solves of one
     /// reconstruction pass (0 = unbounded). When the deadline expires each
     /// remaining batch ships its greedy incumbent and is counted in
@@ -66,7 +63,6 @@ impl Default for Params {
             top_k: 5,
             max_gmm_components: 5,
             seed_buckets: 10,
-            skip_log_penalty: -14.0,
             solver_deadline_us: 0,
             threads: 1,
             handle_dynamism: false,

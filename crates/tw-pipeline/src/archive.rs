@@ -88,9 +88,7 @@ impl Stage for ArchiveStage {
     fn process(&mut self, item: Self::In, _ctx: &StageCtx, out: &mut Emitter<Self::Out>) {
         self.archive
             .observe_window(item.index, stored_traces(&item));
-        // Window results are never shed: the archive hop blocks under
-        // pressure like the shard's hop does.
-        out.emit_pressure(item);
+        out.emit(item);
     }
 
     fn flush(&mut self, _ctx: &StageCtx, _out: &mut Emitter<Self::Out>) {

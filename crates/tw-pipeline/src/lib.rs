@@ -8,12 +8,11 @@
 //! * [`net`] — a TCP span transport: agents export wire frames to an
 //!   ingestion server feeding the engine;
 //! * [`sanitize`] — a defensive stage between ingestion and the engine:
-//!   bounded dedup, non-causal rejection, clock-skew correction, and
-//!   late-arrival accounting (DESIGN.md §9);
+//!   truncation and non-causal rejection, bounded dedup, and clock-skew
+//!   correction (DESIGN.md §9);
 //! * [`pipeline`] — the staged-pipeline core: the [`Stage`] abstraction,
-//!   bounded inter-stage queues with explicit backpressure (block or
-//!   shed-with-counter), and the [`PipelineBuilder`] the online path
-//!   chains its stages with (DESIGN.md §11);
+//!   bounded blocking inter-stage queues, and the [`PipelineBuilder`] the
+//!   online path chains its stages with (DESIGN.md §11);
 //! * [`sampling`] — **tail-based sampling** on reconstructed traces: once
 //!   a window is mapped, a configured fraction of complete traces is kept
 //!   and the rest dropped — the sampling style head-based tracing cannot
@@ -46,8 +45,7 @@ pub use net::{
 };
 pub use online::{DegradationLevel, OnlineConfig, OnlineEngine, ShedPolicy, WindowResult};
 pub use pipeline::{
-    Backpressure, DeadLetterPayload, Emitter, Pipeline, PipelineBuilder, QueueCfg, ShutdownReport,
-    Stage, StageCtx,
+    DeadLetterPayload, Emitter, Pipeline, PipelineBuilder, ShutdownReport, Stage, StageCtx,
 };
 pub use sampling::TailSampler;
 pub use sanitize::{

@@ -301,8 +301,8 @@ pub fn serve_online(
 /// [`serve_online`] with a [`SanitizeStage`](crate::SanitizeStage)
 /// composed between the ingest source and the window router, inside the
 /// engine's supervised graph: decoded records are deduplicated,
-/// causality-checked, skew-corrected and late-filtered before they reach
-/// windowing (DESIGN.md §9). Shut down the server first, then the engine
+/// causality-checked and skew-corrected before they reach windowing
+/// (DESIGN.md §9). Shut down the server first, then the engine
 /// — the engine's ordered shutdown drains the sanitizer into the window
 /// shard before it flushes. Read the sanitizer's final counters with
 /// [`OnlineEngine::sanitize_stats`].

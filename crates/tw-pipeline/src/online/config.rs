@@ -2,7 +2,6 @@
 //! online engine's public data types.
 
 use crate::checkpoint::CheckpointConfig;
-use crate::pipeline::Backpressure;
 use crate::sanitize::SanitizeConfig;
 use std::time::Duration;
 use tw_core::{DelayRegistry, Reconstruction};
@@ -53,19 +52,15 @@ pub struct OnlineConfig {
     /// Extra wait beyond the window end before processing, covering the
     /// app's maximum response latency.
     pub grace: Nanos,
-    /// Channel capacity for ingestion back-pressure: every queue in the
-    /// pipeline graph is bounded to this many items.
+    /// Every queue in the pipeline graph is bounded to this many items. A
+    /// full queue makes its producer wait, so pressure reaches the ingest
+    /// socket and no queue drops anything; only the [`ShedPolicy`] ladder
+    /// trades work for freshness.
     pub channel_capacity: usize,
     /// Run a [`crate::SanitizeStage`] between ingest and windowing, inside the
     /// same supervised graph ([`crate::net::serve_online_sanitized`] sets
     /// this). `None` feeds records to the window router unfiltered.
     pub sanitize: Option<SanitizeConfig>,
-    /// Overflow policy for the record-carrying queues
-    /// ([`Backpressure::Block`] by default — lossless, pressure
-    /// propagates to ingest). [`Backpressure::Shed`] drops records at
-    /// full queues with `tw_pipeline_shed_total` accounting; window-cut
-    /// marks and window results always survive.
-    pub backpressure: Backpressure,
     /// Carry a [`DelayRegistry`] across windows: each window warm-starts
     /// from the posterior published by the previous window, decoupling
     /// estimation quality from window size (§5.3's window-sizing
@@ -78,8 +73,8 @@ pub struct OnlineConfig {
     /// empty (the first window seeds cold and publishes the first
     /// posterior).
     pub initial_registry: Option<DelayRegistry>,
-    /// Back-pressure load shedding (DESIGN.md §11). Disabled by default to
-    /// preserve determinism across thread counts.
+    /// Load shedding, the engine's one overload response (DESIGN.md §11).
+    /// Disabled by default to preserve determinism across thread counts.
     pub shed: ShedPolicy,
     /// Crash-safe checkpointing (DESIGN.md §12): the window shard persists
     /// the sealed-window watermark, sanitizer skew state, and warm registry
@@ -120,7 +115,6 @@ impl Default for OnlineConfig {
             grace: Nanos::from_millis(200),
             channel_capacity: 65_536,
             sanitize: None,
-            backpressure: Backpressure::Block,
             warm_start: false,
             initial_registry: None,
             shed: ShedPolicy::default(),

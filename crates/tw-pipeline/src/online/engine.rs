@@ -9,7 +9,7 @@ use super::router::WindowRouter;
 use super::shard::{EngineMetrics, WarmState, WindowShard};
 use crate::archive::ArchiveStage;
 use crate::checkpoint::{load_checkpoint, CheckpointError, RecoveryMetrics, ShardCheckpoint};
-use crate::pipeline::{Pipeline, PipelineBuilder, QueueCfg};
+use crate::pipeline::{Pipeline, PipelineBuilder};
 use crate::sanitize::{
     SanitizeMetrics, SanitizeStage, SanitizeStats, SanitizerSnapshot, SanitizerSnapshotSlot,
 };
@@ -124,10 +124,7 @@ impl OnlineEngine {
         let window = config.window;
         let trace = config.trace.clone();
         let metrics = EngineMetrics::new(&config.telemetry, trace.clone());
-        let record_queue = QueueCfg {
-            capacity: config.channel_capacity,
-            policy: config.backpressure,
-        };
+        let capacity = config.channel_capacity;
 
         // The window shard writes the checkpoint; it reads the sanitizer's
         // published snapshot and the archive's watermark when it does.
@@ -161,7 +158,7 @@ impl OnlineEngine {
         }
         let dead_letters = supervisor.dead_letters().clone();
         let (ingest_tx, builder) =
-            PipelineBuilder::<RpcRecord>::source(&config.telemetry, record_queue);
+            PipelineBuilder::<RpcRecord>::source(&config.telemetry, capacity);
         let builder = builder.supervised(supervisor);
         let (builder, sanitize_metrics) = match config.sanitize.take() {
             Some(cfg) => {
@@ -176,7 +173,7 @@ impl OnlineEngine {
                     stage = stage.publish_snapshots(slot);
                 }
                 let handle = stage.metrics_handle();
-                (builder.stage(stage, record_queue), Some(handle))
+                (builder.stage(stage, capacity), Some(handle))
             }
             None => (builder, None),
         };
@@ -188,15 +185,9 @@ impl OnlineEngine {
         shard.warm = warm_state;
         shard.checkpoint = checkpoint;
         shard.trace = trace.clone();
-        // Records may be shed on the router's hop; window results never
-        // are, whatever the record queues' policy: the shard's and the
-        // archive's hops always block.
-        let result_queue = QueueCfg::block(config.channel_capacity);
-        let builder = builder
-            .stage(router, record_queue)
-            .stage(shard, result_queue);
+        let builder = builder.stage(router, capacity).stage(shard, capacity);
         let builder = match &resume.archive {
-            Some(archive) => builder.stage(ArchiveStage::new(archive.clone()), result_queue),
+            Some(archive) => builder.stage(ArchiveStage::new(archive.clone()), capacity),
             None => builder,
         };
         let pipeline = builder.build();

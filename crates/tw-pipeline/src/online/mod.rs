@@ -15,8 +15,8 @@
 //! what that costs.
 //!
 //! The engine is one linear chain of stages from the staged-pipeline core
-//! ([`crate::pipeline`]): every hop is a bounded queue with explicit
-//! backpressure and `tw_pipeline_*` telemetry,
+//! ([`crate::pipeline`]): every hop is a bounded queue that blocks its
+//! producer when full and reports `tw_pipeline_*` telemetry,
 //!
 //! ```text
 //! ingest ─▶ [sanitize] ─▶ window-router ─▶ window/0 ─▶ [archive] ─▶ results
@@ -31,6 +31,11 @@
 //! * `shard` — what sealing a window does, on a cut mark or in the
 //!   shutdown drain, and the warm registry chain it may carry;
 //! * `engine` — how the engine recovers, starts and drains.
+//!
+//! No queue drops anything. Under overload the engine trades work for
+//! freshness in one place, the shard's shed ladder ([`ShedPolicy`]): it
+//! degrades or skips whole windows, and every skipped record is counted
+//! in [`WindowResult::shed_records`].
 //!
 //! **Warm-start mode** ([`OnlineConfig::warm_start`]) threads a
 //! [`tw_core::DelayRegistry`] through the window stream: window *k*'s

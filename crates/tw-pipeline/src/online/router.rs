@@ -37,12 +37,10 @@ impl DeadLetterPayload for WindowMsg {
 /// The window router. For each record, in arrival order, it computes the
 /// *effective window index* — `max(⌈recv_resp / window⌉ − 1, first
 /// uncut window)`, so a late record lands in the first window still open
-/// at its arrival — and sends the stamped record to the window shard
-/// under the hop's backpressure policy. When the watermark passes a
-/// window's end plus grace it sends the [`WindowMsg::Cut`], which always
-/// blocks: a lost cut would leave its window open forever. The queue is
-/// FIFO, so a window's records are all buffered in the shard before its
-/// cut arrives.
+/// at its arrival — and sends the stamped record to the window shard.
+/// When the watermark passes a window's end plus grace it sends the
+/// [`WindowMsg::Cut`]. The queue is FIFO, so a window's records are all
+/// buffered in the shard before its cut arrives.
 pub(super) struct WindowRouter {
     window: Nanos,
     grace: Nanos,
@@ -134,7 +132,7 @@ impl Stage for WindowRouter {
             if let Some(guard) = self.route_spans.remove(&self.first_uncut) {
                 guard.event(format!("cut at watermark {}", self.watermark.0));
             }
-            out.emit_pressure(WindowMsg::Cut(self.first_uncut));
+            out.emit(WindowMsg::Cut(self.first_uncut));
             self.first_uncut += 1;
         }
     }
@@ -146,10 +144,12 @@ impl Stage for WindowRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::stored_traces;
     use crate::online::shard::{EngineMetrics, WarmState, WindowShard};
-    use crate::online::{assert_same_windows, ShedPolicy, WindowResult};
-    use crate::pipeline::{PipelineBuilder, QueueCfg, ShutdownReport};
+    use crate::online::{assert_same_windows, DegradationLevel, ShedPolicy, WindowResult};
+    use crate::pipeline::{PipelineBuilder, ShutdownReport};
     use crate::supervise::{DeadLetterQueue, Supervisor};
+    use crossbeam::channel::Receiver;
     use tw_core::{DelayRegistry, Params, TraceWeaver};
     use tw_model::callgraph::CallGraph;
     use tw_model::ids::RpcId;
@@ -218,6 +218,25 @@ mod tests {
         (call_graph, records)
     }
 
+    /// A warm window shard on `threads` workers under `shed`, and the
+    /// channel its flush hands the final registry back on.
+    fn warm_shard(
+        graph: &CallGraph,
+        window: Nanos,
+        threads: usize,
+        shed: ShedPolicy,
+        telemetry: &Registry,
+    ) -> (WindowShard, Receiver<DelayRegistry>) {
+        let tw = TraceWeaver::new(graph.clone(), Params::with_threads(threads));
+        let mut shard = WindowShard::new(window, shed, tw, EngineMetrics::new(telemetry, None));
+        let (out, registry) = crossbeam::channel::bounded(1);
+        shard.warm = Some(WarmState {
+            registry: DelayRegistry::default(),
+            out,
+        });
+        (shard, registry)
+    }
+
     /// source → poison stage → (poison) window router → warm window shard
     /// on `threads` workers, fed `records`, drained.
     fn run(
@@ -228,41 +247,27 @@ mod tests {
         router_poison: &[RpcId],
         telemetry: &Registry,
     ) -> (ShutdownReport<WindowResult>, DeadLetterQueue) {
-        let params = Params {
-            threads,
-            ..Params::default()
-        };
-        let tw = TraceWeaver::new(graph.clone(), params);
-        let mut shard = WindowShard::new(
-            WINDOW,
-            ShedPolicy::default(),
-            tw,
-            EngineMetrics::new(telemetry, None),
-        );
-        shard.warm = Some(WarmState {
-            registry: DelayRegistry::default(),
-            out: crossbeam::channel::bounded(1).0,
-        });
-        let queue = QueueCfg::block(1024);
+        let (shard, _) = warm_shard(graph, WINDOW, threads, ShedPolicy::default(), telemetry);
+        let capacity = 1024;
         let supervisor = Supervisor::default();
         let dlq = supervisor.dead_letters().clone();
-        let (tx, builder) = PipelineBuilder::<RpcRecord>::source(telemetry, queue);
+        let (tx, builder) = PipelineBuilder::<RpcRecord>::source(telemetry, capacity);
         let pipeline = builder
             .supervised(supervisor)
             .stage(
                 PoisonStage {
                     poison: stage_poison.to_vec(),
                 },
-                queue,
+                capacity,
             )
             .stage(
                 PoisonRouter {
                     inner: WindowRouter::new(WINDOW, Nanos::from_millis(50), None),
                     poison: router_poison.to_vec(),
                 },
-                queue,
+                capacity,
             )
-            .stage(shard, queue)
+            .stage(shard, capacity)
             .build();
         for r in records {
             // An escalated stage stops consuming; the rest of the stream
@@ -455,5 +460,113 @@ mod tests {
             text.contains("tw_pipeline_stage_restarts_total{stage=\"window-router\"} 5"),
             "{text}"
         );
+    }
+
+    /// The adaptive shard with its input-queue depth scripted: at the
+    /// `k`-th cut mark the shard sees depth `4k`, so its ladder signal is a
+    /// steady slope of +4 items per tick, far above the 0.5 up-slope.
+    struct ScriptedDepth {
+        shard: WindowShard,
+        cuts: usize,
+    }
+
+    impl Stage for ScriptedDepth {
+        type In = WindowMsg;
+        type Out = WindowResult;
+        fn name(&self) -> &str {
+            self.shard.name()
+        }
+        fn process(&mut self, msg: WindowMsg, ctx: &StageCtx, out: &mut Emitter<WindowResult>) {
+            let mut ctx = *ctx;
+            if let WindowMsg::Cut(_) = msg {
+                ctx.queue_depth = 4 * self.cuts;
+                self.cuts += 1;
+            }
+            self.shard.process(msg, &ctx, out);
+        }
+        fn flush(&mut self, ctx: &StageCtx, out: &mut Emitter<WindowResult>) {
+            self.shard.flush(ctx, out);
+        }
+    }
+
+    /// The adaptive ladder is the engine's one overload response, so the
+    /// shard must walk it in order and account for everything it sheds.
+    /// Under a steadily rising depth the first tick primes the EWMA, the
+    /// second escalates, and each later rung waits out the 3-tick
+    /// hold-down: window `k`, sealed at the `k`-th cut, runs at Full for
+    /// `k = 0`, ShrinkBatch for 1–4, Greedy for 5–8 and Skip from 9 on,
+    /// and the drain holds Skip. Skipped windows still carry their
+    /// records, archive no trace and leave the registry chain alone.
+    #[test]
+    fn adaptive_ladder_walks_every_rung_and_accounts_for_skips() {
+        let (graph, records) = stream(65);
+        let window = Nanos::from_millis(100);
+        let telemetry = Registry::new();
+        let shed = ShedPolicy {
+            adaptive: true,
+            ..ShedPolicy::default()
+        };
+        let (shard, registry) = warm_shard(&graph, window, 1, shed, &telemetry);
+        let (tx, builder) = PipelineBuilder::<RpcRecord>::source(&telemetry, 1024);
+        let pipeline = builder
+            .stage(
+                WindowRouter::new(window, Nanos::from_millis(50), None),
+                1024,
+            )
+            .stage(ScriptedDepth { shard, cuts: 0 }, 1024)
+            .build();
+        for r in &records {
+            tx.send(*r).unwrap();
+        }
+        drop(tx);
+        let windows = pipeline.shutdown().expect_clean();
+
+        let expected = |index: u64| match index {
+            0 => DegradationLevel::Full,
+            1..=4 => DegradationLevel::ShrinkBatch,
+            5..=8 => DegradationLevel::Greedy,
+            _ => DegradationLevel::Skip,
+        };
+        assert!(windows.len() >= 12, "got {} windows", windows.len());
+        assert!(windows.windows(2).all(|p| p[1].index == p[0].index + 1));
+        for w in &windows {
+            assert_eq!(w.degradation, expected(w.index), "window {}", w.index);
+            let skipped = w.degradation == DegradationLevel::Skip;
+            assert_eq!(w.shed_records, if skipped { w.records.len() } else { 0 });
+            if skipped {
+                assert!(stored_traces(w).is_empty(), "window {}", w.index);
+            }
+        }
+
+        let mut routed: Vec<RpcId> = windows
+            .iter()
+            .flat_map(|w| w.records.iter().map(|r| r.rpc))
+            .collect();
+        let mut offered: Vec<RpcId> = records.iter().map(|r| r.rpc).collect();
+        routed.sort();
+        offered.sort();
+        assert_eq!(routed, offered, "every record lands in exactly one window");
+
+        let reconstructed = windows
+            .iter()
+            .filter(|w| w.degradation != DegradationLevel::Skip)
+            .count();
+        let registry = registry
+            .try_recv()
+            .expect("warm shard returns its registry");
+        assert_eq!(registry.rounds(), reconstructed as u64);
+
+        let changes = windows
+            .windows(2)
+            .filter(|p| p[0].degradation != p[1].degradation)
+            .count();
+        let transitions: f64 = telemetry
+            .render()
+            .lines()
+            .filter(|l| l.starts_with("tw_engine_shed_transitions_total{"))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+            .sum();
+        assert_eq!(changes, 3);
+        assert_eq!(transitions, changes as f64);
     }
 }

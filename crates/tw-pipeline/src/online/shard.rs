@@ -234,9 +234,7 @@ impl WindowShard {
             drop(self.collect_spans.remove(&index)); // buffering ends at the cut
             let backlog = self.open.len();
             let (result, round) = self.reconstruct(index, records, backlog, level, started);
-            // Never shed: the sealed watermark below moves past this
-            // window, so a dropped result would be lost for good.
-            out.emit_pressure(result);
+            out.emit(result);
             if let Some(trace) = &self.trace {
                 trace.event(index, None, "result hand-off");
             }

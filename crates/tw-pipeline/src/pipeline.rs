@@ -1,38 +1,34 @@
 //! The staged-pipeline core: a first-class [`Stage`] abstraction, bounded
-//! inter-stage queues with an explicit [`Backpressure`] policy, and a
-//! [`PipelineBuilder`] that chains stages into one supervised linear graph
-//! with a single ordered shutdown path (DESIGN.md §11).
+//! blocking inter-stage queues, and a [`PipelineBuilder`] that chains
+//! stages into one supervised linear graph with a single ordered shutdown
+//! path (DESIGN.md §11).
 //!
-//! Before this module the online path was hand-wired: `IngestServer`,
-//! the sanitizer thread, and `OnlineEngine` each owned bespoke channels,
-//! shutdown logic, and telemetry. Now every hop between stages is the
-//! same bounded queue with the same observability:
+//! Every hop between stages is the same bounded queue with the same
+//! observability:
 //!
 //! * `tw_pipeline_queue_depth{stage}` — items waiting in the queue that
 //!   feeds each stage, sampled at every dequeue;
 //! * `tw_pipeline_stage_busy_seconds{stage}` — cumulative wall-clock time
 //!   each stage spent inside `process`/`flush` (monotone gauge);
-//! * `tw_pipeline_items_total{stage}` — items a stage has consumed;
-//! * `tw_pipeline_shed_total{queue}` — items dropped at a full queue
-//!   running the [`Backpressure::Shed`] policy (always 0 under
-//!   [`Backpressure::Block`], the default).
+//! * `tw_pipeline_items_total{stage}` — items a stage has consumed.
 //!
-//! Backpressure is explicit and queue-local: a `Block` queue makes the
-//! producer wait (pressure propagates hop by hop back to the TCP ingest
-//! socket), a `Shed` queue drops the item and counts it. Nothing is ever
-//! dropped silently.
+//! A full queue makes its producer wait, so pressure propagates hop by
+//! hop back to the TCP ingest socket and no queue ever drops an item.
+//! Trading work for freshness is the window shard's decision, made per
+//! window and accounted (the shed ladder, `online/shed.rs`), not a
+//! queue's.
 //!
 //! Shutdown is ordered and drain-safe: closing the pipeline's entry
 //! sender lets each stage drain its input, run [`Stage::flush`], and drop
 //! its output sender, cascading end-of-stream downstream. The supervising
 //! [`Pipeline::shutdown`] joins stages in topological order while
 //! draining the results queue, so a results queue shorter than the
-//! remaining output can never deadlock the join (the PR-7 shutdown fix).
+//! remaining output can never deadlock the join.
 
 use crate::supervise::{
     panic_message, DeadLetterQueue, StageFailure, StageSupervisor, Supervisor, Verdict,
 };
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -67,46 +63,6 @@ impl DeadLetterPayload for RpcRecord {
 /// Opaque test/demo streams carry no provenance.
 impl DeadLetterPayload for u64 {}
 
-/// What happens when a stage emits into a full queue.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Wait for space: pressure propagates upstream, hop by hop, until it
-    /// reaches the source (and, through the TCP window, the capture
-    /// agents). Lossless — the default.
-    #[default]
-    Block,
-    /// Drop the item and increment `tw_pipeline_shed_total{queue}`. For
-    /// deployments where freshness beats completeness; never silent.
-    Shed,
-}
-
-/// One bounded inter-stage queue: capacity plus overflow policy.
-#[derive(Debug, Clone, Copy)]
-pub struct QueueCfg {
-    /// Queue capacity (clamped to at least 1).
-    pub capacity: usize,
-    /// Overflow policy when the queue is full.
-    pub policy: Backpressure,
-}
-
-impl QueueCfg {
-    /// A lossless blocking queue of `capacity` items.
-    pub fn block(capacity: usize) -> Self {
-        QueueCfg {
-            capacity,
-            policy: Backpressure::Block,
-        }
-    }
-
-    /// A load-shedding queue of `capacity` items.
-    pub fn shed(capacity: usize) -> Self {
-        QueueCfg {
-            capacity,
-            policy: Backpressure::Shed,
-        }
-    }
-}
-
 /// Per-dequeue context the runner hands a stage: the live depth of the
 /// queue feeding it, for load-shedding decisions ([`crate::ShedPolicy`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -123,8 +79,8 @@ pub trait Stage: Send + 'static {
     type In: Send + DeadLetterPayload + 'static;
     type Out: Send + 'static;
 
-    /// Stage name, used as the `stage`/`queue` label on the
-    /// `tw_pipeline_*` series and as the thread name.
+    /// Stage name, used as the `stage` label on the `tw_pipeline_*`
+    /// series and as the thread name.
     fn name(&self) -> &str;
 
     /// Process one item. Emission is explicit — a filter emits 0..1, a
@@ -138,43 +94,17 @@ pub trait Stage: Send + 'static {
     fn flush(&mut self, _ctx: &StageCtx, _out: &mut Emitter<Self::Out>) {}
 }
 
-/// A stage's handle on its output queue. Enforces the hop's
-/// [`Backpressure`] policy and counts sheds.
+/// A stage's handle on its output queue.
 pub struct Emitter<T> {
     tx: Sender<T>,
     closed: bool,
-    policy: Backpressure,
-    shed: Counter,
 }
 
 impl<T> Emitter<T> {
-    fn new(tx: Sender<T>, policy: Backpressure, shed: Counter) -> Self {
-        Emitter {
-            tx,
-            closed: false,
-            policy,
-            shed,
-        }
-    }
-
-    /// Emit one item under the hop's policy. On a closed downstream the
-    /// item is dropped and the emitter latches closed (shutdown path).
+    /// Emit one item, waiting while the queue is full. On a closed
+    /// downstream the item is dropped and the emitter latches closed
+    /// (shutdown path).
     pub fn emit(&mut self, item: T) {
-        match self.policy {
-            Backpressure::Block => self.emit_pressure(item),
-            Backpressure::Shed if self.closed => {}
-            Backpressure::Shed => match self.tx.try_send(item) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => self.shed.inc(),
-                Err(TrySendError::Disconnected(_)) => self.closed = true,
-            },
-        }
-    }
-
-    /// Emit bypassing the shed policy: always block. For loss-intolerant
-    /// hand-offs (window cuts, window results) that must survive even on
-    /// a shedding queue.
-    pub fn emit_pressure(&mut self, item: T) {
         if !self.closed && self.tx.send(item).is_err() {
             self.closed = true;
         }
@@ -215,14 +145,6 @@ impl StageMetrics {
             ),
         }
     }
-}
-
-fn shed_counter(registry: &Registry, queue: &str) -> Counter {
-    registry.counter_with(
-        "tw_pipeline_shed_total",
-        "Items dropped at a full queue under the shed backpressure policy.",
-        &[("queue", queue)],
-    )
 }
 
 /// Run one stage to completion under supervision: drain the input queue
@@ -311,14 +233,14 @@ pub struct PipelineBuilder<T: Send + 'static> {
 }
 
 impl<T: Send + 'static> PipelineBuilder<T> {
-    /// Open a pipeline with a source queue: the returned `Sender` is the
-    /// entry point (hand it to an `IngestServer`, a capture thread, a
-    /// test). Dropping every clone of it initiates the ordered shutdown
-    /// cascade. Stages run under a default [`Supervisor`]; share one you
-    /// hold a handle on with [`supervised`](Self::supervised) before
-    /// appending stages.
-    pub fn source(registry: &Registry, queue: QueueCfg) -> (Sender<T>, PipelineBuilder<T>) {
-        let (tx, rx) = bounded(queue.capacity.max(1));
+    /// Open a pipeline with a source queue of `capacity` items (at least
+    /// 1): the returned `Sender` is the entry point (hand it to an
+    /// `IngestServer`, a capture thread, a test). Dropping every clone of
+    /// it initiates the ordered shutdown cascade. Stages run under a
+    /// default [`Supervisor`]; share one you hold a handle on with
+    /// [`supervised`](Self::supervised) before appending stages.
+    pub fn source(registry: &Registry, capacity: usize) -> (Sender<T>, PipelineBuilder<T>) {
+        let (tx, rx) = bounded(capacity.max(1));
         (
             tx,
             PipelineBuilder {
@@ -338,15 +260,15 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         self
     }
 
-    /// Append a stage fed by the current tail through a bounded queue of
-    /// `queue.capacity` with `queue.policy` on its *output* hop.
-    pub fn stage<S>(mut self, stage: S, queue: QueueCfg) -> PipelineBuilder<S::Out>
+    /// Append a stage fed by the current tail, whose *output* hop is a
+    /// bounded queue of `capacity` items (at least 1).
+    pub fn stage<S>(mut self, stage: S, capacity: usize) -> PipelineBuilder<S::Out>
     where
         S: Stage<In = T>,
     {
         let name = stage.name().to_string();
-        let (tx, rx) = bounded(queue.capacity.max(1));
-        let out = Emitter::new(tx, queue.policy, shed_counter(&self.registry, &name));
+        let (tx, rx) = bounded(capacity.max(1));
+        let out = Emitter { tx, closed: false };
         let metrics = StageMetrics::new(&self.registry, &name);
         let sup = self.supervisor.for_stage(&self.registry, &name);
         let handle = spawn_stage(stage, self.tail, out, metrics, sup);
@@ -527,7 +449,7 @@ mod tests {
     fn blocking_queue_bounds_depth_and_loses_nothing() {
         let registry = Registry::new();
         let depth = Arc::new(AtomicUsize::new(0));
-        let (tx, builder) = PipelineBuilder::<u64>::source(&registry, QueueCfg::block(4));
+        let (tx, builder) = PipelineBuilder::<u64>::source(&registry, 4);
         let pipeline = builder
             .stage(
                 SlowStage {
@@ -535,7 +457,7 @@ mod tests {
                     delay: std::time::Duration::from_micros(200),
                     max_depth_seen: depth.clone(),
                 },
-                QueueCfg::block(4),
+                4,
             )
             .build();
         // Producer on its own thread: with every queue bounded at 4, it
@@ -548,62 +470,23 @@ mod tests {
         });
         let out = pipeline.shutdown().expect_clean();
         producer.join().unwrap();
-        assert_eq!(out.len(), 500, "blocking policy loses nothing");
+        assert_eq!(out.len(), 500, "a blocking queue loses nothing");
         assert!(
             depth.load(Ordering::Relaxed) <= 4,
             "queue depth bounded by capacity, saw {}",
             depth.load(Ordering::Relaxed)
         );
         let text = registry.render();
-        assert!(text.contains("tw_pipeline_shed_total{queue=\"slow\"} 0"));
         assert!(text.contains("tw_pipeline_items_total{stage=\"slow\"} 500"));
-    }
-
-    #[test]
-    fn shedding_queue_drops_with_counters_instead_of_growing() {
-        let registry = Registry::new();
-        let depth = Arc::new(AtomicUsize::new(0));
-        // Source queue sheds: a fast producer against a slow consumer
-        // loses items at the full queue, every loss counted.
-        let (tx, builder) = PipelineBuilder::<u64>::source(&registry, QueueCfg::shed(2));
-        let pipeline = builder
-            .stage(
-                SlowStage {
-                    name: "slow".into(),
-                    delay: std::time::Duration::from_millis(2),
-                    max_depth_seen: depth.clone(),
-                },
-                QueueCfg::block(2),
-            )
-            .build();
-        // The source queue itself is the caller's hop: model shed at the
-        // sender with try_send + a counter, as IngestServer would.
-        let shed = shed_counter(&registry, "source");
-        let mut sent = 0u64;
-        for i in 0..200u64 {
-            match tx.try_send(i) {
-                Ok(()) => sent += 1,
-                Err(TrySendError::Full(_)) => shed.inc(),
-                Err(TrySendError::Disconnected(_)) => unreachable!(),
-            }
-        }
-        drop(tx);
-        let out = pipeline.shutdown().expect_clean();
-        assert_eq!(out.len() as u64, sent, "everything admitted is delivered");
-        assert!(shed.get() > 0, "fast producer must have shed");
-        assert_eq!(sent + shed.get(), 200, "admitted + shed = offered");
-        assert!(depth.load(Ordering::Relaxed) <= 2, "queue stayed bounded");
     }
 
     #[test]
     fn flush_drains_buffered_state_through_shutdown() {
         let registry = Registry::new();
-        let (tx, builder) = PipelineBuilder::<u64>::source(&registry, QueueCfg::block(8));
+        let (tx, builder) = PipelineBuilder::<u64>::source(&registry, 8);
         // Results queue (capacity 2) far smaller than the flushed output:
         // shutdown must drain while joining or it would deadlock.
-        let pipeline = builder
-            .stage(BufferedStage { held: Vec::new() }, QueueCfg::block(2))
-            .build();
+        let pipeline = builder.stage(BufferedStage { held: Vec::new() }, 2).build();
         for i in 0..64u64 {
             tx.send(i).unwrap();
         }

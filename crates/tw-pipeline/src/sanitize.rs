@@ -2,7 +2,7 @@
 //! windowed reconstruction.
 //!
 //! Raw capture streams carry duplicates, truncated (response-less)
-//! records, non-causal timestamps, late arrivals, and clock skew (see
+//! records, non-causal timestamps, and clock skew (see
 //! `tw_sim::faults` for the fault taxonomy, DESIGN.md §9 for the failure
 //! model). Feeding them to the engine unfiltered corrupts skip budgets,
 //! poisons the delay registry, and breaks window assignment. The
@@ -35,10 +35,10 @@
 //!    correcting each record against only its own edge would tear a
 //!    process's two span sides into different clock frames. An edge
 //!    stays in the resolution once seen (the service graph bounds how
-//!    many there are), holding its last estimate while it is idle;
-//! 5. **late arrival** — optionally, records arriving more than a
-//!    horizon behind the sanitizer's watermark are dropped with an
-//!    explicit counter instead of landing in long-closed windows.
+//!    many there are), holding its last estimate while it is idle.
+//!
+//! A late record is not the sanitizer's business: the window router folds
+//! it into the first window still open at its arrival.
 //!
 //! Every rejection increments a per-reason counter in [`SanitizeStats`]
 //! (the ingest-metrics idiom of [`crate::IngestStats`]). The stage is
@@ -79,16 +79,12 @@ pub struct SanitizeConfig {
     /// behavior) — also the per-edge fallback while a ring is too small
     /// or too clustered for a trustworthy slope.
     pub drift_correction: bool,
-    /// Drop records whose corrected `recv_resp` is more than this behind
-    /// the watermark. `None` admits arbitrarily late records.
-    pub late_horizon: Option<Nanos>,
 }
 
 impl Default for SanitizeConfig {
     fn default() -> Self {
         SanitizeConfig {
             drift_correction: true,
-            late_horizon: None,
         }
     }
 }
@@ -104,7 +100,8 @@ pub struct SanitizeStats {
     pub truncated: u64,
     /// Rejected: negative duration on the caller or callee clock.
     pub non_causal: u64,
-    /// Rejected: arrived beyond the late horizon.
+    /// Always 0: the sanitizer drops no record for arriving late. `bench/`
+    /// still sums it; ROADMAP's [benchmark] item ("unpin") deletes it.
     pub late: u64,
     /// Passed, but with timestamps shifted by a skew offset.
     pub skew_corrected: u64,
@@ -118,7 +115,7 @@ pub struct SanitizeStats {
 
 impl SanitizeStats {
     pub fn rejected(&self) -> u64 {
-        self.duplicates + self.truncated + self.non_causal + self.late
+        self.duplicates + self.truncated + self.non_causal
     }
 }
 
@@ -134,7 +131,6 @@ pub(crate) struct SanitizeMetrics {
     dropped_duplicate: Counter,
     dropped_truncated: Counter,
     dropped_non_causal: Counter,
-    dropped_late: Counter,
     skew_corrected: Counter,
     drift_samples: Counter,
     drift_innovation_ns: Counter,
@@ -162,7 +158,6 @@ impl SanitizeMetrics {
             dropped_duplicate: dropped("duplicate"),
             dropped_truncated: dropped("truncated"),
             dropped_non_causal: dropped("non_causal"),
-            dropped_late: dropped("late"),
             skew_corrected: registry.counter(
                 "tw_sanitize_skew_corrected_total",
                 "Records passed with timestamps shifted into the anchor clock frame.",
@@ -185,7 +180,7 @@ impl SanitizeMetrics {
             duplicates: self.dropped_duplicate.get(),
             truncated: self.dropped_truncated.get(),
             non_causal: self.dropped_non_causal.get(),
-            late: self.dropped_late.get(),
+            late: 0,
             skew_corrected: self.skew_corrected.get(),
             drift_samples: self.drift_samples.get(),
             drift_innovation_ns: self.drift_innovation_ns.get(),
@@ -419,13 +414,6 @@ impl Sanitizer {
             self.metrics.skew_corrected.inc();
         }
 
-        // 5. Late arrival beyond the horizon.
-        if let Some(horizon) = self.cfg.late_horizon {
-            if rec.recv_resp + horizon < self.watermark {
-                self.metrics.dropped_late.inc();
-                return None;
-            }
-        }
         self.watermark = self.watermark.max(rec.recv_resp);
 
         self.metrics.passed.inc();
@@ -1110,7 +1098,6 @@ mod tests {
         let out_on = drift_on.sanitize_batch(skewed.clone());
         let mut drift_off = Sanitizer::new(SanitizeConfig {
             drift_correction: false,
-            ..SanitizeConfig::default()
         });
         let out_off = drift_off.sanitize_batch(skewed);
         assert_eq!(out_on.len(), 600);
@@ -1143,28 +1130,13 @@ mod tests {
     }
 
     #[test]
-    fn late_records_dropped_beyond_horizon() {
-        let mut s = Sanitizer::new(SanitizeConfig {
-            late_horizon: Some(Nanos::from_millis(1)),
-            ..SanitizeConfig::default()
-        });
-        assert!(s.sanitize(rec(1, 10_000)).is_some()); // watermark ≈ 10.11ms
-        assert!(
-            s.sanitize(rec(2, 500)).is_none(),
-            "9.5ms late > 1ms horizon"
-        );
-        assert!(s.sanitize(rec(3, 9_800)).is_some(), "within horizon");
-        assert_eq!(s.stats().late, 1);
-    }
-
-    #[test]
     fn stage_filters_inside_a_pipeline() {
-        use crate::pipeline::{PipelineBuilder, QueueCfg};
+        use crate::pipeline::PipelineBuilder;
         let registry = Registry::new();
         let stage = SanitizeStage::new_in(SanitizeConfig::default(), &registry);
         let metrics = stage.metrics_handle();
-        let (tx, builder) = PipelineBuilder::<RpcRecord>::source(&registry, QueueCfg::block(1024));
-        let pipeline = builder.stage(stage, QueueCfg::block(1024)).build();
+        let (tx, builder) = PipelineBuilder::<RpcRecord>::source(&registry, 1024);
+        let pipeline = builder.stage(stage, 1024).build();
         for i in 0..10 {
             tx.send(rec(i, i * 500)).unwrap();
         }
@@ -1180,10 +1152,8 @@ mod tests {
         assert_eq!(stats.received, 12);
         assert_eq!(stats.duplicates, 1);
         assert_eq!(stats.truncated, 1);
-        // The stage's rejects are sanitizer drops, not queue sheds.
         let text = registry.render();
         assert!(text.contains("tw_pipeline_items_total{stage=\"sanitize\"} 12"));
-        assert!(text.contains("tw_pipeline_shed_total{queue=\"sanitize\"} 0"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Archive durability end to end (DESIGN.md §14): the on-disk archive a
 //! warm pipeline run produces must be byte-identical at every thread
 //! count, a clean restart must neither re-archive nor lose sealed windows,
-//! a shedding pipeline must never shed a sealed window, and live queries
+//! a stalled results consumer must cost no sealed window, and live queries
 //! over HTTP must resolve exemplar window ids.
 
 use std::collections::BTreeSet;
@@ -11,8 +11,7 @@ use tw_core::{Params, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
 use tw_pipeline::{
-    fetch_traces, stored_traces, Backpressure, CheckpointConfig, MetricsServer, OnlineConfig,
-    OnlineEngine,
+    fetch_traces, stored_traces, CheckpointConfig, MetricsServer, OnlineConfig, OnlineEngine,
 };
 use tw_sim::apps::hotel_reservation;
 use tw_sim::{Simulator, Workload};
@@ -198,19 +197,21 @@ fn restart_neither_duplicates_nor_loses_traces() {
     }
 }
 
-/// `Backpressure::Shed` may drop records, never a sealed window: sealing
-/// advances the checkpoint's sealed watermark past the window, so a shed
-/// result would be lost for good. With every queue one item deep and
-/// nothing reading the results until the whole stream was offered, each
-/// window `tw_engine_windows_total` counts must still reach the results
-/// and have its root traces in the archive.
+/// Every queue blocks, so a consumer that stops reading stalls the graph
+/// instead of losing what it already sealed: sealing advances the sealed
+/// watermark past the window, so a dropped result would be lost for good.
+/// With every queue one item deep and nothing reading the results until
+/// the whole stream was offered, each window `tw_engine_windows_total`
+/// counts must still reach the results and have its root traces in the
+/// archive, and every record the ingest queue accepted must land in
+/// exactly one result.
 #[test]
-fn shedding_pipeline_never_sheds_a_sealed_window() {
+fn stalled_consumer_loses_no_sealed_window() {
     let (call_graph, records) = workload(814);
     let window = Nanos::from_millis(100);
     let last = records.last().unwrap().recv_resp.0.div_ceil(window.0);
     assert!(last >= 10, "the stream spans {last} windows");
-    let archive_dir = tmp("shed");
+    let archive_dir = tmp("stalled");
     let telemetry = Registry::new();
     let engine = OnlineEngine::start(
         weaver(&call_graph, 1),
@@ -218,21 +219,25 @@ fn shedding_pipeline_never_sheds_a_sealed_window() {
             window,
             grace: Nanos::from_millis(50),
             channel_capacity: 1,
-            backpressure: Backpressure::Shed,
             warm_start: true,
             archive: Some(archive_cfg(&archive_dir)),
             telemetry: telemetry.clone(),
             ..OnlineConfig::default()
         },
     );
-    // Offer every record before reading anything, as a shedding ingest
-    // would: wait for room while the graph moves, and once the unread
-    // results have stopped it (no room for half a second), drop the rest.
+    // Offer every record before reading anything: wait for room while the
+    // graph moves, and once the unread results have stopped it (no room
+    // for half a second), give up on the rest.
     let ingest = engine.ingest_handle();
     let mut stopped = false;
+    let mut accepted = 0usize;
     for r in &records {
         let deadline = Instant::now() + Duration::from_millis(500);
-        while !stopped && ingest.try_send(*r).is_err() {
+        while !stopped {
+            if ingest.try_send(*r).is_ok() {
+                accepted += 1;
+                break;
+            }
             std::thread::sleep(Duration::from_micros(50));
             stopped = Instant::now() > deadline;
         }
@@ -240,20 +245,16 @@ fn shedding_pipeline_never_sheds_a_sealed_window() {
     drop(ingest);
     let results = engine.shutdown();
 
-    let text = telemetry.render();
-    let series =
-        |name: &str| -> Vec<&str> { text.lines().filter(|l| l.starts_with(name)).collect() };
-    let sealed: f64 = series("tw_engine_windows_total{")
-        .iter()
+    let sealed: f64 = telemetry
+        .render()
+        .lines()
+        .filter(|l| l.starts_with("tw_engine_windows_total{"))
         .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
         .sum();
     assert!(sealed > 0.0, "no window sealed");
-    assert_eq!(
-        results.len() as f64,
-        sealed,
-        "sealed windows were shed: {:?}",
-        series("tw_pipeline_shed_total")
-    );
+    assert_eq!(results.len() as f64, sealed, "sealed windows were lost");
+    let routed: usize = results.iter().map(|w| w.records.len()).sum();
+    assert_eq!(routed, accepted, "accepted records were lost");
     let archived: BTreeSet<(u64, u64)> = read_query(
         &archive_dir,
         &TraceQuery {

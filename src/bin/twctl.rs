@@ -63,7 +63,7 @@ struct Command {
 
 /// The live-pipeline block `serve` and `simulate --metrics` share: what
 /// `online_config_from` and `trace_recorder_from` read.
-const PIPELINE_VALUES: &str = "window-ms grace-ms capacity backpressure \
+const PIPELINE_VALUES: &str = "window-ms grace-ms capacity \
     checkpoint-dir checkpoint-interval-ms archive-dir archive-segment-bytes archive-retention \
     trace-sample span-ring";
 const PIPELINE_SWITCHES: &str = "adaptive-shed no-drift";
@@ -181,7 +181,7 @@ USAGE:
   twctl help
 
   pipeline flags:    [--window-ms N] [--grace-ms N] [--capacity N]
-                     [--backpressure block|shed] [--adaptive-shed] [--no-drift]
+                     [--adaptive-shed] [--no-drift]
                      [--checkpoint-dir DIR] [--checkpoint-interval-ms N]
                      [--archive-dir DIR] [--archive-segment-bytes N] [--archive-retention BYTES]
                      [--trace-sample N] [--span-ring N]
@@ -209,12 +209,12 @@ reconstruction, with the Prometheus exposition at --metrics. It drains
 and prints a summary after --duration-ms, or serves until killed when
 the flag is absent. The engine always runs warm: every window starts
 from the delay registry the previous one learned. --capacity bounds
-every inter-stage queue, and --backpressure picks what happens when a
-record queue fills: `block` (lossless, default) or `shed` (drop +
-count); window cuts and window results are never shed.
+every inter-stage queue; a full queue makes its producer wait, back to
+the ingest socket, so no queue drops a record.
 --adaptive-shed turns on load shedding: the degradation ladder moves one
-rung at a time on the queue-depth slope (EWMA, with hysteresis). Without
-it no window is ever shed.
+rung at a time on the queue-depth slope (EWMA, with hysteresis), and
+every record of a skipped window is counted. Without it no window is
+ever shed.
 --checkpoint-dir enables crash-safe recovery: the window shard writes
 its sealed watermark, the sanitizer's skew state, and the delay
 registry to DIR at the first window seal after each
@@ -708,7 +708,6 @@ fn cmd_learn_delays(flags: &Flags) -> Result<(), String> {
 fn sanitize_config_from(flags: &Flags) -> traceweaver::pipeline::SanitizeConfig {
     traceweaver::pipeline::SanitizeConfig {
         drift_correction: !flags.contains_key("no-drift"),
-        ..Default::default()
     }
 }
 
@@ -726,8 +725,8 @@ fn dir_flag<'a>(flags: &'a Flags, name: &str) -> Result<Option<&'a String>, Stri
 }
 
 /// Build an [`OnlineConfig`] from the shared staged-pipeline flag block —
-/// `--window-ms`, `--grace-ms`, `--capacity`,
-/// `--backpressure block|shed` — plus `--no-drift` via
+/// `--window-ms`, `--grace-ms`, `--capacity` and the rest of
+/// `PIPELINE_VALUES` — plus `--no-drift` via
 /// [`sanitize_config_from`]. Used by both `simulate --metrics` and
 /// `serve` so new pipeline flags land in exactly one place.
 fn online_config_from(
@@ -738,11 +737,6 @@ fn online_config_from(
     let grace = match flags.contains_key("grace-ms") {
         true => Nanos::from_millis(num(flags, "grace-ms", 0u64)?),
         false => defaults.grace,
-    };
-    let backpressure = match flags.get("backpressure").map(String::as_str) {
-        None | Some("block") => traceweaver::pipeline::Backpressure::Block,
-        Some("shed") => traceweaver::pipeline::Backpressure::Shed,
-        Some(other) => return Err(format!("--backpressure `{other}` (expected block|shed)")),
     };
     let checkpoint = match dir_flag(flags, "checkpoint-dir")? {
         Some(dir) => {
@@ -783,7 +777,6 @@ fn online_config_from(
         // published, which is also what the benchmark measures.
         warm_start: true,
         channel_capacity: num(flags, "capacity", defaults.channel_capacity)?,
-        backpressure,
         sanitize: Some(sanitize_config_from(flags)),
         checkpoint,
         archive,

@@ -68,6 +68,11 @@ fn removed_flags_are_rejected() {
     // `serve` always runs one warm window shard, so `--shards` is unknown;
     // an empty stdout means it failed before binding.
     assert_rejected("serve --graph g.json --shards 2", "unknown flag --shards");
+    // Every queue blocks; the shed ladder is the one overload response.
+    assert_rejected(
+        "serve --graph g.json --backpressure shed",
+        "unknown flag --backpressure",
+    );
     // Telemetry is scrape-only: the push exporter's flags and its sink
     // command are gone.
     assert_rejected(
