@@ -176,12 +176,10 @@ impl DelayModel {
 
     /// Refit every edge in `gaps` with a BIC-selected GMM over its observed
     /// gaps (iterations ≥ 2). Edges absent from `gaps`, or with fewer than
-    /// three samples, keep their previous model.
-    pub fn refit(&self, gaps: &HashMap<EdgeKey, Vec<f64>>, params: &Params) -> Self {
-        let opts = GmmFitOptions {
-            max_components: params.max_gmm_components,
-            ..GmmFitOptions::default()
-        };
+    /// three samples, keep their previous model. The sweep runs to
+    /// Table 1's C = 5, `GmmFitOptions::default().max_components`.
+    pub fn refit(&self, gaps: &HashMap<EdgeKey, Vec<f64>>, _params: &Params) -> Self {
+        let opts = GmmFitOptions::default();
         let telemetry = crate::telemetry::metrics();
         let mut next = self.clone();
         for (key, samples) in gaps {

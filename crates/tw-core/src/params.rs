@@ -14,8 +14,6 @@ pub struct Params {
     /// Maximum candidates kept per span for the joint optimization
     /// (Table 1: K = 5).
     pub top_k: usize,
-    /// Maximum GMM components tried in the BIC sweep (Table 1: C = 5).
-    pub max_gmm_components: usize,
     /// Buckets used for the seed-distribution variance estimate
     /// (Table 1: R = 10).
     pub seed_buckets: usize,
@@ -61,7 +59,6 @@ impl Default for Params {
         Params {
             batch_size: 30,
             top_k: 5,
-            max_gmm_components: 5,
             seed_buckets: 10,
             solver_deadline_us: 0,
             threads: 1,
@@ -137,7 +134,6 @@ mod tests {
         let p = Params::default();
         assert_eq!(p.batch_size, 30);
         assert_eq!(p.top_k, 5);
-        assert_eq!(p.max_gmm_components, 5);
         assert_eq!(p.seed_buckets, 10);
         assert_eq!(p.threads, 1, "default must stay sequential");
     }

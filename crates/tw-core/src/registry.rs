@@ -278,7 +278,7 @@ impl DelayRegistry {
         &mut self,
         process: ProcessKey,
         gaps: &HashMap<EdgeKey, Vec<f64>>,
-        params: &Params,
+        _params: &Params,
     ) {
         // Registry fits are warm-start priors, not final scoring models:
         // each gets refined again inside the next task's EM loop, so a
@@ -286,9 +286,9 @@ impl DelayRegistry {
         // once per window over up to `RESERVOIR_CAPACITY` samples/edge)
         // without hurting downstream accuracy.
         let opts = GmmFitOptions {
-            max_components: params.max_gmm_components,
             max_iters: 40,
             tol: 1e-5,
+            ..GmmFitOptions::default()
         };
         let mut quarantined = 0u64;
         let slot = self.edges.entry(process).or_default();

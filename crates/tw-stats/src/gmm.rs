@@ -28,7 +28,7 @@ pub struct Gmm {
 #[derive(Debug, Clone, Copy)]
 pub struct GmmFitOptions {
     /// Largest component count tried by [`Gmm::fit_auto`] (paper: C = 5,
-    /// text sweeps up to 20).
+    /// text sweeps up to 20). The sweeps clamp it to [`MAX_COMPONENTS`].
     pub max_components: usize,
     /// Maximum EM iterations per candidate model.
     pub max_iters: usize,
@@ -46,9 +46,11 @@ impl Default for GmmFitOptions {
     }
 }
 
-/// Mixtures up to this size are scored without touching the heap
-/// (Table 1: C = 5).
-const INLINE_COMPONENTS: usize = 8;
+/// The largest component count [`Gmm::fit_weighted`] fits (Table 1:
+/// C = 5): its EM kernel is compiled once per width up to here. Mixtures
+/// up to this size are also scored without touching the heap; a longer
+/// one (deserialised, say) still scores, on the heap.
+pub const MAX_COMPONENTS: usize = 8;
 
 impl Gmm {
     /// A single-component mixture equal to the given Gaussian. This is how
@@ -77,8 +79,8 @@ impl Gmm {
         debug_assert!(!self.components.is_empty());
         let term = |c: &GmmComponent| c.weight.max(f64::MIN_POSITIVE).ln() + c.gaussian.log_pdf(x);
         let n = self.components.len();
-        if n <= INLINE_COMPONENTS {
-            let mut logs = [0.0; INLINE_COMPONENTS];
+        if n <= MAX_COMPONENTS {
+            let mut logs = [0.0; MAX_COMPONENTS];
             for (l, c) in logs.iter_mut().zip(&self.components) {
                 *l = term(c);
             }
@@ -103,7 +105,24 @@ impl Gmm {
 
     /// Total log-likelihood of a sample under this mixture.
     pub fn log_likelihood(&self, xs: &[f64]) -> f64 {
-        xs.iter().map(|&x| self.log_pdf(x)).sum()
+        self.log_pdfs(xs).sum()
+    }
+
+    /// [`Gmm::log_pdf`] at each of `xs`, with each component's `ln weight`
+    /// and `ln sigma` taken once per mixture, not once per point.
+    fn log_pdfs<'a>(&'a self, xs: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        let lns: Vec<(f64, f64)> = self
+            .components
+            .iter()
+            .map(|c| (c.weight.max(f64::MIN_POSITIVE).ln(), c.gaussian.sigma.ln()))
+            .collect();
+        let mut logs = vec![0.0; lns.len()];
+        xs.iter().map(move |&x| {
+            for ((l, c), &(ln_w, ln_sigma)) in logs.iter_mut().zip(&self.components).zip(&lns) {
+                *l = ln_w + c.gaussian.log_pdf_given(x, ln_sigma);
+            }
+            log_sum_exp(&logs)
+        })
     }
 
     /// Bayesian Information Criterion: `k ln n − 2 ln L` with
@@ -130,8 +149,16 @@ impl Gmm {
     /// gap samples from older windows are exponentially down-weighted, so
     /// the mixture tracks the *current* delay regime while still smoothing
     /// over many windows. With unit weights this is exactly [`Gmm::fit`].
+    ///
+    /// # Panics
+    /// If `c` is 0 or above [`MAX_COMPONENTS`], or `ws` is not one weight
+    /// per sample.
     pub fn fit_weighted(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Self {
         assert!(c >= 1, "component count must be >= 1");
+        assert!(
+            c <= MAX_COMPONENTS,
+            "component count must be <= MAX_COMPONENTS ({MAX_COMPONENTS})"
+        );
         assert_eq!(xs.len(), ws.len(), "one weight per sample");
         if xs.is_empty() {
             return Gmm::single(Gaussian::new(0.0, 1.0));
@@ -140,98 +167,19 @@ impl Gmm {
         if c == 1 || xs.len() < 2 * c || total_w <= 0.0 {
             return Gmm::single(Gaussian::fit_weighted(xs, ws));
         }
-
-        let overall_sigma = population_variance(xs).sqrt().max(SIGMA_FLOOR);
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in GMM sample"));
-        let mut comps: Vec<GmmComponent> = (0..c)
-            .map(|i| {
-                let q = (i as f64 + 0.5) / c as f64 * 100.0;
-                GmmComponent {
-                    weight: 1.0 / c as f64,
-                    gaussian: Gaussian::new(percentile_sorted(&sorted, q), overall_sigma),
-                }
-            })
-            .collect();
-
-        // Every buffer is allocated once and every per-component logarithm
-        // is taken once per iteration. The loops below evaluate, value by
-        // value, the same floating-point operations in the same order as
-        // the textbook loop kept in this module's tests, which holds them
-        // to `==` — keep it that way: this fit decides every mapping.
-        let n = xs.len();
-        let mut resp = vec![0.0f64; n * c]; // responsibilities, row-major [point][comp]
-        let mut ln_w = vec![0.0f64; c];
-        let mut ln_sigma = vec![0.0f64; c];
-        let (mut nj, mut mu, mut var) = (vec![0.0f64; c], vec![0.0f64; c], vec![0.0f64; c]);
-        let mut prev_ll = f64::NEG_INFINITY;
-
-        for _ in 0..opts.max_iters {
-            for (j, cm) in comps.iter().enumerate() {
-                ln_w[j] = cm.weight.max(f64::MIN_POSITIVE).ln();
-                ln_sigma[j] = cm.gaussian.sigma.ln();
-            }
-
-            // E-step: a row first holds the sample's per-component log
-            // terms, then its responsibilities.
-            let mut ll = 0.0;
-            for ((&x, &w), row) in xs.iter().zip(ws).zip(resp.chunks_exact_mut(c)) {
-                let mut max = f64::NEG_INFINITY;
-                for (j, l) in row.iter_mut().enumerate() {
-                    *l = ln_w[j] + comps[j].gaussian.log_pdf_given(x, ln_sigma[j]);
-                    max = max.max(*l);
-                }
-                let lse = log_sum_exp_given(row, max);
-                ll += w * lse;
-                for r in row.iter_mut() {
-                    *r = (*r - lse).exp();
-                }
-            }
-
-            // M-step (responsibilities scaled by sample weights): one pass
-            // for the masses and means, one for the variances.
-            nj.fill(0.0);
-            mu.fill(0.0);
-            for ((&x, &w), row) in xs.iter().zip(ws).zip(resp.chunks_exact(c)) {
-                for (j, &r) in row.iter().enumerate() {
-                    nj[j] += w * r;
-                    mu[j] += w * r * x;
-                }
-            }
-            for (m, &mass) in mu.iter_mut().zip(&nj) {
-                *m /= mass;
-            }
-            var.fill(0.0);
-            for ((&x, &w), row) in xs.iter().zip(ws).zip(resp.chunks_exact(c)) {
-                for (j, &r) in row.iter().enumerate() {
-                    let d = x - mu[j];
-                    var[j] += w * r * d * d;
-                }
-            }
-            for (j, cm) in comps.iter_mut().enumerate() {
-                *cm = if nj[j] < 1e-12 {
-                    // Dead component: re-seed at the sample mean so it can
-                    // recover, with a tiny weight.
-                    GmmComponent {
-                        weight: 1e-6,
-                        gaussian: Gaussian::new(mean(xs), overall_sigma),
-                    }
-                } else {
-                    GmmComponent {
-                        weight: nj[j] / total_w,
-                        gaussian: Gaussian::new(mu[j], (var[j] / nj[j]).sqrt()),
-                    }
-                };
-            }
-            normalize_weights(&mut comps);
-
-            if (ll - prev_ll).abs() / total_w <= opts.tol {
-                break;
-            }
-            prev_ll = ll;
+        let em = match c {
+            2 => em::<2>,
+            3 => em::<3>,
+            4 => em::<4>,
+            5 => em::<5>,
+            6 => em::<6>,
+            7 => em::<7>,
+            8 => em::<8>,
+            _ => unreachable!("component count checked above"),
+        };
+        Gmm {
+            components: em(xs, ws, total_w, opts),
         }
-
-        Gmm { components: comps }
     }
 
     /// Sweep `C = 1..=opts.max_components` until two counts running fail to
@@ -254,7 +202,7 @@ impl Gmm {
 
     /// Weighted log-likelihood of a sample under this mixture.
     pub fn log_likelihood_weighted(&self, xs: &[f64], ws: &[f64]) -> f64 {
-        xs.iter().zip(ws).map(|(&x, &w)| w * self.log_pdf(x)).sum()
+        self.log_pdfs(xs).zip(ws).map(|(l, &w)| w * l).sum()
     }
 
     /// BIC over a weighted sample: the effective sample size is the total
@@ -267,7 +215,8 @@ impl Gmm {
 
     /// [`Gmm::fit_auto`] over a weighted sample, scored by weighted BIC.
     pub fn fit_auto_weighted(xs: &[f64], ws: &[f64], opts: &GmmFitOptions) -> Self {
-        min_bic(xs, ws, 1..=opts.max_components.max(1), true, opts)
+        let max = opts.max_components.clamp(1, MAX_COMPONENTS);
+        min_bic(xs, ws, 1..=max, true, opts)
     }
 
     /// Weighted BIC selection over a *narrowed* sweep: only component
@@ -284,13 +233,100 @@ impl Gmm {
         opts: &GmmFitOptions,
         near: usize,
     ) -> Self {
-        let max = opts.max_components.max(1);
+        let max = opts.max_components.clamp(1, MAX_COMPONENTS);
         let near = near.clamp(1, max);
         let mut counts = vec![1, near.saturating_sub(1).max(1), near, (near + 1).min(max)];
         counts.sort_unstable();
         counts.dedup();
         min_bic(xs, ws, counts, false, opts)
     }
+}
+
+/// [`Gmm::fit_weighted`]'s EM loop at a width `C` fixed at compile time,
+/// for `2 <= C <= xs.len() / 2` and `total_w = Σ ws > 0`.
+///
+/// Every per-component value lives in a `[f64; C]`, and the M-step's mass
+/// and mean sums ride in the E-step pass, right after each
+/// responsibility. Each accumulator still sees, value by value, the same
+/// floating-point operations in the same order as the textbook loop kept
+/// in this module's tests, which holds them to `==` — keep it that way:
+/// this fit decides every mapping (DESIGN.md §7, "EM kernel").
+fn em<const C: usize>(
+    xs: &[f64],
+    ws: &[f64],
+    total_w: f64,
+    opts: &GmmFitOptions,
+) -> Vec<GmmComponent> {
+    let overall_sigma = population_variance(xs).sqrt().max(SIGMA_FLOOR);
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in GMM sample"));
+    let mut comps: [GmmComponent; C] = std::array::from_fn(|i| {
+        let q = (i as f64 + 0.5) / C as f64 * 100.0;
+        GmmComponent {
+            weight: 1.0 / C as f64,
+            gaussian: Gaussian::new(percentile_sorted(&sorted, q), overall_sigma),
+        }
+    });
+
+    // A row first holds the sample's per-component log terms, then its
+    // responsibilities, which the variance pass reads back.
+    let mut resp = vec![[0.0f64; C]; xs.len()];
+    let mut prev_ll = f64::NEG_INFINITY;
+    for _ in 0..opts.max_iters {
+        let ln_w: [f64; C] = std::array::from_fn(|j| comps[j].weight.max(f64::MIN_POSITIVE).ln());
+        let ln_sigma: [f64; C] = std::array::from_fn(|j| comps[j].gaussian.sigma.ln());
+
+        // E-step, with the masses and weighted sums the M-step divides.
+        let (mut ll, mut nj, mut mu) = (0.0, [0.0f64; C], [0.0f64; C]);
+        for ((&x, &w), row) in xs.iter().zip(ws).zip(resp.iter_mut()) {
+            for j in 0..C {
+                row[j] = ln_w[j] + comps[j].gaussian.log_pdf_given(x, ln_sigma[j]);
+            }
+            let lse = log_sum_exp(row);
+            ll += w * lse;
+            for j in 0..C {
+                let r = (row[j] - lse).exp();
+                row[j] = r;
+                let wr = w * r;
+                nj[j] += wr;
+                mu[j] += wr * x;
+            }
+        }
+
+        // M-step: the means, then one pass for the variances around them.
+        for j in 0..C {
+            mu[j] /= nj[j];
+        }
+        let mut var = [0.0f64; C];
+        for ((&x, &w), row) in xs.iter().zip(ws).zip(&resp) {
+            for j in 0..C {
+                let d = x - mu[j];
+                var[j] += w * row[j] * d * d;
+            }
+        }
+        for (j, cm) in comps.iter_mut().enumerate() {
+            *cm = if nj[j] < 1e-12 {
+                // Dead component: re-seed at the sample mean so it can
+                // recover, with a tiny weight.
+                GmmComponent {
+                    weight: 1e-6,
+                    gaussian: Gaussian::new(mean(xs), overall_sigma),
+                }
+            } else {
+                GmmComponent {
+                    weight: nj[j] / total_w,
+                    gaussian: Gaussian::new(mu[j], (var[j] / nj[j]).sqrt()),
+                }
+            };
+        }
+        normalize_weights(&mut comps);
+
+        if (ll - prev_ll).abs() / total_w <= opts.tol {
+            break;
+        }
+        prev_ll = ll;
+    }
+    comps.to_vec()
 }
 
 /// The one BIC sweep over ascending `counts`: lowest weighted BIC wins, the
@@ -329,18 +365,25 @@ fn normalize_weights(comps: &mut [GmmComponent]) {
     }
 }
 
-/// Numerically stable log(sum(exp(xs))).
+/// Numerically stable log(sum(exp(xs))): `max + ln Σ exp(x − max)`, the
+/// sum taken in order. The first maximal term is `exp(0) = 1` exactly, so
+/// it is the literal; `x > max` skips NaN as `f64::max` does.
+#[inline(always)]
 fn log_sum_exp(xs: &[f64]) -> f64 {
-    log_sum_exp_given(xs, xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
-}
-
-/// [`log_sum_exp`] for a caller that already holds `max`, the running
-/// `f64::max` over `xs` from `-inf`.
-fn log_sum_exp_given(xs: &[f64], max: f64) -> f64 {
+    let (mut max, mut top) = (f64::NEG_INFINITY, 0);
+    for (j, &x) in xs.iter().enumerate() {
+        if x > max {
+            (max, top) = (x, j);
+        }
+    }
     if !max.is_finite() {
         return max;
     }
-    max + xs.iter().map(|&x| (x - max).exp()).sum::<f64>().ln()
+    let mut sum = 0.0;
+    for (j, &x) in xs.iter().enumerate() {
+        sum += if j == top { 1.0 } else { (x - max).exp() };
+    }
+    max + sum.ln()
 }
 
 #[cfg(test)]
@@ -828,13 +871,118 @@ mod tests {
 
     #[test]
     fn large_mixtures_score_like_small_ones() {
-        // More components than `log_pdf` keeps on the stack.
+        // More components than `fit_weighted` fits or `log_pdf` keeps on
+        // the stack, as a deserialised model may carry: built by hand.
         let mut s = crate::sampler::Sampler::new(3);
+        let n = MAX_COMPONENTS + 2;
+        let gmm = Gmm {
+            components: (0..n)
+                .map(|i| GmmComponent {
+                    weight: 1.0 / n as f64,
+                    gaussian: Gaussian::new(s.log_normal(5.0, 0.8), 1.0 + i as f64 * 7.0),
+                })
+                .collect(),
+        };
         let xs: Vec<f64> = (0..400).map(|_| s.log_normal(5.0, 0.8)).collect();
-        let gmm = Gmm::fit(&xs, INLINE_COMPONENTS + 2, &GmmFitOptions::default());
-        assert_eq!(gmm.len(), INLINE_COMPONENTS + 2);
         for &x in &xs {
             assert_eq!(gmm.log_pdf(x), reference_mixture_log_pdf(&gmm, x));
+        }
+        let textbook: f64 = xs.iter().map(|&x| reference_mixture_log_pdf(&gmm, x)).sum();
+        assert_eq!(gmm.log_likelihood(&xs), textbook);
+    }
+
+    #[test]
+    fn sweeps_cap_the_component_count() {
+        let xs: Vec<f64> = gap_samples().pop().expect("samples").1;
+        let ws = decayed_weights(xs.len(), 64);
+        let opts = GmmFitOptions {
+            max_components: 20,
+            max_iters: 40,
+            ..GmmFitOptions::default()
+        };
+        assert!(Gmm::fit_auto(&xs, &opts).len() <= MAX_COMPONENTS);
+        assert!(Gmm::fit_auto_weighted(&xs, &ws, &opts).len() <= MAX_COMPONENTS);
+        assert!(Gmm::fit_auto_weighted_near(&xs, &ws, &opts, 20).len() <= MAX_COMPONENTS);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_COMPONENTS")]
+    fn fit_past_the_cap_panics() {
+        let xs: Vec<f64> = (0..100).map(f64::from).collect();
+        Gmm::fit(&xs, MAX_COMPONENTS + 1, &GmmFitOptions::default());
+    }
+
+    /// Gap-shaped samples for the generated oracle: 1–4 modes, optionally
+    /// snapped to a grid (repeated values) and with one constant run.
+    fn generated_gaps(
+        seed: u64,
+        n: usize,
+        modes: usize,
+        grid: f64,
+        run: (usize, usize),
+    ) -> Vec<f64> {
+        let mut s = crate::sampler::Sampler::new(seed);
+        let mut xs: Vec<f64> = (0..n)
+            .map(|i| match i % modes {
+                0 => s.log_normal(5.0, 0.4),
+                1 => s.normal(900.0, 60.0),
+                2 => s.exponential(4000.0),
+                _ => s.normal(2500.0, 90.0),
+            })
+            .map(|x| {
+                if grid > 0.0 {
+                    (x / grid).round() * grid
+                } else {
+                    x
+                }
+            })
+            .collect();
+        let start = run.0.min(n);
+        let end = (start + run.1).min(n);
+        xs[start..end].fill(420.0);
+        xs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The oracle at every width the kernel is compiled for, and the
+        /// BIC against a per-point textbook sum, both to the bit.
+        #[test]
+        fn every_width_is_bit_identical_to_the_reference_loop(
+            seed in 0u64..1_000_000,
+            n in 0usize..601,
+            modes in 1usize..5,
+            grid in 0usize..3,
+            run in (0usize..600, 0usize..200),
+            weights in 0u8..3,
+            c in 1usize..MAX_COMPONENTS + 1,
+            max_iters in 0usize..4,
+            tol in 0usize..2,
+        ) {
+            let xs = generated_gaps(seed, n, modes, [0.0, 1.0, 50.0][grid], run);
+            let (max_iters, tol) = ([1, 2, 40, 100][max_iters], [1e-6, 1e-5][tol]);
+            let ws: Vec<f64> = match weights {
+                0 => vec![1.0; n],
+                1 => decayed_weights(n, 64),
+                _ => {
+                    let mut s = crate::sampler::Sampler::new(seed ^ 0x5eed);
+                    (0..n).map(|_| if s.coin(0.2) { 0.0 } else { s.uniform() }).collect()
+                }
+            };
+            let opts = GmmFitOptions { max_iters, tol, ..GmmFitOptions::default() };
+            let fitted = Gmm::fit_weighted(&xs, &ws, c, &opts);
+            proptest::prop_assert_eq!(&fitted, &fit_weighted_reference(&xs, &ws, c, &opts));
+
+            let k = (3 * fitted.len() - 1) as f64;
+            let n_eff = ws.iter().sum::<f64>().max(1.0);
+            let ll: f64 = xs
+                .iter()
+                .zip(&ws)
+                .map(|(&x, &w)| w * reference_mixture_log_pdf(&fitted, x))
+                .sum();
+            let textbook = k * n_eff.ln() - 2.0 * ll;
+            proptest::prop_assert_eq!(fitted.bic_weighted(&xs, &ws).to_bits(), textbook.to_bits());
         }
     }
 
