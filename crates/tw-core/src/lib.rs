@@ -220,7 +220,7 @@ impl TraceWeaver {
     ) -> (Reconstruction, DelayRegistry) {
         let (result, round) = self.reconstruct_warm(views, prior);
         let mut posterior = prior.clone();
-        posterior.absorb_round(round, &self.params);
+        posterior.absorb_round(round);
         (result, posterior)
     }
 
@@ -405,7 +405,7 @@ mod tests {
                     split.ranked.candidates(rec.rpc)
                 );
             }
-            prior.absorb_round(round, tw.params());
+            prior.absorb_round(round);
             assert_eq!(prior, posterior);
         }
         assert_eq!(prior.rounds(), 2);

@@ -25,7 +25,6 @@
 //! byte-identical-across-thread-counts invariant.
 
 use crate::delays::{DelayModel, EdgeKey};
-use crate::params::Params;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use tw_model::span::ProcessKey;
@@ -274,12 +273,7 @@ impl DelayRegistry {
     /// insert, refit. Edge iteration is sorted for determinism; edges with
     /// no fresh samples still decay (their models keep serving until the
     /// reservoir empties).
-    pub fn absorb(
-        &mut self,
-        process: ProcessKey,
-        gaps: &HashMap<EdgeKey, Vec<f64>>,
-        _params: &Params,
-    ) {
+    pub fn absorb(&mut self, process: ProcessKey, gaps: &HashMap<EdgeKey, Vec<f64>>) {
         // Registry fits are warm-start priors, not final scoring models:
         // each gets refined again inside the next task's EM loop, so a
         // looser tolerance and iteration cap keep absorb cheap (it runs
@@ -350,10 +344,10 @@ impl DelayRegistry {
 
     /// Absorb one warm pass's gaps, process by process in the round's
     /// sorted order, then close the round. Timed as the `absorb` stage.
-    pub fn absorb_round(&mut self, round: GapRound, params: &Params) {
+    pub fn absorb_round(&mut self, round: GapRound) {
         let _timer = crate::telemetry::metrics().stage_absorb.start_timer();
         for (process, gaps) in &round.0 {
-            self.absorb(*process, gaps, params);
+            self.absorb(*process, gaps);
         }
         self.finish_round();
     }
@@ -381,7 +375,7 @@ mod tests {
         assert!(reg.model_for(&pkey(0)).is_none());
         let mut gaps = HashMap::new();
         gaps.insert(ekey(0, 0), vec![10.0; 50]);
-        reg.absorb(pkey(0), &gaps, &Params::default());
+        reg.absorb(pkey(0), &gaps);
         reg.finish_round();
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.rounds(), 1);
@@ -392,19 +386,18 @@ mod tests {
     #[test]
     fn decay_shifts_model_toward_fresh_regime() {
         let mut reg = DelayRegistry::new();
-        let p = Params::default();
         let key = ekey(0, 0);
         // Old regime at 10us for 3 rounds, then a deploy moves it to 80us.
         let mut old = HashMap::new();
         old.insert(key, vec![10.0; 100]);
         for _ in 0..3 {
-            reg.absorb(pkey(0), &old, &p);
+            reg.absorb(pkey(0), &old);
             reg.finish_round();
         }
         let mut new = HashMap::new();
         new.insert(key, vec![80.0; 100]);
         for _ in 0..3 {
-            reg.absorb(pkey(0), &new, &p);
+            reg.absorb(pkey(0), &new);
             reg.finish_round();
         }
         let model = reg.model_for(&pkey(0)).unwrap();
@@ -447,7 +440,7 @@ mod tests {
         xs.push(f64::INFINITY);
         xs.push(3.6e9);
         gaps.insert(key, xs);
-        reg.absorb(pkey(0), &gaps, &Params::default());
+        reg.absorb(pkey(0), &gaps);
         reg.finish_round();
         assert_eq!(reg.quarantined(), 3);
         let state = reg.get(&pkey(0), &key).expect("edge modeled");
@@ -461,7 +454,7 @@ mod tests {
         let mut reg = DelayRegistry::new();
         let mut gaps = HashMap::new();
         gaps.insert(ekey(0, 0), vec![f64::NAN, f64::NEG_INFINITY, -7.0e7]);
-        reg.absorb(pkey(0), &gaps, &Params::default());
+        reg.absorb(pkey(0), &gaps);
         assert_eq!(reg.quarantined(), 3);
         assert!(reg.model_for(&pkey(0)).is_none(), "no model from garbage");
     }
@@ -474,7 +467,7 @@ mod tests {
         let key = ekey(0, 0);
         let mut gaps = HashMap::new();
         gaps.insert(key, vec![25.0; 40]);
-        reg.absorb(pkey(0), &gaps, &Params::default());
+        reg.absorb(pkey(0), &gaps);
         assert_eq!(reg.quarantined(), 0);
         let model = reg.model_for(&pkey(0)).unwrap();
         assert!(model.log_pdf(&key, 25.0).is_finite());
@@ -491,7 +484,7 @@ mod tests {
             },
             vec![4.0, 5.0, 4.5, 5.5, 4.2],
         );
-        reg.absorb(pkey(3), &gaps, &Params::default());
+        reg.absorb(pkey(3), &gaps);
         reg.finish_round();
         let json = serde_json::to_string(&reg).unwrap();
         let back: DelayRegistry = serde_json::from_str(&json).unwrap();

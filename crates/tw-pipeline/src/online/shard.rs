@@ -242,9 +242,9 @@ impl WindowShard {
             // after the hand-off. A skipped window contributes no round:
             // the registry carries the last reconstructed window's models
             // forward unchanged.
-            if let (Some(warm), Some(tw)) = (self.warm.as_mut(), self.ladder.for_level(level)) {
+            if let (Some(warm), Some(_)) = (self.warm.as_mut(), self.ladder.for_level(level)) {
                 let _span = self.trace.as_ref().and_then(|t| t.span(index, "absorb"));
-                warm.registry.absorb_round(round, tw.params());
+                warm.registry.absorb_round(round);
             }
         }
         // The watermark advances on every mark, empty windows included:

@@ -266,7 +266,6 @@ mod tests {
     fn registry_file_round_trip() {
         use std::collections::HashMap;
         use tw_core::delays::EdgeKey;
-        use tw_core::Params;
         use tw_model::span::ProcessKey;
 
         let mut registry = DelayRegistry::new();
@@ -276,7 +275,7 @@ mod tests {
         };
         let mut gaps = HashMap::new();
         gaps.insert(edge, vec![100.0, 120.0, 95.0, 130.0, 110.0]);
-        registry.absorb(process, &gaps, &Params::default());
+        registry.absorb(process, &gaps);
         registry.finish_round();
 
         let dir = std::env::temp_dir().join("tw-pipeline-test");

@@ -84,9 +84,9 @@ impl Gmm {
             for (l, c) in logs.iter_mut().zip(&self.components) {
                 *l = term(c);
             }
-            log_sum_exp(&logs[..n])
+            log_sum_exp(&mut logs[..n])
         } else {
-            log_sum_exp(&self.components.iter().map(term).collect::<Vec<f64>>())
+            log_sum_exp(&mut self.components.iter().map(term).collect::<Vec<f64>>())
         }
     }
 
@@ -121,7 +121,7 @@ impl Gmm {
             for ((l, c), &(ln_w, ln_sigma)) in logs.iter_mut().zip(&self.components).zip(&lns) {
                 *l = ln_w + c.gaussian.log_pdf_given(x, ln_sigma);
             }
-            log_sum_exp(&logs)
+            log_sum_exp(&mut logs)
         })
     }
 
@@ -245,9 +245,10 @@ impl Gmm {
 /// [`Gmm::fit_weighted`]'s EM loop at a width `C` fixed at compile time,
 /// for `2 <= C <= xs.len() / 2` and `total_w = Σ ws > 0`.
 ///
-/// Every per-component value lives in a `[f64; C]`, and the M-step's mass
-/// and mean sums ride in the E-step pass, right after each
-/// responsibility. Each accumulator still sees, value by value, the same
+/// Every per-component value lives in a `[f64; C]`. The E-step takes each
+/// responsibility from the log-sum-exp's own terms, `r = e · (1/Σe)` (one
+/// `exp` per term, not two), and the M-step's mass and mean sums ride in
+/// the same pass. Each accumulator still sees, value by value, the same
 /// floating-point operations in the same order as the textbook loop kept
 /// in this module's tests, which holds them to `==` — keep it that way:
 /// this fit decides every mapping (DESIGN.md §7, "EM kernel").
@@ -268,8 +269,9 @@ fn em<const C: usize>(
         }
     });
 
-    // A row first holds the sample's per-component log terms, then its
-    // responsibilities, which the variance pass reads back.
+    // A row holds the sample's per-component log terms, then their
+    // `exp(l − max)`, then its responsibilities, which the variance pass
+    // reads back.
     let mut resp = vec![[0.0f64; C]; xs.len()];
     let mut prev_ll = f64::NEG_INFINITY;
     for _ in 0..opts.max_iters {
@@ -282,10 +284,11 @@ fn em<const C: usize>(
             for j in 0..C {
                 row[j] = ln_w[j] + comps[j].gaussian.log_pdf_given(x, ln_sigma[j]);
             }
-            let lse = log_sum_exp(row);
+            let (lse, sum) = exp_terms(row);
             ll += w * lse;
+            let inv = 1.0 / sum;
             for j in 0..C {
-                let r = (row[j] - lse).exp();
+                let r = row[j] * inv;
                 row[j] = r;
                 let wr = w * r;
                 nj[j] += wr;
@@ -366,10 +369,14 @@ fn normalize_weights(comps: &mut [GmmComponent]) {
 }
 
 /// Numerically stable log(sum(exp(xs))): `max + ln Σ exp(x − max)`, the
-/// sum taken in order. The first maximal term is `exp(0) = 1` exactly, so
-/// it is the literal; `x > max` skips NaN as `f64::max` does.
+/// sum taken in order, with each term `exp(x − max)` left in its `x`.
+/// Returns `(lse, Σ)`. The first maximal term is `exp(0) = 1` exactly, so
+/// it is the literal; `x > max` skips NaN as `f64::max` does. A
+/// non-finite maximum is the lse itself: every term is then
+/// `exp(x − max)` as it stands and `Σ` is 1, so `term / Σ` is
+/// `exp(x − lse)`.
 #[inline(always)]
-fn log_sum_exp(xs: &[f64]) -> f64 {
+fn exp_terms(xs: &mut [f64]) -> (f64, f64) {
     let (mut max, mut top) = (f64::NEG_INFINITY, 0);
     for (j, &x) in xs.iter().enumerate() {
         if x > max {
@@ -377,13 +384,23 @@ fn log_sum_exp(xs: &[f64]) -> f64 {
         }
     }
     if !max.is_finite() {
-        return max;
+        for x in xs.iter_mut() {
+            *x = (*x - max).exp();
+        }
+        return (max, 1.0);
     }
     let mut sum = 0.0;
-    for (j, &x) in xs.iter().enumerate() {
-        sum += if j == top { 1.0 } else { (x - max).exp() };
+    for (j, x) in xs.iter_mut().enumerate() {
+        *x = if j == top { 1.0 } else { (*x - max).exp() };
+        sum += *x;
     }
-    max + sum.ln()
+    (max + sum.ln(), sum)
+}
+
+/// [`exp_terms`]' lse; `xs` is left holding the terms.
+#[inline(always)]
+fn log_sum_exp(xs: &mut [f64]) -> f64 {
+    exp_terms(xs).0
 }
 
 #[cfg(test)]
@@ -587,11 +604,54 @@ mod tests {
         reference_log_sum_exp(&logs)
     }
 
-    /// The textbook EM loop `Gmm::fit_weighted` was before it was made
-    /// allocation-free: a `Vec` and two logarithms per (sample, component),
-    /// three strided M-step passes, a sort per component. The oracle:
-    /// `fit_weighted` must return exactly what this returns.
+    /// One sample's E-step in the ratio form: from its `Vec` of log terms,
+    /// the max (the literal 1 at the first maximum), `e_j = exp(l_j − max)`,
+    /// `s = Σ e_j` in order, `lse = max + ln s` and `r_j = e_j · (1/s)`. A
+    /// non-finite max is the lse, and `r_j = exp(l_j − lse)`.
+    fn ratio_responsibilities(logs: &[f64]) -> (f64, Vec<f64>) {
+        let m = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        if !m.is_finite() {
+            return (m, logs.iter().map(|&l| (l - m).exp()).collect());
+        }
+        let top = logs.iter().position(|&l| l == m).expect("a maximum");
+        let es: Vec<f64> = (0..logs.len())
+            .map(|j| if j == top { 1.0 } else { (logs[j] - m).exp() })
+            .collect();
+        let s: f64 = es.iter().sum();
+        let inv = 1.0 / s;
+        (m + s.ln(), es.iter().map(|&e| e * inv).collect())
+    }
+
+    /// One sample's E-step in the exp form the kernel used until it took
+    /// `r = e / Σe`: `lse` by log-sum-exp, then `r_j = exp(l_j − lse)`.
+    fn exp_responsibilities(logs: &[f64]) -> (f64, Vec<f64>) {
+        let lse = reference_log_sum_exp(logs);
+        (lse, logs.iter().map(|&l| (l - lse).exp()).collect())
+    }
+
+    /// The oracle: the textbook EM loop `Gmm::fit_weighted` was before it
+    /// was made allocation-free, with the ratio-form E-step. `fit_weighted`
+    /// must return exactly what this returns.
     fn fit_weighted_reference(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
+        textbook_em(xs, ws, c, opts, ratio_responsibilities)
+    }
+
+    /// The same loop with the exp-form E-step: what `fit_weighted` returned
+    /// before the ratio form, which it must stay close to.
+    fn fit_weighted_exp_reference(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
+        textbook_em(xs, ws, c, opts, exp_responsibilities)
+    }
+
+    /// A `Vec` and two logarithms per (sample, component), one E-step per
+    /// sample from `responsibilities`, three strided M-step passes, a sort
+    /// per component.
+    fn textbook_em(
+        xs: &[f64],
+        ws: &[f64],
+        c: usize,
+        opts: &GmmFitOptions,
+        responsibilities: fn(&[f64]) -> (f64, Vec<f64>),
+    ) -> Gmm {
         if xs.is_empty() {
             return Gmm::single(Gaussian::new(0.0, 1.0));
         }
@@ -624,11 +684,9 @@ mod tests {
                         cm.weight.max(f64::MIN_POSITIVE).ln() + reference_log_pdf(&cm.gaussian, x)
                     })
                     .collect();
-                let lse = reference_log_sum_exp(&logs);
+                let (lse, r) = responsibilities(&logs);
                 ll += ws[i] * lse;
-                for (j, &lj) in logs.iter().enumerate() {
-                    resp[i * c + j] = (lj - lse).exp();
-                }
+                resp[i * c..(i + 1) * c].copy_from_slice(&r);
             }
 
             for j in 0..c {
@@ -986,9 +1044,64 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// The ratio form moves a fit by rounding only. On the width
+        /// oracle's samples, converged and fixed-count fits keep the exp
+        /// form's component count and reach its weighted log-likelihood
+        /// within 1e-6 per unit weight. A fit with a component on the σ
+        /// floor is held to 1e-4 instead: that component is a point mass,
+        /// so an ulp δ of its mean moves each of its points' log density
+        /// by (δ/σ)²/2, about 5e-6 at σ = 1e-9, in either form.
+        #[test]
+        fn ratio_fits_stay_close_to_the_exp_form(
+            seed in 0u64..1_000_000,
+            n in 0usize..601,
+            modes in 1usize..5,
+            grid in 0usize..3,
+            run in (0usize..600, 0usize..200),
+            weights in 0u8..3,
+            c in 1usize..MAX_COMPONENTS + 1,
+        ) {
+            let xs = generated_gaps(seed, n, modes, [0.0, 1.0, 50.0][grid], run);
+            let ws: Vec<f64> = match weights {
+                0 => vec![1.0; n],
+                1 => decayed_weights(n, 64),
+                _ => {
+                    let mut s = crate::sampler::Sampler::new(seed ^ 0x5eed);
+                    (0..n).map(|_| if s.coin(0.2) { 0.0 } else { s.uniform() }).collect()
+                }
+            };
+            let total_w = ws.iter().sum::<f64>().max(f64::MIN_POSITIVE);
+            for (max_iters, tol) in [(100, 1e-6), (100, 1e-5), (10, -1.0), (40, -1.0)] {
+                let opts = GmmFitOptions { max_iters, tol, ..GmmFitOptions::default() };
+                let ratio = Gmm::fit_weighted(&xs, &ws, c, &opts);
+                let exp = fit_weighted_exp_reference(&xs, &ws, c, &opts);
+                proptest::prop_assert_eq!(ratio.len(), exp.len());
+                let (a, b) = (
+                    ratio.log_likelihood_weighted(&xs, &ws),
+                    exp.log_likelihood_weighted(&xs, &ws),
+                );
+                let drift = if a == b { 0.0 } else { (a - b).abs() / total_w };
+                let on_floor = ratio
+                    .components
+                    .iter()
+                    .chain(&exp.components)
+                    .any(|c| c.gaussian.sigma <= SIGMA_FLOOR);
+                let bound = if on_floor { 1e-4 } else { 1e-6 };
+                proptest::prop_assert!(
+                    drift <= bound,
+                    "max_iters={} tol={}: {} vs {} ({} per unit weight)",
+                    max_iters, tol, a, b, drift
+                );
+            }
+        }
+    }
+
     #[test]
     fn log_sum_exp_stability() {
-        assert!((log_sum_exp(&[-1000.0, -1000.0]) - (-1000.0 + 2.0f64.ln())).abs() < 1e-9);
-        assert_eq!(log_sum_exp(&[f64::NEG_INFINITY]), f64::NEG_INFINITY);
+        assert!((log_sum_exp(&mut [-1000.0, -1000.0]) - (-1000.0 + 2.0f64.ln())).abs() < 1e-9);
+        assert_eq!(log_sum_exp(&mut [f64::NEG_INFINITY]), f64::NEG_INFINITY);
     }
 }
