@@ -181,9 +181,9 @@ impl TraceWeaver {
         self.reconstruct(&split_by_process(records))
     }
 
-    /// Warm-path reconstruction: tasks whose process appears in `prior`
-    /// skip the seed bootstrap and start EM from the registry's models
-    /// (running one pass); the others seed cold.
+    /// Warm-path reconstruction from raw records: tasks whose process
+    /// appears in `prior` skip the seed bootstrap and start EM from the
+    /// registry's models (running one pass); the others seed cold.
     /// Returns the reconstruction plus the round of every task's final
     /// edge gaps, for [`DelayRegistry::absorb_round`] to fold into the
     /// next pass's prior. The result needs no absorb, so a caller can hand
@@ -192,46 +192,26 @@ impl TraceWeaver {
     /// Like [`TraceWeaver::reconstruct`], the output (including the
     /// round) is byte-identical for every thread count: tasks are pure
     /// and results return in sorted process order.
-    pub fn reconstruct_warm(
-        &self,
-        views: &HashMap<ProcessKey, SpanView>,
-        prior: &DelayRegistry,
-    ) -> (Reconstruction, GapRound) {
-        self.reconstruct_inner(views, Some(prior))
-    }
-
-    /// Convenience: split raw records into per-process views and run
-    /// [`TraceWeaver::reconstruct_warm`].
     pub fn reconstruct_records_warm(
         &self,
         records: &[RpcRecord],
         prior: &DelayRegistry,
     ) -> (Reconstruction, GapRound) {
-        self.reconstruct_warm(&split_by_process(records), prior)
+        self.reconstruct_inner(&split_by_process(records), Some(prior))
     }
 
-    /// [`TraceWeaver::reconstruct_warm`] plus its absorb: returns the
-    /// reconstruction and the *posterior* registry, `prior` advanced by one
-    /// absorb round (decayed reservoirs, weighted refit).
-    pub fn reconstruct_with_registry(
-        &self,
-        views: &HashMap<ProcessKey, SpanView>,
-        prior: &DelayRegistry,
-    ) -> (Reconstruction, DelayRegistry) {
-        let (result, round) = self.reconstruct_warm(views, prior);
-        let mut posterior = prior.clone();
-        posterior.absorb_round(round);
-        (result, posterior)
-    }
-
-    /// Convenience: split raw records into per-process views and run
-    /// [`TraceWeaver::reconstruct_with_registry`].
+    /// [`TraceWeaver::reconstruct_records_warm`] plus its absorb: returns
+    /// the reconstruction and the *posterior* registry, `prior` advanced
+    /// by one absorb round (decayed reservoirs, weighted refit).
     pub fn reconstruct_records_with_registry(
         &self,
         records: &[RpcRecord],
         prior: &DelayRegistry,
     ) -> (Reconstruction, DelayRegistry) {
-        self.reconstruct_with_registry(&split_by_process(records), prior)
+        let (result, round) = self.reconstruct_records_warm(records, prior);
+        let mut posterior = prior.clone();
+        posterior.absorb_round(round);
+        (result, posterior)
     }
 
     /// One pass; the gap round is collected only on the warm path.

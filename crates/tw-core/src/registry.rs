@@ -11,7 +11,8 @@
 //! rounds: for every `(ProcessKey, EdgeKey)` it keeps the current GMM and
 //! a bounded reservoir of the gap samples that produced it. After each
 //! round the caller feeds the round's inferred gaps back via
-//! [`DelayRegistry::absorb_round`]: existing reservoir samples are decayed by
+//! [`DelayRegistry::absorb_round`]: for each edge with fresh gaps, the
+//! existing reservoir samples are decayed by
 //! [`DELAY_DECAY`], fresh samples enter at weight 1, the reservoir is
 //! truncated to [`RESERVOIR_CAPACITY`], and the edge's GMM is refit with
 //! a *weighted* EM (BIC-selected component count over the effective
@@ -30,10 +31,10 @@ use std::collections::{BTreeMap, HashMap};
 use tw_model::span::ProcessKey;
 use tw_stats::gmm::{Gmm, GmmFitOptions};
 
-/// Multiplicative down-weighting applied to every reservoir sample per
-/// absorb round: fresh gaps enter at weight 1, a sample from `k` rounds
-/// ago counts `DELAY_DECAY^k`, so the model tracks load shifts and deploys
-/// instead of averaging over them.
+/// Multiplicative down-weighting applied to an edge's reservoir samples
+/// each absorb round that brings the edge fresh gaps: fresh gaps enter at
+/// weight 1, a sample `k` such rounds old counts `DELAY_DECAY^k`, so the
+/// model tracks load shifts and deploys instead of averaging over them.
 const DELAY_DECAY: f64 = 0.5;
 
 /// Gap samples retained per edge, oldest evicted first: bounds absorb cost
@@ -41,8 +42,9 @@ const DELAY_DECAY: f64 = 0.5;
 const RESERVOIR_CAPACITY: usize = 512;
 
 /// Decayed samples below this weight are evicted: at [`DELAY_DECAY`] a
-/// sample survives ~7 absorb rounds before falling out, bounding how long
-/// a dead delay regime can linger.
+/// sample survives ~7 absorb rounds that touch its edge before falling
+/// out, bounding how long a dead delay regime can linger once fresh
+/// samples replace it.
 const MIN_RESERVOIR_WEIGHT: f64 = 1e-2;
 
 /// Largest gap magnitude (µs) accepted into a reservoir: one minute.
@@ -108,7 +110,7 @@ pub struct EdgeState {
 }
 
 /// One warm pass's inferred edge gaps, per process in sorted process
-/// order: what [`crate::TraceWeaver::reconstruct_warm`] hands back and
+/// order: what [`crate::TraceWeaver::reconstruct_records_warm`] hands back and
 /// [`DelayRegistry::absorb_round`] folds in. Every task of the pass has an
 /// entry, with or without gaps.
 #[derive(Debug, Clone, Default)]
@@ -137,7 +139,7 @@ struct EdgeDoc {
 
 /// Per-`(ProcessKey, EdgeKey)` delay models with bounded, decayed sample
 /// reservoirs — the unit of warm-start state threaded through
-/// [`crate::TraceWeaver::reconstruct_with_registry`], the online engine,
+/// [`crate::TraceWeaver::reconstruct_records_with_registry`], the online engine,
 /// and `twctl learn-delays`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DelayRegistry {
@@ -270,9 +272,11 @@ impl DelayRegistry {
     }
 
     /// Fold one process's round of inferred gaps into the registry: decay,
-    /// insert, refit. Edge iteration is sorted for determinism; edges with
-    /// no fresh samples still decay (their models keep serving until the
-    /// reservoir empties).
+    /// insert, refit, in sorted edge order for determinism. Only an edge
+    /// with at least one admissible fresh gap is touched: one absent from
+    /// `gaps`, or whose gaps are all quarantined, keeps its reservoir and
+    /// model exactly as they were, so an idle edge's model keeps serving
+    /// unchanged.
     pub fn absorb(&mut self, process: ProcessKey, gaps: &HashMap<EdgeKey, Vec<f64>>) {
         // Registry fits are warm-start priors, not final scoring models:
         // each gets refined again inside the next task's EM loop, so a
@@ -405,6 +409,46 @@ mod tests {
             model.log_pdf(&key, 80.0) > model.log_pdf(&key, 10.0),
             "model should track the new regime"
         );
+    }
+
+    /// Every bit of an edge's learned state: reservoir samples and
+    /// weights, then mixture weights, means and sigmas.
+    fn state_bits(state: &EdgeState) -> Vec<u64> {
+        let samples = state.reservoir.samples.iter().flat_map(|&(x, w)| [x, w]);
+        let model = state.model.components.iter();
+        let params = model.flat_map(|c| [c.weight, c.gaussian.mu, c.gaussian.sigma]);
+        samples.chain(params).map(f64::to_bits).collect()
+    }
+
+    /// Absorb touches only the edges a round brings admissible gaps for:
+    /// an edge missing from the round — for more rounds than a touched
+    /// sample survives — or whose gaps are all quarantined keeps its
+    /// reservoir weights and its model bit for bit.
+    #[test]
+    fn edge_missing_from_a_round_stands_still() {
+        let mut reg = DelayRegistry::new();
+        let (idle, busy) = (ekey(0, 0), ekey(0, 1));
+        let mut round = HashMap::new();
+        round.insert(idle, vec![10.0, 12.0, 11.0, 30.0, 31.0]);
+        round.insert(busy, vec![50.0; 20]);
+        reg.absorb(pkey(0), &round);
+        reg.finish_round();
+        let idle_before = state_bits(reg.get(&pkey(0), &idle).unwrap());
+        let busy_before = state_bits(reg.get(&pkey(0), &busy).unwrap());
+
+        round.remove(&idle);
+        round.insert(busy, vec![60.0, 61.0, 59.0, 62.0]);
+        for _ in 0..10 {
+            reg.absorb(pkey(0), &round);
+            reg.finish_round();
+        }
+        round.insert(idle, vec![f64::NAN, 1e12]);
+        reg.absorb(pkey(0), &round);
+        reg.finish_round();
+
+        assert_eq!(state_bits(reg.get(&pkey(0), &idle).unwrap()), idle_before);
+        assert_ne!(state_bits(reg.get(&pkey(0), &busy).unwrap()), busy_before);
+        assert_eq!(reg.quarantined(), 2);
     }
 
     #[test]

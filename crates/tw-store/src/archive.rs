@@ -2,22 +2,26 @@
 //! windows, committed segments on disk, and the maintenance passes
 //! (compaction + retention) that keep the directory bounded.
 //!
-//! Commit protocol (crash-ordered):
+//! Every layout change — a seal, a compaction, a retention pass — is one
+//! crash-ordered `commit`:
 //!
-//! 1. the active buffer serializes into a new segment file, written via
+//! 1. the new traces, if any, become segment `next_seq`, written via
 //!    write-temp→fsync→rename;
-//! 2. the manifest — now listing the segment and carrying the advanced
-//!    archived-window watermark — replaces the old one the same way;
-//! 3. maintenance runs: a new segment is the only event that can change
-//!    what compaction or retention would do, so the layout on disk is a
-//!    function of the window stream, never of wall time.
+//! 2. the manifest — listing that segment in place of the ones it
+//!    replaces, with the archived-window watermark — replaces the old one
+//!    the same way;
+//! 3. the replaced segment files are deleted.
 //!
 //! A crash after (1) but before (2) leaves an orphan segment file: the
 //! next open removes it, and because the watermark only advances in (2),
 //! the orphan's windows are re-archived on replay. A crash before (1)
-//! loses only the active buffer, again below the watermark. Committed
-//! segments are immutable and never rewritten in place, so previously
-//! sealed data survives every crash point.
+//! loses only the active buffer, again below the watermark; one after
+//! (2) leaves replaced files the next open removes. Committed segments
+//! are immutable and never rewritten in place, so previously sealed data
+//! survives every crash point. A seal that wrote a segment then
+//! maintains: a new segment is the only event that can change what
+//! compaction or retention would do, so the layout on disk is a function
+//! of the window stream, never of wall time.
 
 use crate::frame::StoreError;
 use crate::manifest::{load_manifest, save_manifest, Manifest, SegmentMeta};
@@ -88,20 +92,18 @@ pub struct TraceArchive {
     /// Durable archived-window watermark, mirrored from the manifest
     /// after every commit, so reading it never waits on a commit's fsync.
     watermark: AtomicU64,
-    cold_start: Option<String>,
 }
 
 impl TraceArchive {
     /// Open (or create) the archive in `cfg.dir`. A corrupt or unreadable
     /// manifest is rejected *cleanly*: the archive starts fresh, the
-    /// reason is reported via [`cold_start_reason`](Self::cold_start_reason)
-    /// and `tw_store_cold_starts_total{reason}` — it never panics and
+    /// reason is reported on stderr and in
+    /// `tw_store_cold_starts_total{reason}` — it never panics and
     /// never trusts a torn file. Orphan segment files (a crash between
     /// segment write and manifest commit) are removed.
     pub fn open(cfg: ArchiveConfig, registry: &Registry) -> std::io::Result<TraceArchive> {
         std::fs::create_dir_all(&cfg.dir)?;
         let metrics = StoreMetrics::new(registry);
-        let mut cold_start = None;
         let mut manifest = match load_manifest(&cfg.dir) {
             Ok(m) => m,
             Err(StoreError::Missing) => Manifest::default(),
@@ -111,7 +113,6 @@ impl TraceArchive {
                     _ => metrics.cold_corrupt.inc(),
                 }
                 eprintln!("tw-store: manifest rejected: {err}; cold start");
-                cold_start = Some(err.to_string());
                 Manifest::default()
             }
         };
@@ -157,16 +158,9 @@ impl TraceArchive {
             }),
             watermark,
             cfg,
-            cold_start,
         };
-        archive.publish_gauges(&archive.state.lock());
+        archive.publish_gauges(&archive.state.lock().manifest);
         Ok(archive)
-    }
-
-    /// Why the last open could not load an existing manifest (`None` on a
-    /// clean open or a first boot).
-    pub fn cold_start_reason(&self) -> Option<&str> {
-        self.cold_start.as_deref()
     }
 
     /// The archive directory.
@@ -251,67 +245,25 @@ impl TraceArchive {
         ordered(out, q)
     }
 
-    fn publish_gauges(&self, state: &State) {
-        self.metrics
-            .segments
-            .set(state.manifest.segments.len() as f64);
-        self.metrics.bytes.set(state.manifest.total_bytes() as f64);
-        self.metrics.watermark.set(state.manifest.watermark as f64);
+    fn publish_gauges(&self, manifest: &Manifest) {
+        self.metrics.segments.set(manifest.segments.len() as f64);
+        self.metrics.bytes.set(manifest.total_bytes() as f64);
+        self.metrics.watermark.set(manifest.watermark as f64);
     }
 
-    /// Commit: segment first, manifest second, then maintenance if a
-    /// segment was written. On any failure the in-memory state is left
-    /// unchanged (the buffer retries at the next seal) and the previous
-    /// committed state stays intact.
+    /// Seal the active buffer (if any) and advance the watermark to
+    /// `pending`; a seal that wrote a segment then maintains. On failure
+    /// the buffer stays and retries at the next seal.
     fn seal_locked(&self, state: &mut State) {
         if state.active.is_empty() && state.manifest.watermark == state.pending {
             return;
         }
-        let mut manifest = state.manifest.clone();
-        let mut wrote_segment = false;
-        if !state.active.is_empty() {
-            let seq = manifest.next_seq;
-            let file = Manifest::segment_file(seq);
-            match write_segment(&self.dir.join(&file), &state.active) {
-                Ok((bytes, index)) => {
-                    manifest.next_seq = seq + 1;
-                    manifest.segments.push(SegmentMeta {
-                        file,
-                        seq,
-                        bytes,
-                        tail: false,
-                        index,
-                    });
-                    wrote_segment = true;
-                }
-                Err(err) => {
-                    self.metrics.errors.inc();
-                    eprintln!("tw-store: segment write failed: {err}");
-                    return;
-                }
-            }
-        }
-        manifest.watermark = state.pending;
-        match save_manifest(&self.dir, &manifest) {
-            Ok(()) => {
-                state.manifest = manifest;
-                state.active.clear();
-                state.active_bytes = 0;
-                self.watermark
-                    .store(state.manifest.watermark, Ordering::Release);
-                self.publish_gauges(state);
-                if wrote_segment {
-                    self.metrics.seals.inc();
-                    self.maintain_locked(state);
-                }
-            }
-            Err(err) => {
-                // The segment file (if written) is an orphan until a
-                // later manifest commit references a successor; the next
-                // open removes it and replay re-archives its windows.
-                self.metrics.errors.inc();
-                eprintln!("tw-store: manifest write failed: {err}");
-            }
+        let (wrote, pending) = (!state.active.is_empty(), state.pending);
+        if self.commit(&mut state.manifest, &[], &state.active, false, pending) && wrote {
+            state.active.clear();
+            state.active_bytes = 0;
+            self.metrics.seals.inc();
+            self.maintain_locked(state);
         }
     }
 
@@ -341,43 +293,9 @@ impl TraceArchive {
             }
         }
         sort_traces(&mut merged);
-        let mut manifest = state.manifest.clone();
-        let seq = manifest.next_seq;
-        let file = Manifest::segment_file(seq);
-        let (bytes, index) = match write_segment(&self.dir.join(&file), &merged) {
-            Ok(ok) => ok,
-            Err(err) => {
-                self.metrics.errors.inc();
-                eprintln!("tw-store: compaction write failed: {err}");
-                return;
-            }
-        };
-        manifest.next_seq = seq + 1;
-        let small_seqs: std::collections::HashSet<u64> = small.iter().map(|s| s.seq).collect();
-        manifest.segments.retain(|s| !small_seqs.contains(&s.seq));
-        manifest.segments.push(SegmentMeta {
-            file: file.clone(),
-            seq,
-            bytes,
-            tail: false,
-            index,
-        });
-        match save_manifest(&self.dir, &manifest) {
-            Ok(()) => {
-                state.manifest = manifest;
-                self.metrics.compactions.inc();
-                // Only after the commit: the old files are no longer
-                // referenced by any reader of the new manifest.
-                for seg in &small {
-                    let _ = std::fs::remove_file(self.dir.join(&seg.file));
-                }
-                self.publish_gauges(state);
-            }
-            Err(err) => {
-                self.metrics.errors.inc();
-                eprintln!("tw-store: compaction manifest write failed: {err}");
-                let _ = std::fs::remove_file(self.dir.join(&file));
-            }
+        let watermark = state.manifest.watermark;
+        if self.commit(&mut state.manifest, &small, &merged, false, watermark) {
+            self.metrics.compactions.inc();
         }
     }
 
@@ -423,52 +341,72 @@ impl TraceArchive {
                 }
             }
         }
-        let mut manifest = state.manifest.clone();
-        let gone: std::collections::HashSet<u64> = evict.iter().map(|s| s.seq).collect();
-        manifest.segments.retain(|s| !gone.contains(&s.seq));
-        let mut tail_file = None;
-        if !salvaged.is_empty() {
-            sort_traces(&mut salvaged);
-            let seq = manifest.next_seq;
+        sort_traces(&mut salvaged);
+        let watermark = state.manifest.watermark;
+        if self.commit(&mut state.manifest, &evict, &salvaged, true, watermark) {
+            // Counted only now: an eviction is real once committed.
+            self.metrics.dropped_size.add(dropped);
+            self.metrics.tail_kept.add(salvaged.len() as u64);
+        }
+    }
+
+    /// The one commit, shared by seal, compaction and retention: write
+    /// `traces` (if any) as segment `next_seq`, then save a manifest that
+    /// lists it in place of `replaced` and carries `watermark`, then —
+    /// only now that no reader of the new manifest references them —
+    /// delete the replaced files. On any failure `manifest` is untouched,
+    /// the uncommitted segment file is removed and the error counted.
+    /// Returns whether it committed.
+    fn commit(
+        &self,
+        manifest: &mut Manifest,
+        replaced: &[SegmentMeta],
+        traces: &[StoredTrace],
+        tail: bool,
+        watermark: u64,
+    ) -> bool {
+        let mut next = manifest.clone();
+        next.segments.retain(|s| !replaced.contains(s));
+        next.watermark = watermark;
+        let mut written = None;
+        if !traces.is_empty() {
+            let seq = next.next_seq;
             let file = Manifest::segment_file(seq);
-            match write_segment(&self.dir.join(&file), &salvaged) {
+            let path = self.dir.join(&file);
+            match write_segment(&path, traces) {
                 Ok((bytes, index)) => {
-                    manifest.next_seq = seq + 1;
-                    tail_file = Some(self.dir.join(&file));
-                    manifest.segments.push(SegmentMeta {
+                    next.next_seq = seq + 1;
+                    next.segments.push(SegmentMeta {
                         file,
                         seq,
                         bytes,
-                        tail: true,
+                        tail,
                         index,
                     });
+                    written = Some(path);
                 }
                 Err(err) => {
                     self.metrics.errors.inc();
-                    eprintln!("tw-store: tail segment write failed: {err}");
-                    return; // abort the pass; nothing was deleted yet
+                    eprintln!("tw-store: segment {file} write failed: {err}");
+                    return false;
                 }
             }
         }
-        match save_manifest(&self.dir, &manifest) {
-            Ok(()) => {
-                state.manifest = manifest;
-                // Counted only now: an eviction is real once committed.
-                self.metrics.dropped_size.add(dropped);
-                self.metrics.tail_kept.add(salvaged.len() as u64);
-                for seg in &evict {
-                    let _ = std::fs::remove_file(self.dir.join(&seg.file));
-                }
-                self.publish_gauges(state);
+        if let Err(err) = save_manifest(&self.dir, &next) {
+            self.metrics.errors.inc();
+            eprintln!("tw-store: manifest write failed: {err}");
+            if let Some(path) = written {
+                let _ = std::fs::remove_file(path);
             }
-            Err(err) => {
-                self.metrics.errors.inc();
-                eprintln!("tw-store: retention manifest write failed: {err}");
-                if let Some(path) = tail_file {
-                    let _ = std::fs::remove_file(path);
-                }
-            }
+            return false;
         }
+        for seg in replaced {
+            let _ = std::fs::remove_file(self.dir.join(&seg.file));
+        }
+        *manifest = next;
+        self.watermark.store(watermark, Ordering::Release);
+        self.publish_gauges(manifest);
+        true
     }
 }
 
@@ -551,7 +489,6 @@ mod tests {
         let dir = tmp_dir("rt");
         let registry = Registry::new();
         let archive = TraceArchive::open(tiny_cfg(&dir), &registry).unwrap();
-        assert!(archive.cold_start_reason().is_none());
         archive.observe_window(0, vec![trace(0, 1, 7, 1_000, 2_000)]);
         archive.observe_window(1, vec![trace(1, 2, 7, 3_000, 700_000_000)]);
         assert_eq!(archive.watermark(), 2);
@@ -690,8 +627,6 @@ mod tests {
 
         let registry = Registry::new();
         let reopened = TraceArchive::open(tiny_cfg(&dir), &registry).unwrap();
-        let reason = reopened.cold_start_reason().expect("cold start reported");
-        assert!(reason.contains("crc"), "got {reason}");
         assert_eq!(reopened.watermark(), 0, "fresh archive");
         assert!(registry
             .render()
@@ -785,57 +720,152 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A retention pass that cannot commit evicts nothing, so it counts
-    /// nothing: a failed tail-segment write or manifest save leaves the
-    /// counters, the committed bytes and the directory as they were, and
-    /// counts the error.
+    /// Every file in `dir` with its bytes, by name.
+    fn listing(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().is_file())
+            .map(|e| {
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Segment files in the archive's directory its manifest does not list.
+    fn unlisted(archive: &TraceArchive) -> Vec<String> {
+        let state = archive.state.lock();
+        let listed = |file: &String| state.manifest.segments.iter().any(|s| &s.file == file);
+        let files = listing(&archive.dir).into_iter().map(|(file, _)| file);
+        files
+            .filter(|f| f.starts_with("seg-") && f.ends_with(".twsg") && !listed(f))
+            .collect()
+    }
+
+    /// The counters a committed pass moves: seals, compactions, tail
+    /// salvages and retention drops.
+    fn pass_counts(registry: &Registry) -> [f64; 4] {
+        [
+            "tw_store_seals_total",
+            "tw_store_compactions_total",
+            TAIL_KEPT,
+            DROPPED,
+        ]
+        .map(|name| series(registry, name))
+    }
+
+    /// A pass that cannot commit changes nothing: for seal, compaction
+    /// and retention, a directory in place of the new segment or of the
+    /// manifest's temp file fails the pass, which leaves the layout, the
+    /// watermark and every pass counter as they were, counts one error
+    /// and leaves no uncommitted segment behind. Unblocked, the next pass
+    /// lays out the directory exactly as a run that never failed.
     #[test]
-    fn failed_retention_pass_counts_no_eviction() {
-        let dir = tmp_dir("retain-fail");
-        let registry = Registry::new();
-        let cfg = ArchiveConfig {
-            segment_bytes: 1,
-            retention_bytes: 600,
-            ..ArchiveConfig::new(&dir)
-        };
-        let archive = TraceArchive::open(cfg, &registry).unwrap();
-        // The tail segment would be the third file: a directory in its
-        // place fails the write.
-        let tail = dir.join(Manifest::segment_file(2));
-        std::fs::create_dir(&tail).unwrap();
-        // Window 0 holds a slow trace (salvaged) and a fast one (dropped).
-        let slow = trace(0, 1, 7, 1_000, 900_000_000);
-        archive.observe_window(0, vec![slow, trace(0, 2, 7, 2_000, 3_000)]);
-        archive.observe_window(1, vec![trace(1, 3, 7, 10_000, 20_000)]);
-        let bytes = archive.committed_bytes();
-        assert!(bytes > 600);
+    fn failed_commit_changes_nothing_and_retries_cleanly() {
+        type Setup = fn(&Path, &Registry) -> TraceArchive;
+        type Pass = fn(&TraceArchive);
+        // Each pass, how to reach the point just before it, and the pass
+        // counters it moves in a run that never fails.
+        let passes: [(&str, Setup, Pass, [f64; 4]); 3] = [
+            (
+                "seal",
+                |dir, registry| {
+                    let archive = TraceArchive::open(ArchiveConfig::new(dir), registry).unwrap();
+                    archive.observe_window(0, vec![trace(0, 1, 7, 1_000, 2_000)]);
+                    archive
+                },
+                TraceArchive::sync,
+                [1.0, 0.0, 0.0, 0.0],
+            ),
+            (
+                "compaction",
+                |dir, registry| {
+                    // Four one-byte-threshold seals, then reopened with a
+                    // threshold that makes all four small.
+                    let archive = TraceArchive::open(tiny_cfg(dir), &Registry::new()).unwrap();
+                    for w in 0..COMPACT_MIN_SEGMENTS as u64 {
+                        archive.observe_window(
+                            w,
+                            vec![trace(w, w + 1, 7, w * 1_000, w * 1_000 + 500)],
+                        );
+                    }
+                    drop(archive);
+                    let cfg = ArchiveConfig {
+                        segment_bytes: 64 << 10,
+                        ..ArchiveConfig::new(dir)
+                    };
+                    TraceArchive::open(cfg, registry).unwrap()
+                },
+                TraceArchive::maintain,
+                [0.0, 1.0, 0.0, 0.0],
+            ),
+            (
+                "retention",
+                |dir, registry| {
+                    // Window 0 holds a slow trace (salvaged) and a fast
+                    // one (dropped); the cap then evicts its segment.
+                    let archive = TraceArchive::open(tiny_cfg(dir), &Registry::new()).unwrap();
+                    let slow = trace(0, 1, 7, 1_000, 900_000_000);
+                    archive.observe_window(0, vec![slow, trace(0, 2, 7, 2_000, 3_000)]);
+                    archive.observe_window(1, vec![trace(1, 3, 7, 10_000, 20_000)]);
+                    drop(archive);
+                    let cfg = ArchiveConfig {
+                        retention_bytes: 600,
+                        ..tiny_cfg(dir)
+                    };
+                    TraceArchive::open(cfg, registry).unwrap()
+                },
+                TraceArchive::maintain,
+                [0.0, 0.0, 1.0, 1.0],
+            ),
+        ];
+        for (name, setup, pass, moves) in passes {
+            let clean = tmp_dir(&format!("commit-{name}"));
+            let clean_registry = Registry::new();
+            let reference = setup(&clean, &clean_registry);
+            pass(&reference);
+            let want = listing(&clean);
+            assert_eq!(unlisted(&reference), Vec::<String>::new(), "{name}");
+            assert_eq!(pass_counts(&clean_registry), moves, "{name}");
 
-        let unmoved = |errors: f64| {
-            assert_eq!(archive.segment_count(), 2);
-            assert_eq!(archive.committed_bytes(), bytes, "nothing evicted");
-            assert_eq!(series(&registry, DROPPED), 0.0);
-            assert_eq!(series(&registry, TAIL_KEPT), 0.0);
-            assert_eq!(series(&registry, ERRORS), errors);
-        };
-        let errors = series(&registry, ERRORS);
-        archive.maintain();
-        unmoved(errors + 1.0);
+            for blocked in ["segment", "manifest"] {
+                let dir = tmp_dir(&format!("commit-{name}-{blocked}"));
+                let registry = Registry::new();
+                let archive = setup(&dir, &registry);
+                let layout =
+                    |a: &TraceArchive| (a.segment_count(), a.committed_bytes(), a.watermark());
+                let before = (layout(&archive), pass_counts(&registry));
+                let errors = series(&registry, ERRORS);
+                let block = match blocked {
+                    "segment" => {
+                        let seq = archive.state.lock().manifest.next_seq;
+                        dir.join(Manifest::segment_file(seq))
+                    }
+                    _ => dir.join(format!("{MANIFEST_FILE}.tmp")),
+                };
+                std::fs::create_dir(&block).unwrap();
+                pass(&archive);
 
-        // Now the tail write succeeds but the manifest save fails: the
-        // uncommitted tail file goes with the pass.
-        std::fs::remove_dir(&tail).unwrap();
-        let manifest_tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-        std::fs::create_dir(&manifest_tmp).unwrap();
-        archive.maintain();
-        unmoved(errors + 2.0);
-        assert!(!tail.exists(), "uncommitted tail segment left behind");
+                let case = format!("{name} with the {blocked} blocked");
+                assert_eq!((layout(&archive), pass_counts(&registry)), before, "{case}");
+                assert_eq!(series(&registry, ERRORS), errors + 1.0, "{case}");
+                assert_eq!(unlisted(&archive), Vec::<String>::new(), "{case}");
 
-        std::fs::remove_dir(&manifest_tmp).unwrap();
-        archive.maintain();
-        assert_eq!(roots(&archive), [1, 3]);
-        assert_eq!(series(&registry, DROPPED), 1.0);
-        assert_eq!(series(&registry, TAIL_KEPT), 1.0);
-        let _ = std::fs::remove_dir_all(&dir);
+                std::fs::remove_dir(&block).unwrap();
+                pass(&archive);
+                assert!(
+                    listing(&dir) == want,
+                    "{case}: retry differs from a clean run"
+                );
+                assert_eq!(pass_counts(&registry), moves, "{case}");
+                assert_eq!(series(&registry, ERRORS), errors + 1.0, "{case}");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            let _ = std::fs::remove_dir_all(&clean);
+        }
     }
 
     #[test]
