@@ -278,11 +278,12 @@ impl DelayRegistry {
     /// model exactly as they were, so an idle edge's model keeps serving
     /// unchanged.
     pub fn absorb(&mut self, process: ProcessKey, gaps: &HashMap<EdgeKey, Vec<f64>>) {
-        // Registry fits are warm-start priors, not final scoring models:
-        // each gets refined again inside the next task's EM loop, so a
-        // looser tolerance and iteration cap keep absorb cheap (it runs
-        // once per window over up to `RESERVOIR_CAPACITY` samples/edge)
-        // without hurting downstream accuracy.
+        // A warm task runs exactly one pass and never refits, so a
+        // registry fit *is* the scoring model of the process's next
+        // window, not a prior some later EM loop refines. The looser
+        // tolerance and iteration cap keep absorb cheap (it runs once per
+        // window over up to `RESERVOIR_CAPACITY` samples/edge), and what
+        // they cost in fit quality lands in that window's scores.
         let opts = GmmFitOptions {
             max_iters: 40,
             tol: 1e-5,

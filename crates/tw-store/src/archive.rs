@@ -231,18 +231,19 @@ impl TraceArchive {
 
     /// Serve a query against committed segments (pruned via their footer
     /// indexes) plus the not-yet-sealed active buffer. Results are in
-    /// (window, start) order, capped at the query's limit.
+    /// (window, start, root, end) order, capped at the query's limit. A
+    /// limited query does not read a segment that cannot change its
+    /// answer, so it does not report that segment's corruption either.
     pub fn query(&self, q: &TraceQuery) -> Vec<StoredTrace> {
         self.metrics.queries.inc();
         let _timer = self.metrics.query_seconds.start_timer();
         let state = self.state.lock();
-        let mut out = scan_committed(&self.dir, &state.manifest, q, |seg, err| {
+        let active = state.active.iter().filter(|t| q.matches(t)).cloned();
+        let on_error = |seg: &SegmentMeta, err: StoreError| {
             self.metrics.errors.inc();
             eprintln!("tw-store: query skipped segment {}: {err}", seg.file);
-        });
-        out.extend(state.active.iter().filter(|t| q.matches(t)).cloned());
-        drop(state);
-        ordered(out, q)
+        };
+        scan_committed(&self.dir, &state.manifest, q, active.collect(), on_error)
     }
 
     fn publish_gauges(&self, manifest: &Manifest) {
@@ -420,33 +421,48 @@ fn sort_traces(traces: &mut [StoredTrace]) {
     });
 }
 
-/// A query's matches in result order, capped at its limit.
-fn ordered(mut traces: Vec<StoredTrace>, q: &TraceQuery) -> Vec<StoredTrace> {
-    sort_traces(&mut traces);
-    traces.truncate(q.effective_limit());
-    traces
-}
-
-/// The one segment loop: every match of `q` in the committed segments its
-/// footer index cannot rule out. An unreadable segment contributes
-/// nothing and is handed to `on_error`, which decides what that means to
-/// the caller.
+/// The one segment loop: `seed` plus every match of `q` in the committed
+/// segments its footer index cannot rule out, in result order and capped
+/// at the limit. Segments are visited by their first window, so once the
+/// limit is reached, a segment whose first window lies past the window of
+/// the limit-th result cannot change the answer; neither can any after
+/// it, and none of them is read. An unlimited query reads every segment
+/// that may match. An unreadable segment contributes nothing and is
+/// handed to `on_error`, which decides what that means to the caller.
+///
+/// A window's traces all live in one segment or in the active buffer, so
+/// traces with equal sort keys come from one place and keep its order:
+/// the answer is the same whatever order the segments are visited in.
 fn scan_committed(
     dir: &Path,
     manifest: &Manifest,
     q: &TraceQuery,
+    seed: Vec<StoredTrace>,
     mut on_error: impl FnMut(&SegmentMeta, StoreError),
 ) -> Vec<StoredTrace> {
-    let mut out = Vec::new();
-    for seg in &manifest.segments {
-        if !q.may_match_segment(&seg.index) {
-            continue;
+    let limit = q.effective_limit();
+    let mut segments: Vec<&SegmentMeta> = manifest
+        .segments
+        .iter()
+        .filter(|seg| q.may_match_segment(&seg.index))
+        .collect();
+    segments.sort_by_key(|seg| (seg.index.min_window, seg.seq));
+    let mut out = seed;
+    for seg in segments {
+        if out.len() >= limit {
+            sort_traces(&mut out);
+            out.truncate(limit);
+            if seg.index.min_window > out[limit - 1].window {
+                break;
+            }
         }
         match scan_segment(&dir.join(&seg.file), q) {
             Ok(hits) => out.extend(hits),
             Err(err) => on_error(seg, err),
         }
     }
+    sort_traces(&mut out);
+    out.truncate(limit);
     out
 }
 
@@ -456,12 +472,12 @@ fn scan_committed(
 pub fn read_query(dir: &Path, q: &TraceQuery) -> Result<Vec<StoredTrace>, StoreError> {
     let manifest = load_manifest(dir)?;
     let mut failed = None;
-    let out = scan_committed(dir, &manifest, q, |_, err| {
+    let out = scan_committed(dir, &manifest, q, Vec::new(), |_, err| {
         failed.get_or_insert(err);
     });
     match failed {
         Some(err) => Err(err),
-        None => Ok(ordered(out, q)),
+        None => Ok(out),
     }
 }
 
@@ -895,5 +911,156 @@ mod tests {
         let err = read_query(&dir, &TraceQuery::default()).unwrap_err();
         assert_eq!(err.reason(), "corrupt");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A limited query stops before a segment that cannot change its
+    /// answer, so that segment's corruption goes unreported; the
+    /// unlimited query still reads it and reports it.
+    #[test]
+    fn limited_query_skips_a_corrupt_segment_past_its_cut() {
+        let dir = tmp_dir("cut");
+        let registry = Registry::new();
+        let archive = TraceArchive::open(tiny_cfg(&dir), &registry).unwrap();
+        archive.observe_window(0, vec![trace(0, 1, 7, 1_000, 2_000)]);
+        let window1 = (2..5).map(|root| trace(1, root, 7, 3_000, 3_000 + root));
+        archive.observe_window(1, window1.collect());
+        archive.observe_window(2, vec![trace(2, 5, 7, 5_000, 6_000)]);
+        let past_cut = archive.state.lock().manifest.segments[2].clone();
+        assert_eq!(past_cut.index.min_window, 2);
+        let path = dir.join(&past_cut.file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[20] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        // The second result is in window 1, so window 2's segment is not
+        // read.
+        let limited = TraceQuery {
+            limit: 2,
+            ..TraceQuery::default()
+        };
+        let want = [1, 2];
+        let got = archive.query(&limited);
+        assert_eq!(got.iter().map(|t| t.root).collect::<Vec<_>>(), want);
+        assert_eq!(series(&registry, ERRORS), 0.0);
+        let read = read_query(&dir, &limited).unwrap();
+        assert_eq!(read.iter().map(|t| t.root).collect::<Vec<_>>(), want);
+
+        let unlimited = TraceQuery {
+            limit: usize::MAX,
+            ..TraceQuery::default()
+        };
+        assert_eq!(archive.query(&unlimited).len(), 4);
+        assert_eq!(series(&registry, ERRORS), 1.0);
+        let err = read_query(&dir, &unlimited).unwrap_err();
+        assert_eq!(err.reason(), "corrupt");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    mod scan {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What happens after a window is observed.
+        #[derive(Debug, Clone, Copy)]
+        enum Then {
+            Nothing,
+            Sync,
+            Maintain,
+        }
+
+        /// One window: each trace's (start, duration, service), then the
+        /// step that follows it. Starts collide, so the window at a cut
+        /// often holds several traces tied on (window, start).
+        fn window() -> impl Strategy<Value = (Vec<(u64, u64, u32)>, Then)> {
+            (
+                prop::collection::vec((0u64..3, 0u64..3, 0u32..3), 0..6),
+                (0usize..4)
+                    .prop_map(|i| [Then::Nothing, Then::Nothing, Then::Sync, Then::Maintain][i]),
+            )
+        }
+
+        /// A query's filters, each set or not, without its limit.
+        fn filters() -> impl Strategy<Value = TraceQuery> {
+            (
+                prop::option::of(0u32..3),
+                prop::option::of(0u64..3),
+                prop::option::of(0u64..12),
+                prop::option::of(0u64..12_000),
+            )
+                .prop_map(|(service, min_latency_ns, window, from_ns)| TraceQuery {
+                    service,
+                    min_latency_ns,
+                    window,
+                    from_ns,
+                    ..TraceQuery::default()
+                })
+        }
+
+        /// `matches`, then sort, then truncate: the answer by definition.
+        fn brute_force(traces: &[StoredTrace], q: &TraceQuery) -> Vec<StoredTrace> {
+            let mut hits: Vec<StoredTrace> =
+                traces.iter().filter(|t| q.matches(t)).cloned().collect();
+            sort_traces(&mut hits);
+            hits.truncate(q.effective_limit());
+            hits
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Archives laid out by seals, compaction and the active
+            /// buffer, with small segments so that a compaction lists a
+            /// merged early-window segment after later ones: the live and
+            /// the read-only query both answer every limit exactly as the
+            /// brute force over every observed trace does.
+            #[test]
+            fn limited_scans_answer_like_brute_force(
+                windows in prop::collection::vec(window(), 1..32),
+                segment_bytes in (0usize..3).prop_map(|i| [300u64, 1_500, 2_500][i]),
+                queries in prop::collection::vec(filters(), 1..6),
+            ) {
+                let dir = tmp_dir("prop-scan");
+                let cfg = ArchiveConfig {
+                    segment_bytes,
+                    ..ArchiveConfig::new(&dir)
+                };
+                let archive = TraceArchive::open(cfg, &Registry::new()).unwrap();
+                let mut observed = Vec::new();
+                for (w, (traces, then)) in (0u64..).zip(windows) {
+                    let traces: Vec<StoredTrace> = traces
+                        .into_iter()
+                        .map(|(start, duration, service)| {
+                            let start = w * 1_000 + start;
+                            let root = observed.len() as u64 + 1;
+                            let t = trace(w, root, service, start, start + 1 + duration);
+                            observed.push(t.clone());
+                            t
+                        })
+                        .collect();
+                    archive.observe_window(w, traces);
+                    match then {
+                        Then::Nothing => {}
+                        Then::Sync => archive.sync(),
+                        Then::Maintain => archive.maintain(),
+                    }
+                }
+                let watermark = archive.watermark();
+                let committed: Vec<StoredTrace> =
+                    observed.iter().filter(|t| t.window < watermark).cloned().collect();
+                // Until the first commit there is no manifest to read.
+                let read = |q: &TraceQuery| match read_query(&dir, q) {
+                    Err(StoreError::Missing) if watermark == 0 => Vec::new(),
+                    result => result.unwrap(),
+                };
+                for q in &queries {
+                    for limit in [0, 1, 2, 7, 200, usize::MAX] {
+                        let q = TraceQuery { limit, ..q.clone() };
+                        prop_assert_eq!(archive.query(&q), brute_force(&observed, &q), "{:?}", q);
+                        prop_assert_eq!(read(&q), brute_force(&committed, &q), "{:?}", q);
+                    }
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 }

@@ -108,10 +108,22 @@ static TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC32 (IEEE 802.3 polynomial, reflected), eight bytes per step with a
-/// bytewise tail.
+/// CRC32 (IEEE 802.3 polynomial, reflected). Both kernels compute the
+/// same function: the carry-less-multiply one where the CPU has it, the
+/// table one everywhere else.
 fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
+    #[cfg(target_arch = "x86_64")]
+    if clmul::available() {
+        // SAFETY: `available` found the CPU features the kernel is
+        // compiled for.
+        return unsafe { clmul::update(0xffff_ffff, bytes) } ^ 0xffff_ffff;
+    }
+    update_table(0xffff_ffff, bytes) ^ 0xffff_ffff
+}
+
+/// Advance a running (pre-inverted) CRC over `bytes`, eight bytes per
+/// step with a bytewise tail.
+fn update_table(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -127,7 +139,103 @@ fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
-    crc ^ 0xffff_ffff
+    crc
+}
+
+/// CRC32 by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel 2009): four 128-bit lanes fold 64 bytes per step, the lanes fold
+/// into one, one lane folds 16 bytes per step, then 128 bits reduce to
+/// 64 and a Barrett reduction to the 32-bit remainder. The constants are
+/// the ones zlib and Linux use for the reflected 0xEDB88320 polynomial:
+/// `x^k mod P` for the fold distances, `P` itself and `x^64 / P`, all
+/// bit-reflected. The last < 16 bytes go through [`update_table`].
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Fold constants: K1/K2 carry a lane four blocks (512 bits) ahead,
+    /// K3/K4 one block (128 bits) ahead, K5 the last 64 bits into 32.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    /// The polynomial, and `μ = ⌊x^64 / P⌋`, for the Barrett step.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// The CPU runs [`update`].
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// One unaligned 16-byte block off the front of `bytes`.
+    fn take(bytes: &mut &[u8]) -> __m128i {
+        let (block, rest) = bytes.split_at(16);
+        *bytes = rest;
+        // SAFETY: `block` is 16 readable bytes, and `loadu` has no
+        // alignment requirement.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// `acc · x^(distance)` folded onto `next`: the low and high halves
+    /// of `acc` times the two fold constants packed in `k`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, k, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// Advance a running (pre-inverted) CRC over `bytes`. Inputs shorter
+    /// than one block per lane go to the table.
+    ///
+    /// # Safety
+    ///
+    /// Called from code not compiled for these features, the caller must
+    /// have seen [`available`] return true.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(crc: u32, mut bytes: &[u8]) -> u32 {
+        if bytes.len() < 64 {
+            return super::update_table(crc, bytes);
+        }
+        let mut x3 = _mm_xor_si128(take(&mut bytes), _mm_cvtsi32_si128(crc as i32));
+        let mut x2 = take(&mut bytes);
+        let mut x1 = take(&mut bytes);
+        let mut x0 = take(&mut bytes);
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while bytes.len() >= 64 {
+            x3 = fold(x3, take(&mut bytes), k1k2);
+            x2 = fold(x2, take(&mut bytes), k1k2);
+            x1 = fold(x1, take(&mut bytes), k1k2);
+            x0 = fold(x0, take(&mut bytes), k1k2);
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(fold(fold(x3, x2, k3k4), x1, k3k4), x0, k3k4);
+        while bytes.len() >= 16 {
+            x = fold(x, take(&mut bytes), k3k4);
+        }
+
+        // 128 → 96 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: t1 = (x mod x^32) · μ, t2 = (t1 mod x^32) · P, and the
+        // remainder is the upper half of x ⊕ t2 (bit-reflected).
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        super::update_table(crc, bytes)
+    }
 }
 
 /// Atomically replace `path` with `bytes`: write the sibling
@@ -295,16 +403,20 @@ pub fn read_json<T: DeserializeOwned>(path: &Path, magic: [u8; 4]) -> Result<T, 
 mod tests {
     use super::*;
 
-    /// The bitwise definition the tables are derived from.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut crc = 0xffff_ffffu32;
+    /// The bitwise definition the tables are derived from, advancing a
+    /// running (pre-inverted) CRC.
+    fn update_bitwise(mut crc: u32, bytes: &[u8]) -> u32 {
         for &b in bytes {
             crc ^= u32::from(b);
             for _ in 0..8 {
                 crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
             }
         }
-        !crc
+        crc
+    }
+
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        !update_bitwise(!0, bytes)
     }
 
     #[test]
@@ -314,8 +426,24 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// Every split between the eight-byte steps and the bytewise tail, at
-    /// every alignment of the slice's start.
+    /// A whole-input CRC.
+    type Kernel = fn(&[u8]) -> u32;
+
+    /// Each kernel this CPU can run, called directly.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        #[allow(unused_mut)]
+        let mut kernels: Vec<(_, Kernel)> = vec![("table", |b| !update_table(!0, b))];
+        #[cfg(target_arch = "x86_64")]
+        if clmul::available() {
+            // SAFETY: `available` found the kernel's CPU features.
+            kernels.push(("clmul", |b| !unsafe { clmul::update(!0, b) }));
+        }
+        kernels
+    }
+
+    /// Every split between each kernel's block steps and its tail, at
+    /// every alignment of the slice's start. The bitwise reference runs
+    /// once per offset: its state after each byte is that prefix's CRC.
     #[test]
     fn crc32_equals_the_bitwise_form_at_every_length_and_offset() {
         let mut rng = proptest::TestRng::for_test("crc32");
@@ -327,19 +455,27 @@ mod tests {
             buf.truncate(len);
             buf
         };
-        let small = random(78);
-        for len in 0..=70 {
-            for offset in 0..8 {
-                let slice = &small[offset..offset + len];
-                assert_eq!(crc32(slice), crc32_bitwise(slice), "len {len} at {offset}");
+        const LEN: usize = 4096;
+        let buf = random(LEN + 16);
+        let big = random(1 << 20);
+        for (name, kernel) in kernels() {
+            assert_eq!(kernel(b"123456789"), 0xcbf4_3926, "{name}");
+            for offset in 0..16 {
+                let slice = &buf[offset..offset + LEN];
+                let mut state = 0xffff_ffff;
+                for len in 0..=LEN {
+                    assert_eq!(
+                        kernel(&slice[..len]),
+                        !state,
+                        "{name}: len {len} at {offset}"
+                    );
+                    if len < LEN {
+                        state = update_bitwise(state, &slice[len..=len]);
+                    }
+                }
             }
+            assert_eq!(kernel(&big), crc32_bitwise(&big), "{name}: 1 MiB");
         }
-        for (i, len) in [1 << 10, 4099, 65_537, 1 << 20].into_iter().enumerate() {
-            let big = random(len + 8);
-            for offset in [i, i + 4] {
-                let slice = &big[offset..offset + len];
-                assert_eq!(crc32(slice), crc32_bitwise(slice), "len {len} at {offset}");
-            }
-        }
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
     }
 }
