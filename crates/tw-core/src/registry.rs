@@ -290,7 +290,6 @@ impl DelayRegistry {
             ..GmmFitOptions::default()
         };
         let mut quarantined = 0u64;
-        let slot = self.edges.entry(process).or_default();
         let mut keys: Vec<&EdgeKey> = gaps.keys().collect();
         keys.sort_unstable();
         for key in keys {
@@ -308,6 +307,9 @@ impl DelayRegistry {
             if fresh.is_empty() {
                 continue;
             }
+            // The process gets an entry with its first admissible gap, so
+            // every process the registry lists has a modeled edge.
+            let slot = self.edges.entry(process).or_default();
             let known = slot.contains_key(key);
             let state = slot.entry(*key).or_insert_with(|| EdgeState {
                 model: Gmm::single(tw_stats::gaussian::Gaussian::new(0.0, 1.0)),
@@ -502,6 +504,22 @@ mod tests {
         reg.absorb(pkey(0), &gaps);
         assert_eq!(reg.quarantined(), 3);
         assert!(reg.model_for(&pkey(0)).is_none(), "no model from garbage");
+    }
+
+    /// A process whose round brings no admissible gap — none at all, as a
+    /// leaf task's, or only quarantined ones — gets no entry: the registry
+    /// lists only processes with a modeled edge.
+    #[test]
+    fn absorb_without_admissible_gaps_adds_no_process() {
+        let mut reg = DelayRegistry::new();
+        reg.absorb(pkey(0), &HashMap::new());
+        let mut garbage = HashMap::new();
+        garbage.insert(ekey(1, 0), vec![f64::NAN, 1e12]);
+        reg.absorb(pkey(1), &garbage);
+        reg.finish_round();
+        assert_eq!((reg.processes(), reg.len(), reg.is_empty()), (0, 0, true));
+        let doc = serde_json::to_string(&reg).unwrap();
+        assert!(doc.contains(r#""processes":[]"#), "{doc}");
     }
 
     #[test]

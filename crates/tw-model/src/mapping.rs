@@ -3,16 +3,49 @@
 
 use crate::ids::RpcId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A predicted mapping from each parent RPC to the set of child RPCs it is
 /// believed to have spawned. Mappings from independent per-service
 /// reconstruction tasks merge into one global `Mapping` (paper §4.1: the
 /// independently mapped pieces "can be trivially assembled in
 /// post-processing").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Most mapped parents are childless (every call a leaf service serves),
+/// so those cost one set entry, not a child list.
+#[derive(Debug, Clone, Default)]
 pub struct Mapping {
+    /// Parents with at least one predicted child: each list sorted,
+    /// deduplicated and at exact capacity.
     children: HashMap<RpcId, Vec<RpcId>>,
+    /// Parents mapped to the empty child set; disjoint from `children`.
+    childless: HashSet<RpcId>,
+}
+
+/// Serialized form: one parent → children map, childless parents as
+/// empty lists (the vendored serde lacks `#[serde(from/into)]`, hence the
+/// manual impls).
+#[derive(Serialize, Deserialize)]
+struct MappingDoc {
+    children: HashMap<RpcId, Vec<RpcId>>,
+}
+
+impl Serialize for Mapping {
+    fn to_value(&self) -> serde::Value {
+        let children = self.iter().map(|(p, kids)| (p, kids.to_vec())).collect();
+        MappingDoc { children }.to_value()
+    }
+}
+
+impl<'de> Deserialize<'de> for Mapping {
+    fn from_value(value: serde::Value) -> Result<Self, serde::DeError> {
+        let doc = MappingDoc::from_value(value)?;
+        let mut mapping = Mapping::new();
+        for (parent, kids) in doc.children {
+            mapping.assign(parent, kids);
+        }
+        Ok(mapping)
+    }
 }
 
 impl Mapping {
@@ -25,10 +58,19 @@ impl Mapping {
     /// twice extends the child set (a parent's children at different
     /// backend services may arrive from different tasks).
     pub fn assign(&mut self, parent: RpcId, children: impl IntoIterator<Item = RpcId>) {
+        let mut children = children.into_iter().peekable();
+        if children.peek().is_none() {
+            if !self.children.contains_key(&parent) {
+                self.childless.insert(parent);
+            }
+            return;
+        }
+        self.childless.remove(&parent);
         let entry = self.children.entry(parent).or_default();
         entry.extend(children);
         entry.sort();
         entry.dedup();
+        entry.shrink_to_fit();
     }
 
     /// Predicted children of a parent (sorted), empty if unmapped.
@@ -39,27 +81,37 @@ impl Mapping {
     /// True if the parent has an entry (possibly with an empty child set,
     /// which is a valid prediction when dynamism skipped all calls).
     pub fn contains(&self, parent: RpcId) -> bool {
-        self.children.contains_key(&parent)
+        self.children.contains_key(&parent) || self.childless.contains(&parent)
     }
 
     /// Number of mapped parents.
     pub fn len(&self) -> usize {
-        self.children.len()
+        self.children.len() + self.childless.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
+        self.children.is_empty() && self.childless.is_empty()
     }
 
     /// Merge another mapping into this one.
     pub fn merge(&mut self, other: Mapping) {
         for (parent, kids) in other.children {
-            self.assign(parent, kids);
+            if self.contains(parent) {
+                self.assign(parent, kids);
+            } else {
+                // Already sorted, deduplicated and exact: move it in.
+                self.children.insert(parent, kids);
+            }
+        }
+        for parent in other.childless {
+            self.assign(parent, []);
         }
     }
 
+    /// Every mapped parent with its children (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = (RpcId, &[RpcId])> + '_ {
-        self.children.iter().map(|(k, v)| (*k, v.as_slice()))
+        let with_children = self.children.iter().map(|(k, v)| (*k, v.as_slice()));
+        with_children.chain(self.childless.iter().map(|&k| (k, &[][..])))
     }
 
     /// Assemble the full trace tree below `root` by following predicted
@@ -213,6 +265,82 @@ mod tests {
         assert!(m.contains(r(1)));
         assert!(m.children(r(1)).is_empty());
         assert!(!m.contains(r(2)));
+    }
+
+    type Reference = HashMap<RpcId, Vec<RpcId>>;
+
+    /// The map `Mapping` stored before childless parents got their own
+    /// set: `assign` extends the parent's list, then sorts and dedups it.
+    fn reference_assign(reference: &mut Reference, parent: RpcId, kids: &[RpcId]) {
+        let entry = reference.entry(parent).or_default();
+        entry.extend(kids);
+        entry.sort();
+        entry.dedup();
+    }
+
+    fn sorted_entries<'a>(
+        entries: impl Iterator<Item = (RpcId, &'a [RpcId])>,
+    ) -> Vec<(RpcId, Vec<RpcId>)> {
+        let mut out: Vec<_> = entries.map(|(p, kids)| (p, kids.to_vec())).collect();
+        out.sort();
+        out
+    }
+
+    /// Every observable of `m` against the reference, plus the storage
+    /// invariants: the two parent sets are disjoint and every child list
+    /// is non-empty and at exact capacity.
+    fn assert_matches_reference(m: &Mapping, reference: &Reference) {
+        for parent in (0..16).map(r) {
+            assert_eq!(m.contains(parent), reference.contains_key(&parent));
+            let want = reference.get(&parent).map(Vec::as_slice).unwrap_or(&[]);
+            assert_eq!(m.children(parent), want);
+        }
+        assert_eq!(
+            (m.len(), m.is_empty()),
+            (reference.len(), reference.is_empty())
+        );
+        let want = sorted_entries(reference.iter().map(|(p, kids)| (*p, kids.as_slice())));
+        assert_eq!(sorted_entries(m.iter()), want);
+        assert!(m.childless.iter().all(|p| !m.children.contains_key(p)));
+        assert!(m
+            .children
+            .values()
+            .all(|v| !v.is_empty() && v.capacity() == v.len()));
+        let json = serde_json::to_string(m).unwrap();
+        let back: Mapping = serde_json::from_str(&json).unwrap();
+        assert_eq!(sorted_entries(back.iter()), want);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Two mappings built from interleaved assignments (empty child
+        /// sets before and after non-empty ones), then one merged into the
+        /// other, observe exactly like the reference map.
+        #[test]
+        fn assign_and_merge_match_a_plain_map(
+            ops in proptest::prop::collection::vec(
+                (0u8..2, 0u64..16, proptest::prop::collection::vec(0u64..24, 0..4)),
+                0..48,
+            ),
+        ) {
+            let (mut ms, mut refs) = ([Mapping::new(), Mapping::new()], [Reference::new(), Reference::new()]);
+            for (side, parent, kids) in ops {
+                let kids: Vec<RpcId> = kids.into_iter().map(r).collect();
+                ms[usize::from(side)].assign(r(parent), kids.iter().copied());
+                reference_assign(&mut refs[usize::from(side)], r(parent), &kids);
+            }
+            for (m, reference) in ms.iter().zip(&refs) {
+                assert_matches_reference(m, reference);
+            }
+            let [mut a, b] = ms;
+            let [mut ref_a, ref_b] = refs;
+            a.merge(b);
+            for (parent, kids) in &ref_b {
+                reference_assign(&mut ref_a, *parent, kids);
+            }
+            assert_matches_reference(&a, &ref_a);
+        }
     }
 
     #[test]
