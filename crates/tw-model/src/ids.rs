@@ -1,7 +1,6 @@
 //! Interned identifiers for services, operations (API endpoints) and RPCs.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A microservice (e.g. `frontend`, `search`, `geo`).
@@ -45,15 +44,13 @@ impl fmt::Display for Endpoint {
 /// String interner mapping human-readable service / operation names to ids.
 ///
 /// Applications register their topology here once; spans then carry compact
-/// ids. Lookup by name is used by tests, examples and report printing.
+/// ids. An id is its name's index, and a name lookup scans the names: a
+/// topology holds tens of them, and the names are the catalog's one copy,
+/// so a deserialized catalog looks up and interns like the original.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Catalog {
     services: Vec<String>,
-    #[serde(skip)]
-    service_index: HashMap<String, ServiceId>,
     operations: Vec<String>,
-    #[serde(skip)]
-    operation_index: HashMap<String, OperationId>,
 }
 
 impl Catalog {
@@ -63,24 +60,18 @@ impl Catalog {
 
     /// Intern a service name, returning its id (idempotent).
     pub fn service(&mut self, name: &str) -> ServiceId {
-        if let Some(&id) = self.service_index.get(name) {
-            return id;
-        }
-        let id = ServiceId(self.services.len() as u32);
-        self.services.push(name.to_string());
-        self.service_index.insert(name.to_string(), id);
-        id
+        self.lookup_service(name).unwrap_or_else(|| {
+            self.services.push(name.to_string());
+            ServiceId(self.services.len() as u32 - 1)
+        })
     }
 
     /// Intern an operation name, returning its id (idempotent).
     pub fn operation(&mut self, name: &str) -> OperationId {
-        if let Some(&id) = self.operation_index.get(name) {
-            return id;
-        }
-        let id = OperationId(self.operations.len() as u32);
-        self.operations.push(name.to_string());
-        self.operation_index.insert(name.to_string(), id);
-        id
+        self.lookup_operation(name).unwrap_or_else(|| {
+            self.operations.push(name.to_string());
+            OperationId(self.operations.len() as u32 - 1)
+        })
     }
 
     /// Convenience: intern both halves of an endpoint.
@@ -114,11 +105,13 @@ impl Catalog {
     }
 
     pub fn lookup_service(&self, name: &str) -> Option<ServiceId> {
-        self.service_index.get(name).copied()
+        let i = self.services.iter().position(|s| s == name);
+        i.map(|i| ServiceId(i as u32))
     }
 
     pub fn lookup_operation(&self, name: &str) -> Option<OperationId> {
-        self.operation_index.get(name).copied()
+        let i = self.operations.iter().position(|s| s == name);
+        i.map(|i| OperationId(i as u32))
     }
 
     pub fn num_services(&self) -> usize {
@@ -128,23 +121,6 @@ impl Catalog {
     /// All registered service ids in registration order.
     pub fn service_ids(&self) -> impl Iterator<Item = ServiceId> + '_ {
         (0..self.services.len() as u32).map(ServiceId)
-    }
-
-    /// Rebuild the name→id indices after deserialization (indices are not
-    /// serialized).
-    pub fn rebuild_index(&mut self) {
-        self.service_index = self
-            .services
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), ServiceId(i as u32)))
-            .collect();
-        self.operation_index = self
-            .operations
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), OperationId(i as u32)))
-            .collect();
     }
 }
 
@@ -195,5 +171,22 @@ mod tests {
         c.service("y");
         let ids: Vec<_> = c.service_ids().collect();
         assert_eq!(ids, vec![ServiceId(0), ServiceId(1)]);
+    }
+
+    /// A deserialized catalog finds every name and interns an existing
+    /// one to its old id, not a second one.
+    #[test]
+    fn serde_round_trip_keeps_lookups_and_ids() {
+        let mut c = Catalog::new();
+        let ep = c.endpoint("frontend", "GET /hotels");
+        let geo = c.service("geo");
+        let json = serde_json::to_string(&c).unwrap();
+        let mut back: Catalog = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.lookup_service("geo"), Some(geo));
+        assert_eq!(back.lookup_operation("GET /hotels"), Some(ep.op));
+        assert_eq!(back.endpoint("frontend", "GET /hotels"), ep);
+        assert_eq!(back.service("geo"), geo);
+        assert_eq!(back.num_services(), 2);
+        assert_eq!(back.service("search"), ServiceId(2));
     }
 }

@@ -1,7 +1,8 @@
 //! Deployment modes for TraceWeaver (paper §5.3).
 //!
-//! * [`store`] — **offline** mode: spans are collected and persisted; an
-//!   operator later selects a time range and reconstructs on demand;
+//! * [`store`] — **offline** mode: spans are persisted as JSON lines and
+//!   reconstructed later, and a span file can teach a delay registry that
+//!   warm-starts an engine;
 //! * [`online`] — **online** mode: spans stream into a running engine
 //!   (over a crossbeam channel, as they would over the wire via
 //!   `tw_capture::wire`) that reconstructs tumbling windows in real time;
@@ -52,5 +53,5 @@ pub use sanitize::{
     SanitizeConfig, SanitizeStage, SanitizeStats, Sanitizer, SanitizerSnapshot,
     SanitizerSnapshotSlot,
 };
-pub use store::{load_registry, save_registry, OfflineStore};
+pub use store::{learn_delays, load_registry, load_spans, save_registry, save_spans};
 pub use supervise::{DeadLetter, DeadLetterQueue, StageFailure, Supervisor};

@@ -7,7 +7,8 @@
 //! `tw_telemetry::lint`, and optionally enforces a minimum sample count and
 //! that at least one sample name starts with each required prefix. Exits
 //! non-zero with a diagnostic on the first violation. Used by the CI
-//! metrics-smoke job against `twctl simulate --metrics`.
+//! metrics-smoke job against a `twctl serve --metrics` run fed by `twctl
+//! replay`.
 
 use std::io::Read;
 use std::process::ExitCode;

@@ -32,8 +32,8 @@
 //!
 //! ## Hot-path cost
 //!
-//! Counter increments are a relaxed `fetch_add` on a cache-line-padded
-//! per-thread shard — wait-free and contention-free. The layer has no off
+//! Counter increments are one relaxed `fetch_add` on the series' own
+//! cache-line-aligned atomic — wait-free. The layer has no off
 //! switch; its cost is measured from outside by the repository benchmark
 //! (`telemetry.trace_overhead_pct` in `bench/README.md`).
 //!

@@ -1,76 +1,38 @@
-//! Metric primitives: sharded-atomic counters, bit-cast f64 gauges, and
+//! Metric primitives: single-atomic counters, bit-cast f64 gauges, and
 //! histograms with fixed or log-scaled buckets.
 //!
-//! Hot-path design: a counter increment is one relaxed `fetch_add` on a
-//! cache-line-padded shard picked per thread, so concurrent writers never
-//! contend on the same line. Histogram observation is a binary search over
-//! the bucket bounds plus three relaxed atomic updates (bucket, per-shard
-//! count, per-shard sum). Reads (snapshots) sum across shards and are only
-//! taken at scrape time.
+//! Each series has one writer in practice — the engine is a chain of
+//! single-threaded stages — so a series is one atomic cell; extra writers
+//! stay exact and only share its line. A counter increment is one relaxed
+//! `fetch_add` on a cache-line-aligned word, which keeps two stages'
+//! counters off a shared line. Histogram observation is a binary search over the bucket bounds,
+//! one bucket `fetch_add` and one compare-and-swap on the `f64` sum; the
+//! count is the bucket total, so `+Inf == _count` in every snapshot.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Number of per-metric shards. Power of two so the thread index wraps with
-/// a mask. 16 shards * 64 bytes = 1 KiB per counter: cardinality stays low
-/// (see DESIGN.md §10) so the memory cost is bounded.
-pub(crate) const SHARDS: usize = 16;
-
-#[repr(align(64))]
-#[derive(Debug)]
-pub(crate) struct Shard(pub(crate) AtomicU64);
-
-impl Shard {
-    fn new() -> Self {
-        Shard(AtomicU64::new(0))
-    }
-}
-
-/// Stable per-thread shard index in `0..SHARDS`, assigned round-robin the
-/// first time a thread touches any metric.
-pub(crate) fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    IDX.with(|c| {
-        let mut v = c.get();
-        if v == usize::MAX {
-            v = NEXT.fetch_add(1, Ordering::Relaxed) & (SHARDS - 1);
-            c.set(v);
-        }
-        v
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Counter
 // ---------------------------------------------------------------------------
 
+#[repr(align(64))]
 #[derive(Debug)]
-pub(crate) struct CounterCore {
-    shards: [Shard; SHARDS],
-}
+pub(crate) struct CounterCore(AtomicU64);
 
 impl CounterCore {
     pub(crate) fn new() -> Self {
-        CounterCore {
-            shards: std::array::from_fn(|_| Shard::new()),
-        }
+        CounterCore(AtomicU64::new(0))
     }
 
     #[inline]
     fn add(&self, v: u64) {
-        self.shards[shard_index()].0.fetch_add(v, Ordering::Relaxed);
+        self.0.fetch_add(v, Ordering::Relaxed);
     }
 
     pub(crate) fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -92,7 +54,6 @@ impl Counter {
         self.core.add(v);
     }
 
-    /// Current value (sums all shards; scrape-time cost only).
     pub fn get(&self) -> u64 {
         self.core.get()
     }
@@ -119,6 +80,14 @@ impl GaugeCore {
     }
 }
 
+/// Add `delta` to the `f64` whose bits `cell` holds.
+#[inline]
+fn add_f64(cell: &AtomicU64, delta: f64) {
+    let add = |bits| Some((f64::from_bits(bits) + delta).to_bits());
+    // `add` never returns `None`, so the update always lands.
+    let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+}
+
 /// Instantaneous value stored as f64 bits in an atomic word.
 #[derive(Clone, Debug)]
 pub struct Gauge {
@@ -133,19 +102,7 @@ impl Gauge {
 
     #[inline]
     pub fn add(&self, delta: f64) {
-        let mut cur = self.core.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self.core.bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        add_f64(&self.core.bits, delta);
     }
 
     pub fn get(&self) -> f64 {
@@ -208,13 +165,6 @@ impl Buckets {
     }
 }
 
-#[repr(align(64))]
-#[derive(Debug)]
-struct HistShard {
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
 /// One sampled observation attached to a histogram bucket, rendered in
 /// OpenMetrics exemplar syntax (`# {labels} value`). The combined UTF-8
 /// length of label names and values is capped at
@@ -244,9 +194,9 @@ impl Exemplar {
 pub(crate) struct HistogramCore {
     bounds: Box<[f64]>,
     /// One slot per bound plus the trailing `+Inf` bucket. Non-cumulative;
-    /// the snapshot accumulates.
+    /// the snapshot accumulates, and their total is the count.
     buckets: Box<[AtomicU64]>,
-    shards: [HistShard; SHARDS],
+    sum_bits: AtomicU64,
     /// One exemplar slot per bucket (incl. `+Inf`). Written only by the
     /// explicit [`Histogram::observe_exemplar`] path, which is rare
     /// (per-window, not per-record), so a plain mutex per slot is cheap and
@@ -267,10 +217,7 @@ impl HistogramCore {
         HistogramCore {
             bounds: bounds.into_boxed_slice(),
             buckets,
-            shards: std::array::from_fn(|_| HistShard {
-                count: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0f64.to_bits()),
-            }),
+            sum_bits: AtomicU64::new(0f64.to_bits()),
             exemplars,
         }
     }
@@ -282,31 +229,16 @@ impl HistogramCore {
     #[inline]
     fn bucket_index(&self, v: f64) -> usize {
         // First bound >= v is the `le` bucket; NaN falls through to +Inf.
+        if v.is_nan() {
+            return self.bounds.len();
+        }
         self.bounds.partition_point(|b| *b < v)
     }
 
     #[inline]
     fn observe(&self, v: f64) {
-        let idx = self.bucket_index(v);
-        // Release so a snapshot that observes the per-shard count (Acquire)
-        // also observes the bucket increment that preceded it — the
-        // consistency protocol in `snapshot` relies on this ordering.
-        self.buckets[idx].fetch_add(1, Ordering::Release);
-        let shard = &self.shards[shard_index()];
-        shard.count.fetch_add(1, Ordering::Release);
-        let mut cur = shard.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match shard.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.buckets[self.bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        add_f64(&self.sum_bits, v);
     }
 
     /// Observe `v` and store an exemplar in the bucket it lands in. The
@@ -323,53 +255,21 @@ impl HistogramCore {
         }
     }
 
-    fn total_count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.count.load(Ordering::Acquire))
-            .sum()
-    }
-
-    /// (cumulative bucket counts incl. +Inf, sum, count)
-    ///
-    /// Consistency protocol (retry-on-change): a snapshot taken during
-    /// concurrent `observe` calls must never report a `count` inconsistent
-    /// with the bucket totals — the renderer and `lint` both assert
-    /// `+Inf == _count`. We read the shard counts, then the buckets, then
-    /// the shard counts again; if nothing moved and the bucket total equals
-    /// the count, the view is consistent. Under sustained concurrent writes
-    /// the retry loop may never settle, so after a bounded number of
-    /// attempts we reconcile by reporting `count := bucket total` — buckets
-    /// are incremented before shard counts (Release/Acquire ordered), so the
-    /// bucket total is the authoritative, monotone value.
+    /// (cumulative bucket counts incl. +Inf, sum, count). The count is the
+    /// `+Inf` total, so the two agree even mid-write; the sum may lead or
+    /// trail them by the observations in flight.
     pub(crate) fn snapshot(&self) -> (Vec<u64>, f64, u64) {
-        const ATTEMPTS: usize = 8;
-        let mut cumulative = Vec::with_capacity(self.buckets.len());
-        for attempt in 0..ATTEMPTS {
-            let c1 = self.total_count();
-            cumulative.clear();
-            let mut acc = 0u64;
-            for b in self.buckets.iter() {
-                acc += b.load(Ordering::Acquire);
-                cumulative.push(acc);
-            }
-            let sum: f64 = self
-                .shards
-                .iter()
-                .map(|s| f64::from_bits(s.sum_bits.load(Ordering::Relaxed)))
-                .sum();
-            let c2 = self.total_count();
-            if c1 == c2 && acc == c1 {
-                return (cumulative, sum, c1);
-            }
-            if attempt == ATTEMPTS - 1 {
-                // Reconcile: the bucket total is monotone and, by write
-                // ordering, never behind the shard counts we could observe.
-                return (cumulative, sum, acc);
-            }
-            std::hint::spin_loop();
-        }
-        unreachable!("snapshot retry loop always returns");
+        let mut acc = 0u64;
+        let cumulative: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| {
+                acc += b.load(Ordering::Relaxed);
+                acc
+            })
+            .collect();
+        let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
+        (cumulative, sum, acc)
     }
 
     /// Current exemplar per bucket (incl. `+Inf`), in bucket order.

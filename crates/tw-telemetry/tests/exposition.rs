@@ -100,6 +100,70 @@ fn histogram_buckets_are_cumulative_with_inf() {
     // label alongside le.
     assert!(text.contains("tw_demo_stage_seconds_bucket{stage=\"optimize\",le=\"0.001\"} 1"));
     assert!(text.contains("tw_demo_stage_seconds_bucket{stage=\"optimize\",le=\"+Inf\"} 4"));
+
+    // Seeded sweep against a plain reference: each observation lands in the
+    // first bucket whose bound is >= it (NaN and values past the last bound
+    // in +Inf), the snapshot accumulates, the count is the total and the sum
+    // adds in observation order.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for buckets in [
+        Buckets::fixed(&[1.0, 5.0, 10.0, 30.0]),
+        Buckets::exponential(0.001, 10.0, 4),
+    ] {
+        let r = Registry::new();
+        let hist = r.histogram("tw_demo_sweep", "sweep", buckets.clone());
+        let bounds = match buckets {
+            Buckets::Fixed(b) => b,
+            Buckets::Exponential {
+                start,
+                factor,
+                count,
+            } => (0..count).map(|i| start * factor.powi(i as i32)).collect(),
+        };
+        let mut counts = vec![0u64; bounds.len() + 1];
+        let mut sum = 0.0f64;
+        for _ in 0..2000 {
+            let v = match next() % 8 {
+                0 => bounds[next() as usize % bounds.len()],
+                1 => -((next() % 1000) as f64) / 7.0,
+                2 => 0.0,
+                3 => bounds[bounds.len() - 1] * (1.0 + (next() % 1000) as f64),
+                _ => (next() % 1_000_000) as f64 / 1e6 * 2.0 * bounds[bounds.len() - 1],
+            };
+            let before = hist.snapshot().0;
+            hist.observe(v);
+            let after = hist.snapshot().0;
+            let idx = bounds.iter().position(|b| v <= *b).unwrap_or(bounds.len());
+            let landed = (0..after.len()).find(|&i| after[i] != before[i]);
+            assert_eq!(landed, Some(idx), "observation {v} in the wrong bucket");
+            counts[idx] += 1;
+            sum += v;
+        }
+        assert_eq!(hist.sum().to_bits(), sum.to_bits());
+        let infinities = [(f64::NEG_INFINITY, 0), (f64::INFINITY, bounds.len())];
+        for (v, idx) in [(f64::NAN, bounds.len())].into_iter().chain(infinities) {
+            hist.observe(v);
+            counts[idx] += 1;
+        }
+        let (cumulative, got_sum, count) = hist.snapshot();
+        let reference: Vec<u64> = counts
+            .iter()
+            .scan(0, |acc, c| {
+                *acc += c;
+                Some(*acc)
+            })
+            .collect();
+        assert_eq!(cumulative, reference);
+        assert_eq!(count, 2003);
+        assert!(got_sum.is_nan(), "a NaN observation makes the sum NaN");
+        tw_telemetry::lint::lint(&r.render()).expect("sweep exposition lints clean");
+    }
 }
 
 #[test]

@@ -61,8 +61,8 @@ struct Command {
     switches: &'static [&'static str],
 }
 
-/// The live-pipeline block `serve` and `simulate --metrics` share: what
-/// `online_config_from` and `trace_recorder_from` read.
+/// The live-pipeline block of `serve`: what `online_config_from` and
+/// `trace_recorder_from` read.
 const PIPELINE_VALUES: &str = "window-ms grace-ms capacity \
     checkpoint-dir checkpoint-interval-ms archive-dir archive-segment-bytes archive-retention \
     trace-sample span-ring";
@@ -74,11 +74,8 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "simulate",
         run: cmd_simulate,
-        values: &[
-            "app rps millis seed out-dir metrics metrics-hold-ms metrics-out",
-            PIPELINE_VALUES,
-        ],
-        switches: &[PIPELINE_SWITCHES],
+        values: &["app rps millis seed out-dir"],
+        switches: &[],
     },
     Command {
         name: "learn-graph",
@@ -162,7 +159,6 @@ twctl — non-intrusive request tracing toolkit
 
 USAGE:
   twctl simulate     --app <hotel|media|nodejs|social|chain> [--rps N] [--millis N] [--seed N] --out-dir DIR
-                     [--metrics ADDR] [--metrics-hold-ms N] [--metrics-out FILE] [pipeline flags]
   twctl learn-graph  --app <hotel|media|nodejs|social|chain> [--seed N] [--replays N] --out FILE
   twctl learn-delays --spans FILE --graph FILE [--window-ms N] [--dynamism] --out FILE
   twctl reconstruct  --spans FILE --graph FILE [--delay-model FILE] [--dynamism] [--jaeger FILE]
@@ -194,21 +190,16 @@ writes the learned per-process delay registry as JSON; pass it back via
 --delay-model to warm-start later reconstructions (skips the seed
 bootstrap, fewer EM passes).
 
-`simulate --metrics ADDR` additionally replays the simulated spans through
-a live loopback pipeline (TCP ingest → sanitizer → online engine) and
-serves its Prometheus exposition at http://ADDR/metrics, holding the
-endpoint open for --metrics-hold-ms (default 5000) after the drain so it
-can be scraped; --metrics-out also writes the exposition to a file.
-
 `metrics` fetches and prints a running pipeline's exposition once; `top`
 polls it and shows the busiest series with per-second rates.
 
 `serve` runs the staged online pipeline as a standalone server: TCP
 ingest at --listen (default 127.0.0.1:0), sanitize, windowing,
 reconstruction, with the Prometheus exposition at --metrics. It drains
-and prints a summary after --duration-ms, or serves until killed when
-the flag is absent. The engine always runs warm: every window starts
-from the delay registry the previous one learned. --capacity bounds
+and prints a summary after --duration-ms (--metrics-out then writes the
+final exposition to a file), or serves until killed when the flag is
+absent. The engine always runs warm: every window starts from the delay
+registry the previous one learned. --capacity bounds
 every inter-stage queue; a full queue makes its producer wait, back to
 the ingest socket, so no queue drops a record.
 --adaptive-shed turns on load shedding: the degradation ladder moves one
@@ -254,7 +245,7 @@ refused connection.
 causality, skew correction) before reconstructing. Skew correction
 tracks per-edge clock *drift* (offset + slope) by default; --no-drift
 falls back to the constant-offset estimator. The same flag applies to
-the live pipeline behind `simulate --metrics` and `serve`.
+the live pipeline behind `serve`.
 
 Self-tracing: the live pipeline records one span tree per window
 (sanitize → route → collect → reconstruct → result hand-off → absorb,
@@ -361,12 +352,10 @@ fn read_json<T: serde::de::DeserializeOwned>(path: &str) -> Result<T, String> {
     serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_spans(path: &str) -> Result<Vec<RpcRecord>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| serde_json::from_str(l).map_err(|e| format!("{path}: {e}")))
-        .collect()
+/// The records of the `--spans` file.
+fn spans_flag(flags: &Flags) -> Result<Vec<RpcRecord>, String> {
+    let path = flag(flags, "spans")?;
+    load_spans(Path::new(path)).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
@@ -388,59 +377,20 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
         out.stats.arrivals, out.stats.total_rpcs
     );
 
-    // spans.jsonl
-    let store = OfflineStore::new();
-    store.ingest(&out.records);
     let spans_path = out_dir.join("spans.jsonl");
-    store
-        .save(&spans_path)
-        .map_err(|e| format!("{}: {e}", spans_path.display()))?;
+    save_spans(&spans_path, &out.records).map_err(|e| format!("{}: {e}", spans_path.display()))?;
     println!("wrote {}", spans_path.display());
 
     write_json(&out_dir.join("graph.json"), &graph)?;
     write_json(&out_dir.join("truth.json"), &out.truth)?;
 
-    if flags.contains_key("metrics") {
-        serve_simulated_metrics(flags, graph, &out.records)?;
-    }
     Ok(())
 }
 
-/// Replay simulated records through a live loopback pipeline — TCP ingest
-/// → sanitizer → online engine — and serve the combined Prometheus
-/// exposition (pipeline registry + the process-global `tw_core_*` /
-/// `tw_solver_*` / `tw_capture_*` series) at `--metrics` until the hold
-/// expires. This is the CI smoke path: every stage of DESIGN.md §10
-/// reports real values from a real run.
-fn serve_simulated_metrics(
-    flags: &Flags,
-    graph: CallGraph,
-    records: &[RpcRecord],
-) -> Result<(), String> {
-    let metrics_addr = flag(flags, "metrics")?;
-    let hold_ms: u64 = num(flags, "metrics-hold-ms", 5_000u64)?;
-    let tw = TraceWeaver::new(graph, Params::default());
-    let live = LivePipeline::start(flags, tw, "127.0.0.1:0", Some(metrics_addr))?;
-
-    let mut sorted = records.to_vec();
-    sorted.sort_by_key(|r| r.send_req);
-    traceweaver::pipeline::export_records(live.server.local_addr(), &sorted)
-        .map_err(|e| e.to_string())?;
-
-    let scrape = live.finish("pipeline replay")?;
-    let scrape = scrape.ok_or("metrics endpoint missing")?;
-    let addr = scrape.local_addr();
-    println!("serving metrics at http://{addr}/metrics for {hold_ms}ms");
-    write_metrics_out(flags, &scrape)?;
-    std::thread::sleep(std::time::Duration::from_millis(hold_ms));
-    scrape.shutdown();
-    Ok(())
-}
-
-/// The live pipeline `serve` and `simulate --metrics` both run: one
-/// registry behind the scrape endpoint, the self-trace recorder, TCP
-/// ingest into the online engine, and a consumer that takes every window
-/// result off the engine's results queue as it is emitted.
+/// The live pipeline `serve` runs: one registry behind the scrape
+/// endpoint, the self-trace recorder, TCP ingest into the online engine,
+/// and a consumer that takes every window result off the engine's results
+/// queue as it is emitted.
 struct LivePipeline {
     scrape: Option<traceweaver::pipeline::MetricsServer>,
     recorder: Option<traceweaver::telemetry::trace::SpanRecorder>,
@@ -568,7 +518,7 @@ fn write_metrics_out(
 fn cmd_replay(flags: &Flags) -> Result<(), String> {
     use traceweaver::pipeline::{export_records, export_records_with};
 
-    let mut records = load_spans(flag(flags, "spans")?)?;
+    let mut records = spans_flag(flags)?;
     let to = flag(flags, "to")?;
     let addr: std::net::SocketAddr = to.parse().map_err(|e| format!("--to {to}: {e}"))?;
     let batch: usize = num(flags, "batch", 500usize)?.max(1);
@@ -683,15 +633,13 @@ fn reconstruct_maybe_warm(
 }
 
 fn cmd_learn_delays(flags: &Flags) -> Result<(), String> {
-    let records = load_spans(flag(flags, "spans")?)?;
+    let records = spans_flag(flags)?;
     let graph: CallGraph = read_json(flag(flags, "graph")?)?;
     let window_ms: u64 = num(flags, "window-ms", 500u64)?;
     let out = PathBuf::from(flag(flags, "out")?);
 
-    let store = OfflineStore::new();
-    store.ingest(&records);
     let tw = TraceWeaver::new(graph, params_from(flags));
-    let registry = store.learn_delays(&tw, Nanos::from_millis(window_ms));
+    let registry = learn_delays(&tw, &records, Nanos::from_millis(window_ms));
     println!(
         "learned {} delay edges across {} processes from {} spans ({} windows)",
         registry.len(),
@@ -727,8 +675,8 @@ fn dir_flag<'a>(flags: &'a Flags, name: &str) -> Result<Option<&'a String>, Stri
 /// Build an [`OnlineConfig`] from the shared staged-pipeline flag block —
 /// `--window-ms`, `--grace-ms`, `--capacity` and the rest of
 /// `PIPELINE_VALUES` — plus `--no-drift` via
-/// [`sanitize_config_from`]. Used by both `simulate --metrics` and
-/// `serve` so new pipeline flags land in exactly one place.
+/// [`sanitize_config_from`]. `serve` is its one caller, so new pipeline
+/// flags land in exactly one place.
 fn online_config_from(
     flags: &Flags,
     telemetry: traceweaver::telemetry::Registry,
@@ -826,7 +774,7 @@ fn maybe_sanitize(flags: &Flags, records: Vec<RpcRecord>) -> Vec<RpcRecord> {
 }
 
 fn cmd_reconstruct(flags: &Flags) -> Result<(), String> {
-    let records = maybe_sanitize(flags, load_spans(flag(flags, "spans")?)?);
+    let records = maybe_sanitize(flags, spans_flag(flags)?);
     let graph: CallGraph = read_json(flag(flags, "graph")?)?;
     let tw = TraceWeaver::new(graph, params_from(flags));
     let result = reconstruct_maybe_warm(flags, &tw, &records)?;
@@ -876,7 +824,7 @@ fn span_index(records: &[RpcRecord]) -> (Catalog, HashMap<RpcId, RpcRecord>, Vec
 }
 
 fn cmd_waterfall(flags: &Flags) -> Result<(), String> {
-    let records = load_spans(flag(flags, "spans")?)?;
+    let records = spans_flag(flags)?;
     let graph: CallGraph = read_json(flag(flags, "graph")?)?;
     let width: usize = num(flags, "width", 60usize)?;
     let tw = TraceWeaver::new(graph, params_from(flags));
@@ -1097,7 +1045,7 @@ fn cmd_top(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_evaluate(flags: &Flags) -> Result<(), String> {
-    let records = maybe_sanitize(flags, load_spans(flag(flags, "spans")?)?);
+    let records = maybe_sanitize(flags, spans_flag(flags)?);
     let graph: CallGraph = read_json(flag(flags, "graph")?)?;
     let truth: TruthIndex = read_json(flag(flags, "truth")?)?;
     let tw = TraceWeaver::new(graph, params_from(flags));

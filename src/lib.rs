@@ -71,7 +71,8 @@ pub mod prelude {
     pub use tw_model::time::Nanos;
     pub use tw_model::{CallGraph, Catalog, Endpoint, Mapping, RpcId, TruthIndex};
     pub use tw_pipeline::{
-        load_registry, save_registry, OfflineStore, OnlineConfig, OnlineEngine, TailSampler,
+        learn_delays, load_registry, load_spans, save_registry, save_spans, OnlineConfig,
+        OnlineEngine, TailSampler,
     };
     pub use tw_sim::{AppConfig, SimOutput, Simulator, Workload};
 }

@@ -119,26 +119,6 @@ fn http_wire_capture_loop() {
 }
 
 #[test]
-fn offline_store_range_reconstruction() {
-    let app = traceweaver::sim::apps::two_service_chain(304);
-    let call_graph = app.config.call_graph();
-    let sim = Simulator::new(app.config).unwrap();
-    let out = sim.run(&Workload::poisson(app.roots[0], 400.0, Nanos::from_secs(2)));
-
-    let store = OfflineStore::new();
-    store.ingest(&out.records);
-    let tw = TraceWeaver::new(call_graph, Params::default());
-    // Reconstruct only the second half of the run.
-    let result = store.reconstruct_range(&tw, Nanos::from_secs(1), Nanos::from_secs(2));
-    assert!(!result.mapping.is_empty());
-    // Spot check: every mapped parent started in-range.
-    let by_id = out.records_by_id();
-    for (parent, _) in result.mapping.iter() {
-        assert!(by_id[&parent].send_req >= Nanos::from_secs(1));
-    }
-}
-
-#[test]
 fn parallel_reconstruction_is_deterministic() {
     // The executor must be invisible in the output: across thread counts
     // the Mapping AND the RankedMapping (candidate sets and scores) are

@@ -84,6 +84,19 @@ fn removed_flags_are_rejected() {
         &format!("simulate --app chain --out-dir {dir} --push-interval-ms 10"),
         "unknown flag --push-interval-ms",
     );
+    // `serve --metrics` plus `replay` is the one live path: simulate only
+    // writes its artifacts, so its loopback pipeline's flags are gone.
+    for flag in [
+        "--metrics",
+        "--metrics-hold-ms",
+        "--metrics-out",
+        "--window-ms",
+    ] {
+        assert_rejected(
+            &format!("simulate --app chain --out-dir {dir} {flag} 1"),
+            &format!("unknown flag {flag}"),
+        );
+    }
     assert_rejected(
         "push-sink --listen 127.0.0.1:0",
         "unknown command `push-sink`",
