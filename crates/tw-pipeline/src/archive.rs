@@ -8,6 +8,7 @@
 //! segmentation is deterministic: 1, 2 and 8 reconstruction threads
 //! produce byte-identical archive directories.
 
+use crate::checkpoint::DueCheckpoints;
 use crate::online::{DegradationLevel, WindowResult};
 use crate::pipeline::{DeadLetterPayload, Emitter, Stage, StageCtx};
 use std::collections::HashMap;
@@ -66,14 +67,22 @@ pub fn stored_traces(result: &WindowResult) -> Vec<StoredTrace> {
     traces
 }
 
-/// The sink stage: archive, then pass the window through untouched.
+/// The sink stage: archive, then pass the window through untouched, and
+/// write the checkpoints the archive has come to cover (DESIGN.md §12).
 pub struct ArchiveStage {
     archive: Arc<TraceArchive>,
+    pub(crate) checkpoint: Option<DueCheckpoints>,
+    /// `index + 1` of the last window observed.
+    observed: u64,
 }
 
 impl ArchiveStage {
     pub fn new(archive: Arc<TraceArchive>) -> Self {
-        ArchiveStage { archive }
+        ArchiveStage {
+            archive,
+            checkpoint: None,
+            observed: 0,
+        }
     }
 }
 
@@ -88,13 +97,21 @@ impl Stage for ArchiveStage {
     fn process(&mut self, item: Self::In, _ctx: &StageCtx, out: &mut Emitter<Self::Out>) {
         self.archive
             .observe_window(item.index, stored_traces(&item));
+        self.observed = item.index + 1;
         out.emit(item);
+        if let Some(checkpoint) = &mut self.checkpoint {
+            checkpoint.write(self.observed, self.archive.watermark(), false);
+        }
     }
 
     fn flush(&mut self, _ctx: &StageCtx, _out: &mut Emitter<Self::Out>) {
         // Seal the remainder so a clean shutdown archives every window
-        // the pipeline emitted.
+        // the pipeline emitted; the windows past those were empty.
         self.archive.sync();
+        let archived = self.archive.watermark();
+        if let Some(checkpoint) = &mut self.checkpoint {
+            checkpoint.write(self.observed, archived, archived >= self.observed);
+        }
     }
 }
 

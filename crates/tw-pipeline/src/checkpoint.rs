@@ -1,36 +1,18 @@
-//! Crash-safe checkpointing of online state (DESIGN.md §12).
-//!
-//! A process crash used to lose everything the online engine had
-//! accumulated: the windowing watermark (so a restart re-derived window
-//! indices from scratch), the sanitizer's skew/drift filters (so
-//! correction restarted cold and mis-corrected until re-convergence),
-//! and the warm [`DelayRegistry`] (so reconstruction quality fell back
-//! to the bootstrap for many windows). The window shard persists all
-//! three into one atomically-replaced file: a single-frame
-//! [`tw_store::frame`] file with the `TWCK` magic and a JSON
-//! [`CheckpointDoc`] payload. It writes at the end of a seal, once the
-//! interval has passed since its last write, and once more after the
-//! drain, so no thread of its own runs. Any mismatch on load is a
-//! *clean* rejection: the engine falls back to a cold start and counts
-//! the reason, it never trusts a corrupt checkpoint.
-//!
-//! Consistency model: the watermark and the registry are the shard's own
-//! and exact at the write — the watermark is authoritative (it is what
-//! restart resumes from). The sanitizer snapshot may trail it by one
-//! publication interval; it is an *estimator*, so staleness degrades
-//! correction quality marginally and never produces wrong window
-//! membership. Windows sealed after the last write are lost on crash
-//! (the seals since that write) and reported honestly via
-//! `tw_pipeline_recovery_windows_lost`.
+//! Crash-safe checkpointing of online state (DESIGN.md §12): one
+//! atomically replaced `TWCK` file holding a JSON [`CheckpointDoc`]. Its
+//! watermark is the one frontier of a restart: the window shard makes a
+//! document at a seal once the interval has passed and after the drain,
+//! and writes it itself, or, with an archive, hands it to the archive
+//! stage, which writes it once the archive holds every window it names.
+//! A load failure is a counted cold start, never a trusted corrupt file.
 
 use crate::sanitize::{SanitizerSnapshot, SanitizerSnapshotSlot};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tw_core::DelayRegistry;
 use tw_store::frame::{read_json, write_json};
-use tw_store::TraceArchive;
 use tw_telemetry::{Counter, Gauge, Registry};
 
 const MAGIC: [u8; 4] = *b"TWCK";
@@ -42,9 +24,8 @@ pub const CHECKPOINT_FILE: &str = "online.ckpt";
 pub struct CheckpointConfig {
     /// Directory holding the checkpoint file (created if missing).
     pub dir: PathBuf,
-    /// Least time between two writes. The window shard writes at the
-    /// first seal after it has passed, so a crash loses the seals since
-    /// the last write.
+    /// Least time between two documents: the window shard makes one at
+    /// the first seal after it has passed.
     pub interval: Duration,
 }
 
@@ -62,8 +43,8 @@ impl CheckpointConfig {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CheckpointDoc {
     /// Sealed watermark: every window with index < this was
-    /// reconstructed and handed downstream before the checkpoint.
-    /// Restart resumes routing at this index.
+    /// reconstructed, handed downstream and, with an archive, committed.
+    /// Restart resumes routing at this index and drops replays below it.
     pub watermark: u64,
     /// Window length (ns) the watermark was computed under. A restart
     /// with a different window size must not trust the watermark.
@@ -72,9 +53,8 @@ pub struct CheckpointDoc {
     pub sanitizer: Option<SanitizerSnapshot>,
     /// Latest published warm registry, if the engine runs warm.
     pub registry: Option<DelayRegistry>,
-    /// Archived-window watermark sampled from the trace archive, if the
-    /// engine archives. Older checkpoints (or archive-off runs) simply
-    /// omit the key, which deserializes as `None`.
+    /// The archive's durable watermark when the archive stage wrote this
+    /// document (`None` without an archive). Nothing reads it back.
     pub archived: Option<u64>,
 }
 
@@ -111,6 +91,8 @@ pub struct RecoveryMetrics {
     pub windows_lost: Gauge,
     /// `tw_pipeline_recovery_watermark`
     pub watermark: Gauge,
+    /// `tw_pipeline_recovery_replayed_total`
+    pub replayed: Counter,
     /// `tw_pipeline_checkpoint_writes_total`
     pub writes: Counter,
     /// `tw_pipeline_checkpoint_errors_total`
@@ -136,11 +118,15 @@ impl RecoveryMetrics {
             cold_io: cold("io"),
             windows_lost: registry.gauge(
                 "tw_pipeline_recovery_windows_lost",
-                "Recovery gap of the most recent restore: window indices between the restored watermark and the first live record (the seals since the last checkpoint write).",
+                "Recovery gap of the most recent restore: window indices between the restored watermark and the first live record (windows sealed after the last checkpoint a crash left).",
             ),
             watermark: registry.gauge(
                 "tw_pipeline_recovery_watermark",
                 "Sealed window watermark restored from (or written to) the checkpoint.",
+            ),
+            replayed: registry.counter(
+                "tw_pipeline_recovery_replayed_total",
+                "Records dropped after a restore because they were routed to a window below the restored watermark.",
             ),
             writes: registry.counter(
                 "tw_pipeline_checkpoint_writes_total",
@@ -163,9 +149,25 @@ impl RecoveryMetrics {
     }
 }
 
+/// The one checkpoint write: into `dir`, counted, the outcome described.
+fn commit(dir: &Path, doc: &CheckpointDoc, metrics: &RecoveryMetrics) -> String {
+    match write_checkpoint(dir, doc) {
+        Ok(()) => {
+            metrics.writes.inc();
+            metrics.watermark.set(doc.watermark as f64);
+            format!("checkpoint written (watermark {})", doc.watermark)
+        }
+        Err(e) => {
+            metrics.write_errors.inc();
+            eprintln!("tw-online: checkpoint write failed: {e}");
+            format!("checkpoint write failed: {e}")
+        }
+    }
+}
+
 /// The checkpoint as the window shard keeps it (DESIGN.md §12): the
-/// sealed watermark it advances at every seal, the other stages' state it
-/// reads when it writes, and when it last wrote.
+/// sealed watermark it advances at every seal, the sanitizer state it
+/// reads when a document is due, and when it last made one.
 pub(crate) struct ShardCheckpoint {
     dir: PathBuf,
     interval: Duration,
@@ -176,8 +178,8 @@ pub(crate) struct ShardCheckpoint {
     metrics: RecoveryMetrics,
     /// The sanitize stage's published snapshot, when it sanitizes.
     pub(crate) sanitizer: Option<SanitizerSnapshotSlot>,
-    /// The archive whose durable watermark rides along, when it archives.
-    pub(crate) archive: Option<Arc<TraceArchive>>,
+    /// Where documents go instead of to disk once [`Self::hand_off`] ran.
+    archive: Option<Sender<CheckpointDoc>>,
 }
 
 impl ShardCheckpoint {
@@ -199,15 +201,36 @@ impl ShardCheckpoint {
         }
     }
 
-    /// Window `index` is sealed: advance the watermark past it, and write
-    /// when the interval has passed since the last write. Returns the
-    /// span event describing a write.
-    pub(crate) fn seal(&mut self, index: u64, registry: Option<&DelayRegistry>) -> Option<String> {
-        self.sealed = self.sealed.max(index + 1);
-        (self.last_write.elapsed() >= self.interval).then(|| self.write(registry))
+    /// Send every document to the archive stage from now on, and return
+    /// that stage's end of the hand-off.
+    pub(crate) fn hand_off(&mut self) -> DueCheckpoints {
+        let (tx, inbox) = unbounded();
+        self.archive = Some(tx);
+        DueCheckpoints {
+            dir: self.dir.clone(),
+            metrics: self.metrics.clone(),
+            inbox,
+            ready: None,
+            ahead: None,
+        }
     }
 
-    /// Write the checkpoint now and describe the outcome.
+    /// Window `index` is sealed: advance the watermark past it, and make
+    /// a document if it `emitted` a result and the interval has passed
+    /// since the last one. An empty window makes none, so no more
+    /// documents wait on the archive stage than results queue for it.
+    /// Returns the span event describing it.
+    pub(crate) fn seal(
+        &mut self,
+        index: u64,
+        emitted: bool,
+        registry: Option<&DelayRegistry>,
+    ) -> Option<String> {
+        self.sealed = self.sealed.max(index + 1);
+        (emitted && self.last_write.elapsed() >= self.interval).then(|| self.write(registry))
+    }
+
+    /// Make a document now: write it, or hand it to the archive stage.
     pub(crate) fn write(&mut self, registry: Option<&DelayRegistry>) -> String {
         self.last_write = Instant::now();
         let doc = CheckpointDoc {
@@ -215,19 +238,48 @@ impl ShardCheckpoint {
             window_ns: self.window_ns,
             sanitizer: self.sanitizer.as_ref().and_then(|s| s.lock().clone()),
             registry: registry.cloned(),
-            archived: self.archive.as_ref().map(|a| a.watermark()),
+            archived: None,
         };
-        match write_checkpoint(&self.dir, &doc) {
-            Ok(()) => {
-                self.metrics.writes.inc();
-                self.metrics.watermark.set(doc.watermark as f64);
-                format!("checkpoint written (watermark {})", doc.watermark)
+        let Some(archive) = &self.archive else {
+            return commit(&self.dir, &doc, &self.metrics);
+        };
+        if archive.send(doc).is_ok() {
+            return format!("checkpoint to the archive (watermark {})", self.sealed);
+        }
+        self.metrics.write_errors.inc();
+        "checkpoint dropped: the archive stage is gone".to_string()
+    }
+}
+
+/// The documents the window shard handed the archive stage, each written
+/// once the archive's durable watermark covers it. A commit covers every
+/// window observed, so only the newest document they cover is kept.
+pub(crate) struct DueCheckpoints {
+    dir: PathBuf,
+    metrics: RecoveryMetrics,
+    inbox: Receiver<CheckpointDoc>,
+    /// The newest document naming only windows observed.
+    ready: Option<CheckpointDoc>,
+    /// The first one taken from the hand-off ahead of them.
+    ahead: Option<CheckpointDoc>,
+}
+
+impl DueCheckpoints {
+    /// Write the ready document once the archive's watermark `archived`
+    /// covers it — with `last`, the newest one, whatever it names: windows
+    /// past the last one `observed` were empty.
+    pub(crate) fn write(&mut self, observed: u64, archived: u64, last: bool) {
+        let observed = if last { u64::MAX } else { observed };
+        while let Some(doc) = self.ahead.take().or_else(|| self.inbox.try_recv().ok()) {
+            if doc.watermark > observed {
+                self.ahead = Some(doc);
+                break;
             }
-            Err(e) => {
-                self.metrics.write_errors.inc();
-                eprintln!("tw-online: checkpoint write failed: {e}");
-                format!("checkpoint write failed: {e}")
-            }
+            self.ready = Some(doc);
+        }
+        if let Some(mut doc) = self.ready.take_if(|d| last || d.watermark <= archived) {
+            doc.archived = Some(archived);
+            commit(&self.dir, &doc, &self.metrics);
         }
     }
 }
@@ -259,6 +311,72 @@ mod tests {
         let snap = loaded.sanitizer.unwrap();
         assert_eq!(snap.watermark, 77);
         assert_eq!(snap.records_since_resolve, 9);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard checkpoint writing a document at every seal into the
+    /// archive stage's hand-off, and the stage's end of it.
+    fn handed_off(dir: &Path) -> (ShardCheckpoint, DueCheckpoints) {
+        let _ = std::fs::remove_dir_all(dir);
+        let cfg = CheckpointConfig {
+            interval: Duration::ZERO,
+            ..CheckpointConfig::new(dir)
+        };
+        let mut shard = ShardCheckpoint::new(&cfg, 1, 0, RecoveryMetrics::new(&Registry::new()));
+        let due = shard.hand_off();
+        (shard, due)
+    }
+
+    /// However many documents wait on an archive that covers none, the
+    /// final write puts the newest on disk: its watermark and registry.
+    #[test]
+    fn final_write_keeps_the_newest_waiting_document() {
+        for n in [17u64, 18] {
+            let dir = std::env::temp_dir().join(format!("twck-last-{n}-{}", std::process::id()));
+            let (mut shard, mut due) = handed_off(&dir);
+            let mut registry = DelayRegistry::default();
+            for index in 0..n {
+                registry.finish_round();
+                shard.seal(index, true, Some(&registry));
+            }
+            due.write(0, 0, false);
+            assert!(
+                load_checkpoint(&dir).is_err(),
+                "an uncovered document was written"
+            );
+            due.write(0, 0, true);
+            let doc = load_checkpoint(&dir).unwrap();
+            assert_eq!(doc.watermark, n);
+            assert_eq!(doc.registry.unwrap().rounds(), n);
+            assert_eq!(doc.archived, Some(0));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A document is written once the archive's watermark covers it, and
+    /// never one naming a window the archive has not committed. An empty
+    /// window makes no document.
+    #[test]
+    fn documents_wait_for_the_archive_to_cover_them() {
+        let dir = std::env::temp_dir().join(format!("twck-cover-{}", std::process::id()));
+        let (mut shard, mut due) = handed_off(&dir);
+        for index in 0..6 {
+            shard.seal(index, true, None);
+        }
+        assert_eq!(shard.seal(6, false, None), None, "an empty window made one");
+        let on_disk = || {
+            load_checkpoint(&dir)
+                .ok()
+                .map(|d| (d.watermark, d.archived))
+        };
+        due.write(4, 0, false);
+        assert_eq!(on_disk(), None);
+        due.write(4, 4, false);
+        assert_eq!(on_disk(), Some((4, Some(4))));
+        due.write(6, 4, false);
+        assert_eq!(on_disk(), Some((4, Some(4))));
+        due.write(6, 6, false);
+        assert_eq!(on_disk(), Some((6, Some(6))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,13 +1,14 @@
 //! Which window a record belongs to: the sequential head of the windowing
 //! stage.
 
+use crate::checkpoint::RecoveryMetrics;
 use crate::pipeline::{DeadLetterPayload, Emitter, Stage, StageCtx};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
 use tw_telemetry::trace::{SpanGuard, SpanRecorder};
-use tw_telemetry::Gauge;
+use tw_telemetry::{Counter, Gauge};
 
 /// Router → shard message: a record stamped with its window index, or the
 /// cut that seals a window.
@@ -38,6 +39,7 @@ impl DeadLetterPayload for WindowMsg {
 /// *effective window index* — `max(⌈recv_resp / window⌉ − 1, first
 /// uncut window)`, so a late record lands in the first window still open
 /// at its arrival — and sends the stamped record to the window shard.
+/// After a restore it drops the records routed below the watermark.
 /// When the watermark passes a window's end plus grace it sends the
 /// [`WindowMsg::Cut`]. The queue is FIFO, so a window's records are all
 /// buffered in the shard before its cut arrives.
@@ -53,14 +55,14 @@ pub(super) struct WindowRouter {
     route_spans: BTreeMap<u64, SpanGuard>,
 }
 
-/// One-shot recovery-gap probe: after a checkpoint restore the router
-/// reports, on the first live record, how many window indices fall
-/// between the restored watermark and where the stream actually resumes —
-/// the windows lost to the crash: those the window shard sealed after its
-/// last checkpoint write.
+/// After a checkpoint restore the router drops and counts each record the
+/// sealing run routed below `resumed_at` — its effective index, with the
+/// watermark rebuilt from the stream replayed in order — and reports once,
+/// on the first live record, the windows lost to the crash.
 struct RouterRecovery {
     resumed_at: u64,
-    windows_lost: Gauge,
+    windows_lost: Option<Gauge>,
+    replayed: Counter,
 }
 
 impl WindowRouter {
@@ -77,14 +79,14 @@ impl WindowRouter {
     }
 
     /// Resume routing at a restored watermark: every window with index
-    /// below `first_uncut` was already sealed by the previous process,
-    /// so replayed/late records fold into the first still-open window —
-    /// nothing before the watermark is re-emitted.
-    pub(super) fn resume(mut self, first_uncut: u64, windows_lost: Gauge) -> Self {
+    /// below `first_uncut` was already sealed by the previous process, so
+    /// the records routed there are dropped, never re-emitted or folded.
+    pub(super) fn resume(mut self, first_uncut: u64, metrics: &RecoveryMetrics) -> Self {
         self.first_uncut = first_uncut;
         self.recovery = Some(RouterRecovery {
             resumed_at: first_uncut,
-            windows_lost,
+            windows_lost: Some(metrics.windows_lost.clone()),
+            replayed: metrics.replayed.clone(),
         });
         self
     }
@@ -105,15 +107,21 @@ impl Stage for WindowRouter {
     }
 
     fn process(&mut self, rec: RpcRecord, _ctx: &StageCtx, out: &mut Emitter<WindowMsg>) {
-        self.watermark = self.watermark.max(rec.recv_resp);
         let by_ts = rec.recv_resp.0.div_ceil(self.window.0).saturating_sub(1);
-        if let Some(probe) = self.recovery.take() {
-            // First record after a restore: everything between the
-            // checkpointed watermark and this record's nominal window was
-            // sealed by a process that died before emitting it.
-            probe
-                .windows_lost
-                .set(by_ts.saturating_sub(probe.resumed_at) as f64);
+        // The first window open at this arrival in a run cut from window 0.
+        let open = self.watermark.0.saturating_sub(self.grace.0) / self.window.0;
+        self.watermark = self.watermark.max(rec.recv_resp);
+        if let Some(recovery) = &mut self.recovery {
+            if let Some(windows_lost) = recovery.windows_lost.take() {
+                // First record after a restore: everything between the
+                // checkpointed watermark and this record's nominal window
+                // was sealed by a process that died before emitting it.
+                windows_lost.set(by_ts.saturating_sub(recovery.resumed_at) as f64);
+            }
+            if by_ts.max(open) < recovery.resumed_at {
+                recovery.replayed.inc();
+                return;
+            }
         }
         let index = by_ts.max(self.first_uncut);
         if let Some(trace) = &self.trace {
@@ -145,11 +153,11 @@ impl Stage for WindowRouter {
 mod tests {
     use super::*;
     use crate::archive::stored_traces;
-    use crate::online::shard::{EngineMetrics, WarmState, WindowShard};
+    use crate::online::shard::{EngineMetrics, WindowShard};
     use crate::online::{assert_same_windows, DegradationLevel, ShedPolicy, WindowResult};
     use crate::pipeline::{PipelineBuilder, ShutdownReport};
     use crate::supervise::{DeadLetterQueue, Supervisor};
-    use crossbeam::channel::Receiver;
+    use crossbeam::channel::Sender;
     use tw_core::{DelayRegistry, Params, TraceWeaver};
     use tw_model::callgraph::CallGraph;
     use tw_model::ids::RpcId;
@@ -218,23 +226,18 @@ mod tests {
         (call_graph, records)
     }
 
-    /// A warm window shard on `threads` workers under `shed`, and the
-    /// channel its flush hands the final registry back on.
+    /// A warm window shard on `threads` workers under `shed`.
     fn warm_shard(
         graph: &CallGraph,
         window: Nanos,
         threads: usize,
         shed: ShedPolicy,
         telemetry: &Registry,
-    ) -> (WindowShard, Receiver<DelayRegistry>) {
+    ) -> WindowShard {
         let tw = TraceWeaver::new(graph.clone(), Params::with_threads(threads));
         let mut shard = WindowShard::new(window, shed, tw, EngineMetrics::new(telemetry, None));
-        let (out, registry) = crossbeam::channel::bounded(1);
-        shard.warm = Some(WarmState {
-            registry: DelayRegistry::default(),
-            out,
-        });
-        (shard, registry)
+        shard.warm = Some(DelayRegistry::default());
+        shard
     }
 
     /// source → poison stage → (poison) window router → warm window shard
@@ -247,7 +250,7 @@ mod tests {
         router_poison: &[RpcId],
         telemetry: &Registry,
     ) -> (ShutdownReport<WindowResult>, DeadLetterQueue) {
-        let (shard, _) = warm_shard(graph, WINDOW, threads, ShedPolicy::default(), telemetry);
+        let shard = warm_shard(graph, WINDOW, threads, ShedPolicy::default(), telemetry);
         let capacity = 1024;
         let supervisor = Supervisor::default();
         let dlq = supervisor.dead_letters().clone();
@@ -464,10 +467,12 @@ mod tests {
 
     /// The adaptive shard with its input-queue depth scripted: at the
     /// `k`-th cut mark the shard sees depth `4k`, so its ladder signal is a
-    /// steady slope of +4 items per tick, far above the 0.5 up-slope.
+    /// steady slope of +4 items per tick, far above the 0.5 up-slope. Its
+    /// flush hands the shard's final registry out.
     struct ScriptedDepth {
         shard: WindowShard,
         cuts: usize,
+        registry: Sender<DelayRegistry>,
     }
 
     impl Stage for ScriptedDepth {
@@ -486,6 +491,9 @@ mod tests {
         }
         fn flush(&mut self, ctx: &StageCtx, out: &mut Emitter<WindowResult>) {
             self.shard.flush(ctx, out);
+            if let Some(registry) = self.shard.warm.take() {
+                let _ = self.registry.send(registry);
+            }
         }
     }
 
@@ -506,14 +514,20 @@ mod tests {
             adaptive: true,
             ..ShedPolicy::default()
         };
-        let (shard, registry) = warm_shard(&graph, window, 1, shed, &telemetry);
+        let shard = warm_shard(&graph, window, 1, shed, &telemetry);
+        let (registry_tx, registry) = crossbeam::channel::bounded(1);
         let (tx, builder) = PipelineBuilder::<RpcRecord>::source(&telemetry, 1024);
+        let scripted = ScriptedDepth {
+            shard,
+            cuts: 0,
+            registry: registry_tx,
+        };
         let pipeline = builder
             .stage(
                 WindowRouter::new(window, Nanos::from_millis(50), None),
                 1024,
             )
-            .stage(ScriptedDepth { shard, cuts: 0 }, 1024)
+            .stage(scripted, 1024)
             .build();
         for r in &records {
             tx.send(*r).unwrap();
@@ -568,5 +582,62 @@ mod tests {
             .sum();
         assert_eq!(changes, 3);
         assert_eq!(transitions, changes as f64);
+    }
+
+    /// After a restore at watermark 4, a record routed below it — in its
+    /// own window, or late into the window open at its arrival — is a
+    /// replay of a sealed window: dropped and counted, never folded
+    /// forward. A late record the sealing run folded into a window at or
+    /// above the watermark still lands in the first window open at its
+    /// arrival, whatever its own window.
+    #[test]
+    fn restored_router_drops_replays_and_still_clamps_late_records() {
+        let (_, records) = stream(66);
+        let at = |rpc: u64, window: u64| RpcRecord {
+            rpc: RpcId(rpc),
+            recv_resp: Nanos(window * WINDOW.0 + WINDOW.0 / 2),
+            ..records[0]
+        };
+        let telemetry = Registry::new();
+        let recovery = crate::checkpoint::RecoveryMetrics::new(&telemetry);
+        let router = WindowRouter::new(WINDOW, Nanos::from_millis(50), None).resume(4, &recovery);
+        let (tx, builder) = PipelineBuilder::<RpcRecord>::source(&telemetry, 16);
+        let pipeline = builder.stage(router, 16).build();
+        // rpc 8 arrives late while window 3 is open (watermark 875 ms);
+        // rpc 5 while window 6 is.
+        let replay = [at(1, 1), at(7, 3), at(8, 0), at(2, 4), at(3, 6)];
+        for r in replay.into_iter().chain([at(4, 4), at(5, 2)]) {
+            tx.send(r).unwrap();
+        }
+        drop(tx);
+        let routed: Vec<(u64, Option<u64>)> = pipeline
+            .shutdown()
+            .expect_clean()
+            .iter()
+            .map(|msg| match msg {
+                WindowMsg::Record(window, r) => (*window, Some(r.rpc.0)),
+                WindowMsg::Cut(window) => (*window, None),
+            })
+            .collect();
+        assert_eq!(
+            routed,
+            [
+                (4, Some(2)),
+                (6, Some(3)),
+                (4, None),
+                (5, None),
+                (6, Some(4)),
+                (6, Some(5))
+            ]
+        );
+        let text = telemetry.render();
+        assert!(
+            text.contains("tw_pipeline_recovery_replayed_total 3\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tw_pipeline_recovery_windows_lost 0\n"),
+            "{text}"
+        );
     }
 }

@@ -7,7 +7,6 @@ use super::router::WindowMsg;
 use super::shed::{LadderedWeaver, ShedLadder};
 use crate::checkpoint::ShardCheckpoint;
 use crate::pipeline::{Emitter, Stage, StageCtx};
-use crossbeam::channel::Sender;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -108,14 +107,6 @@ impl EngineMetrics {
     }
 }
 
-/// Warm-start state the window shard carries in warm mode: the
-/// registry chain plus the channel that hands the final posterior back
-/// through [`crate::OnlineEngine::shutdown_with_registry`].
-pub(super) struct WarmState {
-    pub(super) registry: DelayRegistry,
-    pub(super) out: Sender<DelayRegistry>,
-}
-
 /// The windowing+reconstruction shard ([`Stage`] `window/0`): buffers
 /// each open window's records, seals one whole window per cut mark, and
 /// seals still-open windows (in index order) on shutdown — the drain path
@@ -129,7 +120,8 @@ pub(super) struct WindowShard {
     /// backlog, reported as [`WindowResult::queue_depth`].
     open: BTreeMap<u64, Vec<RpcRecord>>,
     last_level: Option<DegradationLevel>,
-    pub(super) warm: Option<WarmState>,
+    /// Warm mode's registry chain (DESIGN.md §8): *k*'s posterior, *k+1*'s prior.
+    pub(super) warm: Option<DelayRegistry>,
     /// The checkpoint this shard writes (DESIGN.md §12). `None` when
     /// checkpointing is off.
     pub(super) checkpoint: Option<ShardCheckpoint>,
@@ -177,7 +169,7 @@ impl WindowShard {
         started: Instant,
     ) -> (WindowResult, GapRound) {
         let end = Nanos((index + 1).saturating_mul(self.window.0));
-        let warm_edges = self.warm.as_ref().map_or(0, |w| w.registry.len());
+        let warm_edges = self.warm.as_ref().map_or(0, DelayRegistry::len);
         let span = self
             .trace
             .as_ref()
@@ -187,9 +179,8 @@ impl WindowShard {
         }
         let (reconstruction, round, shed_records) = match self.ladder.for_level(level) {
             Some(tw) => match &self.warm {
-                Some(warm) => {
-                    let (reconstruction, round) =
-                        tw.reconstruct_records_warm(&records, &warm.registry);
+                Some(prior) => {
+                    let (reconstruction, round) = tw.reconstruct_records_warm(&records, prior);
                     (reconstruction, round, 0)
                 }
                 None => (tw.reconstruct_records(&records), GapRound::default(), 0),
@@ -244,16 +235,15 @@ impl WindowShard {
             // forward unchanged.
             if let (Some(warm), Some(_)) = (self.warm.as_mut(), self.ladder.for_level(level)) {
                 let _span = self.trace.as_ref().and_then(|t| t.span(index, "absorb"));
-                warm.registry.absorb_round(round);
+                warm.absorb_round(round);
             }
         }
         // The watermark advances on every mark, empty windows included:
         // it is the sealed frontier the checkpoint persists.
-        let registry = self.warm.as_ref().map(|w| &w.registry);
         let written = self
             .checkpoint
             .as_mut()
-            .and_then(|c| c.seal(index, registry));
+            .and_then(|c| c.seal(index, emitted, self.warm.as_ref()));
         if let Some(trace) = &self.trace {
             if let Some(event) = written {
                 trace.event(index, None, event);
@@ -291,17 +281,14 @@ impl Stage for WindowShard {
 
     /// Drain on shutdown: seal every still-open window, in index order,
     /// through the same ladder — partially filled windows flush through
-    /// reconstruction instead of being dropped — then write the final
-    /// checkpoint, so a clean restart replays nothing.
+    /// reconstruction instead of being dropped — then make the final
+    /// checkpoint, the one way out for the final registry.
     fn flush(&mut self, _ctx: &StageCtx, out: &mut Emitter<WindowResult>) {
         while let Some(index) = self.open.keys().next().copied() {
             self.seal(index, None, out);
         }
         if let Some(checkpoint) = &mut self.checkpoint {
-            checkpoint.write(self.warm.as_ref().map(|w| &w.registry));
-        }
-        if let Some(warm) = self.warm.take() {
-            let _ = warm.out.send(warm.registry);
+            checkpoint.write(self.warm.as_ref());
         }
     }
 }

@@ -297,7 +297,7 @@ impl ClockModel {
 #[derive(Debug)]
 pub struct Sanitizer {
     cfg: SanitizeConfig,
-    metrics: SanitizeMetrics,
+    pub(crate) metrics: SanitizeMetrics,
     /// Per-service `tw_sanitize_skew_offset_ns` gauges, registered lazily
     /// as services appear in resolved offsets.
     skew_gauges: BTreeMap<ServiceId, Gauge>,
@@ -622,13 +622,14 @@ pub struct ServiceModelSnapshot {
     pub drift: f64,
 }
 
-/// Complete serializable image of a [`Sanitizer`]'s mutable state — the
-/// skew/drift filters, resolved per-service clock models, dedup ring,
-/// anchor, and counters. Floats survive the JSON round trip exactly
-/// (shortest-round-trip formatting), so a restored sanitizer corrects
-/// subsequent records bit-identically to one that never stopped.
-/// Configuration is *not* part of the snapshot: it comes from flags at
-/// restart, so operators can retune without invalidating checkpoints.
+/// Serializable image of a [`Sanitizer`]'s estimators: the skew/drift
+/// filters, resolved per-service clock models, anchor and resolve
+/// cadence. Floats survive the JSON round trip exactly (shortest-round-trip
+/// formatting), so a restored sanitizer corrects later records
+/// bit-identically to one that never stopped. Dedup memory is not part of
+/// it (dedup filters within one run; a restored router drops replays by
+/// window, DESIGN.md §12; an older image's ring is ignored), nor is the
+/// configuration: flags set it at restart, so retuning keeps checkpoints.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SanitizerSnapshot {
     /// Drift anchor (ns), if any record was seen.
@@ -636,8 +637,6 @@ pub struct SanitizerSnapshot {
     /// Sanitizer watermark (ns): max corrected `recv_resp` seen.
     pub watermark: u64,
     pub records_since_resolve: u64,
-    /// Dedup ring contents (RpcIds), oldest first.
-    pub dedup_ring: Vec<u64>,
     pub edges: Vec<EdgeSkewSnapshot>,
     pub services: Vec<ServiceModelSnapshot>,
 }
@@ -649,7 +648,6 @@ impl Sanitizer {
             anchor: self.anchor.map(|a| a.0),
             watermark: self.watermark.0,
             records_since_resolve: self.records_since_resolve,
-            dedup_ring: self.ring.iter().map(|id| id.0).collect(),
             edges: self
                 .edges
                 .iter()
@@ -683,8 +681,6 @@ impl Sanitizer {
         self.anchor = snap.anchor.map(Nanos);
         self.watermark = Nanos(snap.watermark);
         self.records_since_resolve = snap.records_since_resolve;
-        self.ring = snap.dedup_ring.iter().map(|&id| RpcId(id)).collect();
-        self.seen = snap.dedup_ring.iter().map(|&id| RpcId(id)).collect();
         self.edges = snap
             .edges
             .iter()
@@ -732,13 +728,15 @@ pub type SanitizerSnapshotSlot = Arc<parking_lot::Mutex<Option<SanitizerSnapshot
 /// per-reason counters bumped.
 ///
 /// The stage's counters are ordinary registry series (no parallel
-/// bookkeeping): [`stats`](SanitizeStage::stats) reads the same
+/// bookkeeping): [`crate::OnlineEngine::sanitize_stats`] reads the same
 /// `tw_sanitize_*` counters a scrape endpoint would, and the handles
 /// stay readable after the pipeline shuts down.
 pub struct SanitizeStage {
-    sanitizer: Sanitizer,
-    /// Snapshot publication slot for checkpointing.
-    snapshot_slot: Option<SanitizerSnapshotSlot>,
+    /// Restored from the checkpoint before the stage joins a pipeline.
+    pub(crate) sanitizer: Sanitizer,
+    /// Where the engine's checkpoint reads the latest snapshot, published
+    /// every 256 records and at the flush.
+    pub(crate) snapshot_slot: Option<SanitizerSnapshotSlot>,
     since_snapshot: u64,
     /// Self-tracing: recorder plus the engine window width, so the stage
     /// can attribute its work to the window each record will land in.
@@ -747,13 +745,6 @@ pub struct SanitizeStage {
 }
 
 impl SanitizeStage {
-    /// Stage with counters in a private registry; use
-    /// [`new_in`](SanitizeStage::new_in) to share one across the
-    /// pipeline.
-    pub fn new(cfg: SanitizeConfig) -> Self {
-        Self::new_in(cfg, &Registry::new())
-    }
-
     /// Stage with the `tw_sanitize_*` series in `registry`.
     pub fn new_in(cfg: SanitizeConfig, registry: &Registry) -> Self {
         SanitizeStage {
@@ -792,30 +783,6 @@ impl SanitizeStage {
         if let Some(span) = recorder.span(index, "sanitize") {
             self.current_span = Some((index, span));
         }
-    }
-
-    /// Publish a [`SanitizerSnapshot`] into `slot` periodically (and at
-    /// flush), for the checkpoint to persist.
-    pub fn publish_snapshots(mut self, slot: SanitizerSnapshotSlot) -> Self {
-        self.snapshot_slot = Some(slot);
-        self
-    }
-
-    /// Restore sanitizer state from a checkpoint before the stage is
-    /// moved into a pipeline.
-    pub fn restore(&mut self, snapshot: &SanitizerSnapshot) {
-        self.sanitizer.restore(snapshot);
-    }
-
-    /// Live snapshot of the per-reason counters.
-    pub fn stats(&self) -> SanitizeStats {
-        self.sanitizer.stats()
-    }
-
-    /// Clone of the registry-backed counter handles, for reading
-    /// [`SanitizeStats`] after the stage has been moved into a pipeline.
-    pub(crate) fn metrics_handle(&self) -> SanitizeMetrics {
-        self.sanitizer.metrics.clone()
     }
 
     fn maybe_publish(&mut self, force: bool) {
@@ -1134,7 +1101,7 @@ mod tests {
         use crate::pipeline::PipelineBuilder;
         let registry = Registry::new();
         let stage = SanitizeStage::new_in(SanitizeConfig::default(), &registry);
-        let metrics = stage.metrics_handle();
+        let metrics = stage.sanitizer.metrics.clone();
         let (tx, builder) = PipelineBuilder::<RpcRecord>::source(&registry, 1024);
         let pipeline = builder.stage(stage, 1024).build();
         for i in 0..10 {
@@ -1180,8 +1147,9 @@ mod tests {
 
         assert_eq!(out.len(), out_continuous.len());
         assert_eq!(out, out_continuous);
-        // Dedup state survived too: a head-era duplicate is still caught.
-        assert!(second.sanitize(skewed[10]).is_none());
-        assert_eq!(second.stats().duplicates, 1);
+        // Dedup filters within one run: a head-era record is not the
+        // restored sanitizer's duplicate, the router drops it by window.
+        assert!(second.sanitize(skewed[10]).is_some());
+        assert_eq!(second.stats().duplicates, 0);
     }
 }

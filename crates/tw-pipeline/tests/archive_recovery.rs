@@ -1,9 +1,11 @@
 //! Archive durability end to end (DESIGN.md §14): the on-disk archive a
 //! warm pipeline run produces must be byte-identical at every thread
 //! count, a clean restart must neither re-archive nor lose sealed windows,
-//! a stalled results consumer must cost no sealed window, and live queries
+//! a `kill -9` must neither lose nor rewrite a window (DESIGN.md §12), a
+//! stalled results consumer must cost no sealed window, and live queries
 //! over HTTP must resolve exemplar window ids.
 
+use crossbeam::channel::Sender;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -11,19 +13,26 @@ use tw_core::{Params, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
 use tw_pipeline::{
-    fetch_traces, stored_traces, CheckpointConfig, MetricsServer, OnlineConfig, OnlineEngine,
+    fetch_traces, load_checkpoint, stored_traces, CheckpointConfig, MetricsServer, OnlineConfig,
+    OnlineEngine, SanitizeConfig, WindowResult,
 };
 use tw_sim::apps::hotel_reservation;
 use tw_sim::{Simulator, Workload};
-use tw_store::{read_query, ArchiveConfig, TraceQuery};
+use tw_store::{read_query, ArchiveConfig, StoredTrace, TraceQuery};
 use tw_telemetry::Registry;
 
 fn workload(seed: u64) -> (tw_model::CallGraph, Vec<RpcRecord>) {
+    workload_at(seed, 200.0, Nanos::from_secs(2))
+}
+
+/// `hotel_reservation(seed)` at `rps` Poisson arrivals for `length`, in
+/// response-arrival order.
+fn workload_at(seed: u64, rps: f64, length: Nanos) -> (tw_model::CallGraph, Vec<RpcRecord>) {
     let app = hotel_reservation(seed);
     let call_graph = app.config.call_graph();
     let root = app.roots[0];
     let sim = Simulator::new(app.config).unwrap();
-    let out = sim.run(&Workload::poisson(root, 200.0, Nanos::from_secs(2)));
+    let out = sim.run(&Workload::poisson(root, rps, length));
     let mut records = out.records;
     records.sort_by_key(|r| (r.recv_resp, r.rpc));
     (call_graph, records)
@@ -94,6 +103,102 @@ fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tw-archrec-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Every trace the archive in `dir` has committed, in query order.
+fn all_traces(dir: &Path) -> Vec<StoredTrace> {
+    let all = TraceQuery {
+        limit: usize::MAX,
+        ..TraceQuery::default()
+    };
+    read_query(dir, &all).unwrap()
+}
+
+/// Offer every record without reading a result: wait for room while the
+/// graph moves, and once the unread results have stopped it (no room for
+/// half a second), give up on the rest. Returns how many were accepted.
+fn offer_until_stalled(ingest: &Sender<RpcRecord>, records: &[RpcRecord]) -> usize {
+    let mut stopped = false;
+    let mut accepted = 0usize;
+    for r in records {
+        let deadline = Instant::now() + Duration::from_millis(500);
+        while !stopped {
+            if ingest.try_send(*r).is_ok() {
+                accepted += 1;
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(50));
+            stopped = Instant::now() > deadline;
+        }
+    }
+    accepted
+}
+
+/// Run an engine over `records` on 2 workers, every record offered before
+/// the shutdown drain reads the results.
+fn run_all(
+    call_graph: &tw_model::CallGraph,
+    config: OnlineConfig,
+    records: &[RpcRecord],
+) -> Vec<WindowResult> {
+    let engine = OnlineEngine::start(weaver(call_graph, 2), config);
+    let ingest = engine.ingest_handle();
+    for r in records {
+        ingest.send(*r).unwrap();
+    }
+    drop(ingest);
+    engine.shutdown()
+}
+
+/// What `kill -9` leaves on disk, deterministically: an engine under
+/// `config` with every queue one item deep is offered `records` until its
+/// unread results stall the graph, and each `(from, to)` directory is
+/// copied while nothing moves. The engine is drained afterwards; the
+/// copies are what a restart finds.
+fn crash_copy(
+    call_graph: &tw_model::CallGraph,
+    config: OnlineConfig,
+    records: &[RpcRecord],
+    copies: &[(&Path, &Path)],
+) {
+    let engine = OnlineEngine::start(
+        weaver(call_graph, 2),
+        OnlineConfig {
+            channel_capacity: 1,
+            ..config
+        },
+    );
+    let ingest = engine.ingest_handle();
+    let accepted = offer_until_stalled(&ingest, records);
+    assert!(accepted < records.len(), "the graph never stalled");
+    for (from, to) in copies {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).into_iter().flatten() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+        }
+    }
+    drop(ingest);
+    drop(engine.shutdown());
+}
+
+/// The same windows, with the same ends, records and mappings, in the
+/// same order.
+fn assert_same_windows(a: &[WindowResult], b: &[WindowResult], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: window count");
+    for (a, b) in a.iter().zip(b) {
+        assert_eq!(a.index, b.index, "{what}: window order");
+        assert_eq!(a.end, b.end, "{what}: window {} end", a.index);
+        assert_eq!(a.records, b.records, "{what}: window {}", a.index);
+        for r in &a.records {
+            assert_eq!(
+                a.reconstruction.mapping.children(r.rpc),
+                b.reconstruction.mapping.children(r.rpc),
+                "{what}: mapping diverged in window {}",
+                a.index
+            );
+        }
+    }
 }
 
 /// The archive stage sees windows in index order from the one window
@@ -225,23 +330,8 @@ fn stalled_consumer_loses_no_sealed_window() {
             ..OnlineConfig::default()
         },
     );
-    // Offer every record before reading anything: wait for room while the
-    // graph moves, and once the unread results have stopped it (no room
-    // for half a second), give up on the rest.
     let ingest = engine.ingest_handle();
-    let mut stopped = false;
-    let mut accepted = 0usize;
-    for r in &records {
-        let deadline = Instant::now() + Duration::from_millis(500);
-        while !stopped {
-            if ingest.try_send(*r).is_ok() {
-                accepted += 1;
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-            stopped = Instant::now() > deadline;
-        }
-    }
+    let accepted = offer_until_stalled(&ingest, &records);
     drop(ingest);
     let results = engine.shutdown();
 
@@ -255,17 +345,10 @@ fn stalled_consumer_loses_no_sealed_window() {
     assert_eq!(results.len() as f64, sealed, "sealed windows were lost");
     let routed: usize = results.iter().map(|w| w.records.len()).sum();
     assert_eq!(routed, accepted, "accepted records were lost");
-    let archived: BTreeSet<(u64, u64)> = read_query(
-        &archive_dir,
-        &TraceQuery {
-            limit: usize::MAX,
-            ..TraceQuery::default()
-        },
-    )
-    .unwrap()
-    .iter()
-    .map(|t| (t.window, t.root))
-    .collect();
+    let archived: BTreeSet<(u64, u64)> = all_traces(&archive_dir)
+        .iter()
+        .map(|t| (t.window, t.root))
+        .collect();
     let expected: BTreeSet<(u64, u64)> = results
         .iter()
         .flat_map(stored_traces)
@@ -277,6 +360,164 @@ fn stalled_consumer_loses_no_sealed_window() {
         "archive is missing sealed windows' traces"
     );
     let _ = std::fs::remove_dir_all(&archive_dir);
+}
+
+/// A `kill -9` while the archive holds its windows only in memory: with
+/// 64 MiB segments nothing is committed when the graph stalls, so no
+/// checkpoint may name a sealed window either. A restart on what the
+/// crash left, replaying the whole stream, must archive exactly the
+/// uninterrupted run's traces, field for field, and emit its windows from
+/// the restored watermark on: no window rewritten from a prior that
+/// already absorbed it.
+#[test]
+fn kill_before_the_archive_commits_rewrites_no_window() {
+    let (call_graph, records) = workload_at(812, 1_500.0, Nanos::from_secs(2));
+    let config = |archive: &Path, checkpoint: &Path| OnlineConfig {
+        window: Nanos::from_millis(250),
+        grace: Nanos::from_millis(50),
+        channel_capacity: 4096,
+        warm_start: true,
+        archive: Some(ArchiveConfig {
+            segment_bytes: 64 << 20,
+            ..ArchiveConfig::new(archive)
+        }),
+        checkpoint: Some(CheckpointConfig {
+            interval: Duration::ZERO,
+            ..CheckpointConfig::new(checkpoint)
+        }),
+        ..OnlineConfig::default()
+    };
+    let dirs: Vec<PathBuf> = ["ref-arch", "ref-ck", "arch", "ck", "arch-left", "ck-left"]
+        .iter()
+        .map(|tag| tmp(&format!("kill-archive-{tag}")))
+        .collect();
+    let [ref_arch, ref_ck, arch, ck, arch_left, ck_left] = &dirs[..] else {
+        unreachable!()
+    };
+
+    let reference = run_all(&call_graph, config(ref_arch, ref_ck), &records);
+    crash_copy(
+        &call_graph,
+        config(arch, ck),
+        &records,
+        &[(arch, arch_left), (ck, ck_left)],
+    );
+    let restored = load_checkpoint(ck_left).map_or(0, |doc| doc.watermark);
+    let resumed = run_all(&call_graph, config(arch_left, ck_left), &records);
+
+    let expected = all_traces(ref_arch);
+    assert!(!expected.is_empty());
+    assert!(
+        all_traces(arch_left) == expected,
+        "the restarted archive differs from the uninterrupted run's"
+    );
+    let from_watermark: Vec<WindowResult> = reference
+        .into_iter()
+        .filter(|w| w.index >= restored)
+        .collect();
+    assert_same_windows(&from_watermark, &resumed, "after the restart");
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// A `kill -9` while the sanitizer has seen records of windows not yet
+/// sealed, with no archive. A restart on the checkpoint the crash left,
+/// replaying the whole stream, must rebuild every window from the restored
+/// watermark `W` on with exactly the uninterrupted run's records, and
+/// count each replayed record below `W` as `replayed`, not as a duplicate.
+/// Every 25th record arrives 400 ms late, so some record of a window below
+/// `W` was folded into one at or above it, and must land there again.
+#[test]
+fn kill_with_the_sanitizer_ahead_of_the_watermark_loses_no_record() {
+    let (call_graph, mut records) = workload_at(812, 400.0, Nanos::from_secs(4));
+    let late = Nanos::from_millis(400);
+    let arrival: Vec<Nanos> = (0..records.len())
+        .map(|i| records[i].recv_resp + if i % 25 == 0 { late } else { Nanos::ZERO })
+        .collect();
+    let mut order: Vec<usize> = (0..records.len()).collect();
+    order.sort_by_key(|&i| (arrival[i], records[i].rpc));
+    records = order.iter().map(|&i| records[i]).collect();
+    let config = |checkpoint: &Path, telemetry: &Registry| OnlineConfig {
+        window: Nanos::from_millis(250),
+        grace: Nanos::from_millis(50),
+        channel_capacity: 4096,
+        warm_start: true,
+        sanitize: Some(SanitizeConfig::default()),
+        checkpoint: Some(CheckpointConfig {
+            interval: Duration::ZERO,
+            ..CheckpointConfig::new(checkpoint)
+        }),
+        telemetry: telemetry.clone(),
+        ..OnlineConfig::default()
+    };
+    let (ref_ck, ck, ck_left) = (
+        tmp("kill-sanitize-ref"),
+        tmp("kill-sanitize"),
+        tmp("kill-sanitize-left"),
+    );
+
+    let reference = run_all(&call_graph, config(&ref_ck, &Registry::new()), &records);
+    crash_copy(
+        &call_graph,
+        config(&ck, &Registry::new()),
+        &records,
+        &[(&ck, &ck_left)],
+    );
+    let restored = load_checkpoint(&ck_left)
+        .expect("the crash left a checkpoint")
+        .watermark;
+    assert!(restored > 0, "no window sealed before the crash");
+    let window = Nanos::from_millis(250).0;
+    let folded_across = reference
+        .iter()
+        .filter(|w| w.index >= restored)
+        .flat_map(|w| &w.records)
+        .filter(|r| r.recv_resp.0.div_ceil(window) - 1 < restored)
+        .count();
+    assert!(folded_across > 0, "no late record crossed the watermark");
+    let telemetry = Registry::new();
+    let resumed = run_all(&call_graph, config(&ck_left, &telemetry), &records);
+
+    let ids = |windows: &[WindowResult]| -> Vec<(u64, Vec<u64>)> {
+        windows
+            .iter()
+            .filter(|w| w.index >= restored)
+            .map(|w| {
+                let mut ids: Vec<u64> = w.records.iter().map(|r| r.rpc.0).collect();
+                ids.sort_unstable();
+                (w.index, ids)
+            })
+            .collect()
+    };
+    let (got, want) = (ids(&resumed), ids(&reference));
+    let sizes = |windows: &[(u64, Vec<u64>)]| -> Vec<(u64, usize)> {
+        windows.iter().map(|(w, ids)| (*w, ids.len())).collect()
+    };
+    assert_eq!(
+        sizes(&got),
+        sizes(&want),
+        "records per window from the watermark on"
+    );
+    assert!(got == want, "record ids from the watermark on");
+    assert_eq!(resumed.len(), got.len(), "no window below the watermark");
+    let below: usize = reference
+        .iter()
+        .filter(|w| w.index < restored)
+        .map(|w| w.records.len())
+        .sum();
+    let text = telemetry.render();
+    assert!(
+        text.contains(&format!("tw_pipeline_recovery_replayed_total {below}\n")),
+        "{below} replayed records expected:\n{text}"
+    );
+    assert!(
+        text.contains("tw_sanitize_dropped_total{reason=\"duplicate\"} 0\n"),
+        "the stream carries no duplicate:\n{text}"
+    );
+    for dir in [&ref_ck, &ck, &ck_left] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 /// The live read path: a `MetricsServer` with the engine's archive

@@ -206,11 +206,12 @@ the ingest socket, so no queue drops a record.
 rung at a time on the queue-depth slope (EWMA, with hysteresis), and
 every record of a skipped window is counted. Without it no window is
 ever shed.
---checkpoint-dir enables crash-safe recovery: the window shard writes
-its sealed watermark, the sanitizer's skew state, and the delay
-registry to DIR at the first window seal after each
---checkpoint-interval-ms (default 1000) and once more at the drain;
-the next start restores them and reports the recovery gap in
+--checkpoint-dir enables crash-safe recovery: the window shard saves
+its sealed watermark, the sanitizer's skew state and the delay registry
+to DIR at the first seal after each --checkpoint-interval-ms (default
+1000) and at the drain (with --archive-dir, once the archive holds
+those windows); the next start restores them, drops replayed records
+routed below that watermark, and reports both in
 tw_pipeline_recovery_* metrics. The metrics endpoint also serves
 /healthz (liveness), /readyz (503 until the restore finishes), and
 /deadletters (records quarantined by the stage supervisor as JSON).
@@ -220,8 +221,8 @@ segment files (sealed at --archive-segment-bytes, default 1 MiB) under
 an atomically-committed manifest; each commit then merges small
 segments and enforces --archive-retention, a cap on the archive's total
 bytes (evicting oldest-first but salvaging high-latency/degraded traces
-into a tail segment). The archive watermark rides in the checkpoint, so a
-crash + restart neither re-archives nor loses sealed windows; progress
+into a tail segment). The checkpoint never runs ahead of the archive, so
+a crash + restart neither re-archives nor loses sealed windows; progress
 is visible in the tw_store_* metrics and the metrics endpoint gains
 GET /traces.
 
