@@ -286,14 +286,15 @@ fn serve_connection(
 /// bind an [`IngestServer`] as its source, so capture agents export wire
 /// frames straight into windowed reconstruction. Shut down the server
 /// before the engine so in-flight connections drain into the final
-/// windows.
+/// windows. Fails if the archive directory cannot be opened or `addr`
+/// cannot be bound.
 pub fn serve_online(
     addr: &str,
     tw: TraceWeaver,
     config: OnlineConfig,
 ) -> std::io::Result<(IngestServer, OnlineEngine)> {
     let registry = config.telemetry.clone();
-    let engine = OnlineEngine::start(tw, config);
+    let engine = OnlineEngine::try_start(tw, config)?;
     let server = IngestServer::bind_in(addr, engine.ingest_handle(), &registry)?;
     Ok((server, engine))
 }

@@ -1,6 +1,6 @@
 //! How the engine recovers, starts and drains: [`recover`] reads back
-//! where a previous process stopped, [`OnlineEngine::start`] assembles the
-//! supervised graph from that point, and shutdown drains it in order.
+//! where a previous process stopped, [`OnlineEngine::try_start`] assembles
+//! the supervised graph from that point, and shutdown drains it in order.
 //! The stages are the engine's only threads: the window shard makes the
 //! checkpoint, the archive stage writes it once it holds its windows, and
 //! the archive maintains itself at commit.
@@ -56,8 +56,9 @@ struct ResumePoint {
 /// Restore persisted online state before anything is built: the watermark
 /// seeds the router, the sanitizer snapshot seeds the skew filters, and
 /// the checkpointed registry seeds the warm chain. Every way a checkpoint
-/// can be unusable is a counted cold start, never an error.
-fn recover(config: &OnlineConfig) -> ResumePoint {
+/// can be unusable is a counted cold start, never an error; an archive
+/// directory that cannot be opened is the one error.
+fn recover(config: &OnlineConfig) -> std::io::Result<ResumePoint> {
     let window_ns = config.window.0;
     let mut resume = ResumePoint::default();
     if let Some(ck) = &config.checkpoint {
@@ -86,18 +87,31 @@ fn recover(config: &OnlineConfig) -> ResumePoint {
         }
         resume.recovery = Some(rm);
     }
-    resume.archive = config.archive.as_ref().map(|cfg| {
-        let archive = TraceArchive::open(cfg.clone(), &config.telemetry)
-            .expect("tw-online: archive directory unavailable");
-        Arc::new(archive)
-    });
-    resume
+    if let Some(cfg) = &config.archive {
+        let archive = TraceArchive::open(cfg.clone(), &config.telemetry).map_err(|err| {
+            std::io::Error::new(err.kind(), format!("archive {}: {err}", cfg.dir.display()))
+        })?;
+        resume.archive = Some(Arc::new(archive));
+    }
+    Ok(resume)
 }
 
 impl OnlineEngine {
-    pub fn start(tw: TraceWeaver, mut config: OnlineConfig) -> Self {
+    /// [`try_start`](Self::try_start) for callers whose archive directory
+    /// is known to open.
+    ///
+    /// # Panics
+    /// If [`OnlineConfig::archive`] names a directory that cannot be
+    /// opened.
+    pub fn start(tw: TraceWeaver, config: OnlineConfig) -> Self {
+        Self::try_start(tw, config).expect("tw-online: archive directory unavailable")
+    }
+
+    /// Recover from any checkpoint and start the graph. Fails, before
+    /// any stage runs, only when the archive directory cannot be opened.
+    pub fn try_start(tw: TraceWeaver, mut config: OnlineConfig) -> std::io::Result<Self> {
         config.window = Nanos(config.window.0.max(1));
-        let mut resume = recover(&config);
+        let mut resume = recover(&config)?;
         let watermark = resume.checkpoint.watermark;
         let shed = config.shed;
         let window = config.window;
@@ -170,14 +184,14 @@ impl OnlineEngine {
         };
         let pipeline = builder.build();
 
-        OnlineEngine {
+        Ok(OnlineEngine {
             ingest: Some(ingest_tx),
             results: pipeline.results().clone(),
             pipeline: Some(pipeline),
             sanitize_metrics,
             dead_letters,
             archive: resume.archive,
-        }
+        })
     }
 
     /// The engine's trace archive, when [`OnlineConfig::archive`] was

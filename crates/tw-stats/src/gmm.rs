@@ -154,36 +154,11 @@ impl Gmm {
     /// If `c` is 0 or above [`MAX_COMPONENTS`], or `ws` is not one weight
     /// per sample.
     pub fn fit_weighted(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Self {
-        assert!(c >= 1, "component count must be >= 1");
-        assert!(
-            c <= MAX_COMPONENTS,
-            "component count must be <= MAX_COMPONENTS ({MAX_COMPONENTS})"
-        );
-        assert_eq!(xs.len(), ws.len(), "one weight per sample");
-        if xs.is_empty() {
-            return Gmm::single(Gaussian::new(0.0, 1.0));
-        }
-        let total_w: f64 = ws.iter().sum();
-        if c == 1 || xs.len() < 2 * c || total_w <= 0.0 {
-            return Gmm::single(Gaussian::fit_weighted(xs, ws));
-        }
-        let em = match c {
-            2 => em::<2>,
-            3 => em::<3>,
-            4 => em::<4>,
-            5 => em::<5>,
-            6 => em::<6>,
-            7 => em::<7>,
-            8 => em::<8>,
-            _ => unreachable!("component count checked above"),
-        };
-        Gmm {
-            components: em(xs, ws, total_w, opts),
-        }
+        fit_with(xs, ws, c, opts, &mut None)
     }
 
-    /// Sweep `C = 1..=opts.max_components` until two counts running fail to
-    /// improve BIC, and return the BIC minimizer (paper §4.1 step 3).
+    /// Sweep `C = 1..=opts.max_components` up to the first count that does
+    /// not improve BIC, and return the BIC minimizer (paper §4.1 step 3).
     ///
     /// # Examples
     /// ```
@@ -242,8 +217,53 @@ impl Gmm {
     }
 }
 
+/// [`Gmm::fit_weighted`] with what EM's initialisation reads in `init`:
+/// the sorted sample and its overall σ, the same at every width. The first
+/// fit that runs EM fills it, so a sweep sorts its sample once, not once
+/// per count.
+fn fit_with(
+    xs: &[f64],
+    ws: &[f64],
+    c: usize,
+    opts: &GmmFitOptions,
+    init: &mut Option<(Vec<f64>, f64)>,
+) -> Gmm {
+    assert!(c >= 1, "component count must be >= 1");
+    assert!(
+        c <= MAX_COMPONENTS,
+        "component count must be <= MAX_COMPONENTS ({MAX_COMPONENTS})"
+    );
+    assert_eq!(xs.len(), ws.len(), "one weight per sample");
+    if xs.is_empty() {
+        return Gmm::single(Gaussian::new(0.0, 1.0));
+    }
+    let total_w: f64 = ws.iter().sum();
+    if c == 1 || xs.len() < 2 * c || total_w <= 0.0 {
+        return Gmm::single(Gaussian::fit_weighted(xs, ws));
+    }
+    let (sorted, overall_sigma) = init.get_or_insert_with(|| {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in GMM sample"));
+        (sorted, population_variance(xs).sqrt().max(SIGMA_FLOOR))
+    });
+    let em = match c {
+        2 => em::<2>,
+        3 => em::<3>,
+        4 => em::<4>,
+        5 => em::<5>,
+        6 => em::<6>,
+        7 => em::<7>,
+        8 => em::<8>,
+        _ => unreachable!("component count checked above"),
+    };
+    Gmm {
+        components: em(xs, ws, total_w, sorted, *overall_sigma, opts),
+    }
+}
+
 /// [`Gmm::fit_weighted`]'s EM loop at a width `C` fixed at compile time,
-/// for `2 <= C <= xs.len() / 2` and `total_w = Σ ws > 0`.
+/// for `2 <= C <= xs.len() / 2` and `total_w = Σ ws > 0`, seeded from the
+/// sorted sample and its overall σ.
 ///
 /// Every per-component value lives in a `[f64; C]`. The E-step takes each
 /// responsibility from the log-sum-exp's own terms, `r = e · (1/Σe)` (one
@@ -256,16 +276,15 @@ fn em<const C: usize>(
     xs: &[f64],
     ws: &[f64],
     total_w: f64,
+    sorted: &[f64],
+    overall_sigma: f64,
     opts: &GmmFitOptions,
 ) -> Vec<GmmComponent> {
-    let overall_sigma = population_variance(xs).sqrt().max(SIGMA_FLOOR);
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in GMM sample"));
     let mut comps: [GmmComponent; C] = std::array::from_fn(|i| {
         let q = (i as f64 + 0.5) / C as f64 * 100.0;
         GmmComponent {
             weight: 1.0 / C as f64,
-            gaussian: Gaussian::new(percentile_sorted(&sorted, q), overall_sigma),
+            gaussian: Gaussian::new(percentile_sorted(sorted, q), overall_sigma),
         }
     });
 
@@ -334,7 +353,7 @@ fn em<const C: usize>(
 
 /// The one BIC sweep over ascending `counts`: lowest weighted BIC wins, the
 /// smaller count on a tie. `stop_when_rising` (contiguous counts only) ends
-/// it after two counts running that do not beat the best — DESIGN.md §7.
+/// it at the first count that does not beat the best — DESIGN.md §7.
 fn min_bic(
     xs: &[f64],
     ws: &[f64],
@@ -342,18 +361,19 @@ fn min_bic(
     stop_when_rising: bool,
     opts: &GmmFitOptions,
 ) -> Gmm {
-    let (mut best, mut rises): (Option<(f64, Gmm)>, usize) = (None, 0);
+    let (mut best, mut init): (Option<(f64, Gmm)>, _) = (None, None);
     for c in counts {
         #[cfg(test)]
         tests::SWEEP_FITS.with(|n| n.set(n.get() + 1));
-        let gmm = Gmm::fit_weighted(xs, ws, c, opts);
+        let gmm = fit_with(xs, ws, c, opts, &mut init);
         let bic = gmm.bic_weighted(xs, ws);
         match &best {
-            Some((b, _)) if *b <= bic => rises += 1,
-            _ => (best, rises) = (Some((bic, gmm)), 0),
-        }
-        if stop_when_rising && rises == 2 {
-            break;
+            Some((b, _)) if *b <= bic => {
+                if stop_when_rising {
+                    break;
+                }
+            }
+            _ => best = Some((bic, gmm)),
         }
     }
     best.expect("at least one candidate model").1
@@ -836,25 +856,21 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_sweep_stops_after_two_counts_that_do_not_pay() {
+    fn contiguous_sweep_stops_at_the_first_count_that_does_not_pay() {
         let opts = GmmFitOptions::default();
         let (mut stopped, mut exhaustive) = (0, 0);
         for (what, xs) in gap_samples() {
             let (auto, fits) = sweep_fits(|| Gmm::fit_auto(&xs, &opts));
-            // It stops where the rule says: two counts running that did not
-            // beat the best before them, or out of counts.
-            let (mut best, mut rises, mut expected) = (f64::INFINITY, 0, opts.max_components);
+            // It stops where the rule says: the first count that did not
+            // beat the best before it, or out of counts.
+            let (mut best, mut expected) = (f64::INFINITY, opts.max_components);
             for c in 1..=opts.max_components {
                 let bic = Gmm::fit(&xs, c, &opts).bic(&xs);
-                (best, rises) = if best <= bic {
-                    (best, rises + 1)
-                } else {
-                    (bic, 0)
-                };
-                if rises == 2 {
+                if best <= bic {
                     expected = c;
                     break;
                 }
+                best = bic;
             }
             assert_eq!(fits, expected, "{what}");
             // What it returns is the exhaustive sweep cut at that count...
@@ -865,8 +881,8 @@ mod tests {
             assert_eq!(auto, fit_auto_reference(&xs, &cut), "{what}");
             // ...and the cut loses nothing once a sample is too large for a
             // late component to pay by collapsing onto one point (on a few
-            // dozen gaps the exhaustive sweep can find such a spike at C = 5
-            // after two rises; `gap_samples` has four of those).
+            // dozen gaps the exhaustive sweep can find such a spike after a
+            // rise; `gap_samples` has seven of those).
             if xs.len() >= 250 {
                 assert_eq!(auto, fit_auto_reference(&xs, &opts), "{what}");
             }
@@ -897,13 +913,13 @@ mod tests {
             ..GmmFitOptions::default()
         };
         // Unimodal reservoir: BIC rises straight after C = 1, so a
-        // contiguous sweep stops after three fits. The narrowed one must
+        // contiguous sweep stops after two fits. The narrowed one must
         // not stop at all.
         let mut s = crate::sampler::Sampler::new(4);
         let xs: Vec<f64> = (0..400).map(|_| s.normal(20.0, 2.0)).collect();
         let ws = decayed_weights(xs.len(), 64);
         let (full, fits) = sweep_fits(|| Gmm::fit_auto_weighted(&xs, &ws, &opts));
-        assert_eq!((full.len(), fits), (1, 3));
+        assert_eq!((full.len(), fits), (1, 2));
         let sets = [
             (1, vec![1, 2]),
             (3, vec![1, 2, 3, 4]),

@@ -662,7 +662,7 @@ fn sanitize_config_from(flags: &Flags) -> traceweaver::pipeline::SanitizeConfig 
 
 /// A directory flag's value, rejected when it names an existing
 /// non-directory: unchecked, the stage using it would fail only once
-/// serving (the archive panics at start, no checkpoint write succeeds).
+/// serving (the archive fails to open, no checkpoint write succeeds).
 /// A missing directory is fine — its stage creates it.
 fn dir_flag<'a>(flags: &'a Flags, name: &str) -> Result<Option<&'a String>, String> {
     match flags.get(name) {

@@ -147,7 +147,8 @@ fn stderr_of(out: &Output) -> String {
 
 /// A directory flag naming a regular file is an argument error before
 /// serve binds — not a panic (`--archive-dir`) nor a serve that never
-/// checkpoints (`--checkpoint-dir`).
+/// checkpoints (`--checkpoint-dir`). An archive directory that cannot be
+/// created, under a regular file, is an error once serve opens it.
 #[test]
 fn directory_flags_naming_a_file_are_rejected() {
     let dir = simulated("dir-flags", 200);
@@ -161,6 +162,15 @@ fn directory_flags_naming_a_file_are_rejected() {
             &format!("{flag} {}: not a directory", file.display()),
         );
     }
+    let under = file.join("archive");
+    assert_rejected(
+        &format!(
+            "serve --graph {} --duration-ms 1 --archive-dir {}",
+            file.display(),
+            under.display()
+        ),
+        &format!("archive {}: ", under.display()),
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
