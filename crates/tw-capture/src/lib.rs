@@ -1,9 +1,8 @@
 //! Span capture substrate — the stand-in for the paper's eBPF hooks,
-//! sidecar proxies and test environments (§5).
+//! sidecar proxies and test environments (§5). What an imperfect capture
+//! layer does to the records (loss, duplicates, skew, timestamp jitter)
+//! is modelled once, by `tw_sim::FaultPlan`.
 //!
-//! * [`capture`] — the observation layer: turns raw RPC events into
-//!   per-process span views, optionally degrading the signal (timestamp
-//!   jitter, missing thread ids) the way real capture pipelines do;
 //! * [`http`] — HTTP/1.1 parsing: turn raw captured connection bytes
 //!   into request-response exchanges with first-byte timestamps (§5.1.2);
 //! * [`wire`] — a length-prefixed binary wire format for exporting span
@@ -15,14 +14,12 @@
 //! * [`infer`] — call-graph and dependency-order inference from test
 //!   traces via edge elimination (§5.2.2).
 
-pub mod capture;
 pub mod http;
 pub mod infer;
 mod telemetry;
 pub mod testenv;
 pub mod wire;
 
-pub use capture::{CaptureLayer, CaptureOptions};
 pub use http::{render_http_segments, segments_to_records, ExchangeAssembler, HttpParser};
 pub use infer::{infer_call_graph, infer_dependency_spec};
 pub use testenv::{generate_test_traces, TestTrace};

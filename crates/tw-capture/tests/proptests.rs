@@ -1,8 +1,7 @@
-//! Property-based tests for the wire codec and capture layer.
+//! Property-based tests for the wire codec and the HTTP parser.
 
 use proptest::prelude::*;
 use tw_capture::wire::{decode_records, encode_records, FrameDecoder};
-use tw_capture::{CaptureLayer, CaptureOptions};
 use tw_model::ids::{Endpoint, OperationId, RpcId, ServiceId};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
@@ -78,41 +77,6 @@ proptest! {
         // Whatever decoded must be a strict prefix of the input records.
         prop_assert!(out.len() <= records.len());
         prop_assert_eq!(&records[..out.len()], &out[..]);
-    }
-
-    #[test]
-    fn capture_jitter_never_breaks_causality(
-        base in 0u64..1_000_000,
-        gaps in any::<[u16; 3]>(),
-        jitter in 0u64..100_000,
-    ) {
-        let rec = RpcRecord {
-            rpc: RpcId(1),
-            caller: ServiceId(0),
-            caller_replica: 0,
-            callee: Endpoint::new(ServiceId(1), OperationId(0)),
-            callee_replica: 0,
-            send_req: Nanos(base),
-            recv_req: Nanos(base + gaps[0] as u64),
-            send_resp: Nanos(base + gaps[0] as u64 + gaps[1] as u64),
-            recv_resp: Nanos(base + gaps[0] as u64 + gaps[1] as u64 + gaps[2] as u64),
-            caller_thread: Some(0),
-            callee_thread: Some(0),
-        };
-        let layer = CaptureLayer::new(CaptureOptions {
-            timestamp_jitter_ns: jitter,
-            seed: base,
-            ..Default::default()
-        });
-        for out in layer.observe(&[rec]) {
-            prop_assert!(out.is_well_formed());
-        }
-    }
-
-    #[test]
-    fn capture_drop_prob_zero_keeps_all(records in prop::collection::vec(record_strategy(), 0..40)) {
-        let layer = CaptureLayer::new(CaptureOptions::default());
-        prop_assert_eq!(layer.observe(&records), records);
     }
 
     /// The HTTP parser must produce identical messages regardless of how

@@ -49,23 +49,19 @@ fn nodejs_accuracy() {
 }
 
 #[test]
-fn social_network_mixed_flows_accuracy() {
-    use tw_sim::apps::social_network;
-    let app = social_network(111);
+fn media_mixed_flows_accuracy() {
+    let app = media_microservices(111);
     let call_graph = app.config.call_graph();
     let sim = Simulator::new(app.config).unwrap();
-    // All three flows mixed: compose-heavy social-media traffic pattern.
+    // Both flows mixed: a read-heavy compose-review / read-page pattern.
     let out = sim.run(
-        &Workload::poisson(app.roots[0], 150.0, Nanos::from_millis(1_000)).with_mix(vec![
-            (app.roots[0], 1.0),
-            (app.roots[1], 3.0),
-            (app.roots[2], 1.0),
-        ]),
+        &Workload::poisson(app.roots[0], 150.0, Nanos::from_millis(1_000))
+            .with_mix(vec![(app.roots[0], 1.0), (app.roots[1], 3.0)]),
     );
     let tw = TraceWeaver::new(call_graph, Params::default());
     let result = tw.reconstruct_records(&out.records);
     let acc = end_to_end_accuracy_all_roots(&result.mapping, &out.truth).ratio();
-    assert!(acc > 0.8, "social-network mixed flows accuracy {acc}");
+    assert!(acc > 0.8, "media mixed flows accuracy {acc}");
 }
 
 #[test]

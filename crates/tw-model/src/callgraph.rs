@@ -127,27 +127,6 @@ impl CallGraph {
         self.specs.is_empty()
     }
 
-    /// Total number of spans a request to `root` generates (including the
-    /// root span itself), assuming the static call graph is fully traversed.
-    pub fn tree_size(&self, root: Endpoint) -> usize {
-        let mut visiting = HashSet::new();
-        self.tree_size_inner(root, &mut visiting)
-    }
-
-    fn tree_size_inner(&self, ep: Endpoint, visiting: &mut HashSet<Endpoint>) -> usize {
-        if !visiting.insert(ep) {
-            // Cycle guard: malformed graphs count the repeated endpoint once.
-            return 1;
-        }
-        let size = 1 + self
-            .spec(ep)
-            .all_calls()
-            .map(|c| self.tree_size_inner(c, visiting))
-            .sum::<usize>();
-        visiting.remove(&ep);
-        size
-    }
-
     /// Validate the graph: no endpoint may (transitively) call itself, and
     /// no service may call its own endpoints (paper assumption: spans cross
     /// process boundaries).
@@ -248,19 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_size_counts_all_spans() {
-        let g = figure1();
-        // A + (B + D + E) + C = 5 spans
-        assert_eq!(g.tree_size(ep(0, 0)), 5);
-        assert_eq!(g.tree_size(ep(1, 0)), 3);
-        assert_eq!(g.tree_size(ep(2, 0)), 1);
-    }
-
-    #[test]
     fn unknown_endpoint_is_leaf() {
         let g = CallGraph::new();
         assert!(g.spec(ep(9, 9)).is_leaf());
-        assert_eq!(g.tree_size(ep(9, 9)), 1);
         assert!(g.get(ep(9, 9)).is_none());
     }
 

@@ -101,17 +101,9 @@ pub struct IngestServer {
 
 impl IngestServer {
     /// Bind and start accepting. Use `"127.0.0.1:0"` to pick a free port.
-    ///
-    /// Counters go to a private registry; use [`bind_in`]
-    /// (IngestServer::bind_in) to share one with the rest of a pipeline
-    /// (and a [`MetricsServer`] scrape endpoint).
-    pub fn bind(addr: &str, sink: Sender<RpcRecord>) -> std::io::Result<IngestServer> {
-        Self::bind_in(addr, sink, &Registry::new())
-    }
-
-    /// [`bind`](IngestServer::bind) with an explicit telemetry registry:
-    /// the `tw_ingest_*` series land there.
-    pub fn bind_in(
+    /// The `tw_ingest_*` series land in `registry`, so a pipeline (and its
+    /// [`MetricsServer`] scrape endpoint) can share one.
+    pub fn bind(
         addr: &str,
         sink: Sender<RpcRecord>,
         registry: &Registry,
@@ -295,7 +287,7 @@ pub fn serve_online(
 ) -> std::io::Result<(IngestServer, OnlineEngine)> {
     let registry = config.telemetry.clone();
     let engine = OnlineEngine::try_start(tw, config)?;
-    let server = IngestServer::bind_in(addr, engine.ingest_handle(), &registry)?;
+    let server = IngestServer::bind(addr, engine.ingest_handle(), &registry)?;
     Ok((server, engine))
 }
 
@@ -499,20 +491,10 @@ impl ServeHealth {
 
 impl MetricsServer {
     /// Bind and start serving. Use `"127.0.0.1:0"` to pick a free port.
-    /// The server reports ready immediately; use [`bind_with`]
-    /// (MetricsServer::bind_with) when readiness is gated on startup
-    /// work.
-    pub fn bind(addr: &str, sources: Vec<Registry>) -> std::io::Result<MetricsServer> {
-        let health = ServeHealth::new();
-        health.set_ready();
-        MetricsServer::bind_with(addr, sources, health)
-    }
-
-    /// [`bind`](MetricsServer::bind) with explicit [`ServeHealth`]:
     /// `/healthz` answers 200 as soon as the accept loop runs, `/readyz`
     /// answers 503 until [`ServeHealth::set_ready`], and `/deadletters`
     /// serves the attached quarantine queue as JSON.
-    pub fn bind_with(
+    pub fn bind(
         addr: &str,
         sources: Vec<Registry>,
         health: ServeHealth,
@@ -654,7 +636,9 @@ pub fn fetch_spans(addr: SocketAddr) -> std::io::Result<String> {
 
 /// Query a [`MetricsServer`]'s `/traces` endpoint and return the parsed
 /// stored traces. Errors if no archive is attached (404) or the body is
-/// not a valid [`tw_store::TracesDoc`].
+/// not a valid [`tw_store::TracesDoc`]. The endpoint filters in whole
+/// milliseconds, so a time bound that is not one is `InvalidInput`
+/// rather than silently widened.
 pub fn fetch_traces(
     addr: SocketAddr,
     query: &tw_store::TraceQuery,
@@ -669,14 +653,20 @@ pub fn fetch_traces(
     if let Some(op) = query.op {
         params.push(format!("op={op}"));
     }
-    if let Some(ns) = query.min_latency_ns {
-        params.push(format!("min_latency_ms={}", ns / 1_000_000));
-    }
-    if let Some(ns) = query.from_ns {
-        params.push(format!("from_ms={}", ns / 1_000_000));
-    }
-    if let Some(ns) = query.to_ns {
-        params.push(format!("to_ms={}", ns / 1_000_000));
+    let bounds = [
+        ("min_latency", query.min_latency_ns),
+        ("from", query.from_ns),
+        ("to", query.to_ns),
+    ];
+    for (name, ns) in bounds {
+        let Some(ns) = ns else { continue };
+        if ns % 1_000_000 != 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{name}_ns = {ns} is not a whole millisecond, the endpoint's unit"),
+            ));
+        }
+        params.push(format!("{name}_ms={}", ns / 1_000_000));
     }
     if query.limit > 0 {
         params.push(format!("limit={}", query.limit));
@@ -729,7 +719,7 @@ mod tests {
     #[test]
     fn single_client_round_trip() {
         let (tx, rx) = unbounded();
-        let server = IngestServer::bind("127.0.0.1:0", tx).unwrap();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
         let records: Vec<RpcRecord> = (0..100).map(rec).collect();
         export_records(server.local_addr(), &records).unwrap();
 
@@ -744,7 +734,7 @@ mod tests {
     #[test]
     fn multiple_concurrent_clients() {
         let (tx, rx) = unbounded();
-        let server = IngestServer::bind("127.0.0.1:0", tx).unwrap();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
         let addr = server.local_addr();
         let handles: Vec<_> = (0..4u64)
             .map(|k| {
@@ -772,7 +762,7 @@ mod tests {
     #[test]
     fn garbage_stream_dropped_after_consecutive_errors() {
         let (tx, rx) = unbounded();
-        let server = IngestServer::bind("127.0.0.1:0", tx).unwrap();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
         let addr = server.local_addr();
         // Pure-garbage connection: every window of 0xFF… decodes as an
         // absurd frame length, so resync never finds a boundary and the
@@ -818,7 +808,7 @@ mod tests {
     #[test]
     fn single_corrupt_frame_resyncs_without_dropping_connection() {
         let (tx, rx) = unbounded();
-        let server = IngestServer::bind("127.0.0.1:0", tx).unwrap();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
         let addr = server.local_addr();
         // One frame with a bad version byte, then healthy frames, all on
         // the SAME connection: the decoder consumes the bad frame, the
@@ -853,7 +843,7 @@ mod tests {
     #[test]
     fn healthy_streams_leave_error_counters_at_zero() {
         let (tx, rx) = unbounded();
-        let server = IngestServer::bind("127.0.0.1:0", tx).unwrap();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
         let records: Vec<RpcRecord> = (0..20).map(rec).collect();
         export_records(server.local_addr(), &records).unwrap();
         for _ in 0..records.len() {
@@ -903,10 +893,10 @@ mod tests {
     #[test]
     fn shutdown_is_clean_and_idempotent_on_drop() {
         let (tx, _rx) = unbounded();
-        let server = IngestServer::bind("127.0.0.1:0", tx).unwrap();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
         server.shutdown();
         // Dropping another server without explicit shutdown is also fine.
         let (tx2, _rx2) = unbounded();
-        let _server2 = IngestServer::bind("127.0.0.1:0", tx2).unwrap();
+        let _server2 = IngestServer::bind("127.0.0.1:0", tx2, &Registry::new()).unwrap();
     }
 }

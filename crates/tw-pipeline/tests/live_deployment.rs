@@ -9,6 +9,7 @@ use tw_model::time::Nanos;
 use tw_pipeline::{export_records, IngestServer, OnlineConfig, OnlineEngine, TailSampler};
 use tw_sim::apps::hotel_reservation;
 use tw_sim::{Simulator, Workload};
+use tw_telemetry::Registry;
 
 #[test]
 fn tcp_to_engine_to_sampler() {
@@ -35,7 +36,8 @@ fn tcp_to_engine_to_sampler() {
             ..OnlineConfig::default()
         },
     );
-    let server = IngestServer::bind("127.0.0.1:0", engine.ingest_handle()).unwrap();
+    let server =
+        IngestServer::bind("127.0.0.1:0", engine.ingest_handle(), &Registry::new()).unwrap();
     let addr = server.local_addr();
 
     // Two agents export disjoint halves concurrently (e.g. two nodes).

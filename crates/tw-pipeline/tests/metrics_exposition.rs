@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use tw_core::{Params, TraceWeaver};
 use tw_model::time::Nanos;
 use tw_pipeline::net::{export_records, fetch_metrics, serve_online_sanitized, MetricsServer};
-use tw_pipeline::{OnlineConfig, SanitizeConfig};
+use tw_pipeline::{OnlineConfig, SanitizeConfig, ServeHealth};
 use tw_sim::apps::two_service_chain;
 use tw_sim::{Simulator, Workload};
 use tw_telemetry::http::get;
@@ -30,6 +30,7 @@ fn scrape_covers_every_pipeline_stage() {
     let scrape = MetricsServer::bind(
         "127.0.0.1:0",
         vec![registry.clone(), tw_telemetry::global().clone()],
+        ServeHealth::new(),
     )
     .expect("bind metrics endpoint");
 
@@ -101,7 +102,8 @@ fn scrape_covers_every_pipeline_stage() {
 /// A scrape against a path other than /metrics 404s instead of hanging.
 #[test]
 fn unknown_path_is_a_clean_404() {
-    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()]).expect("bind");
+    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()], ServeHealth::new())
+        .expect("bind");
     let mut stream = TcpStream::connect(scrape.local_addr()).expect("connect");
     stream
         .write_all(b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
@@ -122,10 +124,9 @@ fn huge_traces_query_value_saturates_and_server_survives() {
     let archive =
         tw_store::TraceArchive::open(tw_store::ArchiveConfig::new(&dir), &Registry::new())
             .expect("open archive");
-    let health = tw_pipeline::ServeHealth::new();
+    let health = ServeHealth::new();
     health.attach_archive(std::sync::Arc::new(archive));
-    let scrape =
-        MetricsServer::bind_with("127.0.0.1:0", vec![Registry::new()], health).expect("bind");
+    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()], health).expect("bind");
 
     let max = u64::MAX;
     let path = format!("/traces?min_latency_ms={max}&from_ms={max}&to_ms={max}");
@@ -144,7 +145,8 @@ fn huge_traces_query_value_saturates_and_server_survives() {
 /// serving.
 #[test]
 fn declared_request_body_is_refused_with_413() {
-    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()]).expect("bind");
+    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()], ServeHealth::new())
+        .expect("bind");
     let mut stream = TcpStream::connect(scrape.local_addr()).expect("connect");
     stream
         .write_all(b"POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n")
@@ -163,7 +165,8 @@ fn declared_request_body_is_refused_with_413() {
 /// ends must not hold the liveness probe behind it.
 #[test]
 fn slow_client_does_not_stall_the_scrape_endpoint() {
-    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()]).expect("bind");
+    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()], ServeHealth::new())
+        .expect("bind");
     let addr = scrape.local_addr();
     let trickle = std::thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).expect("connect");

@@ -115,7 +115,7 @@ fn slow_window_exemplar_links_to_span_tree() {
     let recorder = SpanRecorder::new(TraceConfig::default(), &registry);
     let health = ServeHealth::new();
     health.attach_spans(recorder.clone());
-    let scrape = MetricsServer::bind_with("127.0.0.1:0", vec![registry.clone()], health.clone())
+    let scrape = MetricsServer::bind("127.0.0.1:0", vec![registry.clone()], health.clone())
         .expect("bind metrics endpoint");
 
     let tw = TraceWeaver::new(call_graph, Params::default());

@@ -699,262 +699,6 @@ pub fn nodejs_app_with(opts: NodejsOptions) -> BenchApp {
     }
 }
 
-/// DeathStarBench SocialNetwork (12 services), the third and largest DSB
-/// application. Three API flows:
-///
-/// * `POST /compose` — nginx → compose-post, which calls unique-id, text
-///   (→ url-shorten + user-mention in parallel), user, media in one
-///   parallel stage, then post-storage, then user-timeline and
-///   home-timeline fan-out;
-/// * `GET /home-timeline` — nginx → home-timeline → post-storage;
-/// * `GET /user-timeline` — nginx → user-timeline → post-storage.
-pub fn social_network(seed: u64) -> BenchApp {
-    let mut cat = Catalog::new();
-    let nginx = cat.service("nginx");
-    let compose = cat.service("compose-post");
-    let unique_id = cat.service("unique-id");
-    let text = cat.service("text");
-    let url_shorten = cat.service("url-shorten");
-    let user_mention = cat.service("user-mention");
-    let user = cat.service("user");
-    let media = cat.service("media");
-    let post_storage = cat.service("post-storage");
-    let user_timeline = cat.service("user-timeline");
-    let home_timeline = cat.service("home-timeline");
-    let social_graph = cat.service("social-graph");
-
-    let op_compose_http = cat.operation("POST /compose");
-    let op_home_http = cat.operation("GET /home-timeline");
-    let op_user_http = cat.operation("GET /user-timeline");
-    let op_compose = cat.operation("ComposePost.Upload");
-    let op_uid = cat.operation("UniqueId.Get");
-    let op_text = cat.operation("Text.Process");
-    let op_url = cat.operation("UrlShorten.Shorten");
-    let op_mention = cat.operation("UserMention.Resolve");
-    let op_user = cat.operation("User.Get");
-    let op_media = cat.operation("Media.Attach");
-    let op_store = cat.operation("PostStorage.Store");
-    let op_read_posts = cat.operation("PostStorage.Read");
-    let op_ut_write = cat.operation("UserTimeline.Write");
-    let op_ut_read = cat.operation("UserTimeline.Read");
-    let op_ht_write = cat.operation("HomeTimeline.Write");
-    let op_ht_read = cat.operation("HomeTimeline.Read");
-    let op_followers = cat.operation("SocialGraph.Followers");
-
-    let thrift = ThreadingModel::RpcPool {
-        io_threads: 2,
-        workers: 16,
-    };
-    let leaf = |median: f64, sigma: f64| EndpointBehavior::leaf(lognorm(median, sigma));
-    let call = |svc, op| CallBehavior::new(Endpoint::new(svc, op), lognorm(10.0, 0.3));
-
-    let services = vec![
-        ServiceConfig {
-            id: nginx,
-            replicas: 1,
-            threading: ThreadingModel::AsyncEventLoop,
-            endpoints: vec![
-                (
-                    op_compose_http,
-                    EndpointBehavior::with_stages(
-                        lognorm(60.0, 0.4),
-                        vec![StageBehavior::new(us(0.0), vec![call(compose, op_compose)])],
-                        lognorm(40.0, 0.4),
-                    ),
-                ),
-                (
-                    op_home_http,
-                    EndpointBehavior::with_stages(
-                        lognorm(50.0, 0.4),
-                        vec![StageBehavior::new(
-                            us(0.0),
-                            vec![call(home_timeline, op_ht_read)],
-                        )],
-                        lognorm(30.0, 0.4),
-                    ),
-                ),
-                (
-                    op_user_http,
-                    EndpointBehavior::with_stages(
-                        lognorm(50.0, 0.4),
-                        vec![StageBehavior::new(
-                            us(0.0),
-                            vec![call(user_timeline, op_ut_read)],
-                        )],
-                        lognorm(30.0, 0.4),
-                    ),
-                ),
-            ],
-        },
-        ServiceConfig {
-            id: compose,
-            replicas: 1,
-            threading: thrift,
-            endpoints: vec![(
-                op_compose,
-                EndpointBehavior::with_stages(
-                    lognorm(90.0, 0.4),
-                    vec![
-                        StageBehavior::new(
-                            us(0.0),
-                            vec![
-                                call(unique_id, op_uid),
-                                call(text, op_text),
-                                call(user, op_user),
-                                call(media, op_media),
-                            ],
-                        ),
-                        StageBehavior::new(lognorm(25.0, 0.3), vec![call(post_storage, op_store)]),
-                        StageBehavior::new(
-                            lognorm(20.0, 0.3),
-                            vec![
-                                call(user_timeline, op_ut_write),
-                                call(home_timeline, op_ht_write),
-                            ],
-                        ),
-                    ],
-                    lognorm(50.0, 0.4),
-                ),
-            )],
-        },
-        ServiceConfig {
-            id: unique_id,
-            replicas: 1,
-            threading: thrift,
-            endpoints: vec![(op_uid, leaf(110.0, 0.4))],
-        },
-        ServiceConfig {
-            id: text,
-            replicas: 1,
-            threading: thrift,
-            endpoints: vec![(
-                op_text,
-                EndpointBehavior::with_stages(
-                    lognorm(120.0, 0.4),
-                    vec![StageBehavior::new(
-                        us(0.0),
-                        vec![call(url_shorten, op_url), call(user_mention, op_mention)],
-                    )],
-                    lognorm(60.0, 0.4),
-                ),
-            )],
-        },
-        ServiceConfig {
-            id: url_shorten,
-            replicas: 1,
-            threading: thrift,
-            endpoints: vec![(op_url, leaf(200.0, 0.5))],
-        },
-        ServiceConfig {
-            id: user_mention,
-            replicas: 1,
-            threading: thrift,
-            endpoints: vec![(op_mention, leaf(230.0, 0.5))],
-        },
-        ServiceConfig {
-            id: user,
-            replicas: 1,
-            threading: thrift,
-            endpoints: vec![(op_user, leaf(180.0, 0.5))],
-        },
-        ServiceConfig {
-            id: media,
-            replicas: 1,
-            threading: thrift,
-            // Cache-vs-blob-store: bimodal, exercises the GMM path.
-            endpoints: vec![(
-                op_media,
-                EndpointBehavior::leaf(DelayDistribution::Bimodal {
-                    mu1: 160.0,
-                    sigma1: 30.0,
-                    mu2: 1_100.0,
-                    sigma2: 200.0,
-                    p2: 0.2,
-                }),
-            )],
-        },
-        ServiceConfig {
-            id: post_storage,
-            replicas: 2,
-            threading: thrift,
-            endpoints: vec![
-                (op_store, leaf(480.0, 0.5)),
-                (op_read_posts, leaf(350.0, 0.5)),
-            ],
-        },
-        ServiceConfig {
-            id: user_timeline,
-            replicas: 1,
-            threading: thrift,
-            endpoints: vec![
-                (op_ut_write, leaf(260.0, 0.5)),
-                (
-                    op_ut_read,
-                    EndpointBehavior::with_stages(
-                        lognorm(80.0, 0.4),
-                        vec![StageBehavior::new(
-                            us(0.0),
-                            vec![call(post_storage, op_read_posts)],
-                        )],
-                        lognorm(40.0, 0.4),
-                    ),
-                ),
-            ],
-        },
-        ServiceConfig {
-            id: home_timeline,
-            replicas: 1,
-            threading: thrift,
-            endpoints: vec![
-                (
-                    op_ht_write,
-                    EndpointBehavior::with_stages(
-                        lognorm(70.0, 0.4),
-                        vec![StageBehavior::new(
-                            us(0.0),
-                            vec![call(social_graph, op_followers)],
-                        )],
-                        lognorm(40.0, 0.4),
-                    ),
-                ),
-                (
-                    op_ht_read,
-                    EndpointBehavior::with_stages(
-                        lognorm(80.0, 0.4),
-                        vec![StageBehavior::new(
-                            us(0.0),
-                            vec![call(post_storage, op_read_posts)],
-                        )],
-                        lognorm(40.0, 0.4),
-                    ),
-                ),
-            ],
-        },
-        ServiceConfig {
-            id: social_graph,
-            replicas: 1,
-            threading: thrift,
-            endpoints: vec![(op_followers, leaf(300.0, 0.5))],
-        },
-    ];
-
-    BenchApp {
-        name: "social-network",
-        config: AppConfig {
-            catalog: cat,
-            services,
-            network_delay: lognorm(120.0, 0.3),
-            seed,
-        },
-        roots: vec![
-            Endpoint::new(nginx, op_compose_http),
-            Endpoint::new(nginx, op_home_http),
-            Endpoint::new(nginx, op_user_http),
-        ],
-        capacity_rps: 1_200.0,
-    }
-}
-
 /// A minimal two-service chain for tests, docs and the quickstart example.
 pub fn two_service_chain(seed: u64) -> BenchApp {
     let mut cat = Catalog::new();
@@ -1068,30 +812,6 @@ mod tests {
     #[test]
     fn two_service_smoke() {
         smoke(two_service_chain(4), 2);
-    }
-
-    #[test]
-    fn social_network_smoke_per_flow() {
-        let app = social_network(8);
-        assert_eq!(app.config.services.len(), 12);
-        assert_eq!(app.config.validate(), Ok(()));
-        let sim = Simulator::new(app.config).unwrap();
-        // Compose flow: nginx, compose, uid, text(+url+mention), user,
-        // media, post-storage, ut-write, ht-write(+social-graph) = 12.
-        let out = sim.run(&Workload::poisson(app.roots[0], 80.0, Nanos::from_secs(1)));
-        for &r in out.truth.roots() {
-            assert_eq!(out.truth.descendants(r).len(), 12);
-        }
-        // Home-timeline read: nginx, home-timeline, post-storage = 3.
-        let out = sim.run(&Workload::poisson(app.roots[1], 80.0, Nanos::from_secs(1)));
-        for &r in out.truth.roots() {
-            assert_eq!(out.truth.descendants(r).len(), 3);
-        }
-        // User-timeline read: nginx, user-timeline, post-storage = 3.
-        let out = sim.run(&Workload::poisson(app.roots[2], 80.0, Nanos::from_secs(1)));
-        for &r in out.truth.roots() {
-            assert_eq!(out.truth.descendants(r).len(), 3);
-        }
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl CallBehavior {
         self.weight = weight;
         self
     }
-
-    pub fn with_retry_prob(mut self, p: f64) -> Self {
-        self.retry_prob = p;
-        self
-    }
 }
 
 /// One stage of a handler: calls issued concurrently after the previous

@@ -6,7 +6,9 @@
 //! agents drop records under load (often in bursts when one host's ring
 //! buffer overflows), retransmit duplicates, deliver late beyond the
 //! windower's grace period, observe skewed clocks, and emit truncated
-//! records when a response is never seen. A [`FaultPlan`] composes any
+//! records when a response is never seen. Capture noise belongs here too:
+//! hook latency and clock granularity jitter every timestamp. This is the
+//! one model of capture imperfection. A [`FaultPlan`] composes any
 //! subset of these perturbations deterministically from a seed, so
 //! robustness experiments are reproducible and the sanitizer/degradation
 //! ladder can be tested against a known fault mix.
@@ -62,6 +64,11 @@ pub enum Fault {
     /// With probability `rate`, the response is never observed: both
     /// response timestamps are zeroed, leaving a request-only record.
     Truncate { rate: f64 },
+    /// Capture noise: every timestamp moves by a uniform integer draw in
+    /// `[-max_ns, max_ns]`, then is clamped to its predecessor (and to
+    /// zero), so a well-formed record stays well-formed. It is applied
+    /// before clock skew, so it never clamps an injected skew away.
+    Jitter { max_ns: u64 },
 }
 
 /// Per-kind counts of injected faults, returned by [`FaultPlan::apply`].
@@ -74,6 +81,10 @@ pub struct FaultLog {
     pub duplicated: usize,
     pub reordered: usize,
     pub skewed: usize,
+    /// Records whose timestamps jitter moved. Capture noise loses nothing
+    /// the sanitizer must repair, so [`FaultLog::total_faulted`] leaves it
+    /// out.
+    pub jittered: usize,
     pub truncated: usize,
 }
 
@@ -154,7 +165,31 @@ impl FaultPlan {
             let arrival = rec.recv_resp;
             let mut rec = rec;
 
-            // Phase 1: clock skew (timestamp rewrite, record survives).
+            // Phase 1: capture noise (timestamp rewrite, record survives).
+            // It runs before skew: its clamp would undo a non-causal skew.
+            for fault in &self.faults {
+                if let Fault::Jitter { max_ns } = *fault {
+                    let max = i64::try_from(max_ns).unwrap_or(i64::MAX);
+                    let before = rec;
+                    let mut floor = Nanos::ZERO;
+                    for ts in [
+                        &mut rec.send_req,
+                        &mut rec.recv_req,
+                        &mut rec.send_resp,
+                        &mut rec.recv_resp,
+                    ] {
+                        let d = i128::from(rng.gen_range(-max..=max));
+                        let moved = (i128::from(ts.0) + d).clamp(0, i128::from(u64::MAX));
+                        *ts = Nanos(moved as u64).max(floor);
+                        floor = *ts;
+                    }
+                    if rec != before {
+                        log.jittered += 1;
+                    }
+                }
+            }
+
+            // Phase 2: clock skew (timestamp rewrite, record survives).
             let mut skewed = false;
             for fault in &self.faults {
                 if let Fault::ClockSkew {
@@ -179,7 +214,7 @@ impl FaultPlan {
                 log.skewed += 1;
             }
 
-            // Phase 2: loss (bursty first — a dead agent sees nothing).
+            // Phase 3: loss (bursty first — a dead agent sees nothing).
             for fault in &self.faults {
                 if let Fault::BurstDrop {
                     service,
@@ -217,7 +252,7 @@ impl FaultPlan {
                 }
             }
 
-            // Phase 3: truncation (record survives without a response).
+            // Phase 4: truncation (record survives without a response).
             for fault in &self.faults {
                 if let Fault::Truncate { rate } = fault {
                     if rng.gen_bool(*rate) {
@@ -229,7 +264,7 @@ impl FaultPlan {
                 }
             }
 
-            // Phase 4: duplication (copy arrives up to max_lag later).
+            // Phase 5: duplication (copy arrives up to max_lag later).
             for fault in &self.faults {
                 if let Fault::Duplicate { rate, max_lag } = fault {
                     if rng.gen_bool(*rate) {
@@ -240,7 +275,7 @@ impl FaultPlan {
                 }
             }
 
-            // Phase 5: reorder / late arrival of the original.
+            // Phase 6: reorder / late arrival of the original.
             let mut final_arrival = arrival;
             for fault in &self.faults {
                 if let Fault::Reorder { rate, max_delay } = fault {
@@ -335,6 +370,20 @@ mod tests {
             .with(Fault::Drop { rate: 0.1 })
             .apply(&input);
         assert_ne!(c, d, "different seeds perturb differently");
+    }
+
+    #[test]
+    fn jitter_moves_timestamps_and_keeps_causality() {
+        let input = stream(100);
+        let (out, log) = FaultPlan::new(3)
+            .with(Fault::Jitter { max_ns: 400 })
+            .apply(&input);
+        let mut out = out;
+        out.sort_by_key(|r| r.rpc);
+        assert!(out.iter().all(RpcRecord::is_well_formed));
+        let moved = out.iter().zip(&input).filter(|(a, b)| a != b).count();
+        assert!(moved > 50, "moved {moved}");
+        assert_eq!(log.jittered, moved);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   Poisson arrivals),
 //! * a ground-truth recorder standing in for Jaeger.
 //!
-//! Output is a set of [`tw_model::RpcRecord`]s — exactly the observable
-//! signal an eBPF/sidecar capture layer sees — plus a
-//! [`tw_model::TruthIndex`] used only for evaluation.
+//! Output is a set of [`tw_model::RpcRecord`]s — exactly the signal a
+//! perfect eBPF/sidecar capture layer sees ([`FaultPlan`] adds its
+//! imperfections) — plus a [`tw_model::TruthIndex`] for evaluation.
 //!
 //! Everything is deterministic given the seed in [`config::AppConfig`].
 

@@ -1,15 +1,16 @@
 //! Property-based tests for the simulator: arbitrary small topologies and
 //! workloads must produce causally consistent, complete, deterministic
-//! output.
+//! output, and capture noise from a [`FaultPlan`] must keep records
+//! well-formed and reproducible.
 
 use proptest::prelude::*;
-use tw_model::ids::{Catalog, Endpoint};
-use tw_model::span::EXTERNAL;
+use tw_model::ids::{Catalog, Endpoint, OperationId, RpcId, ServiceId};
+use tw_model::span::{RpcRecord, EXTERNAL};
 use tw_model::time::Nanos;
 use tw_sim::config::{
     AppConfig, CallBehavior, EndpointBehavior, ServiceConfig, StageBehavior, ThreadingModel,
 };
-use tw_sim::{Simulator, Workload};
+use tw_sim::{Fault, FaultPlan, Simulator, Workload};
 use tw_stats::sampler::DelayDistribution;
 
 #[derive(Debug, Clone)]
@@ -154,5 +155,117 @@ proptest! {
         let a = Simulator::new(config.clone()).unwrap().run(&w);
         let b = Simulator::new(config).unwrap().run(&w);
         prop_assert_eq!(a.records, b.records);
+    }
+}
+
+/// Well-formed records with distinct ids, at timestamps up to epoch scale
+/// (beyond 2^53 ns, where a float detour would round).
+fn records_strategy() -> impl Strategy<Value = Vec<RpcRecord>> {
+    prop::collection::vec(
+        (0u64..1 << 62, any::<[u16; 3]>(), any::<u32>(), any::<u32>()),
+        0..40,
+    )
+    .prop_map(|recs| {
+        recs.into_iter()
+            .enumerate()
+            .map(|(i, (base, gaps, t1, t2))| {
+                let recv_req = base + u64::from(gaps[0]);
+                let send_resp = recv_req + u64::from(gaps[1]);
+                RpcRecord {
+                    rpc: RpcId(i as u64),
+                    caller: EXTERNAL,
+                    caller_replica: 0,
+                    callee: Endpoint::new(ServiceId(i as u32 % 3), OperationId(0)),
+                    callee_replica: 0,
+                    send_req: Nanos(base),
+                    recv_req: Nanos(recv_req),
+                    send_resp: Nanos(send_resp),
+                    recv_resp: Nanos(send_resp + u64::from(gaps[2])),
+                    caller_thread: Some(t1),
+                    callee_thread: Some(t2),
+                }
+            })
+            .collect()
+    })
+}
+
+fn by_id(mut records: Vec<RpcRecord>) -> Vec<RpcRecord> {
+    records.sort_by_key(|r| r.rpc);
+    records
+}
+
+proptest! {
+    #[test]
+    fn jitter_keeps_records_well_formed_and_within_bound(
+        records in records_strategy(),
+        max_ns in 0u64..100_000,
+        seed in any::<u64>(),
+    ) {
+        let (out, log) = FaultPlan::new(seed)
+            .with(Fault::Jitter { max_ns })
+            .apply(&records);
+        let out = by_id(out);
+        prop_assert_eq!(out.len(), records.len());
+        let moved = out.iter().zip(&records).filter(|(o, r)| o != r).count();
+        prop_assert_eq!(log.jittered, moved);
+        prop_assert_eq!(log.total_faulted(), 0);
+        for (o, r) in out.iter().zip(&records) {
+            prop_assert!(o.is_well_formed(), "jitter broke causality: {:?}", o);
+            for (a, b) in [
+                (o.send_req, r.send_req),
+                (o.recv_req, r.recv_req),
+                (o.send_resp, r.send_resp),
+                (o.recv_resp, r.recv_resp),
+            ] {
+                prop_assert!(a.0.abs_diff(b.0) <= max_ns);
+            }
+        }
+    }
+
+    #[test]
+    fn capture_noise_is_deterministic_per_seed(
+        records in records_strategy(),
+        max_ns in 1u64..100_000,
+        seed in any::<u64>(),
+    ) {
+        let plan = FaultPlan::new(seed)
+            .with(Fault::Jitter { max_ns })
+            .with(Fault::Drop { rate: 0.1 });
+        prop_assert_eq!(plan.apply(&records), plan.apply(&records));
+    }
+
+    #[test]
+    fn jitter_does_not_undo_clock_skew(
+        records in records_strategy(),
+        max_ns in 0u64..100_000,
+        offset_ns in -1_000_000i64..1_000_000,
+        seed in any::<u64>(),
+    ) {
+        // Callee-side timestamps of the skewed service keep the injected
+        // offset to within the jitter bound, non-causal or not.
+        let skewed = ServiceId(1);
+        let (out, _) = FaultPlan::new(seed)
+            .with(Fault::ClockSkew { service: skewed, offset_ns, drift_ppm: 0.0 })
+            .with(Fault::Jitter { max_ns })
+            .apply(&records);
+        for (o, r) in by_id(out).iter().zip(&records) {
+            let offset = if r.callee.service == skewed { offset_ns } else { 0 };
+            for (a, b) in [(o.recv_req, r.recv_req), (o.send_resp, r.send_resp)] {
+                let err = i128::from(a.0) - i128::from(b.0) - i128::from(offset);
+                prop_assert!(err.abs() <= i128::from(max_ns), "skew lost: {:?} vs {:?}", o, r);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_plan_is_identity_up_to_arrival_order(
+        records in records_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let (out, log) = FaultPlan::new(seed).apply(&records);
+        prop_assert_eq!(log.total_faulted(), 0);
+        let mut want = records.clone();
+        want.sort_by_key(|r| (r.recv_resp, r.rpc));
+        prop_assert_eq!(out, want);
     }
 }

@@ -77,14 +77,6 @@ impl BitSet {
         }
     }
 
-    /// True if the two sets share any element.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .any(|(a, b)| a & b != 0)
-    }
-
     /// Index of the lowest element, if any.
     pub fn first(&self) -> Option<usize> {
         for (bi, &b) in self.blocks.iter().enumerate() {
@@ -153,13 +145,11 @@ mod tests {
         for i in 3..8 {
             b.insert(i);
         }
-        assert!(a.intersects(&b));
         let mut c = a.clone();
         c.subtract(&b);
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
         a.intersect_with(&b);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 4]);
-        assert!(!c.intersects(&a));
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //!
 //! * [`waterfall`] — the classic trace waterfall (Gantt) view, like
 //!   Jaeger's timeline but in plain text,
-//! * [`chart`] — ASCII scatter/line charts for accuracy-vs-load style
-//!   series,
 //! * [`boxplot`] — ASCII boxplots for percentile summaries (the Figure 6a
 //!   style of the paper).
 //!
@@ -14,9 +12,7 @@
 //! output composes with any logging setup.
 
 pub mod boxplot;
-pub mod chart;
 pub mod waterfall;
 
 pub use boxplot::render_boxplots;
-pub use chart::Chart;
 pub use waterfall::render_waterfall;

@@ -22,7 +22,7 @@ use traceweaver::model::span::EXTERNAL;
 use traceweaver::model::RpcRecord;
 use traceweaver::prelude::*;
 use traceweaver::sim::apps::{
-    hotel_reservation, media_microservices, nodejs_app, social_network, two_service_chain, BenchApp,
+    hotel_reservation, media_microservices, nodejs_app, two_service_chain, BenchApp,
 };
 
 fn main() -> ExitCode {
@@ -158,8 +158,8 @@ const USAGE: &str = "\
 twctl — non-intrusive request tracing toolkit
 
 USAGE:
-  twctl simulate     --app <hotel|media|nodejs|social|chain> [--rps N] [--millis N] [--seed N] --out-dir DIR
-  twctl learn-graph  --app <hotel|media|nodejs|social|chain> [--seed N] [--replays N] --out FILE
+  twctl simulate     --app <hotel|media|nodejs|chain> [--rps N] [--millis N] [--seed N] --out-dir DIR
+  twctl learn-graph  --app <hotel|media|nodejs|chain> [--seed N] [--replays N] --out FILE
   twctl learn-delays --spans FILE --graph FILE [--window-ms N] [--dynamism] --out FILE
   twctl reconstruct  --spans FILE --graph FILE [--delay-model FILE] [--dynamism] [--jaeger FILE]
                      [--sanitize] [--no-drift]
@@ -333,11 +333,8 @@ fn app_by_name(name: &str, seed: u64) -> Result<BenchApp, String> {
         "hotel" => Ok(hotel_reservation(seed)),
         "media" => Ok(media_microservices(seed)),
         "nodejs" => Ok(nodejs_app(seed)),
-        "social" => Ok(social_network(seed)),
         "chain" => Ok(two_service_chain(seed)),
-        other => Err(format!(
-            "unknown app `{other}` (hotel|media|nodejs|social|chain)"
-        )),
+        other => Err(format!("unknown app `{other}` (hotel|media|nodejs|chain)")),
     }
 }
 
@@ -422,7 +419,7 @@ impl LivePipeline {
         let health = ServeHealth::new();
         let scrape = match metrics_addr {
             Some(addr) => Some(
-                MetricsServer::bind_with(
+                MetricsServer::bind(
                     addr,
                     vec![registry.clone(), traceweaver::telemetry::global().clone()],
                     health.clone(),
@@ -930,9 +927,9 @@ fn cmd_deadletters(flags: &Flags) -> Result<(), String> {
 
 /// Build a [`tw_store::TraceQuery`] from the shared query-filter flags.
 /// Millisecond flags are converted to the stream-nanosecond clock the
-/// archive stores.
+/// archive stores, clamped to the largest whole millisecond.
 fn trace_query_from(flags: &Flags) -> Result<traceweaver::store::TraceQuery, String> {
-    let ms_to_ns = |ms: u64| ms.saturating_mul(1_000_000);
+    let ms_to_ns = |ms: u64| ms.min(u64::MAX / 1_000_000) * 1_000_000;
     Ok(traceweaver::store::TraceQuery {
         from_ns: opt_num::<u64>(flags, "from-ms")?.map(ms_to_ns),
         to_ns: opt_num::<u64>(flags, "to-ms")?.map(ms_to_ns),

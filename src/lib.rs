@@ -23,7 +23,7 @@
 //! | [`alibaba`] | `tw-alibaba` | production-trace dataset + compression |
 //! | [`pipeline`] | `tw-pipeline` | offline store, online engine, tail sampling |
 //! | [`telemetry`] | `tw-telemetry` | metrics registry + Prometheus exposition (DESIGN.md §10) |
-//! | [`viz`] | `tw-viz` | trace waterfalls, ASCII charts, boxplots |
+//! | [`viz`] | `tw-viz` | trace waterfalls, boxplots |
 //!
 //! ## Quick start
 //!
@@ -63,7 +63,7 @@ pub use tw_viz as viz;
 /// Common imports for applications and examples.
 pub mod prelude {
     pub use tw_baselines::{Fcfs, Tracer, VPath, Wap5};
-    pub use tw_capture::{generate_test_traces, infer_call_graph, CaptureLayer};
+    pub use tw_capture::{generate_test_traces, infer_call_graph};
     pub use tw_core::{DelayRegistry, Params, Reconstruction, TraceWeaver};
     pub use tw_model::metrics::{
         end_to_end_accuracy_all_roots, per_service_accuracy, top_k_accuracy,

@@ -7,6 +7,7 @@ use traceweaver::capture::{
     decode_records, encode_records, generate_test_traces, infer_call_graph,
 };
 use traceweaver::prelude::*;
+use traceweaver::sim::{Fault, FaultPlan};
 
 #[test]
 fn capture_to_reconstruction_with_learned_graph() {
@@ -42,13 +43,9 @@ fn degraded_capture_still_works() {
     let sim = Simulator::new(app.config).unwrap();
     let out = sim.run(&Workload::poisson(app.roots[0], 200.0, Nanos::from_secs(1)));
 
-    let layer = CaptureLayer::new(traceweaver::capture::CaptureOptions {
-        drop_thread_ids: true,
-        timestamp_jitter_ns: 2_000, // ±2us
-        drop_prob: 0.0,
-        seed: 1,
-    });
-    let observed = layer.observe(&out.records);
+    let (observed, _) = FaultPlan::new(1)
+        .with(Fault::Jitter { max_ns: 2_000 }) // ±2us
+        .apply(&out.records);
     let tw = TraceWeaver::new(call_graph, Params::default());
     let result = tw.reconstruct_records(&observed);
     let acc = end_to_end_accuracy_all_roots(&result.mapping, &out.truth);
@@ -370,7 +367,6 @@ fn drift_faulted_stream_is_corrected_and_deterministic() {
     use std::collections::HashMap;
     use traceweaver::model::span::RpcRecord;
     use traceweaver::pipeline::{SanitizeConfig, Sanitizer};
-    use traceweaver::sim::{Fault, FaultPlan};
 
     let app = traceweaver::sim::apps::hotel_reservation(309);
     let call_graph = app.config.call_graph();
@@ -503,7 +499,6 @@ fn drift_faulted_stream_is_corrected_and_deterministic() {
 #[test]
 fn faulted_stream_is_conserved_and_only_injected_duplicates_drop() {
     use traceweaver::pipeline::SanitizeConfig;
-    use traceweaver::sim::{Fault, FaultPlan};
 
     let app = traceweaver::sim::apps::hotel_reservation(331);
     let call_graph = app.config.call_graph();

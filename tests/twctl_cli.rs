@@ -101,6 +101,11 @@ fn removed_flags_are_rejected() {
         "push-sink --listen 127.0.0.1:0",
         "unknown command `push-sink`",
     );
+    // Workload scenarios are parked: the SocialNetwork app is gone.
+    assert_rejected(
+        &format!("simulate --app social --out-dir {dir}"),
+        "unknown app",
+    );
 }
 
 #[test]
