@@ -67,37 +67,37 @@ pub fn compress_traces(records: &[RpcRecord], truth: &TruthIndex, factor: f64) -
         .collect()
 }
 
-/// Mean number of concurrently open root spans — a direct measure of the
-/// concurrency a compression factor produces.
-pub fn mean_root_concurrency(records: &[RpcRecord], truth: &TruthIndex) -> f64 {
-    let mut events: Vec<(Nanos, i64)> = Vec::new();
-    for &root in truth.roots() {
-        if let Some(rec) = records.iter().find(|r| r.rpc == root) {
-            events.push((rec.send_req, 1));
-            events.push((rec.recv_resp, -1));
-        }
-    }
-    if events.is_empty() {
-        return 0.0;
-    }
-    events.sort();
-    let t0 = events[0].0;
-    let t1 = events[events.len() - 1].0;
-    let horizon = (t1.0 - t0.0).max(1) as f64;
-    let mut open = 0i64;
-    let mut area = 0.0;
-    let mut prev = t0;
-    for (t, d) in events {
-        area += open as f64 * (t.0 - prev.0) as f64;
-        open += d;
-        prev = t;
-    }
-    area / horizon
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean number of concurrently open root spans — a direct measure of the
+    /// concurrency a compression factor produces.
+    fn mean_root_concurrency(records: &[RpcRecord], truth: &TruthIndex) -> f64 {
+        let mut events: Vec<(Nanos, i64)> = Vec::new();
+        for &root in truth.roots() {
+            if let Some(rec) = records.iter().find(|r| r.rpc == root) {
+                events.push((rec.send_req, 1));
+                events.push((rec.recv_resp, -1));
+            }
+        }
+        if events.is_empty() {
+            return 0.0;
+        }
+        events.sort();
+        let t0 = events[0].0;
+        let t1 = events[events.len() - 1].0;
+        let horizon = (t1.0 - t0.0).max(1) as f64;
+        let mut open = 0i64;
+        let mut area = 0.0;
+        let mut prev = t0;
+        for (t, d) in events {
+            area += open as f64 * (t.0 - prev.0) as f64;
+            open += d;
+            prev = t;
+        }
+        area / horizon
+    }
     use tw_model::ids::{Endpoint, OperationId, ServiceId};
     use tw_model::span::EXTERNAL;
 

@@ -391,11 +391,6 @@ impl ExchangeAssembler {
             Some(self.ready.remove(0))
         }
     }
-
-    /// Requests still waiting for a response (in-flight at capture end).
-    pub fn unpaired_requests(&self) -> usize {
-        self.pending_requests.values().map(Vec::len).sum()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -657,7 +652,7 @@ mod tests {
         let second = a.next_exchange().unwrap();
         assert_eq!(second.request.path(), Some("/svc/1/op/1"));
         assert_eq!(second.response.status(), Some(500));
-        assert_eq!(a.unpaired_requests(), 0);
+        assert!(a.pending_requests.values().all(Vec::is_empty));
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl DelayModel {
     /// difference between the mean start time of outgoing spans to the
     /// slot's endpoint and the mean of the reference population (parent
     /// arrivals for stage 0, the previous stage's response completions
-    /// otherwise); σ comes from [`bucketed_sigma`].
+    /// otherwise); σ comes from [`seed_gaussian`].
     pub fn seed(
         incoming: &[ObservedSpan],
         pool: &OutgoingPool,
@@ -177,14 +177,26 @@ impl DelayModel {
     /// Refit every edge in `gaps` with a BIC-selected GMM over its observed
     /// gaps (iterations ≥ 2). Edges absent from `gaps`, or with fewer than
     /// three samples, keep their previous model. The sweep runs to
-    /// Table 1's C = 5, `GmmFitOptions::default().max_components`.
+    /// Table 1's C = 5, `GmmFitOptions::default().max_components`, and its
+    /// EM at the width of the mixture an edge holds starts from that
+    /// mixture (a one-Gaussian seed changes nothing).
     pub fn refit(&self, gaps: &HashMap<EdgeKey, Vec<f64>>, _params: &Params) -> Self {
+        self.refit_from(self, gaps)
+    }
+
+    /// [`DelayModel::refit`] with each edge's EM started from `starts`'
+    /// mixture for it.
+    pub(crate) fn refit_from(
+        &self,
+        starts: &DelayModel,
+        gaps: &HashMap<EdgeKey, Vec<f64>>,
+    ) -> Self {
         let opts = GmmFitOptions::default();
         let telemetry = crate::telemetry::metrics();
         let mut next = self.clone();
         for (key, samples) in gaps {
             if samples.len() >= 3 {
-                let gmm = Gmm::fit_auto(samples, &opts);
+                let gmm = Gmm::fit_auto_from(samples, starts.get(key), &opts);
                 telemetry.gmm_components.observe(gmm.len() as f64);
                 next.insert(*key, gmm);
             }

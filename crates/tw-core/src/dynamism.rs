@@ -84,10 +84,6 @@ impl SkipBudget {
         self.per_endpoint.values().sum()
     }
 
-    pub fn for_endpoint(&self, e: Endpoint) -> usize {
-        self.per_endpoint.get(&e).copied().unwrap_or(0)
-    }
-
     pub fn is_empty(&self) -> bool {
         self.total() == 0
     }
@@ -270,8 +266,8 @@ mod tests {
         ];
         let pool = OutgoingPool::new(&outgoing);
         let budget = SkipBudget::compute(&incoming, &layouts, &pool);
-        assert_eq!(budget.for_endpoint(ep(1)), 1);
-        assert_eq!(budget.for_endpoint(ep(2)), 0);
+        assert_eq!(budget.per_endpoint.get(&ep(1)), Some(&1));
+        assert_eq!(budget.per_endpoint.get(&ep(2)), None);
         assert_eq!(budget.total(), 1);
         assert!(!budget.is_empty());
     }
@@ -309,8 +305,8 @@ mod tests {
         }
         let pool = OutgoingPool::new(&outgoing);
         let budget = SkipBudget::compute(&incoming, &layouts, &pool);
-        assert_eq!(budget.for_endpoint(ep(1)), 3);
-        assert_eq!(budget.for_endpoint(ep(2)), 4);
+        assert_eq!(budget.per_endpoint.get(&ep(1)), Some(&3));
+        assert_eq!(budget.per_endpoint.get(&ep(2)), Some(&4));
         assert_eq!(budget.total(), 7);
         // The budget never exceeds what the window expected in total —
         // a skip slot only exists where a predicted call is missing.

@@ -117,11 +117,6 @@ impl Catalog {
     pub fn num_services(&self) -> usize {
         self.services.len()
     }
-
-    /// All registered service ids in registration order.
-    pub fn service_ids(&self) -> impl Iterator<Item = ServiceId> + '_ {
-        (0..self.services.len() as u32).map(ServiceId)
-    }
 }
 
 #[cfg(test)]
@@ -162,15 +157,6 @@ mod tests {
         let c = Catalog::new();
         assert_eq!(c.service_name(ServiceId(9)), "<unknown-service>");
         assert_eq!(c.operation_name(OperationId(9)), "<unknown-op>");
-    }
-
-    #[test]
-    fn service_ids_iterates_in_order() {
-        let mut c = Catalog::new();
-        c.service("x");
-        c.service("y");
-        let ids: Vec<_> = c.service_ids().collect();
-        assert_eq!(ids, vec![ServiceId(0), ServiceId(1)]);
     }
 
     /// A deserialized catalog finds every name and interns an existing

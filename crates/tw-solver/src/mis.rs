@@ -125,10 +125,6 @@ impl ConflictGraph {
         self.adj[u].contains(v)
     }
 
-    pub fn degree(&self, u: usize) -> usize {
-        self.adj[u].len()
-    }
-
     /// Verify a vertex set is independent.
     pub fn is_independent(&self, vs: &[usize]) -> bool {
         for (i, &u) in vs.iter().enumerate() {

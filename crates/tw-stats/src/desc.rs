@@ -116,38 +116,6 @@ impl Summary {
     }
 }
 
-/// Estimate the population standard deviation from bucket means, per the
-/// paper's seed-distribution trick (§4.1 step 3).
-///
-/// Splits `xs` into `buckets` contiguous buckets, computes each bucket's
-/// mean, takes the sample standard deviation across those means and scales
-/// by sqrt(bucket size): the CLT gives sd(bucket mean) = sigma / sqrt(m)
-/// for buckets of m points, so multiplying by sqrt(m) recovers sigma. This
-/// is the only way to estimate spread when individual (parent, child)
-/// pairings are unknown but the two marginal timestamp populations are.
-pub fn bucketed_std_estimate(xs: &[f64], buckets: usize) -> f64 {
-    if xs.len() < 2 || buckets < 2 {
-        return std_dev(xs);
-    }
-    let buckets = buckets.min(xs.len());
-    let per = xs.len() / buckets;
-    if per == 0 {
-        return std_dev(xs);
-    }
-    let bucket_means: Vec<f64> = (0..buckets)
-        .map(|b| {
-            let start = b * per;
-            let end = if b == buckets - 1 {
-                xs.len()
-            } else {
-                start + per
-            };
-            mean(&xs[start..end])
-        })
-        .collect();
-    std_dev(&bucket_means) * (xs.len() as f64 / buckets as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,29 +180,5 @@ mod tests {
         let s = Summary::of(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn bucketed_std_close_to_true_std() {
-        // Random sample: bucket means behave like CLT samples, so the
-        // estimate should land in the right ballpark of the true sigma.
-        let mut s = crate::sampler::Sampler::new(99);
-        let xs: Vec<f64> = (0..2000).map(|_| s.normal(50.0, 8.0)).collect();
-        let true_sd = std_dev(&xs);
-        let est = bucketed_std_estimate(&xs, 10);
-        // The CLT estimate is approximate; tolerance is generous.
-        assert!(
-            (est - true_sd).abs() / true_sd < 0.75,
-            "estimate {est} too far from true {true_sd}"
-        );
-    }
-
-    #[test]
-    fn bucketed_std_degenerate_inputs() {
-        assert_eq!(bucketed_std_estimate(&[], 10), 0.0);
-        assert_eq!(bucketed_std_estimate(&[1.0], 10), 0.0);
-        // buckets < 2 falls back to plain std_dev
-        let xs = [1.0, 2.0, 3.0];
-        assert_eq!(bucketed_std_estimate(&xs, 1), std_dev(&xs));
     }
 }

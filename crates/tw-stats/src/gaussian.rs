@@ -1,6 +1,5 @@
 //! Univariate Gaussian distribution.
 
-use crate::special::erf;
 use serde::{Deserialize, Serialize};
 
 /// Minimum standard deviation enforced when fitting, to keep log-densities
@@ -49,11 +48,6 @@ impl Gaussian {
         Gaussian::new(mu, var.sqrt())
     }
 
-    /// Probability density function at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        self.log_pdf(x).exp()
-    }
-
     /// Natural log of the pdf at `x`.
     pub fn log_pdf(&self, x: f64) -> f64 {
         self.log_pdf_given(x, self.sigma.ln())
@@ -67,11 +61,6 @@ impl Gaussian {
         let z = (x - self.mu) / self.sigma;
         -0.5 * z * z - ln_sigma - 0.5 * (2.0 * std::f64::consts::PI).ln()
     }
-
-    /// Cumulative distribution function at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        0.5 * (1.0 + erf((x - self.mu) / (self.sigma * std::f64::consts::SQRT_2)))
-    }
 }
 
 #[cfg(test)]
@@ -79,28 +68,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn standard_normal_pdf() {
+    fn standard_normal_density() {
         let g = Gaussian::new(0.0, 1.0);
-        assert!((g.pdf(0.0) - 0.3989422804).abs() < 1e-9);
-        assert!((g.pdf(1.0) - 0.2419707245).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log_pdf_matches_pdf() {
-        let g = Gaussian::new(3.0, 2.0);
-        for x in [-1.0, 0.0, 3.0, 7.5] {
-            assert!((g.log_pdf(x).exp() - g.pdf(x)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn cdf_properties() {
-        let g = Gaussian::new(5.0, 2.0);
-        assert!((g.cdf(5.0) - 0.5).abs() < 1e-9);
-        assert!(g.cdf(-100.0) < 1e-6);
-        assert!(g.cdf(100.0) > 1.0 - 1e-6);
-        // Monotone.
-        assert!(g.cdf(4.0) < g.cdf(6.0));
+        assert!((g.log_pdf(0.0).exp() - 0.3989422804).abs() < 1e-9);
+        assert!((g.log_pdf(1.0).exp() - 0.2419707245).abs() < 1e-9);
     }
 
     #[test]

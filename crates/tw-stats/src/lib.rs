@@ -14,7 +14,7 @@
 //! * Pearson correlation ([`pearson`]) used for the confidence-score
 //!   evaluation (paper §6.3.2).
 //!
-//! No external math crates are used; special functions (erf, ln-gamma,
+//! No external math crates are used; special functions (ln-gamma,
 //! regularized incomplete beta) live in [`special`].
 
 pub mod desc;

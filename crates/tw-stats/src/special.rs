@@ -1,29 +1,9 @@
 //! Special functions needed by the statistical routines.
 //!
-//! Implementations follow the classic numerical recipes: Abramowitz & Stegun
-//! rational approximation for `erf`, a Lanczos series for `ln_gamma`, and a
-//! modified Lentz continued fraction for the regularized incomplete beta
-//! function (which gives the Student-t CDF used by the t-test).
-
-/// Error function, accurate to ~1.5e-7 (Abramowitz & Stegun 7.1.26).
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-
-    const A1: f64 = 0.254829592;
-    const A2: f64 = -0.284496736;
-    const A3: f64 = 1.421413741;
-    const A4: f64 = -1.453152027;
-    const A5: f64 = 1.061405429;
-    const P: f64 = 0.3275911;
-
-    let t = 1.0 / (1.0 + P * x);
-    let y = 1.0 - (((((A5 * t + A4) * t) + A3) * t + A2) * t + A1) * t * (-x * x).exp();
-    sign * y
-}
+//! Implementations follow the classic numerical recipes: a Lanczos series
+//! for `ln_gamma` and a modified Lentz continued fraction for the
+//! regularized incomplete beta function (which gives the Student-t CDF used
+//! by the t-test).
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9).
 pub fn ln_gamma(x: f64) -> f64 {
@@ -152,23 +132,6 @@ mod tests {
 
     fn close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "expected {b}, got {a}");
-    }
-
-    #[test]
-    fn erf_known_values() {
-        close(erf(0.0), 0.0, 1e-12);
-        close(erf(1.0), 0.8427007929, 1e-5);
-        close(erf(-1.0), -0.8427007929, 1e-5);
-        close(erf(2.0), 0.9953222650, 1e-5);
-    }
-
-    #[test]
-    fn erf_is_odd_and_bounded() {
-        for i in 0..100 {
-            let x = i as f64 * 0.1;
-            close(erf(-x), -erf(x), 1e-8);
-            assert!(erf(x).abs() <= 1.0);
-        }
     }
 
     #[test]
