@@ -41,6 +41,9 @@ pub enum EdgeKey {
 #[derive(Debug, Clone, Default)]
 pub struct DelayModel {
     edges: HashMap<EdgeKey, Gmm>,
+    /// Per refitted edge, its last sweep's fit at every width the sweep
+    /// ran: where that edge's next sweep starts each width's EM.
+    pub(crate) sweeps: HashMap<EdgeKey, Vec<Gmm>>,
 }
 
 /// Minimum σ (µs) for seed distributions, so near-deterministic services
@@ -178,27 +181,20 @@ impl DelayModel {
     /// gaps (iterations ≥ 2). Edges absent from `gaps`, or with fewer than
     /// three samples, keep their previous model. The sweep runs to
     /// Table 1's C = 5, `GmmFitOptions::default().max_components`, and its
-    /// EM at the width of the mixture an edge holds starts from that
-    /// mixture (a one-Gaussian seed changes nothing).
+    /// EM at each width starts from the edge's fit of that width in its
+    /// last sweep; a width that sweep never reached, and every width of an
+    /// edge never swept (a seed), starts cold.
     pub fn refit(&self, gaps: &HashMap<EdgeKey, Vec<f64>>, _params: &Params) -> Self {
-        self.refit_from(self, gaps)
-    }
-
-    /// [`DelayModel::refit`] with each edge's EM started from `starts`'
-    /// mixture for it.
-    pub(crate) fn refit_from(
-        &self,
-        starts: &DelayModel,
-        gaps: &HashMap<EdgeKey, Vec<f64>>,
-    ) -> Self {
         let opts = GmmFitOptions::default();
         let telemetry = crate::telemetry::metrics();
         let mut next = self.clone();
         for (key, samples) in gaps {
             if samples.len() >= 3 {
-                let gmm = Gmm::fit_auto_from(samples, starts.get(key), &opts);
+                let starts = self.sweeps.get(key).map_or(&[][..], Vec::as_slice);
+                let (gmm, fits) = Gmm::fit_auto_from(samples, starts, &opts);
                 telemetry.gmm_components.observe(gmm.len() as f64);
                 next.insert(*key, gmm);
+                next.sweeps.insert(*key, fits);
             }
         }
         next

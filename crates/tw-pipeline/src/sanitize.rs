@@ -354,13 +354,6 @@ impl Sanitizer {
         self.edges.get(&(caller, callee)).map(|e| e.offset)
     }
 
-    /// Last resolved two-state fit for one edge: `(offset at the anchor
-    /// in ns, drift in ns/ns)`. `None` until the first resolve after the
-    /// edge's first sample.
-    pub fn drift_estimate(&self, caller: ServiceId, callee: ServiceId) -> Option<(f64, f64)> {
-        self.edges.get(&(caller, callee)).and_then(|e| e.fit)
-    }
-
     /// Process one record: `Some(clean)` to forward, `None` if rejected
     /// (the reason is counted in [`SanitizeStats`]).
     pub fn sanitize(&mut self, rec: RpcRecord) -> Option<RpcRecord> {
@@ -1085,7 +1078,8 @@ mod tests {
             err_off > err_on * 2,
             "constant-offset mode should trail the ramp: on={err_on}ns off={err_off}ns"
         );
-        let (_, slope) = drift_on.drift_estimate(EXTERNAL, ServiceId(0)).unwrap();
+        let edge = &drift_on.edges[&(EXTERNAL, ServiceId(0))];
+        let (_, slope) = edge.fit.unwrap();
         assert!(
             (slope * 1e6 - 200.0).abs() < 40.0,
             "fitted drift {} ppm vs true 200 ppm",
