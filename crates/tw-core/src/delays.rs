@@ -37,13 +37,40 @@ pub enum EdgeKey {
     Final { served: Endpoint },
 }
 
+impl EdgeKey {
+    /// The served endpoint and the place of the edge in its
+    /// [`DelayModel`] list: the final edge first, then slot by slot.
+    fn place(self) -> (Endpoint, usize) {
+        match self {
+            EdgeKey::Call { served, slot } => (served, slot + 1),
+            EdgeKey::Final { served } => (served, 0),
+        }
+    }
+}
+
 /// Per-edge delay distributions.
 #[derive(Debug, Clone, Default)]
 pub struct DelayModel {
-    edges: HashMap<EdgeKey, Gmm>,
+    /// Per served endpoint, its edges by [`EdgeKey::place`].
+    served: HashMap<Endpoint, Vec<Option<Edge>>>,
     /// Per refitted edge, its last sweep's fit at every width the sweep
     /// ran: where that edge's next sweep starts each width's EM.
     pub(crate) sweeps: HashMap<EdgeKey, Vec<Gmm>>,
+}
+
+/// One modeled edge: its mixture and each component's `(ln w, ln σ)`,
+/// taken on insert so that scoring takes no logarithm of a parameter.
+#[derive(Debug, Clone)]
+struct Edge {
+    gmm: Gmm,
+    terms: Vec<(f64, f64)>,
+}
+
+/// Log density of a gap under `edge`, clamped at [`SCORE_LOG_FLOOR`];
+/// [`UNMODELED_LOG_DENSITY`] without one.
+fn edge_log_pdf(edge: Option<&Edge>, gap_us: f64) -> f64 {
+    let log_pdf = |e: &Edge| e.gmm.log_pdf_given(gap_us, e.terms.iter().copied());
+    edge.map_or(UNMODELED_LOG_DENSITY, |e| log_pdf(e).max(SCORE_LOG_FLOOR))
 }
 
 /// Minimum σ (µs) for seed distributions, so near-deterministic services
@@ -65,27 +92,35 @@ const UNMODELED_LOG_DENSITY: f64 = SCORE_LOG_FLOOR;
 impl DelayModel {
     /// Number of modeled edges.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.served.values().flatten().flatten().count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.served.is_empty() // `insert` makes every entry, with an edge
     }
 
     pub fn get(&self, key: &EdgeKey) -> Option<&Gmm> {
-        self.edges.get(key)
+        self.edge(key).map(|e| &e.gmm)
+    }
+
+    fn edge(&self, key: &EdgeKey) -> Option<&Edge> {
+        let (served, place) = key.place();
+        self.served.get(&served)?.get(place)?.as_ref()
     }
 
     pub fn insert(&mut self, key: EdgeKey, gmm: Gmm) {
-        self.edges.insert(key, gmm);
+        let (served, place) = key.place();
+        let edges = self.served.entry(served).or_default();
+        if edges.len() <= place {
+            edges.resize_with(place + 1, || None);
+        }
+        let terms = gmm.log_terms();
+        edges[place] = Some(Edge { gmm, terms });
     }
 
     /// Log density of a gap under the edge's model.
     pub fn log_pdf(&self, key: &EdgeKey, gap_us: f64) -> f64 {
-        match self.edges.get(key) {
-            Some(gmm) => gmm.log_pdf(gap_us).max(SCORE_LOG_FLOOR),
-            None => UNMODELED_LOG_DENSITY,
-        }
+        edge_log_pdf(self.edge(key), gap_us)
     }
 
     /// Build iteration-1 seed Gaussians from marginal statistics only
@@ -105,31 +140,19 @@ impl DelayModel {
     ) -> Self {
         let mut model = DelayModel::default();
 
-        // Group marginal populations.
-        let mut in_starts: HashMap<Endpoint, Vec<f64>> = HashMap::new();
-        let mut in_ends: HashMap<Endpoint, Vec<f64>> = HashMap::new();
-        for s in incoming {
-            in_starts
-                .entry(s.endpoint)
-                .or_default()
-                .push(s.start.as_micros_f64());
-            in_ends
-                .entry(s.endpoint)
-                .or_default()
-                .push(s.end.as_micros_f64());
-        }
-        let mut out_starts: HashMap<Endpoint, Vec<f64>> = HashMap::new();
-        let mut out_ends: HashMap<Endpoint, Vec<f64>> = HashMap::new();
-        for s in outgoing {
-            out_starts
-                .entry(s.endpoint)
-                .or_default()
-                .push(s.start.as_micros_f64());
-            out_ends
-                .entry(s.endpoint)
-                .or_default()
-                .push(s.end.as_micros_f64());
-        }
+        // Group marginal populations: start and end times per endpoint.
+        type Times = HashMap<Endpoint, Vec<f64>>;
+        let group = |spans: &[ObservedSpan]| {
+            let (mut starts, mut ends): (Times, Times) = Default::default();
+            for s in spans {
+                let e = s.endpoint;
+                starts.entry(e).or_default().push(s.start.as_micros_f64());
+                ends.entry(e).or_default().push(s.end.as_micros_f64());
+            }
+            (starts, ends)
+        };
+        let (in_starts, in_ends) = group(incoming);
+        let (out_starts, out_ends) = group(outgoing);
         let _ = pool;
 
         for (&served, layout) in layouts {
@@ -218,31 +241,54 @@ pub fn seed_gaussian(from: &[f64], to: &[f64], buckets: usize) -> Gaussian {
     let mut b: Vec<f64> = to.to_vec();
     a.sort_by(|x, y| x.partial_cmp(y).expect("finite times"));
     b.sort_by(|x, y| x.partial_cmp(y).expect("finite times"));
-    let per_a = a.len() / buckets;
-    let per_b = b.len() / buckets;
-    let mut diffs = Vec::with_capacity(buckets);
-    for r in 0..buckets {
-        let sa = &a[r * per_a..if r == buckets - 1 {
-            a.len()
+    // Rank-aligned bucket `r` of a sorted population; the last takes the rest.
+    let bucket = |v: &[f64], r: usize| {
+        let per = v.len() / buckets;
+        let end = if r == buckets - 1 {
+            v.len()
         } else {
-            (r + 1) * per_a
-        }];
-        let sb = &b[r * per_b..if r == buckets - 1 {
-            b.len()
-        } else {
-            (r + 1) * per_b
-        }];
-        diffs.push(tw_stats::mean(sb) - tw_stats::mean(sa));
-    }
+            (r + 1) * per
+        };
+        tw_stats::mean(&v[r * per..end])
+    };
+    let diffs: Vec<f64> = (0..buckets)
+        .map(|r| bucket(&b, r) - bucket(&a, r))
+        .collect();
     let bucket_size = (n / buckets).max(1) as f64;
     let sigma = tw_stats::std_dev(&diffs) * bucket_size.sqrt();
     Gaussian::new(mu, sigma.max(SEED_SIGMA_FLOOR_US))
 }
 
-/// Walk a candidate's chosen children through the slot layout and emit
-/// `(edge, gap_us)` pairs, including the final-response edge. Skipped
-/// slots emit nothing; a fully-skipped stage leaves the reference time
-/// unchanged.
+/// Walk a candidate's chosen children through the slot layout, calling
+/// `f(edge, gap_us)` for each chosen child in slot order and then for the
+/// final-response edge. Skipped slots emit nothing; a fully-skipped stage
+/// leaves the reference time unchanged.
+fn walk_gaps(
+    served: Endpoint,
+    parent: &ObservedSpan,
+    layout: &SlotLayout,
+    candidate: &Candidate,
+    pool: &OutgoingPool,
+    mut f: impl FnMut(EdgeKey, f64),
+) {
+    let (mut ref_t, mut first_slot) = (parent.start, 0);
+    for stage in &layout.stages {
+        let mut stage_max_end = None;
+        for slot in first_slot..first_slot + stage.len() {
+            if let Some(Some(child_idx)) = candidate.children.get(slot) {
+                let child = pool.span(*child_idx);
+                let gap = child.start.micros_since(ref_t);
+                f(EdgeKey::Call { served, slot }, gap);
+                stage_max_end = stage_max_end.max(Some(child.end));
+            }
+        }
+        ref_t = stage_max_end.unwrap_or(ref_t);
+        first_slot += stage.len();
+    }
+    f(EdgeKey::Final { served }, parent.end.micros_since(ref_t));
+}
+
+/// A candidate's `(edge, gap_us)` pairs, in [`walk_gaps`] order.
 pub fn edge_gaps(
     served: Endpoint,
     parent: &ObservedSpan,
@@ -251,28 +297,9 @@ pub fn edge_gaps(
     pool: &OutgoingPool,
 ) -> Vec<(EdgeKey, f64)> {
     let mut out = Vec::with_capacity(layout.num_slots + 1);
-    let mut ref_t = parent.start;
-    for (k, stage) in layout.stages.iter().enumerate() {
-        let mut stage_max_end = None;
-        for j in 0..stage.len() {
-            let slot = layout.slot_id(k, j);
-            if let Some(Some(child_idx)) = candidate.children.get(slot) {
-                let child = pool.span(*child_idx);
-                out.push((
-                    EdgeKey::Call { served, slot },
-                    child.start.micros_since(ref_t),
-                ));
-                stage_max_end = Some(match stage_max_end {
-                    Some(m) => child.end.max(m),
-                    None => child.end,
-                });
-            }
-        }
-        if let Some(m) = stage_max_end {
-            ref_t = m;
-        }
-    }
-    out.push((EdgeKey::Final { served }, parent.end.micros_since(ref_t)));
+    walk_gaps(served, parent, layout, candidate, pool, |key, gap| {
+        out.push((key, gap))
+    });
     out
 }
 
@@ -280,10 +307,10 @@ pub fn edge_gaps(
 /// (dynamism handling, §4.2).
 const SKIP_LOG_PENALTY: f64 = -14.0;
 
-/// Score a candidate: sum of edge log-densities plus the per-skip penalty
-/// (§4.1 step 4 / §4.2). `_params` is unread — the penalty is the
-/// constant `SKIP_LOG_PENALTY` — and stays because `bench/` calls this
-/// signature.
+/// Score a candidate: sum of edge log-densities, in [`walk_gaps`] order,
+/// plus the per-skip penalty (§4.1 step 4 / §4.2). `_params` is unread —
+/// the penalty is the constant `SKIP_LOG_PENALTY` — and stays because
+/// `bench/` calls this signature.
 pub fn score_candidate(
     served: Endpoint,
     parent: &ObservedSpan,
@@ -293,19 +320,22 @@ pub fn score_candidate(
     model: &DelayModel,
     _params: &Params,
 ) -> f64 {
+    let edges = model.served.get(&served).map_or(&[][..], Vec::as_slice);
     let mut score = 0.0;
-    for (key, gap) in edge_gaps(served, parent, layout, candidate, pool) {
-        score += model.log_pdf(&key, gap);
-    }
+    walk_gaps(served, parent, layout, candidate, pool, |key, gap| {
+        score += edge_log_pdf(edges.get(key.place().1).and_then(Option::as_ref), gap);
+    });
     score + SKIP_LOG_PENALTY * candidate.num_skips() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tw_model::callgraph::{DependencySpec, Stage};
     use tw_model::ids::{OperationId, RpcId, ServiceId};
     use tw_model::time::Nanos;
+    use tw_stats::gaussian::SIGMA_FLOOR;
 
     fn ep(s: u32) -> Endpoint {
         Endpoint::new(ServiceId(s), OperationId(0))
@@ -436,6 +466,152 @@ mod tests {
         let s = score_candidate(served, &parent, &layout, &skip, &pool, &model, &p);
         // Final edge unmodeled (-20) + one skip penalty.
         assert_eq!(s, UNMODELED_LOG_DENSITY + SKIP_LOG_PENALTY);
+    }
+
+    /// The scoring formula as it stood before edges kept their terms: walk
+    /// the slots through `slot_id`, hash each `EdgeKey`, and take every
+    /// component's `ln w` and `ln σ` at each gap, summed by a max-first
+    /// log-sum-exp in component order.
+    fn score_reference(
+        served: Endpoint,
+        parent: &ObservedSpan,
+        layout: &SlotLayout,
+        candidate: &Candidate,
+        pool: &OutgoingPool,
+        model: &DelayModel,
+    ) -> f64 {
+        let log_pdf = |key: EdgeKey, x: f64| {
+            let Some(gmm) = model.get(&key) else {
+                return UNMODELED_LOG_DENSITY;
+            };
+            let logs: Vec<f64> = gmm
+                .components
+                .iter()
+                .map(|c| c.weight.max(f64::MIN_POSITIVE).ln() + c.gaussian.log_pdf(x))
+                .collect();
+            let (mut max, mut top) = (f64::NEG_INFINITY, 0);
+            for (j, &l) in logs.iter().enumerate() {
+                if l > max {
+                    (max, top) = (l, j);
+                }
+            }
+            let sum: f64 = logs
+                .iter()
+                .enumerate()
+                .map(|(j, &l)| if j == top { 1.0 } else { (l - max).exp() })
+                .sum();
+            (max + sum.ln()).max(SCORE_LOG_FLOOR)
+        };
+        let mut score = 0.0;
+        let mut ref_t = parent.start;
+        for (k, stage) in layout.stages.iter().enumerate() {
+            let mut stage_max_end = None;
+            for j in 0..stage.len() {
+                let slot = layout.slot_id(k, j);
+                if let Some(Some(child_idx)) = candidate.children.get(slot) {
+                    let child = pool.span(*child_idx);
+                    score += log_pdf(
+                        EdgeKey::Call { served, slot },
+                        child.start.micros_since(ref_t),
+                    );
+                    stage_max_end =
+                        Some(stage_max_end.map_or(child.end, |m: Nanos| child.end.max(m)));
+                }
+            }
+            if let Some(m) = stage_max_end {
+                ref_t = m;
+            }
+        }
+        score += log_pdf(EdgeKey::Final { served }, parent.end.micros_since(ref_t));
+        score + SKIP_LOG_PENALTY * candidate.num_skips() as f64
+    }
+
+    /// A mixture of 1 to 10 components: past `MAX_COMPONENTS` it scores on
+    /// the heap. A σ of 0 lands on `SIGMA_FLOOR`, and a weight of 0 on
+    /// `f64::MIN_POSITIVE`.
+    fn gmm_strategy() -> impl Strategy<Value = Gmm> {
+        let sigma = (0.0..60.0f64, 0u8..4).prop_map(|(s, floor)| if floor == 0 { 0.0 } else { s });
+        let weight = (0.0..1.0f64, 0u8..8).prop_map(|(w, zero)| if zero == 0 { 0.0 } else { w });
+        prop::collection::vec((weight, -50.0..400.0f64, sigma), 1..11).prop_map(|comps| Gmm {
+            components: comps
+                .into_iter()
+                .map(|(weight, mu, sigma)| tw_stats::gmm::GmmComponent {
+                    weight,
+                    gaussian: Gaussian::new(mu, sigma),
+                })
+                .collect(),
+        })
+    }
+
+    /// `score_candidate` equals the reference bit for bit: 1–3 stages of
+    /// 1–3 calls, skipped slots, children anywhere in time, and each edge
+    /// modeled by a mixture of up to 10 components or unmodeled.
+    #[test]
+    fn scores_are_bit_identical_to_the_reference() {
+        let mut rng = TestRng::for_test("scores_are_bit_identical_to_the_reference");
+        let served = ep(0);
+        let (mut heap, mut floor, mut unmodeled, mut skips) = (0, 0, 0, 0);
+        for _ in 0..400 {
+            let widths = prop::collection::vec(1usize..4, 1..4).sample(&mut rng);
+            let use_order = any::<bool>().sample(&mut rng);
+            let mut next_ep = 1;
+            let stages: Vec<Stage> = widths
+                .iter()
+                .map(|&w| {
+                    next_ep += w as u32;
+                    Stage::parallel((next_ep - w as u32..next_ep).map(ep).collect())
+                })
+                .collect();
+            let layout = SlotLayout::from_spec(&DependencySpec::new(stages), use_order);
+            let outgoing: Vec<ObservedSpan> =
+                prop::collection::vec((0u64..2_000, 1u64..500), 1..12)
+                    .sample(&mut rng)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (start, len))| span(i as u64 + 1, ep(1), start, start + len))
+                    .collect();
+            let pool = OutgoingPool::new(&outgoing);
+            let (start, len) = (0u64..500, 1u64..3_000).sample(&mut rng);
+            let parent = span(0, served, start, start + len);
+            let mut model = DelayModel::default();
+            let keys = (0..layout.num_slots)
+                .map(|slot| EdgeKey::Call { served, slot })
+                .chain([EdgeKey::Final { served }]);
+            for key in keys {
+                match prop::option::of(gmm_strategy()).sample(&mut rng) {
+                    Some(gmm) => {
+                        heap += usize::from(gmm.len() > tw_stats::gmm::MAX_COMPONENTS);
+                        floor += usize::from(
+                            gmm.components
+                                .iter()
+                                .any(|c| c.gaussian.sigma == SIGMA_FLOOR),
+                        );
+                        model.insert(key, gmm);
+                    }
+                    None => unmodeled += 1,
+                }
+            }
+            for _ in 0..4 {
+                let children: Vec<Option<usize>> = (0..layout.num_slots)
+                    .map(|_| prop::option::of(0..pool.len()).sample(&mut rng))
+                    .collect();
+                let cand = Candidate {
+                    parent: 0,
+                    children,
+                    score: 0.0,
+                };
+                skips += usize::from(cand.num_skips() > 0);
+                let p = Params::default();
+                let got = score_candidate(served, &parent, &layout, &cand, &pool, &model, &p);
+                let want = score_reference(served, &parent, &layout, &cand, &pool, &model);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{got} vs {want}: {cand:?} {model:?}"
+                );
+            }
+        }
+        assert!(heap > 0 && floor > 0 && unmodeled > 0 && skips > 0);
     }
 
     #[test]

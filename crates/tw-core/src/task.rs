@@ -6,7 +6,7 @@ use crate::delays::{edge_gaps, score_candidate, DelayModel, EdgeKey};
 use crate::dynamism::{allocate_skips, batch_exclusive_counts, seed_from_wap5, SkipBudget};
 use crate::optimize::optimize_batch;
 use crate::params::Params;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use tw_model::callgraph::CallGraph;
 use tw_model::ids::{Endpoint, RpcId};
@@ -345,70 +345,54 @@ impl<'a> ReconstructionTask<'a> {
 
             // Optimize batch by batch; spans claimed by earlier batches are
             // deleted from later ones (§4.1 step 5 (v)).
-            let mut used: HashSet<usize> = HashSet::new();
+            let mut used = vec![false; pool.len()];
+            let mut per_parent: Vec<Vec<&Candidate>> = Vec::new();
             assignment = vec![None; n];
             inexact_batches = 0;
             for (b, range) in batches.iter().enumerate() {
-                let parents: Vec<usize> = range.clone().collect();
-                let per_parent: Vec<Vec<Candidate>> = parents
-                    .iter()
-                    .map(|&i| {
-                        candidates[i]
+                per_parent.resize_with(range.len(), Vec::new);
+                for (list, cands) in per_parent.iter_mut().zip(&candidates[range.clone()]) {
+                    list.clear();
+                    list.extend(
+                        cands
                             .iter()
-                            .filter(|c| c.children.iter().flatten().all(|x| !used.contains(x)))
-                            .take(params.top_k)
-                            .cloned()
-                            .collect()
-                    })
-                    .collect();
+                            .filter(|c| c.children.iter().flatten().all(|&x| !used[x]))
+                            .take(params.top_k),
+                    );
+                }
                 let outcome = optimize_batch(&per_parent, params, deadline);
                 if !outcome.exact {
                     inexact_batches += 1;
                 }
-                let picks = outcome.picks;
 
                 // Enforce the batch's skip allocation: unassign the
                 // lowest-scoring skip users beyond the allocation.
-                let mut chosen: Vec<(usize, Candidate)> = parents
-                    .iter()
-                    .zip(&picks)
-                    .filter_map(|(&i, pick)| {
-                        pick.map(|c| (i, per_parent[i - range.start][c].clone()))
-                    })
+                let mut chosen: Vec<(usize, &Candidate)> = range
+                    .clone()
+                    .zip(&outcome.picks)
+                    .filter_map(|(i, pick)| pick.map(|c| (i, per_parent[i - range.start][c])))
                     .collect();
                 let mut skips_used: usize = chosen.iter().map(|(_, c)| c.num_skips()).sum();
                 if skips_used > skip_alloc[b] {
-                    let mut order: Vec<usize> = (0..chosen.len())
-                        .filter(|&k| chosen[k].1.num_skips() > 0)
-                        .collect();
-                    order.sort_by(|&a, &b| {
-                        chosen[a]
-                            .1
-                            .score
-                            .partial_cmp(&chosen[b].1.score)
+                    // Skip users first, lowest score first (a stable sort).
+                    chosen.sort_by(|(_, a), (_, b)| {
+                        (a.num_skips() == 0, a.score)
+                            .partial_cmp(&(b.num_skips() == 0, b.score))
                             .expect("finite")
                     });
-                    let mut dropped: HashSet<usize> = HashSet::new();
-                    for k in order {
-                        if skips_used <= skip_alloc[b] {
-                            break;
-                        }
-                        skips_used -= chosen[k].1.num_skips();
-                        dropped.insert(k);
+                    let mut dropped = 0;
+                    while skips_used > skip_alloc[b] {
+                        skips_used -= chosen[dropped].1.num_skips();
+                        dropped += 1;
                     }
-                    chosen = chosen
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(k, _)| !dropped.contains(k))
-                        .map(|(_, v)| v)
-                        .collect();
+                    chosen.drain(..dropped);
                 }
 
                 for (i, cand) in chosen {
-                    for idx in cand.children.iter().flatten() {
-                        used.insert(*idx);
+                    for &idx in cand.children.iter().flatten() {
+                        used[idx] = true;
                     }
-                    assignment[i] = Some(cand);
+                    assignment[i] = Some(cand.clone());
                 }
             }
 
@@ -467,41 +451,24 @@ impl<'a> ReconstructionTask<'a> {
             inexact_batches,
             ..TaskReport::default()
         };
+        let rpcs = |c: &Candidate| -> Vec<RpcId> {
+            let kids = c.children.iter().flatten();
+            kids.map(|&idx| pool.span(idx).rpc).collect()
+        };
         for (i, a) in assignment.iter().enumerate() {
             let parent_rpc = incoming[i].rpc;
             // Ranked top-K candidate child sets with final scores.
-            let ranked_sets: Vec<(Vec<RpcId>, f64)> = candidates[i]
-                .iter()
-                .take(params.top_k)
-                .map(|c| {
-                    let kids: Vec<RpcId> = c
-                        .children
-                        .iter()
-                        .flatten()
-                        .map(|&idx| pool.span(idx).rpc)
-                        .collect();
-                    (kids, c.score)
-                })
-                .collect();
+            let top_k = candidates[i].iter().take(params.top_k);
+            let ranked_sets: Vec<(Vec<RpcId>, f64)> = top_k.map(|c| (rpcs(c), c.score)).collect();
             if !ranked_sets.is_empty() {
                 ranked.set_scored(parent_rpc, ranked_sets);
             }
             if let Some(cand) = a {
                 report.mapped_spans += 1;
-                let is_top = candidates[i]
-                    .first()
-                    .map(|top| top.children == cand.children)
-                    .unwrap_or(false);
-                if is_top {
-                    report.top_choice_spans += 1;
-                }
-                let children: Vec<RpcId> = cand
-                    .children
-                    .iter()
-                    .flatten()
-                    .map(|&idx| pool.span(idx).rpc)
-                    .collect();
-                mapping.assign(parent_rpc, children);
+                let top = candidates[i].first();
+                report.top_choice_spans +=
+                    usize::from(top.is_some_and(|t| t.children == cand.children));
+                mapping.assign(parent_rpc, rpcs(cand));
             }
         }
         telemetry.spans_mapped.add(report.mapped_spans as u64);

@@ -58,6 +58,7 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
     static METRICS: OnceLock<CoreMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let r = tw_telemetry::global();
+        tw_solver::register_metrics();
         let stage = |name: &str| {
             r.histogram_with(
                 "tw_core_stage_seconds",

@@ -18,4 +18,5 @@ pub mod waterfill;
 
 pub use bitset::BitSet;
 pub use mis::{ConflictGraph, MisSolution, SolveOptions};
+pub use telemetry::register_metrics;
 pub use waterfill::water_fill;

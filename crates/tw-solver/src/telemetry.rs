@@ -9,7 +9,7 @@ use tw_telemetry::Counter;
 
 /// Cached handles for every `tw_solver_*` series.
 pub(crate) struct SolverMetrics {
-    /// `tw_solver_solves_total`: MIS solves attempted.
+    /// `tw_solver_solves_total`: branch-and-bound searches run.
     pub solves: Counter,
     /// `tw_solver_nodes_expanded_total`: branch-and-bound nodes expanded.
     pub nodes_expanded: Counter,
@@ -29,7 +29,7 @@ pub(crate) fn metrics() -> &'static SolverMetrics {
         SolverMetrics {
             solves: r.counter(
                 "tw_solver_solves_total",
-                "Weighted-MIS solves attempted (one per optimization batch per iteration).",
+                "Weighted-MIS searches run (batches whose top candidates are not the unique optimum).",
             ),
             nodes_expanded: r.counter(
                 "tw_solver_nodes_expanded_total",
@@ -45,4 +45,9 @@ pub(crate) fn metrics() -> &'static SolverMetrics {
             ),
         }
     })
+}
+
+/// Registers every `tw_solver_*` family, so they read zero before any search.
+pub fn register_metrics() {
+    metrics();
 }

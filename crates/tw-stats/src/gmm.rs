@@ -18,6 +18,15 @@ pub struct GmmComponent {
     pub gaussian: Gaussian,
 }
 
+impl GmmComponent {
+    /// `(ln weight, ln sigma)`: the logarithms of its parameters that
+    /// [`Gmm::log_pdf_given`] takes.
+    pub fn log_terms(&self) -> (f64, f64) {
+        let ln_w = self.weight.max(f64::MIN_POSITIVE).ln();
+        (ln_w, self.gaussian.sigma.ln())
+    }
+}
+
 /// A univariate Gaussian mixture.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Gmm {
@@ -77,17 +86,31 @@ impl Gmm {
 
     /// Log density at `x` via log-sum-exp over components.
     pub fn log_pdf(&self, x: f64) -> f64 {
+        self.log_pdf_given(x, self.components.iter().map(GmmComponent::log_terms))
+    }
+
+    /// Every component's [`GmmComponent::log_terms`], in order.
+    pub fn log_terms(&self) -> Vec<(f64, f64)> {
+        self.components.iter().map(|c| c.log_terms()).collect()
+    }
+
+    /// [`Gmm::log_pdf`] for a caller that already holds each component's
+    /// [`GmmComponent::log_terms`], so scoring many points under one
+    /// mixture takes no logarithm of a parameter.
+    pub fn log_pdf_given(&self, x: f64, terms: impl IntoIterator<Item = (f64, f64)>) -> f64 {
         debug_assert!(!self.components.is_empty());
-        let term = |c: &GmmComponent| c.weight.max(f64::MIN_POSITIVE).ln() + c.gaussian.log_pdf(x);
+        let mut logs = self
+            .components
+            .iter()
+            .zip(terms)
+            .map(|(c, (ln_w, ln_sigma))| ln_w + c.gaussian.log_pdf_given(x, ln_sigma));
         let n = self.components.len();
         if n <= MAX_COMPONENTS {
-            let mut logs = [0.0; MAX_COMPONENTS];
-            for (l, c) in logs.iter_mut().zip(&self.components) {
-                *l = term(c);
-            }
-            log_sum_exp(&mut logs[..n])
+            let mut stack = [0.0; MAX_COMPONENTS];
+            stack.iter_mut().zip(&mut logs).for_each(|(l, t)| *l = t);
+            log_sum_exp(&mut stack[..n])
         } else {
-            log_sum_exp(&mut self.components.iter().map(term).collect::<Vec<f64>>())
+            log_sum_exp(&mut logs.collect::<Vec<f64>>())
         }
     }
 
@@ -101,24 +124,7 @@ impl Gmm {
 
     /// Total log-likelihood of a sample under this mixture.
     pub fn log_likelihood(&self, xs: &[f64]) -> f64 {
-        self.log_pdfs(xs).sum()
-    }
-
-    /// [`Gmm::log_pdf`] at each of `xs`, with each component's `ln weight`
-    /// and `ln sigma` taken once per mixture, not once per point.
-    fn log_pdfs<'a>(&'a self, xs: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
-        let lns: Vec<(f64, f64)> = self
-            .components
-            .iter()
-            .map(|c| (c.weight.max(f64::MIN_POSITIVE).ln(), c.gaussian.sigma.ln()))
-            .collect();
-        let mut logs = vec![0.0; lns.len()];
-        xs.iter().map(move |&x| {
-            for ((l, c), &(ln_w, ln_sigma)) in logs.iter_mut().zip(&self.components).zip(&lns) {
-                *l = ln_w + c.gaussian.log_pdf_given(x, ln_sigma);
-            }
-            log_sum_exp(&mut logs)
-        })
+        self.log_likelihood_weighted(xs, &vec![1.0; xs.len()])
     }
 
     /// Bayesian Information Criterion: `k ln n − 2 ln L` with
@@ -182,7 +188,12 @@ impl Gmm {
 
     /// Weighted log-likelihood of a sample under this mixture.
     pub fn log_likelihood_weighted(&self, xs: &[f64], ws: &[f64]) -> f64 {
-        self.log_pdfs(xs).zip(ws).map(|(l, &w)| w * l).sum()
+        // Each component's `ln weight` and `ln sigma` once per mixture.
+        let terms = self.log_terms();
+        let log_pdfs = xs
+            .iter()
+            .map(|&x| self.log_pdf_given(x, terms.iter().copied()));
+        log_pdfs.zip(ws).map(|(l, &w)| w * l).sum()
     }
 
     /// BIC over a weighted sample: the effective sample size is the total
