@@ -112,9 +112,10 @@ enum BodyFraming {
     Chunked,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 enum ParseState {
     /// Accumulating header bytes until CRLFCRLF.
+    #[default]
     Headers,
     /// Consuming a fixed-length body.
     Body { remaining: usize },
@@ -128,7 +129,7 @@ enum ParseState {
 
 /// Incremental HTTP/1.1 message parser for one direction of one
 /// connection. Feed byte chunks with timestamps; pull complete messages.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HttpParser {
     buf: Vec<u8>,
     state: ParseState,
@@ -136,19 +137,6 @@ pub struct HttpParser {
     ready: Vec<HttpMessage>,
     first_byte_at: Option<Nanos>,
     last_byte_at: Nanos,
-}
-
-impl Default for HttpParser {
-    fn default() -> Self {
-        HttpParser {
-            buf: Vec::new(),
-            state: ParseState::Headers,
-            current: None,
-            ready: Vec::new(),
-            first_byte_at: None,
-            last_byte_at: Nanos::ZERO,
-        }
-    }
 }
 
 impl HttpParser {

@@ -119,9 +119,7 @@ pub fn batch_exclusive_counts(
     // For each outgoing span, the set of batches whose parents can take it.
     let mut batch_of_parent = vec![usize::MAX; feasible.len()];
     for (b, range) in batches.iter().enumerate() {
-        for p in range.clone() {
-            batch_of_parent[p] = b;
-        }
+        batch_of_parent[range.clone()].fill(b);
     }
     let mut first_batch = vec![usize::MAX; num_outgoing];
     let mut exclusive = vec![true; num_outgoing];
@@ -210,9 +208,7 @@ pub fn seed_from_wap5(
     }
     let mut model = DelayModel::default();
     for (key, xs) in samples {
-        if !xs.is_empty() {
-            model.insert(key, Gmm::single(Gaussian::fit(&xs)));
-        }
+        model.insert(key, Gmm::single(Gaussian::fit(&xs)));
     }
     model
 }

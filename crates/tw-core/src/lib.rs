@@ -132,21 +132,14 @@ impl Reconstruction {
     /// or weren't assigned their top-choice mapping. Averaged over the
     /// service's containers, weighted by span count.
     pub fn confidence_by_service(&self) -> HashMap<ServiceId, f64> {
-        let mut agg: HashMap<ServiceId, (usize, usize)> = HashMap::new();
+        let mut agg: HashMap<ServiceId, TaskReport> = HashMap::new();
         for (proc_key, report) in &self.reports {
             let e = agg.entry(proc_key.service).or_default();
-            e.0 += report.top_choice_spans;
-            e.1 += report.total_spans;
+            e.top_choice_spans += report.top_choice_spans;
+            e.total_spans += report.total_spans;
         }
         agg.into_iter()
-            .map(|(svc, (top, total))| {
-                let conf = if total == 0 {
-                    100.0
-                } else {
-                    100.0 * top as f64 / total as f64
-                };
-                (svc, conf)
-            })
+            .map(|(svc, r)| (svc, r.confidence()))
             .collect()
     }
 }

@@ -18,6 +18,17 @@ use tw_model::span::SpanView;
 /// gaps (DESIGN.md §7).
 const MAX_ITERATIONS: usize = 3;
 
+/// A refit that another follows fits each edge on its draft: every
+/// `DRAFT_STRIDE`-th order statistic of its sample, if that keeps at
+/// least `DRAFT_MIN_GAPS` (DESIGN.md §7). Its sample comes from the seed
+/// pass, and its fits only score one pass and start the next refit.
+/// Measured (`offline_dense`, seed 7): strides 2, 4 and 8 within 4 % of
+/// each other, 4 and 8 at +0.04 pt accuracy; fitting whole at EM
+/// tolerance 1e-3 instead 18 % faster, but −0.07 pt, and an edge whose
+/// sample then stands keeps that loose fit to the end.
+const DRAFT_STRIDE: usize = 4;
+const DRAFT_MIN_GAPS: usize = 50;
+
 /// Diagnostics from one task, used for confidence scores (§6.3.2) and the
 /// evaluation harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,15 +83,9 @@ pub struct ReconstructionTask<'a> {
     /// one pass should compute one instant and spread it via
     /// [`ReconstructionTask::with_deadline`] instead.
     deadline: Option<std::time::Instant>,
-    /// Test oracle: treat every edge's evidence as changed after every
-    /// iteration, which is the loop as it ran before it learned to skip
-    /// (every edge refit, every configured iteration executed).
+    /// Test oracles: the loop as it ran before its shortcuts.
     #[cfg(test)]
-    refit_every_edge: bool,
-    /// Test oracle: run a leaf task through the full loop, as every task
-    /// ran before leaf tasks learned to decide nothing.
-    #[cfg(test)]
-    full_loop_at_leaves: bool,
+    oracle: tests::Oracle,
 }
 
 impl<'a> ReconstructionTask<'a> {
@@ -92,9 +97,7 @@ impl<'a> ReconstructionTask<'a> {
             prior: None,
             deadline: None,
             #[cfg(test)]
-            refit_every_edge: false,
-            #[cfg(test)]
-            full_loop_at_leaves: false,
+            oracle: tests::Oracle::default(),
         }
     }
 
@@ -114,25 +117,6 @@ impl<'a> ReconstructionTask<'a> {
     pub fn with_deadline(mut self, deadline: Option<std::time::Instant>) -> Self {
         self.deadline = deadline;
         self
-    }
-
-    #[cfg(test)]
-    fn refit_every_edge(mut self) -> Self {
-        self.refit_every_edge = true;
-        self
-    }
-
-    #[cfg(test)]
-    fn full_loop_at_leaves(mut self) -> Self {
-        self.full_loop_at_leaves = true;
-        self
-    }
-
-    fn runs_full_loop_at_leaves(&self) -> bool {
-        #[cfg(test)]
-        return self.full_loop_at_leaves;
-        #[cfg(not(test))]
-        false
     }
 
     /// Run the pipeline, writing results into `mapping` / `ranked`.
@@ -204,7 +188,10 @@ impl<'a> ReconstructionTask<'a> {
         // nothing, §4.1 step 1 yields one candidate per parent, the empty
         // child set, so no score, batch, MIS solve or delay fit can change
         // a mapping. Each parent maps to `[]`, and the task offers no gaps.
-        if layouts.values().all(|l| l.num_slots == 0) && !self.runs_full_loop_at_leaves() {
+        let leaf = layouts.values().all(|l| l.num_slots == 0);
+        #[cfg(test)]
+        let leaf = leaf && !self.oracle.full_loop_at_leaves;
+        if leaf {
             telemetry.candidates.add(n as u64);
             for p in incoming {
                 telemetry.candidates_per_span.observe(1.0);
@@ -327,10 +314,8 @@ impl<'a> ReconstructionTask<'a> {
         let mut inexact_batches = 0usize;
         // Per edge, the gap sample its current model was last offered.
         let mut fitted_gaps: HashMap<EdgeKey, Vec<f64>> = HashMap::new();
-        // Test oracle: per edge, the per-width fits its last sweep started
-        // from.
         #[cfg(test)]
-        let mut starts: HashMap<EdgeKey, Vec<tw_stats::gmm::Gmm>> = HashMap::new();
+        let mut starts = HashMap::new();
         let mut iterations = 0usize;
         for iter in 0..max_iterations {
             iterations = iter + 1;
@@ -404,21 +389,20 @@ impl<'a> ReconstructionTask<'a> {
             // already holds *is* its refit. When no edge moved the model
             // stands, and with it every score, the stable sort order, every
             // MIS input and so the assignment of each further iteration:
-            // the fixed point.
+            // the fixed point. A refit that another follows fits drafts
+            // ([`draft`]), and `fitted_gaps` records them: a drafted edge
+            // differs from its next sample, so the next refit fits it whole.
             if iter + 1 < max_iterations {
-                let gaps = collect_gaps(incoming, &layouts, &pool, &assignment);
+                let mut gaps = collect_gaps(incoming, &layouts, &pool, &assignment);
                 #[cfg(test)]
-                if self.refit_every_edge {
-                    // The exhaustive form refits every edge, an unchanged
-                    // one from the starts its model was fitted from.
-                    for (key, sample) in &gaps {
-                        if fitted_gaps.get(key) != Some(sample) {
-                            let last = model.sweeps.get(key).cloned().unwrap_or_default();
-                            starts.insert(*key, last);
-                        }
-                        model.sweeps.insert(*key, starts[key].clone());
-                    }
-                    model = model.refit(&gaps, params);
+                let offered = gaps.clone();
+                if iter + 2 < max_iterations {
+                    gaps.values_mut().for_each(draft);
+                }
+                #[cfg(test)]
+                if self.oracle.refit_every_edge {
+                    model =
+                        tests::refit_every_edge(model, &mut starts, &fitted_gaps, &gaps, params);
                     fitted_gaps.extend(gaps);
                     continue;
                 }
@@ -430,6 +414,8 @@ impl<'a> ReconstructionTask<'a> {
                     break;
                 }
                 model = model.refit(&changed, params);
+                #[cfg(test)]
+                tests::REFITS.with(|r| r.borrow_mut().push((offered, changed.clone())));
                 fitted_gaps.extend(changed);
             }
         }
@@ -476,6 +462,15 @@ impl<'a> ReconstructionTask<'a> {
     }
 }
 
+/// Thin `sample` to its draft (see [`DRAFT_STRIDE`]) if it is long enough.
+fn draft(sample: &mut Vec<f64>) {
+    if sample.len() >= DRAFT_STRIDE * DRAFT_MIN_GAPS {
+        sample.sort_by(f64::total_cmp);
+        let kept = sample.iter().skip(DRAFT_STRIDE / 2).step_by(DRAFT_STRIDE);
+        *sample = kept.copied().collect();
+    }
+}
+
 /// Edge gaps of every assigned candidate, grouped by edge.
 fn collect_gaps(
     incoming: &[tw_model::span::ObservedSpan],
@@ -503,6 +498,58 @@ mod tests {
     use tw_model::span::ObservedSpan;
     use tw_model::time::Nanos;
     use tw_stats::gmm::{Gmm, GmmFitOptions};
+
+    type Samples = HashMap<EdgeKey, Vec<f64>>;
+
+    /// The shortcuts [`ReconstructionTask`] runs without, each the loop as
+    /// it ran before it learned to take it.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(super) struct Oracle {
+        /// Treat every edge's evidence as changed after every iteration:
+        /// every edge refit, every configured iteration executed.
+        pub(super) refit_every_edge: bool,
+        /// Run a leaf task through the full loop, as every task ran before
+        /// leaf tasks learned to decide nothing.
+        pub(super) full_loop_at_leaves: bool,
+    }
+
+    impl ReconstructionTask<'_> {
+        fn refit_every_edge(mut self) -> Self {
+            self.oracle.refit_every_edge = true;
+            self
+        }
+
+        fn full_loop_at_leaves(mut self) -> Self {
+            self.oracle.full_loop_at_leaves = true;
+            self
+        }
+    }
+
+    /// The exhaustive form of a refit: every edge in `gaps`, an unchanged
+    /// one from `starts`, the per-width fits its model was fitted from, so
+    /// that it comes back as it stands.
+    pub(super) fn refit_every_edge(
+        mut model: DelayModel,
+        starts: &mut HashMap<EdgeKey, Vec<Gmm>>,
+        fitted_gaps: &Samples,
+        gaps: &Samples,
+        params: &Params,
+    ) -> DelayModel {
+        for (key, sample) in gaps {
+            if fitted_gaps.get(key) != Some(sample) {
+                starts.insert(*key, model.sweeps.get(key).cloned().unwrap_or_default());
+            }
+            model.sweeps.insert(*key, starts[key].clone());
+        }
+        model.refit(gaps, params)
+    }
+
+    thread_local! {
+        /// Every refit of the shipped loop on this thread, in order: the
+        /// samples the pass offered and the ones the refit fitted.
+        pub(super) static REFITS: std::cell::RefCell<Vec<(Samples, Samples)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
 
     fn ep(s: u32) -> Endpoint {
         Endpoint::new(ServiceId(s), OperationId(0))
@@ -717,7 +764,101 @@ mod tests {
         let mut mapping = Mapping::new();
         let mut ranked = RankedMapping::new();
         let (report, gaps) = task.run_with_gaps(&mut mapping, &mut ranked);
+        check_refits("run_task");
         (mapping, ranked, report, gaps)
+    }
+
+    /// Checks, and clears, the refits the shipped loop ran on this thread
+    /// since the last check, taken as one cold task's: a refit that another
+    /// follows fits every edge on its `draft` (a sample too short to thin
+    /// whole), the last refit fits every edge whole, and a drafted edge is
+    /// refit on its full sample by the next refit, before the final pass.
+    /// Returns how many edges the first refit drafted and fitted whole.
+    fn check_refits(what: &str) -> (usize, usize) {
+        let refits = REFITS.take();
+        let (mut drafted, mut whole) = (0, 0);
+        for (i, (offered, fitted)) in refits.iter().enumerate() {
+            for (key, sample) in fitted {
+                let mut expected = offered[key].clone();
+                if i + 2 < MAX_ITERATIONS {
+                    draft(&mut expected);
+                }
+                assert_eq!(sample, &expected, "{what}: refit {i} of {key:?}");
+                if sample.len() < offered[key].len() {
+                    drafted += 1;
+                    let next = refits
+                        .get(i + 1)
+                        .and_then(|(o, f)| o.get(key).zip(f.get(key)));
+                    assert!(
+                        next.is_some_and(|(o, f)| o == f),
+                        "{what}: {key:?} drafted, not refit whole"
+                    );
+                } else if i == 0 {
+                    whole += 1;
+                }
+            }
+        }
+        (drafted, whole)
+    }
+
+    #[test]
+    fn a_draft_keeps_every_stride_th_order_statistic_of_a_long_sample() {
+        let floor = DRAFT_STRIDE * DRAFT_MIN_GAPS;
+        for n in [floor, floor + 3] {
+            let mut sample: Vec<f64> = (0..n).rev().map(|i| i as f64).collect();
+            draft(&mut sample);
+            let kept = (DRAFT_STRIDE / 2..n).step_by(DRAFT_STRIDE);
+            let kept: Vec<f64> = kept.map(|i| i as f64).collect();
+            assert_eq!(sample, kept, "n={n}");
+        }
+        let short: Vec<f64> = (0..floor - 1).rev().map(|i| i as f64).collect();
+        let mut sample = short.clone();
+        draft(&mut sample);
+        assert_eq!(sample, short);
+    }
+
+    /// A cold task's first refit fits an edge of `DRAFT_STRIDE ·
+    /// DRAFT_MIN_GAPS` gaps on its draft and one of a gap fewer whole; the
+    /// latter task then reaches its fixed point after that one refit.
+    #[test]
+    fn short_edges_are_fitted_whole() {
+        let mut g = CallGraph::new();
+        g.insert(ep(0), DependencySpec::new(vec![Stage::single(ep(1))]));
+        let floor = DRAFT_STRIDE * DRAFT_MIN_GAPS;
+        for (n, drafted, whole, iterations) in [(floor - 1, 0, 2, 2), (floor, 2, 0, 3)] {
+            let (mut incoming, mut outgoing) = (Vec::new(), Vec::new());
+            for i in 0..n as u64 {
+                let (t0, gap) = (i * 2_000, 100 + (i * 37) % 50);
+                incoming.push(span(i, ep(0), t0, t0 + 1_000 + (i * 53) % 90));
+                outgoing.push(span(10_000 + i, ep(1), t0 + gap, t0 + gap + 400));
+            }
+            let view = SpanView { incoming, outgoing };
+            let params = Params::default();
+            let task = ReconstructionTask::new(&g, &params, &view);
+            let report = task.run(&mut Mapping::new(), &mut RankedMapping::new());
+            assert_eq!(report.mapped_spans, n);
+            assert_eq!(check_refits("short"), (drafted, whole), "n={n}");
+            assert_eq!(report.iterations, iterations, "n={n}");
+        }
+    }
+
+    /// On the three paper apps at dense load, every drafted edge is refit
+    /// on its full sample before the final pass (`check_refits`), and
+    /// first refits both draft and fit short edges whole.
+    #[test]
+    fn drafted_edges_are_refit_whole_before_the_final_pass() {
+        let (mut drafted, mut whole) = (0, 0);
+        for (app, rps) in paper_apps_at_dense_load(7) {
+            let graph = app.config.call_graph();
+            let params = Params::default();
+            for (key, view) in simulated_views(&app, rps, 500) {
+                let task = ReconstructionTask::new(&graph, &params, &view);
+                task.run(&mut Mapping::new(), &mut RankedMapping::new());
+                let (d, w) = check_refits(&format!("{} {key:?}", app.name));
+                (drafted, whole) = (drafted + d, whole + w);
+            }
+        }
+        assert!(drafted > 0 && whole > 0, "{drafted} drafted, {whole} whole");
     }
 
     /// The shipped loop against the loop that refits every edge and runs
@@ -851,10 +992,10 @@ mod tests {
         (edges, differing)
     }
 
-    /// The early stop's price at this seed: three edges, each a sweep
-    /// that stops after a rise where a later component pays by collapsing
-    /// onto a point (σ at the floor): 887 gaps (C = 3 against C = 5), and
-    /// two media edges of 397 gaps (C = 2 against C = 4 and C = 5).
+    /// The early stop's price at this seed: two edges, each a sweep that
+    /// stops after a rise where a later component pays by collapsing onto
+    /// a point (σ at the floor): 887 hotel gaps (C = 3 against C = 5) and
+    /// 398 media gaps (C = 2 against C = 4).
     #[test]
     fn shortcuts_match_their_exhaustive_forms_at_seed_11() {
         let (edges, differing) = check_shortcuts_on_the_paper_apps(11);
@@ -865,9 +1006,7 @@ mod tests {
                 "hotel-reservation ProcessKey { service: ServiceId(0), replica: 0 } \
                  dynamism=false Call { served: Endpoint { service: ServiceId(0), op: OperationId(0) }, slot: 0 }",
                 "media-microservices ProcessKey { service: ServiceId(1), replica: 0 } \
-                 dynamism=false Call { served: Endpoint { service: ServiceId(1), op: OperationId(2) }, slot: 5 }",
-                "media-microservices ProcessKey { service: ServiceId(1), replica: 0 } \
-                 dynamism=false Call { served: Endpoint { service: ServiceId(1), op: OperationId(2) }, slot: 6 }",
+                 dynamism=false Call { served: Endpoint { service: ServiceId(1), op: OperationId(2) }, slot: 4 }",
             ]
         );
     }

@@ -275,7 +275,8 @@ impl OnlineEngine {
 mod tests {
     use super::*;
     use crate::checkpoint::CheckpointConfig;
-    use crate::online::{assert_same_windows, DegradationLevel, ShedPolicy};
+    use crate::online::testutil::assert_same_windows;
+    use crate::online::{DegradationLevel, ShedPolicy};
     use std::path::{Path, PathBuf};
     use tw_core::{DelayRegistry, Params};
     use tw_model::metrics::end_to_end_accuracy_all_roots;

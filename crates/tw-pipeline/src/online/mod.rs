@@ -55,22 +55,27 @@ mod shed;
 pub use config::{DegradationLevel, OnlineConfig, ShedPolicy, WindowResult};
 pub use engine::OnlineEngine;
 
-/// The determinism oracle of the engine's and the router's tests: the same
-/// windows, with the same ends, records and mappings, in the same order.
 #[cfg(test)]
-fn assert_same_windows(a: &[WindowResult], b: &[WindowResult], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: window count");
-    for (a, b) in a.iter().zip(b) {
-        assert_eq!(a.index, b.index, "{what}: window order");
-        assert_eq!(a.end, b.end, "{what}: window {} end", a.index);
-        assert_eq!(a.records, b.records, "{what}: window {}", a.index);
-        for r in &a.records {
-            assert_eq!(
-                a.reconstruction.mapping.children(r.rpc),
-                b.reconstruction.mapping.children(r.rpc),
-                "{what}: mapping diverged in window {}",
-                a.index
-            );
+mod testutil {
+    use super::WindowResult;
+
+    /// The determinism oracle of the engine's and the router's tests: the
+    /// same windows, with the same ends, records and mappings, in the same
+    /// order.
+    pub(super) fn assert_same_windows(a: &[WindowResult], b: &[WindowResult], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: window count");
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(a.index, b.index, "{what}: window order");
+            assert_eq!(a.end, b.end, "{what}: window {} end", a.index);
+            assert_eq!(a.records, b.records, "{what}: window {}", a.index);
+            for r in &a.records {
+                assert_eq!(
+                    a.reconstruction.mapping.children(r.rpc),
+                    b.reconstruction.mapping.children(r.rpc),
+                    "{what}: mapping diverged in window {}",
+                    a.index
+                );
+            }
         }
     }
 }

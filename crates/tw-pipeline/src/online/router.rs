@@ -154,7 +154,8 @@ mod tests {
     use super::*;
     use crate::archive::stored_traces;
     use crate::online::shard::{EngineMetrics, WindowShard};
-    use crate::online::{assert_same_windows, DegradationLevel, ShedPolicy, WindowResult};
+    use crate::online::testutil::assert_same_windows;
+    use crate::online::{DegradationLevel, ShedPolicy, WindowResult};
     use crate::pipeline::{PipelineBuilder, ShutdownReport};
     use crate::supervise::{DeadLetterQueue, Supervisor};
     use crossbeam::channel::Sender;

@@ -68,7 +68,7 @@ pub fn median(xs: &[f64]) -> f64 {
 
 /// Five-number-style summary of a sample, used by the figure harnesses for
 /// boxplots ([5, 25, 50, 75, 95] percentiles as in the paper's Figure 6).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     pub count: usize,
     pub mean: f64,
@@ -86,18 +86,7 @@ impl Summary {
     /// Compute a summary; returns an all-zero summary for empty input.
     pub fn of(xs: &[f64]) -> Self {
         if xs.is_empty() {
-            return Summary {
-                count: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                p5: 0.0,
-                p25: 0.0,
-                p50: 0.0,
-                p75: 0.0,
-                p95: 0.0,
-                max: 0.0,
-            };
+            return Summary::default();
         }
         let mut sorted: Vec<f64> = xs.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));

@@ -62,6 +62,24 @@ impl Default for GmmFitOptions {
 /// one (deserialised, say) still scores, on the heap.
 pub const MAX_COMPONENTS: usize = 8;
 
+/// Points per block of the E-step's pass ([`lse_block`]).
+const BLOCK: usize = 64;
+
+/// `$body` with the const `$w` set to `$c` when `1 <= $c <=`
+/// [`MAX_COMPONENTS`], so that a width known only at run time reaches a
+/// kernel compiled for it; `$other` at any other width.
+macro_rules! by_width {
+    ($c:expr, $w:ident => $body:expr, _ => $other:expr) => {
+        by_width!(@ $c, $w, $body, $other, 1 2 3 4 5 6 7 8)
+    };
+    (@ $c:expr, $w:ident, $body:expr, $other:expr, $($n:literal)*) => {
+        match $c {
+            $($n => { const $w: usize = $n; $body })*
+            _ => $other,
+        }
+    };
+}
+
 impl Gmm {
     /// A single-component mixture equal to the given Gaussian. This is how
     /// TraceWeaver's iteration 1 seed distribution is represented.
@@ -124,7 +142,7 @@ impl Gmm {
 
     /// Total log-likelihood of a sample under this mixture.
     pub fn log_likelihood(&self, xs: &[f64]) -> f64 {
-        self.log_likelihood_weighted(xs, &vec![1.0; xs.len()])
+        self.log_likelihood_by(xs, None)
     }
 
     /// Bayesian Information Criterion: `k ln n − 2 ln L` with
@@ -188,12 +206,16 @@ impl Gmm {
 
     /// Weighted log-likelihood of a sample under this mixture.
     pub fn log_likelihood_weighted(&self, xs: &[f64], ws: &[f64]) -> f64 {
-        // Each component's `ln weight` and `ln sigma` once per mixture.
-        let terms = self.log_terms();
-        let log_pdfs = xs
-            .iter()
-            .map(|&x| self.log_pdf_given(x, terms.iter().copied()));
-        log_pdfs.zip(ws).map(|(l, &w)| w * l).sum()
+        self.log_likelihood_by(&xs[..xs.len().min(ws.len())], Some(ws))
+    }
+
+    /// `Σ w · log_pdf(x)` over `xs`, each `w` from `ws` or 1: through the EM
+    /// kernel's blocked pass up to [`MAX_COMPONENTS`] components
+    /// ([`log_likelihood_blocked`]), point by point past them.
+    fn log_likelihood_by(&self, xs: &[f64], ws: Option<&[f64]>) -> f64 {
+        let w = |i: usize| ws.map_or(1.0, |ws| ws[i]);
+        by_width!(self.len(), C => log_likelihood_blocked::<C>(&self.components, xs, w),
+            _ => xs.iter().enumerate().map(|(i, &x)| w(i) * self.log_pdf(x)).sum())
     }
 
     /// BIC over a weighted sample: the effective sample size is the total
@@ -264,18 +286,12 @@ fn fit_with(
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in GMM sample"));
         (sorted, population_variance(xs).sqrt().max(SIGMA_FLOOR))
     });
-    let em = match c {
-        2 => em::<2>,
-        3 => em::<3>,
-        4 => em::<4>,
-        5 => em::<5>,
-        6 => em::<6>,
-        7 => em::<7>,
-        8 => em::<8>,
-        _ => unreachable!("component count checked above"),
-    };
     let start = start.map(|g| &g.components[..]).filter(|s| s.len() == c);
-    let (components, maps) = em(xs, ws, total_w, sorted, *overall_sigma, start, opts);
+    let (components, maps) = by_width!(
+        c,
+        C => em::<C>(xs, ws, total_w, sorted, *overall_sigma, start, opts),
+        _ => unreachable!("component count checked above")
+    );
     (Gmm { components }, maps)
 }
 
@@ -346,11 +362,12 @@ fn em<const C: usize>(
 }
 
 /// One EM map F(θ): the E-step's weighted log-likelihood of `comps` and
-/// the M-step's mixture. The E-step takes each responsibility from the
-/// log-sum-exp's own terms, `r = e · (1/Σe)` (one `exp` per term, not
-/// two), and the M-step's mass and mean sums ride in the same pass. Each
-/// accumulator sees, value by value, the same floating-point operations in
-/// the same order as the textbook loop.
+/// the M-step's mixture. The E-step runs block by block ([`lse_block`]) and
+/// takes each responsibility from the log-sum-exp's own terms,
+/// `r = e · (1/Σe)` (one `exp` per term, not two); the M-step's mass and
+/// mean sums ride in the same pass. Each accumulator sees, value by value,
+/// the same floating-point operations in the same order as the textbook
+/// loop.
 fn em_map<const C: usize>(
     xs: &[f64],
     ws: &[f64],
@@ -359,24 +376,25 @@ fn em_map<const C: usize>(
     comps: &[GmmComponent; C],
     resp: &mut [[f64; C]],
 ) -> (f64, [GmmComponent; C]) {
-    let ln_w: [f64; C] = std::array::from_fn(|j| comps[j].weight.max(f64::MIN_POSITIVE).ln());
-    let ln_sigma: [f64; C] = std::array::from_fn(|j| comps[j].gaussian.sigma.ln());
+    let terms = comps.map(|c| c.log_terms());
 
     // E-step, with the masses and weighted sums the M-step divides.
     let (mut ll, mut nj, mut mu) = (0.0, [0.0f64; C], [0.0f64; C]);
-    for ((&x, &w), row) in xs.iter().zip(ws).zip(resp.iter_mut()) {
-        for j in 0..C {
-            row[j] = ln_w[j] + comps[j].gaussian.log_pdf_given(x, ln_sigma[j]);
-        }
-        let (lse, sum) = exp_terms(row);
-        ll += w * lse;
-        let inv = 1.0 / sum;
-        for j in 0..C {
-            let r = row[j] * inv;
-            row[j] = r;
-            let wr = w * r;
-            nj[j] += wr;
-            mu[j] += wr * x;
+    let blocks = xs.chunks(BLOCK).zip(ws.chunks(BLOCK));
+    for ((xs, ws), rows) in blocks.zip(resp.chunks_mut(BLOCK)) {
+        let (lse, sums) = lse_block(xs, comps, &terms, rows);
+        for (((&x, &w), row), (&lse, &sum)) in
+            xs.iter().zip(ws).zip(rows).zip(lse.iter().zip(&sums))
+        {
+            ll += w * lse;
+            let inv = 1.0 / sum;
+            for j in 0..C {
+                let r = row[j] * inv;
+                row[j] = r;
+                let wr = w * r;
+                nj[j] += wr;
+                mu[j] += wr * x;
+            }
         }
     }
 
@@ -472,11 +490,8 @@ fn min_bic(
         let bic = gmm.bic_weighted(xs, ws);
         fits.push(gmm);
         match best {
-            Some((_, b)) if b <= bic => {
-                if stop_when_rising {
-                    break;
-                }
-            }
+            Some((_, b)) if b <= bic && stop_when_rising => break,
+            Some((_, b)) if b <= bic => {}
             _ => best = Some((fits.len() - 1, bic)),
         }
     }
@@ -493,13 +508,59 @@ fn normalize_weights(comps: &mut [GmmComponent]) {
     }
 }
 
-/// Numerically stable log(sum(exp(xs))): `max + ln Σ exp(x − max)`, the
-/// sum taken in order, with each term `exp(x − max)` left in its `x`.
-/// Returns `(lse, Σ)`. The first maximal term is `exp(0) = 1` exactly, so
-/// it is the literal; `x > max` skips NaN as `f64::max` does. A
-/// non-finite maximum is the lse itself: every term is then
-/// `exp(x − max)` as it stands and `Σ` is 1, so `term / Σ` is
-/// `exp(x − lse)`.
+/// [`Gmm::log_likelihood_by`] at `C` components: [`lse_block`] block by
+/// block, then `w(i) · lse` summed in order from −0.0, as `Iterator::sum`
+/// starts, so that it is the point-by-point sum to the bit.
+fn log_likelihood_blocked<const C: usize>(
+    comps: &[GmmComponent],
+    xs: &[f64],
+    w: impl Fn(usize) -> f64,
+) -> f64 {
+    let comps: &[GmmComponent; C] = comps.try_into().expect("C components");
+    let (terms, mut rows, mut ll) = (comps.map(|c| c.log_terms()), [[0.0; C]; BLOCK], -0.0);
+    for (b, xs) in xs.chunks(BLOCK).enumerate() {
+        let lse = lse_block(xs, comps, &terms, &mut rows[..xs.len()]).0;
+        for (i, &l) in lse[..xs.len()].iter().enumerate() {
+            ll += w(b * BLOCK + i) * l;
+        }
+    }
+    ll
+}
+
+/// The E-step's log-sum-exp over one block of at most [`BLOCK`] points, in
+/// three loops so that the libm calls of different points overlap: every
+/// row's log terms `ln w + ln N(x; μ, σ)`, then [`exp_terms`] on every row,
+/// then every `lse = max + ln Σ`. Returns each point's lse and `Σ`, and
+/// leaves each row holding its terms `exp(l − max)`. Each value sees the
+/// operations of the one-point-at-a-time loop, in the same order.
+#[inline(always)]
+fn lse_block<const C: usize>(
+    xs: &[f64],
+    comps: &[GmmComponent; C],
+    terms: &[(f64, f64); C],
+    rows: &mut [[f64; C]],
+) -> ([f64; BLOCK], [f64; BLOCK]) {
+    let (mut lse, mut sums) = ([0.0; BLOCK], [0.0; BLOCK]);
+    for (row, &x) in rows.iter_mut().zip(xs) {
+        let log_term = |j: usize| terms[j].0 + comps[j].gaussian.log_pdf_given(x, terms[j].1);
+        *row = std::array::from_fn(log_term);
+    }
+    for (row, (max, sum)) in rows.iter_mut().zip(lse.iter_mut().zip(sums.iter_mut())) {
+        (*max, *sum) = exp_terms(row);
+    }
+    for (lse, &sum) in lse.iter_mut().zip(&sums[..xs.len()]) {
+        *lse += sum.ln();
+    }
+    (lse, sums)
+}
+
+/// The terms of a numerically stable log(sum(exp(xs))): each `x` becomes
+/// `exp(x − max)`, summed in order. Returns `(max, Σ)`, whose
+/// `max + ln Σ` is the lse. The first maximal term is `exp(0) = 1`
+/// exactly, so it is the literal; `x > max` skips NaN as `f64::max` does.
+/// A non-finite maximum (never NaN) is the lse itself: every term is then
+/// `exp(x − max)` as it stands and `Σ` is 1, whose `ln` adds 0, so
+/// `term / Σ` is `exp(x − lse)`.
 #[inline(always)]
 fn exp_terms(xs: &mut [f64]) -> (f64, f64) {
     let (mut max, mut top) = (f64::NEG_INFINITY, 0);
@@ -519,13 +580,14 @@ fn exp_terms(xs: &mut [f64]) -> (f64, f64) {
         *x = if j == top { 1.0 } else { (*x - max).exp() };
         sum += *x;
     }
-    (max + sum.ln(), sum)
+    (max, sum)
 }
 
-/// [`exp_terms`]' lse; `xs` is left holding the terms.
+/// The lse of [`exp_terms`]; `xs` is left holding the terms.
 #[inline(always)]
 fn log_sum_exp(xs: &mut [f64]) -> f64 {
-    exp_terms(xs).0
+    let (max, sum) = exp_terms(xs);
+    max + sum.ln()
 }
 
 #[cfg(test)]
@@ -1220,6 +1282,51 @@ mod tests {
         xs
     }
 
+    /// The width oracle on one generated case: `fit_weighted` `==` the
+    /// textbook loop, and the BIC `==` a per-point textbook sum, to the bit.
+    #[allow(clippy::too_many_arguments)]
+    fn check_width_oracle(
+        seed: u64,
+        n: usize,
+        modes: usize,
+        grid: usize,
+        run: (usize, usize),
+        weights: u8,
+        c: usize,
+        max_iters: usize,
+        tol: usize,
+    ) {
+        let xs = generated_gaps(seed, n, modes, [0.0, 1.0, 50.0][grid], run);
+        let (max_iters, tol) = ([1, 2, 40, 100][max_iters], [1e-6, 1e-5][tol]);
+        let ws: Vec<f64> = match weights {
+            0 => vec![1.0; n],
+            1 => decayed_weights(n, 64),
+            _ => {
+                let mut s = crate::sampler::Sampler::new(seed ^ 0x5eed);
+                (0..n)
+                    .map(|_| if s.coin(0.2) { 0.0 } else { s.uniform() })
+                    .collect()
+            }
+        };
+        let opts = GmmFitOptions {
+            max_iters,
+            tol,
+            ..GmmFitOptions::default()
+        };
+        let fitted = Gmm::fit_weighted(&xs, &ws, c, &opts);
+        proptest::prop_assert_eq!(&fitted, &fit_weighted_reference(&xs, &ws, c, &opts));
+
+        let k = (3 * fitted.len() - 1) as f64;
+        let n_eff = ws.iter().sum::<f64>().max(1.0);
+        let ll: f64 = xs
+            .iter()
+            .zip(&ws)
+            .map(|(&x, &w)| w * reference_mixture_log_pdf(&fitted, x))
+            .sum();
+        let textbook = k * n_eff.ln() - 2.0 * ll;
+        proptest::prop_assert_eq!(fitted.bic_weighted(&xs, &ws).to_bits(), textbook.to_bits());
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
@@ -1237,30 +1344,150 @@ mod tests {
             max_iters in 0usize..4,
             tol in 0usize..2,
         ) {
-            let xs = generated_gaps(seed, n, modes, [0.0, 1.0, 50.0][grid], run);
-            let (max_iters, tol) = ([1, 2, 40, 100][max_iters], [1e-6, 1e-5][tol]);
-            let ws: Vec<f64> = match weights {
-                0 => vec![1.0; n],
-                1 => decayed_weights(n, 64),
-                _ => {
-                    let mut s = crate::sampler::Sampler::new(seed ^ 0x5eed);
-                    (0..n).map(|_| if s.coin(0.2) { 0.0 } else { s.uniform() }).collect()
-                }
-            };
-            let opts = GmmFitOptions { max_iters, tol, ..GmmFitOptions::default() };
-            let fitted = Gmm::fit_weighted(&xs, &ws, c, &opts);
-            proptest::prop_assert_eq!(&fitted, &fit_weighted_reference(&xs, &ws, c, &opts));
-
-            let k = (3 * fitted.len() - 1) as f64;
-            let n_eff = ws.iter().sum::<f64>().max(1.0);
-            let ll: f64 = xs
-                .iter()
-                .zip(&ws)
-                .map(|(&x, &w)| w * reference_mixture_log_pdf(&fitted, x))
-                .sum();
-            let textbook = k * n_eff.ln() - 2.0 * ll;
-            proptest::prop_assert_eq!(fitted.bic_weighted(&xs, &ws).to_bits(), textbook.to_bits());
+            check_width_oracle(seed, n, modes, grid, run, weights, c, max_iters, tol);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        /// The width oracle on 400 cases whose lengths sit on a block edge
+        /// of the E-step or one point either side of it (`k · BLOCK − 1`,
+        /// `k · BLOCK`, `k · BLOCK + 1`). Seven seconds in a debug build and
+        /// one in release, where CI runs it next to `fig4a_grid`.
+        #[test]
+        #[ignore = "release only: cargo test --release -p tw-stats --lib -- --ignored block_edges"]
+        fn every_width_is_bit_identical_to_the_reference_loop_at_block_edges(
+            seed in 0u64..1_000_000,
+            n in proptest::Strategy::prop_map((0usize..10, 0usize..3), |(k, d)| {
+                (k * BLOCK + d).saturating_sub(1)
+            }),
+            modes in 1usize..5,
+            grid in 0usize..3,
+            run in (0usize..600, 0usize..200),
+            weights in 0u8..3,
+            c in 1usize..MAX_COMPONENTS + 1,
+            max_iters in 0usize..4,
+            tol in 0usize..2,
+        ) {
+            check_width_oracle(seed, n, modes, grid, run, weights, c, max_iters, tol);
+        }
+    }
+
+    /// `a` and `b` hold the same bits, or are both NaN.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn same_mixture(a: &Gmm, b: &Gmm) -> bool {
+        let parts = |c: &GmmComponent| [c.weight, c.gaussian.mu, c.gaussian.sigma];
+        a.len() == b.len()
+            && (a.components.iter().zip(&b.components)).all(|(a, b)| {
+                parts(a)
+                    .into_iter()
+                    .zip(parts(b))
+                    .all(|(a, b)| same_bits(a, b))
+            })
+    }
+
+    /// The blocked E-step against the textbook loop at every width, on
+    /// either side of each block edge: `2C` points (less than a block), 63,
+    /// 64, 65, and two blocks and a tail of 7. One map from the quantile
+    /// start (its log-likelihood and mixture), whole fits of 40 and 100
+    /// maps, and the blocked log-likelihoods of the start and of the map
+    /// against a per-point sum. Each length runs once more with an `inf`
+    /// gap mid-sample: its row's maximum is not finite, so `exp_terms`
+    /// takes it whole inside a block of finite rows, and the start's
+    /// log-likelihood is −∞. The fits are then NaN, so values are compared
+    /// by their bits, NaN matching NaN.
+    #[test]
+    fn the_blocked_kernel_is_bit_identical_at_block_edges() {
+        fn check<const C: usize>() {
+            for n in [2 * C, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7] {
+                for inf in [false, true] {
+                    let what = format!("C = {C}, n = {n}, inf = {inf}");
+                    let mut xs = generated_gaps(n as u64, n, 3, 0.0, (0, 0));
+                    if inf {
+                        xs[n / 2] = f64::INFINITY;
+                    }
+                    let ws = decayed_weights(n, 16);
+                    let total_w: f64 = ws.iter().sum();
+                    let mut sorted = xs.clone();
+                    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+                    let sigma = population_variance(&xs).sqrt().max(SIGMA_FLOOR);
+                    let cold = |i: usize| GmmComponent {
+                        weight: 1.0 / C as f64,
+                        gaussian: Gaussian::new(
+                            percentile_sorted(&sorted, (i as f64 + 0.5) / C as f64 * 100.0),
+                            sigma,
+                        ),
+                    };
+                    let mut resp = vec![[0.0; C]; n];
+                    let (ll, next) = em_map(
+                        &xs,
+                        &ws,
+                        total_w,
+                        cold,
+                        &std::array::from_fn(cold),
+                        &mut resp,
+                    );
+                    let one = GmmFitOptions {
+                        max_iters: 1,
+                        ..GmmFitOptions::default()
+                    };
+                    let (reference, run) =
+                        textbook_em(&xs, &ws, C, &one, None, ratio_responsibilities, true);
+                    assert!(
+                        same_bits(ll, run.accepted[0]),
+                        "{what}: {ll} vs {:?}",
+                        run.accepted
+                    );
+                    let next = Gmm {
+                        components: next.to_vec(),
+                    };
+                    assert!(
+                        same_mixture(&next, &reference),
+                        "{what}: {next:?} vs {reference:?}"
+                    );
+                    for max_iters in [40, 100] {
+                        let opts = GmmFitOptions {
+                            max_iters,
+                            ..GmmFitOptions::default()
+                        };
+                        let fitted = Gmm::fit_weighted(&xs, &ws, C, &opts);
+                        let reference = fit_weighted_reference(&xs, &ws, C, &opts);
+                        assert!(
+                            same_mixture(&fitted, &reference),
+                            "{what}, {max_iters} maps"
+                        );
+                    }
+                    // The start, finite even beside an `inf` gap, and the map.
+                    let start = Gmm {
+                        components: (0..C).map(cold).collect(),
+                    };
+                    for gmm in [&start, &next] {
+                        let per_point = |w: &dyn Fn(usize) -> f64| -> f64 {
+                            let lls = xs.iter().map(|&x| reference_mixture_log_pdf(gmm, x));
+                            lls.enumerate().map(|(i, l)| w(i) * l).sum()
+                        };
+                        let weighted = gmm.log_likelihood_weighted(&xs, &ws);
+                        assert!(
+                            same_bits(weighted, per_point(&|i| ws[i])),
+                            "{what}: weighted"
+                        );
+                        let unit = gmm.log_likelihood(&xs);
+                        assert!(same_bits(unit, per_point(&|_| 1.0)), "{what}: unit weights");
+                    }
+                }
+            }
+        }
+        check::<2>();
+        check::<3>();
+        check::<4>();
+        check::<5>();
+        check::<6>();
+        check::<7>();
+        check::<8>();
     }
 
     proptest::proptest! {
@@ -1272,7 +1499,12 @@ mod tests {
         /// within 1e-6 per unit weight. A fit with a component on the σ
         /// floor is held to 1e-4 instead: that component is a point mass,
         /// so an ulp δ of its mean moves each of its points' log density
-        /// by (δ/σ)²/2, about 5e-6 at σ = 1e-9, in either form. Fits that
+        /// by (δ/σ)²/2, about 5e-6 at σ = 1e-9, in either form. That bound
+        /// holds on the 32 cases run here, not in general: over the first
+        /// 400 cases of this generator, 18 σ-floor fits miss it, converged
+        /// and fixed-count fits among them (seed 584514, C = 8: a 40-map
+        /// fit 0.72 per unit weight apart). The 1e-6 bound held on all 400
+        /// fits without a component on the floor. Fits that
         /// stop by `tol` are compared unless both forms run to the cap: two
         /// capped fits on a flat likelihood can end apart, as SQUAREM's
         /// steps amplify a rounding difference. Their maps are held close

@@ -309,12 +309,7 @@ fn flag<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
 }
 
 fn num<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name}: cannot parse `{v}`")),
-    }
+    Ok(opt_num(flags, name)?.unwrap_or(default))
 }
 
 /// Like [`num`], but absence means "no filter" rather than a default.
