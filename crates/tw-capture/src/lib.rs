@@ -3,8 +3,6 @@
 //! layer does to the records (loss, duplicates, skew, timestamp jitter)
 //! is modelled once, by `tw_sim::FaultPlan`.
 //!
-//! * [`http`] — HTTP/1.1 parsing: turn raw captured connection bytes
-//!   into request-response exchanges with first-byte timestamps (§5.1.2);
 //! * [`wire`] — a length-prefixed binary wire format for exporting span
 //!   records from capture agents to a TraceWeaver instance (the paper's
 //!   online deployment ships spans over the network);
@@ -14,13 +12,11 @@
 //! * [`infer`] — call-graph and dependency-order inference from test
 //!   traces via edge elimination (§5.2.2).
 
-pub mod http;
 pub mod infer;
 mod telemetry;
 pub mod testenv;
 pub mod wire;
 
-pub use http::{render_http_segments, segments_to_records, ExchangeAssembler, HttpParser};
 pub use infer::{infer_call_graph, infer_dependency_spec};
 pub use testenv::{generate_test_traces, TestTrace};
 pub use wire::{decode_records, encode_records, FrameDecoder, WireError};

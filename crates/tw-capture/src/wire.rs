@@ -104,10 +104,10 @@ pub fn encode_records(recs: &[RpcRecord]) -> Bytes {
 }
 
 /// Decode a full buffer of frames. Fails on the first malformed frame.
-pub fn decode_records(mut data: Bytes) -> Result<Vec<RpcRecord>, WireError> {
+pub fn decode_records(data: Bytes) -> Result<Vec<RpcRecord>, WireError> {
     let mut decoder = FrameDecoder::new();
     let mut out = Vec::new();
-    decoder.extend(&mut data);
+    decoder.feed(&data);
     while let Some(rec) = decoder.next_record()? {
         out.push(rec);
     }
@@ -127,12 +127,6 @@ pub struct FrameDecoder {
 impl FrameDecoder {
     pub fn new() -> Self {
         FrameDecoder::default()
-    }
-
-    /// Append incoming bytes (consumes the source).
-    pub fn extend(&mut self, data: &mut Bytes) {
-        self.buf.extend_from_slice(data);
-        data.clear();
     }
 
     /// Append incoming bytes from a slice.

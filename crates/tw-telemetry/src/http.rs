@@ -4,9 +4,8 @@
 //!
 //! Hand-rolled on blocking `std::net`: scrapes are rare and small, so one
 //! connection at a time with a short head deadline and `Connection: close`
-//! is robust and dependency-free. No request carries a body. (Parsing
-//! *captured* application traffic is a different job and lives in
-//! `tw-capture`.)
+//! is robust and dependency-free. No request carries a body. (Spans
+//! never arrive over HTTP: they come as `tw_capture::wire` frames.)
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -205,6 +204,7 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn server_round_trips_path_and_query() {
@@ -220,5 +220,87 @@ mod tests {
         assert_eq!((status, body.as_str()), (200, "GET /a b=1&c"));
         let (status, body) = get(server.local_addr(), "/x", timeout).unwrap();
         assert_eq!((status, body.as_str()), (200, "GET /x "));
+    }
+
+    /// A server whose handler counts its calls and, like `MetricsServer`,
+    /// answers `405` to anything but `GET`.
+    fn counting_server() -> (Server, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = calls.clone();
+        let server = Server::bind("127.0.0.1:0", move |req| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            match req.method.as_str() {
+                "GET" => Response::text("200 OK", "ok"),
+                _ => Response::text("405 Method Not Allowed", "GET only\n"),
+            }
+        })
+        .unwrap();
+        (server, calls)
+    }
+
+    /// Send `bytes`, half-close the write side so the server sees EOF
+    /// rather than waiting out its deadline, and return what came back.
+    /// A server that drops the connection with bytes unread resets it,
+    /// so write and read errors count as "nothing came back".
+    fn exchange(addr: SocketAddr, bytes: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let _ = stream.write_all(bytes);
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut answer = Vec::new();
+        let _ = stream.read_to_end(&mut answer);
+        String::from_utf8_lossy(&answer).into_owned()
+    }
+
+    /// The accept loop outlived the previous connection.
+    fn still_serves(server: &Server) {
+        let (status, body) = get(server.local_addr(), "/", Duration::from_secs(5)).unwrap();
+        assert_eq!((status, body.as_str()), (200, "ok"));
+    }
+
+    #[test]
+    fn a_declared_body_is_refused_before_the_handler() {
+        let (server, calls) = counting_server();
+        let head = b"POST /metrics HTTP/1.1\r\nContent-Length: 5\r\n\r\n";
+        let answer = exchange(server.local_addr(), head);
+        assert!(answer.starts_with("HTTP/1.1 413 "), "{answer:?}");
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        still_serves(&server);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn an_oversized_head_is_dropped_unanswered() {
+        let (server, calls) = counting_server();
+        // A complete head, but its end lies past the cap.
+        let mut head = b"GET /".to_vec();
+        head.resize(MAX_HEAD + 2048, b'a');
+        head.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+        assert_eq!(exchange(server.local_addr(), &head), "");
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        still_serves(&server);
+    }
+
+    #[test]
+    fn garbage_heads_are_survived() {
+        let (server, calls) = counting_server();
+        // No blank line before EOF: nothing reaches the handler.
+        let cut = b"GET / HTTP/1.1\r\nHost: x\r\n";
+        assert_eq!(exchange(server.local_addr(), cut), "");
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        still_serves(&server);
+        // A complete head that is not a request line, and an empty one:
+        // the handler sees a method that is not `GET`.
+        let junk: &[u8] = &[
+            0xff, 0x00, 0xfe, b' ', 0x80, b'?', 0xc3, b'\r', b'\n', b'\r', b'\n',
+        ];
+        for head in [junk, b"\r\n\r\n"] {
+            let answer = exchange(server.local_addr(), head);
+            assert!(answer.starts_with("HTTP/1.1 405 "), "{answer:?}");
+            still_serves(&server);
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), 5);
     }
 }

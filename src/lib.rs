@@ -18,7 +18,7 @@
 //! | [`stats`] | `tw-stats` | GMM/EM/BIC, t-tests, samplers |
 //! | [`solver`] | `tw-solver` | weighted MIS, water-filling |
 //! | [`sim`] | `tw-sim` | discrete-event microservice simulator |
-//! | [`capture`] | `tw-capture` | span capture, wire codec, call-graph inference |
+//! | [`capture`] | `tw-capture` | span wire codec, test-environment replay, call-graph inference |
 //! | [`baselines`] | `tw-baselines` | WAP5, vPath/DeepFlow, FCFS |
 //! | [`alibaba`] | `tw-alibaba` | production-trace dataset + compression |
 //! | [`pipeline`] | `tw-pipeline` | offline store, online engine, tail sampling |

@@ -86,36 +86,6 @@ fn alibaba_compression_pipeline() {
 }
 
 #[test]
-fn http_wire_capture_loop() {
-    // Full-fidelity capture path: the simulator's RPCs are rendered into
-    // raw HTTP/1.1 connection bytes at both observation points, parsed
-    // back into spans by the §5.1.2 substrate, and reconstructed. The
-    // timing signal survives byte-level capture, so accuracy must match
-    // direct span capture (thread ids are lost, which TraceWeaver never
-    // uses anyway).
-    use traceweaver::capture::{render_http_segments, segments_to_records};
-    let app = traceweaver::sim::apps::hotel_reservation(306);
-    let call_graph = app.config.call_graph();
-    let sim = Simulator::new(app.config).unwrap();
-    let out = sim.run(&Workload::poisson(app.roots[0], 250.0, Nanos::from_secs(1)));
-
-    let segments = render_http_segments(&out.records);
-    let parsed = segments_to_records(&segments).unwrap();
-    assert_eq!(parsed.len(), out.records.len());
-
-    let tw = TraceWeaver::new(call_graph.clone(), Params::default());
-    let from_http = tw.reconstruct_records(&parsed);
-    let direct = tw.reconstruct_records(&out.records);
-    let acc_http = end_to_end_accuracy_all_roots(&from_http.mapping, &out.truth).ratio();
-    let acc_direct = end_to_end_accuracy_all_roots(&direct.mapping, &out.truth).ratio();
-    assert!(
-        (acc_http - acc_direct).abs() < 0.02,
-        "HTTP capture path diverged: {acc_http} vs {acc_direct}"
-    );
-    assert!(acc_http > 0.9);
-}
-
-#[test]
 fn parallel_reconstruction_is_deterministic() {
     // The executor must be invisible in the output: across thread counts
     // the Mapping AND the RankedMapping (candidate sets and scores) are
