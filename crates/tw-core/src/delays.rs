@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use tw_model::ids::Endpoint;
 use tw_model::span::ObservedSpan;
 use tw_stats::gaussian::Gaussian;
-use tw_stats::gmm::{Gmm, GmmFitOptions};
+use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
 
 /// One dependency edge at a service.
 ///
@@ -214,7 +214,8 @@ impl DelayModel {
         for (key, samples) in gaps {
             if samples.len() >= 3 {
                 let starts = self.sweeps.get(key).map_or(&[][..], Vec::as_slice);
-                let (gmm, fits) = Gmm::fit_auto_from(samples, starts, &opts);
+                let ws = vec![1.0; samples.len()];
+                let (gmm, fits) = Gmm::fit(samples, &ws, Widths::Sweep, starts, &opts);
                 telemetry.gmm_components.observe(gmm.len() as f64);
                 next.insert(*key, gmm);
                 next.sweeps.insert(*key, fits);

@@ -29,7 +29,7 @@ use crate::delays::{DelayModel, EdgeKey};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use tw_model::span::ProcessKey;
-use tw_stats::gmm::{Gmm, GmmFitOptions};
+use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
 
 /// Multiplicative down-weighting applied to an edge's reservoir samples
 /// each absorb round that brings the edge fresh gaps: fresh gaps enter at
@@ -323,11 +323,12 @@ impl DelayRegistry {
             // First sight of an edge: full BIC sweep. After that the
             // component count evolves slowly, so sweep only around the
             // current model's count.
-            let refit = if known {
-                Gmm::fit_auto_weighted_near(&xs, &ws, &opts, state.model.len())
+            let widths = if known {
+                Widths::Near(state.model.len())
             } else {
-                Gmm::fit_auto_weighted(&xs, &ws, &opts)
+                Widths::Sweep
             };
+            let refit = Gmm::fit(&xs, &ws, widths, &[], &opts).0;
             // Quarantine degenerate posteriors: a refit that collapsed to
             // non-finite parameters or vanishing variance would poison
             // every later warm start, so the previous model keeps serving.

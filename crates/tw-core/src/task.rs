@@ -497,7 +497,7 @@ mod tests {
     use tw_model::ids::{OperationId, ServiceId};
     use tw_model::span::ObservedSpan;
     use tw_model::time::Nanos;
-    use tw_stats::gmm::{Gmm, GmmFitOptions};
+    use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
 
     type Samples = HashMap<EdgeKey, Vec<f64>>;
 
@@ -888,16 +888,17 @@ mod tests {
         (report, gaps)
     }
 
-    /// True when `Gmm::fit_auto` selects on `gaps` the mixture its sweep
-    /// selected before it learned to stop: every count `1..=C`, lowest BIC.
+    /// True when the cold sweep selects on `gaps` the mixture it selected
+    /// before it learned to stop: every count `1..=C`, lowest BIC.
     fn sweep_matches_exhaustive(gaps: &[f64]) -> bool {
-        let opts = GmmFitOptions::default();
+        let (opts, ws) = (GmmFitOptions::default(), vec![1.0; gaps.len()]);
+        let fit = |widths| Gmm::fit(gaps, &ws, widths, &[], &opts).0;
         let exhaustive = (1..=opts.max_components)
-            .map(|c| Gmm::fit(gaps, c, &opts))
-            .map(|gmm| (gmm.bic(gaps), gmm))
+            .map(|c| fit(Widths::One(c)))
+            .map(|gmm| (gmm.bic(gaps, &ws), gmm))
             .reduce(|best, next| if best.0 <= next.0 { best } else { next })
             .expect("at least one candidate model");
-        Gmm::fit_auto(gaps, &opts) == exhaustive.1
+        fit(Widths::Sweep) == exhaustive.1
     }
 
     /// The three paper apps, each at a dense load.

@@ -4,14 +4,16 @@
 //!
 //! This is the wire path of the paper's online deployment (§5.3): eBPF
 //! agents on application nodes ship spans to a running TraceWeaver
-//! instance. The server is a plain blocking accept loop with one thread
-//! per connection — span export is a low-fan-in workload (one agent per
-//! node), so thread-per-connection is the robust, simple choice.
+//! instance. The server runs one thread per connection on the one
+//! blocking accept loop, `tw_telemetry::listen` — span export is a
+//! low-fan-in workload (one agent per node), so thread-per-connection is
+//! the robust, simple choice.
 
 use crate::online::{OnlineConfig, OnlineEngine};
 use crossbeam::channel::Sender;
+use parking_lot::Mutex;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -20,6 +22,7 @@ use tw_capture::wire::{encode_records, FrameDecoder};
 use tw_core::TraceWeaver;
 use tw_model::span::RpcRecord;
 use tw_telemetry::http::{self, Request, Response};
+use tw_telemetry::listen::Listener;
 use tw_telemetry::{Counter, Registry};
 
 /// Consecutive decode failures tolerated on one connection before the
@@ -88,14 +91,14 @@ pub struct IngestStats {
 /// A running span-ingestion server.
 ///
 /// Incoming frames are decoded and forwarded to the sink channel (e.g.
-/// an [`crate::OnlineEngine`]'s ingest handle). Malformed streams close
-/// their connection; other connections are unaffected. [`stats`]
+/// an [`crate::OnlineEngine`]'s ingest handle), one worker thread per
+/// connection on the one accept loop, [`Listener`]. Malformed streams
+/// close their connection; other connections are unaffected. [`stats`]
 /// (IngestServer::stats) reports how many streams failed and how much
 /// data they took with them.
 pub struct IngestServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    listener: Listener,
+    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     metrics: IngestMetrics,
 }
 
@@ -108,69 +111,30 @@ impl IngestServer {
         sink: Sender<RpcRecord>,
         registry: &Registry,
     ) -> std::io::Result<IngestServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let stats = IngestMetrics::new(registry);
-        let stats2 = stats.clone();
-        let accept_thread = std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            let serve = |stream: TcpStream, workers: &mut Vec<JoinHandle<()>>| {
-                // An exited thread keeps its stack until it is joined or
-                // its handle dropped; a long-lived server sees many
-                // short connections, so let go of the finished ones.
-                workers.retain(|w| !w.is_finished());
-                let sink = sink.clone();
-                let stats = stats2.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = serve_connection(stream, sink, &stats);
-                }));
-            };
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    // Drain the accept backlog before exiting: exports
-                    // that connected before shutdown may still be queued
-                    // behind the wake-up connection (which carries no
-                    // frames and EOFs immediately — serving it is
-                    // harmless). This keeps the shutdown contract: every
-                    // connection established before `shutdown()` is
-                    // served to EOF.
-                    if let Ok(stream) = conn {
-                        serve(stream, &mut workers);
-                    }
-                    let _ = listener.set_nonblocking(true);
-                    for conn in listener.incoming() {
-                        match conn {
-                            Ok(stream) => {
-                                let _ = stream.set_nonblocking(false);
-                                serve(stream, &mut workers);
-                            }
-                            Err(_) => break, // WouldBlock: backlog empty
-                        }
-                    }
-                    break;
-                }
-                match conn {
-                    Ok(stream) => serve(stream, &mut workers),
-                    Err(_) => break,
-                }
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-        });
+        let metrics = IngestMetrics::new(registry);
+        let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let (spawned, stats) = (workers.clone(), metrics.clone());
+        let listener = Listener::bind(addr, "tw-ingest", move |stream| {
+            let mut spawned = spawned.lock();
+            // An exited thread keeps its stack until it is joined or its
+            // handle dropped; a long-lived server sees many short
+            // connections, so let go of the finished ones.
+            spawned.retain(|w| !w.is_finished());
+            let (sink, stats) = (sink.clone(), stats.clone());
+            spawned.push(std::thread::spawn(move || {
+                let _ = serve_connection(stream, sink, &stats);
+            }));
+        })?;
         Ok(IngestServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            metrics: stats,
+            listener,
+            workers,
+            metrics,
         })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Snapshot of the ingestion counters. Counters update as connection
@@ -187,23 +151,16 @@ impl IngestServer {
         }
     }
 
-    /// Stop accepting and wait for in-flight connections to drain.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a wake-up connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop accepting and serve every connection made before the call to
+    /// EOF (as drop does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for IngestServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+        self.listener.stop();
+        for worker in self.workers.lock().drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -472,9 +429,11 @@ impl ServeHealth {
     }
 
     /// Expose `archive` at `GET /traces` (stored reconstructed traces as
-    /// JSON, filterable by `window`/`service`/`op`/`min_latency_ms`/
-    /// `from_ms`/`to_ms`/`limit` query parameters). The `window_id`
-    /// exemplar labels on `/metrics` resolve here via `?window=`.
+    /// JSON, filterable by the [`tw_store::TraceQuery`] fields as query
+    /// parameters: `window`/`service`/`op`/`min_latency_ns`/`from_ns`/
+    /// `to_ns`/`limit`, times in ns as the archive holds them). The
+    /// `window_id` exemplar labels on `/metrics` resolve here via
+    /// `?window=`.
     pub fn attach_archive(&self, archive: Arc<tw_store::TraceArchive>) {
         *self.archive.lock() = Some(archive);
     }
@@ -510,7 +469,8 @@ impl MetricsServer {
         self.server.local_addr()
     }
 
-    /// Stop accepting and join the accept thread (as drop does).
+    /// Stop accepting, answer every connection made before the call, and
+    /// join the accept thread (as drop does).
     pub fn shutdown(self) {}
 }
 
@@ -570,16 +530,8 @@ fn serve_scrape(request: &Request, sources: &[Registry], health: &ServeHealth) -
     }
 }
 
-/// A millisecond query value as nanoseconds; saturates, since the value
-/// comes off the socket.
-fn ms_to_ns(value: &str) -> Option<u64> {
-    value
-        .parse::<u64>()
-        .ok()
-        .map(|ms| ms.saturating_mul(1_000_000))
-}
-
-/// Parse `/traces` query parameters into a [`tw_store::TraceQuery`].
+/// Parse `/traces` query parameters into a [`tw_store::TraceQuery`], its
+/// fields under their own names and units (times in ns).
 /// Unknown keys and unparsable values are ignored (the filter stays
 /// `None`/default) — a scrape URL typo widens the result instead of
 /// erroring the endpoint.
@@ -594,9 +546,9 @@ fn parse_trace_query(raw: &str) -> tw_store::TraceQuery {
             "window" => q.window = value.parse().ok(),
             "service" => q.service = value.parse().ok(),
             "op" => q.op = value.parse().ok(),
-            "min_latency_ms" => q.min_latency_ns = ms_to_ns(value),
-            "from_ms" => q.from_ns = ms_to_ns(value),
-            "to_ms" => q.to_ns = ms_to_ns(value),
+            "min_latency_ns" => q.min_latency_ns = value.parse().ok(),
+            "from_ns" => q.from_ns = value.parse().ok(),
+            "to_ns" => q.to_ns = value.parse().ok(),
             "limit" => q.limit = value.parse().unwrap_or(0),
             _ => {}
         }
@@ -635,47 +587,27 @@ pub fn fetch_spans(addr: SocketAddr) -> std::io::Result<String> {
 }
 
 /// Query a [`MetricsServer`]'s `/traces` endpoint and return the parsed
-/// stored traces. Errors if no archive is attached (404) or the body is
-/// not a valid [`tw_store::TracesDoc`]. The endpoint filters in whole
-/// milliseconds, so a time bound that is not one is `InvalidInput`
-/// rather than silently widened.
+/// stored traces: the answer [`tw_store::read_query`] gives on the
+/// archive's directory, to the nanosecond. Errors if no archive is
+/// attached (404) or the body is not a valid [`tw_store::TracesDoc`].
 pub fn fetch_traces(
     addr: SocketAddr,
     query: &tw_store::TraceQuery,
 ) -> std::io::Result<Vec<tw_store::StoredTrace>> {
-    let mut params = Vec::new();
-    if let Some(window) = query.window {
-        params.push(format!("window={window}"));
-    }
-    if let Some(service) = query.service {
-        params.push(format!("service={service}"));
-    }
-    if let Some(op) = query.op {
-        params.push(format!("op={op}"));
-    }
-    let bounds = [
-        ("min_latency", query.min_latency_ns),
-        ("from", query.from_ns),
-        ("to", query.to_ns),
+    let fields = [
+        ("window", query.window),
+        ("service", query.service.map(u64::from)),
+        ("op", query.op.map(u64::from)),
+        ("min_latency_ns", query.min_latency_ns),
+        ("from_ns", query.from_ns),
+        ("to_ns", query.to_ns),
+        ("limit", Some(query.limit as u64).filter(|&limit| limit > 0)),
     ];
-    for (name, ns) in bounds {
-        let Some(ns) = ns else { continue };
-        if ns % 1_000_000 != 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("{name}_ns = {ns} is not a whole millisecond, the endpoint's unit"),
-            ));
-        }
-        params.push(format!("{name}_ms={}", ns / 1_000_000));
-    }
-    if query.limit > 0 {
-        params.push(format!("limit={}", query.limit));
-    }
-    let path = if params.is_empty() {
-        "/traces".to_string()
-    } else {
-        format!("/traces?{}", params.join("&"))
-    };
+    let params: Vec<String> = fields
+        .iter()
+        .filter_map(|(key, value)| value.map(|v| format!("{key}={v}")))
+        .collect();
+    let path = format!("/traces?{}", params.join("&"));
     let body = fetch_path(addr, &path)?;
     let doc: tw_store::TracesDoc = serde_json::from_str(&body)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
@@ -757,6 +689,25 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), 200);
         server.shutdown();
+    }
+
+    /// Every connection made before `shutdown()` is served to EOF: the
+    /// batches are written (not necessarily accepted) when it is called,
+    /// and all of their records are in the sink when it returns.
+    #[test]
+    fn connections_made_before_shutdown_are_served_to_eof() {
+        let (tx, rx) = unbounded();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
+        let addr = server.local_addr();
+        for k in 0..8u64 {
+            let batch: Vec<RpcRecord> = (0..50).map(|i| rec(k * 1_000 + i)).collect();
+            export_records(addr, &batch).unwrap();
+        }
+        server.shutdown();
+        let mut ids: Vec<u64> = rx.try_iter().map(|r| r.rpc.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 400);
     }
 
     #[test]

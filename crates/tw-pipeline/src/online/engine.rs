@@ -216,7 +216,9 @@ impl OnlineEngine {
     /// (`None` when [`OnlineConfig::sanitize`] was not set). Stays
     /// readable after shutdown.
     pub fn sanitize_stats(&self) -> Option<SanitizeStats> {
-        self.sanitize_metrics.as_ref().map(SanitizeMetrics::stats)
+        self.sanitize_metrics
+            .as_ref()
+            .map(SanitizeMetrics::snapshot)
     }
 
     /// The supervised pipeline's dead-letter queue: records quarantined
@@ -266,7 +268,7 @@ impl OnlineEngine {
         let metrics = self.sanitize_metrics.clone();
         (
             self.shutdown(),
-            metrics.as_ref().map(SanitizeMetrics::stats),
+            metrics.as_ref().map(SanitizeMetrics::snapshot),
         )
     }
 }
@@ -797,7 +799,7 @@ mod tests {
         let mut records = out.records.clone();
         records.sort_by_key(|r| (r.recv_resp, r.rpc));
         let window = Nanos::from_millis(250);
-        let by_ts = |r: &RpcRecord| r.recv_resp.0.div_ceil(window.0).saturating_sub(1);
+        let by_ts = |r: &RpcRecord| crate::online::window_of(r.recv_resp, window.0);
 
         let start = |threads: usize, dir: Option<&Path>, telemetry: &Registry| {
             OnlineEngine::start(

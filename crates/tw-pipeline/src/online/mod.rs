@@ -54,6 +54,7 @@ mod shed;
 
 pub use config::{DegradationLevel, OnlineConfig, ShedPolicy, WindowResult};
 pub use engine::OnlineEngine;
+pub(crate) use router::window_of;
 
 #[cfg(test)]
 mod testutil {

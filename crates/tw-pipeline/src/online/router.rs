@@ -10,6 +10,13 @@ use tw_model::time::Nanos;
 use tw_telemetry::trace::{SpanGuard, SpanRecorder};
 use tw_telemetry::{Counter, Gauge};
 
+/// The window a record that completed at `recv_resp` belongs to by its own
+/// timestamp: `⌈recv_resp / window_ns⌉ − 1`, so window `i` holds
+/// `(i·w, (i+1)·w]`, and `recv_resp` 0 is window 0.
+pub(crate) fn window_of(recv_resp: Nanos, window_ns: u64) -> u64 {
+    recv_resp.0.div_ceil(window_ns).saturating_sub(1)
+}
+
 /// Router → shard message: a record stamped with its window index, or the
 /// cut that seals a window.
 #[derive(Debug)]
@@ -107,7 +114,7 @@ impl Stage for WindowRouter {
     }
 
     fn process(&mut self, rec: RpcRecord, _ctx: &StageCtx, out: &mut Emitter<WindowMsg>) {
-        let by_ts = rec.recv_resp.0.div_ceil(self.window.0).saturating_sub(1);
+        let by_ts = window_of(rec.recv_resp, self.window.0);
         // The first window open at this arrival in a run cut from window 0.
         let open = self.watermark.0.saturating_sub(self.grace.0) / self.window.0;
         self.watermark = self.watermark.max(rec.recv_resp);

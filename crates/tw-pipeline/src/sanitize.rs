@@ -173,7 +173,9 @@ impl SanitizeMetrics {
         }
     }
 
-    fn snapshot(&self) -> SanitizeStats {
+    /// The stats view over these series (also the engine owner's final
+    /// one, [`crate::OnlineEngine::sanitize_stats`]).
+    pub(crate) fn snapshot(&self) -> SanitizeStats {
         SanitizeStats {
             received: self.received.get(),
             passed: self.passed.get(),
@@ -346,12 +348,6 @@ impl Sanitizer {
 
     pub fn stats(&self) -> SanitizeStats {
         self.metrics.snapshot()
-    }
-
-    /// Current constant-offset (EWMA) estimate (ns, callee minus caller)
-    /// for one service edge, if any samples were seen.
-    pub fn skew_estimate(&self, caller: ServiceId, callee: ServiceId) -> Option<f64> {
-        self.edges.get(&(caller, callee)).map(|e| e.offset)
     }
 
     /// Process one record: `Some(clean)` to forward, `None` if rejected
@@ -766,7 +762,7 @@ impl SanitizeStage {
         let Some((recorder, window_ns)) = &self.trace else {
             return;
         };
-        let index = rec.recv_resp.0.div_ceil(*window_ns).saturating_sub(1);
+        let index = crate::online::window_of(rec.recv_resp, *window_ns);
         if let Some((current, _)) = &self.current_span {
             if *current == index {
                 return;
@@ -821,14 +817,6 @@ impl crate::pipeline::Stage for SanitizeStage {
     ) {
         self.current_span = None;
         self.maybe_publish(true);
-    }
-}
-
-impl SanitizeMetrics {
-    /// Final stats view for engine owners (see
-    /// [`crate::OnlineEngine::sanitize_stats`]).
-    pub(crate) fn stats(&self) -> SanitizeStats {
-        self.snapshot()
     }
 }
 
@@ -908,6 +896,16 @@ mod tests {
         assert_eq!(s.stats().non_causal, 2);
     }
 
+    /// The constant-offset (EWMA) estimate (ns, callee minus caller) of
+    /// one service edge, as the sanitizer's snapshot holds it.
+    fn skew_estimate(s: &Sanitizer, caller: ServiceId, callee: ServiceId) -> Option<f64> {
+        let edges = s.snapshot().edges;
+        let edge = edges
+            .iter()
+            .find(|e| (e.caller, e.callee) == (caller.0, callee.0));
+        edge.map(|e| e.offset)
+    }
+
     #[test]
     fn skew_estimated_and_corrected_per_edge() {
         let mut s = Sanitizer::new(SanitizeConfig::default());
@@ -924,7 +922,7 @@ mod tests {
             .collect();
         let out = s.sanitize_batch(skewed);
         assert_eq!(out.len(), 200, "skewed records are repaired, not dropped");
-        let est = s.skew_estimate(EXTERNAL, ServiceId(0)).unwrap();
+        let est = skew_estimate(&s, EXTERNAL, ServiceId(0)).unwrap();
         assert!(
             (est - skew as f64).abs() < 1_000.0,
             "estimate {est} vs true {skew}"
@@ -990,10 +988,10 @@ mod tests {
                 }
             }
         }
-        let est = s.skew_estimate(a, b).unwrap();
+        let est = skew_estimate(&s, a, b).unwrap();
         assert!((est - skew as f64).abs() < 5_000.0, "edge estimate {est}");
         // A↔EXTERNAL edge shows no spurious skew.
-        let est_a = s.skew_estimate(EXTERNAL, a).unwrap();
+        let est_a = skew_estimate(&s, EXTERNAL, a).unwrap();
         assert!(est_a.abs() < 5_000.0, "phantom skew on clean edge: {est_a}");
     }
 
@@ -1008,7 +1006,7 @@ mod tests {
         r.recv_req = Nanos(r.recv_req.0 + skew);
         r.send_resp = Nanos(r.send_resp.0 + skew);
         s.sanitize(r);
-        let est = s.skew_estimate(EXTERNAL, ServiceId(0)).unwrap();
+        let est = skew_estimate(&s, EXTERNAL, ServiceId(0)).unwrap();
         assert!(
             (est - skew as f64).abs() < 1.0,
             "one sample must fully seed the estimate: {est} vs {skew}"
@@ -1108,7 +1106,7 @@ mod tests {
         tx.send(truncated).unwrap();
         drop(tx);
         let forwarded = pipeline.shutdown().expect_clean();
-        let stats = metrics.stats();
+        let stats = metrics.snapshot();
         assert_eq!(forwarded.len(), 10);
         assert_eq!(stats.received, 12);
         assert_eq!(stats.duplicates, 1);

@@ -56,14 +56,15 @@ fn backoff(n: usize) -> Duration {
 /// One quarantined input item: which stage it poisoned, why, and where in
 /// the stage's input stream it sat. The item itself was consumed by the
 /// panicking call (stages take ownership), so the record carries
-/// provenance, not the payload.
-#[derive(Debug, Clone, serde::Serialize)]
+/// provenance, not the payload. It is also what `GET /deadletters` serves
+/// and `twctl deadletters` reads back.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DeadLetter {
     /// Stage whose `process`/`flush` panicked.
     pub stage: String,
     /// Quarantine reason: `panic` (poison input item) or `flush` (panic
     /// draining buffered state at shutdown).
-    pub reason: &'static str,
+    pub reason: String,
     /// The panic payload, stringified.
     pub message: String,
     /// 1-based index of the item in the stage's input stream (0 for
@@ -284,7 +285,7 @@ impl StageSupervisor {
         self.quarantined.inc();
         if self.shared.dead_letters.push(DeadLetter {
             stage: self.stage.clone(),
-            reason: "panic",
+            reason: "panic".to_string(),
             message: message.to_string(),
             item_seq,
             record,
@@ -330,7 +331,7 @@ impl StageSupervisor {
         self.flush_quarantined.inc();
         if self.shared.dead_letters.push(DeadLetter {
             stage: self.stage.clone(),
-            reason: "flush",
+            reason: "flush".to_string(),
             message: message.to_string(),
             item_seq: 0,
             record: None,
@@ -374,7 +375,7 @@ mod tests {
         let q = DeadLetterQueue::new(2);
         let mk = |seq| DeadLetter {
             stage: "s".into(),
-            reason: "panic",
+            reason: "panic".into(),
             message: format!("boom {seq}"),
             item_seq: seq,
             record: None,

@@ -8,8 +8,10 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use tw_core::{Params, TraceWeaver};
 use tw_model::time::Nanos;
-use tw_pipeline::net::{export_records, fetch_metrics, serve_online_sanitized, MetricsServer};
-use tw_pipeline::{OnlineConfig, SanitizeConfig, ServeHealth};
+use tw_pipeline::net::{
+    export_records, fetch_deadletters, fetch_metrics, serve_online_sanitized, MetricsServer,
+};
+use tw_pipeline::{DeadLetter, DeadLetterQueue, OnlineConfig, SanitizeConfig, ServeHealth};
 use tw_sim::apps::two_service_chain;
 use tw_sim::{Simulator, Workload};
 use tw_telemetry::http::get;
@@ -114,9 +116,9 @@ fn unknown_path_is_a_clean_404() {
     scrape.shutdown();
 }
 
-/// Query values come off the socket: a millisecond filter at `u64::MAX`
-/// saturates instead of overflowing, and the single scrape thread lives
-/// to answer the next request.
+/// Query values come off the socket: a nanosecond bound at `u64::MAX`, or
+/// one that is not a number, filters as it parses (or not at all), and the
+/// single scrape thread lives to answer the next request.
 #[test]
 fn huge_traces_query_value_saturates_and_server_survives() {
     let dir = std::env::temp_dir().join(format!("tw-scrape-sat-{}", std::process::id()));
@@ -129,10 +131,12 @@ fn huge_traces_query_value_saturates_and_server_survives() {
     let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()], health).expect("bind");
 
     let max = u64::MAX;
-    let path = format!("/traces?min_latency_ms={max}&from_ms={max}&to_ms={max}");
-    let (status, body) = get(scrape.local_addr(), &path, Duration::from_secs(5)).expect("GET");
-    assert_eq!(status, 200, "got: {body}");
-    assert_eq!(body, "{\"traces\":[]}");
+    for value in [max.to_string(), "1e99".into(), "-1".into(), "x".repeat(64)] {
+        let path = format!("/traces?min_latency_ns={value}&from_ns={value}&to_ns={value}");
+        let (status, body) = get(scrape.local_addr(), &path, Duration::from_secs(5)).expect("GET");
+        assert_eq!(status, 200, "{value}: {body}");
+        assert_eq!(body, "{\"traces\":[]}", "{value}");
+    }
     let (status, body) = get(scrape.local_addr(), "/healthz", Duration::from_secs(5))
         .expect("GET /healthz after the hostile query");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
@@ -189,5 +193,43 @@ fn slow_client_does_not_stall_the_scrape_endpoint() {
         start.elapsed()
     );
     trickle.join().unwrap();
+    scrape.shutdown();
+}
+
+/// `GET /deadletters` serves the quarantine as `DeadLetter`s, and what it
+/// serves parses back into `DeadLetter`s equal to the queue's, every field
+/// included (the record `twctl deadletters --resubmit` replays).
+#[test]
+fn dead_letters_round_trip_through_the_endpoint() {
+    let queue = DeadLetterQueue::new(4);
+    let app = two_service_chain(7);
+    let root = app.roots[0];
+    let out = Simulator::new(app.config).unwrap().run(&Workload::poisson(
+        root,
+        100.0,
+        Nanos::from_millis(50),
+    ));
+    queue.push(DeadLetter {
+        stage: "window-router".into(),
+        reason: "panic".into(),
+        message: "poison \"record\"\n".into(),
+        item_seq: 17,
+        record: Some(out.records[0]),
+        window: Some(3),
+    });
+    queue.push(DeadLetter {
+        stage: "archive".into(),
+        reason: "flush".into(),
+        message: String::new(),
+        item_seq: 0,
+        record: None,
+        window: None,
+    });
+    let health = ServeHealth::new();
+    health.attach_dead_letters(queue.clone());
+    let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()], health).expect("bind");
+    let body = fetch_deadletters(scrape.local_addr()).expect("GET /deadletters");
+    let served: Vec<DeadLetter> = serde_json::from_str(&body).expect("a list of DeadLetter");
+    assert_eq!(served, queue.snapshot());
     scrape.shutdown();
 }

@@ -36,7 +36,7 @@ pub struct Gmm {
 /// Options controlling the EM fit and the BIC sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct GmmFitOptions {
-    /// Largest component count tried by [`Gmm::fit_auto`] (paper: C = 5,
+    /// Largest component count a sweep tries ([`Widths`]; paper: C = 5,
     /// text sweeps up to 20). The sweeps clamp it to [`MAX_COMPONENTS`].
     pub max_components: usize,
     /// Maximum EM maps (E-step plus M-step) per candidate model, SQUAREM's
@@ -44,6 +44,25 @@ pub struct GmmFitOptions {
     pub max_iters: usize,
     /// Convergence threshold on mean log-likelihood improvement.
     pub tol: f64,
+}
+
+/// The component counts one [`Gmm::fit`] tries: the one thing its callers
+/// choose differently (DESIGN.md §7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Widths {
+    /// Exactly this count.
+    One(usize),
+    /// `C = 1..=max_components`, up to the first count whose BIC does not
+    /// beat the best before it: a cold refit, and an edge's first sight in
+    /// the warm registry.
+    Sweep,
+    /// `{1, k−1, k, k+1}` within `1..=max_components`: the warm registry's
+    /// refit of an edge whose mixture has `k` components. The optimal count
+    /// rarely jumps between rounds, so this buys back most of the sweep
+    /// and can still grow or shrink the mixture by one per round. The set
+    /// skips counts, so a rise below `k` says nothing about it: every
+    /// count in it is fit.
+    Near(usize),
 }
 
 impl Default for GmmFitOptions {
@@ -56,7 +75,7 @@ impl Default for GmmFitOptions {
     }
 }
 
-/// The largest component count [`Gmm::fit_weighted`] fits (Table 1:
+/// The largest component count [`Gmm::fit`] fits (Table 1:
 /// C = 5): its EM kernel is compiled once per width up to here. Mixtures
 /// up to this size are also scored without touching the heap; a longer
 /// one (deserialised, say) still scores, on the heap.
@@ -140,122 +159,81 @@ impl Gmm {
             .sum()
     }
 
-    /// Total log-likelihood of a sample under this mixture.
-    pub fn log_likelihood(&self, xs: &[f64]) -> f64 {
-        self.log_likelihood_by(xs, None)
+    /// Weighted log-likelihood `Σ w · log_pdf(x)` of a sample, each `x` of
+    /// `xs` counting with its `w` of `ws` (a unit weight multiplies by 1.0,
+    /// which changes no bit): through the EM kernel's blocked pass up to
+    /// [`MAX_COMPONENTS`] components ([`log_likelihood_blocked`]), point by
+    /// point past them.
+    pub fn log_likelihood(&self, xs: &[f64], ws: &[f64]) -> f64 {
+        let xs = &xs[..xs.len().min(ws.len())];
+        by_width!(self.len(), C => log_likelihood_blocked::<C>(&self.components, xs, |i| ws[i]),
+            _ => xs.iter().zip(ws).map(|(&x, &w)| w * self.log_pdf(x)).sum())
     }
 
-    /// Bayesian Information Criterion: `k ln n − 2 ln L` with
-    /// `k = 3C − 1` free parameters (C means, C sigmas, C−1 weights).
-    pub fn bic(&self, xs: &[f64]) -> f64 {
+    /// Bayesian Information Criterion over a weighted sample:
+    /// `k ln n − 2 ln L` with `k = 3C − 1` free parameters (C means, C
+    /// sigmas, C−1 weights) and `n` the total weight (at least 1), so
+    /// heavily decayed reservoirs prefer simpler models. At unit weights
+    /// `n` is the sample size.
+    pub fn bic(&self, xs: &[f64], ws: &[f64]) -> f64 {
         let k = (3 * self.components.len() - 1) as f64;
-        let n = xs.len().max(1) as f64;
-        k * n.ln() - 2.0 * self.log_likelihood(xs)
+        let n_eff = ws.iter().sum::<f64>().max(1.0);
+        k * n_eff.ln() - 2.0 * self.log_likelihood(xs, ws)
     }
 
-    /// Fit a mixture with exactly `c` components using EM.
+    /// Fit a mixture to `xs`, each sample counting with its weight in `ws`,
+    /// at the component counts `widths` names, and return the one of lowest
+    /// [`Gmm::bic`] (paper §4.1 step 3) and the fit at every count run, in
+    /// the order run. EM at each count starts from the mixture of that
+    /// count in `starts`, if any, and else from evenly spaced quantiles of
+    /// the sample, so the fits of one sweep start the next sweep of a
+    /// nearby sample. A count the sample cannot support (fewer than two
+    /// points per component, or no weight) fits a single Gaussian.
     ///
-    /// Initialization is deterministic: component means are placed at evenly
-    /// spaced quantiles of the sample, sigmas at the overall sigma, weights
-    /// uniform. Returns a single-component fit if the sample is too small to
-    /// support `c` components.
-    pub fn fit(xs: &[f64], c: usize, opts: &GmmFitOptions) -> Self {
-        Gmm::fit_weighted(xs, &vec![1.0; xs.len()], c, opts)
-    }
-
-    /// Weighted EM fit: each sample `xs[i]` counts with weight `ws[i]`.
-    ///
-    /// This is the reservoir-refit path of the warm-start delay registry:
-    /// gap samples from older windows are exponentially down-weighted, so
-    /// the mixture tracks the *current* delay regime while still smoothing
-    /// over many windows. With unit weights this is exactly [`Gmm::fit`].
+    /// Older gaps in the warm registry's reservoir carry decayed weights,
+    /// so its mixture tracks the current delay regime while still
+    /// smoothing over many windows; the cold path passes unit weights.
     ///
     /// # Panics
-    /// If `c` is 0 or above [`MAX_COMPONENTS`], or `ws` is not one weight
-    /// per sample.
-    pub fn fit_weighted(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Self {
-        fit_with(xs, ws, c, opts, &mut None, None).0
-    }
-
-    /// Sweep `C = 1..=opts.max_components` up to the first count that does
-    /// not improve BIC, and return the BIC minimizer (paper §4.1 step 3).
+    /// If [`Widths::One`]'s count is 0 or above [`MAX_COMPONENTS`], or `ws`
+    /// is not one weight per sample.
     ///
     /// # Examples
     /// ```
-    /// use tw_stats::gmm::{Gmm, GmmFitOptions};
+    /// use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
     /// // Clearly bimodal data: BIC selects two components.
     /// let xs: Vec<f64> = (0..200)
     ///     .map(|i| if i % 2 == 0 { 10.0 } else { 500.0 } + (i % 7) as f64)
     ///     .collect();
-    /// let gmm = Gmm::fit_auto(&xs, &GmmFitOptions::default());
+    /// let ws = vec![1.0; xs.len()];
+    /// let (gmm, fits) = Gmm::fit(&xs, &ws, Widths::Sweep, &[], &GmmFitOptions::default());
     /// assert!(gmm.len() >= 2);
+    /// assert_eq!(fits[gmm.len() - 1], gmm); // the fit at each count, from 1
     /// assert!(gmm.log_pdf(500.0) > gmm.log_pdf(250.0));
     /// ```
-    pub fn fit_auto(xs: &[f64], opts: &GmmFitOptions) -> Self {
-        Gmm::fit_auto_from(xs, &[], opts).0
-    }
-
-    /// [`Gmm::fit_auto`] whose EM at each width starts from the fit of that
-    /// width in `starts`, if any, instead of from quantiles. Returns the BIC
-    /// minimizer and the fit at every width the sweep ran, to start the
-    /// next sweep of a nearby sample from.
-    pub fn fit_auto_from(xs: &[f64], starts: &[Gmm], opts: &GmmFitOptions) -> (Self, Vec<Gmm>) {
-        let max = opts.max_components.clamp(1, MAX_COMPONENTS);
-        min_bic(xs, &vec![1.0; xs.len()], 1..=max, true, starts, opts)
-    }
-
-    /// Weighted log-likelihood of a sample under this mixture.
-    pub fn log_likelihood_weighted(&self, xs: &[f64], ws: &[f64]) -> f64 {
-        self.log_likelihood_by(&xs[..xs.len().min(ws.len())], Some(ws))
-    }
-
-    /// `Σ w · log_pdf(x)` over `xs`, each `w` from `ws` or 1: through the EM
-    /// kernel's blocked pass up to [`MAX_COMPONENTS`] components
-    /// ([`log_likelihood_blocked`]), point by point past them.
-    fn log_likelihood_by(&self, xs: &[f64], ws: Option<&[f64]>) -> f64 {
-        let w = |i: usize| ws.map_or(1.0, |ws| ws[i]);
-        by_width!(self.len(), C => log_likelihood_blocked::<C>(&self.components, xs, w),
-            _ => xs.iter().enumerate().map(|(i, &x)| w(i) * self.log_pdf(x)).sum())
-    }
-
-    /// BIC over a weighted sample: the effective sample size is the total
-    /// weight, so heavily decayed reservoirs prefer simpler models.
-    pub fn bic_weighted(&self, xs: &[f64], ws: &[f64]) -> f64 {
-        let k = (3 * self.components.len() - 1) as f64;
-        let n_eff = ws.iter().sum::<f64>().max(1.0);
-        k * n_eff.ln() - 2.0 * self.log_likelihood_weighted(xs, ws)
-    }
-
-    /// [`Gmm::fit_auto`] over a weighted sample, scored by weighted BIC.
-    pub fn fit_auto_weighted(xs: &[f64], ws: &[f64], opts: &GmmFitOptions) -> Self {
-        let max = opts.max_components.clamp(1, MAX_COMPONENTS);
-        min_bic(xs, ws, 1..=max, true, &[], opts).0
-    }
-
-    /// Weighted BIC selection over a *narrowed* sweep: only component
-    /// counts within one of `near` (plus the single-Gaussian fallback) are
-    /// tried. When a model is refit round after round on a slowly-evolving
-    /// sample set — the delay registry's absorb loop — the optimal count
-    /// rarely jumps, so sweeping all of `{1, near-1, near, near+1}` (the set
-    /// skips counts, so a rise below `near` says nothing about it) instead
-    /// of `1..=C_max` buys back most of the sweep cost and can still grow or
-    /// shrink the mixture by one per round.
-    pub fn fit_auto_weighted_near(
+    pub fn fit(
         xs: &[f64],
         ws: &[f64],
+        widths: Widths,
+        starts: &[Gmm],
         opts: &GmmFitOptions,
-        near: usize,
-    ) -> Self {
+    ) -> (Gmm, Vec<Gmm>) {
         let max = opts.max_components.clamp(1, MAX_COMPONENTS);
-        let near = near.clamp(1, max);
-        let mut counts = vec![1, near.saturating_sub(1).max(1), near, (near + 1).min(max)];
-        counts.sort_unstable();
-        counts.dedup();
-        min_bic(xs, ws, counts, false, &[], opts).0
+        match widths {
+            Widths::One(c) => min_bic(xs, ws, [c], false, starts, opts),
+            Widths::Sweep => min_bic(xs, ws, 1..=max, true, starts, opts),
+            Widths::Near(k) => {
+                let k = k.clamp(1, max);
+                let mut counts = vec![1, k.saturating_sub(1).max(1), k, (k + 1).min(max)];
+                counts.sort_unstable();
+                counts.dedup();
+                min_bic(xs, ws, counts, false, starts, opts)
+            }
+        }
     }
 }
 
-/// [`Gmm::fit_weighted`] with what EM's initialisation reads in `init`:
+/// One width of [`Gmm::fit`], with what EM's initialisation reads in `init`:
 /// the sorted sample and its overall σ, the same at every width. The first
 /// fit that runs EM fills it, so a sweep sorts its sample once, not once
 /// per count. EM starts from `start` where it has `c` components. Returns
@@ -295,7 +273,7 @@ fn fit_with(
     (Gmm { components }, maps)
 }
 
-/// [`Gmm::fit_weighted`]'s EM at a width `C` fixed at compile time, for
+/// [`Gmm::fit`]'s EM at a width `C` fixed at compile time, for
 /// `2 <= C <= xs.len() / 2` and `total_w = Σ ws > 0`: from `start`, or
 /// else from the sorted sample's quantiles and its overall σ. Returns the
 /// fit and the maps it ran.
@@ -487,7 +465,7 @@ fn min_bic(
         tests::SWEEP_FITS.with(|n| n.set(n.get() + 1));
         let start = starts.iter().find(|g| g.len() == c);
         let gmm = fit_with(xs, ws, c, opts, &mut init, start).0;
-        let bic = gmm.bic_weighted(xs, ws);
+        let bic = gmm.bic(xs, ws);
         fits.push(gmm);
         match best {
             Some((_, b)) if b <= bic && stop_when_rising => break,
@@ -508,7 +486,7 @@ fn normalize_weights(comps: &mut [GmmComponent]) {
     }
 }
 
-/// [`Gmm::log_likelihood_by`] at `C` components: [`lse_block`] block by
+/// [`Gmm::log_likelihood`] at `C` components: [`lse_block`] block by
 /// block, then `w(i) · lse` summed in order from −0.0, as `Iterator::sum`
 /// starts, so that it is the point-by-point sum to the bit.
 fn log_likelihood_blocked<const C: usize>(
@@ -607,6 +585,16 @@ mod tests {
         (out, SWEEP_FITS.with(|n| n.get()) - before)
     }
 
+    /// [`Gmm::fit`] at exactly `c` components.
+    fn fit_at(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
+        Gmm::fit(xs, ws, Widths::One(c), &[], opts).0
+    }
+
+    /// [`Gmm::fit`]'s contiguous sweep, started cold.
+    fn sweep(xs: &[f64], ws: &[f64], opts: &GmmFitOptions) -> Gmm {
+        Gmm::fit(xs, ws, Widths::Sweep, &[], opts).0
+    }
+
     /// Deterministic interleaved bimodal sample: half near 10, half near 50.
     fn bimodal() -> Vec<f64> {
         let mut xs = Vec::new();
@@ -624,7 +612,7 @@ mod tests {
     #[test]
     fn single_component_fit_is_mle() {
         let xs = [1.0, 2.0, 3.0, 4.0];
-        let gmm = Gmm::fit(&xs, 1, &GmmFitOptions::default());
+        let gmm = fit_at(&xs, &[1.0; 4], 1, &GmmFitOptions::default());
         assert_eq!(gmm.len(), 1);
         assert!((gmm.components[0].gaussian.mu - 2.5).abs() < 1e-12);
     }
@@ -632,7 +620,7 @@ mod tests {
     #[test]
     fn two_component_fit_finds_modes() {
         let xs = bimodal();
-        let gmm = Gmm::fit(&xs, 2, &GmmFitOptions::default());
+        let gmm = fit_at(&xs, &vec![1.0; xs.len()], 2, &GmmFitOptions::default());
         let mut mus: Vec<f64> = gmm.components.iter().map(|c| c.gaussian.mu).collect();
         mus.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((mus[0] - 10.0).abs() < 1.0, "low mode at {}", mus[0]);
@@ -642,8 +630,7 @@ mod tests {
     #[test]
     fn bic_prefers_two_components_on_bimodal() {
         let xs = bimodal();
-        let opts = GmmFitOptions::default();
-        let auto = Gmm::fit_auto(&xs, &opts);
+        let auto = sweep(&xs, &vec![1.0; xs.len()], &GmmFitOptions::default());
         assert!(auto.len() >= 2, "BIC should reject a single Gaussian");
     }
 
@@ -653,13 +640,13 @@ mod tests {
         // their BIC penalty.
         let mut s = crate::sampler::Sampler::new(4);
         let xs: Vec<f64> = (0..400).map(|_| s.normal(20.0, 2.0)).collect();
-        let auto = Gmm::fit_auto(&xs, &GmmFitOptions::default());
+        let auto = sweep(&xs, &[1.0; 400], &GmmFitOptions::default());
         assert_eq!(auto.len(), 1, "BIC should select 1 component");
     }
 
     #[test]
     fn weights_sum_to_one() {
-        let gmm = Gmm::fit(&bimodal(), 3, &GmmFitOptions::default());
+        let gmm = fit_at(&bimodal(), &[1.0; 200], 3, &GmmFitOptions::default());
         let total: f64 = gmm.components.iter().map(|c| c.weight).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
@@ -703,36 +690,22 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let gmm = Gmm::fit(&[], 3, &GmmFitOptions::default());
+        let gmm = fit_at(&[], &[], 3, &GmmFitOptions::default());
         assert_eq!(gmm.len(), 1);
-        let gmm = Gmm::fit(&[1.0], 3, &GmmFitOptions::default());
+        let gmm = fit_at(&[1.0], &[1.0], 3, &GmmFitOptions::default());
         assert_eq!(gmm.len(), 1);
         assert!(gmm.log_pdf(1.0).is_finite());
         // Identical points: sigma floored, density finite.
-        let gmm = Gmm::fit(&[2.0; 50], 2, &GmmFitOptions::default());
+        let gmm = fit_at(&[2.0; 50], &[1.0; 50], 2, &GmmFitOptions::default());
         assert!(gmm.log_pdf(2.0).is_finite());
     }
 
     #[test]
     fn log_likelihood_higher_for_better_model() {
-        let xs = bimodal();
-        let one = Gmm::fit(&xs, 1, &GmmFitOptions::default());
-        let two = Gmm::fit(&xs, 2, &GmmFitOptions::default());
-        assert!(two.log_likelihood(&xs) > one.log_likelihood(&xs));
-    }
-
-    #[test]
-    fn unit_weights_match_unweighted_fit() {
-        let xs = bimodal();
-        let ws = vec![1.0; xs.len()];
-        for c in 1..=3 {
-            let a = Gmm::fit(&xs, c, &GmmFitOptions::default());
-            let b = Gmm::fit_weighted(&xs, &ws, c, &GmmFitOptions::default());
-            assert_eq!(a, b, "unit-weight fit diverged at c={c}");
-        }
-        let a = Gmm::fit_auto(&xs, &GmmFitOptions::default());
-        let b = Gmm::fit_auto_weighted(&xs, &ws, &GmmFitOptions::default());
-        assert_eq!(a.len(), b.len());
+        let (xs, ws) = (bimodal(), [1.0; 200]);
+        let one = fit_at(&xs, &ws, 1, &GmmFitOptions::default());
+        let two = fit_at(&xs, &ws, 2, &GmmFitOptions::default());
+        assert!(two.log_likelihood(&xs, &ws) > one.log_likelihood(&xs, &ws));
     }
 
     #[test]
@@ -751,7 +724,7 @@ mod tests {
                 ws.push(0.05);
             }
         }
-        let gmm = Gmm::fit_weighted(&xs, &ws, 2, &GmmFitOptions::default());
+        let gmm = fit_at(&xs, &ws, 2, &GmmFitOptions::default());
         let low_weight: f64 = gmm
             .components
             .iter()
@@ -769,7 +742,7 @@ mod tests {
         assert!(empty.sigma > 0.0);
     }
 
-    /// `Gaussian::log_pdf` as `fit_weighted_reference` has always called it.
+    /// `Gaussian::log_pdf` as `reference_fit` has always called it.
     fn reference_log_pdf(g: &Gaussian, x: f64) -> f64 {
         let z = (x - g.mu) / g.sigma;
         -0.5 * z * z - g.sigma.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
@@ -817,16 +790,17 @@ mod tests {
         (lse, logs.iter().map(|&l| (l - lse).exp()).collect())
     }
 
-    /// The oracle: the textbook EM loop `Gmm::fit_weighted` was before it
+    /// The oracle: the textbook EM loop a fit at one width was before it
     /// was made allocation-free, with the ratio-form E-step and SQUAREM's
-    /// steps. `fit_weighted` must return exactly what this returns.
-    fn fit_weighted_reference(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
+    /// steps. `Gmm::fit` at `Widths::One` must return exactly what this
+    /// returns.
+    fn reference_fit(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
         textbook_em(xs, ws, c, opts, None, ratio_responsibilities, true).0
     }
 
-    /// The same loop with the exp-form E-step: what `fit_weighted` returned
+    /// The same loop with the exp-form E-step: what a fit at one width returned
     /// before the ratio form, which it must stay close to.
-    fn fit_weighted_exp_reference(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
+    fn exp_reference_fit(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
         textbook_em(xs, ws, c, opts, None, exp_responsibilities, true).0
     }
 
@@ -1007,7 +981,7 @@ mod tests {
         (Gmm { components: comps }, run)
     }
 
-    /// `fit_weighted` against the reference on one sample, at every
+    /// A fit at one width against the reference on one sample, at every
     /// component count and both iteration caps in use, then the fitted
     /// mixture's `log_pdf` against the reference scoring on the sample.
     fn assert_matches_reference(xs: &[f64], ws: &[f64], what: &str) {
@@ -1017,8 +991,8 @@ mod tests {
                     max_iters,
                     ..GmmFitOptions::default()
                 };
-                let fitted = Gmm::fit_weighted(xs, ws, c, &opts);
-                let reference = fit_weighted_reference(xs, ws, c, &opts);
+                let fitted = fit_at(xs, ws, c, &opts);
+                let reference = reference_fit(xs, ws, c, &opts);
                 assert_eq!(fitted, reference, "{what}, c={c}, max_iters={max_iters}");
                 for &x in xs.iter().take(50) {
                     let (a, b) = (fitted.log_pdf(x), reference_mixture_log_pdf(&fitted, x));
@@ -1071,7 +1045,7 @@ mod tests {
             .map(|i| if i % 2 == 0 { 0.0 } else { 10.0 })
             .collect();
         let ws = vec![1.0; xs.len()];
-        let starved = Gmm::fit_weighted(&xs, &ws, 3, &GmmFitOptions::default());
+        let starved = fit_at(&xs, &ws, 3, &GmmFitOptions::default());
         assert!(
             starved
                 .components
@@ -1082,13 +1056,14 @@ mod tests {
         assert_matches_reference(&xs, &ws, "dead component");
     }
 
-    /// The exhaustive sweep `fit_auto` was before it learned to stop: every
-    /// count `1..=max_components`, unweighted fit, unweighted BIC.
-    fn fit_auto_reference(xs: &[f64], opts: &GmmFitOptions) -> Gmm {
+    /// The exhaustive sweep the cold sweep was before it learned to stop:
+    /// every count `1..=max_components`, unit weights.
+    fn exhaustive_sweep(xs: &[f64], opts: &GmmFitOptions) -> Gmm {
+        let ws = vec![1.0; xs.len()];
         let mut best: Option<(f64, Gmm)> = None;
         for c in 1..=opts.max_components.max(1) {
-            let gmm = Gmm::fit(xs, c, opts);
-            let bic = gmm.bic(xs);
+            let gmm = fit_at(xs, &ws, c, opts);
+            let bic = gmm.bic(xs, &ws);
             match &best {
                 Some((b, _)) if *b <= bic => {}
                 _ => best = Some((bic, gmm)),
@@ -1125,12 +1100,13 @@ mod tests {
         let opts = GmmFitOptions::default();
         let (mut stopped, mut exhaustive) = (0, 0);
         for (what, xs) in gap_samples() {
-            let (auto, fits) = sweep_fits(|| Gmm::fit_auto(&xs, &opts));
+            let ws = vec![1.0; xs.len()];
+            let (auto, fits) = sweep_fits(|| sweep(&xs, &ws, &opts));
             // It stops where the rule says: the first count that did not
             // beat the best before it, or out of counts.
             let (mut best, mut expected) = (f64::INFINITY, opts.max_components);
             for c in 1..=opts.max_components {
-                let bic = Gmm::fit(&xs, c, &opts).bic(&xs);
+                let bic = fit_at(&xs, &ws, c, &opts).bic(&xs, &ws);
                 if best <= bic {
                     expected = c;
                     break;
@@ -1143,31 +1119,18 @@ mod tests {
                 max_components: fits,
                 ..opts
             };
-            assert_eq!(auto, fit_auto_reference(&xs, &cut), "{what}");
+            assert_eq!(auto, exhaustive_sweep(&xs, &cut), "{what}");
             // ...and the cut loses nothing once a sample is too large for a
             // late component to pay by collapsing onto one point (on a few
             // dozen gaps the exhaustive sweep can find such a spike after a
             // rise; `gap_samples` has seven of those).
             if xs.len() >= 250 {
-                assert_eq!(auto, fit_auto_reference(&xs, &opts), "{what}");
+                assert_eq!(auto, exhaustive_sweep(&xs, &opts), "{what}");
             }
             stopped += fits;
             exhaustive += opts.max_components;
         }
         assert!(stopped < exhaustive, "{stopped} fits of {exhaustive}");
-    }
-
-    #[test]
-    fn unit_weight_sweep_is_the_unweighted_sweep() {
-        // `fit_auto` is `fit_auto_weighted` at unit weights: the BIC it
-        // ranks by must be the unweighted BIC to the bit.
-        for (what, xs) in gap_samples() {
-            let ws = vec![1.0; xs.len()];
-            for c in 1..=5 {
-                let gmm = Gmm::fit(&xs, c, &GmmFitOptions::default());
-                assert_eq!(gmm.bic(&xs), gmm.bic_weighted(&xs, &ws), "{what}, c={c}");
-            }
-        }
     }
 
     #[test]
@@ -1183,7 +1146,7 @@ mod tests {
         let mut s = crate::sampler::Sampler::new(4);
         let xs: Vec<f64> = (0..400).map(|_| s.normal(20.0, 2.0)).collect();
         let ws = decayed_weights(xs.len(), 64);
-        let (full, fits) = sweep_fits(|| Gmm::fit_auto_weighted(&xs, &ws, &opts));
+        let (full, fits) = sweep_fits(|| sweep(&xs, &ws, &opts));
         assert_eq!((full.len(), fits), (1, 2));
         let sets = [
             (1, vec![1, 2]),
@@ -1193,14 +1156,14 @@ mod tests {
         ];
         for (near, set) in sets {
             let (narrowed, fits) =
-                sweep_fits(|| Gmm::fit_auto_weighted_near(&xs, &ws, &opts, near));
+                sweep_fits(|| Gmm::fit(&xs, &ws, Widths::Near(near), &[], &opts).0);
             assert_eq!(fits, set.len(), "near={near}");
             // And it returns what fitting all of them by hand returns.
             let by_hand = set
                 .iter()
-                .map(|&c| Gmm::fit_weighted(&xs, &ws, c, &opts))
+                .map(|&c| fit_at(&xs, &ws, c, &opts))
                 .min_by(|a, b| {
-                    let (a, b) = (a.bic_weighted(&xs, &ws), b.bic_weighted(&xs, &ws));
+                    let (a, b) = (a.bic(&xs, &ws), b.bic(&xs, &ws));
                     a.partial_cmp(&b).expect("finite BIC")
                 })
                 .expect("non-empty set");
@@ -1210,7 +1173,7 @@ mod tests {
 
     #[test]
     fn large_mixtures_score_like_small_ones() {
-        // More components than `fit_weighted` fits or `log_pdf` keeps on
+        // More components than `Gmm::fit` fits or `log_pdf` keeps on
         // the stack, as a deserialised model may carry: built by hand.
         let mut s = crate::sampler::Sampler::new(3);
         let n = MAX_COMPONENTS + 2;
@@ -1227,7 +1190,7 @@ mod tests {
             assert_eq!(gmm.log_pdf(x), reference_mixture_log_pdf(&gmm, x));
         }
         let textbook: f64 = xs.iter().map(|&x| reference_mixture_log_pdf(&gmm, x)).sum();
-        assert_eq!(gmm.log_likelihood(&xs), textbook);
+        assert_eq!(gmm.log_likelihood(&xs, &[1.0; 400]), textbook);
     }
 
     #[test]
@@ -1239,16 +1202,23 @@ mod tests {
             max_iters: 40,
             ..GmmFitOptions::default()
         };
-        assert!(Gmm::fit_auto(&xs, &opts).len() <= MAX_COMPONENTS);
-        assert!(Gmm::fit_auto_weighted(&xs, &ws, &opts).len() <= MAX_COMPONENTS);
-        assert!(Gmm::fit_auto_weighted_near(&xs, &ws, &opts, 20).len() <= MAX_COMPONENTS);
+        for widths in [Widths::Sweep, Widths::Near(20)] {
+            let (best, fits) = Gmm::fit(&xs, &ws, widths, &[], &opts);
+            assert!(best.len() <= MAX_COMPONENTS, "{widths:?}");
+            assert!(fits.iter().all(|f| f.len() <= MAX_COMPONENTS), "{widths:?}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "MAX_COMPONENTS")]
     fn fit_past_the_cap_panics() {
         let xs: Vec<f64> = (0..100).map(f64::from).collect();
-        Gmm::fit(&xs, MAX_COMPONENTS + 1, &GmmFitOptions::default());
+        fit_at(
+            &xs,
+            &[1.0; 100],
+            MAX_COMPONENTS + 1,
+            &GmmFitOptions::default(),
+        );
     }
 
     /// Gap-shaped samples for the generated oracle: 1–4 modes, optionally
@@ -1282,7 +1252,7 @@ mod tests {
         xs
     }
 
-    /// The width oracle on one generated case: `fit_weighted` `==` the
+    /// The width oracle on one generated case: a fit at one width `==` the
     /// textbook loop, and the BIC `==` a per-point textbook sum, to the bit.
     #[allow(clippy::too_many_arguments)]
     fn check_width_oracle(
@@ -1313,8 +1283,8 @@ mod tests {
             tol,
             ..GmmFitOptions::default()
         };
-        let fitted = Gmm::fit_weighted(&xs, &ws, c, &opts);
-        proptest::prop_assert_eq!(&fitted, &fit_weighted_reference(&xs, &ws, c, &opts));
+        let fitted = fit_at(&xs, &ws, c, &opts);
+        proptest::prop_assert_eq!(&fitted, &reference_fit(&xs, &ws, c, &opts));
 
         let k = (3 * fitted.len() - 1) as f64;
         let n_eff = ws.iter().sum::<f64>().max(1.0);
@@ -1324,7 +1294,7 @@ mod tests {
             .map(|(&x, &w)| w * reference_mixture_log_pdf(&fitted, x))
             .sum();
         let textbook = k * n_eff.ln() - 2.0 * ll;
-        proptest::prop_assert_eq!(fitted.bic_weighted(&xs, &ws).to_bits(), textbook.to_bits());
+        proptest::prop_assert_eq!(fitted.bic(&xs, &ws).to_bits(), textbook.to_bits());
     }
 
     proptest::proptest! {
@@ -1454,8 +1424,8 @@ mod tests {
                             max_iters,
                             ..GmmFitOptions::default()
                         };
-                        let fitted = Gmm::fit_weighted(&xs, &ws, C, &opts);
-                        let reference = fit_weighted_reference(&xs, &ws, C, &opts);
+                        let fitted = fit_at(&xs, &ws, C, &opts);
+                        let reference = reference_fit(&xs, &ws, C, &opts);
                         assert!(
                             same_mixture(&fitted, &reference),
                             "{what}, {max_iters} maps"
@@ -1470,12 +1440,12 @@ mod tests {
                             let lls = xs.iter().map(|&x| reference_mixture_log_pdf(gmm, x));
                             lls.enumerate().map(|(i, l)| w(i) * l).sum()
                         };
-                        let weighted = gmm.log_likelihood_weighted(&xs, &ws);
+                        let weighted = gmm.log_likelihood(&xs, &ws);
                         assert!(
                             same_bits(weighted, per_point(&|i| ws[i])),
                             "{what}: weighted"
                         );
-                        let unit = gmm.log_likelihood(&xs);
+                        let unit = gmm.log_likelihood(&xs, &vec![1.0; n]);
                         assert!(same_bits(unit, per_point(&|_| 1.0)), "{what}: unit weights");
                     }
                 }
@@ -1539,8 +1509,8 @@ mod tests {
                     continue;
                 }
                 let (a, b) = (
-                    ratio.log_likelihood_weighted(&xs, &ws),
-                    exp.log_likelihood_weighted(&xs, &ws),
+                    ratio.log_likelihood(&xs, &ws),
+                    exp.log_likelihood(&xs, &ws),
                 );
                 let drift = if a == b { 0.0 } else { (a - b).abs() / total_w };
                 let on_floor = ratio
@@ -1593,14 +1563,14 @@ mod tests {
             let one = GmmFitOptions { max_iters: 1, ..GmmFitOptions::default() };
             for max_iters in [1, 2, 10, 40, 100] {
                 let opts = GmmFitOptions { max_iters, ..GmmFitOptions::default() };
-                let from = fit_weighted_exp_reference(&xs, &ws, c, &opts);
+                let from = exp_reference_fit(&xs, &ws, c, &opts);
                 let ratio = fit_with(&xs, &ws, c, &one, &mut None, Some(&from)).0;
                 let exp =
                     textbook_em(&xs, &ws, c, &one, Some(&from), exp_responsibilities, true).0;
                 proptest::prop_assert_eq!(ratio.len(), exp.len());
                 let (a, b) = (
-                    ratio.log_likelihood_weighted(&xs, &ws),
-                    exp.log_likelihood_weighted(&xs, &ws),
+                    ratio.log_likelihood(&xs, &ws),
+                    exp.log_likelihood(&xs, &ws),
                 );
                 let drift = if a == b { 0.0 } else { (a - b).abs() / total_w };
                 let on_floor = ratio
@@ -1692,7 +1662,7 @@ mod tests {
         let opts = GmmFitOptions::default();
         for (what, xs) in gap_samples() {
             let ws = vec![1.0; xs.len()];
-            let (best, fits) = Gmm::fit_auto_from(&xs, &[], &opts);
+            let (best, fits) = Gmm::fit(&xs, &ws, Widths::Sweep, &[], &opts);
             let mut all_converged = true;
             for (c, fit) in (1..)
                 .zip(&fits)
@@ -1707,7 +1677,7 @@ mod tests {
                 assert!(again <= 3, "{what}, C = {c}: {again} maps from its own fit");
             }
             if all_converged {
-                let (again, _) = Gmm::fit_auto_from(&xs, &fits, &opts);
+                let (again, _) = Gmm::fit(&xs, &ws, Widths::Sweep, &fits, &opts);
                 assert_eq!(again.len(), best.len(), "{what}");
             }
         }
@@ -1739,7 +1709,7 @@ mod tests {
             let opts = GmmFitOptions::default();
             let start = (warm == 1).then(|| {
                 let nearby = generated_gaps(seed + 1, n, modes, [0.0, 1.0, 50.0][grid], run);
-                Gmm::fit_weighted(&nearby, &ws, c, &opts)
+                fit_at(&nearby, &ws, c, &opts)
             });
             let (fitted, run) =
                 textbook_em(&xs, &ws, c, &opts, start.as_ref(), ratio_responsibilities, true);
@@ -1770,13 +1740,13 @@ mod tests {
             let ws = if decayed == 1 { decayed_weights(n, 64) } else { vec![1.0; n] };
             let nearby = generated_gaps(seed + 1, n, modes, [0.0, 1.0, 50.0][grid], (0, 0));
             let opts = GmmFitOptions::default();
-            let start = Gmm::fit_weighted(&nearby, &ws, c, &opts);
+            let start = fit_at(&nearby, &ws, c, &opts);
             let opts = GmmFitOptions { max_iters: [1, 2, 3, 100][max_iters], ..opts };
             let fitted = fit_with(&xs, &ws, c, &opts, &mut None, Some(&start)).0;
             if start.len() == c {
                 let (a, b) = (
-                    fitted.log_likelihood_weighted(&xs, &ws),
-                    start.log_likelihood_weighted(&xs, &ws),
+                    fitted.log_likelihood(&xs, &ws),
+                    start.log_likelihood(&xs, &ws),
                 );
                 proptest::prop_assert!(a >= b, "{} from {}", a, b);
             }

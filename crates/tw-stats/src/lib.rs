@@ -27,7 +27,7 @@ pub mod ttest;
 
 pub use desc::{mean, median, percentile, std_dev, variance, Summary};
 pub use gaussian::Gaussian;
-pub use gmm::{Gmm, GmmComponent, GmmFitOptions};
+pub use gmm::{Gmm, GmmComponent, GmmFitOptions, Widths};
 pub use pearson::pearson_correlation;
 pub use sampler::{DelayDistribution, Sampler};
 pub use ttest::{welch_t_test, TTestResult};

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tw_stats::desc::{percentile, Summary};
 use tw_stats::gaussian::Gaussian;
-use tw_stats::gmm::{Gmm, GmmFitOptions};
+use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
 use tw_stats::pearson_correlation;
 use tw_stats::sampler::Sampler;
 use tw_stats::special::{beta_inc_reg, student_t_two_sided_p};
@@ -77,7 +77,8 @@ proptest! {
         c in 1usize..5,
         probe in -1e4f64..1e4,
     ) {
-        let gmm = Gmm::fit(&xs, c, &GmmFitOptions::default());
+        let ws = vec![1.0; xs.len()];
+        let gmm = Gmm::fit(&xs, &ws, Widths::One(c), &[], &GmmFitOptions::default()).0;
         prop_assert!(!gmm.is_empty());
         prop_assert!(gmm.log_pdf(probe).is_finite());
         let total: f64 = gmm.components.iter().map(|c| c.weight).sum();
@@ -88,10 +89,11 @@ proptest! {
     fn gmm_bic_sweep_never_worse_than_single(
         xs in prop::collection::vec(-1e3f64..1e3, 10..150),
     ) {
-        let opts = GmmFitOptions::default();
-        let auto = Gmm::fit_auto(&xs, &opts);
-        let single = Gmm::fit(&xs, 1, &opts);
-        prop_assert!(auto.bic(&xs) <= single.bic(&xs) + 1e-6);
+        let (opts, ws) = (GmmFitOptions::default(), vec![1.0; xs.len()]);
+        let (auto, fits) = Gmm::fit(&xs, &ws, Widths::Sweep, &[], &opts);
+        let single = Gmm::fit(&xs, &ws, Widths::One(1), &[], &opts).0;
+        prop_assert_eq!(&fits[0], &single);
+        prop_assert!(auto.bic(&xs, &ws) <= single.bic(&xs, &ws) + 1e-6);
     }
 
     /// What holds of the sweep wherever it stops, on gap-shaped samples of
@@ -116,8 +118,9 @@ proptest! {
             })
             .collect();
         let opts = GmmFitOptions { max_components, ..GmmFitOptions::default() };
-        let auto = Gmm::fit_auto(&xs, &opts);
-        prop_assert!(auto.bic(&xs) <= Gmm::fit(&xs, 1, &opts).bic(&xs));
+        let ws = vec![1.0; n];
+        let (auto, fits) = Gmm::fit(&xs, &ws, Widths::Sweep, &[], &opts);
+        prop_assert!(auto.bic(&xs, &ws) <= fits[0].bic(&xs, &ws));
         prop_assert!((1..=max_components).contains(&auto.len()));
         for c in &auto.components {
             prop_assert!(c.weight.is_finite() && c.weight > 0.0);

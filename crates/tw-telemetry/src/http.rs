@@ -1,17 +1,15 @@
-//! The one way this process speaks HTTP/1.1 (DESIGN.md "HTTP surface"):
+//! The one way this process speaks HTTP/1.1 (DESIGN.md §15):
 //! a bounded, GET-only request reader, a response writer, a one-shot
-//! [`get`] client, and an accept-loop [`Server`] handle.
+//! [`get`] client, and the scrape [`Server`] on the one [`Listener`].
 //!
 //! Hand-rolled on blocking `std::net`: scrapes are rare and small, so one
 //! connection at a time with a short head deadline and `Connection: close`
 //! is robust and dependency-free. No request carries a body. (Spans
 //! never arrive over HTTP: they come as `tw_capture::wire` frames.)
 
+use crate::listen::Listener;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 /// Request heads larger than this are dropped unanswered.
@@ -144,13 +142,11 @@ pub fn get(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Result<(
     Ok((status, body.to_string()))
 }
 
-/// A running accept loop answering one connection at a time through a
-/// handler. Owns the listener lifecycle: dropping it sets the stop flag,
-/// wakes the blocking accept with a connect, and joins the thread.
+/// The scrape server: a [`Listener`] answering one connection at a time,
+/// inline on its accept thread, through a handler. Dropping it stops the
+/// listener, which answers every connection made before the stop.
 pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl Server {
@@ -160,51 +156,26 @@ impl Server {
         addr: &str,
         mut handler: impl FnMut(Request) -> Response + Send + 'static,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let thread = std::thread::Builder::new()
-            .name("tw-http".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop2.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = conn else { break };
-                    let _ = stream.set_write_timeout(Some(SERVER_TIMEOUT));
-                    if let Ok(request) = read_request(&mut stream) {
-                        let _ = respond(&mut stream, &handler(request));
-                    }
-                }
-            })?;
-        Ok(Server {
-            addr,
-            stop,
-            thread: Some(thread),
-        })
+        let listener = Listener::bind(addr, "tw-http", move |mut stream| {
+            let _ = stream.set_write_timeout(Some(SERVER_TIMEOUT));
+            if let Ok(request) = read_request(&mut stream) {
+                let _ = respond(&mut stream, &handler(request));
+            }
+        })?;
+        Ok(Server { listener })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr); // wake the accept loop
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
+        self.listener.local_addr()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn server_round_trips_path_and_query() {
@@ -258,6 +229,48 @@ mod tests {
     fn still_serves(server: &Server) {
         let (status, body) = get(server.local_addr(), "/", Duration::from_secs(5)).unwrap();
         assert_eq!((status, body.as_str()), (200, "ok"));
+    }
+
+    /// Every connection made before the server stops is answered: the one
+    /// accept loop drains its backlog on the way out. The handler holds the
+    /// accept thread while four requests queue behind it and the stop
+    /// begins.
+    #[test]
+    fn connections_queued_before_the_stop_are_answered() {
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let server = Server::bind("127.0.0.1:0", move |req| {
+            if req.path == "/hold" {
+                entered_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }
+            Response::text("200 OK", &req.path)
+        })
+        .unwrap();
+        let (addr, timeout) = (server.local_addr(), Duration::from_secs(5));
+        let hold = std::thread::spawn(move || get(addr, "/hold", timeout));
+        entered.recv().unwrap();
+        let queued: Vec<TcpStream> = (0..4)
+            .map(|i| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.set_read_timeout(Some(timeout)).unwrap();
+                write!(stream, "GET /q{i} HTTP/1.1\r\n\r\n").unwrap();
+                stream
+            })
+            .collect();
+        // Give the stop time to set its flag before the handler returns, so
+        // the queued requests meet the drain (they must be answered anyway).
+        let stop = std::thread::spawn(move || drop(server));
+        std::thread::sleep(Duration::from_millis(50));
+        release.send(()).unwrap();
+        stop.join().unwrap();
+        assert_eq!(hold.join().unwrap().unwrap(), (200, "/hold".to_string()));
+        for (i, mut stream) in queued.into_iter().enumerate() {
+            let mut answer = String::new();
+            stream.read_to_string(&mut answer).unwrap();
+            assert!(answer.starts_with("HTTP/1.1 200 "), "{answer:?}");
+            assert!(answer.ends_with(&format!("\r\n\r\n/q{i}")), "{answer:?}");
+        }
     }
 
     #[test]

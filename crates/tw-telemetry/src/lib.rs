@@ -27,7 +27,8 @@
 //! `tw_capture_*`), see DESIGN.md §10.
 //!
 //! Telemetry leaves the process only by being scraped: [`http`] is the
-//! GET-only server and client behind `/metrics` and `/spans`, [`trace`]
+//! GET-only server and client behind `/metrics` and `/spans`, on the one
+//! TCP accept loop, [`listen`], that span ingestion shares; [`trace`]
 //! the self-tracing span recorder, and [`lint`] the exposition checker.
 //!
 //! ## Hot-path cost
@@ -42,6 +43,7 @@
 mod expose;
 pub mod http;
 pub mod lint;
+pub mod listen;
 mod metrics;
 pub mod trace;
 

@@ -228,8 +228,8 @@ GET /traces.
 
 `query` reads archived traces back — read-only from an archive
 directory (--dir, works offline or against a live server's dir) or
-over HTTP from a serving pipeline's /traces endpoint (--addr). All
-filters are conjunctive: --service/--op match callee endpoints,
+over HTTP from a serving pipeline's /traces endpoint (--addr); both
+give the same answer. All filters are conjunctive: --service/--op match callee endpoints,
 --window resolves an exemplar window_id, --min-latency-ms keeps slow
 traces, --from-ms/--to-ms bound the stream-time range, --limit caps
 results (default 100). --json prints the raw TracesDoc instead of the
@@ -333,9 +333,12 @@ fn app_by_name(name: &str, seed: u64) -> Result<BenchApp, String> {
     }
 }
 
+/// Write `value` as pretty JSON to `path`, atomically: a crash leaves the
+/// old file or the new one, never a truncated one.
 fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), String> {
     let json = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
-    std::fs::write(path, json).map_err(|e| format!("{}: {e}", path.display()))?;
+    traceweaver::store::frame::atomic_write(path, json.as_bytes())
+        .map_err(|e| format!("{}: {e}", path.display()))?;
     println!("wrote {}", path.display());
     Ok(())
 }
@@ -494,7 +497,8 @@ fn write_metrics_out(
     if let Some(out) = flags.get("metrics-out") {
         let text =
             traceweaver::pipeline::fetch_metrics(scrape.local_addr()).map_err(|e| e.to_string())?;
-        std::fs::write(out, &text).map_err(|e| format!("{out}: {e}"))?;
+        traceweaver::store::frame::atomic_write(Path::new(out), text.as_bytes())
+            .map_err(|e| format!("{out}: {e}"))?;
         println!("wrote {out}");
     }
     Ok(())
@@ -852,28 +856,16 @@ fn cmd_metrics(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Deserialization mirror of [`traceweaver::pipeline::DeadLetter`] (whose
-/// `reason` is a `&'static str` and therefore serialize-only).
-#[derive(serde::Deserialize)]
-struct DeadLetterDoc {
-    stage: String,
-    reason: String,
-    message: String,
-    item_seq: u64,
-    record: Option<RpcRecord>,
-    window: Option<u64>,
-}
-
 /// Fetch a running pipeline's `/deadletters` quarantine and pretty-print
 /// it; `--resubmit --to HOST:PORT` replays the quarantined records (the
 /// ones whose payload was captured) back into an ingest listener over the
 /// capture wire protocol.
 fn cmd_deadletters(flags: &Flags) -> Result<(), String> {
-    use traceweaver::pipeline::{export_records, fetch_deadletters};
+    use traceweaver::pipeline::{export_records, fetch_deadletters, DeadLetter};
 
     let addr = scrape_addr(flags)?;
     let text = fetch_deadletters(addr).map_err(|e| format!("{addr}: {e}"))?;
-    let letters: Vec<DeadLetterDoc> =
+    let letters: Vec<DeadLetter> =
         serde_json::from_str(&text).map_err(|e| format!("{addr}: /deadletters: {e}"))?;
     if letters.is_empty() {
         println!("no dead letters");
@@ -924,13 +916,13 @@ fn cmd_deadletters(flags: &Flags) -> Result<(), String> {
 /// Millisecond flags are converted to the stream-nanosecond clock the
 /// archive stores, clamped to the largest whole millisecond.
 fn trace_query_from(flags: &Flags) -> Result<traceweaver::store::TraceQuery, String> {
-    let ms_to_ns = |ms: u64| ms.min(u64::MAX / 1_000_000) * 1_000_000;
+    let ns = |ms: u64| ms.min(u64::MAX / 1_000_000) * 1_000_000;
     Ok(traceweaver::store::TraceQuery {
-        from_ns: opt_num::<u64>(flags, "from-ms")?.map(ms_to_ns),
-        to_ns: opt_num::<u64>(flags, "to-ms")?.map(ms_to_ns),
+        from_ns: opt_num::<u64>(flags, "from-ms")?.map(ns),
+        to_ns: opt_num::<u64>(flags, "to-ms")?.map(ns),
         service: opt_num(flags, "service")?,
         op: opt_num(flags, "op")?,
-        min_latency_ns: opt_num::<u64>(flags, "min-latency-ms")?.map(ms_to_ns),
+        min_latency_ns: opt_num::<u64>(flags, "min-latency-ms")?.map(ns),
         window: opt_num(flags, "window")?,
         limit: num(flags, "limit", 0usize)?,
     })
