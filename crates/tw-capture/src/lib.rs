@@ -13,7 +13,6 @@
 //!   traces via edge elimination (§5.2.2).
 
 pub mod infer;
-mod telemetry;
 pub mod testenv;
 pub mod wire;
 

@@ -75,9 +75,6 @@ fn get_opt_thread(buf: &mut Bytes) -> Option<u32> {
 
 /// Encode one record as a frame (length prefix included).
 pub fn encode_record(rec: &RpcRecord, buf: &mut BytesMut) {
-    let telemetry = crate::telemetry::metrics();
-    telemetry.frames_encoded.inc();
-    telemetry.bytes_encoded.add((4 + PAYLOAD_LEN) as u64);
     buf.put_u32_le(PAYLOAD_LEN as u32);
     buf.put_u8(WIRE_VERSION);
     buf.put_u64_le(rec.rpc.0);
@@ -187,7 +184,6 @@ impl FrameDecoder {
         let recv_resp = Nanos(payload.get_u64_le());
         let caller_thread = get_opt_thread(&mut payload);
         let callee_thread = get_opt_thread(&mut payload);
-        crate::telemetry::metrics().frames_decoded.inc();
         Ok(Some(RpcRecord {
             rpc,
             caller,

@@ -153,7 +153,7 @@ impl DelayModel {
         };
         let (in_starts, in_ends) = group(incoming);
         let (out_starts, out_ends) = group(outgoing);
-        let _ = pool;
+        let _ = (pool, params);
 
         for (&served, layout) in layouts {
             let Some(parent_starts) = in_starts.get(&served) else {
@@ -175,7 +175,7 @@ impl DelayModel {
                 for (j, &e) in stage.iter().enumerate() {
                     let slot = layout.slot_id(k, j);
                     if let Some(starts) = out_starts.get(&e) {
-                        let g = seed_gaussian(ref_pop, starts, params.seed_buckets);
+                        let g = seed_gaussian(ref_pop, starts);
                         model.insert(EdgeKey::Call { served, slot }, Gmm::single(g));
                     }
                     if let Some(ends) = out_ends.get(&e) {
@@ -193,7 +193,7 @@ impl DelayModel {
                 _ => parent_starts,
             };
             if let Some(parent_ends) = in_ends.get(&served) {
-                let g = seed_gaussian(final_ref, parent_ends, params.seed_buckets);
+                let g = seed_gaussian(final_ref, parent_ends);
                 model.insert(EdgeKey::Final { served }, Gmm::single(g));
             }
         }
@@ -225,19 +225,23 @@ impl DelayModel {
     }
 }
 
+/// Rank-aligned buckets of the seed variance estimate (Table 1: R = 10).
+const SEED_BUCKETS: usize = 10;
+
 /// Seed Gaussian for the gap between two *unpaired* time populations.
 ///
 /// `mu = mean(to) − mean(from)` (exact without pairing). σ is estimated by
-/// sorting both populations, splitting each into `buckets` rank-aligned
-/// buckets, taking the per-bucket mean difference, and scaling the spread
-/// of those differences by √(bucket size) per the central limit theorem.
-pub fn seed_gaussian(from: &[f64], to: &[f64], buckets: usize) -> Gaussian {
+/// sorting both populations, splitting each into `SEED_BUCKETS`
+/// rank-aligned buckets, taking the per-bucket mean difference, and
+/// scaling the spread of those differences by √(bucket size) per the
+/// central limit theorem.
+pub fn seed_gaussian(from: &[f64], to: &[f64]) -> Gaussian {
     let mu = tw_stats::mean(to) - tw_stats::mean(from);
     let n = from.len().min(to.len());
-    if n < 2 || buckets < 2 {
+    if n < 2 {
         return Gaussian::new(mu, SEED_SIGMA_FLOOR_US.max(mu.abs() * 0.5));
     }
-    let buckets = buckets.min(n);
+    let buckets = SEED_BUCKETS.min(n);
     let mut a: Vec<f64> = from.to_vec();
     let mut b: Vec<f64> = to.to_vec();
     a.sort_by(|x, y| x.partial_cmp(y).expect("finite times"));
@@ -358,14 +362,14 @@ mod tests {
         // Pairs with constant gap 10: marginal means differ by exactly 10.
         let from: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let to: Vec<f64> = (0..100).map(|i| i as f64 + 10.0).collect();
-        let g = seed_gaussian(&from, &to, 10);
+        let g = seed_gaussian(&from, &to);
         assert!((g.mu - 10.0).abs() < 1e-9);
         assert!(g.sigma >= SEED_SIGMA_FLOOR_US);
     }
 
     #[test]
     fn seed_gaussian_degenerate() {
-        let g = seed_gaussian(&[1.0], &[5.0], 10);
+        let g = seed_gaussian(&[1.0], &[5.0]);
         assert!((g.mu - 4.0).abs() < 1e-9);
         assert!(g.sigma > 0.0);
     }

@@ -14,9 +14,6 @@ pub struct Params {
     /// Maximum candidates kept per span for the joint optimization
     /// (Table 1: K = 5).
     pub top_k: usize,
-    /// Buckets used for the seed-distribution variance estimate
-    /// (Table 1: R = 10).
-    pub seed_buckets: usize,
     /// Wall-clock budget, in microseconds, shared by all MIS solves of one
     /// reconstruction pass (0 = unbounded). When the deadline expires each
     /// remaining batch ships its greedy incumbent and is counted in
@@ -59,7 +56,6 @@ impl Default for Params {
         Params {
             batch_size: 30,
             top_k: 5,
-            seed_buckets: 10,
             solver_deadline_us: 0,
             threads: 1,
             handle_dynamism: false,
@@ -134,7 +130,6 @@ mod tests {
         let p = Params::default();
         assert_eq!(p.batch_size, 30);
         assert_eq!(p.top_k, 5);
-        assert_eq!(p.seed_buckets, 10);
         assert_eq!(p.threads, 1, "default must stay sequential");
     }
 

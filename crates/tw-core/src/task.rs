@@ -171,7 +171,6 @@ impl<'a> ReconstructionTask<'a> {
         }
         let telemetry = crate::telemetry::metrics();
         telemetry.tasks.inc();
-        telemetry.spans.add(n as u64);
 
         // Slot layouts per served endpoint.
         let mut layouts: HashMap<Endpoint, SlotLayout> = HashMap::new();
@@ -295,7 +294,6 @@ impl<'a> ReconstructionTask<'a> {
         for r in &batches {
             telemetry.batch_size.observe(r.len() as f64);
         }
-        telemetry.skip_budget.add(budget.total() as u64);
 
         // §4.1 step 6 iterates "to convergence": `MAX_ITERATIONS` is the
         // cap, the fixed point below is the exit. A warm task, like the

@@ -20,13 +20,12 @@ pub(crate) struct CoreMetrics {
     pub tasks: Counter,
     /// `tw_core_warm_tasks_total`: tasks that started from a warm prior.
     pub warm_tasks: Counter,
-    /// `tw_core_spans_total`: incoming spans considered.
-    pub spans: Counter,
     /// `tw_core_spans_mapped_total`: incoming spans that got a mapping.
     pub spans_mapped: Counter,
     /// `tw_core_candidates_total`: candidate child sets enumerated.
     pub candidates: Counter,
-    /// `tw_core_candidates_per_span`: candidate-set size distribution.
+    /// `tw_core_candidates_per_span`: candidate-set size distribution,
+    /// one observation per incoming span (its `_count` is the span count).
     pub candidates_per_span: Histogram,
     /// `tw_core_batches_total`: optimization batches formed.
     pub batches: Counter,
@@ -34,8 +33,6 @@ pub(crate) struct CoreMetrics {
     pub batch_size: Histogram,
     /// `tw_core_em_iterations_total`: EM iterations executed.
     pub em_iterations: Counter,
-    /// `tw_core_skip_budget_total`: phantom skip slots granted (§4.2).
-    pub skip_budget: Counter,
     /// `tw_core_gmm_components`: BIC-selected component count of every
     /// edge refit a task performed (unchanged edges are not refit).
     pub gmm_components: Histogram,
@@ -76,10 +73,6 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
                 "tw_core_warm_tasks_total",
                 "Tasks that started EM from a warm registry prior instead of the seed.",
             ),
-            spans: r.counter(
-                "tw_core_spans_total",
-                "Incoming spans considered across all tasks.",
-            ),
             spans_mapped: r.counter(
                 "tw_core_spans_mapped_total",
                 "Incoming spans that received a child mapping.",
@@ -105,10 +98,6 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             em_iterations: r.counter(
                 "tw_core_em_iterations_total",
                 "EM iterations executed (score → optimize → refit passes).",
-            ),
-            skip_budget: r.counter(
-                "tw_core_skip_budget_total",
-                "Phantom skip slots granted by the dynamism detector (paper §4.2).",
             ),
             gmm_components: r.histogram(
                 "tw_core_gmm_components",

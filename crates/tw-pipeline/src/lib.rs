@@ -42,7 +42,7 @@ pub use checkpoint::{
 };
 pub use net::{
     export_records, export_records_with, fetch_deadletters, fetch_metrics, fetch_spans,
-    fetch_traces, IngestServer, IngestStats, MetricsServer, ServeHealth,
+    fetch_traces, IngestServer, MetricsServer, ServeHealth,
 };
 pub use online::{DegradationLevel, OnlineConfig, OnlineEngine, ShedPolicy, WindowResult};
 pub use pipeline::{

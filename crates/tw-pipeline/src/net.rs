@@ -31,9 +31,8 @@ use tw_telemetry::{Counter, Registry};
 /// byte by byte forever would burn a thread on an adversarial client.
 pub const MAX_CONSECUTIVE_DECODE_ERRORS: u32 = 32;
 
-/// Registry-backed ingestion counters, shared between the server handle
-/// and connection threads. [`IngestStats`] snapshots are views over these
-/// series (DESIGN.md §10).
+/// Registry-backed ingestion counters, shared by the connection threads
+/// (DESIGN.md §10).
 #[derive(Debug, Clone)]
 struct IngestMetrics {
     connections: Counter,
@@ -70,36 +69,17 @@ impl IngestMetrics {
     }
 }
 
-/// Point-in-time snapshot of a server's ingestion counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestStats {
-    /// Connections served (including ones that later failed to decode).
-    pub connections: u64,
-    /// Connections dropped after [`MAX_CONSECUTIVE_DECODE_ERRORS`]
-    /// failures in a row exhausted resynchronization.
-    pub connections_dropped: u64,
-    /// Individual frame decode failures. A connection survives a failure
-    /// (the decoder resynchronizes and scans for the next frame
-    /// boundary) until the consecutive-failure limit is hit.
-    pub decode_errors: u64,
-    /// Bytes skipped or consumed by failed decodes, plus anything still
-    /// buffered when a connection is dropped. Bytes the client had not
-    /// yet transmitted at drop time are not observable and not counted.
-    pub bytes_discarded: u64,
-}
-
 /// A running span-ingestion server.
 ///
 /// Incoming frames are decoded and forwarded to the sink channel (e.g.
 /// an [`crate::OnlineEngine`]'s ingest handle), one worker thread per
 /// connection on the one accept loop, [`Listener`]. Malformed streams
-/// close their connection; other connections are unaffected. [`stats`]
-/// (IngestServer::stats) reports how many streams failed and how much
-/// data they took with them.
+/// close their connection; other connections are unaffected. The
+/// `tw_ingest_*` series count how many streams failed and how much data
+/// they took with them.
 pub struct IngestServer {
     listener: Listener,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    metrics: IngestMetrics,
 }
 
 impl IngestServer {
@@ -113,42 +93,24 @@ impl IngestServer {
     ) -> std::io::Result<IngestServer> {
         let metrics = IngestMetrics::new(registry);
         let workers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let (spawned, stats) = (workers.clone(), metrics.clone());
+        let spawned = workers.clone();
         let listener = Listener::bind(addr, "tw-ingest", move |stream| {
             let mut spawned = spawned.lock();
             // An exited thread keeps its stack until it is joined or its
             // handle dropped; a long-lived server sees many short
             // connections, so let go of the finished ones.
             spawned.retain(|w| !w.is_finished());
-            let (sink, stats) = (sink.clone(), stats.clone());
+            let (sink, stats) = (sink.clone(), metrics.clone());
             spawned.push(std::thread::spawn(move || {
                 let _ = serve_connection(stream, sink, &stats);
             }));
         })?;
-        Ok(IngestServer {
-            listener,
-            workers,
-            metrics,
-        })
+        Ok(IngestServer { listener, workers })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.listener.local_addr()
-    }
-
-    /// Snapshot of the ingestion counters. Counters update as connection
-    /// threads make progress, so a snapshot taken while a stream is
-    /// mid-failure may not reflect it yet; after [`shutdown`]
-    /// (IngestServer::shutdown) the counts are final (but the handle is
-    /// consumed — snapshot first if you need post-drain numbers, or poll).
-    pub fn stats(&self) -> IngestStats {
-        IngestStats {
-            connections: self.metrics.connections.get(),
-            connections_dropped: self.metrics.connections_dropped.get(),
-            decode_errors: self.metrics.decode_errors.get(),
-            bytes_discarded: self.metrics.bytes_discarded.get(),
-        }
     }
 
     /// Stop accepting and serve every connection made before the call to
@@ -266,35 +228,6 @@ pub fn serve_online_sanitized(
     serve_online(addr, tw, config)
 }
 
-/// Export telemetry on [`tw_telemetry::global()`] (the exporter runs on
-/// the agent side, outside any pipeline registry).
-struct ExportMetrics {
-    batches: Counter,
-    retries: Counter,
-    failures: Counter,
-}
-
-fn export_metrics() -> &'static ExportMetrics {
-    static METRICS: std::sync::OnceLock<ExportMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = tw_telemetry::global();
-        ExportMetrics {
-            batches: registry.counter(
-                "tw_capture_export_batches_total",
-                "Record batches successfully exported to an ingest server.",
-            ),
-            retries: registry.counter(
-                "tw_capture_export_retries_total",
-                "Export attempts retried after a transient transport failure.",
-            ),
-            failures: registry.counter(
-                "tw_capture_export_failures_total",
-                "Export batches abandoned after exhausting the retry budget.",
-            ),
-        }
-    })
-}
-
 /// Connect+write attempts [`export_records`] makes per batch, and the
 /// backoff between them: `BASE · 2ⁿ⁻¹` capped at `MAX`, with deterministic
 /// jitter of up to +25 % ([`backoff`]).
@@ -343,14 +276,12 @@ pub fn export_records(addr: SocketAddr, records: &[RpcRecord]) -> std::io::Resul
 
 /// [`export_records`] with an explicit number of attempts (clamped to at
 /// least 1). Each attempt is a fresh connect+write (frames are encoded
-/// once); attempts are counted in `tw_capture_export_*` on the global
-/// registry.
+/// once).
 pub fn export_records_with(
     addr: SocketAddr,
     records: &[RpcRecord],
     attempts: u32,
 ) -> std::io::Result<()> {
-    let metrics = export_metrics();
     let frames = encode_records(records);
     let attempts = attempts.max(1);
     let mut attempt = 0u32;
@@ -361,23 +292,13 @@ pub fn export_records_with(
             stream.flush()
         });
         match result {
-            Ok(()) => {
-                metrics.batches.inc();
-                return Ok(());
-            }
-            Err(err) if attempt < attempts && retryable(&err) => {
-                metrics.retries.inc();
-                std::thread::sleep(backoff(
-                    EXPORT_BACKOFF_BASE,
-                    EXPORT_BACKOFF_MAX,
-                    attempt,
-                    addr.port(),
-                ));
-            }
-            Err(err) => {
-                metrics.failures.inc();
-                return Err(err);
-            }
+            Err(err) if attempt < attempts && retryable(&err) => std::thread::sleep(backoff(
+                EXPORT_BACKOFF_BASE,
+                EXPORT_BACKOFF_MAX,
+                attempt,
+                addr.port(),
+            )),
+            result => return result,
         }
     }
 }
@@ -622,6 +543,25 @@ mod tests {
     use tw_model::span::EXTERNAL;
     use tw_model::time::Nanos;
 
+    /// A server's `tw_ingest_*` counts, read from its registry.
+    #[derive(Debug)]
+    struct Counts {
+        connections: u64,
+        connections_dropped: u64,
+        decode_errors: u64,
+        bytes_discarded: u64,
+    }
+
+    fn counts(registry: &Registry) -> Counts {
+        let get = |name| registry.counter(name, "").get();
+        Counts {
+            connections: get("tw_ingest_connections_total"),
+            connections_dropped: get("tw_ingest_connections_dropped_total"),
+            decode_errors: get("tw_ingest_decode_errors_total"),
+            bytes_discarded: get("tw_ingest_bytes_discarded_total"),
+        }
+    }
+
     fn rec(rpc: u64) -> RpcRecord {
         RpcRecord {
             rpc: RpcId(rpc),
@@ -713,7 +653,8 @@ mod tests {
     #[test]
     fn garbage_stream_dropped_after_consecutive_errors() {
         let (tx, rx) = unbounded();
-        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &registry).unwrap();
         let addr = server.local_addr();
         // Pure-garbage connection: every window of 0xFF… decodes as an
         // absurd frame length, so resync never finds a boundary and the
@@ -734,7 +675,7 @@ mod tests {
         // concurrently, so poll briefly).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         let stats = loop {
-            let s = server.stats();
+            let s = counts(&registry);
             if s.connections_dropped >= 1 || std::time::Instant::now() >= deadline {
                 break s;
             }
@@ -759,7 +700,8 @@ mod tests {
     #[test]
     fn single_corrupt_frame_resyncs_without_dropping_connection() {
         let (tx, rx) = unbounded();
-        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &registry).unwrap();
         let addr = server.local_addr();
         // One frame with a bad version byte, then healthy frames, all on
         // the SAME connection: the decoder consumes the bad frame, the
@@ -779,7 +721,7 @@ mod tests {
         assert_eq!(received, records, "frames after the corrupt one survive");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         let stats = loop {
-            let s = server.stats();
+            let s = counts(&registry);
             if s.decode_errors >= 1 || std::time::Instant::now() >= deadline {
                 break s;
             }
@@ -794,13 +736,14 @@ mod tests {
     #[test]
     fn healthy_streams_leave_error_counters_at_zero() {
         let (tx, rx) = unbounded();
-        let server = IngestServer::bind("127.0.0.1:0", tx, &Registry::new()).unwrap();
+        let registry = Registry::new();
+        let server = IngestServer::bind("127.0.0.1:0", tx, &registry).unwrap();
         let records: Vec<RpcRecord> = (0..20).map(rec).collect();
         export_records(server.local_addr(), &records).unwrap();
         for _ in 0..records.len() {
             rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         }
-        let stats = server.stats();
+        let stats = counts(&registry);
         assert_eq!(stats.decode_errors, 0);
         assert_eq!(stats.bytes_discarded, 0);
         server.shutdown();

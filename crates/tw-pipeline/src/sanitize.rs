@@ -41,7 +41,7 @@
 //! it into the first window still open at its arrival.
 //!
 //! Every rejection increments a per-reason counter in [`SanitizeStats`]
-//! (the ingest-metrics idiom of [`crate::IngestStats`]). The stage is
+//! (a view over the `tw_sanitize_*` series). The stage is
 //! strictly sequential and allocation-light, so it is deterministic for
 //! a given input order — the property the pipeline's cross-thread
 //! determinism tests rely on.

@@ -26,8 +26,8 @@ fn scrape_covers_every_pipeline_stage() {
     let out = sim.run(&Workload::poisson(root, 400.0, Nanos::from_secs(1)));
 
     // One shared registry for the pipeline stages; the algorithm crates
-    // (tw-core / tw-solver / tw-capture) report into the process-global
-    // registry, so the scrape endpoint merges both.
+    // (tw-core / tw-solver) report into the process-global registry, so
+    // the scrape endpoint merges both.
     let registry = Registry::new();
     let scrape = MetricsServer::bind(
         "127.0.0.1:0",
@@ -68,8 +68,7 @@ fn scrape_covers_every_pipeline_stage() {
         report.samples
     );
     // Every stage of the pipeline must be represented in one scrape:
-    // ingest, sanitize, window engine, core task internals, solver, and
-    // the wire codec.
+    // ingest, sanitize, window engine, core task internals and solver.
     for prefix in [
         "tw_ingest_",
         "tw_sanitize_",
@@ -77,7 +76,6 @@ fn scrape_covers_every_pipeline_stage() {
         "tw_engine_",
         "tw_core_",
         "tw_solver_",
-        "tw_capture_",
     ] {
         assert!(
             report.names.iter().any(|n| n.starts_with(prefix)),
@@ -92,13 +90,49 @@ fn scrape_covers_every_pipeline_stage() {
         assert!(text.contains(&series), "no {series} in:\n{text}");
     }
 
-    // Spot-check values are real, not just registered: frames flowed and
-    // windows were reconstructed.
-    assert!(text.contains(&format!("tw_ingest_frames_total {}", records.len())));
-    assert!(text.contains(&format!(
-        "tw_sanitize_passed_total {}",
-        sanitize_stats.passed
-    )));
+    // The conservation law of a clean run, read from the scrape: every
+    // frame the one client sent is a record the sanitizer received, and
+    // each one it received it passed or dropped by reason; every record it
+    // passed sits in exactly one window, and the shed counter is the
+    // windows' own count of skipped records.
+    let value = |series: &str| sample(&text, series);
+    let frames = value("tw_ingest_frames_total");
+    assert_eq!(frames, records.len() as f64);
+    assert_eq!(value("tw_sanitize_received_total"), frames);
+    let passed = value("tw_sanitize_passed_total");
+    assert_eq!(passed, sanitize_stats.passed as f64);
+    assert_eq!(
+        passed + family_sum(&text, "tw_sanitize_dropped_total"),
+        frames
+    );
+    let windowed: usize = results.iter().map(|w| w.records.len()).sum();
+    assert_eq!(passed, windowed as f64);
+    let shed: usize = results.iter().map(|w| w.shed_records).sum();
+    assert_eq!(value("tw_engine_shed_records_total"), shed as f64);
+    assert_eq!(
+        family_sum(&text, "tw_engine_windows_total"),
+        results.len() as f64
+    );
+    // One client, served whole: the listener's own wake-up at shutdown is
+    // not a connection, and nothing was discarded.
+    assert_eq!(value("tw_ingest_connections_total"), 1.0);
+    assert_eq!(value("tw_ingest_connections_dropped_total"), 0.0);
+    assert_eq!(value("tw_ingest_bytes_discarded_total"), 0.0);
+}
+
+/// The value of one series, named as exposed (labels included).
+fn sample(text: &str, series: &str) -> f64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {series} in:\n{text}"))
+}
+
+/// The sum over every labelled series of the family `name`.
+fn family_sum(text: &str, name: &str) -> f64 {
+    text.lines()
+        .filter_map(|l| l.strip_prefix(name)?.strip_prefix('{')?.split_once("} "))
+        .map(|(_, value)| value.parse::<f64>().expect("a sample value"))
+        .sum()
 }
 
 /// A scrape against a path other than /metrics 404s instead of hanging.

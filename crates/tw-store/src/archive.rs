@@ -235,7 +235,6 @@ impl TraceArchive {
     /// limited query does not read a segment that cannot change its
     /// answer, so it does not report that segment's corruption either.
     pub fn query(&self, q: &TraceQuery) -> Vec<StoredTrace> {
-        self.metrics.queries.inc();
         let _timer = self.metrics.query_seconds.start_timer();
         let state = self.state.lock();
         let active = state.active.iter().filter(|t| q.matches(t)).cloned();

@@ -26,9 +26,8 @@ pub struct StoreMetrics {
     /// `tw_store_tail_kept_total` — high-latency/degraded traces salvaged
     /// into a tail segment when their segment was evicted.
     pub tail_kept: Counter,
-    /// `tw_store_queries_total`
-    pub queries: Counter,
-    /// `tw_store_query_seconds`
+    /// `tw_store_query_seconds` — one observation per query served (its
+    /// `_count` is the query count).
     pub query_seconds: Histogram,
     /// `tw_store_errors_total` — segment/manifest writes or reads that
     /// failed at runtime (the archive keeps serving; the previous
@@ -87,7 +86,6 @@ impl StoreMetrics {
                 "tw_store_tail_kept_total",
                 "High-latency or degraded traces salvaged into a tail segment at eviction.",
             ),
-            queries: registry.counter("tw_store_queries_total", "Trace queries served."),
             query_seconds: registry.histogram(
                 "tw_store_query_seconds",
                 "Wall-clock time per trace query, including segment reads.",

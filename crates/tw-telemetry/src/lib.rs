@@ -16,15 +16,15 @@
 //!   `Sanitizer`, `OnlineEngine` in `tw-pipeline`) accept an explicit
 //!   `Registry` so tests and embedded deployments stay isolated; their
 //!   default constructors make a private one.
-//! * **The [`global()`] registry** — `tw-core`, `tw-solver`, and
-//!   `tw-capture` internals record through a process-global registry because
+//! * **The [`global()`] registry** — `tw-core` and `tw-solver`
+//!   internals record through a process-global registry because
 //!   their parameter structs (`Params`, `SolveOptions`) are `Copy +
 //!   Serialize` and cannot carry handles.
 //!
 //! A scrape endpoint concatenates both with [`Registry::render_multi`];
 //! metric-name prefixes are disjoint by convention (`tw_ingest_*`,
-//! `tw_sanitize_*`, `tw_engine_*` vs `tw_core_*`, `tw_solver_*`,
-//! `tw_capture_*`), see DESIGN.md §10.
+//! `tw_sanitize_*`, `tw_engine_*` vs `tw_core_*`, `tw_solver_*`), see
+//! DESIGN.md §10.
 //!
 //! Telemetry leaves the process only by being scraped: [`http`] is the
 //! GET-only server and client behind `/metrics` and `/spans`, on the one

@@ -14,9 +14,9 @@
 //!   per-window mutex is uncontended in practice. Unsampled windows cost
 //!   one modulo.
 //! * **Bounded** — finished trees live in a ring of configurable capacity;
-//!   the oldest tree is evicted (and counted) when the ring is full. Open
-//!   trees are force-sealed if the active set outgrows the same bound, so
-//!   a window that never cuts cannot leak.
+//!   the oldest tree is evicted when the ring is full. Open trees are
+//!   force-sealed if the active set outgrows the same bound, so a window
+//!   that never cuts cannot leak.
 //! * **Head-sampled by window index** — `index % sample == 0` keeps every
 //!   stage's view of "is this window traced" identical without
 //!   coordination, which is what makes span trees deterministic across
@@ -84,13 +84,6 @@ pub struct WindowTrace {
     pub sealed: bool,
 }
 
-struct TraceMetrics {
-    spans: Counter,
-    events: Counter,
-    windows_sampled: Counter,
-    windows_dropped: Counter,
-}
-
 struct RecorderInner {
     sample: u64,
     ring: usize,
@@ -98,7 +91,8 @@ struct RecorderInner {
     next_id: AtomicU64,
     active: Mutex<BTreeMap<u64, WindowTrace>>,
     finished: Mutex<VecDeque<WindowTrace>>,
-    metrics: TraceMetrics,
+    /// `tw_trace_windows_sampled_total`: windows head-sampling selected.
+    windows_sampled: Counter,
 }
 
 /// Records one span tree per sampled window into a bounded ring. Cloning is
@@ -119,20 +113,9 @@ impl std::fmt::Debug for SpanRecorder {
 }
 
 impl SpanRecorder {
-    /// New recorder registering its `tw_trace_*` counters on `registry`.
+    /// New recorder registering `tw_trace_windows_sampled_total` on
+    /// `registry`.
     pub fn new(cfg: TraceConfig, registry: &Registry) -> Self {
-        let metrics = TraceMetrics {
-            spans: registry.counter("tw_trace_spans_total", "Self-trace spans recorded."),
-            events: registry.counter("tw_trace_events_total", "Self-trace span events recorded."),
-            windows_sampled: registry.counter(
-                "tw_trace_windows_sampled_total",
-                "Windows selected by head-sampling for self-tracing.",
-            ),
-            windows_dropped: registry.counter(
-                "tw_trace_windows_dropped_total",
-                "Sampled window traces evicted from the bounded ring.",
-            ),
-        };
         SpanRecorder {
             inner: Arc::new(RecorderInner {
                 sample: cfg.sample,
@@ -141,7 +124,10 @@ impl SpanRecorder {
                 next_id: AtomicU64::new(1),
                 active: Mutex::new(BTreeMap::new()),
                 finished: Mutex::new(VecDeque::new()),
-                metrics,
+                windows_sampled: registry.counter(
+                    "tw_trace_windows_sampled_total",
+                    "Windows selected by head-sampling for self-tracing.",
+                ),
             }),
         }
     }
@@ -214,8 +200,7 @@ impl SpanRecorder {
                         sealed: false,
                     },
                 );
-                self.inner.metrics.windows_sampled.inc();
-                self.inner.metrics.spans.inc();
+                self.inner.windows_sampled.inc();
             }
             let trace = active.get_mut(&window).unwrap();
             let parent = parent.unwrap_or(trace.root);
@@ -227,7 +212,6 @@ impl SpanRecorder {
                 start_ns: now,
                 end_ns: None,
             });
-            self.inner.metrics.spans.inc();
             id
         };
         if let Some(trace) = evicted {
@@ -268,7 +252,6 @@ impl SpanRecorder {
                 span,
                 message: message.into(),
             });
-            self.inner.metrics.events.inc();
         }
     }
 
@@ -285,7 +268,6 @@ impl SpanRecorder {
                 span,
                 message: message.into(),
             });
-            self.inner.metrics.events.inc();
         }
     }
 
@@ -323,7 +305,6 @@ impl SpanRecorder {
         let mut finished = self.inner.finished.lock().unwrap();
         while finished.len() >= self.inner.ring {
             finished.pop_front();
-            self.inner.metrics.windows_dropped.inc();
         }
         finished.push_back(trace);
     }
@@ -531,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_and_counts_evictions() {
+    fn ring_is_bounded() {
         let reg = Registry::new();
         let rec = SpanRecorder::new(TraceConfig { sample: 1, ring: 2 }, &reg);
         for w in 0..5 {
@@ -542,8 +523,8 @@ mod tests {
         assert_eq!(trees.len(), 2);
         assert_eq!(trees[0].window, 3);
         assert_eq!(trees[1].window, 4);
-        let dropped = reg.counter("tw_trace_windows_dropped_total", "").get();
-        assert_eq!(dropped, 3);
+        let sampled = reg.counter("tw_trace_windows_sampled_total", "").get();
+        assert_eq!(sampled, 5);
     }
 
     #[test]

@@ -191,7 +191,10 @@ writes the learned per-process delay registry as JSON; pass it back via
 bootstrap, fewer EM passes).
 
 `metrics` fetches and prints a running pipeline's exposition once; `top`
-polls it and shows the busiest series with per-second rates.
+polls it and shows, on fixed lines, each service's clock skew and drift,
+where window time goes by stage and by reconstruction phase, the share
+of spans mapped and the engine's degradation, then the busiest series
+with per-second rates.
 
 `serve` runs the staged online pipeline as a standalone server: TCP
 ingest at --listen (default 127.0.0.1:0), sanitize, windowing,
@@ -733,8 +736,8 @@ fn online_config_from(
 
 /// Build the self-tracing [`SpanRecorder`] from `--trace-sample` (head
 /// sampling modulus, default 1 = every window; 0 disables tracing) and
-/// `--span-ring` (sealed-tree ring capacity). The recorder's
-/// `tw_trace_*` counters land on `registry`.
+/// `--span-ring` (sealed-tree ring capacity). The recorder's sampled
+/// window count lands on `registry`.
 fn trace_recorder_from(
     flags: &Flags,
     registry: &traceweaver::telemetry::Registry,
@@ -971,16 +974,118 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// One scrape parsed into `(series, value)` pairs. Comment lines are
+/// One scrape parsed into `(series, value)` pairs. Comment lines and
+/// OpenMetrics exemplars (` # {…} value` after a bucket's count) are
 /// skipped; the series key keeps its labels so rates line up across polls.
 fn parse_samples(text: &str) -> Vec<(String, f64)> {
     text.lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .filter_map(|l| {
-            let (name, value) = l.rsplit_once(' ')?;
+            let sample = l.split_once(" # ").map_or(l, |(sample, _)| sample);
+            let (name, value) = sample.rsplit_once(' ')?;
             Some((name.to_string(), value.trim().parse().ok()?))
         })
         .collect()
+}
+
+/// The series of the family `name` in a parsed scrape: `(labels, value)`
+/// each, the labels as exposed between the braces ("" for none).
+fn family<'a>(
+    samples: &'a [(String, f64)],
+    name: &'a str,
+) -> impl Iterator<Item = (&'a str, f64)> + 'a {
+    samples.iter().filter_map(move |(series, value)| {
+        let labels = series.strip_prefix(name)?;
+        let labels = match labels {
+            "" => "",
+            _ => labels.strip_prefix('{')?.strip_suffix('}')?,
+        };
+        Some((labels, *value))
+    })
+}
+
+/// The sum over every series of the family `name` (0 when absent).
+fn total(samples: &[(String, f64)], name: &str) -> f64 {
+    family(samples, name).fold(0.0, |sum, (_, v)| sum + v)
+}
+
+/// The value of `key` in an exposed label set.
+fn label<'a>(labels: &'a str, key: &str) -> &'a str {
+    labels
+        .split(',')
+        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix("=\"")?.strip_suffix('"'))
+        .unwrap_or("")
+}
+
+/// The fixed lines at the head of `twctl top`, each read by family name:
+/// whether the clocks drift (per service), where window time goes (per
+/// stage, and per reconstruction phase), how far to trust the mappings,
+/// and whether the engine degrades.
+fn operator_screen(samples: &[(String, f64)]) -> Vec<String> {
+    let join = |parts: Vec<String>| {
+        if parts.is_empty() {
+            "-".to_string()
+        } else {
+            parts.join(", ")
+        }
+    };
+    let drift: HashMap<&str, f64> = family(samples, "tw_sanitize_drift_ppb")
+        .map(|(labels, ppb)| (label(labels, "service"), ppb))
+        .collect();
+    let clocks = family(samples, "tw_sanitize_skew_offset_ns")
+        .map(|(labels, ns)| {
+            let service = label(labels, "service");
+            let ppb = drift.get(service).copied().unwrap_or(0.0);
+            format!("{service} {:+.1}µs {ppb:+.0}ppb", ns / 1e3)
+        })
+        .collect();
+    let innovation = total(samples, "tw_sanitize_drift_innovation_ns_total")
+        / total(samples, "tw_sanitize_drift_samples_total").max(1.0);
+    let at = |name: &str, labels: &str| {
+        family(samples, name)
+            .find(|(l, _)| *l == labels)
+            .map_or(0.0, |(_, v)| v)
+    };
+    let stages = family(samples, "tw_pipeline_stage_busy_seconds")
+        .map(|(labels, busy)| {
+            format!(
+                "{} {busy:.3}s busy/{:.0} items/{:.0} queued",
+                label(labels, "stage"),
+                at("tw_pipeline_items_total", labels),
+                at("tw_pipeline_queue_depth", labels)
+            )
+        })
+        .collect();
+    let phases = family(samples, "tw_core_stage_seconds_sum")
+        .map(|(labels, s)| format!("{} {s:.3}s", label(labels, "stage")))
+        .collect();
+    let spans = total(samples, "tw_core_candidates_per_span_count");
+    let mapped = total(samples, "tw_core_spans_mapped_total");
+    let rungs = family(samples, "tw_engine_windows_total")
+        .map(|(labels, n)| format!("{} {n:.0}", label(labels, "shed_level")))
+        .collect();
+    let backlog = total(samples, "tw_engine_pickup_queue_depth_sum")
+        / total(samples, "tw_engine_pickup_queue_depth_count").max(1.0);
+    vec![
+        format!("clocks    skew, drift by service: {}", join(clocks)),
+        format!(
+            "          {:.0} records corrected; drift fit off by {:.1}µs on average",
+            total(samples, "tw_sanitize_skew_corrected_total"),
+            innovation / 1e3
+        ),
+        format!("stages    {}", join(stages)),
+        format!("phases    {}", join(phases)),
+        format!(
+            "trust     {:.1}% of {spans:.0} spans mapped",
+            100.0 * mapped / spans.max(1.0)
+        ),
+        format!(
+            "degraded  windows by rung: {}; {:.0} rung changes, {:.0} records shed, {backlog:.1} windows waiting at pickup",
+            join(rungs),
+            total(samples, "tw_engine_shed_transitions_total"),
+            total(samples, "tw_engine_shed_records_total")
+        ),
+    ]
 }
 
 fn cmd_top(flags: &Flags) -> Result<(), String> {
@@ -1015,6 +1120,9 @@ fn cmd_top(flags: &Flags) -> Result<(), String> {
             samples.len(),
             round + 1
         );
+        for line in operator_screen(&samples) {
+            println!("{line}");
+        }
         println!("{:>14}  {:>12}  series", "value", "rate/s");
         for (name, value, rate) in rows.iter().take(limit) {
             let rate = rate.map_or_else(|| "-".to_string(), |r| format!("{r:.1}"));
@@ -1095,5 +1203,55 @@ mod tests {
                 .collect();
             assert_eq!(listed, accepted, "twctl {}", cmd.name);
         }
+    }
+
+    /// `top`'s fixed lines read their families by name from a scrape, and
+    /// a scrape without them (no sanitizer, nothing served yet) renders.
+    #[test]
+    fn operator_screen_reads_each_signal_by_name() {
+        let text = "\
+tw_sanitize_skew_offset_ns{service=\"1\"} 312400
+tw_sanitize_drift_ppb{service=\"1\"} 100000
+tw_sanitize_skew_corrected_total 7
+tw_sanitize_drift_samples_total 4
+tw_sanitize_drift_innovation_ns_total 8000
+tw_pipeline_stage_busy_seconds{stage=\"window/0\"} 1.5
+tw_pipeline_items_total{stage=\"window/0\"} 30
+tw_pipeline_queue_depth{stage=\"window/0\"} 2
+tw_core_stage_seconds_sum{stage=\"optimize\"} 0.25
+tw_core_candidates_per_span_count 200
+tw_core_spans_mapped_total 150
+tw_engine_windows_total{shed_level=\"full\"} 9
+tw_engine_windows_total{shed_level=\"skip\"} 1
+tw_engine_shed_transitions_total{shed_level=\"skip\"} 1
+tw_engine_shed_records_total 40
+tw_engine_pickup_queue_depth_sum 5
+tw_engine_pickup_queue_depth_count 10
+";
+        assert_eq!(
+            operator_screen(&parse_samples(text)),
+            [
+                "clocks    skew, drift by service: 1 +312.4µs +100000ppb",
+                "          7 records corrected; drift fit off by 2.0µs on average",
+                "stages    window/0 1.500s busy/30 items/2 queued",
+                "phases    optimize 0.250s",
+                "trust     75.0% of 200 spans mapped",
+                "degraded  windows by rung: full 9, skip 1; 1 rung changes, 40 records shed, \
+                 0.5 windows waiting at pickup",
+            ]
+        );
+        let empty = operator_screen(&[]);
+        assert_eq!(empty[0], "clocks    skew, drift by service: -");
+        assert_eq!(empty[4], "trust     0.0% of 0 spans mapped");
+    }
+
+    /// A bucket's exemplar is not a sample: `top` ranks the bucket's count
+    /// under the bucket's own name.
+    #[test]
+    fn exemplars_are_not_samples() {
+        assert_eq!(
+            parse_samples("b_bucket{le=\"1\"} 2 # {window_id=\"3\"} 0.5"),
+            [("b_bucket{le=\"1\"}".to_string(), 2.0)]
+        );
     }
 }
