@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use tw_model::ids::Endpoint;
 use tw_model::span::ObservedSpan;
 use tw_stats::gaussian::Gaussian;
-use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
+use tw_stats::gmm::{Gmm, GmmFitOptions, MomentSummary, Widths};
 
 /// One dependency edge at a service.
 ///
@@ -200,9 +200,10 @@ impl DelayModel {
         model
     }
 
-    /// Refit every edge in `gaps` with a BIC-selected GMM over its observed
-    /// gaps (iterations ≥ 2). Edges absent from `gaps`, or with fewer than
-    /// three samples, keep their previous model. The sweep runs to
+    /// Refit every edge in `gaps` with a BIC-selected GMM over the summary
+    /// of its observed gaps, [`MomentSummary::of_sample`] (iterations ≥ 2).
+    /// Edges absent from `gaps`, or with fewer than three samples, keep
+    /// their previous model. The sweep runs to
     /// Table 1's C = 5, `GmmFitOptions::default().max_components`, and its
     /// EM at each width starts from the edge's fit of that width in its
     /// last sweep; a width that sweep never reached, and every width of an
@@ -214,8 +215,8 @@ impl DelayModel {
         for (key, samples) in gaps {
             if samples.len() >= 3 {
                 let starts = self.sweeps.get(key).map_or(&[][..], Vec::as_slice);
-                let ws = vec![1.0; samples.len()];
-                let (gmm, fits) = Gmm::fit(samples, &ws, Widths::Sweep, starts, &opts);
+                let summary = MomentSummary::of_sample(samples);
+                let (gmm, fits) = Gmm::fit(&summary, Widths::Sweep, starts, &opts);
                 telemetry.gmm_components.observe(gmm.len() as f64);
                 next.insert(*key, gmm);
                 next.sweeps.insert(*key, fits);

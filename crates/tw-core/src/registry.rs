@@ -12,11 +12,9 @@
 //! a bounded reservoir of the gap samples that produced it. After each
 //! round the caller feeds the round's inferred gaps back via
 //! [`DelayRegistry::absorb_round`]: for each edge with fresh gaps, the
-//! existing reservoir samples are decayed by
-//! [`DELAY_DECAY`], fresh samples enter at weight 1, the reservoir is
-//! truncated to [`RESERVOIR_CAPACITY`], and the edge's GMM is refit with
-//! a *weighted* EM (BIC-selected component count over the effective
-//! sample size). Exponential decay means the
+//! reservoir's samples are decayed by [`DELAY_DECAY`], fresh ones enter at
+//! weight 1, the oldest past [`RESERVOIR_CAPACITY`] leave, and the GMM is
+//! refit on one row per sample at its weight. Exponential decay means the
 //! model tracks load shifts and redeploys instead of averaging over them;
 //! the bound keeps absorb cost independent of uptime.
 //!
@@ -29,7 +27,7 @@ use crate::delays::{DelayModel, EdgeKey};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use tw_model::span::ProcessKey;
-use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
+use tw_stats::gmm::{Gmm, GmmFitOptions, MomentSummary, Widths};
 
 /// Multiplicative down-weighting applied to an edge's reservoir samples
 /// each absorb round that brings the edge fresh gaps: fresh gaps enter at
@@ -75,11 +73,6 @@ impl GapReservoir {
         self.samples.is_empty()
     }
 
-    /// Total effective weight (the reservoir's effective sample size).
-    pub fn total_weight(&self) -> f64 {
-        self.samples.iter().map(|(_, w)| w).sum()
-    }
-
     /// Decay existing samples, append `fresh` at weight 1, truncate to
     /// [`RESERVOIR_CAPACITY`] by evicting the oldest.
     pub fn absorb(&mut self, fresh: &[f64]) {
@@ -92,11 +85,6 @@ impl GapReservoir {
             self.samples
                 .drain(..self.samples.len() - RESERVOIR_CAPACITY);
         }
-    }
-
-    /// Split into parallel sample/weight slices for the weighted fit.
-    fn columns(&self) -> (Vec<f64>, Vec<f64>) {
-        self.samples.iter().copied().unzip()
     }
 }
 
@@ -316,10 +304,6 @@ impl DelayRegistry {
                 reservoir: GapReservoir::default(),
             });
             state.reservoir.absorb(&fresh);
-            let (xs, ws) = state.reservoir.columns();
-            if xs.is_empty() {
-                continue;
-            }
             // First sight of an edge: full BIC sweep. After that the
             // component count evolves slowly, so sweep only around the
             // current model's count.
@@ -328,7 +312,8 @@ impl DelayRegistry {
             } else {
                 Widths::Sweep
             };
-            let refit = Gmm::fit(&xs, &ws, widths, &[], &opts).0;
+            let rows = MomentSummary::rows(state.reservoir.samples.iter().copied());
+            let refit = Gmm::fit(&rows, widths, &[], &opts).0;
             // Quarantine degenerate posteriors: a refit that collapsed to
             // non-finite parameters or vanishing variance would poison
             // every later warm start, so the previous model keeps serving.
@@ -462,7 +447,8 @@ mod tests {
             res.absorb(&[1.0; 400]);
         }
         assert_eq!(res.len(), RESERVOIR_CAPACITY);
-        assert!(res.total_weight() <= RESERVOIR_CAPACITY as f64 + 1e-9);
+        let total_weight: f64 = res.samples.iter().map(|(_, w)| w).sum();
+        assert!(total_weight <= RESERVOIR_CAPACITY as f64 + 1e-9);
     }
 
     #[test]

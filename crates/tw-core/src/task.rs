@@ -8,6 +8,7 @@ use crate::optimize::optimize_batch;
 use crate::params::Params;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::time::{Duration, Instant};
 use tw_model::callgraph::CallGraph;
 use tw_model::ids::{Endpoint, RpcId};
 use tw_model::mapping::{Mapping, RankedMapping};
@@ -17,17 +18,6 @@ use tw_model::span::SpanView;
 /// seed Gaussians, and a task stops sooner once a pass moves no edge's
 /// gaps (DESIGN.md §7).
 const MAX_ITERATIONS: usize = 3;
-
-/// A refit that another follows fits each edge on its draft: every
-/// `DRAFT_STRIDE`-th order statistic of its sample, if that keeps at
-/// least `DRAFT_MIN_GAPS` (DESIGN.md §7). Its sample comes from the seed
-/// pass, and its fits only score one pass and start the next refit.
-/// Measured (`offline_dense`, seed 7): strides 2, 4 and 8 within 4 % of
-/// each other, 4 and 8 at +0.04 pt accuracy; fitting whole at EM
-/// tolerance 1e-3 instead 18 % faster, but −0.07 pt, and an edge whose
-/// sample then stands keeps that loose fit to the end.
-const DRAFT_STRIDE: usize = 4;
-const DRAFT_MIN_GAPS: usize = 50;
 
 /// Diagnostics from one task, used for confidence scores (§6.3.2) and the
 /// evaluation harness.
@@ -307,7 +297,9 @@ impl<'a> ReconstructionTask<'a> {
         // orchestrator-supplied instant wins; otherwise the per-task
         // budget knob anchors here.
         let deadline = self.deadline.or_else(|| params.solver_deadline());
-        let optimize_timer = telemetry.stage_optimize.start_timer();
+        let optimize_start = Instant::now();
+        // Time per phase: score, solve, refit, then what none of them took.
+        let mut phases = [Duration::ZERO; 4];
         let mut assignment: Vec<Option<Candidate>> = vec![None; n];
         let mut inexact_batches = 0usize;
         // Per edge, the gap sample its current model was last offered.
@@ -317,6 +309,7 @@ impl<'a> ReconstructionTask<'a> {
         let mut iterations = 0usize;
         for iter in 0..max_iterations {
             iterations = iter + 1;
+            let scoring = Instant::now();
             // Score and rank candidates under the current model.
             for (p, cands) in incoming.iter().zip(&mut candidates) {
                 let layout = &layouts[&p.endpoint];
@@ -325,6 +318,8 @@ impl<'a> ReconstructionTask<'a> {
                 }
                 cands.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
             }
+            let solving = Instant::now();
+            phases[0] += solving - scoring;
 
             // Optimize batch by batch; spans claimed by earlier batches are
             // deleted from later ones (§4.1 step 5 (v)).
@@ -378,6 +373,8 @@ impl<'a> ReconstructionTask<'a> {
                     assignment[i] = Some(cand.clone());
                 }
             }
+            let refitting = Instant::now();
+            phases[1] += refitting - solving;
 
             // Refit distributions from this iteration's mapping — only the
             // edges whose evidence moved, each width's EM starting from the
@@ -387,16 +384,11 @@ impl<'a> ReconstructionTask<'a> {
             // already holds *is* its refit. When no edge moved the model
             // stands, and with it every score, the stable sort order, every
             // MIS input and so the assignment of each further iteration:
-            // the fixed point. A refit that another follows fits drafts
-            // ([`draft`]), and `fitted_gaps` records them: a drafted edge
-            // differs from its next sample, so the next refit fits it whole.
+            // the fixed point.
             if iter + 1 < max_iterations {
-                let mut gaps = collect_gaps(incoming, &layouts, &pool, &assignment);
+                let gaps = collect_gaps(incoming, &layouts, &pool, &assignment);
                 #[cfg(test)]
                 let offered = gaps.clone();
-                if iter + 2 < max_iterations {
-                    gaps.values_mut().for_each(draft);
-                }
                 #[cfg(test)]
                 if self.oracle.refit_every_edge {
                     model =
@@ -409,16 +401,23 @@ impl<'a> ReconstructionTask<'a> {
                     .filter(|(key, gaps)| fitted_gaps.get(key) != Some(gaps))
                     .collect();
                 if changed.is_empty() {
+                    phases[2] += refitting.elapsed();
                     break;
                 }
                 model = model.refit(&changed, params);
                 #[cfg(test)]
                 tests::REFITS.with(|r| r.borrow_mut().push((offered, changed.clone())));
                 fitted_gaps.extend(changed);
+                phases[2] += refitting.elapsed();
             }
         }
 
-        drop(optimize_timer);
+        let optimize = optimize_start.elapsed();
+        telemetry.stage_optimize.observe(optimize.as_secs_f64());
+        phases[3] = optimize.saturating_sub(phases[..3].iter().sum());
+        for (stage, spent) in telemetry.stage_phases.iter().zip(phases) {
+            stage.observe(spent.as_secs_f64());
+        }
         telemetry.em_iterations.add(iterations as u64);
 
         // The final assignment's gaps: the task's posterior delay
@@ -460,15 +459,6 @@ impl<'a> ReconstructionTask<'a> {
     }
 }
 
-/// Thin `sample` to its draft (see [`DRAFT_STRIDE`]) if it is long enough.
-fn draft(sample: &mut Vec<f64>) {
-    if sample.len() >= DRAFT_STRIDE * DRAFT_MIN_GAPS {
-        sample.sort_by(f64::total_cmp);
-        let kept = sample.iter().skip(DRAFT_STRIDE / 2).step_by(DRAFT_STRIDE);
-        *sample = kept.copied().collect();
-    }
-}
-
 /// Edge gaps of every assigned candidate, grouped by edge.
 fn collect_gaps(
     incoming: &[tw_model::span::ObservedSpan],
@@ -495,7 +485,7 @@ mod tests {
     use tw_model::ids::{OperationId, ServiceId};
     use tw_model::span::ObservedSpan;
     use tw_model::time::Nanos;
-    use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
+    use tw_stats::gmm::{Gmm, GmmFitOptions, MomentSummary, Widths, SUMMARY_BINS};
 
     type Samples = HashMap<EdgeKey, Vec<f64>>;
 
@@ -767,63 +757,42 @@ mod tests {
     }
 
     /// Checks, and clears, the refits the shipped loop ran on this thread
-    /// since the last check, taken as one cold task's: a refit that another
-    /// follows fits every edge on its `draft` (a sample too short to thin
-    /// whole), the last refit fits every edge whole, and a drafted edge is
-    /// refit on its full sample by the next refit, before the final pass.
-    /// Returns how many edges the first refit drafted and fitted whole.
+    /// since the last check, taken as one cold task's: each refit fits
+    /// exactly the edges whose full sample differs from the one they were
+    /// last fitted on, on that full sample (`DelayModel::refit` fits its
+    /// `MomentSummary::of_sample`). Returns how many edge fits binned
+    /// their sample (more than `SUMMARY_BINS` gaps) and how many did not.
     fn check_refits(what: &str) -> (usize, usize) {
-        let refits = REFITS.take();
-        let (mut drafted, mut whole) = (0, 0);
-        for (i, (offered, fitted)) in refits.iter().enumerate() {
-            for (key, sample) in fitted {
-                let mut expected = offered[key].clone();
-                if i + 2 < MAX_ITERATIONS {
-                    draft(&mut expected);
-                }
-                assert_eq!(sample, &expected, "{what}: refit {i} of {key:?}");
-                if sample.len() < offered[key].len() {
-                    drafted += 1;
-                    let next = refits
-                        .get(i + 1)
-                        .and_then(|(o, f)| o.get(key).zip(f.get(key)));
-                    assert!(
-                        next.is_some_and(|(o, f)| o == f),
-                        "{what}: {key:?} drafted, not refit whole"
-                    );
-                } else if i == 0 {
+        let (mut last, mut binned, mut whole) = (Samples::new(), 0, 0);
+        for (i, (offered, fitted)) in REFITS.take().into_iter().enumerate() {
+            let moved: Samples = (offered.into_iter())
+                .filter(|(key, sample)| last.get(key) != Some(sample))
+                .collect();
+            assert_eq!(fitted, moved, "{what}: refit {i}");
+            for sample in fitted.values() {
+                if sample.len() > SUMMARY_BINS {
+                    binned += 1;
+                } else {
                     whole += 1;
                 }
             }
+            last.extend(fitted);
         }
-        (drafted, whole)
+        (binned, whole)
     }
 
+    /// An edge whose sample stands between passes is not refit, binned or
+    /// not: these unambiguous tasks reach their fixed point after the
+    /// first refit, one edge fit each, binned past `SUMMARY_BINS` gaps.
     #[test]
-    fn a_draft_keeps_every_stride_th_order_statistic_of_a_long_sample() {
-        let floor = DRAFT_STRIDE * DRAFT_MIN_GAPS;
-        for n in [floor, floor + 3] {
-            let mut sample: Vec<f64> = (0..n).rev().map(|i| i as f64).collect();
-            draft(&mut sample);
-            let kept = (DRAFT_STRIDE / 2..n).step_by(DRAFT_STRIDE);
-            let kept: Vec<f64> = kept.map(|i| i as f64).collect();
-            assert_eq!(sample, kept, "n={n}");
-        }
-        let short: Vec<f64> = (0..floor - 1).rev().map(|i| i as f64).collect();
-        let mut sample = short.clone();
-        draft(&mut sample);
-        assert_eq!(sample, short);
-    }
-
-    /// A cold task's first refit fits an edge of `DRAFT_STRIDE ·
-    /// DRAFT_MIN_GAPS` gaps on its draft and one of a gap fewer whole; the
-    /// latter task then reaches its fixed point after that one refit.
-    #[test]
-    fn short_edges_are_fitted_whole() {
+    fn an_edge_whose_sample_stands_is_not_refit() {
         let mut g = CallGraph::new();
         g.insert(ep(0), DependencySpec::new(vec![Stage::single(ep(1))]));
-        let floor = DRAFT_STRIDE * DRAFT_MIN_GAPS;
-        for (n, drafted, whole, iterations) in [(floor - 1, 0, 2, 2), (floor, 2, 0, 3)] {
+        for (n, fits) in [
+            (SUMMARY_BINS, (0, 2)),
+            (SUMMARY_BINS + 1, (2, 0)),
+            (200, (2, 0)),
+        ] {
             let (mut incoming, mut outgoing) = (Vec::new(), Vec::new());
             for i in 0..n as u64 {
                 let (t0, gap) = (i * 2_000, 100 + (i * 37) % 50);
@@ -835,28 +804,29 @@ mod tests {
             let task = ReconstructionTask::new(&g, &params, &view);
             let report = task.run(&mut Mapping::new(), &mut RankedMapping::new());
             assert_eq!(report.mapped_spans, n);
-            assert_eq!(check_refits("short"), (drafted, whole), "n={n}");
-            assert_eq!(report.iterations, iterations, "n={n}");
+            assert_eq!(check_refits("standing"), fits, "n={n}");
+            assert_eq!(report.iterations, 2, "n={n}");
         }
     }
 
-    /// On the three paper apps at dense load, every drafted edge is refit
-    /// on its full sample before the final pass (`check_refits`), and
-    /// first refits both draft and fit short edges whole.
+    /// On the three paper apps at dense load and a tenth of it, every cold
+    /// refit fits each moved edge on its full sample (`check_refits`), and
+    /// refits both bin long samples and fit short ones gap by gap.
     #[test]
-    fn drafted_edges_are_refit_whole_before_the_final_pass() {
-        let (mut drafted, mut whole) = (0, 0);
-        for (app, rps) in paper_apps_at_dense_load(7) {
+    fn cold_refits_fit_every_moved_edge_on_its_full_sample() {
+        let (mut binned, mut whole) = (0, 0);
+        for (app, dense) in paper_apps_at_dense_load(7) {
             let graph = app.config.call_graph();
             let params = Params::default();
-            for (key, view) in simulated_views(&app, rps, 500) {
+            let views = [dense, dense / 10.0].map(|rps| simulated_views(&app, rps, 500));
+            for (key, view) in views.into_iter().flatten() {
                 let task = ReconstructionTask::new(&graph, &params, &view);
                 task.run(&mut Mapping::new(), &mut RankedMapping::new());
-                let (d, w) = check_refits(&format!("{} {key:?}", app.name));
-                (drafted, whole) = (drafted + d, whole + w);
+                let (b, w) = check_refits(&format!("{} {key:?}", app.name));
+                (binned, whole) = (binned + b, whole + w);
             }
         }
-        assert!(drafted > 0 && whole > 0, "{drafted} drafted, {whole} whole");
+        assert!(binned > 0 && whole > 0, "{binned} binned, {whole} whole");
     }
 
     /// The shipped loop against the loop that refits every edge and runs
@@ -886,14 +856,15 @@ mod tests {
         (report, gaps)
     }
 
-    /// True when the cold sweep selects on `gaps` the mixture it selected
-    /// before it learned to stop: every count `1..=C`, lowest BIC.
+    /// True when the cold sweep selects on the summary of `gaps` the
+    /// mixture it selected before it learned to stop: every count `1..=C`,
+    /// lowest BIC.
     fn sweep_matches_exhaustive(gaps: &[f64]) -> bool {
-        let (opts, ws) = (GmmFitOptions::default(), vec![1.0; gaps.len()]);
-        let fit = |widths| Gmm::fit(gaps, &ws, widths, &[], &opts).0;
+        let (opts, summary) = (GmmFitOptions::default(), MomentSummary::of_sample(gaps));
+        let fit = |widths| Gmm::fit(&summary, widths, &[], &opts).0;
         let exhaustive = (1..=opts.max_components)
             .map(|c| fit(Widths::One(c)))
-            .map(|gmm| (gmm.bic(gaps, &ws), gmm))
+            .map(|gmm| (gmm.bic(&summary), gmm))
             .reduce(|best, next| if best.0 <= next.0 { best } else { next })
             .expect("at least one candidate model");
         fit(Widths::Sweep) == exhaustive.1
@@ -991,57 +962,33 @@ mod tests {
         (edges, differing)
     }
 
-    /// The early stop's price at this seed: two edges, each a sweep that
-    /// stops after a rise where a later component pays by collapsing onto
-    /// a point (σ at the floor): 887 hotel gaps (C = 3 against C = 5) and
-    /// 398 media gaps (C = 2 against C = 4).
+    /// The early stop costs nothing at this seed: on every edge's summary
+    /// the sweep that stops selects the exhaustive sweep's mixture.
     #[test]
     fn shortcuts_match_their_exhaustive_forms_at_seed_11() {
         let (edges, differing) = check_shortcuts_on_the_paper_apps(11);
-        assert_eq!(edges, 27);
-        assert_eq!(
-            differing,
-            [
-                "hotel-reservation ProcessKey { service: ServiceId(0), replica: 0 } \
-                 dynamism=false Call { served: Endpoint { service: ServiceId(0), op: OperationId(0) }, slot: 0 }",
-                "media-microservices ProcessKey { service: ServiceId(1), replica: 0 } \
-                 dynamism=false Call { served: Endpoint { service: ServiceId(1), op: OperationId(2) }, slot: 4 }",
-            ]
-        );
+        assert_eq!((edges, differing), (27, Vec::<String>::new()));
     }
 
     /// Stopping the sweep at the first rise is a rule of thumb, not a
-    /// theorem. Its measured price at this seed: one edge, 382 gaps with
-    /// one far outlier that a fifth component pays for by collapsing onto
-    /// it (sigma at the floor) after C = 3 and C = 4 both failed to beat
-    /// C = 2.
+    /// theorem; at this seed it costs nothing on the summaries, the 382
+    /// media `Final` gaps with a far outlier included.
     #[test]
-    fn shortcuts_match_their_exhaustive_forms_at_seed_7_but_for_one_edge() {
+    fn shortcuts_match_their_exhaustive_forms_at_seed_7() {
         let (edges, differing) = check_shortcuts_on_the_paper_apps(7);
-        assert_eq!(edges, 27);
-        assert_eq!(
-            differing,
-            [
-                "media-microservices ProcessKey { service: ServiceId(1), replica: 0 } \
-                 dynamism=false Final { served: Endpoint { service: ServiceId(1), op: OperationId(2) } }"
-            ]
-        );
+        assert_eq!((edges, differing), (27, Vec::<String>::new()));
     }
 
     /// The same sweep comparison over the whole `fig4a` grid (three apps,
     /// five loads each, 1.5 s). Stopping at the first rise is a rule of
-    /// thumb, not a theorem, and this is its measured price: four edges in
-    /// 135, each a later component that pays by collapsing onto a point
-    /// (σ on the floor). Sixty gaps at the sparsest hotel load, where BIC
-    /// rises at C = 2 and then falls at C = 3; 290 gaps at hotel 200 rps,
-    /// where BIC falls at C = 2, rises at 3 and falls below C = 2 at 4;
-    /// 93 media gaps at 50 rps, where BIC rises after C = 1 and falls at
-    /// C = 5; and the nodejs 600 rps `Final` edge, 905 gaps, where it
-    /// rises at C = 4 and falls at 5. Minutes in a debug build, so CI runs
-    /// it in release next to the `fig4a` artefact check.
+    /// thumb, not a theorem, and this is its measured price on the cold
+    /// refit's summaries: one edge in 135, sixty gaps at the sparsest hotel
+    /// load (fitted gap by gap), where BIC rises at C = 2 and falls at
+    /// C = 3. Minutes in a debug build, so CI runs it in release next to
+    /// the `fig4a` artefact check.
     #[test]
     #[ignore = "release only: cargo test --release -p tw-core -- --ignored fig4a_grid"]
-    fn sweep_matches_exhaustive_on_the_fig4a_grid_but_for_four_edges() {
+    fn sweep_matches_exhaustive_on_the_fig4a_grid_but_for_one_edge() {
         use tw_sim::apps::{hotel_reservation, media_microservices, nodejs_app};
         let grid = [
             (
@@ -1075,12 +1022,6 @@ mod tests {
             [
                 "hotel-reservation 50 ProcessKey { service: ServiceId(0), replica: 0 } \
                  Call { served: Endpoint { service: ServiceId(0), op: OperationId(0) }, slot: 1 }",
-                "hotel-reservation 200 ProcessKey { service: ServiceId(1), replica: 0 } \
-                 Call { served: Endpoint { service: ServiceId(1), op: OperationId(1) }, slot: 0 }",
-                "media-microservices 50 ProcessKey { service: ServiceId(1), replica: 0 } \
-                 Call { served: Endpoint { service: ServiceId(1), op: OperationId(2) }, slot: 6 }",
-                "nodejs-demo 600 ProcessKey { service: ServiceId(5), replica: 0 } \
-                 Final { served: Endpoint { service: ServiceId(5), op: OperationId(5) } }",
             ]
         );
         assert_eq!(edges, 135);

@@ -43,6 +43,8 @@ pub(crate) struct CoreMetrics {
     pub stage_seed: Histogram,
     pub stage_optimize: Histogram,
     pub stage_absorb: Histogram,
+    /// `optimize`'s phases (`score`, `solve`, `refit`, `unattributed`), per task.
+    pub stage_phases: [Histogram; 4],
     /// `tw_core_registry_quarantined_total`: degenerate samples/posteriors
     /// the delay registry refused to absorb (DESIGN.md §9).
     pub registry_quarantined: Counter,
@@ -108,6 +110,7 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
             stage_seed: stage("seed"),
             stage_optimize: stage("optimize"),
             stage_absorb: stage("absorb"),
+            stage_phases: ["score", "solve", "refit", "unattributed"].map(stage),
             registry_quarantined: r.counter(
                 "tw_core_registry_quarantined_total",
                 "Degenerate samples/posteriors the delay registry refused to absorb.",

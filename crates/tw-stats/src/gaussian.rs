@@ -29,25 +29,6 @@ impl Gaussian {
         Gaussian::new(mu, sigma)
     }
 
-    /// Weighted maximum-likelihood fit: mean and population variance with
-    /// per-sample weights (used by decayed-reservoir refits, where old
-    /// samples count less than fresh ones).
-    pub fn fit_weighted(xs: &[f64], ws: &[f64]) -> Self {
-        debug_assert_eq!(xs.len(), ws.len());
-        let total: f64 = ws.iter().sum();
-        if xs.is_empty() || total <= 0.0 {
-            return Gaussian::new(0.0, 1.0);
-        }
-        let mu = xs.iter().zip(ws).map(|(&x, &w)| w * x).sum::<f64>() / total;
-        let var = xs
-            .iter()
-            .zip(ws)
-            .map(|(&x, &w)| w * (x - mu) * (x - mu))
-            .sum::<f64>()
-            / total;
-        Gaussian::new(mu, var.sqrt())
-    }
-
     /// Natural log of the pdf at `x`.
     pub fn log_pdf(&self, x: f64) -> f64 {
         self.log_pdf_given(x, self.sigma.ln())

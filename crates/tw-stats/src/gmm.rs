@@ -6,7 +6,7 @@
 //! with a GMM whose component count is chosen by sweeping `C = 1..=C_max`
 //! and minimizing BIC.
 
-use crate::desc::{percentile_sorted, population_variance};
+use crate::desc::{mean, percentile_sorted, population_variance};
 use crate::gaussian::{Gaussian, SIGMA_FLOOR};
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +72,71 @@ impl Default for GmmFitOptions {
             max_iters: 100,
             tol: 1e-6,
         }
+    }
+}
+
+/// Gaps past which [`MomentSummary::of_sample`] bins a sample, so that EM
+/// costs at most this many rows (plus [`WIDEST_CUTS`]) a map. Against a row
+/// per gap, `offline_dense` `accuracy_pct` moved, in pt at seeds 1, 3, 5,
+/// 7, 11, 13: at 32 bins −0.04, 0, +0.11, −0.04, 0, +0.09; at 64 0, 0,
+/// +0.04, −0.04, 0, +0.06; at 128 0, 0, +0.04, −0.04, 0, 0.
+pub const SUMMARY_BINS: usize = 64;
+
+/// Widest spacings, a bin's worth of gaps or more from either end (no tail
+/// outlier gets a bin for a component to collapse onto), at which a binned
+/// sample is also cut: a bin across two modes charges every component its
+/// spread, up to 1.01 nats a gap on 1–3-mode samples, 0.076 with the cuts
+/// (test `summary_fits_score_the_raw_sample_like_raw_fits`).
+const WIDEST_CUTS: usize = 4;
+
+/// The sample EM fits: rows of weight `w`, mean `m` and within-row variance
+/// `v`, in the order given, which EM and the BIC score as `w` points at `m`
+/// whose spread `v` each component's σ must cover (Bradley, Fayyad & Reina,
+/// MSR-TR-98-35, 1998). Rows of `v = 0` fit `==` the sample they are.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MomentSummary {
+    rows: Vec<(f64, f64, f64)>,
+    /// EM's cold start: the sorted means, and the overall σ (the means'
+    /// spread plus the mean `v`).
+    means: Vec<f64>,
+    sigma: f64,
+}
+
+impl MomentSummary {
+    /// One row per `(x, w)` sample, with `v = 0`.
+    pub fn rows(samples: impl IntoIterator<Item = (f64, f64)>) -> Self {
+        MomentSummary::new(samples.into_iter().map(|(x, w)| (w, x, 0.0)).collect())
+    }
+
+    /// A unit-weight sample, sorted: a row per gap up to [`SUMMARY_BINS`],
+    /// else per bin (count, mean, `v` around it), cut at the order
+    /// statistics `b·n/SUMMARY_BINS` and the [`WIDEST_CUTS`] spacings.
+    pub fn of_sample(sample: &[f64]) -> Self {
+        let mut sorted = sample.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        if n <= SUMMARY_BINS {
+            return MomentSummary::rows(sorted.into_iter().map(|x| (x, 1.0)));
+        }
+        let spacing = |i: usize| sorted[i] - sorted[i - 1];
+        let mut widest: Vec<usize> = (n / SUMMARY_BINS..n - n / SUMMARY_BINS).collect();
+        widest.select_nth_unstable_by(WIDEST_CUTS, |&a, &b| spacing(b).total_cmp(&spacing(a)));
+        let bounds = (0..=SUMMARY_BINS).map(|b| b * n / SUMMARY_BINS);
+        let mut cuts: Vec<usize> = bounds.chain(widest.drain(..WIDEST_CUTS)).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let bins = cuts.windows(2).map(|c| &sorted[c[0]..c[1]]);
+        let rows = bins.map(|b| (b.len() as f64, mean(b), population_variance(b)));
+        MomentSummary::new(rows.collect())
+    }
+
+    fn new(rows: Vec<(f64, f64, f64)>) -> Self {
+        let mut means: Vec<f64> = rows.iter().map(|r| r.1).collect();
+        let within = rows.iter().map(|r| r.2).sum::<f64>() / rows.len() as f64;
+        let var = population_variance(&means) + within;
+        means.sort_by(|a, b| a.partial_cmp(b).expect("NaN in GMM sample"));
+        let sigma = var.sqrt().max(SIGMA_FLOOR);
+        MomentSummary { rows, means, sigma }
     }
 }
 
@@ -159,124 +224,108 @@ impl Gmm {
             .sum()
     }
 
-    /// Weighted log-likelihood `Σ w · log_pdf(x)` of a sample, each `x` of
-    /// `xs` counting with its `w` of `ws` (a unit weight multiplies by 1.0,
-    /// which changes no bit): through the EM kernel's blocked pass up to
-    /// [`MAX_COMPONENTS`] components ([`log_likelihood_blocked`]), point by
-    /// point past them.
-    pub fn log_likelihood(&self, xs: &[f64], ws: &[f64]) -> f64 {
-        let xs = &xs[..xs.len().min(ws.len())];
-        by_width!(self.len(), C => log_likelihood_blocked::<C>(&self.components, xs, |i| ws[i]),
-            _ => xs.iter().zip(ws).map(|(&x, &w)| w * self.log_pdf(x)).sum())
+    /// Log-likelihood `Σ w · lse` of the rows, each row's terms less its
+    /// `v·½σ⁻²` (`w = 1` and `v = 0` change no bit): the EM kernel's blocked
+    /// pass up to [`MAX_COMPONENTS`] components, row by row past them.
+    pub fn log_likelihood(&self, s: &MomentSummary) -> f64 {
+        let terms = |v: f64| {
+            self.components.iter().map(move |c| {
+                let (ln_w, ln_sigma) = c.log_terms();
+                (
+                    ln_w - v * (0.5 / (c.gaussian.sigma * c.gaussian.sigma)),
+                    ln_sigma,
+                )
+            })
+        };
+        by_width!(self.len(), C => log_likelihood_blocked::<C>(&self.components, s),
+            _ => s.rows.iter().map(|&(w, x, v)| w * self.log_pdf_given(x, terms(v))).sum())
     }
 
-    /// Bayesian Information Criterion over a weighted sample:
+    /// Bayesian Information Criterion over a summary:
     /// `k ln n − 2 ln L` with `k = 3C − 1` free parameters (C means, C
     /// sigmas, C−1 weights) and `n` the total weight (at least 1), so
     /// heavily decayed reservoirs prefer simpler models. At unit weights
     /// `n` is the sample size.
-    pub fn bic(&self, xs: &[f64], ws: &[f64]) -> f64 {
+    pub fn bic(&self, s: &MomentSummary) -> f64 {
         let k = (3 * self.components.len() - 1) as f64;
-        let n_eff = ws.iter().sum::<f64>().max(1.0);
-        k * n_eff.ln() - 2.0 * self.log_likelihood(xs, ws)
+        let n_eff = s.rows.iter().map(|r| r.0).sum::<f64>().max(1.0);
+        k * n_eff.ln() - 2.0 * self.log_likelihood(s)
     }
 
-    /// Fit a mixture to `xs`, each sample counting with its weight in `ws`,
-    /// at the component counts `widths` names, and return the one of lowest
-    /// [`Gmm::bic`] (paper §4.1 step 3) and the fit at every count run, in
-    /// the order run. EM at each count starts from the mixture of that
-    /// count in `starts`, if any, and else from evenly spaced quantiles of
-    /// the sample, so the fits of one sweep start the next sweep of a
-    /// nearby sample. A count the sample cannot support (fewer than two
-    /// points per component, or no weight) fits a single Gaussian.
-    ///
-    /// Older gaps in the warm registry's reservoir carry decayed weights,
-    /// so its mixture tracks the current delay regime while still
-    /// smoothing over many windows; the cold path passes unit weights.
+    /// Fit a mixture to the rows at the component counts `widths` names,
+    /// and return the one of lowest [`Gmm::bic`] (paper §4.1 step 3) and
+    /// the fit at every count run, in the order run. EM at each count
+    /// starts from the mixture of that count in `starts`, if any, else
+    /// from evenly spaced quantiles of the row means, so the fits of one
+    /// sweep start the next sweep of a nearby sample. A count the rows
+    /// cannot support (under two per component) fits their moments. The
+    /// cold path fits [`MomentSummary::of_sample`]; the warm registry, its
+    /// reservoir's decayed weights, so its mixture tracks the current
+    /// delay regime while still smoothing over many windows.
     ///
     /// # Panics
-    /// If [`Widths::One`]'s count is 0 or above [`MAX_COMPONENTS`], or `ws`
-    /// is not one weight per sample.
+    /// If [`Widths::One`]'s count is 0 or above [`MAX_COMPONENTS`].
     ///
     /// # Examples
     /// ```
-    /// use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
+    /// use tw_stats::gmm::{Gmm, GmmFitOptions, MomentSummary, Widths};
     /// // Clearly bimodal data: BIC selects two components.
-    /// let xs: Vec<f64> = (0..200)
-    ///     .map(|i| if i % 2 == 0 { 10.0 } else { 500.0 } + (i % 7) as f64)
-    ///     .collect();
-    /// let ws = vec![1.0; xs.len()];
-    /// let (gmm, fits) = Gmm::fit(&xs, &ws, Widths::Sweep, &[], &GmmFitOptions::default());
+    /// let xs = (0..200).map(|i| if i % 2 == 0 { 10.0 } else { 500.0 } + (i % 7) as f64);
+    /// let rows = MomentSummary::of_sample(&xs.collect::<Vec<f64>>());
+    /// let (gmm, fits) = Gmm::fit(&rows, Widths::Sweep, &[], &GmmFitOptions::default());
     /// assert!(gmm.len() >= 2);
     /// assert_eq!(fits[gmm.len() - 1], gmm); // the fit at each count, from 1
     /// assert!(gmm.log_pdf(500.0) > gmm.log_pdf(250.0));
     /// ```
     pub fn fit(
-        xs: &[f64],
-        ws: &[f64],
+        s: &MomentSummary,
         widths: Widths,
         starts: &[Gmm],
         opts: &GmmFitOptions,
     ) -> (Gmm, Vec<Gmm>) {
         let max = opts.max_components.clamp(1, MAX_COMPONENTS);
         match widths {
-            Widths::One(c) => min_bic(xs, ws, [c], false, starts, opts),
-            Widths::Sweep => min_bic(xs, ws, 1..=max, true, starts, opts),
+            Widths::One(c) => min_bic(s, [c], false, starts, opts),
+            Widths::Sweep => min_bic(s, 1..=max, true, starts, opts),
             Widths::Near(k) => {
                 let k = k.clamp(1, max);
                 let mut counts = vec![1, k.saturating_sub(1).max(1), k, (k + 1).min(max)];
                 counts.sort_unstable();
                 counts.dedup();
-                min_bic(xs, ws, counts, false, starts, opts)
+                min_bic(s, counts, false, starts, opts)
             }
         }
     }
 }
 
-/// One width of [`Gmm::fit`], with what EM's initialisation reads in `init`:
-/// the sorted sample and its overall σ, the same at every width. The first
-/// fit that runs EM fills it, so a sweep sorts its sample once, not once
-/// per count. EM starts from `start` where it has `c` components. Returns
-/// the fit and the EM maps it ran.
-fn fit_with(
-    xs: &[f64],
-    ws: &[f64],
-    c: usize,
-    opts: &GmmFitOptions,
-    init: &mut Option<(Vec<f64>, f64)>,
-    start: Option<&Gmm>,
-) -> (Gmm, usize) {
-    assert!(c >= 1, "component count must be >= 1");
-    assert!(
-        c <= MAX_COMPONENTS,
-        "component count must be <= MAX_COMPONENTS ({MAX_COMPONENTS})"
-    );
-    assert_eq!(xs.len(), ws.len(), "one weight per sample");
-    if xs.is_empty() {
-        return (Gmm::single(Gaussian::new(0.0, 1.0)), 0);
+/// One width of [`Gmm::fit`]: EM from `from` where it has `c`
+/// components. Returns the fit and the EM maps it ran.
+fn fit_with(s: &MomentSummary, c: usize, opts: &GmmFitOptions, from: Option<&Gmm>) -> (Gmm, usize) {
+    assert!((1..=MAX_COMPONENTS).contains(&c), "C ∉ 1..=MAX_COMPONENTS");
+    let total_w: f64 = s.rows.iter().map(|r| r.0).sum();
+    if total_w <= 0.0 {
+        return (Gmm::single(Gaussian::new(0.0, 1.0)), 0); // no rows, or no weight
     }
-    let total_w: f64 = ws.iter().sum();
-    if c == 1 || xs.len() < 2 * c || total_w <= 0.0 {
-        return (Gmm::single(Gaussian::fit_weighted(xs, ws)), 0);
+    if c == 1 || s.rows.len() < 2 * c {
+        // The rows' weighted moments, within-row `v` included.
+        let mu = s.rows.iter().map(|&(w, x, _)| w * x).sum::<f64>() / total_w;
+        let spread = |&(w, x, v): &(f64, f64, f64)| w * (x - mu) * (x - mu) + w * v;
+        let sigma = (s.rows.iter().map(spread).sum::<f64>() / total_w).sqrt();
+        return (Gmm::single(Gaussian::new(mu, sigma)), 0);
     }
-    let (sorted, overall_sigma) = init.get_or_insert_with(|| {
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in GMM sample"));
-        (sorted, population_variance(xs).sqrt().max(SIGMA_FLOOR))
-    });
-    let start = start.map(|g| &g.components[..]).filter(|s| s.len() == c);
+    let start = from.map(|g| &g.components[..]).filter(|s| s.len() == c);
     let (components, maps) = by_width!(
         c,
-        C => em::<C>(xs, ws, total_w, sorted, *overall_sigma, start, opts),
+        C => em::<C>(s, total_w, start, opts),
         _ => unreachable!("component count checked above")
     );
     (Gmm { components }, maps)
 }
 
 /// [`Gmm::fit`]'s EM at a width `C` fixed at compile time, for
-/// `2 <= C <= xs.len() / 2` and `total_w = Σ ws > 0`: from `start`, or
-/// else from the sorted sample's quantiles and its overall σ. Returns the
-/// fit and the maps it ran.
+/// `2 <= C <= rows / 2` and `total_w = Σ w > 0`: from `start`, or
+/// else from the sorted row means' quantiles and the summary's overall σ.
+/// Returns the fit and the maps it ran.
 ///
 /// SQUAREM (Varadhan & Roland, 2008) drives the EM map F ([`em_map`]).
 /// A cycle maps θ₁ = F(θ₀) and θ₂ = F(θ₁), steps over (w, μ, ln σ) to
@@ -290,27 +339,24 @@ fn fit_with(
 /// in this module's tests takes the same steps and holds the kernel to
 /// `==`: this fit decides every mapping (DESIGN.md §7).
 fn em<const C: usize>(
-    xs: &[f64],
-    ws: &[f64],
+    s: &MomentSummary,
     total_w: f64,
-    sorted: &[f64],
-    overall_sigma: f64,
     start: Option<&[GmmComponent]>,
     opts: &GmmFitOptions,
 ) -> (Vec<GmmComponent>, usize) {
     let cold = |i: usize| GmmComponent {
         weight: 1.0 / C as f64,
         gaussian: Gaussian::new(
-            percentile_sorted(sorted, (i as f64 + 0.5) / C as f64 * 100.0),
-            overall_sigma,
+            percentile_sorted(&s.means, (i as f64 + 0.5) / C as f64 * 100.0),
+            s.sigma,
         ),
     };
     let mut theta = std::array::from_fn(|i| start.map_or_else(|| cold(i), |s| s[i]));
-    // A row holds the sample's per-component log terms, then their
+    // A row holds the summary row's per-component log terms, then their
     // `exp(l − max)`, then its responsibilities, which the variance pass
     // reads back.
-    let mut resp = vec![[0.0f64; C]; xs.len()];
-    let mut map = |theta: &[GmmComponent; C]| em_map(xs, ws, total_w, cold, theta, &mut resp);
+    let mut resp = vec![[0.0f64; C]; s.rows.len()];
+    let mut map = |theta: &[GmmComponent; C]| em_map(s, total_w, cold, theta, &mut resp);
     let converged = |ll: f64, prev: f64| (ll - prev).abs() / total_w <= opts.tol;
     let (mut maps, mut prev_ll, mut step_max) = (0, f64::NEG_INFINITY, 1.0);
     while maps < opts.max_iters {
@@ -343,12 +389,11 @@ fn em<const C: usize>(
 /// the M-step's mixture. The E-step runs block by block ([`lse_block`]) and
 /// takes each responsibility from the log-sum-exp's own terms,
 /// `r = e · (1/Σe)` (one `exp` per term, not two); the M-step's mass and
-/// mean sums ride in the same pass. Each accumulator sees, value by value,
-/// the same floating-point operations in the same order as the textbook
-/// loop.
+/// mean sums ride in the same pass, and its variance sums take each row's
+/// `w·r·v`. Each accumulator sees, value by value, the same floating-point
+/// operations in the same order as the textbook loop.
 fn em_map<const C: usize>(
-    xs: &[f64],
-    ws: &[f64],
+    s: &MomentSummary,
     total_w: f64,
     cold: impl Fn(usize) -> GmmComponent,
     comps: &[GmmComponent; C],
@@ -358,12 +403,9 @@ fn em_map<const C: usize>(
 
     // E-step, with the masses and weighted sums the M-step divides.
     let (mut ll, mut nj, mut mu) = (0.0, [0.0f64; C], [0.0f64; C]);
-    let blocks = xs.chunks(BLOCK).zip(ws.chunks(BLOCK));
-    for ((xs, ws), rows) in blocks.zip(resp.chunks_mut(BLOCK)) {
-        let (lse, sums) = lse_block(xs, comps, &terms, rows);
-        for (((&x, &w), row), (&lse, &sum)) in
-            xs.iter().zip(ws).zip(rows).zip(lse.iter().zip(&sums))
-        {
+    for (blk, rows) in s.rows.chunks(BLOCK).zip(resp.chunks_mut(BLOCK)) {
+        let (lse, sums) = lse_block(blk, comps, &terms, rows);
+        for ((&(w, x, _), row), (&lse, &sum)) in blk.iter().zip(rows).zip(lse.iter().zip(&sums)) {
             ll += w * lse;
             let inv = 1.0 / sum;
             for j in 0..C {
@@ -381,10 +423,10 @@ fn em_map<const C: usize>(
         mu[j] /= nj[j];
     }
     let mut var = [0.0f64; C];
-    for ((&x, &w), row) in xs.iter().zip(ws).zip(resp.iter()) {
+    for (&(w, x, v), row) in s.rows.iter().zip(resp.iter()) {
         for j in 0..C {
-            let d = x - mu[j];
-            var[j] += w * row[j] * d * d;
+            let (d, wr) = (x - mu[j], w * row[j]);
+            var[j] += wr * d * d + wr * v;
         }
     }
     let mut next: [GmmComponent; C] = std::array::from_fn(|j| {
@@ -446,26 +488,25 @@ fn extrapolate<const C: usize>(
     (out, bounded)
 }
 
-/// The one BIC sweep over ascending `counts`: lowest weighted BIC wins, the
+/// The one BIC sweep over ascending `counts`: lowest BIC wins, the
 /// smaller count on a tie. `stop_when_rising` (contiguous counts only) ends
 /// it at the first count that does not beat the best — DESIGN.md §7. The
 /// fit at each width starts from the mixture of that width in `starts`.
 /// Returns the winner and every fit, in the order run.
 fn min_bic(
-    xs: &[f64],
-    ws: &[f64],
+    s: &MomentSummary,
     counts: impl IntoIterator<Item = usize>,
     stop_when_rising: bool,
     starts: &[Gmm],
     opts: &GmmFitOptions,
 ) -> (Gmm, Vec<Gmm>) {
-    let (mut best, mut fits, mut init) = (None, Vec::new(), None);
+    let (mut best, mut fits) = (None, Vec::new());
     for c in counts {
         #[cfg(test)]
         tests::SWEEP_FITS.with(|n| n.set(n.get() + 1));
         let start = starts.iter().find(|g| g.len() == c);
-        let gmm = fit_with(xs, ws, c, opts, &mut init, start).0;
-        let bic = gmm.bic(xs, ws);
+        let gmm = fit_with(s, c, opts, start).0;
+        let bic = gmm.bic(s);
         fits.push(gmm);
         match best {
             Some((_, b)) if b <= bic && stop_when_rising => break,
@@ -487,46 +528,45 @@ fn normalize_weights(comps: &mut [GmmComponent]) {
 }
 
 /// [`Gmm::log_likelihood`] at `C` components: [`lse_block`] block by
-/// block, then `w(i) · lse` summed in order from −0.0, as `Iterator::sum`
-/// starts, so that it is the point-by-point sum to the bit.
-fn log_likelihood_blocked<const C: usize>(
-    comps: &[GmmComponent],
-    xs: &[f64],
-    w: impl Fn(usize) -> f64,
-) -> f64 {
+/// block, then `w · lse` summed in order from −0.0, as `Iterator::sum`
+/// starts, so that it is the row-by-row sum to the bit.
+fn log_likelihood_blocked<const C: usize>(comps: &[GmmComponent], s: &MomentSummary) -> f64 {
     let comps: &[GmmComponent; C] = comps.try_into().expect("C components");
     let (terms, mut rows, mut ll) = (comps.map(|c| c.log_terms()), [[0.0; C]; BLOCK], -0.0);
-    for (b, xs) in xs.chunks(BLOCK).enumerate() {
-        let lse = lse_block(xs, comps, &terms, &mut rows[..xs.len()]).0;
-        for (i, &l) in lse[..xs.len()].iter().enumerate() {
-            ll += w(b * BLOCK + i) * l;
+    for block in s.rows.chunks(BLOCK) {
+        let lse = lse_block(block, comps, &terms, &mut rows[..block.len()]).0;
+        for (&(w, _, _), &l) in block.iter().zip(&lse) {
+            ll += w * l;
         }
     }
     ll
 }
 
-/// The E-step's log-sum-exp over one block of at most [`BLOCK`] points, in
-/// three loops so that the libm calls of different points overlap: every
-/// row's log terms `ln w + ln N(x; μ, σ)`, then [`exp_terms`] on every row,
-/// then every `lse = max + ln Σ`. Returns each point's lse and `Σ`, and
-/// leaves each row holding its terms `exp(l − max)`. Each value sees the
-/// operations of the one-point-at-a-time loop, in the same order.
+/// The E-step's log-sum-exp over one block of at most [`BLOCK`] rows, in
+/// three loops so that the libm calls of different rows overlap: every
+/// row's log terms `ln w + ln N(m; μ, σ) − v·½σ⁻²`, then [`exp_terms`] on
+/// every row, then every `lse = max + ln Σ`. Returns each row's lse and
+/// `Σ`, and leaves each row holding its terms `exp(l − max)`. Each value
+/// sees the operations of the one-row-at-a-time loop, in the same order.
 #[inline(always)]
 fn lse_block<const C: usize>(
-    xs: &[f64],
+    block: &[(f64, f64, f64)],
     comps: &[GmmComponent; C],
     terms: &[(f64, f64); C],
     rows: &mut [[f64; C]],
 ) -> ([f64; BLOCK], [f64; BLOCK]) {
     let (mut lse, mut sums) = ([0.0; BLOCK], [0.0; BLOCK]);
-    for (row, &x) in rows.iter_mut().zip(xs) {
-        let log_term = |j: usize| terms[j].0 + comps[j].gaussian.log_pdf_given(x, terms[j].1);
+    let half_prec = comps.map(|c| 0.5 / (c.gaussian.sigma * c.gaussian.sigma));
+    for (row, &(_, x, v)) in rows.iter_mut().zip(block) {
+        let log_term = |j: usize| {
+            terms[j].0 + comps[j].gaussian.log_pdf_given(x, terms[j].1) - v * half_prec[j]
+        };
         *row = std::array::from_fn(log_term);
     }
     for (row, (max, sum)) in rows.iter_mut().zip(lse.iter_mut().zip(sums.iter_mut())) {
         (*max, *sum) = exp_terms(row);
     }
-    for (lse, &sum) in lse.iter_mut().zip(&sums[..xs.len()]) {
+    for (lse, &sum) in lse.iter_mut().zip(&sums[..block.len()]) {
         *lse += sum.ln();
     }
     (lse, sums)
@@ -585,14 +625,25 @@ mod tests {
         (out, SWEEP_FITS.with(|n| n.get()) - before)
     }
 
+    /// One row per sample of `xs`, at its weight in `ws`.
+    fn rows(xs: &[f64], ws: &[f64]) -> MomentSummary {
+        MomentSummary::rows(xs.iter().copied().zip(ws.iter().copied()))
+    }
+
+    /// A summary's `(w, m, v)` as columns.
+    fn wmv(s: &MomentSummary) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let column = |k: usize| s.rows.iter().map(|r| [r.0, r.1, r.2][k]).collect();
+        (column(0), column(1), column(2))
+    }
+
     /// [`Gmm::fit`] at exactly `c` components.
     fn fit_at(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
-        Gmm::fit(xs, ws, Widths::One(c), &[], opts).0
+        Gmm::fit(&rows(xs, ws), Widths::One(c), &[], opts).0
     }
 
     /// [`Gmm::fit`]'s contiguous sweep, started cold.
     fn sweep(xs: &[f64], ws: &[f64], opts: &GmmFitOptions) -> Gmm {
-        Gmm::fit(xs, ws, Widths::Sweep, &[], opts).0
+        Gmm::fit(&rows(xs, ws), Widths::Sweep, &[], opts).0
     }
 
     /// Deterministic interleaved bimodal sample: half near 10, half near 50.
@@ -705,7 +756,7 @@ mod tests {
         let (xs, ws) = (bimodal(), [1.0; 200]);
         let one = fit_at(&xs, &ws, 1, &GmmFitOptions::default());
         let two = fit_at(&xs, &ws, 2, &GmmFitOptions::default());
-        assert!(two.log_likelihood(&xs, &ws) > one.log_likelihood(&xs, &ws));
+        assert!(two.log_likelihood(&rows(&xs, &ws)) > one.log_likelihood(&rows(&xs, &ws)));
     }
 
     #[test]
@@ -735,11 +786,75 @@ mod tests {
     }
 
     #[test]
-    fn weighted_gaussian_fit_tracks_heavy_samples() {
-        let g = Gaussian::fit_weighted(&[0.0, 10.0], &[3.0, 1.0]);
+    fn one_component_fit_is_the_weighted_moments() {
+        let opts = GmmFitOptions::default();
+        let g = fit_at(&[0.0, 10.0], &[3.0, 1.0], 1, &opts).components[0].gaussian;
         assert!((g.mu - 2.5).abs() < 1e-12);
-        let empty = Gaussian::fit_weighted(&[], &[]);
+        assert!((g.sigma - 75f64.sqrt() / 2.0).abs() < 1e-12);
+        // A bin's spread counts: two rows at 1 and 3, each of variance 1.
+        let binned = MomentSummary::new(vec![(1.0, 1.0, 1.0), (1.0, 3.0, 1.0)]);
+        let g = Gmm::fit(&binned, Widths::One(1), &[], &opts).0.components[0].gaussian;
+        assert_eq!((g.mu, g.sigma), (2.0, 2f64.sqrt()));
+        let empty = fit_at(&[], &[], 1, &opts).components[0].gaussian;
         assert!(empty.sigma > 0.0);
+        assert!(
+            fit_at(&[1.0, 2.0], &[0.0, 0.0], 1, &opts).components[0]
+                .gaussian
+                .sigma
+                > 0.0
+        );
+    }
+
+    /// Bins run between the order statistics `b·n/64` of the sorted
+    /// sample and at its four widest spacings, each weighted by its count,
+    /// with `v` around its own mean; a short sample is its sorted gaps at
+    /// unit weight.
+    #[test]
+    fn a_long_sample_is_binned_by_order_statistics_and_widest_spacings() {
+        assert_eq!((SUMMARY_BINS, WIDEST_CUTS), (64, 4));
+        let short: Vec<f64> = (0..64).rev().map(f64::from).collect();
+        let (w, m, v) = wmv(&MomentSummary::of_sample(&short));
+        assert_eq!(m, (0..64).map(f64::from).collect::<Vec<_>>());
+        assert_eq!((w, v), (vec![1.0; 64], vec![0.0; 64]));
+        // 130 gaps a unit apart but for four spacings of 101, before order
+        // statistics 20 and 97 (bounds already: 10·130/64, 48·130/64), 51
+        // and 126 (new), and a wider one before the last, 129, which
+        // leaves less than a bin (130/64 gaps) after it: 66 bins, of 1 to
+        // 3 gaps, the last of three, 129 among them.
+        let wide = [20, 51, 97, 126];
+        let at = |i: usize| {
+            let spaced = i + 100 * wide.iter().filter(|&&k| k <= i).count();
+            (spaced + if i == 129 { 500 } else { 0 }) as f64
+        };
+        let long: Vec<f64> = (0..130).rev().map(at).collect();
+        let (w, m, v) = wmv(&MomentSummary::of_sample(&long));
+        let mut cuts: Vec<usize> = (0..=64).map(|b| b * 130 / 64).chain(wide).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        assert_eq!((cuts.len() - 1, m.len()), (66, 66));
+        for (b, c) in cuts.windows(2).enumerate() {
+            let bin: Vec<f64> = (c[0]..c[1]).map(at).collect();
+            let mean = bin.iter().sum::<f64>() / bin.len() as f64;
+            let var = bin.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / bin.len() as f64;
+            assert_eq!((w[b], m[b], v[b]), (bin.len() as f64, mean, var), "bin {b}");
+        }
+        // The bound bin [50, 52) is cut in two at 51.
+        let split = cuts.iter().position(|&c| c == 50).expect("a bound at 50");
+        assert_eq!((w[split], m[split], v[split]), (1.0, at(50), 0.0));
+        assert_eq!((w[split + 1], m[split + 1]), (1.0, at(51)));
+        // Two passes: far from 0, the spread within a bin keeps its digits
+        // (one pass, E[x²] − m², would lose them all at 1e9).
+        let near: Vec<f64> = (0..130)
+            .map(|i| f64::from(i) * (1.0 + f64::from(i) / 1e3))
+            .collect();
+        let far: Vec<f64> = near.iter().map(|x| x + 1e9).collect();
+        let (near, far) = (
+            MomentSummary::of_sample(&near),
+            MomentSummary::of_sample(&far),
+        );
+        for (a, b) in wmv(&near).2.iter().zip(&wmv(&far).2) {
+            assert!((a - b).abs() <= 1e-6 * a, "{a} against {b} at 1e9");
+        }
     }
 
     /// `Gaussian::log_pdf` as `reference_fit` has always called it.
@@ -795,13 +910,13 @@ mod tests {
     /// steps. `Gmm::fit` at `Widths::One` must return exactly what this
     /// returns.
     fn reference_fit(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
-        textbook_em(xs, ws, c, opts, None, ratio_responsibilities, true).0
+        textbook_em(&rows(xs, ws), c, opts, None, ratio_responsibilities, true).0
     }
 
     /// The same loop with the exp-form E-step: what a fit at one width returned
     /// before the ratio form, which it must stay close to.
     fn exp_reference_fit(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Gmm {
-        textbook_em(xs, ws, c, opts, None, exp_responsibilities, true).0
+        textbook_em(&rows(xs, ws), c, opts, None, exp_responsibilities, true).0
     }
 
     /// What a textbook run records: the log-likelihood of each iterate it
@@ -814,32 +929,44 @@ mod tests {
         irregular: bool,
     }
 
-    /// A `Vec` and two logarithms per (sample, component), one E-step per
-    /// sample from `responsibilities`, three strided M-step passes, a sort
-    /// per component. From `start` where it has `c` components, else from
-    /// quantiles, a dead component re-seeded at its own quantile. With
-    /// `squarem`, SQUAREM drives the map over flattened `(w, μ, ln σ)`
-    /// vectors under the same step bound; without it, plain EM runs one map
-    /// after another.
+    /// A `Vec` and two logarithms per (row, component), one E-step per
+    /// row from `responsibilities` on its terms less `v·(0.5/σ²)`, three
+    /// strided M-step passes (the variance's taking `w·r·v` after each
+    /// `w·r·d²`), a sort per component. At one component, the rows'
+    /// weighted moments. From `start` where it has `c` components, else
+    /// from quantiles of the row means, a dead component re-seeded at its
+    /// own quantile. With `squarem`, SQUAREM drives the map over flattened
+    /// `(w, μ, ln σ)` vectors under the same step bound; without it, plain
+    /// EM runs one map after another.
     fn textbook_em(
-        xs: &[f64],
-        ws: &[f64],
+        s: &MomentSummary,
         c: usize,
         opts: &GmmFitOptions,
         start: Option<&Gmm>,
         responsibilities: fn(&[f64]) -> (f64, Vec<f64>),
         squarem: bool,
     ) -> (Gmm, Run) {
+        let (ws, xs, vs) = wmv(s);
+        let (ws, xs, vs) = (&ws[..], &xs[..], &vs[..]);
         let mut run = Run::default();
         if xs.is_empty() {
             return (Gmm::single(Gaussian::new(0.0, 1.0)), run);
         }
         let total_w: f64 = ws.iter().sum();
         if c == 1 || xs.len() < 2 * c || total_w <= 0.0 {
-            return (Gmm::single(Gaussian::fit_weighted(xs, ws)), run);
+            if total_w <= 0.0 {
+                return (Gmm::single(Gaussian::new(0.0, 1.0)), run);
+            }
+            let mu = (0..xs.len()).map(|i| ws[i] * xs[i]).sum::<f64>() / total_w;
+            let var = (0..xs.len())
+                .map(|i| ws[i] * (xs[i] - mu) * (xs[i] - mu) + ws[i] * vs[i])
+                .sum::<f64>()
+                / total_w;
+            return (Gmm::single(Gaussian::new(mu, var.sqrt())), run);
         }
 
-        let overall_sigma = population_variance(xs).sqrt().max(SIGMA_FLOOR);
+        let within = vs.iter().sum::<f64>() / xs.len() as f64;
+        let overall_sigma = (population_variance(xs) + within).sqrt().max(SIGMA_FLOOR);
         let cold = |i: usize| {
             let q = (i as f64 + 0.5) / c as f64 * 100.0;
             GmmComponent {
@@ -861,7 +988,9 @@ mod tests {
                 let logs: Vec<f64> = comps
                     .iter()
                     .map(|cm| {
-                        cm.weight.max(f64::MIN_POSITIVE).ln() + reference_log_pdf(&cm.gaussian, x)
+                        let g = &cm.gaussian;
+                        cm.weight.max(f64::MIN_POSITIVE).ln() + reference_log_pdf(g, x)
+                            - vs[i] * (0.5 / (g.sigma * g.sigma))
                     })
                     .collect();
                 let (lse, r) = responsibilities(&logs);
@@ -884,7 +1013,7 @@ mod tests {
                 let var: f64 = (0..n)
                     .map(|i| {
                         let d = xs[i] - mu;
-                        ws[i] * resp[i * c + j] * d * d
+                        ws[i] * resp[i * c + j] * d * d + ws[i] * resp[i * c + j] * vs[i]
                     })
                     .sum::<f64>()
                     / nj;
@@ -1063,7 +1192,7 @@ mod tests {
         let mut best: Option<(f64, Gmm)> = None;
         for c in 1..=opts.max_components.max(1) {
             let gmm = fit_at(xs, &ws, c, opts);
-            let bic = gmm.bic(xs, &ws);
+            let bic = gmm.bic(&rows(xs, &ws));
             match &best {
                 Some((b, _)) if *b <= bic => {}
                 _ => best = Some((bic, gmm)),
@@ -1106,7 +1235,7 @@ mod tests {
             // beat the best before it, or out of counts.
             let (mut best, mut expected) = (f64::INFINITY, opts.max_components);
             for c in 1..=opts.max_components {
-                let bic = fit_at(&xs, &ws, c, &opts).bic(&xs, &ws);
+                let bic = fit_at(&xs, &ws, c, &opts).bic(&rows(&xs, &ws));
                 if best <= bic {
                     expected = c;
                     break;
@@ -1156,14 +1285,14 @@ mod tests {
         ];
         for (near, set) in sets {
             let (narrowed, fits) =
-                sweep_fits(|| Gmm::fit(&xs, &ws, Widths::Near(near), &[], &opts).0);
+                sweep_fits(|| Gmm::fit(&rows(&xs, &ws), Widths::Near(near), &[], &opts).0);
             assert_eq!(fits, set.len(), "near={near}");
             // And it returns what fitting all of them by hand returns.
             let by_hand = set
                 .iter()
                 .map(|&c| fit_at(&xs, &ws, c, &opts))
                 .min_by(|a, b| {
-                    let (a, b) = (a.bic(&xs, &ws), b.bic(&xs, &ws));
+                    let (a, b) = (a.bic(&rows(&xs, &ws)), b.bic(&rows(&xs, &ws)));
                     a.partial_cmp(&b).expect("finite BIC")
                 })
                 .expect("non-empty set");
@@ -1190,7 +1319,7 @@ mod tests {
             assert_eq!(gmm.log_pdf(x), reference_mixture_log_pdf(&gmm, x));
         }
         let textbook: f64 = xs.iter().map(|&x| reference_mixture_log_pdf(&gmm, x)).sum();
-        assert_eq!(gmm.log_likelihood(&xs, &[1.0; 400]), textbook);
+        assert_eq!(gmm.log_likelihood(&rows(&xs, &[1.0; 400])), textbook);
     }
 
     #[test]
@@ -1203,7 +1332,7 @@ mod tests {
             ..GmmFitOptions::default()
         };
         for widths in [Widths::Sweep, Widths::Near(20)] {
-            let (best, fits) = Gmm::fit(&xs, &ws, widths, &[], &opts);
+            let (best, fits) = Gmm::fit(&rows(&xs, &ws), widths, &[], &opts);
             assert!(best.len() <= MAX_COMPONENTS, "{widths:?}");
             assert!(fits.iter().all(|f| f.len() <= MAX_COMPONENTS), "{widths:?}");
         }
@@ -1294,7 +1423,7 @@ mod tests {
             .map(|(&x, &w)| w * reference_mixture_log_pdf(&fitted, x))
             .sum();
         let textbook = k * n_eff.ln() - 2.0 * ll;
-        proptest::prop_assert_eq!(fitted.bic(&xs, &ws).to_bits(), textbook.to_bits());
+        proptest::prop_assert_eq!(fitted.bic(&rows(&xs, &ws)).to_bits(), textbook.to_bits());
     }
 
     proptest::proptest! {
@@ -1394,8 +1523,7 @@ mod tests {
                     };
                     let mut resp = vec![[0.0; C]; n];
                     let (ll, next) = em_map(
-                        &xs,
-                        &ws,
+                        &rows(&xs, &ws),
                         total_w,
                         cold,
                         &std::array::from_fn(cold),
@@ -1406,7 +1534,7 @@ mod tests {
                         ..GmmFitOptions::default()
                     };
                     let (reference, run) =
-                        textbook_em(&xs, &ws, C, &one, None, ratio_responsibilities, true);
+                        textbook_em(&rows(&xs, &ws), C, &one, None, ratio_responsibilities, true);
                     assert!(
                         same_bits(ll, run.accepted[0]),
                         "{what}: {ll} vs {:?}",
@@ -1440,12 +1568,12 @@ mod tests {
                             let lls = xs.iter().map(|&x| reference_mixture_log_pdf(gmm, x));
                             lls.enumerate().map(|(i, l)| w(i) * l).sum()
                         };
-                        let weighted = gmm.log_likelihood(&xs, &ws);
+                        let weighted = gmm.log_likelihood(&rows(&xs, &ws));
                         assert!(
                             same_bits(weighted, per_point(&|i| ws[i])),
                             "{what}: weighted"
                         );
-                        let unit = gmm.log_likelihood(&xs, &vec![1.0; n]);
+                        let unit = gmm.log_likelihood(&rows(&xs, &vec![1.0; n]));
                         assert!(same_bits(unit, per_point(&|_| 1.0)), "{what}: unit weights");
                     }
                 }
@@ -1501,16 +1629,16 @@ mod tests {
             let total_w = ws.iter().sum::<f64>().max(f64::MIN_POSITIVE);
             for (max_iters, tol) in [(100, 1e-6), (100, 1e-5), (10, -1.0), (40, -1.0)] {
                 let opts = GmmFitOptions { max_iters, tol, ..GmmFitOptions::default() };
-                let (ratio, maps) = fit_with(&xs, &ws, c, &opts, &mut None, None);
+                let (ratio, maps) = fit_with(&rows(&xs, &ws), c, &opts, None);
                 let (exp, exp_run) =
-                    textbook_em(&xs, &ws, c, &opts, None, exp_responsibilities, true);
+                    textbook_em(&rows(&xs, &ws), c, &opts, None, exp_responsibilities, true);
                 proptest::prop_assert_eq!(ratio.len(), exp.len());
                 if tol > 0.0 && maps == max_iters && exp_run.maps == max_iters {
                     continue;
                 }
                 let (a, b) = (
-                    ratio.log_likelihood(&xs, &ws),
-                    exp.log_likelihood(&xs, &ws),
+                    ratio.log_likelihood(&rows(&xs, &ws)),
+                    exp.log_likelihood(&rows(&xs, &ws)),
                 );
                 let drift = if a == b { 0.0 } else { (a - b).abs() / total_w };
                 let on_floor = ratio
@@ -1564,13 +1692,13 @@ mod tests {
             for max_iters in [1, 2, 10, 40, 100] {
                 let opts = GmmFitOptions { max_iters, ..GmmFitOptions::default() };
                 let from = exp_reference_fit(&xs, &ws, c, &opts);
-                let ratio = fit_with(&xs, &ws, c, &one, &mut None, Some(&from)).0;
+                let ratio = fit_with(&rows(&xs, &ws), c, &one, Some(&from)).0;
                 let exp =
-                    textbook_em(&xs, &ws, c, &one, Some(&from), exp_responsibilities, true).0;
+                    textbook_em(&rows(&xs, &ws), c, &one, Some(&from), exp_responsibilities, true).0;
                 proptest::prop_assert_eq!(ratio.len(), exp.len());
                 let (a, b) = (
-                    ratio.log_likelihood(&xs, &ws),
-                    exp.log_likelihood(&xs, &ws),
+                    ratio.log_likelihood(&rows(&xs, &ws)),
+                    exp.log_likelihood(&rows(&xs, &ws)),
                 );
                 let drift = if a == b { 0.0 } else { (a - b).abs() / total_w };
                 let on_floor = ratio
@@ -1603,8 +1731,15 @@ mod tests {
         for (what, xs) in &samples {
             let ws = vec![1.0; xs.len()];
             for c in 2..=opts.max_components {
-                let slow = textbook_em(xs, &ws, c, &opts, None, ratio_responsibilities, false);
-                let maps = fit_with(xs, &ws, c, &opts, &mut None, None).1;
+                let slow = textbook_em(
+                    &rows(xs, &ws),
+                    c,
+                    &opts,
+                    None,
+                    ratio_responsibilities,
+                    false,
+                );
+                let maps = fit_with(&rows(xs, &ws), c, &opts, None).1;
                 assert!(
                     maps < opts.max_iters || slow.1.maps == opts.max_iters,
                     "{what}, C = {c}: {maps} maps where plain EM converges in {}",
@@ -1634,8 +1769,7 @@ mod tests {
         };
         let opts = GmmFitOptions::default();
         let (fitted, run) = textbook_em(
-            &xs,
-            &ws,
+            &rows(&xs, &ws),
             4,
             &opts,
             Some(&start),
@@ -1643,10 +1777,7 @@ mod tests {
             true,
         );
         assert!(run.irregular, "no component died");
-        assert_eq!(
-            fit_with(&xs, &ws, 4, &opts, &mut None, Some(&start)).0,
-            fitted
-        );
+        assert_eq!(fit_with(&rows(&xs, &ws), 4, &opts, Some(&start)).0, fitted);
         for (i, a) in fitted.components.iter().enumerate() {
             for b in &fitted.components[i + 1..] {
                 assert_ne!(a, b, "duplicate component in {fitted:?}");
@@ -1662,22 +1793,22 @@ mod tests {
         let opts = GmmFitOptions::default();
         for (what, xs) in gap_samples() {
             let ws = vec![1.0; xs.len()];
-            let (best, fits) = Gmm::fit(&xs, &ws, Widths::Sweep, &[], &opts);
+            let (best, fits) = Gmm::fit(&rows(&xs, &ws), Widths::Sweep, &[], &opts);
             let mut all_converged = true;
             for (c, fit) in (1..)
                 .zip(&fits)
                 .filter(|(c, fit)| *c >= 2 && fit.len() == *c)
             {
-                let cold = fit_with(&xs, &ws, c, &opts, &mut None, None).1;
+                let cold = fit_with(&rows(&xs, &ws), c, &opts, None).1;
                 if cold == opts.max_iters {
                     all_converged = false;
                     continue;
                 }
-                let again = fit_with(&xs, &ws, c, &opts, &mut None, Some(fit)).1;
+                let again = fit_with(&rows(&xs, &ws), c, &opts, Some(fit)).1;
                 assert!(again <= 3, "{what}, C = {c}: {again} maps from its own fit");
             }
             if all_converged {
-                let (again, _) = Gmm::fit(&xs, &ws, Widths::Sweep, &fits, &opts);
+                let (again, _) = Gmm::fit(&rows(&xs, &ws), Widths::Sweep, &fits, &opts);
                 assert_eq!(again.len(), best.len(), "{what}");
             }
         }
@@ -1712,8 +1843,8 @@ mod tests {
                 fit_at(&nearby, &ws, c, &opts)
             });
             let (fitted, run) =
-                textbook_em(&xs, &ws, c, &opts, start.as_ref(), ratio_responsibilities, true);
-            let kernel = fit_with(&xs, &ws, c, &opts, &mut None, start.as_ref());
+                textbook_em(&rows(&xs, &ws), c, &opts, start.as_ref(), ratio_responsibilities, true);
+            let kernel = fit_with(&rows(&xs, &ws), c, &opts, start.as_ref());
             proptest::prop_assert_eq!(&kernel.0, &fitted);
             proptest::prop_assert_eq!(kernel.1, run.maps);
             let total_w = ws.iter().sum::<f64>().max(f64::MIN_POSITIVE);
@@ -1742,14 +1873,90 @@ mod tests {
             let opts = GmmFitOptions::default();
             let start = fit_at(&nearby, &ws, c, &opts);
             let opts = GmmFitOptions { max_iters: [1, 2, 3, 100][max_iters], ..opts };
-            let fitted = fit_with(&xs, &ws, c, &opts, &mut None, Some(&start)).0;
+            let fitted = fit_with(&rows(&xs, &ws), c, &opts, Some(&start)).0;
             if start.len() == c {
                 let (a, b) = (
-                    fitted.log_likelihood(&xs, &ws),
-                    start.log_likelihood(&xs, &ws),
+                    fitted.log_likelihood(&rows(&xs, &ws)),
+                    start.log_likelihood(&rows(&xs, &ws)),
                 );
                 proptest::prop_assert!(a >= b, "{} from {}", a, b);
             }
+        }
+    }
+
+    /// The BIC of `gmm` on `s` by the textbook: per row, `w` times the
+    /// log-sum-exp of its terms less `v·(0.5/σ²)`, summed in order.
+    fn reference_bic(gmm: &Gmm, s: &MomentSummary) -> f64 {
+        let ll: f64 = (s.rows.iter())
+            .map(|&(w, x, v)| {
+                let logs: Vec<f64> = (gmm.components.iter())
+                    .map(|c| {
+                        let g = &c.gaussian;
+                        c.weight.max(f64::MIN_POSITIVE).ln() + reference_log_pdf(g, x)
+                            - v * (0.5 / (g.sigma * g.sigma))
+                    })
+                    .collect();
+                w * reference_log_sum_exp(&logs)
+            })
+            .sum();
+        let n_eff = s.rows.iter().map(|r| r.0).sum::<f64>().max(1.0);
+        (3 * gmm.len() - 1) as f64 * n_eff.ln() - 2.0 * ll
+    }
+
+    /// The width oracle on binned summaries (rows with `v > 0`): on the
+    /// gap fixtures, a fit at every width and both caps in use is `==` the
+    /// textbook loop on the same rows, and its BIC `==` the per-row sum.
+    #[test]
+    fn binned_summaries_fit_bit_identically_to_the_reference_loop() {
+        for (what, xs) in gap_samples() {
+            let s = MomentSummary::of_sample(&xs);
+            assert_eq!(wmv(&s).0.iter().sum::<f64>(), xs.len() as f64, "{what}");
+            for c in 1..=MAX_COMPONENTS {
+                for max_iters in [40, 100] {
+                    let opts = GmmFitOptions {
+                        max_iters,
+                        ..GmmFitOptions::default()
+                    };
+                    let fitted = Gmm::fit(&s, Widths::One(c), &[], &opts).0;
+                    let reference = textbook_em(&s, c, &opts, None, ratio_responsibilities, true);
+                    assert_eq!(fitted, reference.0, "{what}, C = {c}, {max_iters} maps");
+                    let (bic, textbook) = (fitted.bic(&s), reference_bic(&fitted, &s));
+                    assert_eq!(bic.to_bits(), textbook.to_bits(), "{what}, C = {c}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// The summary costs the cold sweep little fit. On stationary
+        /// gap samples of 1–3 separated modes and 200–4000 gaps, the sweep
+        /// on [`MomentSummary::of_sample`] scores the raw sample within 0.1
+        /// nats a gap of the sweep on every gap. Over 1,500 samples of this
+        /// generator the difference ran from −0.076 to +0.075 (the raw
+        /// sweep's extra components fit a tail, or the summary's sweep
+        /// lands in a better optimum); with equal-count bounds alone, down
+        /// to −1.01, and below −0.02 on 520 of them.
+        #[test]
+        fn summary_fits_score_the_raw_sample_like_raw_fits(
+            seed in 0u64..1_000_000,
+            modes in 1usize..4,
+            n in 200usize..4001,
+        ) {
+            let mut s = crate::sampler::Sampler::new(seed);
+            let xs: Vec<f64> = (0..n)
+                .map(|i| match i % modes {
+                    0 => s.log_normal(5.0, 0.4),
+                    1 => s.normal(900.0, 40.0),
+                    _ => s.normal(2500.0, 90.0),
+                })
+                .collect();
+            let (raw, opts) = (rows(&xs, &vec![1.0; n]), GmmFitOptions::default());
+            let summary = Gmm::fit(&MomentSummary::of_sample(&xs), Widths::Sweep, &[], &opts).0;
+            let whole = Gmm::fit(&raw, Widths::Sweep, &[], &opts).0;
+            let gap = (summary.log_likelihood(&raw) - whole.log_likelihood(&raw)) / n as f64;
+            proptest::prop_assert!(gap.abs() <= 0.1, "{} nats a gap: {:?} against {:?}", gap, summary, whole);
         }
     }
 

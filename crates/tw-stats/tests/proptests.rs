@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tw_stats::desc::{percentile, Summary};
 use tw_stats::gaussian::Gaussian;
-use tw_stats::gmm::{Gmm, GmmFitOptions, Widths};
+use tw_stats::gmm::{Gmm, GmmFitOptions, MomentSummary, Widths};
 use tw_stats::pearson_correlation;
 use tw_stats::sampler::Sampler;
 use tw_stats::special::{beta_inc_reg, student_t_two_sided_p};
@@ -77,8 +77,8 @@ proptest! {
         c in 1usize..5,
         probe in -1e4f64..1e4,
     ) {
-        let ws = vec![1.0; xs.len()];
-        let gmm = Gmm::fit(&xs, &ws, Widths::One(c), &[], &GmmFitOptions::default()).0;
+        let rows = MomentSummary::of_sample(&xs);
+        let gmm = Gmm::fit(&rows, Widths::One(c), &[], &GmmFitOptions::default()).0;
         prop_assert!(!gmm.is_empty());
         prop_assert!(gmm.log_pdf(probe).is_finite());
         let total: f64 = gmm.components.iter().map(|c| c.weight).sum();
@@ -89,11 +89,11 @@ proptest! {
     fn gmm_bic_sweep_never_worse_than_single(
         xs in prop::collection::vec(-1e3f64..1e3, 10..150),
     ) {
-        let (opts, ws) = (GmmFitOptions::default(), vec![1.0; xs.len()]);
-        let (auto, fits) = Gmm::fit(&xs, &ws, Widths::Sweep, &[], &opts);
-        let single = Gmm::fit(&xs, &ws, Widths::One(1), &[], &opts).0;
+        let (opts, rows) = (GmmFitOptions::default(), MomentSummary::of_sample(&xs));
+        let (auto, fits) = Gmm::fit(&rows, Widths::Sweep, &[], &opts);
+        let single = Gmm::fit(&rows, Widths::One(1), &[], &opts).0;
         prop_assert_eq!(&fits[0], &single);
-        prop_assert!(auto.bic(&xs, &ws) <= single.bic(&xs, &ws) + 1e-6);
+        prop_assert!(auto.bic(&rows) <= single.bic(&rows) + 1e-6);
     }
 
     /// What holds of the sweep wherever it stops, on gap-shaped samples of
@@ -118,9 +118,9 @@ proptest! {
             })
             .collect();
         let opts = GmmFitOptions { max_components, ..GmmFitOptions::default() };
-        let ws = vec![1.0; n];
-        let (auto, fits) = Gmm::fit(&xs, &ws, Widths::Sweep, &[], &opts);
-        prop_assert!(auto.bic(&xs, &ws) <= fits[0].bic(&xs, &ws));
+        let rows = MomentSummary::of_sample(&xs);
+        let (auto, fits) = Gmm::fit(&rows, Widths::Sweep, &[], &opts);
+        prop_assert!(auto.bic(&rows) <= fits[0].bic(&rows));
         prop_assert!((1..=max_components).contains(&auto.len()));
         for c in &auto.components {
             prop_assert!(c.weight.is_finite() && c.weight > 0.0);

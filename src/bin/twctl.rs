@@ -1219,6 +1219,10 @@ tw_pipeline_stage_busy_seconds{stage=\"window/0\"} 1.5
 tw_pipeline_items_total{stage=\"window/0\"} 30
 tw_pipeline_queue_depth{stage=\"window/0\"} 2
 tw_core_stage_seconds_sum{stage=\"optimize\"} 0.25
+tw_core_stage_seconds_sum{stage=\"score\"} 0.05
+tw_core_stage_seconds_sum{stage=\"solve\"} 0.1
+tw_core_stage_seconds_sum{stage=\"refit\"} 0.075
+tw_core_stage_seconds_sum{stage=\"unattributed\"} 0.025
 tw_core_candidates_per_span_count 200
 tw_core_spans_mapped_total 150
 tw_engine_windows_total{shed_level=\"full\"} 9
@@ -1234,7 +1238,8 @@ tw_engine_pickup_queue_depth_count 10
                 "clocks    skew, drift by service: 1 +312.4µs +100000ppb",
                 "          7 records corrected; drift fit off by 2.0µs on average",
                 "stages    window/0 1.500s busy/30 items/2 queued",
-                "phases    optimize 0.250s",
+                "phases    optimize 0.250s, score 0.050s, solve 0.100s, refit 0.075s, \
+                 unattributed 0.025s",
                 "trust     75.0% of 200 spans mapped",
                 "degraded  windows by rung: full 9, skip 1; 1 rung changes, 40 records shed, \
                  0.5 windows waiting at pickup",
