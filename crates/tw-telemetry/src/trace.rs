@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Knobs for the self-tracing layer, surfaced as `--trace-sample` and
-/// `--span-ring` on `twctl serve`/`simulate`.
+/// Knobs for the self-tracing layer: `sample` is `twctl serve
+/// --trace-sample`, and `ring` keeps its default there.
 #[derive(Clone, Debug)]
 pub struct TraceConfig {
     /// Head-sampling modulus: window `i` is traced iff `i % sample == 0`.

@@ -26,7 +26,7 @@ impl Reader {
         match self {
             Reader::Bench(file) => file,
             Reader::Ci => ".github/workflows/ci.yml",
-            Reader::Twctl => "src/bin/twctl.rs",
+            Reader::Twctl => "src/bin/twctl/ops.rs",
             Reader::Law => "crates/tw-pipeline/tests/metrics_exposition.rs",
         }
     }

@@ -65,6 +65,17 @@ fn removed_flags_are_rejected() {
             "unknown flag",
         );
     }
+    // Flags nothing set: the sanitizer always tracks drift, and the
+    // self-trace ring keeps its default size.
+    assert_rejected("serve --graph g.json --no-drift", "unknown flag --no-drift");
+    assert_rejected(
+        "evaluate --spans s --graph g --truth t --sanitize --no-drift",
+        "unknown flag --no-drift",
+    );
+    assert_rejected(
+        "serve --graph g.json --span-ring 8",
+        "unknown flag --span-ring",
+    );
     // `serve` always runs one warm window shard, so `--shards` is unknown;
     // an empty stdout means it failed before binding.
     assert_rejected("serve --graph g.json --shards 2", "unknown flag --shards");
