@@ -459,9 +459,8 @@ fn serve_scrape(request: &Request, sources: &[Registry], health: &ServeHealth) -
 fn parse_trace_query(raw: &str) -> tw_store::TraceQuery {
     let mut q = tw_store::TraceQuery::default();
     for pair in raw.split('&') {
-        let (key, value) = match pair.split_once('=') {
-            Some(kv) => kv,
-            None => continue,
+        let Some((key, value)) = pair.split_once('=') else {
+            continue;
         };
         match key {
             "window" => q.window = value.parse().ok(),
@@ -530,8 +529,7 @@ pub fn fetch_traces(
         .collect();
     let path = format!("/traces?{}", params.join("&"));
     let body = fetch_path(addr, &path)?;
-    let doc: tw_store::TracesDoc = serde_json::from_str(&body)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    let doc: tw_store::TracesDoc = serde_json::from_str(&body)?;
     Ok(doc.traces)
 }
 

@@ -27,7 +27,9 @@ use crate::frame::StoreError;
 use crate::manifest::{load_manifest, save_manifest, Manifest, SegmentMeta};
 use crate::metrics::StoreMetrics;
 use crate::query::TraceQuery;
-use crate::segment::{encoded_len, read_segment, scan_segment, write_segment, StoredTrace};
+use crate::segment::{
+    encoded_len, keep_first, read_segment, scan_segment, write_segment, StoredTrace,
+};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -233,16 +235,19 @@ impl TraceArchive {
     /// indexes) plus the not-yet-sealed active buffer. Results are in
     /// (window, start, root, end) order, capped at the query's limit. A
     /// limited query does not read a segment that cannot change its
-    /// answer, so it does not report that segment's corruption either.
+    /// answer, so it does not report that segment's corruption either;
+    /// nor does it clone an active trace past the limit.
     pub fn query(&self, q: &TraceQuery) -> Vec<StoredTrace> {
         let _timer = self.metrics.query_seconds.start_timer();
         let state = self.state.lock();
-        let active = state.active.iter().filter(|t| q.matches(t)).cloned();
+        let mut active: Vec<&StoredTrace> = state.active.iter().filter(|t| q.matches(t)).collect();
+        keep_first(&mut active, q.effective_limit(), |t| t);
         let on_error = |seg: &SegmentMeta, err: StoreError| {
             self.metrics.errors.inc();
             eprintln!("tw-store: query skipped segment {}: {err}", seg.file);
         };
-        scan_committed(&self.dir, &state.manifest, q, active.collect(), on_error)
+        let active = active.into_iter().cloned().collect();
+        scan_committed(&self.dir, &state.manifest, q, active, on_error)
     }
 
     fn publish_gauges(&self, manifest: &Manifest) {
@@ -292,7 +297,7 @@ impl TraceArchive {
                 }
             }
         }
-        sort_traces(&mut merged);
+        merged.sort_by_key(StoredTrace::sort_key);
         let watermark = state.manifest.watermark;
         if self.commit(&mut state.manifest, &small, &merged, false, watermark) {
             self.metrics.compactions.inc();
@@ -341,7 +346,7 @@ impl TraceArchive {
                 }
             }
         }
-        sort_traces(&mut salvaged);
+        salvaged.sort_by_key(StoredTrace::sort_key);
         let watermark = state.manifest.watermark;
         if self.commit(&mut state.manifest, &evict, &salvaged, true, watermark) {
             // Counted only now: an eviction is real once committed.
@@ -410,16 +415,6 @@ impl TraceArchive {
     }
 }
 
-/// Stable result/segment order: windows first, then client start time,
-/// then root id — deterministic regardless of segment layout.
-fn sort_traces(traces: &mut [StoredTrace]) {
-    traces.sort_by(|a, b| {
-        (a.window, a.start, a.root)
-            .cmp(&(b.window, b.start, b.root))
-            .then_with(|| a.end.cmp(&b.end))
-    });
-}
-
 /// The one segment loop: `seed` plus every match of `q` in the committed
 /// segments its footer index cannot rule out, in result order and capped
 /// at the limit. Segments are visited by their first window, so once the
@@ -449,18 +444,18 @@ fn scan_committed(
     let mut out = seed;
     for seg in segments {
         if out.len() >= limit {
-            sort_traces(&mut out);
+            out.sort_by_key(StoredTrace::sort_key);
             out.truncate(limit);
             if seg.index.min_window > out[limit - 1].window {
                 break;
             }
         }
-        match scan_segment(&dir.join(&seg.file), q) {
+        match scan_segment(&dir.join(&seg.file), q, limit) {
             Ok(hits) => out.extend(hits),
             Err(err) => on_error(seg, err),
         }
     }
-    sort_traces(&mut out);
+    out.sort_by_key(StoredTrace::sort_key);
     out.truncate(limit);
     out
 }
@@ -474,10 +469,7 @@ pub fn read_query(dir: &Path, q: &TraceQuery) -> Result<Vec<StoredTrace>, StoreE
     let out = scan_committed(dir, &manifest, q, Vec::new(), |_, err| {
         failed.get_or_insert(err);
     });
-    match failed {
-        Some(err) => Err(err),
-        None => Ok(out),
-    }
+    failed.map_or(Ok(out), Err)
 }
 
 #[cfg(test)]
@@ -955,9 +947,41 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A limited service query builds, from a segment holding more
+    /// matches, only the traces it returns: the first by sort key, not the
+    /// first in the file.
+    #[test]
+    fn a_limited_query_builds_only_what_it_returns() {
+        use crate::segment::testutil::built;
+        let dir = tmp_dir("built");
+        let archive = TraceArchive::open(ArchiveConfig::new(&dir), &Registry::new()).unwrap();
+        let traces = (0..10).map(|root| trace(0, root, 7 + root as u32 % 2, 2_000 - root, 3_000));
+        archive.observe_window(0, traces.collect());
+        archive.sync();
+        assert_eq!(archive.segment_count(), 1);
+
+        let q = TraceQuery {
+            service: Some(7),
+            limit: 2,
+            ..TraceQuery::default()
+        };
+        let (hits, n) = built(|| read_query(&dir, &q).unwrap());
+        assert_eq!(hits.iter().map(|t| t.root).collect::<Vec<_>>(), [8, 6]);
+        assert_eq!(n, 2);
+        let (live, n) = built(|| archive.query(&q));
+        assert_eq!((live, n), (hits, 2));
+        let unlimited = TraceQuery {
+            limit: usize::MAX,
+            ..q
+        };
+        assert_eq!(built(|| archive.query(&unlimited)).1, 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     mod scan {
         use super::*;
         use proptest::prelude::*;
+        use tw_model::ids::OperationId;
 
         /// What happens after a window is observed.
         #[derive(Debug, Clone, Copy)]
@@ -967,12 +991,12 @@ mod tests {
             Maintain,
         }
 
-        /// One window: each trace's (start, duration, service), then the
-        /// step that follows it. Starts collide, so the window at a cut
+        /// One window: each trace's (start, duration, service, op), then
+        /// the step that follows it. Starts collide, so the window at a cut
         /// often holds several traces tied on (window, start).
-        fn window() -> impl Strategy<Value = (Vec<(u64, u64, u32)>, Then)> {
+        fn window() -> impl Strategy<Value = (Vec<(u64, u64, u32, u32)>, Then)> {
             (
-                prop::collection::vec((0u64..3, 0u64..3, 0u32..3), 0..6),
+                prop::collection::vec((0u64..3, 0u64..3, 0u32..3, 0u32..2), 0..6),
                 (0usize..4)
                     .prop_map(|i| [Then::Nothing, Then::Nothing, Then::Sync, Then::Maintain][i]),
             )
@@ -981,17 +1005,22 @@ mod tests {
         /// A query's filters, each set or not, without its limit.
         fn filters() -> impl Strategy<Value = TraceQuery> {
             (
-                prop::option::of(0u32..3),
+                (prop::option::of(0u32..3), prop::option::of(0u32..2)),
                 prop::option::of(0u64..3),
                 prop::option::of(0u64..12),
                 prop::option::of(0u64..12_000),
+                prop::option::of(0u64..32_000),
             )
-                .prop_map(|(service, min_latency_ns, window, from_ns)| TraceQuery {
-                    service,
-                    min_latency_ns,
-                    window,
-                    from_ns,
-                    ..TraceQuery::default()
+                .prop_map(|((service, op), min_latency_ns, window, from_ns, to_ns)| {
+                    TraceQuery {
+                        service,
+                        op,
+                        min_latency_ns,
+                        window,
+                        from_ns,
+                        to_ns,
+                        ..TraceQuery::default()
+                    }
                 })
         }
 
@@ -999,7 +1028,7 @@ mod tests {
         fn brute_force(traces: &[StoredTrace], q: &TraceQuery) -> Vec<StoredTrace> {
             let mut hits: Vec<StoredTrace> =
                 traces.iter().filter(|t| q.matches(t)).cloned().collect();
-            sort_traces(&mut hits);
+            hits.sort_by_key(StoredTrace::sort_key);
             hits.truncate(q.effective_limit());
             hits
         }
@@ -1028,10 +1057,11 @@ mod tests {
                 for (w, (traces, then)) in (0u64..).zip(windows) {
                     let traces: Vec<StoredTrace> = traces
                         .into_iter()
-                        .map(|(start, duration, service)| {
+                        .map(|(start, duration, service, op)| {
                             let start = w * 1_000 + start;
                             let root = observed.len() as u64 + 1;
-                            let t = trace(w, root, service, start, start + 1 + duration);
+                            let mut t = trace(w, root, service, start, start + 1 + duration);
+                            t.spans[0].record.callee.op = OperationId(op);
                             observed.push(t.clone());
                             t
                         })

@@ -375,9 +375,7 @@ impl FrameReader {
 
 /// Serialize a frame payload.
 pub(crate) fn to_json<T: Serialize>(value: &T) -> std::io::Result<Vec<u8>> {
-    serde_json::to_string(value)
-        .map(String::into_bytes)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    Ok(serde_json::to_string(value)?.into_bytes())
 }
 
 /// Parse a frame payload.

@@ -3,7 +3,7 @@
 //! against the footer [`SegmentIndex`], so a query touches only segments
 //! that can contain a match.
 
-use crate::segment::{SegmentIndex, StoredTrace};
+use crate::segment::{EndpointCount, SegmentIndex, StoredTrace};
 use serde::{Deserialize, Serialize};
 
 /// A trace query. All filters are conjunctive; `None` means "any".
@@ -75,38 +75,17 @@ impl TraceQuery {
     /// Segment-level pruning: false when the footer index proves the
     /// segment cannot contain a match, so its body is never read.
     pub fn may_match_segment(&self, index: &SegmentIndex) -> bool {
-        if index.traces == 0 {
-            return false;
-        }
-        if let Some(from) = self.from_ns {
-            if index.max_ts < from {
-                return false;
-            }
-        }
-        if let Some(to) = self.to_ns {
-            if index.min_ts > to {
-                return false;
-            }
-        }
-        if let Some(window) = self.window {
-            if window < index.min_window || window > index.max_window {
-                return false;
-            }
-        }
-        if let Some(min) = self.min_latency_ns {
-            if index.max_latency_ns < min {
-                return false;
-            }
-        }
-        match (self.service, self.op) {
-            (Some(service), Some(op)) => index.endpoint_records(service, op) > 0,
-            (Some(service), None) => index.service_records(service) > 0,
-            (None, Some(op)) => index
-                .by_endpoint
-                .iter()
-                .any(|e| e.op == op && e.records > 0),
-            (None, None) => true,
-        }
+        let callee = |e: &EndpointCount| e.records > 0 && self.matches_callee(e.service, e.op);
+        index.traces > 0
+            && (!self.filters_spans() || index.by_endpoint.iter().any(callee))
+            && self.from_ns.is_none_or(|from| index.max_ts >= from)
+            && self.to_ns.is_none_or(|to| index.min_ts <= to)
+            && self
+                .window
+                .is_none_or(|w| (index.min_window..=index.max_window).contains(&w))
+            && self
+                .min_latency_ns
+                .is_none_or(|min| index.max_latency_ns >= min)
     }
 }
 

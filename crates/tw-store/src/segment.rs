@@ -14,7 +14,9 @@
 //!
 //! Every field is fixed width and stored as it is, so any `StoredTrace`
 //! value round-trips — and `scan_segment` can answer a query from the
-//! directory and the callee columns, building a trace only for a match.
+//! directory and the callee columns, building a trace only for a match
+//! its limit can return (a match past the limit still has its span rows
+//! validated, so the limit never changes whether a segment is rejected).
 //! Version 1 (one JSON `Vec<StoredTrace>` frame, then the footer) is still
 //! read; compaction rewrites such segments in version 2.
 //!
@@ -94,6 +96,22 @@ pub struct StoredTrace {
     pub degraded: bool,
     /// Pre-order spans, root first.
     pub spans: Vec<StoredSpan>,
+}
+
+impl StoredTrace {
+    /// The archive's result order: window, client start, root id, end.
+    pub(crate) fn sort_key(&self) -> (u64, u64, u64, u64) {
+        (self.window, self.start, self.root, self.end)
+    }
+}
+
+/// Cut `items` to the `limit` whose traces come first in result order,
+/// ties in the order they were in; fewer stay as they are.
+pub(crate) fn keep_first<T>(items: &mut Vec<T>, limit: usize, trace: impl Fn(&T) -> &StoredTrace) {
+    if items.len() > limit {
+        items.sort_by_key(|item| trace(item).sort_key());
+        items.truncate(limit);
+    }
 }
 
 /// Per-service record count inside one segment.
@@ -194,22 +212,6 @@ impl SegmentIndex {
             .collect();
         index
     }
-
-    /// Records for a callee service (0 when absent).
-    pub fn service_records(&self, service: u32) -> u64 {
-        self.by_service
-            .iter()
-            .find(|c| c.service == service)
-            .map_or(0, |c| c.records)
-    }
-
-    /// Records for a callee endpoint (0 when absent).
-    pub fn endpoint_records(&self, service: u32, op: u32) -> u64 {
-        self.by_endpoint
-            .iter()
-            .find(|c| c.service == service && c.op == op)
-            .map_or(0, |c| c.records)
-    }
 }
 
 /// Bytes `trace` occupies in a segment's directory and span-row frames.
@@ -279,8 +281,10 @@ fn decode_dir_row(row: &[u8]) -> Result<(StoredTrace, u32), StoreError> {
     Ok((trace, u32::from_le_bytes(le(row, 41))))
 }
 
-/// Rejects every byte pattern [`encode_span_row`] cannot produce.
-fn decode_span_row(row: &[u8]) -> Result<StoredSpan, StoreError> {
+/// A span row's caller and callee thread ids. Rejects the byte patterns
+/// [`encode_span_row`] cannot produce there: thread flags above 3, and a
+/// thread id under a clear flag.
+fn thread_ids(row: &[u8]) -> Result<(Option<u32>, Option<u32>), StoreError> {
     let flags = row[60];
     if flags > 3 {
         return Err(bad(format!("thread flags {flags}")));
@@ -290,6 +294,12 @@ fn decode_span_row(row: &[u8]) -> Result<StoredSpan, StoreError> {
         (false, 0) => Ok(None),
         (false, id) => Err(bad(format!("thread id {id} without its flag"))),
     };
+    Ok((thread(1, 61)?, thread(2, 65)?))
+}
+
+/// Rejects every byte pattern [`encode_span_row`] cannot produce.
+fn decode_span_row(row: &[u8]) -> Result<StoredSpan, StoreError> {
+    let (caller_thread, callee_thread) = thread_ids(row)?;
     Ok(StoredSpan {
         depth: u32::from_le_bytes(le(row, 0)),
         record: RpcRecord {
@@ -305,8 +315,8 @@ fn decode_span_row(row: &[u8]) -> Result<StoredSpan, StoreError> {
             recv_req: Nanos(u64::from_le_bytes(le(row, 36))),
             send_resp: Nanos(u64::from_le_bytes(le(row, 44))),
             recv_resp: Nanos(u64::from_le_bytes(le(row, 52))),
-            caller_thread: thread(1, 61)?,
-            callee_thread: thread(2, 65)?,
+            caller_thread,
+            callee_thread,
         },
     })
 }
@@ -334,19 +344,25 @@ pub fn write_segment(path: &Path, traces: &[StoredTrace]) -> std::io::Result<(u6
     Ok((len, index))
 }
 
-/// The traces of one segment that `q` matches, in file order; the query's
-/// limit is the caller's to apply once every segment is in. Every frame a
-/// returned trace was decoded from has had its CRC checked, and the footer
-/// is validated even though it is not used: a segment with a torn index is
-/// corrupt even when its body decodes.
-pub(crate) fn scan_segment(path: &Path, q: &TraceQuery) -> Result<Vec<StoredTrace>, StoreError> {
+/// The traces of one segment that `q` matches, in file order; when more
+/// than `limit` match, only the first `limit` in result order (ties in
+/// file order), as no other can be in the query's answer. Every frame a
+/// returned trace was decoded from has had its CRC checked, and the
+/// footer is validated even though it is not used: a segment with a torn
+/// index is corrupt even when its body decodes.
+pub(crate) fn scan_segment(
+    path: &Path,
+    q: &TraceQuery,
+    limit: usize,
+) -> Result<Vec<StoredTrace>, StoreError> {
     let (mut reader, version) = FrameReader::open(path, MAGIC, &[V1_JSON, V2_ROWS])?;
     let traces = if version == V1_JSON {
         let mut traces: Vec<StoredTrace> = from_json(&reader.frame()?)?;
         traces.retain(|t| q.matches(t));
+        keep_first(&mut traces, limit, |t| t);
         traces
     } else {
-        scan_rows(&mut reader, q)?
+        scan_rows(&mut reader, q, limit)?
     };
     let _: SegmentIndex = from_json(&reader.frame()?)?;
     reader.finish()?;
@@ -357,8 +373,14 @@ pub(crate) fn scan_segment(path: &Path, q: &TraceQuery) -> Result<Vec<StoredTrac
 /// time, window and latency filters; when no row survives, the span rows
 /// are seeked past, unread. Lengths are reconciled — whole directory rows,
 /// and exactly the span rows the directory counts — before anything is
-/// sized from them, so no allocation exceeds the file's own length.
-fn scan_rows(reader: &mut FrameReader, q: &TraceQuery) -> Result<Vec<StoredTrace>, StoreError> {
+/// sized from them, so no allocation exceeds the file's own length. Every
+/// match's span rows are validated, built or not, so the verdict on a
+/// segment is the same at every limit.
+fn scan_rows(
+    reader: &mut FrameReader,
+    q: &TraceQuery,
+    limit: usize,
+) -> Result<Vec<StoredTrace>, StoreError> {
     let directory = reader.frame()?;
     if directory.len() % DIR_ROW != 0 {
         return Err(bad("directory is not whole rows"));
@@ -394,16 +416,24 @@ fn scan_rows(reader: &mut FrameReader, q: &TraceQuery) -> Result<Vec<StoredTrace
             u32::from_le_bytes(le(row, CALLEE_AT + 4)),
         )
     };
-    let mut out = Vec::new();
-    for (mut trace, first, spans) in hits {
+    let mut matched = Vec::with_capacity(hits.len());
+    for (trace, first, spans) in hits {
         let rows = &rows[first * SPAN_ROW..][..spans * SPAN_ROW];
-        if q.filters_spans() && !rows.chunks_exact(SPAN_ROW).any(callee_matches) {
-            continue;
+        if !q.filters_spans() || rows.chunks_exact(SPAN_ROW).any(callee_matches) {
+            rows.chunks_exact(SPAN_ROW)
+                .try_for_each(|row| thread_ids(row).map(drop))?;
+            matched.push((trace, rows));
         }
-        trace.spans = rows
-            .chunks_exact(SPAN_ROW)
-            .map(decode_span_row)
-            .collect::<Result<_, _>>()?;
+    }
+    keep_first(&mut matched, limit, |(trace, _)| trace);
+    let mut out = Vec::with_capacity(matched.len());
+    for (mut trace, rows) in matched {
+        trace.spans = Vec::with_capacity(rows.len() / SPAN_ROW);
+        for row in rows.chunks_exact(SPAN_ROW) {
+            trace.spans.push(decode_span_row(row)?);
+        }
+        #[cfg(test)]
+        testutil::BUILT.with(|n| n.set(n.get() + 1));
         out.push(trace);
     }
     Ok(out)
@@ -412,7 +442,7 @@ fn scan_rows(reader: &mut FrameReader, q: &TraceQuery) -> Result<Vec<StoredTrace
 /// Read and validate a whole segment: every frame CRC-checked, the body
 /// decoded into traces.
 pub fn read_segment(path: &Path) -> Result<Vec<StoredTrace>, StoreError> {
-    scan_segment(path, &TraceQuery::default())
+    scan_segment(path, &TraceQuery::default(), usize::MAX)
 }
 
 /// Read only a segment's footer index, seeking past the body — the cheap
@@ -436,6 +466,19 @@ pub(crate) mod testutil {
     use tw_model::ids::{Endpoint, OperationId, RpcId, ServiceId};
     use tw_model::span::{RpcRecord, EXTERNAL};
     use tw_model::time::Nanos;
+
+    thread_local! {
+        /// Traces the version-2 scan has built on this thread: what the
+        /// limit saves, counted rather than timed.
+        pub(crate) static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Traces the scans `f` runs build.
+    pub(crate) fn built<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        let before = BUILT.with(|n| n.get());
+        let out = f();
+        (out, BUILT.with(|n| n.get()) - before)
+    }
 
     pub(crate) fn record(rpc: u64, service: u32, op: u32, start: u64, end: u64) -> RpcRecord {
         RpcRecord {
@@ -497,9 +540,18 @@ mod tests {
         assert_eq!(index.records, 2);
         assert_eq!((index.min_ts, index.max_ts), (1_000_000, 600_000_000));
         assert_eq!((index.min_window, index.max_window), (3, 4));
-        assert_eq!(index.service_records(7), 1);
-        assert_eq!(index.service_records(9), 1);
-        assert_eq!(index.endpoint_records(7, 0), 1);
+        let services: Vec<(u32, u64)> = index
+            .by_service
+            .iter()
+            .map(|c| (c.service, c.records))
+            .collect();
+        assert_eq!(services, [(7, 1), (9, 1)]);
+        let endpoints: Vec<(u32, u32, u64)> = index
+            .by_endpoint
+            .iter()
+            .map(|c| (c.service, c.op, c.records))
+            .collect();
+        assert_eq!(endpoints, [(7, 0, 1), (9, 0, 1)]);
         assert_eq!(index.max_latency_ns, 598_000_000);
         // 4ms lands in the <=4ms bucket; 598ms in the <=1024ms bucket.
         assert_eq!(index.latency_counts[2], 1);
@@ -622,7 +674,7 @@ mod tests {
             // A query no directory row survives seeks past the span rows,
             // and still reconciles their length with the directory.
             if rows.len() != SPAN_ROW {
-                let err = scan_segment(&path, &nowhere).unwrap_err();
+                let err = scan_segment(&path, &nowhere, 1).unwrap_err();
                 assert!(matches!(err, StoreError::BadPayload(_)), "{what}: {err}");
             }
         }
@@ -723,6 +775,34 @@ mod tests {
         traces.iter().filter(|t| q.matches(t)).cloned().collect()
     }
 
+    /// What a scan at `limit` returns, by definition: every match in file
+    /// order, or, when more match, the `limit` that sort first by
+    /// (window, start, root, end), ties in file order.
+    fn first_matches(traces: &[StoredTrace], q: &TraceQuery, limit: usize) -> Vec<StoredTrace> {
+        let mut hits: Vec<(usize, &StoredTrace)> = traces
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| q.matches(t))
+            .collect();
+        if hits.len() > limit {
+            hits.sort_by_key(|&(i, t)| (t.window, t.start, t.root, t.end, i));
+            hits.truncate(limit);
+        }
+        hits.into_iter().map(|(_, t)| t.clone()).collect()
+    }
+
+    /// `traces` laid out as a segment's two body frames.
+    fn body(traces: &[StoredTrace]) -> (Vec<u8>, Vec<u8>) {
+        let (mut directory, mut rows) = (Vec::new(), Vec::new());
+        for t in traces {
+            encode_dir_row(&mut directory, t, t.spans.len() as u32);
+            t.spans
+                .iter()
+                .for_each(|span| encode_span_row(&mut rows, span));
+        }
+        (directory, rows)
+    }
+
     proptest! {
         /// Write, read, re-write: the same traces, the same index, the
         /// same bytes — and every combination of filters scans to what
@@ -750,25 +830,41 @@ mod tests {
             for mask in 0..64 {
                 let q = masked(&q, mask);
                 prop_assert_eq!(
-                    scan_segment(&path, &q).unwrap(),
+                    scan_segment(&path, &q, usize::MAX).unwrap(),
                     brute_force(&traces, &q),
                     "{:?}", q
                 );
+                for limit in 1..4 {
+                    let (hits, built) = testutil::built(|| scan_segment(&path, &q, limit));
+                    let want = first_matches(&traces, &q, limit);
+                    prop_assert_eq!(built, want.len());
+                    prop_assert_eq!(hits.unwrap(), want, "{:?} limit {}", q, limit);
+                }
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
 
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
         /// A valid file with a bit flipped, a tail cut off, bytes added,
         /// or a run of another valid file's bytes written over its own:
         /// every reader answers with a typed error or with exactly what
-        /// the intact file holds — never a panic, never other traces.
+        /// the intact file holds — never a panic, never other traces. The
+        /// same run over the body frames, or one byte of a span row's
+        /// thread fields, with the CRCs made good reaches the row decoder,
+        /// which may accept other traces; at every limit, the scan rejects
+        /// exactly the files it rejects unlimited.
         #[test]
         fn hostile_bytes_are_typed_errors_or_the_original(
             traces in prop::collection::vec(stored_trace(), 0..6),
             donor in prop::collection::vec(stored_trace(), 0..6),
             q in full_query(),
             mask in 0u32..64,
-            damage in (0u32..4, any::<u64>(), any::<u64>(), any::<u64>()),
+            damage in (0u32..6, any::<u64>(), any::<u64>(), any::<u64>()),
+            limit in 1usize..4,
         ) {
             let dir = fresh_dir("prop-hostile");
             let path = dir.join("seg-00000000.twsg");
@@ -776,31 +872,59 @@ mod tests {
             let mut bytes = std::fs::read(&path).unwrap();
             let (kind, a, b, c) = damage;
             let pick = |n: u64, below: usize| (n % below as u64) as usize;
+            // A run of `donor` over `bytes`, at offsets drawn from `a`, `b`.
+            let overwrite = |bytes: &mut [u8], donor: &[u8]| {
+                if !bytes.is_empty() && !donor.is_empty() {
+                    let (from, to) = (pick(a, donor.len()), pick(b, bytes.len()));
+                    let n = (1 + pick(c, 96)).min(donor.len() - from).min(bytes.len() - to);
+                    bytes[to..to + n].copy_from_slice(&donor[from..from + n]);
+                }
+            };
             let len = bytes.len();
             match kind {
                 0 => bytes[pick(a, len)] ^= 1 << (b % 8),
                 1 => bytes.truncate(pick(a, len)),
                 2 => bytes.extend(b.to_le_bytes().iter().take(1 + pick(a, 8))),
-                _ => {
+                3 => {
                     write_segment(&path, &donor).unwrap();
-                    let donor = std::fs::read(&path).unwrap();
-                    let from = pick(a, donor.len());
-                    let to = pick(b, len);
-                    let n = (1 + pick(c, 96)).min(donor.len() - from).min(len - to);
-                    bytes[to..to + n].copy_from_slice(&donor[from..from + n]);
+                    overwrite(&mut bytes, &std::fs::read(&path).unwrap());
+                }
+                _ => {
+                    let (mut directory, mut rows) = body(&traces);
+                    if kind == 4 {
+                        let (donor_directory, donor_rows) = body(&donor);
+                        let mut run = [directory.clone(), rows].concat();
+                        overwrite(&mut run, &[donor_directory, donor_rows].concat());
+                        rows = run.split_off(directory.len());
+                        directory = run;
+                    } else if !rows.is_empty() {
+                        let row = pick(a, rows.len() / SPAN_ROW);
+                        rows[row * SPAN_ROW + 60 + pick(b, 9)] = c as u8;
+                    }
+                    let footer = to_json(&index).unwrap();
+                    write_frames(&path, MAGIC, V2_ROWS, &[&directory, &rows, &footer]).unwrap();
+                    bytes = std::fs::read(&path).unwrap();
                 }
             }
             std::fs::write(&path, &bytes).unwrap();
 
             let q = masked(&q, mask);
-            if let Ok(read) = read_segment(&path) {
-                prop_assert_eq!(read, traces.clone());
+            let unlimited = scan_segment(&path, &q, usize::MAX);
+            let limited = scan_segment(&path, &q, limit);
+            prop_assert_eq!(limited.is_ok(), unlimited.is_ok(), "{:?} limit {}", q, limit);
+            if let (Ok(limited), Ok(unlimited)) = (limited, &unlimited) {
+                prop_assert_eq!(limited, first_matches(unlimited, &TraceQuery::default(), limit));
             }
-            if let Ok(read) = read_segment_index(&path) {
-                prop_assert_eq!(read, index);
-            }
-            if let Ok(hits) = scan_segment(&path, &q) {
-                prop_assert_eq!(hits, brute_force(&traces, &q));
+            if kind < 4 {
+                if let Ok(read) = read_segment(&path) {
+                    prop_assert_eq!(read, traces.clone());
+                }
+                if let Ok(read) = read_segment_index(&path) {
+                    prop_assert_eq!(read, index);
+                }
+                if let Ok(hits) = unlimited {
+                    prop_assert_eq!(hits, brute_force(&traces, &q));
+                }
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
