@@ -41,8 +41,8 @@ pub use checkpoint::{
     RecoveryMetrics,
 };
 pub use net::{
-    export_records, export_records_with, fetch_deadletters, fetch_metrics, fetch_spans,
-    fetch_traces, IngestServer, MetricsServer, ServeHealth,
+    export_records, export_records_with, fetch, fetch_traces, IngestServer, MetricsServer,
+    ServeHealth,
 };
 pub use online::{DegradationLevel, OnlineConfig, OnlineEngine, ShedPolicy, WindowResult};
 pub use pipeline::{

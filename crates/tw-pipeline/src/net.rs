@@ -476,9 +476,10 @@ fn parse_trace_query(raw: &str) -> tw_store::TraceQuery {
     q
 }
 
-/// `GET` one path from a [`MetricsServer`] and return the body. Errors on
-/// connect failure or a non-200 status.
-fn fetch_path(addr: SocketAddr, path: &str) -> std::io::Result<String> {
+/// `GET` one path from a [`MetricsServer`] — `/metrics`, `/deadletters`,
+/// `/spans` — and return the body. Errors on connect failure or a non-200
+/// status (a 404 when nothing serving that path is attached).
+pub fn fetch(addr: SocketAddr, path: &str) -> std::io::Result<String> {
     let (status, body) = http::get(addr, path, Duration::from_secs(5))?;
     if status != 200 {
         return Err(std::io::Error::other(format!(
@@ -486,24 +487,6 @@ fn fetch_path(addr: SocketAddr, path: &str) -> std::io::Result<String> {
         )));
     }
     Ok(body)
-}
-
-/// Scrape a [`MetricsServer`] (or any `/metrics` endpoint) and return the
-/// exposition body. Errors on connect failure or a non-200 status.
-pub fn fetch_metrics(addr: SocketAddr) -> std::io::Result<String> {
-    fetch_path(addr, "/metrics")
-}
-
-/// Fetch a [`MetricsServer`]'s `/deadletters` document (the quarantine
-/// queue as JSON). Errors if no queue is attached (404).
-pub fn fetch_deadletters(addr: SocketAddr) -> std::io::Result<String> {
-    fetch_path(addr, "/deadletters")
-}
-
-/// Fetch a [`MetricsServer`]'s `/spans` document (recent sealed span
-/// trees plus active ones, as JSON). Errors if no recorder is attached.
-pub fn fetch_spans(addr: SocketAddr) -> std::io::Result<String> {
-    fetch_path(addr, "/spans")
 }
 
 /// Query a [`MetricsServer`]'s `/traces` endpoint and return the parsed
@@ -528,7 +511,7 @@ pub fn fetch_traces(
         .filter_map(|(key, value)| value.map(|v| format!("{key}={v}")))
         .collect();
     let path = format!("/traces?{}", params.join("&"));
-    let body = fetch_path(addr, &path)?;
+    let body = fetch(addr, &path)?;
     let doc: tw_store::TracesDoc = serde_json::from_str(&body)?;
     Ok(doc.traces)
 }

@@ -49,8 +49,9 @@ pub struct ShedPolicy {
 pub struct OnlineConfig {
     /// Window length (paper suggests 1–5s of spans per optimization).
     pub window: Nanos,
-    /// Extra wait beyond the window end before processing, covering the
-    /// app's maximum response latency.
+    /// Extra wait beyond the window end, covering the app's maximum
+    /// response latency: a window is reconstructed at end + grace/2 and
+    /// published at end + grace (a late record makes the cut recompute).
     pub grace: Nanos,
     /// Every queue in the pipeline graph is bounded to this many items. A
     /// full queue makes its producer wait, so pressure reaches the ingest
@@ -140,9 +141,9 @@ pub struct WindowResult {
     /// back-pressure signal (persistently > 0 means reconstruction can't
     /// keep up with ingest at this thread count).
     pub queue_depth: usize,
-    /// Wall-clock time the reconstruction of this window took: from the
-    /// start of its seal to the result, so the warm registry's refit,
-    /// which runs after the hand-off, is not in it.
+    /// Wall-clock time the reconstruction of this window took, at end +
+    /// grace/2 or, after a late record, at the cut; the warm registry's
+    /// refit, which runs after the hand-off, is not in it.
     pub latency: Duration,
     /// Delay-registry edges this window warm-started from (0 = cold
     /// start: no prior, or warm mode disabled).

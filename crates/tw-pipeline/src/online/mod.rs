@@ -3,16 +3,17 @@
 //!
 //! Spans arrive on a crossbeam channel (in production they'd arrive as
 //! `tw_capture::wire` frames over TCP; the channel models the same
-//! stream). The engine buffers records and, whenever the *watermark* (the
-//! latest response timestamp seen) passes the current window's end plus a
-//! grace period, reconstructs every record that completed inside the
-//! window. The grace period plays the paper's role of "the window needs to
-//! be chosen based on the known response latency distribution of the app":
-//! it delays the cut until late records of the window have arrived. It
-//! does not keep a trace in one window: a record lands in the window of
-//! its own `recv_resp`, so a child that completes before a cut is sealed
-//! one window before its parent. ROADMAP's window-seams item measures
-//! what that costs.
+//! stream). The engine buffers records; once the *watermark* (the latest
+//! response timestamp seen) passes a window's end plus half the grace
+//! period it reconstructs every record that completed inside the window,
+//! and at end plus grace it publishes the result; a late record in between
+//! makes the cut recompute. The grace period plays the paper's role of
+//! "the window needs to be chosen based on the known response latency
+//! distribution of the app": it delays the cut until late records of the
+//! window have arrived. It does not keep a trace in one window: a record
+//! lands in the window of its own `recv_resp`, so a child that completes
+//! before a cut is sealed one window before its parent. ROADMAP's
+//! window-seams item measures what that costs.
 //!
 //! The engine is one linear chain of stages from the staged-pipeline core
 //! ([`crate::pipeline`]): every hop is a bounded queue that blocks its
@@ -29,7 +30,7 @@
 //! * `router` — which window a record belongs to, stamped in arrival
 //!   order;
 //! * `shard` — what sealing a window does, on a cut mark or in the
-//!   shutdown drain, and the warm registry chain it may carry;
+//!   shutdown drain (ahead of it on a ready mark), and its warm registry;
 //! * `engine` — how the engine recovers, starts and drains.
 //!
 //! No queue drops anything. Under overload the engine trades work for

@@ -17,27 +17,28 @@ pub(crate) fn window_of(recv_resp: Nanos, window_ns: u64) -> u64 {
     recv_resp.0.div_ceil(window_ns).saturating_sub(1)
 }
 
-/// Router → shard message: a record stamped with its window index, or the
-/// cut that seals a window.
+/// Router → shard message: a record stamped with its window index, the
+/// mark that a window may be reconstructed, or the cut that seals it.
 #[derive(Debug)]
 pub(super) enum WindowMsg {
     Record(u64, RpcRecord),
+    Ready(u64),
     Cut(u64),
 }
 
-/// A routed record quarantines with its record and window; a cut with its
-/// window.
+/// A routed record quarantines with its record and window; a mark with
+/// its window.
 impl DeadLetterPayload for WindowMsg {
     fn dead_letter_record(&self) -> Option<RpcRecord> {
         match self {
             WindowMsg::Record(_, rec) => Some(*rec),
-            WindowMsg::Cut(_) => None,
+            WindowMsg::Ready(_) | WindowMsg::Cut(_) => None,
         }
     }
 
     fn dead_letter_window(&self) -> Option<u64> {
         match self {
-            WindowMsg::Record(window, _) | WindowMsg::Cut(window) => Some(*window),
+            WindowMsg::Record(w, _) | WindowMsg::Ready(w) | WindowMsg::Cut(w) => Some(*w),
         }
     }
 }
@@ -47,18 +48,19 @@ impl DeadLetterPayload for WindowMsg {
 /// uncut window)`, so a late record lands in the first window still open
 /// at its arrival — and sends the stamped record to the window shard.
 /// After a restore it drops the records routed below the watermark.
-/// When the watermark passes a window's end plus grace it sends the
-/// [`WindowMsg::Cut`]. The queue is FIFO, so a window's records are all
-/// buffered in the shard before its cut arrives.
+/// At a window's end plus half the grace it sends [`WindowMsg::Ready`],
+/// at end plus grace [`WindowMsg::Cut`]. The queue is FIFO, so a window's
+/// records are all buffered in the shard before its cut arrives.
 pub(super) struct WindowRouter {
     window: Nanos,
     grace: Nanos,
     watermark: Nanos,
     first_uncut: u64,
+    first_unready: u64,
     recovery: Option<RouterRecovery>,
     trace: Option<SpanRecorder>,
-    /// Open "route" spans, one per sampled window, finished when the
-    /// window's cut is sent.
+    /// Open "route" spans, one per sampled window, finished when its ready
+    /// mark is sent; a record routed after that opens none.
     route_spans: BTreeMap<u64, SpanGuard>,
 }
 
@@ -79,6 +81,7 @@ impl WindowRouter {
             grace,
             watermark: Nanos::ZERO,
             first_uncut: 0,
+            first_unready: 0,
             recovery: None,
             trace,
             route_spans: BTreeMap::new(),
@@ -90,6 +93,7 @@ impl WindowRouter {
     /// the records routed there are dropped, never re-emitted or folded.
     pub(super) fn resume(mut self, first_uncut: u64, metrics: &RecoveryMetrics) -> Self {
         self.first_uncut = first_uncut;
+        self.first_unready = first_uncut;
         self.recovery = Some(RouterRecovery {
             resumed_at: first_uncut,
             windows_lost: Some(metrics.windows_lost.clone()),
@@ -98,10 +102,10 @@ impl WindowRouter {
         self
     }
 
-    /// Nominal end of window `index`: records with `recv_resp <= end`
-    /// belong to it (or an earlier one).
-    fn window_end(&self, index: u64) -> u64 {
-        (index + 1).saturating_mul(self.window.0)
+    /// `wait` past the nominal end of window `index` (records with
+    /// `recv_resp <= end` belong to it or an earlier one).
+    fn due(&self, index: u64, wait: u64) -> u64 {
+        self.window.0.saturating_mul(index + 1).saturating_add(wait)
     }
 }
 
@@ -131,7 +135,7 @@ impl Stage for WindowRouter {
             }
         }
         let index = by_ts.max(self.first_uncut);
-        if let Some(trace) = &self.trace {
+        if let (Some(trace), true) = (&self.trace, index >= self.first_unready) {
             if let Entry::Vacant(e) = self.route_spans.entry(index) {
                 if let Some(guard) = trace.span(index, "route") {
                     e.insert(guard);
@@ -139,16 +143,21 @@ impl Stage for WindowRouter {
             }
         }
         out.emit(WindowMsg::Record(index, rec));
-        while self.watermark.0
-            >= self
-                .window_end(self.first_uncut)
-                .saturating_add(self.grace.0)
-        {
-            if let Some(guard) = self.route_spans.remove(&self.first_uncut) {
-                guard.event(format!("cut at watermark {}", self.watermark.0));
+        loop {
+            let ready_at = self.due(self.first_unready, self.grace.0 / 2);
+            let cut_at = self.due(self.first_uncut, self.grace.0);
+            if ready_at <= cut_at.min(self.watermark.0) {
+                if let Some(guard) = self.route_spans.remove(&self.first_unready) {
+                    guard.event(format!("ready at watermark {}", self.watermark.0));
+                }
+                out.emit(WindowMsg::Ready(self.first_unready));
+                self.first_unready += 1;
+            } else if cut_at <= self.watermark.0 {
+                out.emit(WindowMsg::Cut(self.first_uncut));
+                self.first_uncut += 1;
+            } else {
+                break;
             }
-            out.emit(WindowMsg::Cut(self.first_uncut));
-            self.first_uncut += 1;
         }
     }
     // No flush override: windows still open when the stream closes are
@@ -618,25 +627,36 @@ mod tests {
             tx.send(r).unwrap();
         }
         drop(tx);
-        let routed: Vec<(u64, Option<u64>)> = pipeline
+        let routed: Vec<String> = pipeline
             .shutdown()
             .expect_clean()
             .iter()
             .map(|msg| match msg {
-                WindowMsg::Record(window, r) => (*window, Some(r.rpc.0)),
-                WindowMsg::Cut(window) => (*window, None),
+                WindowMsg::Record(window, r) => format!("record {} in {window}", r.rpc.0),
+                WindowMsg::Ready(window) => format!("ready {window}"),
+                WindowMsg::Cut(window) => format!("cut {window}"),
             })
             .collect();
+        // Each window's ready mark goes out at end + grace/2, before its
+        // cut at end + grace.
         assert_eq!(
             routed,
             [
-                (4, Some(2)),
-                (6, Some(3)),
-                (4, None),
-                (5, None),
-                (6, Some(4)),
-                (6, Some(5))
+                "record 2 in 4",
+                "record 3 in 6",
+                "ready 4",
+                "cut 4",
+                "ready 5",
+                "cut 5",
+                "record 4 in 6",
+                "record 5 in 6"
             ]
+        );
+        // A ready mark quarantines as a cut does: its window, no record.
+        let ready = WindowMsg::Ready(4);
+        assert_eq!(
+            (ready.dead_letter_window(), ready.dead_letter_record()),
+            (Some(4), None)
         );
         let text = telemetry.render();
         assert!(

@@ -25,13 +25,11 @@
 //! draining the results queue, so a results queue shorter than the
 //! remaining output can never deadlock the join.
 
-use crate::supervise::{
-    panic_message, DeadLetterQueue, StageFailure, StageSupervisor, Supervisor, Verdict,
-};
+use crate::supervise::{panic_message, StageFailure, StageSupervisor, Supervisor, Verdict};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tw_model::span::RpcRecord;
 use tw_telemetry::{Counter, Gauge, Registry};
 
@@ -178,11 +176,7 @@ fn run_stage<S: Stage>(
         metrics.busy.add(t0.elapsed().as_secs_f64());
         if let Err(payload) = result {
             match sup.on_panic(&panic_message(payload.as_ref()), item_seq, record, window) {
-                Verdict::Restart(backoff) => {
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
+                Verdict::Restart(backoff) => std::thread::sleep(backoff),
                 Verdict::Escalate => {
                     escalated = true;
                     break;
@@ -205,20 +199,6 @@ fn run_stage<S: Stage>(
         metrics.busy.add(t0.elapsed().as_secs_f64());
     }
     metrics.depth.set(0.0);
-}
-
-fn spawn_stage<S: Stage>(
-    stage: S,
-    rx: Receiver<S::In>,
-    out: Emitter<S::Out>,
-    metrics: StageMetrics,
-    sup: StageSupervisor,
-) -> JoinHandle<()> {
-    let name = format!("tw-{}", stage.name());
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || run_stage(stage, rx, out, metrics, sup))
-        .expect("spawn stage thread")
 }
 
 /// Composes stages into a supervised linear graph. Start from
@@ -271,7 +251,11 @@ impl<T: Send + 'static> PipelineBuilder<T> {
         let out = Emitter { tx, closed: false };
         let metrics = StageMetrics::new(&self.registry, &name);
         let sup = self.supervisor.for_stage(&self.registry, &name);
-        let handle = spawn_stage(stage, self.tail, out, metrics, sup);
+        let input = self.tail;
+        let handle = std::thread::Builder::new()
+            .name(format!("tw-{name}"))
+            .spawn(move || run_stage(stage, input, out, metrics, sup))
+            .expect("spawn stage thread");
         self.stages.push((name, handle));
         PipelineBuilder {
             registry: self.registry,
@@ -310,12 +294,6 @@ impl<T> Pipeline<T> {
         self.stages.iter().map(|(n, _)| n.as_str()).collect()
     }
 
-    /// The pipeline's dead-letter queue (clone to inspect poison items
-    /// live, e.g. from `twctl serve`).
-    pub fn dead_letters(&self) -> DeadLetterQueue {
-        self.supervisor.dead_letters().clone()
-    }
-
     /// Ordered drain-safe shutdown. Close the entry sender first; then
     /// this joins every stage upstream-to-downstream while continuously
     /// draining the results queue, so in-flight windows flush through
@@ -338,10 +316,7 @@ impl<T> Pipeline<T> {
     fn join_draining(&mut self, mut sink: impl FnMut(T)) {
         for (name, handle) in self.stages.drain(..) {
             while !handle.is_finished() {
-                if let Ok(item) = self
-                    .results
-                    .recv_timeout(std::time::Duration::from_millis(5))
-                {
+                if let Ok(item) = self.results.recv_timeout(Duration::from_millis(5)) {
                     sink(item);
                 }
             }
@@ -376,14 +351,11 @@ impl<T> ShutdownReport<T> {
     /// if any stage failed. For tests and callers that treat any stage
     /// failure as fatal.
     pub fn expect_clean(self) -> Vec<T> {
+        let failures: Vec<String> = self.failures.iter().map(StageFailure::to_string).collect();
         assert!(
-            self.failures.is_empty(),
+            failures.is_empty(),
             "pipeline stages failed: {}",
-            self.failures
-                .iter()
-                .map(StageFailure::to_string)
-                .collect::<Vec<_>>()
-                .join("; ")
+            failures.join("; ")
         );
         self.results
     }

@@ -2,8 +2,10 @@
 //! estimators for the engine's checkpoint.
 
 use super::{SanitizeConfig, Sanitizer, SanitizerSnapshot};
+use crate::pipeline::{Emitter, Stage, StageCtx};
 use std::sync::Arc;
 use tw_model::span::RpcRecord;
+use tw_telemetry::trace::{SpanGuard, SpanRecorder};
 use tw_telemetry::Registry;
 
 /// Shared slot a [`SanitizeStage`] periodically publishes its snapshot
@@ -31,8 +33,8 @@ pub struct SanitizeStage {
     since_snapshot: u64,
     /// Self-tracing: recorder plus the engine window width, so the stage
     /// can attribute its work to the window each record will land in.
-    trace: Option<(tw_telemetry::trace::SpanRecorder, u64)>,
-    current_span: Option<(u64, tw_telemetry::trace::SpanGuard)>,
+    trace: Option<(SpanRecorder, u64)>,
+    current_span: Option<(u64, SpanGuard)>,
 }
 
 impl SanitizeStage {
@@ -51,11 +53,7 @@ impl SanitizeStage {
     /// a record's `recv_resp` maps to under `window_ns`-wide windows).
     /// Because sanitize runs upstream of the router, this opens the
     /// window's span tree, so the tree covers the full online path.
-    pub fn with_trace(
-        mut self,
-        recorder: tw_telemetry::trace::SpanRecorder,
-        window_ns: u64,
-    ) -> Self {
+    pub fn with_trace(mut self, recorder: SpanRecorder, window_ns: u64) -> Self {
         self.trace = Some((recorder, window_ns.max(1)));
         self
     }
@@ -90,7 +88,7 @@ impl SanitizeStage {
     }
 }
 
-impl crate::pipeline::Stage for SanitizeStage {
+impl Stage for SanitizeStage {
     type In = RpcRecord;
     type Out = RpcRecord;
 
@@ -98,12 +96,7 @@ impl crate::pipeline::Stage for SanitizeStage {
         "sanitize"
     }
 
-    fn process(
-        &mut self,
-        rec: RpcRecord,
-        _ctx: &crate::pipeline::StageCtx,
-        out: &mut crate::pipeline::Emitter<RpcRecord>,
-    ) {
+    fn process(&mut self, rec: RpcRecord, _ctx: &StageCtx, out: &mut Emitter<RpcRecord>) {
         self.trace_record(&rec);
         if let Some(clean) = self.sanitizer.sanitize(rec) {
             out.emit(clean);
@@ -112,11 +105,7 @@ impl crate::pipeline::Stage for SanitizeStage {
         self.maybe_publish(false);
     }
 
-    fn flush(
-        &mut self,
-        _ctx: &crate::pipeline::StageCtx,
-        _out: &mut crate::pipeline::Emitter<RpcRecord>,
-    ) {
+    fn flush(&mut self, _ctx: &StageCtx, _out: &mut Emitter<RpcRecord>) {
         self.current_span = None;
         self.maybe_publish(true);
     }

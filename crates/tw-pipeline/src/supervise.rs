@@ -102,10 +102,7 @@ impl DeadLetterQueue {
     /// an entry was evicted to make room.
     pub fn push(&self, letter: DeadLetter) -> bool {
         let mut q = self.inner.lock();
-        let evicted = q.len() >= self.capacity;
-        if evicted {
-            q.pop_front();
-        }
+        let evicted = q.len() >= self.capacity && q.pop_front().is_some();
         q.push_back(letter);
         evicted
     }
@@ -124,11 +121,6 @@ impl DeadLetterQueue {
     /// drained).
     pub fn is_empty(&self) -> bool {
         self.inner.lock().is_empty()
-    }
-
-    /// The queue's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -294,12 +286,12 @@ impl StageSupervisor {
             self.evicted.inc();
         }
         let now = Instant::now();
-        while let Some(front) = self.recent.front() {
-            if now.duration_since(*front) > RESTART_WINDOW {
-                self.recent.pop_front();
-            } else {
-                break;
-            }
+        while self
+            .recent
+            .front()
+            .is_some_and(|t| now.duration_since(*t) > RESTART_WINDOW)
+        {
+            self.recent.pop_front();
         }
         if self.recent.len() >= MAX_RESTARTS {
             self.shared.record_failure(
@@ -347,13 +339,10 @@ impl StageSupervisor {
 /// Stringify a panic payload (`&str` and `String` payloads verbatim,
 /// anything else opaque).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
+    let text = payload.downcast_ref::<&str>().copied();
+    text.or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("opaque panic payload")
+        .to_string()
 }
 
 #[cfg(test)]

@@ -8,9 +8,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use tw_core::{Params, TraceWeaver};
 use tw_model::time::Nanos;
-use tw_pipeline::net::{
-    export_records, fetch_deadletters, fetch_metrics, serve_online_sanitized, MetricsServer,
-};
+use tw_pipeline::net::{export_records, fetch, serve_online_sanitized, MetricsServer};
 use tw_pipeline::{DeadLetter, DeadLetterQueue, OnlineConfig, SanitizeConfig, ServeHealth};
 use tw_sim::apps::two_service_chain;
 use tw_sim::{Simulator, Workload};
@@ -58,7 +56,7 @@ fn scrape_covers_every_pipeline_stage() {
     assert!(!results.is_empty(), "engine produced windows");
     assert_eq!(sanitize_stats.received, records.len() as u64);
 
-    let text = fetch_metrics(scrape.local_addr()).expect("scrape /metrics");
+    let text = fetch(scrape.local_addr(), "/metrics").expect("scrape /metrics");
     scrape.shutdown();
 
     let report = tw_telemetry::lint::lint(&text).expect("exposition lints clean");
@@ -262,7 +260,7 @@ fn dead_letters_round_trip_through_the_endpoint() {
     let health = ServeHealth::new();
     health.attach_dead_letters(queue.clone());
     let scrape = MetricsServer::bind("127.0.0.1:0", vec![Registry::new()], health).expect("bind");
-    let body = fetch_deadletters(scrape.local_addr()).expect("GET /deadletters");
+    let body = fetch(scrape.local_addr(), "/deadletters").expect("GET /deadletters");
     let served: Vec<DeadLetter> = serde_json::from_str(&body).expect("a list of DeadLetter");
     assert_eq!(served, queue.snapshot());
     scrape.shutdown();

@@ -8,9 +8,7 @@ use std::collections::BTreeMap;
 use tw_core::{Params, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
-use tw_pipeline::net::{
-    export_records, fetch_metrics, fetch_spans, serve_online_sanitized, MetricsServer, ServeHealth,
-};
+use tw_pipeline::net::{export_records, fetch, serve_online_sanitized, MetricsServer, ServeHealth};
 use tw_pipeline::{OnlineConfig, OnlineEngine, SanitizeConfig};
 use tw_sim::apps::two_service_chain;
 use tw_sim::{Simulator, Workload};
@@ -135,7 +133,7 @@ fn slow_window_exemplar_links_to_span_tree() {
     let windows = engine.shutdown();
     assert!(!windows.is_empty());
 
-    let text = fetch_metrics(scrape.local_addr()).expect("scrape /metrics");
+    let text = fetch(scrape.local_addr(), "/metrics").expect("scrape /metrics");
 
     // Exemplars flip the exposition to OpenMetrics (EOF-terminated) and a
     // latency bucket carries a window_id/span_id exemplar.
@@ -158,7 +156,7 @@ fn slow_window_exemplar_links_to_span_tree() {
 
     // The exemplar's window resolves to a sealed span tree on /spans,
     // rooted at the exemplar's span id.
-    let spans = fetch_spans(scrape.local_addr()).expect("fetch /spans");
+    let spans = fetch(scrape.local_addr(), "/spans").expect("fetch /spans");
     scrape.shutdown();
     assert!(
         spans.contains(&format!(

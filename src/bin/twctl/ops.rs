@@ -15,7 +15,8 @@ fn scrape_addr(flags: &Flags) -> Result<std::net::SocketAddr, String> {
 
 pub(crate) fn cmd_metrics(flags: &Flags) -> Result<(), String> {
     let addr = scrape_addr(flags)?;
-    let text = traceweaver::pipeline::fetch_metrics(addr).map_err(|e| format!("{addr}: {e}"))?;
+    let text =
+        traceweaver::pipeline::fetch(addr, "/metrics").map_err(|e| format!("{addr}: {e}"))?;
     print!("{text}");
     Ok(())
 }
@@ -23,10 +24,10 @@ pub(crate) fn cmd_metrics(flags: &Flags) -> Result<(), String> {
 /// Pretty-print a running pipeline's `/deadletters`, and resubmit the
 /// captured records with `--resubmit --to HOST:PORT` (`twctl help`).
 pub(crate) fn cmd_deadletters(flags: &Flags) -> Result<(), String> {
-    use traceweaver::pipeline::{export_records, fetch_deadletters, DeadLetter};
+    use traceweaver::pipeline::{export_records, fetch, DeadLetter};
 
     let addr = scrape_addr(flags)?;
-    let text = fetch_deadletters(addr).map_err(|e| format!("{addr}: {e}"))?;
+    let text = fetch(addr, "/deadletters").map_err(|e| format!("{addr}: {e}"))?;
     let letters: Vec<DeadLetter> =
         serde_json::from_str(&text).map_err(|e| format!("{addr}: /deadletters: {e}"))?;
     if letters.is_empty() {
@@ -255,7 +256,7 @@ pub(crate) fn cmd_top(flags: &Flags) -> Result<(), String> {
     let mut round = 0u64;
     loop {
         let text =
-            traceweaver::pipeline::fetch_metrics(addr).map_err(|e| format!("{addr}: {e}"))?;
+            traceweaver::pipeline::fetch(addr, "/metrics").map_err(|e| format!("{addr}: {e}"))?;
         let samples = parse_samples(&text);
         // Busiest series first: rank by absolute per-interval delta, then
         // by value, so moving counters float to the top of the board.

@@ -179,7 +179,7 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(scrape) = live.finish(&format!("served {duration_ms}ms"))? {
         // The final exposition, once every stage has drained.
         if let Some(out) = flags.get("metrics-out") {
-            let text = traceweaver::pipeline::fetch_metrics(scrape.local_addr())
+            let text = traceweaver::pipeline::fetch(scrape.local_addr(), "/metrics")
                 .map_err(|e| e.to_string())?;
             traceweaver::store::frame::atomic_write(Path::new(out), text.as_bytes())
                 .map_err(|e| format!("{out}: {e}"))?;
