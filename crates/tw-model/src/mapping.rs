@@ -130,19 +130,33 @@ impl Mapping {
     /// assert_eq!(order, vec![1, 2, 4, 3]);
     /// ```
     pub fn assemble(&self, root: RpcId) -> AssembledTrace {
-        let mut nodes = Vec::new();
-        let mut visited = std::collections::HashSet::new();
-        let mut stack = vec![(root, 0usize)];
-        while let Some((rpc, depth)) = stack.pop() {
-            if !visited.insert(rpc) {
-                continue;
+        let (mut nodes, mut visited) = (Vec::new(), HashSet::new());
+        self.walk(root, &mut Vec::new(), |rpc, depth| {
+            let first = visited.insert(rpc);
+            if first {
+                nodes.push((rpc, depth));
             }
-            nodes.push((rpc, depth));
-            for &c in self.children(rpc).iter().rev() {
-                stack.push((c, depth + 1));
+            first
+        });
+        AssembledTrace { root, nodes }
+    }
+
+    /// The traversal behind [`assemble`](Self::assemble): offers each RPC
+    /// reached from `root`, in pre-order, with its depth to `visit`, and
+    /// follows its children only if `visit` returns true (false for an
+    /// RPC seen before breaks a cycle). `stack` is scratch, left empty.
+    pub fn walk(
+        &self,
+        root: RpcId,
+        stack: &mut Vec<(RpcId, usize)>,
+        mut visit: impl FnMut(RpcId, usize) -> bool,
+    ) {
+        stack.push((root, 0));
+        while let Some((rpc, depth)) = stack.pop() {
+            if visit(rpc, depth) {
+                stack.extend(self.children(rpc).iter().rev().map(|&c| (c, depth + 1)));
             }
         }
-        AssembledTrace { root, nodes }
     }
 }
 
@@ -154,14 +168,6 @@ pub struct AssembledTrace {
 }
 
 impl AssembledTrace {
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     pub fn rpcs(&self) -> impl Iterator<Item = RpcId> + '_ {
         self.nodes.iter().map(|&(r, _)| r)
     }
@@ -205,20 +211,8 @@ impl RankedMapping {
         self.scores.get(&parent).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Append a lower-ranked candidate for a parent.
-    pub fn push(&mut self, parent: RpcId, mut candidate: Vec<RpcId>) {
-        candidate.sort();
-        candidate.dedup();
-        self.ranked.entry(parent).or_default().push(candidate);
-    }
-
     pub fn candidates(&self, parent: RpcId) -> &[Vec<RpcId>] {
         self.ranked.get(&parent).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Parents that have ranked candidates recorded (arbitrary order).
-    pub fn parents(&self) -> impl Iterator<Item = RpcId> + '_ {
-        self.ranked.keys().copied()
     }
 
     pub fn len(&self) -> usize {
@@ -361,7 +355,6 @@ mod tests {
         m.assign(r(2), [r(4)]);
         let t = m.assemble(r(1));
         assert_eq!(t.nodes, vec![(r(1), 0), (r(2), 1), (r(4), 2), (r(3), 1)]);
-        assert_eq!(t.len(), 4);
     }
 
     #[test]
@@ -370,7 +363,7 @@ mod tests {
         m.assign(r(1), [r(2)]);
         m.assign(r(2), [r(1)]);
         let t = m.assemble(r(1));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.nodes, vec![(r(1), 0), (r(2), 1)]);
     }
 
     #[test]
@@ -380,8 +373,6 @@ mod tests {
         let cands = rm.candidates(r(1));
         assert_eq!(cands[0], vec![r(2), r(3)]);
         assert_eq!(cands[1], vec![r(4)]);
-        rm.push(r(1), vec![r(5)]);
-        assert_eq!(rm.candidates(r(1)).len(), 3);
     }
 
     #[test]

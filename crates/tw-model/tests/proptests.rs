@@ -99,7 +99,7 @@ proptest! {
         for rpc in t.rpcs() {
             prop_assert!(seen.insert(rpc), "duplicate {rpc:?} in assembled trace");
         }
-        prop_assert!(t.len() <= 21);
+        prop_assert!(t.nodes.len() <= 21);
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! The archive sink stage (DESIGN.md §14): sits after the window shard in
-//! the online pipeline, converts each sealed window's reconstruction into
-//! [`StoredTrace`]s, appends them to a durable [`TraceArchive`], and
-//! re-emits the window unchanged — results consumers see the exact same
-//! stream with or without archiving.
-//!
-//! The one window shard seals windows in index order, so the archive's
-//! segmentation is deterministic: 1, 2 and 8 reconstruction threads
-//! produce byte-identical archive directories.
+//! The archive sink stage (DESIGN.md §14): after the window shard, it
+//! converts each window's reconstruction into [`StoredTrace`]s, appends
+//! them to a durable [`TraceArchive`], re-emits the window unchanged, and
+//! only then seals a full segment. The one window shard seals windows in
+//! index order, so 1, 2 and 8 reconstruction threads produce
+//! byte-identical archive directories.
 
 use crate::checkpoint::DueCheckpoints;
 use crate::online::{DegradationLevel, WindowResult};
 use crate::pipeline::{DeadLetterPayload, Emitter, Stage, StageCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tw_model::span::{RpcRecord, EXTERNAL};
+use tw_model::span::EXTERNAL;
 use tw_store::{StoredSpan, StoredTrace, TraceArchive};
 
 /// A window result is its own dead-letter provenance: if the archive
@@ -24,51 +21,57 @@ impl DeadLetterPayload for WindowResult {
     }
 }
 
-/// Convert one reconstructed window into stored traces: one trace per
-/// root record (a record whose caller is the external client), its span
-/// tree assembled from the window's mapping in pre-order with depths.
-/// Shed (skipped) windows carried records *without* reconstructing them,
-/// so they produce no traces — the window still advances the archive
-/// watermark when observed.
+/// Convert one reconstructed window into stored traces: one per root
+/// record (its caller is the external client), holding the window's
+/// records met in pre-order, with depths, on the walk [`Mapping::assemble`]
+/// takes. A shed (skipped) window has no mapping, so it has no traces; it
+/// still advances the archive watermark when observed.
+///
+/// [`Mapping::assemble`]: tw_model::Mapping::assemble
 pub fn stored_traces(result: &WindowResult) -> Vec<StoredTrace> {
     if result.degradation == DegradationLevel::Skip {
         return Vec::new();
     }
-    let by_id: HashMap<u64, &RpcRecord> = result.records.iter().map(|r| (r.rpc.0, r)).collect();
-    let degraded = result.degradation != DegradationLevel::Full;
-    let mut traces = Vec::new();
-    for record in &result.records {
-        if record.caller != EXTERNAL {
-            continue;
-        }
-        let tree = result.reconstruction.mapping.assemble(record.rpc);
-        let spans: Vec<StoredSpan> = tree
-            .nodes
-            .iter()
-            .filter_map(|(rpc, depth)| {
-                by_id.get(&rpc.0).map(|r| StoredSpan {
-                    depth: *depth as u32,
-                    record: **r,
-                })
-            })
-            .collect();
-        let start = record.send_req.0;
-        let end = record.recv_resp.0;
+    // The window's ids, sorted (a repeated id stands for its last record),
+    // each stamped with the last trace that reached it.
+    let mut by_id: Vec<(u64, usize)> = (result.records.iter().enumerate())
+        .map(|(i, r)| (r.rpc.0, i))
+        .collect();
+    by_id.sort_unstable();
+    let (mut seen, mut outside) = (vec![0; by_id.len()], HashMap::new());
+    let (mut stack, mut spans) = (Vec::new(), Vec::new());
+    let (mapping, mut traces) = (&result.reconstruction.mapping, Vec::new());
+    let roots = result.records.iter().filter(|r| r.caller == EXTERNAL);
+    for (trace, root) in (1..).zip(roots) {
+        mapping.walk(root.rpc, &mut stack, |rpc, depth| {
+            let at = by_id.partition_point(|&(id, _)| id <= rpc.0);
+            let Some(i) = at.checked_sub(1).filter(|&i| by_id[i].0 == rpc.0) else {
+                return outside.insert(rpc.0, trace) != Some(trace);
+            };
+            let first = std::mem::replace(&mut seen[i], trace) != trace;
+            if first {
+                let (depth, record) = (depth as u32, result.records[by_id[i].1]);
+                spans.push(StoredSpan { depth, record });
+            }
+            first
+        });
         traces.push(StoredTrace {
             window: result.index,
-            root: record.rpc.0,
-            start,
-            end,
-            latency_ns: end.saturating_sub(start),
-            degraded,
-            spans,
+            root: root.rpc.0,
+            start: root.send_req.0,
+            end: root.recv_resp.0,
+            latency_ns: root.recv_resp.0.saturating_sub(root.send_req.0),
+            degraded: result.degradation != DegradationLevel::Full,
+            spans: spans.to_vec(),
         });
+        spans.clear();
     }
     traces
 }
 
-/// The sink stage: archive, then pass the window through untouched, and
-/// write the checkpoints the archive has come to cover (DESIGN.md §12).
+/// The sink stage: append, pass the window through untouched, seal a full
+/// buffer, then write the checkpoints the archive has come to cover
+/// (DESIGN.md §12). The result leaves before its segment is fsynced.
 pub struct ArchiveStage {
     archive: Arc<TraceArchive>,
     pub(crate) checkpoint: Option<DueCheckpoints>,
@@ -95,10 +98,12 @@ impl Stage for ArchiveStage {
     }
 
     fn process(&mut self, item: Self::In, _ctx: &StageCtx, out: &mut Emitter<Self::Out>) {
-        self.archive
-            .observe_window(item.index, stored_traces(&item));
+        let full = self.archive.append(item.index, stored_traces(&item));
         self.observed = item.index + 1;
         out.emit(item);
+        if full {
+            self.archive.sync();
+        }
         if let Some(checkpoint) = &mut self.checkpoint {
             checkpoint.write(self.observed, self.archive.watermark(), false);
         }
@@ -118,9 +123,11 @@ impl Stage for ArchiveStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::time::Duration;
     use tw_core::Reconstruction;
     use tw_model::ids::{Endpoint, OperationId, RpcId, ServiceId};
+    use tw_model::span::RpcRecord;
     use tw_model::time::Nanos;
 
     fn rec(rpc: u64, caller: ServiceId, callee: u32, t: [u64; 4]) -> RpcRecord {
@@ -191,5 +198,65 @@ mod tests {
         assert!(greedy[0].degraded);
         let skipped = stored_traces(&window(records, DegradationLevel::Skip));
         assert!(skipped.is_empty(), "skipped windows archive nothing");
+    }
+
+    /// The conversion as it was written before the one-pass walk: a
+    /// `Mapping::assemble` per root and a hash lookup per node.
+    fn assembled_traces(result: &WindowResult) -> Vec<StoredTrace> {
+        if result.degradation == DegradationLevel::Skip {
+            return Vec::new();
+        }
+        let by_id: HashMap<u64, &RpcRecord> = result.records.iter().map(|r| (r.rpc.0, r)).collect();
+        let roots = result.records.iter().filter(|r| r.caller == EXTERNAL);
+        roots
+            .map(|record| StoredTrace {
+                window: result.index,
+                root: record.rpc.0,
+                start: record.send_req.0,
+                end: record.recv_resp.0,
+                latency_ns: record.recv_resp.0.saturating_sub(record.send_req.0),
+                degraded: result.degradation != DegradationLevel::Full,
+                spans: (result.reconstruction.mapping.assemble(record.rpc).nodes)
+                    .into_iter()
+                    .filter_map(|(rpc, depth)| {
+                        by_id.get(&rpc.0).map(|r| StoredSpan {
+                            depth: depth as u32,
+                            record: **r,
+                        })
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Windows whose mappings hold cycles, children claimed by two
+        /// parents, children that are no record of the window and
+        /// repeated record ids, at every rung: the one-pass conversion
+        /// returns what a walk per root returns.
+        #[test]
+        fn one_pass_traces_equal_a_walk_per_root(
+            records in prop::collection::vec((0u64..24, 0u32..3, 0u64..500), 0..24),
+            parents in prop::collection::vec((0u64..32, prop::collection::vec(0u64..32, 0..4)), 0..24),
+            rung in 0usize..3,
+        ) {
+            let records = records
+                .into_iter()
+                .map(|(rpc, caller, t)| {
+                    let caller = if caller == 0 { EXTERNAL } else { ServiceId(caller) };
+                    rec(rpc, caller, 1, [t, t + 1, t + 2, t + 3 + rpc])
+                })
+                .collect();
+            let rungs = [DegradationLevel::Full, DegradationLevel::Greedy, DegradationLevel::Skip];
+            let mut result = window(records, rungs[rung]);
+            let mut mapping = tw_model::Mapping::new();
+            for (parent, children) in parents {
+                mapping.assign(RpcId(parent), children.into_iter().map(RpcId));
+            }
+            result.reconstruction.mapping = mapping;
+            prop_assert_eq!(stored_traces(&result), assembled_traces(&result));
+        }
     }
 }

@@ -354,7 +354,7 @@ pub(super) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archive::ArchiveStage;
+    use crate::archive::{stored_traces, ArchiveStage};
     use crate::online::router::{window_of, WindowRouter};
     use crate::online::testutil::assert_same_windows;
     use crate::pipeline::PipelineBuilder;
@@ -365,7 +365,7 @@ mod tests {
     use tw_model::ids::RpcId;
     use tw_sim::apps::two_service_chain;
     use tw_sim::{Simulator, Workload};
-    use tw_store::{ArchiveConfig, TraceArchive};
+    use tw_store::{ArchiveConfig, TraceArchive, TraceQuery};
     use tw_telemetry::trace::TraceConfig;
     use tw_telemetry::Registry;
 
@@ -542,7 +542,7 @@ mod tests {
             assert_eq!(online, chain, "{what}: registry left the chain");
             let reference = archive("chain");
             for w in &expected {
-                reference.observe_window(w.index, crate::archive::stored_traces(w));
+                reference.observe_window(w.index, stored_traces(w));
             }
             reference.sync();
             assert_eq!(
@@ -581,5 +581,77 @@ mod tests {
                 tree.events
             );
         }
+    }
+
+    /// The archive stage hands a result off before it seals the segment
+    /// the result's traces fill: each result on `results()` already finds
+    /// its traces in the archive, those of a window whose append fills a
+    /// segment included, and the directory the stage leaves equals one
+    /// written by `observe_window` window by window.
+    #[test]
+    fn each_result_is_queryable_on_arrival_and_the_archive_matches_observe_window() {
+        let window = Nanos::from_millis(50);
+        let app = two_service_chain(67);
+        let graph = app.config.call_graph();
+        let sim = Simulator::new(app.config).unwrap();
+        let workload = Workload::poisson(app.roots[0], 1_500.0, Nanos::from_secs(2));
+        let mut records = sim.run(&workload).records;
+        records.sort_by_key(|r| (r.recv_resp, r.rpc));
+        let dir = std::env::temp_dir().join(format!("twarrive-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let archive = |name: &str| {
+            let cfg = ArchiveConfig {
+                segment_bytes: 16 << 10,
+                ..ArchiveConfig::new(dir.join(name))
+            };
+            Arc::new(TraceArchive::open(cfg, &Registry::new()).unwrap())
+        };
+        let online = archive("online");
+        let telemetry = Registry::new();
+        let tw = TraceWeaver::new(graph, Params::with_threads(2));
+        let metrics = EngineMetrics::new(&telemetry, None);
+        let mut shard = WindowShard::new(window, ShedPolicy::default(), tw, metrics);
+        shard.warm = Some(DelayRegistry::default());
+        let (tx, builder) = PipelineBuilder::<RpcRecord>::source(&telemetry, 1024);
+        let pipeline = builder
+            .stage(
+                WindowRouter::new(window, Nanos::from_millis(200), None),
+                1024,
+            )
+            .stage(shard, 1024)
+            .stage(ArchiveStage::new(online.clone()), 1024)
+            .build();
+        for r in &records {
+            tx.send(*r).unwrap();
+        }
+        drop(tx);
+        let mut windows = Vec::new();
+        for w in pipeline.results().iter() {
+            let mut expected = stored_traces(&w);
+            expected.sort_by_key(|t| (t.window, t.start, t.root, t.end));
+            let query = TraceQuery {
+                window: Some(w.index),
+                limit: usize::MAX,
+                ..TraceQuery::default()
+            };
+            assert_eq!(online.query(&query), expected, "window {}", w.index);
+            windows.push(w);
+        }
+        assert!(pipeline.shutdown().expect_clean().is_empty());
+
+        let reference = archive("reference");
+        let mut filled = 0;
+        for w in &windows {
+            let before = reference.segment_count();
+            reference.observe_window(w.index, stored_traces(w));
+            filled += usize::from(reference.segment_count() > before);
+        }
+        reference.sync();
+        assert!(filled >= 3, "{filled} windows filled a segment");
+        assert_eq!(
+            dir_bytes(&dir.join("online")),
+            dir_bytes(&dir.join("reference"))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -342,11 +342,6 @@ pub struct ShutdownReport<T> {
 }
 
 impl<T> ShutdownReport<T> {
-    /// True when no stage failed.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-
     /// Unwrap the results, panicking (in the *caller*, not a `Drop`)
     /// if any stage failed. For tests and callers that treat any stage
     /// failure as fatal.

@@ -191,15 +191,22 @@ impl TraceArchive {
         self.state.lock().manifest.total_traces()
     }
 
-    /// Ingest one sealed window's reconstructed traces, in window order.
-    /// Windows below the durable watermark are replays of already
-    /// archived data (a restart re-reconstructing past the archive
-    /// frontier) and are skipped — restarts never double-archive. Seals a
-    /// segment when the active buffer reaches the configured size.
+    /// Ingest one sealed window's reconstructed traces, in window order:
+    /// [`append`](Self::append) them, then seal if that filled the buffer.
     pub fn observe_window(&self, index: u64, traces: Vec<StoredTrace>) {
+        if self.append(index, traces) {
+            self.sync();
+        }
+    }
+
+    /// Add one window's traces to the active buffer, where queries find
+    /// them; true once it holds a segment's worth. A window below the
+    /// durable watermark replays archived data (a restart re-reconstructing
+    /// past the archive frontier) and is skipped: no double-archiving.
+    pub fn append(&self, index: u64, traces: Vec<StoredTrace>) -> bool {
         let mut state = self.state.lock();
         if index < state.manifest.watermark {
-            return;
+            return false;
         }
         self.metrics.appends.add(traces.len() as u64);
         for trace in traces {
@@ -207,9 +214,7 @@ impl TraceArchive {
             state.active.push(trace);
         }
         state.pending = state.pending.max(index + 1);
-        if state.active_bytes >= self.cfg.segment_bytes {
-            self.seal_locked(&mut state);
-        }
+        state.active_bytes >= self.cfg.segment_bytes
     }
 
     /// Seal the active buffer (if any) and commit the manifest, making
